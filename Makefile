@@ -9,7 +9,7 @@ export FAULT_SEED
 .PHONY: test test-metadb test-datapath test-maintenance test-mvcc \
     test-policy test-faults lint verify-collectives \
     bench bench-metadb bench-datapath bench-maintenance bench-policy \
-    perfcheck
+    bench-e2e bench-e2e-compare perfcheck
 
 ## tier-1 verify: static SPMD lint first (cheapest signal), the metadb
 ## subset next, then everything else, then the property harnesses again
@@ -105,6 +105,18 @@ perfcheck:
 ## BENCH_maintenance.json
 bench-maintenance:
 	MAINTENANCE_BENCH_JSON=BENCH_maintenance.json $(PYTHON) -m pytest benchmarks/bench_ablation_maintenance.py --benchmark-only -q
+
+## the two-clock end-to-end benchmark (BENCHMARK.json, benchmarks/e2e/):
+## every workload, both trace modes, one record written to $(OUT); then
+## `make bench-e2e-compare A=parent.json B=change.json` holds two records
+## of equal seed against each other (virtual clock and counters exactly)
+OUT ?= .bench_build/e2e.json
+bench-e2e:
+	mkdir -p $(dir $(OUT))
+	$(PYTHON) benchmarks/e2e/run.py --out $(OUT)
+
+bench-e2e-compare:
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 ## every paper-reproduction benchmark (tracked-JSON ablations first; the
 ## datapath ablation runs perfcheck against its regenerated JSON).

@@ -246,9 +246,7 @@ def run_churn_case(nprocs):
     tables = SDMTables(job.services["db"])
     fname = "benchchurn/d.chunked.dat"
     file_size = job.services["fs"].lookup(fname).size
-    live_bytes = sum(
-        nbytes for *_rest, nbytes in tables.executions_in_file(fname)
-    )
+    live_bytes = sum(r[4] for r in tables.executions_in_file(fname))
     return {
         "file_size": int(file_size),
         "live_bytes": int(live_bytes),

@@ -113,11 +113,16 @@ CATALOG: Dict[str, CollectiveSpec] = {
     "acquire_file_lease": CollectiveSpec(
         "acquire_file_lease", uniform_result=True
     ),
+    # The flip driver's commit half ends in an epoch bcast and a barrier;
+    # it returns the broadcast epoch (receiver-guarded: the name is far
+    # too generic bare).
+    "publish": CollectiveSpec(
+        "flip.publish", uniform_result=True, receivers=("fl",)
+    ),
     "register_history_async": CollectiveSpec("register_history_async"),
     "try_load_history": CollectiveSpec("try_load_history"),
     "ring_partition_index": CollectiveSpec("ring_partition_index"),
     "_next_append_base": CollectiveSpec("next_append_base", uniform_result=True),
-    "_reorganize": CollectiveSpec("reorganize"),
     # SDM methods (receiver-guarded: the names are too generic bare).
     # ``write``/``reorganize``/``compact`` return the file name — the
     # same on every rank — so they launder taint; ``read`` returns this

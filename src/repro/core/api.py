@@ -43,13 +43,13 @@ import numpy as np
 
 from repro.core.datapath import (
     ChunkedOrder,
-    FileHandleCache,
+    DatapathHost,
     IndexBlockCache,
     StorageOrder,
     compact_chunked_file,
+    execute_reorganize,
     locate_instance,
-    read_instance,
-    reorganize as _reorganize,
+    read_pinned,
     resolve_storage_order,
 )
 from repro.core.groups import DataGroup, DatasetAttrs, DataView, ImportAttrs
@@ -64,22 +64,22 @@ from repro.core.layout import (
     checkpoint_file_name,
     is_chunked_name,
 )
+from repro.core.maintenance import COMPACT, REORGANIZE
 from repro.core.policy import PolicyConfig
 from repro.core.ring import EdgeChunk, LocalPartition, owned_nodes_of, ring_partition_index
 from repro.dtypes.constructors import IndexedBlock
 from repro.dtypes.primitives import DOUBLE, INT, Primitive
 from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
-from repro.metadb.schema import DEFAULT_PIN_TTL, SDMTables
+from repro.metadb.schema import SDMTables
 from repro.mpi.job import RankContext
 from repro.mpiio.consts import MODE_RDONLY
-from repro.mpiio.file import File
 from repro.mpiio.hints import validate_hints
 from repro.mpiio.runs import ADAPTIVE_GAP
 
 __all__ = ["SDM"]
 
 
-class SDM:
+class SDM(DatapathHost):
     """Per-rank Scientific Data Manager instance (``SDM_initialize``)."""
 
     def __init__(
@@ -97,9 +97,7 @@ class SDM:
         policy: Union[None, str, PolicyConfig] = None,
     ) -> None:
         self.ctx = ctx
-        self.comm = ctx.comm
-        self.application = application
-        self.organization = Organization(organization)
+        organization = Organization(organization)  # reject before I/O
         self.storage_order = resolve_storage_order(storage_order)
         """Write-side data path: ``CanonicalOrder`` assembles global order
         at write time; ``ChunkedOrder`` appends distribution order and
@@ -115,10 +113,6 @@ class SDM:
         ``"background"`` enqueues it on the maintenance service and
         returns immediately (readers transparently serve whichever
         representation is current)."""
-        self.index_cache = IndexBlockCache()
-        """Rank-local LRU over chunked index-block fetches: checkpoint
-        loops share blocks across timesteps, so warm chunked reads move
-        data bytes only."""
         validate_hints(io_hints)
         self.io_hints = dict(io_hints) if io_hints else None
         """MPI-IO hints SDM passes on every file open (the paper: SDM uses
@@ -137,9 +131,8 @@ class SDM:
             # coalesce_gap hint wins over the policy default.
             self.io_hints = dict(self.io_hints or {})
             self.io_hints["coalesce_gap"] = ADAPTIVE_GAP
-        self.fs = ctx.service("fs")
         self.db = ctx.service("db")
-        self.tables = SDMTables(self.db)
+        tables = SDMTables(self.db)
         self.planner_calibration = None
         """This client's view of the database's planner calibration (the
         job-shared :class:`~repro.core.policy.PlannerCalibration`), or
@@ -158,53 +151,42 @@ class SDM:
         self.db.connect(ctx.proc)
         runid = None
         if ctx.rank == 0:
-            self.tables.create_all(proc=ctx.proc)
-            runid = self.tables.next_runid(proc=ctx.proc)
-            self.tables.insert_run(
+            tables.create_all(proc=ctx.proc)
+            runid = tables.next_runid(proc=ctx.proc)
+            tables.insert_run(
                 runid, application, dimension, problem_size, num_timesteps,
                 proc=ctx.proc,
             )
-        self.runid: int = self.comm.bcast(runid, root=0)
-        self.lease_holder = f"sdm:{application}:r{self.runid}"
-        """Flip-lease identity for this client's metadata publishes
-        (distinct per run, so overlapping flips fail fast instead of
-        silently overwriting each other)."""
-        self._pin_id: Optional[int] = None
-        self._pinned_epoch: Optional[int] = None
+        self.runid: int = ctx.comm.bcast(runid, root=0)
+        super().__init__(
+            ctx.comm, tables, ctx.service("fs"), application, organization,
+            lease_holder=f"sdm:{application}:r{self.runid}",
+            maintenance=ctx.services.get("maint"), hints=self.io_hints,
+        )
+        self.index_cache = IndexBlockCache()
+        """Rank-local LRU over chunked index-block fetches: checkpoint
+        loops share blocks across timesteps, so warm chunked reads move
+        data bytes only."""
+        self.caches.register(
+            self.storage_order
+            if isinstance(self.storage_order, ChunkedOrder) else None,
+            self.index_cache,
+        )
         if snapshot:
-            # Pin the epoch current at initialization: every read resolves
-            # against this snapshot until finalize (or a flip this client
-            # publishes itself advances it), no matter what background
-            # maintenance reorganizes or compacts meanwhile.
-            pin = None
-            if ctx.rank == 0:
-                epoch = self.tables.current_epoch(proc=ctx.proc)
-                pin = (
-                    self.tables.create_pin(
-                        self.lease_holder, epoch, proc=ctx.proc,
-                        now=ctx.proc.now,
-                    ),
-                    epoch,
-                )
-                ctx.proc.fault_point("pin:taken")
-            self._pin_id, self._pinned_epoch = self.comm.bcast(pin, root=0)
-        self._pin_touch_t: float = ctx.proc.now
-        """Virtual time of the last pin touch (read-path refreshes are
-        throttled to every PIN_TTL/4, so a small sim issues zero touch
-        statements while a long-lived reader still never ages out)."""
+            # Every read resolves against the epoch current now until
+            # finalize (or a flip this client publishes itself advances
+            # it), no matter what background maintenance reorganizes or
+            # compacts meanwhile.
+            self.pin.take(self.comm)
         self._leak_stats: Dict[str, int] = {"leaked_leases": 0,
                                             "leaked_pins": 0}
         self._groups: Dict[int, DataGroup] = {}
         self._next_group = 1
-        self._files = FileHandleCache(self.comm, self.fs, hints=self.io_hints)
         self._importlist: "OrderedDict[str, ImportAttrs]" = OrderedDict()
         self._local: Optional[LocalPartition] = None
         self._problem_size = problem_size
         self._part_vector: Optional[np.ndarray] = None
         self._history_available = False
-        self.maintenance = ctx.services.get("maint")
-        """The job's background maintenance service (None in bespoke
-        services dicts without the tier)."""
         self._maint_policy = self.policy.make_maintenance_policy()
         """Per-rank self-driving maintenance triggers (replicated state;
         see :class:`~repro.core.policy.MaintenancePolicy`), or None under
@@ -215,11 +197,6 @@ class SDM:
                 # Workers consult the policy's rate limiter before heavy
                 # I/O (job-shared service: one policy instance suffices).
                 self.maintenance.policy = self._maint_policy
-            self.maintenance.register_caches(
-                self.storage_order
-                if isinstance(self.storage_order, ChunkedOrder) else None,
-                self.index_cache,
-            )
         self.comm.barrier()
 
     # ------------------------------------------------------------------
@@ -526,54 +503,22 @@ class SDM:
 
         Under a ``snapshot=True`` SDM the location resolves against the
         pinned epoch, so a concurrent background reorganization or
-        compaction can never change what this call returns.  Unpinned
-        reads see the newest published metadata; either way the read is
-        registered with the maintenance read gate (rank 0 of the reading
-        communicator, covering the whole collective) so an in-place
-        compaction slide can never move bytes out from under it.
+        compaction can never change what this call returns; unpinned
+        reads see the newest published metadata
+        (:func:`~repro.core.datapath.read_pinned`).
         """
         attrs = handle.dataset(name)
         view = handle.view(name)
         rid = self.runid if runid is None else runid
-        if (
-            self._pin_id is not None
-            and self.ctx.rank == 0
-            and self.ctx.proc.now - self._pin_touch_t >= DEFAULT_PIN_TTL / 4
-        ):
-            # Prove this snapshot's client is alive so the abandoned-pin
-            # reaper never ages a live pin out; throttled so short jobs
-            # add zero statements to the read hot path.
-            self.tables.touch_pin(
-                self._pin_id, self.ctx.proc.now, proc=self.ctx.proc
-            )
-            self._pin_touch_t = self.ctx.proc.now
-        gate = self.maintenance
-        if gate is not None and self.ctx.rank == 0:
-            gate.begin_read(self.ctx.proc)
-        try:
-            where, chunks, version = locate_instance(
-                self.comm, self.tables, rid, name, timestep,
-                proc=self.ctx.proc, epoch=self._pinned_epoch,
-            )
-            if where is None:
-                raise SDMUnknownDataset(
-                    f"no execution record for run {rid} dataset {name!r} "
-                    f"timestep {timestep}"
-                )
-            fname = where[0]
-            f = self._open_cached(fname, MODE_RDONLY)
-            buf[:] = read_instance(
-                self.comm, f, where, chunks, attrs.data_type, view,
-                cache=self.index_cache, version=version,
-            )
-        finally:
-            if gate is not None and self.ctx.rank == 0:
-                gate.end_read()
+        buf[:], fname, chunks = read_pinned(
+            self, self.comm, rid, name, timestep, attrs.data_type, view,
+            open_file=lambda fname: self._open_cached(fname, MODE_RDONLY),
+        )
         if (
             chunks
             and self._maint_policy is not None
             and self.maintenance is not None
-            and self._pinned_epoch is None
+            and self.pin.epoch is None
         ):
             # Promotion loop: the instance is still serving chunked.  The
             # per-rank read counters are replicated (every rank counts the
@@ -614,11 +559,13 @@ class SDM:
           representation is current, and :meth:`drain_maintenance`
           blocks until the flip is visible.
         """
-        mode = self.reorganize_mode if mode is None else mode
-        if mode == "sync":
-            out = self._sync_flip(
-                lambda: _reorganize(self, handle, name, timestep, runid=runid)
-            )
+        attrs = handle.dataset(name)
+        rid = self.runid if runid is None else runid
+        if self._flip_mode(mode, "reorganization") == "sync":
+            out = self._sync_flip(lambda: execute_reorganize(
+                self, handle.group_id, name, timestep, attrs.data_type,
+                attrs.global_size, rid,
+            ))
             # The exchange leaves the instance's old chunks dead in the
             # .chunked file; give the fragmentation watcher a look.
             self._maybe_autocompact(
@@ -626,44 +573,25 @@ class SDM:
                                      storage_order=CHUNKED)
             )
             return out
-        if mode != "background":
-            raise SDMStateError(
-                f"unknown reorganize mode {mode!r} "
-                "(expected 'sync' or 'background')"
-            )
-        if self.maintenance is None:
-            raise SDMStateError(
-                "background reorganization needs the maintenance service; "
-                "this job's services dict has no 'maint' entry"
-            )
-        from repro.core.maintenance import REORGANIZE
-
-        attrs = handle.dataset(name)
-        rid = self.runid if runid is None else runid
         # One cheap metadata probe keeps already-canonical instances (and
         # their file names) out of the worker queue — the same no-op fast
         # path the sync call takes, minus the exchange machinery.
         where, chunks, _version = locate_instance(
-            self.comm, self.tables, rid, name, timestep, proc=self.ctx.proc
+            self.comm, self.tables, rid, name, timestep,
+            proc=self.ctx.proc, required=True,
         )
-        if where is None:
-            raise SDMUnknownDataset(
-                f"no execution record for run {rid} dataset {name!r} "
-                f"timestep {timestep}"
+        if chunks:
+            self.maintenance.enqueue(
+                self.ctx, REORGANIZE,
+                application=self.application,
+                organization=int(self.organization),
+                group_id=handle.group_id,
+                runid=rid,
+                dataset=name,
+                timestep=timestep,
+                data_type=attrs.data_type.name,
+                global_size=attrs.global_size,
             )
-        if not chunks:
-            return where[0]
-        self.maintenance.enqueue(
-            self.ctx, REORGANIZE,
-            application=self.application,
-            organization=int(self.organization),
-            group_id=handle.group_id,
-            runid=rid,
-            dataset=name,
-            timestep=timestep,
-            data_type=attrs.data_type.name,
-            global_size=attrs.global_size,
-        )
         # Until the background flip lands, the instance still serves from
         # its chunked file.
         return where[0]
@@ -676,49 +604,49 @@ class SDM:
         collectively now; ``"background"`` (or the constructor default)
         enqueues it behind any earlier maintenance jobs — in particular
         behind background reorganizations of the same file, whose dead
-        regions it then reclaims.  No quiescence is required of readers:
-        the pass takes the file's flip lease (a concurrent flip of the
-        same file raises :class:`~repro.errors.SDMLeaseConflict`), and
-        either packs in place behind the read gate (no snapshots pinned)
-        or copies live chunks beyond the append cursor and publishes a
-        new epoch, leaving every pinned byte untouched (see
-        ``docs/concurrency.md``).  Returns ``file_name``.
+        regions it then reclaims.  No quiescence is required of readers
+        (``docs/concurrency.md``, "Compaction's two paths"); a concurrent
+        flip of the same file raises
+        :class:`~repro.errors.SDMLeaseConflict`.  Returns ``file_name``.
         """
-        mode = self.reorganize_mode if mode is None else mode
-        if mode == "sync":
+        if self._flip_mode(mode, "compaction") == "sync":
             self._sync_flip(lambda: compact_chunked_file(self, file_name))
-            return file_name
-        if mode != "background":
+        else:
+            self.maintenance.enqueue(
+                self.ctx, COMPACT,
+                application=self.application,
+                organization=int(self.organization),
+                file_name=file_name,
+            )
+        return file_name
+
+    def _flip_mode(self, mode: Optional[str], what: str) -> str:
+        """``mode`` (default: :attr:`reorganize_mode`) validated for one
+        flip entry point: ``"sync"``, or ``"background"`` with a
+        maintenance service to enqueue on."""
+        mode = self.reorganize_mode if mode is None else mode
+        if mode not in ("sync", "background"):
             raise SDMStateError(
-                f"unknown compaction mode {mode!r} "
+                f"unknown {what} mode {mode!r} "
                 "(expected 'sync' or 'background')"
             )
-        if self.maintenance is None:
+        if mode == "background" and self.maintenance is None:
             raise SDMStateError(
-                "background compaction needs the maintenance service; "
+                f"background {what} needs the maintenance service; "
                 "this job's services dict has no 'maint' entry"
             )
-        from repro.core.maintenance import COMPACT
-
-        self.maintenance.enqueue(
-            self.ctx, COMPACT,
-            application=self.application,
-            organization=int(self.organization),
-            file_name=file_name,
-        )
-        return file_name
+        return mode
 
     def _sync_flip(self, flip):
         """Run a synchronous metadata flip, riding out this job's own
         background maintenance.
 
-        A flip lease conflict unwinds before any mutation (both flip
-        entry points acquire the lease first) and raises symmetrically on
-        every rank, so when the holder may be this job's background tier
-        — e.g. a policy-enqueued compaction of the same file — every rank
-        drains its maintenance queue together and retries once.  A
-        conflict with a genuinely concurrent *client* survives the drain
-        and re-raises: the fail-fast lost-update protection stands.
+        A flip lease conflict unwinds before any mutation and raises
+        symmetrically on every rank, so when the holder may be this job's
+        background tier — e.g. a policy-enqueued compaction of the same
+        file — every rank drains its maintenance queue together and
+        retries once.  A conflict with a genuinely concurrent *client*
+        survives the drain and re-raises.
         """
         try:
             return flip()
@@ -796,83 +724,23 @@ class SDM:
         if self.maintenance is not None:
             self.maintenance.drain(self.ctx.rank, self.ctx.proc)
 
-    def invalidate_chunked_caches(self, file_name: str) -> None:
-        """Datapath host hook: a reorganization or compaction this rank
-        ran may have freed or moved the file's bytes — drop every
-        registered cache's entries for it (this SDM's write and read
-        caches, plus any other SDM or catalog caches registered with the
-        maintenance service)."""
-        if self.maintenance is not None:
-            self.maintenance.invalidate_chunked_caches(file_name)
-            return
-        if isinstance(self.storage_order, ChunkedOrder):
-            self.storage_order.drop_file_cache(file_name)
-        self.index_cache.drop_file(file_name)
-
-    def invalidate_chunked_range(self, file_name: str, lo: int, hi: int) -> None:
-        """Datapath host hook: a first-fit write this rank ran is recycling
-        ``[lo, hi)`` of a dead extent — drop every registered cache's
-        entries overlapping it (fresh rows publish at version 0, so a
-        block cached at a recycled offset by *any* client of the job
-        would otherwise collide with the new instance's keys)."""
-        if self.maintenance is not None:
-            self.maintenance.invalidate_chunked_range(file_name, lo, hi)
-            return
-        if isinstance(self.storage_order, ChunkedOrder):
-            self.storage_order.drop_range_cache(file_name, lo, hi)
-        self.index_cache.drop_range(file_name, lo, hi)
-
-    def advance_snapshot(self, epoch: int) -> None:
-        """Datapath publisher hook: this client just flipped metadata to
-        ``epoch`` — move its own snapshot pin forward so it reads its own
-        writes.  A no-op for unpinned clients.  Called uniformly on every
-        rank (after the flip's epoch broadcast); only rank 0 touches the
-        database."""
-        if self._pin_id is None or epoch <= self._pinned_epoch:
-            return
-        if self.ctx.rank == 0:
-            self.tables.advance_pin(self._pin_id, epoch, proc=self.ctx.proc)
-        self._pinned_epoch = epoch
-
     def finalize(self, handle: Optional[DataGroup] = None) -> None:
         """Close cached files and end the run (``SDM_finalize``).  Collective.
 
-        A ``snapshot=True`` SDM releases its pin here and opportunistically
-        reaps any row versions it was the last reader holding live (each
-        file under its flip lease, skipped if a concurrent flip holds it).
-
-        The shutdown leak audit then counts whatever this client still
-        holds in lease/pin rows — anything left is a bug in the caller's
-        release discipline (or a crash path the maintenance reaper will
-        clean up next job) and is surfaced through :meth:`stats` as
-        ``leaked_leases`` / ``leaked_pins`` on every rank."""
+        A ``snapshot=True`` SDM releases its pin here and reaps any row
+        versions it was the last reader holding live.  The shutdown leak
+        audit then counts whatever this client still holds in lease/pin
+        rows (:class:`~repro.core.mvcc.SnapshotPin`), surfaced through
+        :meth:`stats` as ``leaked_leases`` / ``leaked_pins`` on every
+        rank."""
         self._files.close_all()
         if handle is not None:
             handle.finalized = True
-        if self._pin_id is not None:
-            if self.ctx.rank == 0:
-                proc = self.ctx.proc
-                self.tables.release_pin(self._pin_id, proc=proc)
-                holder = f"{self.lease_holder}:reap"
-                for fname in self.tables.files_with_dead_rows(proc=proc):
-                    if self.tables.try_acquire_lease(
-                        fname, holder, proc=proc, now=proc.now,
-                    ):
-                        try:
-                            self.tables.reap_file(fname, proc=proc)
-                        finally:
-                            self.tables.release_lease(fname, holder, proc=proc)
-            self._pin_id = None
-            self._pinned_epoch = None
+        self.pin.release(self.comm)
         leaks = None
-        if self.ctx.rank == 0:
-            proc = self.ctx.proc
-            mine = {self.lease_holder, f"{self.lease_holder}:reap"}
-            leaks = (
-                sum(1 for _f, h, _b in self.tables.all_leases(proc=proc)
-                    if h in mine),
-                sum(1 for _p, c, _e in self.tables.all_pins(proc=proc)
-                    if c == self.lease_holder),
+        if self.comm.rank == 0:
+            leaks = self.pin.audit(
+                self.comm.proc, holders=(self.lease_holder,)
             )
         leaks = self.comm.bcast(leaks, root=0)
         self._leak_stats["leaked_leases"] += leaks[0]
@@ -883,25 +751,7 @@ class SDM:
         """Robustness counters for this client (uniform across ranks
         after :meth:`finalize`): shutdown leak audit plus the shared
         tables' recovery totals."""
-        return {
-            **self._leak_stats,
-            "leases_stolen": self.tables.n_leases_stolen,
-            "flips_rolled_back": self.tables.n_flips_rolled_back,
-            "flips_rolled_forward": self.tables.n_flips_rolled_forward,
-            "pins_expired": self.tables.n_pins_expired,
-        }
-
-    # ------------------------------------------------------------------
-    # File-handle cache (shared with the maintenance workers)
-    # ------------------------------------------------------------------
-
-    def _open_cached(self, name: str, amode: int) -> File:
-        """Get or collectively open a file (identical call sequence on all
-        ranks keeps the cache coherent across the job)."""
-        return self._files.open(name, amode)
-
-    def _close_cached(self, name: str) -> None:
-        self._files.close(name)
+        return {**self._leak_stats, **self.tables.recovery_stats()}
 
 
 def _even_split(total: int, parts: int) -> np.ndarray:

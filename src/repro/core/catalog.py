@@ -36,15 +36,16 @@ instead.  See ``docs/concurrency.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.datapath import IndexBlockCache, locate_instance, read_instance
+from repro.core.datapath import IndexBlockCache, read_pinned
 from repro.core.groups import DataGroup, DatasetAttrs, DataView
+from repro.core.mvcc import SnapshotPin
 from repro.dtypes.primitives import Primitive, BYTE, FLOAT32, FLOAT64, INT32, INT64
 from repro.errors import SDMUnknownDataset
-from repro.metadb.schema import DEFAULT_PIN_TTL, OPEN_EPOCH, SDMTables
+from repro.metadb.schema import SDMTables
 from repro.mpi.job import RankContext
 from repro.mpiio.consts import MODE_RDONLY
 from repro.mpiio.file import File
@@ -110,25 +111,14 @@ class SDMCatalog:
         entries a flip this job runs has superseded."""
         self.maintenance = maintenance
         if maintenance is not None:
-            maintenance.register_caches(None, self.index_cache)
-        self._pin_id: Optional[int] = None
-        self._pinned_epoch: Optional[int] = None
-        self._pin_touch_t: float = ctx.proc.now
+            maintenance.caches.register(None, self.index_cache)
+        self.pin = SnapshotPin(tables, "catalog")
         self._leak_stats: Dict[str, int] = {"leaked_pins": 0}
         if snapshot:
-            # Pin the epoch current at attach: every browse and read below
-            # resolves against this snapshot until release(), whatever
-            # concurrent maintenance publishes meanwhile.
-            pin = None
-            if ctx.rank == 0:
-                epoch = tables.current_epoch(proc=ctx.proc)
-                pin = (
-                    tables.create_pin("catalog", epoch, proc=ctx.proc,
-                                      now=ctx.proc.now),
-                    epoch,
-                )
-                ctx.proc.fault_point("pin:taken")
-            self._pin_id, self._pinned_epoch = ctx.comm.bcast(pin, root=0)
+            # Every browse and read below resolves against the epoch
+            # current at attach until release(), whatever concurrent
+            # maintenance publishes meanwhile.
+            self.pin.take(ctx.comm)
 
     @classmethod
     def attach(cls, ctx: RankContext, io_hints=None,
@@ -136,9 +126,7 @@ class SDMCatalog:
         """Attach to the job's shared database and file system services.
         Collective; pins the current metadata epoch unless
         ``snapshot=False``."""
-        from repro.metadb.schema import SDMTables as _Tables
-
-        tables = _Tables(ctx.service("db"))
+        tables = SDMTables(ctx.service("db"))
         # Database.loads restores persisted index declarations, so a
         # snapshot arrives ready to probe; re-declaring here covers
         # pre-persistence snapshots and hand-seeded databases (idempotent
@@ -149,55 +137,24 @@ class SDMCatalog:
                    snapshot=snapshot)
 
     def release(self) -> None:
-        """Drop the snapshot pin (collective; idempotent).
-
-        Rank 0 releases the pin and opportunistically reaps row versions
-        this catalog was the last reader holding live — each file under
-        its flip lease, skipped without blocking if a concurrent flip
-        holds it (the flip's own reap will finish the job)."""
-        if self._pin_id is not None:
-            if self.ctx.rank == 0:
-                proc = self.ctx.proc
-                self.tables.release_pin(self._pin_id, proc=proc)
-                for fname in self.tables.files_with_dead_rows(proc=proc):
-                    if self.tables.try_acquire_lease(
-                        fname, "catalog:reap", proc=proc, now=proc.now
-                    ):
-                        try:
-                            self.tables.reap_file(fname, proc=proc)
-                        finally:
-                            self.tables.release_lease(
-                                fname, "catalog:reap", proc=proc
-                            )
-            self._pin_id = None
-            self._pinned_epoch = None
+        """Drop the snapshot pin (collective; idempotent) and reap the
+        row versions this catalog was the last reader holding live."""
+        comm = self.ctx.comm
+        self.pin.release(comm)
         # Leak audit: a clean release leaves no catalog pin and no reap
         # lease behind.  Anything still there is a bug in this class (or
         # a crashed peer catalog) worth surfacing through stats().
         leaks = None
-        if self.ctx.rank == 0:
-            proc = self.ctx.proc
-            leaks = sum(
-                1 for _, h, _ in self.tables.all_leases(proc=proc)
-                if h == "catalog:reap"
-            ) + sum(
-                1 for _, c, _ in self.tables.all_pins(proc=proc)
-                if c == "catalog"
-            )
-        leaks = self.ctx.comm.bcast(leaks, root=0)
+        if comm.rank == 0:
+            leaks = sum(self.pin.audit(comm.proc))
+        leaks = comm.bcast(leaks, root=0)
         self._leak_stats["leaked_pins"] += int(leaks)
-        self.ctx.comm.barrier()
+        comm.barrier()
 
     def stats(self) -> Dict[str, int]:
         """Leak and recovery counters observed by this catalog (valid
         after :meth:`release`; recovery counters are database-wide)."""
-        return {
-            **self._leak_stats,
-            "leases_stolen": self.tables.n_leases_stolen,
-            "flips_rolled_back": self.tables.n_flips_rolled_back,
-            "flips_rolled_forward": self.tables.n_flips_rolled_forward,
-            "pins_expired": self.tables.n_pins_expired,
-        }
+        return {**self._leak_stats, **self.tables.recovery_stats()}
 
     # ------------------------------------------------------------------
     # Browsing
@@ -228,33 +185,12 @@ class SDMCatalog:
         ]
 
     def timesteps(self, runid: int, dataset: str) -> List[int]:
-        """Timesteps of a dataset with recorded data, ascending.
-
-        Served as a sorted probe of execution_table's ordered
-        ``(runid, dataset, timestep)`` index: the equality prefix binds
-        the first two columns and the slice comes back already ordered.
-        Row versions are filtered to the catalog's snapshot (or to the
-        open versions when unpinned), so a concurrent flip never
-        double-lists a timestep.
-        """
-        if self._pinned_epoch is None:
-            rows = self.tables.db.execute(
-                "SELECT timestep FROM execution_table "
-                "WHERE runid = ? AND dataset = ? AND valid_to = ? "
-                "ORDER BY timestep",
-                (runid, dataset, OPEN_EPOCH),
-                proc=self.ctx.proc,
-            )
-        else:
-            rows = self.tables.db.execute(
-                "SELECT timestep FROM execution_table "
-                "WHERE runid = ? AND dataset = ? "
-                "AND valid_from <= ? AND valid_to > ? "
-                "ORDER BY timestep",
-                (runid, dataset, self._pinned_epoch, self._pinned_epoch),
-                proc=self.ctx.proc,
-            )
-        return sorted({int(r[0]) for r in rows})
+        """Timesteps of a dataset with recorded data, ascending, at the
+        catalog's snapshot (the open versions when unpinned) — a
+        concurrent flip never double-lists a timestep."""
+        return self.tables.timesteps_for(
+            runid, dataset, epoch=self.pin.epoch, proc=self.ctx.proc
+        )
 
     # ------------------------------------------------------------------
     # Reading
@@ -311,40 +247,14 @@ class SDMCatalog:
         """
         rec = self._dataset_record(runid, dataset)
         comm = self.ctx.comm  # communicator-relative: works on subgroups too
-        if (
-            self._pin_id is not None
-            and comm.rank == 0
-            and self.ctx.proc.now - self._pin_touch_t >= DEFAULT_PIN_TTL / 4
-        ):
-            # Prove this catalog's client is alive so the abandoned-pin
-            # reaper never ages a live snapshot out; throttled so short
-            # viewer jobs add zero statements to the read hot path.
-            self.tables.touch_pin(
-                self._pin_id, self.ctx.proc.now, proc=self.ctx.proc
-            )
-            self._pin_touch_t = self.ctx.proc.now
-        gate = self.maintenance
-        if gate is not None and comm.rank == 0:
-            gate.begin_read(self.ctx.proc)
-        try:
-            where, chunks, version = locate_instance(
-                comm, self.tables, runid, dataset, timestep,
-                proc=self.ctx.proc, epoch=self._pinned_epoch,
-            )
-            if where is None:
-                raise SDMUnknownDataset(
-                    f"run {runid} dataset {dataset!r} has no timestep "
-                    f"{timestep}"
-                )
-            view = DataView.from_map(np.asarray(map_array, dtype=np.int64))
-            f = File.open(comm, self.fs, where[0], MODE_RDONLY,
-                          hints=self.io_hints)
-            out = read_instance(comm, f, where, chunks, rec.data_type, view,
-                                cache=self.index_cache, version=version)
-            f.close()
-        finally:
-            if gate is not None and comm.rank == 0:
-                gate.end_read()
+        view = DataView.from_map(np.asarray(map_array, dtype=np.int64))
+        out, _fname, _chunks = read_pinned(
+            self, comm, runid, dataset, timestep, rec.data_type, view,
+            open_file=lambda fname: File.open(
+                comm, self.fs, fname, MODE_RDONLY, hints=self.io_hints
+            ),
+            close=True,
+        )
         return out
 
     def read_global(

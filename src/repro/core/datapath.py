@@ -36,7 +36,7 @@ either takes the canonical fast path or runs the chunked read pipeline:
    runs and a vectorized scatter puts each element's bytes back in view
    order.
 
-:func:`reorganize` converts a chunked instance into canonical order —
+:func:`execute_reorganize` converts a chunked instance into canonical order —
 reading the chunk maps, performing the deferred exchange exactly once,
 and publishing the repointed ``execution_table`` row as a new epoch
 (closing the chunked row versions) — so the write-time savings need not
@@ -75,39 +75,27 @@ Three additions let the background maintenance layer
 (:mod:`repro.core.maintenance`) keep chunked files healthy off the
 application's critical path:
 
-* :class:`IndexBlockCache` — a rank-local LRU over :func:`_chunk_index`
+* :class:`IndexBlockCache` — a rank-local LRU over :func:`_chunk_indexes`
   fetches.  Checkpoint loops share index blocks across timesteps
   (reference-not-copy), so a warm cache turns steady-state chunked reads
   into data-only I/O.  Entries are keyed by the owning execution row's
   version (``valid_from``), so a flip's relocated blocks get fresh keys
   and a pinned snapshot's old keys stay valid for as long as its epoch
   lives.
-* :func:`execute_reorganize` — the execute half of :func:`reorganize`,
-  parameterized by a *host* instead of a full ``SDM`` so a maintenance
-  worker can run the deferred exchange on a background process.
+* :func:`execute_reorganize` — the deferred exchange, parameterized by
+  a *host* instead of a full ``SDM`` so a maintenance worker can run it
+  on a background process.
 * :func:`compact_chunked_file` — packs a ``.chunked`` file's live chunks
   (two-phase read-then-write, so any overlap is safe) and publishes the
   rewritten chunk maps as a new epoch.
 
-Metadata flips are MVCC publishes (see ``docs/concurrency.md``): the
-writer takes the file's flip lease (:func:`acquire_file_lease` — a
-concurrent flip raises :class:`~repro.errors.SDMLeaseConflict` instead
-of losing an update), allocates a new epoch, inserts successor row
-versions, closes the old ones, and reaps whatever no snapshot pin can
-still see (``SDMTables.reap_file`` — which is also where the PR-4
-``extent_table`` bookkeeping now happens: an interior region whose dead
-rows are reaped becomes a free extent; a topmost one retreats the append
-cursor).  Readers that pinned an epoch keep resolving against their
-snapshot's row versions and byte regions — no quiescence contract is
-needed for reorganization or deferred compaction.
-
-A *host* is anything with the execution context these collectives need —
-``comm``, ``ctx`` (``.rank``/``.proc``), ``tables``, ``fs``,
-``organization``, ``application``, an optional ``index_cache``, the
-``_open_cached``/``_close_cached`` file cache, and
-``invalidate_chunked_caches(file_name)``.  :class:`~repro.core.api.SDM`
-satisfies it for the synchronous paths; the maintenance worker builds a
-lightweight equivalent.
+Both flips are MVCC publishes driven by :class:`repro.core.mvcc.Flip`
+(``docs/concurrency.md``, "The flip protocol"): readers that pinned an
+epoch keep resolving against their snapshot's row versions and byte
+regions, and ``SDMTables.reap_file`` turns a reaped interior region into
+a free extent (a topmost one retreats the append cursor).  Everything
+here runs on a :class:`DatapathHost` — :class:`~repro.core.api.SDM` for
+the synchronous paths, the maintenance worker's per-job host otherwise.
 """
 
 from __future__ import annotations
@@ -127,7 +115,13 @@ from repro.core.layout import (
 )
 from repro.dtypes.constructors import IndexedBlock
 from repro.dtypes.primitives import Primitive, primitive_by_name
-from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
+from repro.core.mvcc import (
+    Flip,
+    SnapshotPin,
+    acquire_file_lease,
+    release_file_lease,
+)
+from repro.errors import SDMStateError, SDMUnknownDataset
 from repro.metadb.schema import ChunkRecord, SDMTables
 from repro.mpi.communicator import Communicator
 from repro.mpiio import runs
@@ -138,13 +132,15 @@ __all__ = [
     "StorageOrder",
     "CanonicalOrder",
     "ChunkedOrder",
+    "ChunkedCaches",
+    "DatapathHost",
     "FileHandleCache",
     "IndexBlockCache",
     "resolve_storage_order",
     "resolve_chunk_positions",
     "locate_instance",
     "read_instance",
-    "reorganize",
+    "read_pinned",
     "execute_reorganize",
     "compact_chunked_file",
     "acquire_file_lease",
@@ -176,8 +172,8 @@ def _next_append_base(sdm, fname: str) -> int:
     if sdm.organization == Organization.LEVEL_1:
         return 0
     base = 0
-    if sdm.ctx.rank == 0:
-        base = sdm.tables.max_offset_in_file(fname, proc=sdm.ctx.proc)
+    if sdm.comm.rank == 0:
+        base = sdm.tables.max_offset_in_file(fname, proc=sdm.comm.proc)
     return sdm.comm.bcast(base, root=0)
 
 
@@ -358,6 +354,102 @@ class FileHandleCache:
                 f.close()
 
 
+class ChunkedCaches:
+    """Every chunked cache of one job — write-side reference caches
+    (:class:`ChunkedOrder`) and read-side :class:`IndexBlockCache`
+    instances of all its SDMs and catalogs — so whoever moves, frees or
+    recycles a file's bytes invalidates them all.  The job's maintenance
+    service carries the shared registry; an SDM in a job without the
+    tier keeps a private one."""
+
+    def __init__(self) -> None:
+        self._write: List["ChunkedOrder"] = []
+        self._read: List[IndexBlockCache] = []
+
+    def register(
+        self,
+        write_cache: Optional["ChunkedOrder"],
+        read_cache: Optional[IndexBlockCache],
+    ) -> None:
+        if write_cache is not None:
+            self._write.append(write_cache)
+        if read_cache is not None:
+            self._read.append(read_cache)
+
+    def drop_file(self, file_name: str) -> None:
+        """A flip retreated the file's cursor or moved its blocks."""
+        for cache in self._write:
+            cache.drop_file_cache(file_name)
+        for cache in self._read:
+            cache.drop_file(file_name)
+
+    def drop_range(self, file_name: str, lo: int, hi: int) -> None:
+        """A first-fit write is recycling ``[lo, hi)`` of a dead extent:
+        fresh rows publish at version 0, so a block *any* client cached at
+        a recycled ``(file, offset, 0)`` key (e.g. a pinned catalog that
+        read the old version before its release-time reap recorded the
+        extent) would otherwise survive with stale bytes."""
+        for cache in self._write:
+            cache.drop_range_cache(file_name, lo, hi)
+        for cache in self._read:
+            cache.drop_range(file_name, lo, hi)
+
+
+class DatapathHost:
+    """The execution context the datapath collectives run on:
+    :class:`~repro.core.api.SDM` derives from it for the synchronous
+    paths, a maintenance worker builds a plain one per job.  Every
+    attribute is always present; where a worker has nothing to do the
+    default is inert (no pin taken, no caches of its own)."""
+
+    def __init__(
+        self,
+        comm: Communicator,
+        tables: SDMTables,
+        fs,
+        application: str,
+        organization: Organization,
+        lease_holder: str,
+        maintenance=None,
+        hints=None,
+        read_gate=None,
+    ) -> None:
+        self.comm = comm  # its rank 0 issues the metadata statements
+        self.tables = tables
+        self.fs = fs
+        self.application = application
+        self.organization = Organization(organization)
+        self.lease_holder = lease_holder
+        """Flip-lease identity, distinct per client and per maintenance
+        job, so overlapping flips fail fast."""
+        self.maintenance = maintenance
+        """The job's maintenance service, or None in a bespoke services
+        dict without the tier."""
+        self.caches: ChunkedCaches = (
+            ChunkedCaches() if maintenance is None else maintenance.caches
+        )
+        self.pin = SnapshotPin(tables, lease_holder)
+        self.index_cache: Optional[IndexBlockCache] = None
+        self.read_gate = read_gate
+        """What a quiesced in-place compaction drains in-flight reads
+        through: the service on a background host, nothing on a
+        synchronous caller (it cannot be mid-read on its own ranks)."""
+        self._files = FileHandleCache(comm, fs, hints=hints)
+
+    def _open_cached(self, name: str, amode: int) -> File:
+        """Get or collectively open a file (identical call sequence on all
+        ranks keeps the cache coherent across the job)."""
+        return self._files.open(name, amode)
+
+    def _close_cached(self, name: str) -> None:
+        self._files.close(name)
+
+    def invalidate_chunked_caches(self, file_name: str) -> None:
+        """A reorganization or compaction this rank ran may have freed or
+        moved the file's bytes: every registered cache forgets them."""
+        self.caches.drop_file(file_name)
+
+
 class StorageOrder:
     """Strategy for arranging one dataset instance's bytes in its file.
 
@@ -405,12 +497,12 @@ class CanonicalOrder(StorageOrder):
             np.asarray(buf, dtype=attrs.data_type.numpy_dtype)
         )
         f.write_at_all(0, data)
-        if sdm.ctx.rank == 0:
+        if sdm.comm.rank == 0:
             sdm.tables.record_execution(
                 sdm.runid, name, timestep, fname, base, attrs.global_bytes(),
-                proc=sdm.ctx.proc,
+                proc=sdm.comm.proc,
             )
-            _fault(sdm.ctx.proc, "write:recorded")
+            sdm.comm.proc.fault_point("write:recorded")
         if sdm.organization == Organization.LEVEL_1:
             sdm._close_cached(fname)
         return fname
@@ -506,7 +598,6 @@ class ChunkedOrder(StorageOrder):
 
         fname = self.file_name(sdm, handle, name, timestep)
         base = _next_append_base(sdm, fname)
-        read_cache = getattr(sdm, "index_cache", None)
         # First-fit extent reuse: place the instance into a free extent
         # (reap's dead-region bookkeeping) instead of growing the file,
         # when one fits.  Sized for the worst case — every non-arithmetic
@@ -524,9 +615,9 @@ class ChunkedOrder(StorageOrder):
                 local_need += count * CHUNK_INDEX_BYTES
             total_need = sdm.comm.allreduce(local_need)
             place = None
-            if total_need and sdm.ctx.rank == 0:
+            if total_need and sdm.comm.rank == 0:
                 place = sdm.tables.allocate_extent(
-                    fname, total_need, proc=sdm.ctx.proc
+                    fname, total_need, proc=sdm.comm.proc
                 )
             place = sdm.comm.bcast(place, root=0)
             if place is not None:
@@ -535,24 +626,14 @@ class ChunkedOrder(StorageOrder):
             # A write landing *inside* a previously-dead region: cached
             # blocks overlapping it are stale the moment the bytes land —
             # fresh rows publish at version 0, so the MVCC cache key alone
-            # cannot tell recycled bytes from old ones.  The invalidation
-            # goes through the maintenance registry when present: a pinned
-            # catalog that read the old version (and whose release-time
-            # reap recorded this very extent) holds the same recycled
-            # keys in its own cache.
-            invalidate = getattr(sdm, "invalidate_chunked_range", None)
-            if invalidate is not None:
-                invalidate(fname, base, base + total_need)
-            else:
-                self.drop_range_cache(fname, base, base + total_need)
-                if read_cache is not None:
-                    read_cache.drop_range(fname, base, base + total_need)
+            # cannot tell recycled bytes from old ones — in any client's
+            # cache, hence the job-wide registry.
+            sdm.caches.drop_range(fname, base, base + total_need)
         else:
             self._drop_endangered(fname, base)
             # The read-side block cache obeys the same retreat rule: bytes
             # from ``base`` up may be rewritten by this or a later append.
-            if read_cache is not None:
-                read_cache.drop_from(fname, base)
+            sdm.index_cache.drop_from(fname, base)
         # Under level 1 every instance gets its own file, so an index
         # block can never be shared — don't grow the cache with map
         # copies that cannot hit.  A reuse write neither consumes nor
@@ -593,7 +674,7 @@ class ChunkedOrder(StorageOrder):
         else:  # arithmetic (or empty): no index block anywhere
             index_offset = data_offset = chunk_off
         record = ChunkRecord(
-            rank=sdm.ctx.rank,
+            rank=sdm.comm.rank,
             gid_min=view.gid_min,
             gid_max=view.gid_max,
             num_elements=count,
@@ -602,17 +683,17 @@ class ChunkedOrder(StorageOrder):
             gid_step=step if arithmetic else 1,
         )
         payloads = sdm.comm.gather((record, local_bytes), root=0)
-        if sdm.ctx.rank == 0:
+        if sdm.comm.rank == 0:
             total = sum(nbytes for _, nbytes in payloads)
             sdm.tables.record_execution(
                 sdm.runid, name, timestep, fname, base, total,
-                proc=sdm.ctx.proc,
+                proc=sdm.comm.proc,
             )
             sdm.tables.record_chunks(
                 sdm.runid, name, timestep,
-                [rec for rec, _ in payloads], proc=sdm.ctx.proc,
+                [rec for rec, _ in payloads], proc=sdm.comm.proc,
             )
-            _fault(sdm.ctx.proc, "write:recorded")
+            sdm.comm.proc.fault_point("write:recorded")
         # Readers must not race ahead of rank 0's metadata inserts.
         sdm.comm.barrier()
         if sdm.organization == Organization.LEVEL_1:
@@ -649,11 +730,14 @@ def locate_instance(
     timestep: int,
     proc=None,
     epoch: Optional[int] = None,
+    required: bool = False,
 ) -> Tuple[Optional[ExecutionRow], List[ChunkRecord], int]:
     """Metadata of one written instance, broadcast from rank 0's lookup:
-    the ``execution_table`` row (None if never written), its chunk maps
-    (empty for a canonical instance), and the matched row's version
-    (``valid_from`` — the index-block cache key component).
+    the ``execution_table`` row (None if never written — or, with
+    ``required``, :class:`~repro.errors.SDMUnknownDataset` on every
+    rank), its chunk maps (empty for a canonical instance), and the
+    matched row's version (``valid_from`` — the index-block cache key
+    component).
 
     ``epoch=None`` resolves current visibility (open row versions — still
     one metadata probe for a canonical instance); a pinned reader passes
@@ -678,7 +762,13 @@ def locate_instance(
                     runid, dataset, timestep, proc=proc, at=version
                 )
         info = (where, chunks, version)
-    return comm.bcast(info, root=0)
+    info = comm.bcast(info, root=0)
+    if required and info[0] is None:
+        raise SDMUnknownDataset(
+            f"no execution record for run {runid} dataset {dataset!r} "
+            f"timestep {timestep}"
+        )
+    return info
 
 
 def read_instance(
@@ -706,19 +796,57 @@ def read_instance(
     return view.to_user_order(out)
 
 
-def _chunk_index(
-    f: File, ch: ChunkRecord, cache: Optional[IndexBlockCache] = None,
-    version: int = 0,
-) -> np.ndarray:
-    """A chunk's sorted gid index block (arithmetic chunks are the
-    progression of their gid range and store none).  A cache hit skips the
-    file read entirely — the warm-read fast path."""
-    if ch.index_offset == ch.data_offset:
-        return np.arange(
-            ch.gid_min, ch.gid_max + 1, max(ch.gid_step, 1), dtype=np.int64
+def read_pinned(
+    reader,
+    comm: Communicator,
+    runid: int,
+    dataset: str,
+    timestep: int,
+    dtype: Primitive,
+    view: DataView,
+    open_file,
+    close: bool = False,
+) -> Tuple[np.ndarray, str, List[ChunkRecord]]:
+    """The one read sequence behind ``SDM.read`` and
+    ``SDMCatalog.read_slice``: touch the pin, enter the read gate, locate
+    at the pinned epoch (unpinned: the newest published metadata), read.
+    Collective over ``comm``; returns ``(elements in view order, file
+    name, chunk maps)``.
+
+    ``reader`` supplies ``tables``, ``pin``, ``maintenance`` (the gate, or
+    None) and ``index_cache``.  Rank 0 registers the read with the gate
+    for the whole collective, so an in-place compaction slide can never
+    move bytes out from under it.  ``open_file(name)`` yields the handle;
+    ``close`` closes it before the gate reopens.
+    """
+    reader.pin.touch(comm)
+    gate = reader.maintenance
+    if gate is not None and comm.rank == 0:
+        gate.begin_read(comm.proc)
+    try:
+        where, chunks, version = locate_instance(
+            comm, reader.tables, runid, dataset, timestep,
+            proc=comm.proc, epoch=reader.pin.epoch, required=True,
         )
-    blocks = _chunk_indexes(f, [ch], cache, version)
-    return blocks[(ch.index_offset, ch.num_elements)]
+        f = open_file(where[0])
+        out = read_instance(
+            comm, f, where, chunks, dtype, view,
+            cache=reader.index_cache, version=version,
+        )
+        if close:
+            f.close()
+    finally:
+        if gate is not None and comm.rank == 0:
+            gate.end_read()
+    return out, where[0], chunks
+
+
+def _arithmetic_gids(ch: ChunkRecord) -> np.ndarray:
+    """The gid progression of an arithmetic chunk (which stores no index
+    block: ``index_offset == data_offset``)."""
+    return np.arange(
+        ch.gid_min, ch.gid_max + 1, max(ch.gid_step, 1), dtype=np.int64
+    )
 
 
 def _chunk_indexes(
@@ -752,6 +880,28 @@ def _chunk_indexes(
     return out
 
 
+def _read_extents(
+    f: File, offs: np.ndarray, lens: np.ndarray, kind: str = "data",
+    bridge: bool = True,
+) -> List[np.ndarray]:
+    """Each byte extent ``(offs[i], lens[i])`` of ``f`` (ascending
+    offsets), fetched in one coalesced independent request: abutting
+    extents stream as one run and, with ``bridge``, holes up to the
+    file's ``coalesce_gap`` hint are read and discarded."""
+    gap = 0
+    if bridge:
+        gap = runs.resolve_gap(
+            f.hints.coalesce_gap, offs, lens,
+            waste_fraction=f.hints.coalesce_waste,
+            max_gap=f.hints.ds_threshold_gap,
+        )
+    coff, clen, owner = runs.coalesce_runs(offs, lens, gap)
+    blob = np.empty(int(clen.sum()), dtype=np.uint8)
+    f.read_runs(coff, clen, blob, kind=kind)
+    raw = runs.extract_runs(blob, coff, clen, offs, lens, owner)
+    return np.split(raw, np.cumsum(lens)[:-1])
+
+
 def _fetch_index_blocks(
     f: File,
     keys: Sequence[Tuple[int, int]],
@@ -782,11 +932,8 @@ def _fetch_index_blocks(
     need.sort()
     offs = np.array([o for o, _ in need], dtype=np.int64)
     lens = np.array([n * CHUNK_INDEX_BYTES for _, n in need], dtype=np.int64)
-    coff, clen, owner = runs.coalesce_runs(offs, lens)
-    blob = np.empty(int(clen.sum()), dtype=np.uint8)
-    f.read_runs(coff, clen, blob, kind="index")
-    raw = runs.extract_runs(blob, coff, clen, offs, lens, owner)
-    for key, part in zip(need, np.split(raw, np.cumsum(lens)[:-1])):
+    parts = _read_extents(f, offs, lens, kind="index", bridge=False)
+    for key, part in zip(need, parts):
         gids = part.view(np.int64)
         if cache is not None:
             gids = cache.put(f.name, key[0], gids, version)
@@ -1013,96 +1160,8 @@ def _assemble_chunked(
 
 
 # ---------------------------------------------------------------------------
-# Flip leases (one writer per file; concurrent flips fail fast)
-# ---------------------------------------------------------------------------
-
-
-def _fault(proc, name: str) -> None:
-    """Announce a registered fault point (no-op without a process or a
-    :class:`~repro.simt.simulator.FaultPlan`)."""
-    if proc is not None:
-        proc.fault_point(name)
-
-
-def acquire_file_lease(
-    comm: Communicator,
-    tables: SDMTables,
-    file_name: str,
-    holder: str,
-    proc=None,
-) -> None:
-    """Collectively take the exclusive flip lease on one file.
-
-    Rank 0 runs the insert-then-verify protocol and broadcasts the
-    outcome; on conflict *every* rank raises
-    :class:`~repro.errors.SDMLeaseConflict` symmetrically, so the failed
-    flip unwinds as one collective error instead of a hung job — the
-    fail-fast replacement for the silent lost-update overlap of two
-    concurrent metadata flips.
-
-    A lease whose holder is dead (prior database incarnation, or
-    heartbeat a full TTL stale at the caller's virtual now) is not a
-    conflict: rank 0 recovers whatever the dead holder left mid-flip and
-    steals the row (see :meth:`SDMTables.try_acquire_lease`).
-    """
-    ok = True
-    if comm.rank == 0:
-        ok = tables.try_acquire_lease(
-            file_name, holder, proc=proc,
-            now=None if proc is None else proc.now,
-        )
-        if ok:
-            _fault(proc, "lease:acquired")
-    ok = comm.bcast(ok, root=0)
-    if not ok:
-        raise SDMLeaseConflict(
-            f"{file_name!r} is being flipped by another client "
-            f"(lease requested by {holder!r})"
-        )
-
-
-def release_file_lease(
-    comm: Communicator,
-    tables: SDMTables,
-    file_name: str,
-    holder: str,
-    proc=None,
-) -> None:
-    """Drop the flip lease (rank 0 only; call after the flip's final
-    barrier — no collective inside)."""
-    if comm.rank == 0:
-        tables.release_lease(file_name, holder, proc=proc)
-
-
-def _lease_holder_id(host) -> str:
-    """A host's lease-holder identity (distinct across concurrent
-    clients: the application tag plus the host's own discriminator)."""
-    return getattr(host, "lease_holder", None) or f"sdm:{host.application}"
-
-
-# ---------------------------------------------------------------------------
 # Reorganization (chunked -> canonical, the deferred exchange)
 # ---------------------------------------------------------------------------
-
-
-def reorganize(
-    sdm, handle: DataGroup, name: str, timestep: int,
-    runid: Optional[int] = None,
-) -> str:
-    """Rewrite a chunked instance into canonical order, synchronously.
-
-    The enqueue half — resolving the dataset's type and global size from
-    the live :class:`~repro.core.groups.DataGroup` — feeding the execute
-    half directly on the calling ranks.  ``SDM.reorganize`` in background
-    mode records the same parameters in ``maintenance_table`` instead and
-    lets the maintenance workers run :func:`execute_reorganize` later.
-    """
-    attrs = handle.dataset(name)
-    rid = sdm.runid if runid is None else runid
-    return execute_reorganize(
-        sdm, handle.group_id, name, timestep, attrs.data_type,
-        attrs.global_size, rid,
-    )
 
 
 def execute_reorganize(
@@ -1115,15 +1174,12 @@ def execute_reorganize(
 
     Chunks are dealt round-robin to ranks; each rank reads its chunks
     back contiguously (independent I/O) and one collective write performs
-    the exchange the chunked write skipped.  The flip is an MVCC publish
-    under the chunked file's lease: rank 0 allocates a new epoch, closes
-    the chunk-map versions, inserts the repointed ``execution_table``
-    successor (closing the chunked row — count-checked, so a concurrent
-    repoint fails fast), and reaps whatever no snapshot pin can still
-    see.  A reader pinned on an older epoch keeps resolving the chunked
-    representation; an overlapping flip of the same file raises
-    :class:`~repro.errors.SDMLeaseConflict`.  Already canonical
-    instances are a no-op (no lease taken).
+    the exchange the chunked write skipped.  The flip runs under the
+    chunked file's lease (:class:`~repro.core.mvcc.Flip`): the chunk-map
+    versions close and the ``execution_table`` row is repointed as one
+    new epoch, so a reader pinned on an older epoch keeps resolving the
+    chunked representation.  Already canonical instances are a no-op (no
+    lease taken).
 
     The stale chunked blob is not erased.  Once its rows are reaped, a
     topmost region retreats the append cursor and the next chunked write
@@ -1132,117 +1188,79 @@ def execute_reorganize(
     to reclaim.
     """
     comm = host.comm
-    proc = host.ctx.proc
+    proc = comm.proc
     where, chunks, version = locate_instance(
-        comm, host.tables, runid, dataset, timestep, proc=proc
+        comm, host.tables, runid, dataset, timestep, proc=proc,
+        required=True,
     )
-    if where is None:
-        raise SDMUnknownDataset(
-            f"no execution record for run {runid} dataset {dataset!r} "
-            f"timestep {timestep}"
-        )
     old_fname = where[0]
     if not chunks:
         return old_fname
-    holder = _lease_holder_id(host)
-    acquire_file_lease(comm, host.tables, old_fname, holder, proc=proc)
+    with Flip(host, old_fname) as fl:
+        # -- gather phase: read my share of the chunks back, writer order --
+        cache = host.index_cache
+        mine = [
+            ch for i, ch in enumerate(sorted(chunks, key=lambda c: c.rank))
+            if i % comm.size == comm.rank and ch.num_elements
+        ]
+        src = host._open_cached(old_fname, MODE_RDONLY)
+        # One batched request fetches every index block this rank needs ...
+        blocks = _chunk_indexes(src, mine, cache, version)
+        gid_parts: List[np.ndarray] = [
+            _arithmetic_gids(ch)
+            if ch.index_offset == ch.data_offset
+            else blocks[(ch.index_offset, ch.num_elements)]
+            for ch in mine
+        ]
+        val_parts: List[np.ndarray] = []
+        if mine:
+            # ... and one coalesced request streams all their data blocks
+            # (adjacent chunks merge; holes up to the hint are bridged).
+            offs = np.array([ch.data_offset for ch in mine], dtype=np.int64)
+            lens = np.array(
+                [ch.num_elements * dtype.size for ch in mine], dtype=np.int64
+            )
+            by_off = np.argsort(offs, kind="stable")
+            pieces = _read_extents(src, offs[by_off], lens[by_off])
+            val_parts = [np.empty(0, dtype=dtype.numpy_dtype)] * len(mine)
+            for k, i in enumerate(by_off):
+                val_parts[int(i)] = pieces[k].view(dtype.numpy_dtype)
+        if gid_parts:
+            gids = np.concatenate(gid_parts)
+            vals = np.concatenate(val_parts)
+            order = np.argsort(gids, kind="stable")
+            gids, vals = gids[order], vals[order]
+            # Overlaps among my chunks: keep the last (highest writer rank).
+            last = np.r_[gids[1:] != gids[:-1], True]
+            gids, vals = gids[last], vals[last]
+        else:
+            gids = np.empty(0, dtype=np.int64)
+            vals = np.empty(0, dtype=dtype.numpy_dtype)
 
-    # -- gather phase: read my share of the chunks back, in writer order --
-    cache = getattr(host, "index_cache", None)
-    mine = [
-        ch for i, ch in enumerate(sorted(chunks, key=lambda c: c.rank))
-        if i % comm.size == comm.rank and ch.num_elements
-    ]
-    src = host._open_cached(old_fname, MODE_RDONLY)
-    # One batched request fetches every index block this rank needs ...
-    blocks = _chunk_indexes(src, mine, cache, version)
-    gid_parts: List[np.ndarray] = [
-        _chunk_index(src, ch, cache, version)
-        if ch.index_offset == ch.data_offset
-        else blocks[(ch.index_offset, ch.num_elements)]
-        for ch in mine
-    ]
-    val_parts: List[np.ndarray] = []
-    if mine:
-        # ... and one coalesced request streams all their data blocks
-        # (adjacent chunks merge; holes up to the hint are bridged).
-        offs = np.array([ch.data_offset for ch in mine], dtype=np.int64)
-        lens = np.array(
-            [ch.num_elements * dtype.size for ch in mine], dtype=np.int64
+        # -- exchange phase: one collective write builds global order ----
+        new_fname = checkpoint_file_name(
+            host.application, group_id, dataset, timestep, host.organization,
+            storage_order=CANONICAL,
         )
-        by_off = np.argsort(offs, kind="stable")
-        soffs, slens = offs[by_off], lens[by_off]
-        gap = runs.resolve_gap(
-            src.hints.coalesce_gap, soffs, slens,
-            waste_fraction=src.hints.coalesce_waste,
-            max_gap=src.hints.ds_threshold_gap,
-        )
-        coff, clen, owner = runs.coalesce_runs(soffs, slens, gap)
-        blob = np.empty(int(clen.sum()), dtype=np.uint8)
-        src.read_runs(coff, clen, blob)
-        raw = runs.extract_runs(blob, coff, clen, soffs, slens, owner)
-        pieces = np.split(raw, np.cumsum(slens)[:-1])
-        val_parts = [np.empty(0, dtype=dtype.numpy_dtype)] * len(mine)
-        for k, i in enumerate(by_off):
-            val_parts[int(i)] = pieces[k].view(dtype.numpy_dtype)
-    if gid_parts:
-        gids = np.concatenate(gid_parts)
-        vals = np.concatenate(val_parts)
-        order = np.argsort(gids, kind="stable")
-        gids, vals = gids[order], vals[order]
-        # Overlaps among my chunks: keep the last (highest writer rank).
-        last = np.r_[gids[1:] != gids[:-1], True]
-        gids, vals = gids[last], vals[last]
-    else:
-        gids = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=dtype.numpy_dtype)
+        base = _next_append_base(host, new_fname)
+        dst = host._open_cached(new_fname, MODE_CREATE | MODE_RDWR)
+        set_instance_view(dst, base, dtype, gids)
+        dst.write_at_all(0, vals)
 
-    # -- exchange phase: the one collective write builds global order ----
-    new_fname = checkpoint_file_name(
-        host.application, group_id, dataset, timestep, host.organization,
-        storage_order=CANONICAL,
-    )
-    base = _next_append_base(host, new_fname)
-    dst = host._open_cached(new_fname, MODE_CREATE | MODE_RDWR)
-    set_instance_view(dst, base, dtype, gids)
-    dst.write_at_all(0, vals)
+        def write_successors(epoch: int) -> None:
+            # Close the chunk maps, then repoint the execution row
+            # (count-checked, so a concurrent repoint fails fast).
+            host.tables.close_chunks(
+                runid, dataset, timestep, epoch, proc=proc
+            )
+            host.tables.update_execution(
+                runid, dataset, timestep, old_fname, new_fname, base,
+                global_size * dtype.size, epoch, proc=proc,
+            )
 
-    # -- publish the flip: intent, successors, commit, reap --------------
-    epoch = 0
-    if comm.rank == 0:
-        # Fence + liveness: prove the lease is still ours before
-        # touching metadata (a presumed-dead holder whose lease was
-        # stolen dies here instead of publishing over the thief's flip).
-        host.tables.heartbeat_lease(old_fname, holder, proc.now, proc=proc)
-        epoch = host.tables.begin_flip(old_fname, proc=proc)
-        _fault(proc, "flip:intent")
-        host.tables.close_chunks(runid, dataset, timestep, epoch, proc=proc)
-        host.tables.update_execution(
-            runid, dataset, timestep, old_fname, new_fname, base,
-            global_size * dtype.size, epoch, proc=proc,
-        )
-        # The commit point: a crash before this line rolls the flip
-        # back (recovery reopens the chunked version); after it, forward.
-        host.tables.commit_flip(old_fname, epoch, proc=proc)
-        _fault(proc, "flip:published")
-        # Reap whatever no pin can still see; with nothing pinned this
-        # deletes the closed versions immediately and performs the
-        # free-extent / cursor-retreat bookkeeping for the vacated
-        # region.  Pinned snapshots keep the rows (and bytes) alive.
-        host.tables.reap_file(old_fname, proc=proc)
-    # A publisher with a snapshot pin reads its own writes: advance it
-    # past the epoch just published (uniform host attribute, so the
-    # bcast below is symmetric across ranks).
-    epoch = comm.bcast(epoch, root=0)
-    advance = getattr(host, "advance_snapshot", None)
-    if advance is not None:
-        advance(epoch)
-    # The chunked file's append cursor may retreat now; cached index
-    # blocks in it are no longer trustworthy for the write-side
-    # reference cache (read-side keys are version-scoped already).
-    host.invalidate_chunked_caches(old_fname)
-    comm.barrier()
-    release_file_lease(comm, host.tables, old_fname, holder, proc=proc)
+        # Nothing moved in place — the canonical bytes are staged beyond
+        # anything visible — so the intent is journaled at publish time.
+        fl.publish(write_successors)
     if host.organization == Organization.LEVEL_1:
         host._close_cached(old_fname)
         host._close_cached(new_fname)
@@ -1272,15 +1290,15 @@ def _compaction_plan(host, file_name: str, start: int = 0) -> Dict:
     beyond the bytes any snapshot can still reference.
     """
     tables = host.tables
-    proc = host.ctx.proc
+    proc = host.comm.proc
     moves: List[Tuple[int, int, int]] = []
     new_chunks: List[Tuple[int, str, int, List[ChunkRecord]]] = []
     exec_updates: List[Tuple[int, int, int, str, int, int]] = []
     block_map: Dict[int, Tuple[int, int]] = {}
     esize_of: Dict[Tuple[int, str], int] = {}
     cursor = start
-    for runid, dataset, timestep, _base, _nbytes, vfrom in (
-        tables.open_execution_versions(file_name, proc=proc)
+    for runid, dataset, timestep, _base, _nbytes, vfrom, _vto in (
+        tables.executions_in_file(file_name, proc=proc)
     ):
         key = (runid, dataset)
         esize = esize_of.get(key)
@@ -1346,84 +1364,75 @@ def compact_chunked_file(host, file_name: str) -> Dict:
     """Pack a ``.chunked`` file's live chunks.  Collective over
     ``host.comm``; returns ``{"before", "after", "moved_bytes"}``.
 
-    Compaction runs under the file's flip lease and picks one of two
-    plans on rank 0:
+    Runs under the file's flip lease (:class:`~repro.core.mvcc.Flip`) and
+    picks one of two plans on rank 0 (``docs/concurrency.md``,
+    "Compaction's two paths"):
 
-    * **Quiesced in-place slide** — when nothing is pinned and (after an
-      opportunistic reap under the lease) no dead row versions remain,
-      live chunks slide down over the dead extents from offset 0, the
-      free extents are cleared, and the file truncates to its live size.
-      Byte moves are dealt round-robin to ranks in two barrier-separated
-      phases — every rank *reads* its moves' source bytes before any
-      rank *writes* a destination — so arbitrary overlap between old and
-      new layouts is safe.  Because a slide rewrites bytes a concurrent
-      *current* reader could be resolving, a background host additionally
-      drains in-flight reads through its ``read_gate`` for exactly this
-      phase; no quiescence is asked of the application.
+    * **Quiesced in-place slide** — nothing is pinned and (after an
+      opportunistic reap) no dead row versions remain: live chunks slide
+      down over the dead extents from offset 0, the free extents clear
+      and the file truncates to its live size.  Byte moves are dealt
+      round-robin to ranks in two barrier-separated phases — every rank
+      *reads* its sources before any rank *writes* a destination — so
+      arbitrary overlap between old and new layouts is safe.  A
+      background host also drains in-flight reads through its
+      ``read_gate`` for exactly this phase.
     * **Deferred copy-up** — while snapshots are pinned, live chunks are
-      *copied* beyond the append cursor instead: every pinned byte stays
-      where the pinned metadata says it is, readers on old epochs never
-      notice, and a later quiesced pass (after the last unpin reaps the
-      old versions) finishes the reclamation.
-
-    Either way the rewritten chunk maps and rebased execution rows are
-    published as one new epoch (successors inserted, old versions closed
-    count-checked), and two overlapping compactions of the same file
-    fail fast with :class:`~repro.errors.SDMLeaseConflict`.
+      *copied* beyond the append cursor instead, every pinned byte stays
+      put, and a later quiesced pass finishes the reclamation.
     """
     comm = host.comm
-    proc = host.ctx.proc
-    holder = _lease_holder_id(host)
-    acquire_file_lease(comm, host.tables, file_name, holder, proc=proc)
-    gate = getattr(host, "read_gate", None)
-    plan = None
-    exclusive = False
-    try:
-        if comm.rank == 0 and host.fs.exists(file_name):
-            # Opportunistic reap under the lease: with nothing pinned
-            # this clears any backlog of dead versions so the in-place
-            # slide's extent map is complete.
-            host.tables.reap_file(file_name, proc=proc)
-            quiesced = (
-                host.tables.pin_count(proc=proc) == 0
-                and not host.tables.dead_executions_in_file(
+    proc = comm.proc
+    gate = host.read_gate
+    with Flip(host, file_name) as fl:
+        plan = None
+        exclusive = False
+        try:
+            if comm.rank == 0 and host.fs.exists(file_name):
+                # Opportunistic reap under the lease: with nothing pinned
+                # this clears any backlog of dead versions so the in-place
+                # slide's extent map is complete.
+                host.tables.reap_file(file_name, proc=proc)
+                quiesced = (
+                    host.tables.pin_count(proc=proc) == 0
+                    and not host.tables.executions_in_file(
+                        file_name, proc=proc, dead=True)
+                )
+                start = 0 if quiesced else host.tables.max_offset_in_file(
                     file_name, proc=proc)
-            )
-            start = 0 if quiesced else host.tables.max_offset_in_file(
-                file_name, proc=proc)
-            plan = _compaction_plan(host, file_name, start=start)
-            plan["quiesced"] = quiesced
-            plan["before"] = host.fs.lookup(file_name).size
-            # Journal the flip intent BEFORE any byte moves: the
-            # quiesced in-place slide overwrites old live locations, so
-            # rollback is only sound while nothing has moved.  A crash
-            # from here to commit_flip rolls back to untouched
-            # metadata; the unjournaled window between the first moved
-            # byte and the commit has no registered fault point (the
-            # deferred copy-up path, which never overwrites live bytes,
-            # is crash-safe throughout).
-            plan["epoch"] = host.tables.begin_flip(file_name, proc=proc)
-            _fault(proc, "flip:intent")
-            if quiesced and gate is not None:
-                # Block new reads and drain in-flight ones before any
-                # rank's bcast receipt lets it overwrite live bytes.
-                gate.acquire_exclusive(proc)
-                exclusive = True
-        plan = comm.bcast(plan, root=0)
-        if plan is None:  # unknown file: nothing to compact, nothing to flip
-            return {"before": 0, "after": 0, "moved_bytes": 0}
-        return _compact_with_plan(host, file_name, plan)
-    finally:
-        if exclusive:
-            gate.release_exclusive()
-        release_file_lease(comm, host.tables, file_name, holder, proc=proc)
+                plan = _compaction_plan(host, file_name, start=start)
+                plan["quiesced"] = quiesced
+                plan["before"] = host.fs.lookup(file_name).size
+                # Journal the flip intent BEFORE any byte moves: the
+                # quiesced in-place slide overwrites old live locations,
+                # so rollback is only sound while nothing has moved.  A
+                # crash from here to the commit rolls back to untouched
+                # metadata; the unjournaled window between the first
+                # moved byte and the commit has no registered fault point
+                # (the deferred copy-up path, which never overwrites live
+                # bytes, is crash-safe throughout).  The epoch rides in
+                # the plan only because the modelled bcast cost depends
+                # on the payload size.
+                plan["epoch"] = fl.begin()
+                if quiesced and gate is not None:
+                    # Block new reads and drain in-flight ones before any
+                    # rank's bcast receipt lets it overwrite live bytes.
+                    gate.acquire_exclusive(proc)
+                    exclusive = True
+            plan = comm.bcast(plan, root=0)
+            if plan is None:  # unknown file: nothing to compact or flip
+                return {"before": 0, "after": 0, "moved_bytes": 0}
+            return _compact_with_plan(host, fl, file_name, plan)
+        finally:
+            if exclusive:
+                gate.release_exclusive()
 
 
-def _compact_with_plan(host, file_name: str, plan: Dict) -> Dict:
+def _compact_with_plan(host, fl: Flip, file_name: str, plan: Dict) -> Dict:
     """Execute a broadcast compaction plan: move bytes, publish the new
     epoch, reap/truncate per the plan's quiesced flag."""
     comm = host.comm
-    proc = host.ctx.proc
+    proc = comm.proc
     moves = plan["moves"]
     if moves:
         f = host._open_cached(file_name, MODE_RDWR)
@@ -1432,18 +1441,7 @@ def _compact_with_plan(host, file_name: str, plan: Dict) -> Dict:
         if mine:
             src = np.array([m[0] for m in mine], dtype=np.int64)
             lens = np.array([m[1] for m in mine], dtype=np.int64)
-            # Coalesced gather: abutting sources stream as one run, holes
-            # up to the hint are read and discarded.
-            gap = runs.resolve_gap(
-                f.hints.coalesce_gap, src, lens,
-                waste_fraction=f.hints.coalesce_waste,
-                max_gap=f.hints.ds_threshold_gap,
-            )
-            coff, clen, owner = runs.coalesce_runs(src, lens, gap)
-            blob = np.empty(int(clen.sum()), dtype=np.uint8)
-            f.read_runs(coff, clen, blob)
-            raw = runs.extract_runs(blob, coff, clen, src, lens, owner)
-            parts = np.split(raw, np.cumsum(lens)[:-1])
+            parts = _read_extents(f, src, lens)
         comm.barrier()  # every source byte is in memory before any write
         if mine:
             order = sorted(range(len(mine)), key=lambda i: mine[i][2])
@@ -1457,17 +1455,11 @@ def _compact_with_plan(host, file_name: str, plan: Dict) -> Dict:
                          np.concatenate([parts[i] for i in order]))
         comm.barrier()  # every block is in place before the metadata flip
 
-    epoch = 0
-    if comm.rank == 0:
-        # Publish under the epoch whose intent the plan phase journaled
-        # (before any byte moved): insert every successor version
-        # (chunk maps first, then the rebased execution rows — a reader
-        # landing on a new execution row must already find its chunks),
-        # close the old versions count-checked, then commit.
-        epoch = plan["epoch"]
-        host.tables.heartbeat_lease(
-            file_name, _lease_holder_id(host), proc.now, proc=proc
-        )
+    def write_successors(epoch: int) -> None:
+        # Insert every successor version (chunk maps first, then the
+        # rebased execution rows — a reader landing on a new execution
+        # row must already find its chunks), then close the old versions
+        # count-checked.
         for runid, dataset, timestep, recs in plan["new_chunks"]:
             host.tables.record_chunks(
                 runid, dataset, timestep, recs, proc=proc, valid_from=epoch,
@@ -1479,28 +1471,19 @@ def _compact_with_plan(host, file_name: str, plan: Dict) -> Dict:
             host.tables.close_chunks(
                 runid, dataset, timestep, epoch, proc=proc
             )
-        host.tables.commit_flip(file_name, epoch, proc=proc)
-        _fault(proc, "flip:published")
-        if plan["quiesced"]:
-            # Nothing pinned: the closed versions reap immediately, the
-            # extent map zeroes, and the file truncates to live bytes.
-            host.tables.reap_file(file_name, proc=proc,
-                                  record_extents=False)
-            host.tables.clear_extents(file_name, proc=proc)
-            host.fs.truncate(proc, file_name, plan["new_size"])
-        else:
-            # Deferred: pinned snapshots still reference the old bytes.
-            # Reap what the floor allows; the rest waits for the last
-            # unpin (extent bookkeeping happens at that reap).
-            host.tables.reap_file(file_name, proc=proc)
-    # A publisher with a snapshot pin reads its own writes.
-    epoch = comm.bcast(epoch, root=0)
-    advance = getattr(host, "advance_snapshot", None)
-    if advance is not None:
-        advance(epoch)
-    # Write-side reference cache: blocks of the *current* version moved.
-    host.invalidate_chunked_caches(file_name)
-    comm.barrier()  # job complete: bytes and metadata consistent everywhere
+
+    def reap_quiesced() -> None:
+        # Nothing pinned: the closed versions reap immediately, the
+        # extent map zeroes, and the file truncates to live bytes.
+        host.tables.reap_file(file_name, proc=proc, record_extents=False)
+        host.tables.clear_extents(file_name, proc=proc)
+        host.fs.truncate(proc, file_name, plan["new_size"])
+
+    # Publishes under the epoch whose intent the plan phase journaled
+    # (before any byte moved).  Deferred (pinned snapshots still reference
+    # the old bytes): the default reap collects what the pins allow; the
+    # rest waits for the last unpin (extent bookkeeping happens then).
+    fl.publish(write_successors, reap_quiesced if plan["quiesced"] else None)
     if host.organization == Organization.LEVEL_1:
         host._close_cached(file_name)
     return {

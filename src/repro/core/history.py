@@ -87,10 +87,8 @@ def register_history_async(
     Collective: offsets are derived from an allgather of per-rank counts.
     Rank 0 creates the file and registers the metadata synchronously (the
     database rows are cheap); the bulk data write is queued on the job's
-    maintenance service and lands on that rank's background worker, off
-    the application's critical path.  Without a maintenance service in
-    the job's services dict the write falls back to a dedicated
-    background process (the pre-service behavior).
+    maintenance service (required in the job's services dict) and lands
+    on that rank's background worker, off the application's critical path.
     """
     fs: FileSystem = ctx.service("fs")
     comm = ctx.comm
@@ -139,17 +137,7 @@ def register_history_async(
         fs.write_at(proc, handle, node_off, node_blob)
         fs.close(proc, handle)
 
-    maint = ctx.services.get("maint")
-    if maint is not None:
-        event = maint.enqueue_local(ctx, writer, label="history")
-    else:  # pragma: no cover - legacy services dicts without the tier
-        event = SimEvent(ctx.proc.sim, name=f"history-r{ctx.rank}")
-
-        def legacy(proc: Process) -> None:
-            writer(proc)
-            event.set()
-
-        ctx.proc.sim.spawn(legacy, name=f"history-writer-r{ctx.rank}")
+    event = ctx.service("maint").enqueue_local(ctx, writer, label="history")
     return HistoryRegistration(file_name=fname, event=event)
 
 

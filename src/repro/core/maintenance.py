@@ -25,9 +25,8 @@ kinds:
   writer of :mod:`repro.core.history`, now a thin client of this layer).
 
 Workers take the same per-file flip leases the synchronous calls do
-(they run :func:`~repro.core.datapath.execute_reorganize` /
-:func:`~repro.core.datapath.compact_chunked_file`, which acquire them),
-so a background flip racing a foreground one is a fail-fast
+(every job kind runs under :class:`repro.core.mvcc.Flip`), so a
+background flip racing a foreground one is a fail-fast
 ``SDMLeaseConflict``, never a lost update.
 
 The service also carries the job's **read gate**: hosts register
@@ -61,11 +60,10 @@ snapshot machinery as the history files.
 Cache maintenance
 -----------------
 
-``SDM`` instances register their chunked-write reference caches and
-read-side :class:`~repro.core.datapath.IndexBlockCache` instances with
-the service; background reorganization and compaction invalidate every
-registered cache for the touched file, so application-side caches can
-never serve bytes a background job moved.
+The service carries the job's :class:`~repro.core.datapath.ChunkedCaches`
+registry: ``SDM`` instances and catalogs register their chunked caches,
+and background reorganization and compaction invalidate every one of
+them for the touched file.
 """
 
 from __future__ import annotations
@@ -76,19 +74,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.config import MachineModel
 from repro.core.datapath import (
-    ChunkedOrder,
-    FileHandleCache,
-    IndexBlockCache,
-    acquire_file_lease,
+    ChunkedCaches,
+    DatapathHost,
     compact_chunked_file,
     execute_reorganize,
-    release_file_lease,
 )
 from repro.core.layout import Organization
+from repro.core.mvcc import Flip, reap_sweep
 from repro.dtypes.primitives import primitive_by_name
 from repro.errors import SDMStateError
 from repro.metadb.engine import Database
-from repro.metadb.schema import DEFAULT_PIN_TTL, MaintenanceRecord, SDMTables
+from repro.metadb.schema import MaintenanceRecord, SDMTables
 from repro.mpi.communicator import Communicator
 from repro.mpi.job import RankContext
 from repro.pfs.filesystem import FileSystem
@@ -118,72 +114,6 @@ class _LocalJob:
     fn: Callable[[Process], Any]
     event: SimEvent
     label: str = "local"
-
-
-@dataclass
-class _WorkerCtx:
-    """The slice of a :class:`~repro.mpi.job.RankContext` the datapath
-    host protocol needs on a worker process."""
-
-    rank: int
-    proc: Process
-
-
-class _WorkerHost:
-    """Datapath host bound to one maintenance worker and one job.
-
-    Mirrors the attributes :class:`~repro.core.api.SDM` exposes to
-    :mod:`repro.core.datapath` — a communicator over the job-unique
-    context, the shared tables/fs, the job's application and organization
-    — plus a per-job file cache the worker closes when the job ends.
-    """
-
-    def __init__(
-        self,
-        service: "MaintenanceService",
-        rank: int,
-        proc: Process,
-        job: MaintenanceRecord,
-    ) -> None:
-        self._service = service
-        self.comm = Communicator(
-            service._transport, rank, proc, ctx_id=("maint", job.jobid)
-        )
-        self.ctx = _WorkerCtx(rank=rank, proc=proc)
-        self.tables = service.tables
-        self.fs = service.fs
-        self.application = job.application
-        self.organization = Organization(job.organization)
-        self.index_cache: Optional[IndexBlockCache] = None
-        # Per-job flip-lease identity (distinct from every SDM client and
-        # from other jobs, so overlapping flips fail fast) and the job-wide
-        # read gate quiesced in-place compaction excludes against.
-        self.lease_holder = f"maint:{job.jobid}"
-        self.read_gate = service
-        # Jobs carry no MPI-IO hints (the enqueuer's SDM may be gone by
-        # execution time); workers open with the defaults.
-        self._files = FileHandleCache(self.comm, service.fs)
-
-    def _open_cached(self, name: str, amode: int) -> File:
-        return self._files.open(name, amode)
-
-    def _close_cached(self, name: str) -> None:
-        self._files.close(name)
-
-    def close_all(self) -> None:
-        """Collectively close every file this job opened (identical open
-        sequences on all workers keep the close order symmetric)."""
-        self._files.close_all()
-
-    def invalidate_chunked_caches(self, file_name: str) -> None:
-        """A background job moved or freed this file's bytes: drop every
-        application-registered cache entry for it."""
-        self._service.invalidate_chunked_caches(file_name)
-
-    def invalidate_chunked_range(self, file_name: str, lo: int, hi: int) -> None:
-        """A first-fit write recycled ``[lo, hi)`` of this file: drop every
-        application-registered cache entry overlapping it."""
-        self._service.invalidate_chunked_range(file_name, lo, hi)
 
 
 class MaintenanceService:
@@ -225,8 +155,11 @@ class MaintenanceService:
         self._jobs_log: List[MaintenanceRecord] = []
         self._enqueued_count: List[int] = []
         self._next_jobid: Optional[int] = None
-        self._write_caches: List[ChunkedOrder] = []
-        self._read_caches: List[IndexBlockCache] = []
+        self.caches = ChunkedCaches()
+        """The job's chunked caches (registered by every SDM and
+        catalog): flips and first-fit writes, background or not,
+        invalidate all of them, so no application-side cache can serve
+        bytes another client moved."""
         # Read gate: in-flight collective reads vs in-place compaction.
         self._reads_in_flight = 0
         self._compacting = False
@@ -299,10 +232,12 @@ class MaintenanceService:
         lease the interrupted flip is resolved exactly one way
         (:meth:`SDMTables.recover_file`: intent ⇒ roll back, committed ⇒
         finish the reap) before the lease is released.  Flip intents that
-        lost their lease entirely (an exception path released the lease
-        mid-flip) are resolved the same way; live same-incarnation flips
-        always hold their lease and are never touched.  Finally the
-        abandoned-pin reaper clears prior-incarnation pins.
+        lost their lease entirely (a flip body raised between
+        ``Flip.begin`` and the commit, and the driver's exit released the
+        lease on the way out) are resolved the same way; live
+        same-incarnation flips always hold their lease and are never
+        touched.  Finally the abandoned-pin reaper clears
+        prior-incarnation pins.
         """
         tables = self.tables
         for fname, holder, boot in tables.all_leases(proc=proc):
@@ -316,36 +251,21 @@ class MaintenanceService:
                 self.n_intents_resolved += 1
         self.reap_abandoned_pins(proc)
 
-    def reap_abandoned_pins(
-        self,
-        proc: Process,
-        now: Optional[float] = None,
-        timeout: float = DEFAULT_PIN_TTL,
-    ) -> int:
+    def reap_abandoned_pins(self, proc: Process) -> int:
         """Release snapshot pins whose clients are presumed dead (prior
-        incarnation, or untouched past ``timeout``), then reap what they
-        were holding live — each file under its flip lease, skipped if a
-        concurrent flip holds it (that flip's own post-commit reap covers
-        it).  Per-file reap watermarks advance as a side effect, so the
-        epoch log truncates once the leaked pins are gone.  Returns the
-        number of pins released.
+        incarnation, or untouched past ``DEFAULT_PIN_TTL``), then reap
+        what they were holding live (:func:`~repro.core.mvcc.reap_sweep`).
+        Per-file reap watermarks advance as a side effect, so the epoch
+        log truncates once the leaked pins are gone.  Returns the number
+        of pins released.
         """
         tables = self.tables
-        t = proc.now if now is None else now
-        expired = tables.expired_pins(t, timeout, proc=proc)
+        expired = tables.expired_pins(proc.now, proc=proc)
         for pin_id, _client, _epoch in expired:
             tables.release_pin(pin_id, proc=proc)
             tables.n_pins_expired += 1
         if expired:
-            holder = "maint:reaper"
-            for fname in tables.files_with_dead_rows(proc=proc):
-                if tables.try_acquire_lease(
-                    fname, holder, proc=proc, now=t,
-                ):
-                    try:
-                        tables.reap_file(fname, proc=proc)
-                    finally:
-                        tables.release_lease(fname, holder, proc=proc)
+            reap_sweep(tables, "maint:reaper", proc)
         return len(expired)
 
     def stats(self) -> Dict[str, int]:
@@ -359,42 +279,8 @@ class MaintenanceService:
             "bytes_reclaimed": self.bytes_reclaimed,
             "leases_recovered": self.n_leases_recovered,
             "intents_resolved": self.n_intents_resolved,
-            "leases_stolen": self.tables.n_leases_stolen,
-            "flips_rolled_back": self.tables.n_flips_rolled_back,
-            "flips_rolled_forward": self.tables.n_flips_rolled_forward,
-            "pins_expired": self.tables.n_pins_expired,
+            **self.tables.recovery_stats(),
         }
-
-    def register_caches(
-        self,
-        write_cache: Optional[ChunkedOrder],
-        read_cache: Optional[IndexBlockCache],
-    ) -> None:
-        """Register an SDM's chunked caches for background invalidation."""
-        if write_cache is not None:
-            self._write_caches.append(write_cache)
-        if read_cache is not None:
-            self._read_caches.append(read_cache)
-
-    def invalidate_chunked_caches(self, file_name: str) -> None:
-        """Drop every registered cache's entries for one file (a
-        background job retreated its cursor or moved its blocks)."""
-        for cache in self._write_caches:
-            cache.drop_file_cache(file_name)
-        for cache in self._read_caches:
-            cache.drop_file(file_name)
-
-    def invalidate_chunked_range(self, file_name: str, lo: int, hi: int) -> None:
-        """Drop every registered cache's entries overlapping ``[lo, hi)``
-        of one file — a first-fit write is recycling a dead extent there,
-        and fresh rows publish at version 0, so a block another client
-        cached at a recycled ``(file, offset, 0)`` key (e.g. a pinned
-        catalog that read the old version before its release-time reap
-        recorded the extent) would otherwise survive with stale bytes."""
-        for cache in self._write_caches:
-            cache.drop_range_cache(file_name, lo, hi)
-        for cache in self._read_caches:
-            cache.drop_range(file_name, lo, hi)
 
     # ------------------------------------------------------------------
     # Read gate
@@ -530,10 +416,6 @@ class MaintenanceService:
     # Draining
     # ------------------------------------------------------------------
 
-    def pending_count(self, rank: int) -> int:
-        """Jobs still queued for one rank's worker."""
-        return len(self._queues[rank]) if self._queues else 0
-
     def drain(self, rank: int, proc: Process) -> None:
         """Block (in virtual time) until this rank's queue is empty and
         its worker has exited — every previously enqueued job's effects,
@@ -582,7 +464,28 @@ class MaintenanceService:
             # at the controllers — no collectives, so skewed ranks never
             # deadlock; the job itself still runs to completion.
             self.policy.throttle(self.fs, proc)
-        host = _WorkerHost(self, rank, proc, job)
+        # The job's datapath host on this worker: a communicator over the
+        # job-unique context, a per-job flip-lease identity (distinct from
+        # every SDM client and other job, so overlapping flips fail fast)
+        # and file cache, default MPI-IO hints (the enqueuer's SDM may be
+        # gone by now), this service as cache registry and read gate.
+        host = DatapathHost(
+            Communicator(
+                self._transport, rank, proc, ctx_id=("maint", job.jobid)
+            ),
+            self.tables, self.fs, job.application, job.organization,
+            lease_holder=f"maint:{job.jobid}", maintenance=self,
+            read_gate=self,
+        )
+        self._run_job(host, job)
+        if rank == 0:
+            self.tables.delete_maintenance(job.jobid, proc=proc)
+        self.n_executed += 1
+
+    def _run_job(self, host: DatapathHost, job: MaintenanceRecord) -> None:
+        """One persistent job on this worker's host (collective across
+        the workers over the job-unique ``host.comm``)."""
+        comm = host.comm
         try:
             if job.kind == REORGANIZE:
                 execute_reorganize(
@@ -592,36 +495,24 @@ class MaintenanceService:
                 )
             elif job.kind == COMPACT:
                 stats = compact_chunked_file(host, job.file_name)
-                if rank == 0:
+                if comm.rank == 0:
                     self.bytes_reclaimed += max(
                         stats["before"] - stats["after"], 0
                     )
             elif job.kind == REAP:
-                acquire_file_lease(
-                    host.comm, self.tables, job.file_name,
-                    host.lease_holder, proc=proc,
-                )
-                try:
-                    if rank == 0:
+                with Flip(host, job.file_name):
+                    if comm.rank == 0:
                         # Leak sweep first: pins abandoned past their
                         # timeout stop protecting versions before this
                         # file's reap computes what is still held live.
-                        self.reap_abandoned_pins(proc)
-                        self.tables.reap_file(job.file_name, proc=proc)
-                finally:
-                    # spmdlint: ok(comm-mismatch) _WorkerHost is this rank's facade over the one job-wide maintenance context; every worker's host shares it
-                    host.comm.barrier()
-                    release_file_lease(
-                        host.comm, self.tables, job.file_name,
-                        host.lease_holder, proc=proc,
-                    )
+                        self.reap_abandoned_pins(comm.proc)
+                        self.tables.reap_file(job.file_name, proc=comm.proc)
+                    comm.barrier()
             else:
                 raise SDMStateError(
                     f"unknown maintenance job kind {job.kind!r}"
                 )
         finally:
-            # spmdlint: ok(comm-mismatch) _WorkerHost is this rank's facade over the one job-wide maintenance context; every worker's host shares it
-            host.close_all()
-        if rank == 0:
-            self.tables.delete_maintenance(job.jobid, proc=proc)
-        self.n_executed += 1
+            # Identical open sequences on all workers keep the collective
+            # close order symmetric.
+            host._files.close_all()

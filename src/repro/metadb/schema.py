@@ -16,7 +16,7 @@ two that back the maintenance service layer):
   block) and where its index block and data block live in the file.  A
   (runid, dataset, timestep) with chunk rows is stored in distribution
   order; one without is canonical.
-  :meth:`SDMTables.update_execution` + :meth:`SDMTables.delete_chunks` flip
+  :meth:`SDMTables.update_execution` + :meth:`SDMTables.close_chunks` flip
   an instance from chunked to canonical after reorganization.
 * ``import_table`` — one row per imported (externally created) array.
 * ``index_table`` — one row per registered index distribution: problem
@@ -64,7 +64,7 @@ either way.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SDMStateError
 from repro.metadb.engine import Database
@@ -106,6 +106,28 @@ DEFAULT_LEASE_TTL = 60.0
 #: presumed abandoned and released by the maintenance reaper.  Readers
 #: touch their pin (throttled to every TTL/4) on the read path.
 DEFAULT_PIN_TTL = 300.0
+
+#: The MVCC-versioned tables (``valid_from``/``valid_to`` columns): a
+#: flip's rollback withdraws and reopens row versions in each of them.
+VERSIONED_TABLES: Tuple[str, ...] = ("execution_table", "chunk_table")
+
+#: Equality key of one dataset instance in either versioned table.
+_INSTANCE = "runid = ? AND dataset = ? AND timestep = ?"
+
+#: An extent is reused only when the write fills at least this share of
+#: it (skipping an allocation that would strand a large splinter).
+_MIN_EXTENT_FILL = 0.5
+
+
+def _visible(epoch: Optional[int]) -> Tuple[str, Tuple[int, ...]]:
+    """The one visibility predicate, as ``(SQL conjunct, parameters)``:
+    a row version is visible at ``epoch`` iff ``valid_from <= epoch <
+    valid_to``; ``epoch=None`` means *current* visibility — the open
+    versions, resolved by a single equality on the sentinel."""
+    if epoch is None:
+        return "valid_to = ?", (OPEN_EPOCH,)
+    return "valid_from <= ? AND valid_to > ?", (epoch, epoch)
+
 
 SDM_SCHEMA: Tuple[str, ...] = (
     """CREATE TABLE IF NOT EXISTS run_table (
@@ -201,7 +223,8 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     # One probe allocates runids; the ordered index also serves the
     # catalog's `ORDER BY runid` run listing without a sort.
     ("run_table", ("runid",), "ordered"),
-    # datasets_for_run (single-column) and _dataset_record (composite).
+    # the catalog's dataset listing (single-column) and _dataset_record
+    # (composite).
     ("access_pattern_table", ("runid",), "hash"),
     ("access_pattern_table", ("runid", "dataset"), "hash"),
     # lookup_execution probes the composite hash once; the ordered twin
@@ -212,12 +235,13 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     ("execution_table", ("runid", "dataset", "timestep"), "ordered"),
     ("execution_table", ("file_name", "file_offset"), "ordered"),
     # chunks_for is a sorted probe (equality triple + ORDER BY rank); the
-    # hash twin serves delete_chunks' narrowing.
+    # hash twin serves the close/reap narrowing.
     ("chunk_table", ("runid", "dataset", "timestep"), "hash"),
     ("chunk_table", ("runid", "dataset", "timestep", "rank"), "ordered"),
     ("import_table", ("runid", "imported_name"), "hash"),
     ("index_table", ("problem_size", "num_procs"), "hash"),
-    # history_rank probes the triple; drop_history narrows by the pair.
+    # history_rank probes the triple (the pair twin currently has no
+    # statement of its own).
     ("index_history_table", ("problem_size", "num_procs", "rank"), "hash"),
     ("index_history_table", ("problem_size", "num_procs"), "hash"),
     # Pending-job adoption walks `ORDER BY jobid` and allocation probes
@@ -324,6 +348,16 @@ class SDMTables:
         self.n_pins_expired = 0
         """Abandoned snapshot pins released on a dead client's behalf."""
 
+    def recovery_stats(self) -> Dict[str, int]:
+        """The crash-recovery counters every ``stats()`` surface reports
+        (database-wide totals as seen through this accessor)."""
+        return {
+            "leases_stolen": self.n_leases_stolen,
+            "flips_rolled_back": self.n_flips_rolled_back,
+            "flips_rolled_forward": self.n_flips_rolled_forward,
+            "pins_expired": self.n_pins_expired,
+        }
+
     def create_all(self, proc: Optional[Process] = None) -> None:
         """Create the thirteen tables and their secondary indexes (idempotent)."""
         for ddl in SDM_SCHEMA:
@@ -400,17 +434,6 @@ class SDMTables:
         )
         return rows[0][0] if rows else None
 
-    def datasets_for_run(
-        self, runid: int, proc: Optional[Process] = None
-    ) -> List[str]:
-        """Dataset names registered for a run, in registration order."""
-        rows = self.db.execute(
-            "SELECT dataset FROM access_pattern_table WHERE runid = ?",
-            (runid,),
-            proc=proc,
-        )
-        return [r[0] for r in rows]
-
     # -- execution_table ---------------------------------------------------
 
     def record_execution(
@@ -449,8 +472,8 @@ class SDMTables:
         OPEN_EPOCH equality rides along as a verified conjunct).  Inside a
         flip's publish window two open versions can coexist; the newest
         ``valid_from`` wins."""
-        row = self._lookup_row(runid, dataset, timestep, None, proc)
-        return (row[0], int(row[1]), int(row[2])) if row else None
+        row = self.lookup_execution_version(runid, dataset, timestep, proc=proc)
+        return row[:3] if row else None
 
     def lookup_execution_version(
         self,
@@ -464,38 +487,17 @@ class SDMTables:
         epoch (``epoch=None``: current visibility) and additionally
         returning the matched version's ``valid_from`` — the reference
         epoch chunk maps and index-block cache keys resolve against."""
-        row = self._lookup_row(runid, dataset, timestep, epoch, proc)
-        if row is None:
-            return None
-        return (row[0], int(row[1]), int(row[2]), int(row[3]))
-
-    def _lookup_row(
-        self,
-        runid: int,
-        dataset: str,
-        timestep: int,
-        epoch: Optional[int],
-        proc: Optional[Process],
-    ) -> Optional[Tuple]:
-        if epoch is None:
-            rows = self.db.execute(
-                "SELECT file_name, file_offset, nbytes, valid_from "
-                "FROM execution_table WHERE runid = ? AND dataset = ? "
-                "AND timestep = ? AND valid_to = ?",
-                (runid, dataset, timestep, OPEN_EPOCH),
-                proc=proc,
-            )
-        else:
-            rows = self.db.execute(
-                "SELECT file_name, file_offset, nbytes, valid_from "
-                "FROM execution_table WHERE runid = ? AND dataset = ? "
-                "AND timestep = ? AND valid_from <= ? AND valid_to > ?",
-                (runid, dataset, timestep, epoch, epoch),
-                proc=proc,
-            )
+        visible, at = _visible(epoch)
+        rows = self.db.execute(
+            "SELECT file_name, file_offset, nbytes, valid_from "
+            f"FROM execution_table WHERE {_INSTANCE} AND {visible}",
+            (runid, dataset, timestep, *at),
+            proc=proc,
+        )
         if not rows:
             return None
-        return max(rows, key=lambda r: int(r[3]))
+        name, offset, nbytes, vfrom = max(rows, key=lambda r: int(r[3]))
+        return (name, int(offset), int(nbytes), int(vfrom))
 
     def max_offset_in_file(
         self, file_name: str, proc: Optional[Process] = None
@@ -512,51 +514,23 @@ class SDMTables:
         return int(rows[0][0]) + int(rows[0][1])
 
     def executions_in_file(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> List[Tuple[int, str, int, int, int]]:
-        """Every *current* instance living in one file, by ascending base
-        offset (a sorted probe of the ``(file_name, file_offset)`` ordered
-        index): ``(runid, dataset, timestep, file_offset, nbytes)``."""
-        rows = self.db.execute(
-            "SELECT runid, dataset, timestep, file_offset, nbytes "
-            "FROM execution_table WHERE file_name = ? AND valid_to = ? "
-            "ORDER BY file_offset",
-            (file_name, OPEN_EPOCH),
-            proc=proc,
-        )
-        return [
-            (int(r), d, int(t), int(o), int(n)) for r, d, t, o, n in rows
-        ]
-
-    def open_execution_versions(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> List[Tuple[int, str, int, int, int, int]]:
-        """:meth:`executions_in_file` plus each open row's ``valid_from``
-        — what a compaction plan needs to close exactly the versions it
-        supersedes: ``(runid, dataset, timestep, file_offset, nbytes,
-        valid_from)``."""
-        rows = self.db.execute(
-            "SELECT runid, dataset, timestep, file_offset, nbytes, "
-            "valid_from FROM execution_table "
-            "WHERE file_name = ? AND valid_to = ? ORDER BY file_offset",
-            (file_name, OPEN_EPOCH),
-            proc=proc,
-        )
-        return [
-            (int(r), d, int(t), int(o), int(n), int(vf))
-            for r, d, t, o, n, vf in rows
-        ]
-
-    def dead_executions_in_file(
-        self, file_name: str, proc: Optional[Process] = None
+        self,
+        file_name: str,
+        proc: Optional[Process] = None,
+        dead: bool = False,
     ) -> List[Tuple[int, str, int, int, int, int, int]]:
-        """Superseded versions still occupying bytes of one file:
+        """Row versions living in one file, by ascending base offset (a
+        sorted probe of the ``(file_name, file_offset)`` ordered index):
         ``(runid, dataset, timestep, file_offset, nbytes, valid_from,
-        valid_to)``, ascending base offset.  The reaper's work list."""
+        valid_to)``.  By default the *current* instances (what a
+        compaction plan packs and closes); ``dead=True`` lists the
+        superseded versions still occupying bytes — the reaper's work
+        list."""
         rows = self.db.execute(
             "SELECT runid, dataset, timestep, file_offset, nbytes, "
             "valid_from, valid_to FROM execution_table "
-            "WHERE file_name = ? AND valid_to < ? ORDER BY file_offset",
+            f"WHERE file_name = ? AND valid_to {'<' if dead else '='} ? "
+            "ORDER BY file_offset",
             (file_name, OPEN_EPOCH),
             proc=proc,
         )
@@ -564,6 +538,27 @@ class SDMTables:
             (int(r), d, int(t), int(o), int(n), int(vf), int(vt))
             for r, d, t, o, n, vf, vt in rows
         ]
+
+    def timesteps_for(
+        self,
+        runid: int,
+        dataset: str,
+        epoch: Optional[int] = None,
+        proc: Optional[Process] = None,
+    ) -> List[int]:
+        """Timesteps of a dataset with a row version visible at ``epoch``
+        (``None``: current), ascending — a sorted probe of the ordered
+        ``(runid, dataset, timestep)`` index.  A publish window can show
+        two versions of one timestep; each is listed once."""
+        visible, at = _visible(epoch)
+        rows = self.db.execute(
+            "SELECT timestep FROM execution_table "
+            f"WHERE runid = ? AND dataset = ? AND {visible} "
+            "ORDER BY timestep",
+            (runid, dataset, *at),
+            proc=proc,
+        )
+        return sorted({int(r[0]) for r in rows})
 
     def files_with_dead_rows(
         self, proc: Optional[Process] = None
@@ -666,24 +661,14 @@ class SDMTables:
         briefly exposes two complete version sets, the newest
         ``valid_from`` set wins (a flip always rewrites the full set, so
         the winner is complete)."""
-        if at is None:
-            rows = self.db.execute(
-                "SELECT rank, gid_min, gid_max, num_elements, index_offset, "
-                "data_offset, gid_step, valid_from FROM chunk_table "
-                "WHERE runid = ? AND dataset = ? AND timestep = ? "
-                "AND valid_to = ? ORDER BY rank",
-                (runid, dataset, timestep, OPEN_EPOCH),
-                proc=proc,
-            )
-        else:
-            rows = self.db.execute(
-                "SELECT rank, gid_min, gid_max, num_elements, index_offset, "
-                "data_offset, gid_step, valid_from FROM chunk_table "
-                "WHERE runid = ? AND dataset = ? AND timestep = ? "
-                "AND valid_from <= ? AND valid_to > ? ORDER BY rank",
-                (runid, dataset, timestep, at, at),
-                proc=proc,
-            )
+        visible, args = _visible(at)
+        rows = self.db.execute(
+            "SELECT rank, gid_min, gid_max, num_elements, index_offset, "
+            "data_offset, gid_step, valid_from FROM chunk_table "
+            f"WHERE {_INSTANCE} AND {visible} ORDER BY rank",
+            (runid, dataset, timestep, *args),
+            proc=proc,
+        )
         if not rows:
             return []
         newest = max(int(r[7]) for r in rows)
@@ -712,23 +697,6 @@ class SDMTables:
             "WHERE runid = ? AND dataset = ? AND timestep = ? "
             "AND valid_to = ? AND valid_from < ?",
             (epoch, runid, dataset, timestep, OPEN_EPOCH, epoch),
-            proc=proc,
-        )
-
-    def delete_chunk_version(
-        self,
-        runid: int,
-        dataset: str,
-        timestep: int,
-        valid_to: int,
-        proc: Optional[Process] = None,
-    ) -> None:
-        """Reap one superseded chunk-map version (closed at ``valid_to``)."""
-        self.db.execute(
-            "DELETE FROM chunk_table "
-            "WHERE runid = ? AND dataset = ? AND timestep = ? "
-            "AND valid_to = ?",
-            (runid, dataset, timestep, valid_to),
             proc=proc,
         )
 
@@ -878,7 +846,6 @@ class SDMTables:
         self,
         file_name: str,
         need: int,
-        min_fill: float = 0.5,
         proc: Optional[Process] = None,
     ) -> Optional[int]:
         """First-fit placement of ``need`` bytes into a free extent.
@@ -887,8 +854,8 @@ class SDMTables:
         is consumed; any remainder is re-recorded as a smaller extent), or
         None when no extent qualifies and the caller should append at the
         cursor.  An extent qualifies when it is large enough, the write
-        would fill at least ``min_fill`` of it (skipping an allocation
-        that strands a large splinter), and the allocated prefix does not
+        would fill at least :data:`_MIN_EXTENT_FILL` of it, and the
+        allocated prefix does not
         overlap an index block a surviving chunk-map version still
         references (:meth:`_protected_index_ranges`).
 
@@ -900,7 +867,7 @@ class SDMTables:
             return None
         protected = self._protected_index_ranges(file_name, proc)
         for off, nbytes in self.extents_for(file_name, proc):
-            if nbytes < need or need < min_fill * nbytes:
+            if nbytes < need or need < _MIN_EXTENT_FILL * nbytes:
                 continue
             end = off + need
             if any(lo < end and hi > off for lo, hi in protected):
@@ -936,8 +903,8 @@ class SDMTables:
         :meth:`commit_flip` turns it ``published``, a recovering lease
         stealer treats every row version touched at this epoch as
         uncommitted and rolls the flip back.  Rollback is keyed on the
-        epoch number alone, so unlike the old ``publish_epoch`` the
-        allocation is insert-then-verify: a number shared with a
+        epoch number alone, so the allocation is insert-then-verify: a
+        number shared with a
         concurrent other-file flip (same-file flips are serialized by the
         lease) is withdrawn and retried — recovery must never confuse two
         flips' row versions.
@@ -988,17 +955,6 @@ class SDMTables:
                 "back by recovery under a stolen lease"
             )
 
-    def publish_epoch(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> int:
-        """One-shot :meth:`begin_flip` + :meth:`commit_flip` for callers
-        with no crash window between allocation and publish (tests,
-        single-statement bumps).  The flip protocols proper journal the
-        two halves around their row-version writes."""
-        epoch = self.begin_flip(file_name, proc)
-        self.commit_flip(file_name, epoch, proc)
-        return epoch
-
     def flip_intent(
         self, file_name: str, proc: Optional[Process] = None
     ) -> Optional[int]:
@@ -1036,26 +992,18 @@ class SDMTables:
         intent record.  Leaves the metadata byte-identical to the
         pre-flip state; any data bytes the flip staged are unreferenced.
         """
-        self.db.execute(
-            "DELETE FROM execution_table WHERE valid_from = ?",
-            (epoch,),
-            proc=proc,
-        )
-        self.db.execute(
-            "DELETE FROM chunk_table WHERE valid_from = ?",
-            (epoch,),
-            proc=proc,
-        )
-        self.db.execute(
-            "UPDATE execution_table SET valid_to = ? WHERE valid_to = ?",
-            (OPEN_EPOCH, epoch),
-            proc=proc,
-        )
-        self.db.execute(
-            "UPDATE chunk_table SET valid_to = ? WHERE valid_to = ?",
-            (OPEN_EPOCH, epoch),
-            proc=proc,
-        )
+        for table in VERSIONED_TABLES:
+            self.db.execute(
+                f"DELETE FROM {table} WHERE valid_from = ?",
+                (epoch,),
+                proc=proc,
+            )
+        for table in VERSIONED_TABLES:
+            self.db.execute(
+                f"UPDATE {table} SET valid_to = ? WHERE valid_to = ?",
+                (OPEN_EPOCH, epoch),
+                proc=proc,
+            )
         self.db.execute(
             "DELETE FROM epoch_table WHERE file_name = ? AND epoch = ?",
             (file_name, epoch),
@@ -1076,7 +1024,7 @@ class SDMTables:
             self.rollback_flip(file_name, intent, proc)
             self.n_flips_rolled_back += 1
             return "rolled_back"
-        if self.dead_executions_in_file(file_name, proc):
+        if self.executions_in_file(file_name, proc, dead=True):
             # record_extents=False: recovery cannot know whether the
             # interrupted flip was a quiesced in-place compaction, whose
             # dead versions' old offsets overlap the slid-down live
@@ -1098,18 +1046,6 @@ class SDMTables:
             proc=proc,
         )
         return 0 if rows[0][0] is None else int(rows[0][0])
-
-    def epochs_for_file(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> List[int]:
-        """Published epochs of one file, ascending (leak-audit helper)."""
-        rows = self.db.execute(
-            "SELECT epoch FROM epoch_table WHERE file_name = ? "
-            "ORDER BY epoch",
-            (file_name,),
-            proc=proc,
-        )
-        return [int(e) for (e,) in rows]
 
     def prune_epochs(
         self, file_name: str, below: int, proc: Optional[Process] = None
@@ -1369,18 +1305,6 @@ class SDMTables:
             proc=proc,
         )
 
-    def min_pinned_epoch(
-        self, proc: Optional[Process] = None
-    ) -> Optional[int]:
-        """Oldest pinned epoch, or None when unpinned.  No longer the
-        reap floor — :meth:`reap_file` tests each dead version's validity
-        interval against the individual pinned epochs — but still a
-        useful summary statistic."""
-        rows = self.db.execute(
-            "SELECT MIN(epoch) FROM pin_table", proc=proc
-        )
-        return None if rows[0][0] is None else int(rows[0][0])
-
     def pin_count(self, proc: Optional[Process] = None) -> int:
         """Outstanding pins (quiesced-compaction precondition)."""
         rows = self.db.execute(
@@ -1417,21 +1341,27 @@ class SDMTables:
         pinned = [int(e) for (e,) in self.db.execute(
             "SELECT epoch FROM pin_table", proc=proc
         )]
-        dead = self.dead_executions_in_file(file_name, proc)
+        dead = self.executions_in_file(file_name, proc, dead=True)
         reapable = [
             row for row in dead
             if not any(row[5] <= p < row[6] for p in pinned)
         ]
         if reapable:
-            for r, d, t, _off, _n, vf, vt in reapable:
+            for r, d, t, _off, _n, _vf, vt in reapable:
+                # The execution version by its file, then the chunk-map
+                # version the same flip closed (chunk rows carry no file).
                 self.db.execute(
-                    "DELETE FROM execution_table WHERE runid = ? "
-                    "AND dataset = ? AND timestep = ? AND file_name = ? "
-                    "AND valid_to = ?",
+                    f"DELETE FROM execution_table WHERE {_INSTANCE} "
+                    "AND file_name = ? AND valid_to = ?",
                     (r, d, t, file_name, vt),
                     proc=proc,
                 )
-                self.delete_chunk_version(r, d, t, vt, proc)
+                self.db.execute(
+                    f"DELETE FROM chunk_table WHERE {_INSTANCE} "
+                    "AND valid_to = ?",
+                    (r, d, t, vt),
+                    proc=proc,
+                )
             new_end = self.max_offset_in_file(file_name, proc)
             if record_extents:
                 for _r, _d, _t, off, nbytes, _vf, _vt in reapable:
@@ -1560,17 +1490,6 @@ class SDMTables:
             proc=proc,
         )
 
-    def lookup_import(
-        self, runid: int, imported_name: str, proc: Optional[Process] = None
-    ) -> Optional[dict]:
-        """Full import record for one imported array, or None."""
-        rows = self.db.query_dicts(
-            "SELECT * FROM import_table WHERE runid = ? AND imported_name = ?",
-            (runid, imported_name),
-            proc=proc,
-        )
-        return rows[0] if rows else None
-
     # -- index_table / index_history_table ------------------------------------
 
     def find_history(
@@ -1634,19 +1553,3 @@ class SDMTables:
             return None
         r, ec, nc, eo, no = rows[0]
         return HistoryRankRecord(int(r), int(ec), int(nc), int(eo), int(no))
-
-    def drop_history(
-        self, problem_size: int, num_procs: int, proc: Optional[Process] = None
-    ) -> None:
-        """Forget a registered history (both tables)."""
-        self.db.execute(
-            "DELETE FROM index_table WHERE problem_size = ? AND num_procs = ?",
-            (problem_size, num_procs),
-            proc=proc,
-        )
-        self.db.execute(
-            "DELETE FROM index_history_table "
-            "WHERE problem_size = ? AND num_procs = ?",
-            (problem_size, num_procs),
-            proc=proc,
-        )

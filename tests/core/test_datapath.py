@@ -751,3 +751,38 @@ def test_first_fit_reuse_evicts_stale_cached_blocks_across_clients():
     for share, old, fresh in job.values:
         np.testing.assert_allclose(old, share * 1.0)
         np.testing.assert_allclose(fresh, share * 3.0)
+
+
+def test_failed_reorganize_releases_its_flip_lease():
+    """Regression: an exception between lease acquire and release used to
+    strand the flip lease for a full TTL, so a retry saw SDMLeaseConflict
+    instead of the real error."""
+    from repro.errors import FileNotFound
+
+    maps = irregular_maps()
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_1,
+                  storage_order=CHUNKED)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=GLOBAL)
+        handle = sdm.set_attributes(result)
+        mine = maps[ctx.rank]
+        sdm.data_view(handle, "d", mine)
+        fname = sdm.write(handle, "d", 0, mine * 1.0)
+        if ctx.rank == 0:
+            sdm.fs.unlink(ctx.proc, fname)
+        ctx.comm.barrier()
+        errors = []
+        for _attempt in range(2):
+            with pytest.raises(FileNotFound) as ei:
+                sdm.reorganize(handle, "d", 0, mode="sync")
+            errors.append(str(ei.value))
+        return errors
+
+    job = mpirun(program, NPROCS, machine=fast_test(),
+                 services=sdm_services())
+    for first, second in job.values:
+        assert first == second
+    tables = SDMTables(job.services["db"])
+    assert tables.lease_count() == 0

@@ -237,8 +237,8 @@ def test_compaction_packs_live_bytes_and_zeroes_extents():
     live = sum(r[4] for r in rows)
     assert fs.lookup(fname).size == live
     # Chunk maps point inside the packed file.
-    for _r, _d, t, base, nbytes in rows:
-        for ch in tables.chunks_for(1, "d", t):
+    for row in rows:
+        for ch in tables.chunks_for(1, "d", row[2]):
             assert 0 <= ch.index_offset <= ch.data_offset < live
 
 

@@ -166,7 +166,7 @@ def test_crash_after_commit_rolls_forward():
     assert maint.stats()["flips_rolled_forward"] == 1
     t2 = SDMTables(consumer.services["db"])
     assert t2.all_leases() == []
-    assert t2.dead_executions_in_file("dp/d.chunked.dat") == []
+    assert t2.executions_in_file("dp/d.chunked.dat", dead=True) == []
     assert t2.chunks_for(1, "d", 0) == []
     np.testing.assert_allclose(reorganized_data(consumer),
                                np.arange(GLOBAL) * 1.0)
@@ -177,32 +177,49 @@ def test_crash_after_commit_rolls_forward():
 # ---------------------------------------------------------------------------
 
 
-def test_finalize_reports_leaked_leases_and_pins_on_every_rank():
+@pytest.mark.parametrize("client", ["sdm", "catalog"])
+def test_shutdown_audit_reports_leaks_on_every_rank(client):
+    """Both pinned client kinds release and audit through the one
+    SnapshotPin: their own pin goes, planted strays are counted."""
+
     def program(ctx):
-        sdm = SDM(ctx, "leaky")
+        if client == "sdm":
+            owner = SDM(ctx, "leaky", snapshot=True)
+            holder, shutdown = owner.lease_holder, owner.finalize
+        else:
+            SDM(ctx, "leaky").finalize()
+            owner = SDMCatalog.attach(ctx)
+            holder, shutdown = "catalog:reap", owner.release
+        assert owner.pin.epoch == 0
         if ctx.rank == 0:
             # Simulate a client bug: rows in this client's name that no
             # release will ever match.
-            sdm.tables.create_pin(sdm.lease_holder, 0, proc=ctx.proc,
-                                  now=ctx.proc.now)
-            assert sdm.tables.try_acquire_lease(
-                "stray.L3", sdm.lease_holder, proc=ctx.proc,
-                now=ctx.proc.now,
+            owner.tables.create_pin(owner.pin.client, 0, proc=ctx.proc,
+                                    now=ctx.proc.now)
+            assert owner.tables.try_acquire_lease(
+                "stray.L3", holder, proc=ctx.proc, now=ctx.proc.now,
             )
-        sdm.finalize()
-        return sdm.stats()
+        shutdown()
+        assert owner.pin.epoch is None
+        return owner.stats()
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     for stats in job.values:
-        assert stats["leaked_leases"] == 1
-        assert stats["leaked_pins"] == 1
+        if client == "sdm":
+            assert stats["leaked_leases"] == 1
+            assert stats["leaked_pins"] == 1
+        else:  # a catalog reports its lease and pin leaks as one number
+            assert stats["leaked_pins"] == 2
+    tables = SDMTables(job.services["db"])
+    assert len(tables.all_pins()) == 1  # the stray; the client's own is gone
 
 
-def test_clean_run_audits_zero_leaks():
+@pytest.mark.parametrize("snapshot", [False, True])
+def test_clean_run_audits_zero_leaks(snapshot):
     maps = irregular_maps(nprocs=2)
 
     def program(ctx):
-        sdm = SDM(ctx, "clean", storage_order=CHUNKED)
+        sdm = SDM(ctx, "clean", storage_order=CHUNKED, snapshot=snapshot)
         result = sdm.make_datalist(["d"])
         sdm.associate_attributes(result, data_type=DOUBLE, global_size=GLOBAL)
         handle = sdm.set_attributes(result)

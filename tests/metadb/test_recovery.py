@@ -101,10 +101,10 @@ def test_recover_file_rolls_committed_flip_forward(tables):
     tables.commit_flip("grp.L3", e)
     # Crash after the commit point, before the reap: the dead
     # predecessor version is still on disk.
-    assert tables.dead_executions_in_file("grp.L3")
+    assert tables.executions_in_file("grp.L3", dead=True)
     assert tables.recover_file("grp.L3") == "rolled_forward"
     assert tables.n_flips_rolled_forward == 1
-    assert tables.dead_executions_in_file("grp.L3") == []
+    assert tables.executions_in_file("grp.L3", dead=True) == []
     assert tables.lookup_execution(1, "p", 0)[0] == "grp.L4"
     # record_extents=False: recovery never records free extents (the
     # dead offsets may overlap a quiesced compaction's live layout).
@@ -250,30 +250,38 @@ def test_pin_interval_reap_is_per_row(tables):
     # row 0's [0, e1) — row 0 reaps, row 1 survives.  The old global
     # min-pin floor would have kept both.
     assert not tables.reap_file("grp.L3")
-    dead = tables.dead_executions_in_file("grp.L3")
+    dead = tables.executions_in_file("grp.L3", dead=True)
     assert [(d[2], d[5], d[6]) for d in dead] == [(1, 0, e2)]
     # Watermark: everything below the surviving row's valid_from is
     # reaped; epoch history below it is pruned.
     assert tables.reap_watermark("grp.L3") == 0
     tables.release_pin(pin)
     assert tables.reap_file("grp.L3")
-    assert tables.dead_executions_in_file("grp.L3") == []
+    assert tables.executions_in_file("grp.L3", dead=True) == []
     assert tables.reap_watermark("grp.L3") == e2
+
+
+def epochs_for_file(tables, file_name):
+    rows = tables.db.execute(
+        "SELECT epoch FROM epoch_table WHERE file_name = ? ORDER BY epoch",
+        (file_name,),
+    )
+    return [int(e) for (e,) in rows]
 
 
 def test_full_reap_prunes_epoch_history(tables):
     tables.record_execution(1, "p", 0, "grp.L3", 0, 100)
     e1 = flip_closing(tables, 0, 0)
-    assert tables.epochs_for_file("grp.L3") == [e1]
+    assert epochs_for_file(tables, "grp.L3") == [e1]
     assert tables.reap_file("grp.L3")
     assert tables.reap_watermark("grp.L3") == e1
     # Epochs strictly below the watermark are forgotten; the watermark
     # epoch itself survives as the file's published frontier.
-    assert tables.epochs_for_file("grp.L3") == [e1]
+    assert epochs_for_file(tables, "grp.L3") == [e1]
     tables.record_execution(1, "q", 0, "grp.L3", 0, 100)
     e2 = flip_closing(tables, 0, 100, dataset="q")
     assert tables.reap_file("grp.L3")
-    assert tables.epochs_for_file("grp.L3") == [e2]
+    assert epochs_for_file(tables, "grp.L3") == [e2]
 
 
 def test_watermark_is_monotone(tables):

