@@ -80,25 +80,26 @@ bench-metadb:
 
 ## storage-order ablation (chunked vs canonical writes, reorganize cost,
 ## read price of each representation, coalesced-read gap + run counts);
-## emits BENCH_datapath.json
+## emits BENCH_datapath.json and holds it to its perfcheck guards
 bench-datapath:
 	DATAPATH_BENCH_JSON=BENCH_datapath.json $(PYTHON) -m pytest benchmarks/bench_ablation_datapath.py --benchmark-only -q
-	$(PYTHON) benchmarks/perfcheck_datapath.py BENCH_datapath.json
+	$(PYTHON) benchmarks/perfcheck.py BENCH_datapath.json
 
 ## policy-tier ablation (adaptive planner/gap/maintenance vs a grid of
-## static settings per knob); emits BENCH_policy.json
+## static settings per knob); emits BENCH_policy.json and holds it to its
+## perfcheck guards
 bench-policy:
 	POLICY_BENCH_JSON=BENCH_policy.json $(PYTHON) -m pytest benchmarks/bench_ablation_policy.py --benchmark-only -q
-	$(PYTHON) benchmarks/perfcheck_policy.py BENCH_policy.json
+	$(PYTHON) benchmarks/perfcheck.py BENCH_policy.json
 
-## guard the committed BENCH JSONs: fails if the cold chunked read
-## exceeds READ_GAP_MAX (1.3x) of canonical at 4/8 ranks, the chunked
-## read's submitted run count regresses toward O(elements), or an
-## adaptive policy falls below ADAPTIVE_WIN_MIN (1.0x) of its best
-## static setting
+## guard the committed BENCH JSONs against the table in
+## benchmarks/perfcheck.py: fails if the cold chunked read exceeds 1.3x
+## of canonical at 4-32 ranks, the chunked read's submitted run count
+## regresses toward O(elements), index traffic or churned-file growth
+## leave their bounds, or an adaptive policy falls below its best static
+## setting
 perfcheck:
-	$(PYTHON) benchmarks/perfcheck_datapath.py BENCH_datapath.json
-	$(PYTHON) benchmarks/perfcheck_policy.py BENCH_policy.json
+	$(PYTHON) benchmarks/perfcheck.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

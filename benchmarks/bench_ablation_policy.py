@@ -3,7 +3,7 @@
 Each of the three feedback loops :mod:`repro.core.policy` closes is
 benched against a grid of static settings of the knob it replaces.  The
 acceptance bar (enforced against the committed ``BENCH_policy.json`` by
-``benchmarks/perfcheck_policy.py``): the adaptive policy must be at
+``benchmarks/perfcheck.py``): the adaptive policy must be at
 least as good as the *best* static setting on its own case, and beat the
 *default* static setting by more than 5% on at least one case.  A static
 number can win one regime; the point of the tier is that no static
@@ -29,7 +29,7 @@ number wins them all.
   resolution (index blocks as large as the data) a canonical instance
   simply does not have.  The static tier stays chunked forever; the
   adaptive tier promotes the instance to background reorganization
-  after ``promote_reads`` reads and the remaining reads run at
+  after ``PROMOTE_READS`` reads and the remaining reads run at
   canonical speed.  Metric: critical-path virtual seconds of the read
   loop.
 

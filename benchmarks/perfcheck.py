@@ -1,0 +1,113 @@
+"""Guard the committed ``BENCH_*.json`` files against regressions.
+
+``make perfcheck`` (also run at the end of ``make bench``, and by
+``make bench-datapath`` / ``make bench-policy`` against the file each
+just regenerated) loads the committed benchmark matrices and fails if a
+named cell has crossed its bound.  The guards are the :data:`GUARDS`
+table — data, one row per invariant:
+
+``(file, cell selector, quantifier, comparison, bound, what a failure
+means)``
+
+A selector is a ``/``-separated path into the JSON document; a segment
+may list alternatives (``4|8|16|32``).  ``each`` holds every selected
+cell to the bound; ``max`` holds only the largest.  A selected cell that
+is missing fails the check (regenerate the file with its ``make
+bench-*`` target).  Bounds are not tunable from outside: a guard that
+trips on fresh numbers is a finding to report, not a bound to loosen.
+
+    python benchmarks/perfcheck.py                      # every guarded file
+    python benchmarks/perfcheck.py BENCH_policy.json    # only that file's
+"""
+
+import json
+import operator
+import sys
+
+RANKS = "4|8|16|32"
+
+GUARDS = (
+    # Before the coalescer the cold chunked read sat at 3.5-5.6x canonical.
+    ("BENCH_datapath.json", f"cells/{RANKS}/read_gap", "each", "<=", 1.3,
+     "the cold chunked read fell behind the canonical read"),
+    # The workload reads 1,000,000 elements; O(chunks) runs is a handful.
+    ("BENCH_datapath.json", f"cells/{RANKS}/read_runs_chunked", "each",
+     "<=", 10000, "run coalescing regressed toward per-element runs"),
+    # Per-rank index resolution reads P copies of the index.
+    ("BENCH_datapath.json", f"index_cells/{RANKS}/index_bytes_ratio",
+     "each", "<=", 1.1,
+     "collective index resolution regressed to per-rank index fetches"),
+    # Append-only placement grows the churned file ~(T/W)x.
+    ("BENCH_datapath.json", "churn/file_growth_ratio", "each", "<=", 1.25,
+     "first-fit extent reuse regressed to append-only placement"),
+    # Self-tuning may never lose to the best hand-picked static setting
+    # of the knob it replaces ...
+    ("BENCH_policy.json",
+     "cases/planner|gap|maintenance/win_vs_best_static", "each", ">=", 1.0,
+     "the adaptive policy lost to a static setting"),
+    # ... and must beat the shipped defaults somewhere, or the tier is
+    # dead weight.
+    ("BENCH_policy.json", "cases/planner|gap|maintenance/win_vs_default",
+     "max", ">", 1.05,
+     "self-tuning no longer beats the shipped defaults anywhere"),
+)
+
+COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+def select(doc, selector):
+    """``(label, value)`` for every cell the selector names; a missing
+    cell yields ``(label, None)``."""
+    cells = [("", doc)]
+    for segment in selector.split("/"):
+        cells = [
+            (f"{label}/{key}".lstrip("/"),
+             node.get(key) if isinstance(node, dict) else None)
+            for label, node in cells
+            for key in segment.split("|")
+        ]
+    return cells
+
+
+def check(files) -> int:
+    docs = {}
+    for path in files:
+        if not any(path == guard[0] for guard in GUARDS):
+            print(f"perfcheck: no guard names {path}", file=sys.stderr)
+            return 2
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                docs[path] = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"perfcheck: cannot load {path}: {exc}", file=sys.stderr)
+            return 2
+    failures = []
+    for path, selector, quantifier, op, bound, meaning in GUARDS:
+        if path not in docs:
+            continue
+        cells = select(docs[path], selector)
+        for label, value in cells:
+            if value is None:
+                failures.append(f"{path}: no cell {label} (regenerate it)")
+        cells = [(label, value) for label, value in cells
+                 if value is not None]
+        if quantifier == "max" and cells:
+            cells = [max(cells, key=lambda cell: cell[1])]
+        for label, value in cells:
+            ok = COMPARE[op](value, bound)
+            print(f"perfcheck: {path}: {label} = {value:g} "
+                  f"(must be {op} {bound:g}) {'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(
+                    f"{path}: {label} = {value:g} is not {op} {bound:g} "
+                    f"({meaning})"
+                )
+    for failure in failures:
+        print(f"perfcheck: FAIL: {failure}", file=sys.stderr)
+    if not failures:
+        print("perfcheck: all guards hold")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check(sys.argv[1:] or sorted({guard[0] for guard in GUARDS})))

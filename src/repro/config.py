@@ -188,11 +188,6 @@ class CollectiveIOModel:
     sentinel -1 (``repro.mpiio.runs.ADAPTIVE_GAP``) derives the gap per
     read from that read's own hole distribution."""
 
-    coalesce_waste: float = 0.25
-    """Adaptive-gap budget: largest fraction of a read's payload that
-    bridged (read-and-discarded) hole bytes may occupy.  Only consulted
-    when ``coalesce_gap`` is the adaptive sentinel."""
-
 
 @dataclass
 class MachineModel:

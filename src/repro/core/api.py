@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.datapath import (
-    ChunkedOrder,
     DatapathHost,
     IndexBlockCache,
     StorageOrder,
@@ -146,7 +145,7 @@ class SDM(DatapathHost):
                     self.policy.make_planner_calibration()
                 )
             self.planner_calibration = self.db.planner_calibration
-        # Establish the database connection; rank 0 creates the six tables
+        # Establish the database connection; rank 0 creates the schema
         # and allocates the run id.
         self.db.connect(ctx.proc)
         runid = None
@@ -167,11 +166,7 @@ class SDM(DatapathHost):
         """Rank-local LRU over chunked index-block fetches: checkpoint
         loops share blocks across timesteps, so warm chunked reads move
         data bytes only."""
-        self.caches.register(
-            self.storage_order
-            if isinstance(self.storage_order, ChunkedOrder) else None,
-            self.index_cache,
-        )
+        self.caches.register(self.storage_order, self.index_cache)
         if snapshot:
             # Every read resolves against the epoch current now until
             # finalize (or a flip this client publishes itself advances
@@ -718,9 +713,7 @@ class SDM(DatapathHost):
     def drain_maintenance(self) -> None:
         """Block (in virtual time) until every maintenance job this rank
         enqueued has executed — reorganizations flipped, compactions
-        packed, history slices on disk.  A no-op without the service or
-        under a deferred-mode service (whose backlog runs in a later
-        job)."""
+        packed, history slices on disk.  A no-op without the service."""
         if self.maintenance is not None:
             self.maintenance.drain(self.ctx.rank, self.ctx.proc)
 
@@ -734,6 +727,7 @@ class SDM(DatapathHost):
         :meth:`stats` as ``leaked_leases`` / ``leaked_pins`` on every
         rank."""
         self._files.close_all()
+        self.caches.unregister(self.storage_order, self.index_cache)
         if handle is not None:
             handle.finalized = True
         self.pin.release(self.comm)

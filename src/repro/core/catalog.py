@@ -126,20 +126,23 @@ class SDMCatalog:
         """Attach to the job's shared database and file system services.
         Collective; pins the current metadata epoch unless
         ``snapshot=False``."""
-        tables = SDMTables(ctx.service("db"))
         # Database.loads restores persisted index declarations, so a
-        # snapshot arrives ready to probe; re-declaring here covers
-        # pre-persistence snapshots and hand-seeded databases (idempotent
-        # either way).
-        tables.declare_indexes()
+        # snapshot arrives ready to probe.
+        tables = SDMTables(ctx.service("db"))
         return cls(ctx, tables, ctx.service("fs"),
                    maintenance=ctx.services.get("maint"), io_hints=io_hints,
                    snapshot=snapshot)
 
     def release(self) -> None:
         """Drop the snapshot pin (collective; idempotent) and reap the
-        row versions this catalog was the last reader holding live."""
+        row versions this catalog was the last reader holding live.  The
+        job's cache registry forgets this catalog's index-block cache, so
+        any read after release resolves uncached — nothing would
+        invalidate the blocks any more."""
         comm = self.ctx.comm
+        if self.maintenance is not None:
+            self.maintenance.caches.unregister(None, self.index_cache)
+        self.index_cache = None
         self.pin.release(comm)
         # Leak audit: a clean release leaves no catalog pin and no reap
         # lease behind.  Anything still there is a bug in this class (or

@@ -122,7 +122,7 @@ from repro.core.mvcc import (
     release_file_lease,
 )
 from repro.errors import SDMStateError, SDMUnknownDataset
-from repro.metadb.schema import ChunkRecord, SDMTables
+from repro.metadb.schema import CHUNK_INDEX_BYTES, ChunkRecord, SDMTables
 from repro.mpi.communicator import Communicator
 from repro.mpiio import runs
 from repro.mpiio.consts import MODE_CREATE, MODE_RDONLY, MODE_RDWR
@@ -146,9 +146,6 @@ __all__ = [
     "acquire_file_lease",
     "release_file_lease",
 ]
-
-CHUNK_INDEX_BYTES = 8
-"""Bytes per entry of a chunk's global-index block (int64)."""
 
 ExecutionRow = Tuple[str, int, int]
 """(file_name, file_offset, nbytes) from ``execution_table``."""
@@ -175,6 +172,10 @@ def _next_append_base(sdm, fname: str) -> int:
     if sdm.comm.rank == 0:
         base = sdm.tables.max_offset_in_file(fname, proc=sdm.comm.proc)
     return sdm.comm.bcast(base, root=0)
+
+
+_INDEX_CACHE_BLOCKS = 64
+"""Index blocks an :class:`IndexBlockCache` keeps (LRU beyond this)."""
 
 
 class IndexBlockCache:
@@ -208,10 +209,7 @@ class IndexBlockCache:
       bearing for the write side's reference cache.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise SDMStateError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._blocks: "OrderedDict[Tuple[str, int, int], np.ndarray]" = (
             OrderedDict()
         )
@@ -253,7 +251,8 @@ class IndexBlockCache:
     def put(
         self, file_name: str, offset: int, gids: np.ndarray, version: int = 0
     ) -> np.ndarray:
-        """Remember a fetched block (evicts LRU beyond capacity).
+        """Remember a fetched block (evicts LRU beyond
+        :data:`_INDEX_CACHE_BLOCKS`).
 
         The cache keeps a private read-only copy — later mutation of the
         caller's array cannot reach it — and returns that copy, which is
@@ -266,7 +265,7 @@ class IndexBlockCache:
         key = (file_name, offset, version)
         self._blocks[key] = gids
         self._blocks.move_to_end(key)
-        if len(self._blocks) > self.capacity:
+        if len(self._blocks) > _INDEX_CACHE_BLOCKS:
             self._blocks.popitem(last=False)
         return gids
 
@@ -368,13 +367,30 @@ class ChunkedCaches:
 
     def register(
         self,
-        write_cache: Optional["ChunkedOrder"],
+        order: Optional["StorageOrder"],
         read_cache: Optional[IndexBlockCache],
     ) -> None:
-        if write_cache is not None:
-            self._write.append(write_cache)
+        """Add a client's caches: its storage order's write-side
+        reference cache (only :class:`ChunkedOrder` keeps one) and its
+        read-side block cache."""
+        if isinstance(order, ChunkedOrder):
+            self._write.append(order)
         if read_cache is not None:
             self._read.append(read_cache)
+
+    def unregister(
+        self,
+        order: Optional["StorageOrder"],
+        read_cache: Optional[IndexBlockCache],
+    ) -> None:
+        """Forget what a finished client registered (its ``finalize`` /
+        ``release``): the registry outlives every client of the job, so
+        without this it would keep each one's blocks alive and walk them
+        on every later drop.  Idempotent."""
+        if order in self._write:
+            self._write.remove(order)
+        if read_cache in self._read:
+            self._read.remove(read_cache)
 
     def drop_file(self, file_name: str) -> None:
         """A flip retreated the file's cursor or moved its blocks."""
@@ -892,7 +908,6 @@ def _read_extents(
     if bridge:
         gap = runs.resolve_gap(
             f.hints.coalesce_gap, offs, lens,
-            waste_fraction=f.hints.coalesce_waste,
             max_gap=f.hints.ds_threshold_gap,
         )
     coff, clen, owner = runs.coalesce_runs(offs, lens, gap)
@@ -1147,7 +1162,6 @@ def _assemble_chunked(
     upos = np.unique(pos[present])
     gap = runs.resolve_gap_positions(
         f.hints.coalesce_gap, upos, esize,
-        waste_fraction=f.hints.coalesce_waste,
         max_gap=f.hints.ds_threshold_gap,
     )
     coff, clen, owner = runs.coalesce_positions(upos, esize, gap)

@@ -51,11 +51,12 @@ context id ``("maint", jobid)``, so worker lifecycles (exit on empty
 queue, respawn on new work) can never misalign a collective — and rank
 0 deletes the queue row when the job completes.  Because the workers are
 ordinary non-daemon processes, the simulator will not end a job while
-maintenance work is pending; work enqueued with a ``deferred``-mode
-service is *not* executed, so its rows survive into the services
-snapshot, and the next job's service adopts and executes them at attach
-time — the cross-run half of the DataFed pattern, riding the same
-snapshot machinery as the history files.
+maintenance work is pending.  A queue row whose job never ran — its
+enqueuer died between recording the row and spawning the worker (the
+``maint:enqueued`` fault point) — survives into the services snapshot,
+and the next job's service adopts and executes it at attach time — the
+cross-run half of the DataFed pattern, riding the same snapshot
+machinery as the history files.
 
 Cache maintenance
 -----------------
@@ -103,9 +104,6 @@ COMPACT = "compact"
 REAP = "reap"
 """Job kind: garbage-collect a file's drained superseded row versions."""
 
-_EAGER = "eager"
-_DEFERRED = "deferred"
-
 
 @dataclass
 class _LocalJob:
@@ -121,11 +119,8 @@ class MaintenanceService:
 
     Created by the services factory next to the file system and the
     database (``ctx.service("maint")``); one instance serves every rank
-    of a job and survives ``SDM.finalize``.  ``mode`` is ``"eager"``
-    (default: enqueued and adopted jobs run on background workers within
-    the job) or ``"deferred"`` (jobs are recorded in ``maintenance_table``
-    only — they ride the services snapshot to a later job, which executes
-    them at attach time).
+    of a job and survives ``SDM.finalize``.  Enqueued and adopted jobs
+    run on background workers within the job.
     """
 
     def __init__(
@@ -134,18 +129,11 @@ class MaintenanceService:
         machine: MachineModel,
         fs: FileSystem,
         db: Database,
-        mode: str = _EAGER,
     ) -> None:
-        if mode not in (_EAGER, _DEFERRED):
-            raise SDMStateError(
-                f"unknown maintenance mode {mode!r} "
-                f"(expected {_EAGER!r} or {_DEFERRED!r})"
-            )
         self.sim = sim
         self.machine = machine
         self.fs = fs
         self.db = db
-        self.mode = mode
         self.tables = SDMTables(db)
         self._transport = None
         self._nprocs = 0
@@ -196,8 +184,8 @@ class MaintenanceService:
         job's clients left behind (:meth:`_recover`: stale leases with
         their interrupted flips, orphaned flip intents, abandoned pins),
         reads any pending ``maintenance_table`` rows left by a previous
-        job (the snapshot-surviving backlog), and — in eager mode —
-        enqueues them on every rank's worker.
+        job (the snapshot-surviving backlog), and enqueues them on every
+        rank's worker.
         """
         if self._transport is not None:
             return
@@ -213,14 +201,13 @@ class MaintenanceService:
         self._recover(ctx.proc)
         pending = self.tables.pending_maintenance(proc=ctx.proc)
         self._next_jobid = self.tables.next_maintenance_jobid(proc=ctx.proc)
-        if self.mode == _EAGER:
-            for job in pending:
-                self.n_adopted += 1
-                for rank in range(self._nprocs):
-                    self._queues[rank].append(job)
+        for job in pending:
+            self.n_adopted += 1
             for rank in range(self._nprocs):
-                if self._queues[rank]:
-                    self._ensure_worker(rank)
+                self._queues[rank].append(job)
+        if pending:
+            for rank in range(self._nprocs):
+                self._ensure_worker(rank)
 
     def _recover(self, proc: Process) -> None:
         """Attach-time crash recovery (first attach of a fresh job).
@@ -347,7 +334,7 @@ class MaintenanceService:
         The first rank to reach a given enqueue assigns the job id; rank
         0 additionally records the queue row (charged to its process).
         Returns the job record immediately — the work happens on the
-        background workers (eager mode) or in a later job (deferred).
+        background workers.
         """
         self.attach(ctx)
         rank = ctx.rank
@@ -386,9 +373,8 @@ class MaintenanceService:
             # row exists but no worker has been spawned for it yet — a
             # death here leaves the row for the next job's attach.
             ctx.proc.fault_point("maint:enqueued")
-        if self.mode == _EAGER:
-            self._queues[rank].append(job)
-            self._ensure_worker(rank)
+        self._queues[rank].append(job)
+        self._ensure_worker(rank)
         return job
 
     def enqueue_local(
@@ -403,11 +389,6 @@ class MaintenanceService:
         """
         self.attach(ctx)
         event = SimEvent(self.sim, name=f"maint-{label}-r{ctx.rank}")
-        if self.mode == _DEFERRED:
-            # Nothing will run this job; complete it synchronously so
-            # callers blocking on the event cannot hang.
-            event.set(fn(ctx.proc))
-            return event
         self._queues[ctx.rank].append(_LocalJob(fn=fn, event=event, label=label))
         self._ensure_worker(ctx.rank)
         return event
@@ -420,8 +401,8 @@ class MaintenanceService:
         """Block (in virtual time) until this rank's queue is empty and
         its worker has exited — every previously enqueued job's effects,
         metadata flips included, are then visible.  Returns immediately
-        for a deferred-mode service (nothing will run)."""
-        if self.mode == _DEFERRED or not self._queues:
+        on a service no client has attached."""
+        if not self._queues:
             return
         while self._queues[rank] or self._worker_alive(rank):
             self._idle[rank].wait(proc)

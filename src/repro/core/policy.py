@@ -19,17 +19,19 @@ This module closes those loops:
   (``coalesce_gap = -1``) makes every read derive its gap from its own
   hole distribution (:func:`repro.mpiio.runs.adaptive_gap`): bridge the
   largest holes it can while the wasted (read-and-discarded) bytes stay
-  under ``coalesce_waste`` of the payload.  The choice is a pure
-  function of the rank's own run list — each rank coalesces only the
-  runs it ships into the collective — so SPMD safety is untouched.
+  under :data:`~repro.mpiio.runs.COALESCE_WASTE` of the payload.  The
+  choice is a pure function of the rank's own run list — each rank
+  coalesces only the runs it ships into the collective — so SPMD safety
+  is untouched.
 * :class:`MaintenancePolicy` — watches fragmentation and read counts at
   SDM's collective entry points and enqueues background maintenance by
   itself: compaction when a file's free-byte ratio crosses a high-water
   mark (with hysteresis so one crossing enqueues one job), promotion of
   a chunked instance to background reorganization after it has been
-  read ``promote_reads`` times, and an exponential-backoff rate limiter
-  workers call before heavy I/O so background jobs yield to foreground
-  traffic (:meth:`repro.pfs.filesystem.FileSystem.queue_depth`).
+  read :data:`PROMOTE_READS` times, and an exponential-backoff rate
+  limiter workers call before heavy I/O so background jobs yield to
+  foreground traffic
+  (:meth:`repro.pfs.filesystem.FileSystem.queue_depth`).
 
 Freezing a policy for reproducibility
 -------------------------------------
@@ -47,8 +49,8 @@ See ``docs/tuning.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.mpiio.runs import ADAPTIVE_GAP
 
@@ -69,6 +71,26 @@ ADAPTIVE = "adaptive"
 
 assert ADAPTIVE_GAP == -1  # re-exported here as the policy tier's name for it
 
+_MODES = (STATIC, ADAPTIVE)
+
+# The loops' tuning values are constants, not options: no driver, bench
+# or example ever varied one, and the BENCH_policy.json cells named in
+# docs/tuning.md are measured with exactly these.
+
+CALIBRATION_ALPHA = 0.2
+"""EWMA weight of one new per-candidate cost observation."""
+
+CALIBRATION_MIN_ROWS = 32
+"""Observations over fewer candidates are fixed overhead and timer
+noise, not per-row cost; they are ignored."""
+
+CALIBRATION_EXPLORE_OBS = 24
+"""Accepted observations each contested path needs before exploration
+stops and plans become deterministic."""
+
+CALIBRATION_CLAMP = (0.25, 8.0)
+"""Bounds on the learned slice/hash per-candidate cost ratio."""
+
 
 class PlannerCalibration:
     """Learned per-candidate cost constants for the metadb planner.
@@ -83,31 +105,22 @@ class PlannerCalibration:
     per-candidate cost.  :attr:`slice_row_cost` is then the observed
     slice/hash ratio (clamped), and plan choice adapts to the workload.
 
-    Small observations (fewer than ``min_rows`` candidates) are ignored:
-    their timings are dominated by fixed overhead and timer noise, and
-    plan choice between tiny candidate sets barely matters anyway.
+    Small observations (fewer than :data:`CALIBRATION_MIN_ROWS`
+    candidates) are ignored: their timings are dominated by fixed
+    overhead and timer noise, and plan choice between tiny candidate
+    sets barely matters anyway.
 
     **Exploration.**  A calibration that has never executed a slice can
     never learn its cost.  While the losing side of a contested choice
-    (both paths available) has fewer than ``explore_obs`` accepted
+    (both paths available) has fewer than
+    :data:`CALIBRATION_EXPLORE_OBS` accepted
     observations, :meth:`decide` picks it anyway — results stay
     scan-identical because every candidate is still verified against the
     full WHERE — and stops once both paths are known, so a converged
     calibration plans deterministically.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        min_rows: int = 32,
-        explore_obs: int = 24,
-        clamp: Tuple[float, float] = (0.25, 8.0),
-        frozen: bool = False,
-    ) -> None:
-        self.alpha = alpha
-        self.min_rows = min_rows
-        self.explore_obs = explore_obs
-        self.clamp = clamp
+    def __init__(self, frozen: bool = False) -> None:
         self.frozen = frozen
         self.probe_cost = 1.0
         """Flat probe/bisect cost in candidate-row units (not calibrated
@@ -124,14 +137,14 @@ class PlannerCalibration:
 
     def observe(self, kind: str, rows: int, seconds: float) -> None:
         """Fold one statement's ``(path, candidates, seconds)`` into the
-        per-row EWMAs.  No-op when frozen or below ``min_rows``."""
-        if self.frozen or rows < self.min_rows or seconds <= 0.0:
+        per-row EWMAs.  No-op when frozen or below the noise floor."""
+        if self.frozen or rows < CALIBRATION_MIN_ROWS or seconds <= 0.0:
             return
         per_row = seconds / rows
         prev = self._per_row.get(kind)
         self._per_row[kind] = (
             per_row if prev is None
-            else prev + self.alpha * (per_row - prev)
+            else prev + CALIBRATION_ALPHA * (per_row - prev)
         )
         self._n_obs[kind] = self._n_obs.get(kind, 0) + 1
 
@@ -151,18 +164,18 @@ class PlannerCalibration:
         slice_cost = self._per_row.get("slice")
         if hash_cost is None or slice_cost is None or hash_cost <= 0.0:
             return 2.0
-        lo, hi = self.clamp
+        lo, hi = CALIBRATION_CLAMP
         return min(max(slice_cost / hash_cost, lo), hi)
 
     @property
     def converged(self) -> bool:
-        """True once both contested paths have ``explore_obs`` accepted
+        """True once both contested paths have enough accepted
         observations — exploration has stopped and plans are stable."""
         return (
             self._frozen_ratio is not None
             or (
-                self._n_obs.get("hash", 0) >= self.explore_obs
-                and self._n_obs.get("slice", 0) >= self.explore_obs
+                self._n_obs.get("hash", 0) >= CALIBRATION_EXPLORE_OBS
+                and self._n_obs.get("slice", 0) >= CALIBRATION_EXPLORE_OBS
             )
         )
 
@@ -175,7 +188,7 @@ class PlannerCalibration:
         if self.frozen:
             return pick_slice
         starved = "hash" if pick_slice else "slice"
-        if self._n_obs.get(starved, 0) < self.explore_obs:
+        if self._n_obs.get(starved, 0) < CALIBRATION_EXPLORE_OBS:
             self.n_explored += 1
             return not pick_slice
         return pick_slice
@@ -204,6 +217,26 @@ class PlannerCalibration:
         self.frozen = True
 
 
+PROMOTE_READS = 3
+"""Collective reads of a still-chunked instance that promote it to a
+background reorganization."""
+
+COMPACT_HIWATER = 0.40
+"""Free-byte ratio of a chunked file at which a compaction is enqueued."""
+
+COMPACT_LOWATER = 0.15
+"""Free-byte ratio at or below which a fired file re-arms."""
+
+THROTTLE_DEPTH = 1
+"""Controller-queue depth from which a maintenance worker backs off."""
+
+THROTTLE_HOLD = 2e-3
+"""First backoff slice (virtual seconds); doubles per hold."""
+
+THROTTLE_MAX_HOLDS = 6
+"""Backoff cap: background work is delayed, never starved."""
+
+
 class MaintenancePolicy:
     """Self-driving triggers for the background maintenance tier.
 
@@ -223,26 +256,7 @@ class MaintenancePolicy:
     keeps no cross-rank state at all.
     """
 
-    def __init__(
-        self,
-        promote_reads: int = 3,
-        compact_hiwater: float = 0.40,
-        compact_lowater: float = 0.15,
-        throttle_depth: int = 1,
-        throttle_hold: float = 2e-3,
-        throttle_max_holds: int = 6,
-    ) -> None:
-        if not 0.0 <= compact_lowater < compact_hiwater:
-            raise ValueError(
-                "compaction hysteresis needs 0 <= lowater < hiwater, got "
-                f"{compact_lowater} / {compact_hiwater}"
-            )
-        self.promote_reads = promote_reads
-        self.compact_hiwater = compact_hiwater
-        self.compact_lowater = compact_lowater
-        self.throttle_depth = throttle_depth
-        self.throttle_hold = throttle_hold
-        self.throttle_max_holds = throttle_max_holds
+    def __init__(self) -> None:
         self._read_counts: Dict[tuple, int] = {}
         self._promoted: set = set()
         self._disarmed: set = set()
@@ -256,7 +270,7 @@ class MaintenancePolicy:
         """Count one collective read of a still-chunked instance.
 
         Returns True exactly once — when the count reaches
-        ``promote_reads`` — telling the caller to enqueue the background
+        :data:`PROMOTE_READS` — telling the caller to enqueue the background
         reorganization.  Call uniformly on every rank (the counters are
         replicated state).
         """
@@ -264,7 +278,7 @@ class MaintenancePolicy:
             return False
         count = self._read_counts.get(key, 0) + 1
         self._read_counts[key] = count
-        if count >= self.promote_reads:
+        if count >= PROMOTE_READS:
             self._promoted.add(key)
             self.n_promotions += 1
             return True
@@ -287,10 +301,10 @@ class MaintenancePolicy:
             return False
         ratio = free_bytes / file_size
         if file_name in self._disarmed:
-            if ratio <= self.compact_lowater:
+            if ratio <= COMPACT_LOWATER:
                 self._disarmed.discard(file_name)
             return False
-        if ratio >= self.compact_hiwater:
+        if ratio >= COMPACT_HIWATER:
             self._disarmed.add(file_name)
             self.n_compactions += 1
             return True
@@ -302,19 +316,19 @@ class MaintenancePolicy:
         """Back a maintenance worker off while foreground I/O is queued.
 
         Polls ``fs.queue_depth()`` (processes waiting at the controller
-        queues); while it is at least ``throttle_depth``, holds the
+        queues); while it is at least :data:`THROTTLE_DEPTH`, holds the
         worker for exponentially growing slices of virtual time —
-        ``throttle_hold * 2^i`` — up to ``throttle_max_holds`` holds, so
+        ``THROTTLE_HOLD * 2^i`` — up to :data:`THROTTLE_MAX_HOLDS` holds, so
         a saturated foreground phase delays background jobs instead of
         contending with them, but can never starve them out entirely.
         Returns the number of holds taken.
         """
         holds = 0
         while (
-            holds < self.throttle_max_holds
-            and fs.queue_depth() >= self.throttle_depth
+            holds < THROTTLE_MAX_HOLDS
+            and fs.queue_depth() >= THROTTLE_DEPTH
         ):
-            proc.hold(self.throttle_hold * (2 ** holds))
+            proc.hold(THROTTLE_HOLD * (2 ** holds))
             holds += 1
         self.n_throttle_holds += holds
         return holds
@@ -322,7 +336,7 @@ class MaintenancePolicy:
 
 @dataclass
 class PolicyConfig:
-    """Per-loop policy modes plus their tuning knobs.
+    """Per-loop policy modes.
 
     ``SDM(policy=...)`` accepts ``None`` / ``"static"`` (everything
     hand-picked, the pre-policy behavior), ``"adaptive"`` (all three
@@ -335,20 +349,11 @@ class PolicyConfig:
     planner_snapshot: Optional[Dict[str, float]] = None
     """When set (with ``planner=ADAPTIVE``), plan with these frozen
     constants instead of learning — the reproducibility path."""
-    promote_reads: int = 3
-    compact_hiwater: float = 0.40
-    compact_lowater: float = 0.15
-    throttle_depth: int = 1
-    throttle_hold: float = 2e-3
-    throttle_max_holds: int = 6
-    _modes: Tuple[str, ...] = field(
-        default=(STATIC, ADAPTIVE), init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         for name in ("planner", "coalesce", "maintenance"):
             mode = getattr(self, name)
-            if mode not in self._modes:
+            if mode not in _MODES:
                 raise ValueError(
                     f"unknown {name} policy mode {mode!r} "
                     f"(expected {STATIC!r} or {ADAPTIVE!r})"
@@ -381,11 +386,4 @@ class PolicyConfig:
         """The maintenance loop's trigger state, or None under static."""
         if self.maintenance != ADAPTIVE:
             return None
-        return MaintenancePolicy(
-            promote_reads=self.promote_reads,
-            compact_hiwater=self.compact_hiwater,
-            compact_lowater=self.compact_lowater,
-            throttle_depth=self.throttle_depth,
-            throttle_hold=self.throttle_hold,
-            throttle_max_holds=self.throttle_max_holds,
-        )
+        return MaintenancePolicy()

@@ -11,8 +11,9 @@ builds the ``services`` factory :func:`repro.mpi.mpirun` expects;
 history-file experiments model "subsequent runs" of an application
 (files and MySQL outlive any single mpirun).  The maintenance service
 itself is per-job, but its pending-work queue lives in the database's
-``maintenance_table``, so a backlog recorded by a ``deferred``-mode
-service rides the snapshot and is adopted by the next job's service.
+``maintenance_table``, so a queue row whose job never ran (its enqueuer
+crashed first) rides the snapshot and is adopted by the next job's
+service.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ def snapshot_services(job: JobResult) -> ServicesSnapshot:
 
 def sdm_services(
     seed_from: Optional[ServicesSnapshot] = None,
-    maintenance_mode: str = "eager",
     maintenance: bool = True,
 ):
     """Build the ``services`` factory for an SDM job.
@@ -70,13 +70,11 @@ def sdm_services(
     the file and database contents start from a previous job's snapshot
     (host-side restore, no virtual time) — including any maintenance
     backlog recorded in ``maintenance_table``, which the new service
-    adopts and executes.  ``maintenance_mode="deferred"`` records
-    enqueued jobs without running them (they ride the next snapshot
-    instead), which is how tests model a job that ends mid-backlog.
-    ``maintenance=False`` omits the service entirely, so no attach-time
-    recovery sweep runs — crash-recovery tests use it to force the lazy
-    path, where the first ``acquire_file_lease`` after a crash finds the
-    dead holder's lease, recovers the file, and steals the lease.
+    adopts and executes.  ``maintenance=False`` omits the service
+    entirely, so no attach-time recovery sweep runs — crash-recovery
+    tests use it to force the lazy path, where the first
+    ``acquire_file_lease`` after a crash finds the dead holder's lease,
+    recovers the file, and steals the lease.
     """
 
     def factory(sim: Simulator, machine: MachineModel):
@@ -92,18 +90,13 @@ def sdm_services(
                 f = PFSFile(name, layout, ctime=sim.now)
                 f.store.write(0, data)
                 fs._files[name] = f
-        if seed_from is not None:
             db = Database.loads(seed_from.db_dump)
-            db.sim = sim
-            db.machine = machine
-            from repro.simt.primitives import Resource
-
-            db._server = Resource(sim, capacity=4, name="metadb-server")
+            db.attach(sim, machine)
         else:
             db = Database(sim, machine)
         if not maintenance:
             return {"fs": fs, "db": db}
-        maint = MaintenanceService(sim, machine, fs, db, mode=maintenance_mode)
+        maint = MaintenanceService(sim, machine, fs, db)
         return {"fs": fs, "db": db, "maint": maint}
 
     return factory

@@ -128,8 +128,7 @@ class Database:
         machine: Optional[MachineModel] = None,
     ) -> None:
         self.tables: Dict[str, Table] = {}
-        self.sim = sim
-        self.machine = machine
+        self.attach(sim, machine)
         self.boot_id = 0
         """Incarnation counter: 0 for a fresh database, and one past the
         dumping incarnation's value after :meth:`loads`.  Rows that stamp
@@ -178,6 +177,16 @@ class Database:
         of using the instance constants."""
         self._last_path: Optional[str] = None
         self._stmt_cache: "OrderedDict[str, Any]" = OrderedDict()
+
+    def attach(
+        self, sim: Optional[Simulator], machine: Optional[MachineModel]
+    ) -> None:
+        """Bind the database to a job's simulator and cost model: from
+        here on statements issued with a ``proc`` queue at the server and
+        are charged modelled time.  A :meth:`loads`-restored database
+        starts unattached (host-side, free), like ``Database()``."""
+        self.sim = sim
+        self.machine = machine
         self._server: Optional[Resource] = None
         if sim is not None and machine is not None:
             self._server = Resource(

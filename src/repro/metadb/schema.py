@@ -1,7 +1,8 @@
 """The paper's SDM metadata schema (Figure 4) and typed accessors.
 
-Nine tables, as created by ``SDM_initialize`` (the paper's seven, plus
-two that back the maintenance service layer):
+Thirteen tables, as created by ``SDM_initialize``: the paper's six,
+``chunk_table`` for the chunked storage order, two that back the
+maintenance service layer, and four for MVCC and crash recovery:
 
 * ``run_table`` — one row per application run: id, dimensionality, problem
   size, timestep count, wall-clock date fields.
@@ -33,17 +34,16 @@ two that back the maintenance service layer):
 * ``extent_table`` — one free (dead) region per row of a ``.chunked``
   checkpoint file: reorganization moves an instance out of the file but
   only the topmost region is reclaimed by the append cursor; interior
-  regions are recorded here until a compaction pass slides the live
-  chunks down and clears them.  Writes never consult this table — the
-  cursor never dips below a recorded extent (reorganization truncates
-  extents whenever it retreats the cursor), so extents are exact without
-  touching the chunked write hot path.
+  regions are recorded here until a chunked write reuses one
+  (:meth:`SDMTables.allocate_extent`, first fit) or a compaction pass
+  slides the live chunks down and clears them.  Reaping truncates the
+  extents at or above the cursor whenever it retreats it.
 
-Plus the MVCC/robustness tier: ``epoch_table`` (the publish log doubling
-as the flip intent journal), ``lease_table`` (exclusive flip leases with
-boot/heartbeat/TTL liveness), ``pin_table`` (reader snapshot pins with
-abandonment stamps), and ``watermark_table`` (per-file reap progress) —
-see the inline DDL comments.
+* ``epoch_table`` (the publish log doubling as the flip intent journal),
+  ``lease_table`` (exclusive flip leases with boot/heartbeat/TTL
+  liveness), ``pin_table`` (reader snapshot pins with abandonment
+  stamps), and ``watermark_table`` (per-file reap progress) — the
+  MVCC/robustness tier; see the inline DDL comments.
 
 :class:`SDMTables` wraps a :class:`~repro.metadb.engine.Database` with typed
 methods for exactly the statements SDM issues, so the SQL lives here and the
@@ -78,6 +78,7 @@ __all__ = [
     "HistoryRecord",
     "HistoryRankRecord",
     "MaintenanceRecord",
+    "CHUNK_INDEX_BYTES",
     "OPEN_EPOCH",
     "EPOCH_INTENT",
     "EPOCH_PUBLISHED",
@@ -113,6 +114,13 @@ VERSIONED_TABLES: Tuple[str, ...] = ("execution_table", "chunk_table")
 
 #: Equality key of one dataset instance in either versioned table.
 _INSTANCE = "runid = ? AND dataset = ? AND timestep = ?"
+
+#: The INSERT that opens a row version, per versioned table (8 and 12
+#: columns: the payload, then ``valid_from`` and ``valid_to``).
+_OPEN_VERSION = {
+    table: f"INSERT INTO {table} VALUES ({', '.join('?' * width)})"
+    for table, width in zip(VERSIONED_TABLES, (8, 12))
+}
 
 #: An extent is reused only when the write fills at least this share of
 #: it (skipping an allocation that would strand a large splinter).
@@ -240,10 +248,7 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     ("chunk_table", ("runid", "dataset", "timestep", "rank"), "ordered"),
     ("import_table", ("runid", "imported_name"), "hash"),
     ("index_table", ("problem_size", "num_procs"), "hash"),
-    # history_rank probes the triple (the pair twin currently has no
-    # statement of its own).
     ("index_history_table", ("problem_size", "num_procs", "rank"), "hash"),
-    ("index_history_table", ("problem_size", "num_procs"), "hash"),
     # Pending-job adoption walks `ORDER BY jobid` and allocation probes
     # MAX(jobid) — both served from the slice ends of one ordered index.
     ("maintenance_table", ("jobid",), "ordered"),
@@ -263,6 +268,10 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     ("watermark_table", ("file_name",), "hash"),
 )
 """(table, column tuple, kind) declarations for SDM's hot lookups."""
+
+
+CHUNK_INDEX_BYTES = 8
+"""Bytes per entry of a chunk's global-index block (int64)."""
 
 
 @dataclass(frozen=True)
@@ -359,30 +368,63 @@ class SDMTables:
         }
 
     def create_all(self, proc: Optional[Process] = None) -> None:
-        """Create the thirteen tables and their secondary indexes (idempotent)."""
+        """Create the thirteen tables and their indexes (idempotent)."""
         for ddl in SDM_SCHEMA:
             self.db.execute(ddl, proc=proc)
-        self.declare_indexes()
-
-    def declare_indexes(self) -> None:
-        """Declare :data:`SDM_INDEXES` on whichever SDM tables exist.
-
-        Idempotent.  :meth:`Database.loads` now restores persisted index
-        declarations, so a snapshot-restored database is already indexed;
-        this remains for pre-persistence snapshots and databases seeded by
-        hand (rows inserted directly into :class:`Table`).
-        """
         for table, columns, kind in SDM_INDEXES:
-            if table in self.db.tables:
-                self.db.create_index(table, columns, kind)
+            self.db.create_index(table, columns, kind)
+
+    # -- the rules every table below shares, each stated once --------------
+
+    def _next_id(self, table: str, column: str, proc) -> int:
+        """Allocate a counter column's next id: MAX+1, starting at 1 (one
+        probe of the column's ordered index)."""
+        rows = self.db.execute(f"SELECT MAX({column}) FROM {table}", proc=proc)
+        return 1 if rows[0][0] is None else int(rows[0][0]) + 1
+
+    @staticmethod
+    def _expect_rows(touched: int, expected: int, what: str, why: str) -> None:
+        """The fence behind every count-checked UPDATE/DELETE: any other
+        match count means a concurrent flip or recovery got there first,
+        and carrying on would silently lose an update."""
+        if touched != expected:
+            raise SDMStateError(
+                f"{what} matched {touched} of {expected} rows; {why}"
+            )
+
+    def _open_versions(self, table: str, rows, valid_from: int, proc) -> None:
+        """Insert ``rows`` (payload column tuples) as open versions
+        visible from ``valid_from`` — one statement either way: a lone
+        row keeps the per-row index insort, a batch sorts each index once."""
+        stamped = [(*row, valid_from, OPEN_EPOCH) for row in rows]
+        if len(stamped) == 1:
+            self.db.execute(_OPEN_VERSION[table], stamped[0], proc=proc)
+        else:
+            self.db.execute_many(_OPEN_VERSION[table], stamped, proc=proc)
+
+    def _close_versions(
+        self, table: str, where: str, valid_to: int, keys, proc
+    ) -> int:
+        """Set ``valid_to`` on the versions matching ``where`` for each
+        parameter tuple in ``keys`` (one batched statement): a flip closes
+        predecessors at its epoch, a rollback reopens them.  Returns the
+        matched-row count for the caller's fence."""
+        return self.db.execute_many_count(
+            f"UPDATE {table} SET valid_to = ? WHERE {where}",
+            [(valid_to, *key) for key in keys],
+            proc=proc,
+        )
+
+    def _drop_versions(self, table: str, where: str, args, proc) -> None:
+        """Delete the versions matching ``where``: a reaped dead version,
+        or the successors an uncommitted flip inserted."""
+        self.db.execute(f"DELETE FROM {table} WHERE {where}", args, proc=proc)
 
     # -- run_table -------------------------------------------------------
 
     def next_runid(self, proc: Optional[Process] = None) -> int:
         """Allocate the next run id (MAX(runid)+1, starting at 1)."""
-        rows = self.db.execute("SELECT MAX(runid) FROM run_table", proc=proc)
-        current = rows[0][0]
-        return 1 if current is None else int(current) + 1
+        return self._next_id("run_table", "runid", proc)
 
     def insert_run(
         self,
@@ -453,11 +495,10 @@ class SDMTables:
         is immediately visible to every snapshot, however early it was
         pinned.  Metadata flips pass their published epoch.
         """
-        self.db.execute(
-            "INSERT INTO execution_table VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (runid, dataset, timestep, file_name, file_offset, nbytes,
-             valid_from, OPEN_EPOCH),
-            proc=proc,
+        self._open_versions(
+            "execution_table",
+            [(runid, dataset, timestep, file_name, file_offset, nbytes)],
+            valid_from, proc,
         )
 
     def lookup_execution(
@@ -569,11 +610,7 @@ class SDMTables:
             (OPEN_EPOCH,),
             proc=proc,
         )
-        seen: List[str] = []
-        for (f,) in rows:
-            if f not in seen:
-                seen.append(f)
-        return seen
+        return [f for (f,) in dict.fromkeys(rows)]
 
     def update_execution(
         self,
@@ -596,25 +633,22 @@ class SDMTables:
         instance was concurrently repointed from under us — raised as
         :class:`SDMStateError` instead of silently dropping the flip.
         """
-        self.db.execute(
-            "INSERT INTO execution_table VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (runid, dataset, timestep, file_name, file_offset, nbytes,
-             epoch, OPEN_EPOCH),
-            proc=proc,
+        self._open_versions(
+            "execution_table",
+            [(runid, dataset, timestep, file_name, file_offset, nbytes)],
+            epoch, proc,
         )
-        touched = self.db.execute_count(
-            "UPDATE execution_table SET valid_to = ? WHERE runid = ? "
-            "AND dataset = ? AND timestep = ? AND file_name = ? "
-            "AND valid_to = ?",
-            (epoch, runid, dataset, timestep, old_file_name, OPEN_EPOCH),
-            proc=proc,
+        touched = self._close_versions(
+            "execution_table",
+            f"{_INSTANCE} AND file_name = ? AND valid_to = ?", epoch,
+            [(runid, dataset, timestep, old_file_name, OPEN_EPOCH)], proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"update_execution matched {touched} rows for "
-                f"({runid}, {dataset!r}, {timestep}) in {old_file_name!r}; "
-                "the instance was concurrently repointed"
-            )
+        self._expect_rows(
+            touched, 1,
+            f"update_execution of ({runid}, {dataset!r}, {timestep}) in "
+            f"{old_file_name!r}",
+            "the instance was concurrently repointed",
+        )
 
     # -- chunk_table ---------------------------------------------------------
 
@@ -629,18 +663,16 @@ class SDMTables:
     ) -> None:
         """Record every rank's chunk of a chunked dataset instance (one
         batched INSERT — this sits on the per-timestep write path)."""
-        self.db.execute_many(
-            "INSERT INTO chunk_table VALUES "
-            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        self._open_versions(
+            "chunk_table",
             [
                 (
                     runid, dataset, timestep, c.rank, c.gid_min, c.gid_max,
                     c.num_elements, c.gid_step, c.index_offset, c.data_offset,
-                    valid_from, OPEN_EPOCH,
                 )
                 for c in chunks
             ],
-            proc=proc,
+            valid_from, proc,
         )
 
     def chunks_for(
@@ -692,12 +724,10 @@ class SDMTables:
         reading the closed version until it is reaped.  The
         ``valid_from < epoch`` conjunct spares successor rows the same
         publish just inserted at ``epoch``."""
-        self.db.execute(
-            "UPDATE chunk_table SET valid_to = ? "
-            "WHERE runid = ? AND dataset = ? AND timestep = ? "
-            "AND valid_to = ? AND valid_from < ?",
-            (epoch, runid, dataset, timestep, OPEN_EPOCH, epoch),
-            proc=proc,
+        self._close_versions(
+            "chunk_table",
+            f"{_INSTANCE} AND valid_to = ? AND valid_from < ?", epoch,
+            [(runid, dataset, timestep, OPEN_EPOCH, epoch)], proc,
         )
 
     def update_execution_offsets(
@@ -719,30 +749,25 @@ class SDMTables:
         """
         if not updates:
             return
-        self.db.execute_many(
-            "INSERT INTO execution_table VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (r, d, t, file_name, off, nbytes, epoch, OPEN_EPOCH)
-                for off, nbytes, r, d, t, _vf in updates
-            ],
-            proc=proc,
+        self._open_versions(
+            "execution_table",
+            [(r, d, t, file_name, off, n) for off, n, r, d, t, _vf in updates],
+            epoch, proc,
         )
-        touched = self.db.execute_many_count(
-            "UPDATE execution_table SET valid_to = ? WHERE runid = ? "
-            "AND dataset = ? AND timestep = ? AND file_name = ? "
-            "AND valid_from = ? AND valid_to = ?",
-            [
-                (epoch, r, d, t, file_name, vf, OPEN_EPOCH)
-                for _off, _nbytes, r, d, t, vf in updates
-            ],
-            proc=proc,
+        touched = self._close_versions(
+            "execution_table",
+            f"{_INSTANCE} AND file_name = ? AND valid_from = ? "
+            "AND valid_to = ?",
+            epoch,
+            [(r, d, t, file_name, vf, OPEN_EPOCH)
+             for _off, _n, r, d, t, vf in updates],
+            proc,
         )
-        if touched != len(updates):
-            raise SDMStateError(
-                f"update_execution_offsets matched {touched} of "
-                f"{len(updates)} rows in {file_name!r}; a concurrent flip "
-                "repointed an instance under this compaction"
-            )
+        self._expect_rows(
+            touched, len(updates),
+            f"update_execution_offsets in {file_name!r}",
+            "a concurrent flip repointed an instance under this compaction",
+        )
 
     # -- extent_table --------------------------------------------------------
 
@@ -839,7 +864,9 @@ class SDMTables:
             )
             for n, io, do in rows:
                 if int(n) and int(io) != int(do):  # arithmetic: no block
-                    ranges.append((int(io), int(io) + int(n) * 8))
+                    ranges.append(
+                        (int(io), int(io) + int(n) * CHUNK_INDEX_BYTES)
+                    )
         return ranges
 
     def allocate_extent(
@@ -855,13 +882,13 @@ class SDMTables:
         None when no extent qualifies and the caller should append at the
         cursor.  An extent qualifies when it is large enough, the write
         would fill at least :data:`_MIN_EXTENT_FILL` of it, and the
-        allocated prefix does not
-        overlap an index block a surviving chunk-map version still
-        references (:meth:`_protected_index_ranges`).
+        allocated prefix does not overlap an index block a surviving
+        chunk-map version still references
+        (:meth:`_protected_index_ranges`).
 
         Safety against pins comes for free: :meth:`reap_file` records an
-        extent only for versions below the min-pinned floor, so extent
-        bytes are never visible to any snapshot.
+        extent only for versions no pinned epoch can see, so extent bytes
+        are never visible to any snapshot.
         """
         if need <= 0:
             return None
@@ -886,12 +913,9 @@ class SDMTables:
     # -- epoch_table / lease_table / pin_table -------------------------------
 
     def current_epoch(self, proc: Optional[Process] = None) -> int:
-        """Newest published epoch across all files (0 before any flip).
-        This is what a reader pins at attach."""
-        rows = self.db.execute(
-            "SELECT MAX(epoch) FROM epoch_table", proc=proc
-        )
-        return 0 if rows[0][0] is None else int(rows[0][0])
+        """Newest epoch across all files — one below the next to allocate,
+        0 before any flip.  This is what a reader pins at attach."""
+        return self._next_id("epoch_table", "epoch", proc) - 1
 
     def begin_flip(
         self, file_name: str, proc: Optional[Process] = None
@@ -904,13 +928,12 @@ class SDMTables:
         stealer treats every row version touched at this epoch as
         uncommitted and rolls the flip back.  Rollback is keyed on the
         epoch number alone, so the allocation is insert-then-verify: a
-        number shared with a
-        concurrent other-file flip (same-file flips are serialized by the
-        lease) is withdrawn and retried — recovery must never confuse two
-        flips' row versions.
+        number shared with a concurrent other-file flip (same-file flips
+        are serialized by the lease) is withdrawn and retried — recovery
+        must never confuse two flips' row versions.
         """
         while True:
-            epoch = self.current_epoch(proc) + 1
+            epoch = self._next_id("epoch_table", "epoch", proc)
             self.db.execute(
                 "INSERT INTO epoch_table VALUES (?, ?, ?)",
                 (file_name, epoch, EPOCH_INTENT),
@@ -948,12 +971,11 @@ class SDMTables:
             (EPOCH_PUBLISHED, file_name, epoch, EPOCH_INTENT),
             proc=proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"commit_flip matched {touched} intent rows for "
-                f"({file_name!r}, epoch {epoch}); the flip was rolled "
-                "back by recovery under a stolen lease"
-            )
+        self._expect_rows(
+            touched, 1,
+            f"commit_flip of the intent for ({file_name!r}, epoch {epoch})",
+            "the flip was rolled back by recovery under a stolen lease",
+        )
 
     def flip_intent(
         self, file_name: str, proc: Optional[Process] = None
@@ -993,16 +1015,10 @@ class SDMTables:
         pre-flip state; any data bytes the flip staged are unreferenced.
         """
         for table in VERSIONED_TABLES:
-            self.db.execute(
-                f"DELETE FROM {table} WHERE valid_from = ?",
-                (epoch,),
-                proc=proc,
-            )
+            self._drop_versions(table, "valid_from = ?", (epoch,), proc)
         for table in VERSIONED_TABLES:
-            self.db.execute(
-                f"UPDATE {table} SET valid_to = ? WHERE valid_to = ?",
-                (OPEN_EPOCH, epoch),
-                proc=proc,
+            self._close_versions(
+                table, "valid_to = ?", OPEN_EPOCH, [(epoch,)], proc
             )
         self.db.execute(
             "DELETE FROM epoch_table WHERE file_name = ? AND epoch = ?",
@@ -1086,7 +1102,6 @@ class SDMTables:
         holder: str,
         proc: Optional[Process] = None,
         now: Optional[float] = None,
-        ttl: float = DEFAULT_LEASE_TTL,
     ) -> bool:
         """Attempt to take the exclusive flip lease on one file.
 
@@ -1128,7 +1143,7 @@ class SDMTables:
         t = 0.0 if now is None else float(now)
         self.db.execute(
             "INSERT INTO lease_table VALUES (?, ?, ?, ?, ?, ?)",
-            (file_name, holder, self.db.boot_id, t, t, ttl),
+            (file_name, holder, self.db.boot_id, t, t, DEFAULT_LEASE_TTL),
             proc=proc,
         )
         rows = self.db.execute(
@@ -1157,12 +1172,11 @@ class SDMTables:
             (file_name, holder),
             proc=proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"release_lease matched {touched} rows for {holder!r} on "
-                f"{file_name!r}; the lease was never held, already "
-                "released, or stolen by recovery"
-            )
+        self._expect_rows(
+            touched, 1, f"release_lease by {holder!r} on {file_name!r}",
+            "the lease was never held, already released, or stolen by "
+            "recovery",
+        )
 
     def heartbeat_lease(
         self,
@@ -1183,11 +1197,10 @@ class SDMTables:
             (now, file_name, holder),
             proc=proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"heartbeat_lease matched {touched} rows for {holder!r} "
-                f"on {file_name!r}; the lease expired and was stolen"
-            )
+        self._expect_rows(
+            touched, 1, f"heartbeat_lease by {holder!r} on {file_name!r}",
+            "the lease expired and was stolen",
+        )
 
     def lease_count(self, proc: Optional[Process] = None) -> int:
         """Outstanding leases (leak-audit helper)."""
@@ -1217,10 +1230,7 @@ class SDMTables:
         (and unreaped) until :meth:`release_pin`.  Returns the pin id.
         ``now`` seeds the last-touched stamp the abandoned-pin reaper
         ages against."""
-        rows = self.db.execute(
-            "SELECT MAX(pin_id) FROM pin_table", proc=proc
-        )
-        pin_id = 1 if rows[0][0] is None else int(rows[0][0]) + 1
+        pin_id = self._next_id("pin_table", "pin_id", proc)
         self.db.execute(
             "INSERT INTO pin_table VALUES (?, ?, ?, ?, ?)",
             (pin_id, client, epoch, self.db.boot_id, now),
@@ -1241,12 +1251,11 @@ class SDMTables:
             (pin_id,),
             proc=proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"release_pin matched {touched} rows for pin {pin_id}; "
-                "the pin was never created, already released, or expired "
-                "by the abandoned-pin reaper"
-            )
+        self._expect_rows(
+            touched, 1, f"release_pin of pin {pin_id}",
+            "the pin was never created, already released, or expired by "
+            "the abandoned-pin reaper",
+        )
 
     def touch_pin(
         self, pin_id: int, now: float, proc: Optional[Process] = None
@@ -1260,30 +1269,27 @@ class SDMTables:
             (now, pin_id),
             proc=proc,
         )
-        if touched != 1:
-            raise SDMStateError(
-                f"touch_pin matched {touched} rows for pin {pin_id}; "
-                "the pin expired and was reaped"
-            )
+        self._expect_rows(
+            touched, 1, f"touch_pin of pin {pin_id}",
+            "the pin expired and was reaped",
+        )
 
     def expired_pins(
-        self,
-        now: float,
-        timeout: float = DEFAULT_PIN_TTL,
-        proc: Optional[Process] = None,
+        self, now: float, proc: Optional[Process] = None
     ) -> List[Tuple[int, str, int]]:
         """Pins presumed abandoned: ``(pin_id, client, epoch)`` for every
         pin from a prior database incarnation, or untouched for a full
-        ``timeout`` at ``now`` — the leak reaper's work list."""
+        :data:`DEFAULT_PIN_TTL` at ``now`` — the leak reaper's work list."""
         rows = self.db.execute(
             "SELECT pin_id, client, epoch, boot, touched FROM pin_table",
             proc=proc,
         )
-        out: List[Tuple[int, str, int]] = []
-        for pid, client, epoch, boot, touched in rows:
-            if int(boot) < self.db.boot_id or float(touched) + timeout <= now:
-                out.append((int(pid), client, int(epoch)))
-        return out
+        return [
+            (int(pid), client, int(epoch))
+            for pid, client, epoch, boot, touched in rows
+            if int(boot) < self.db.boot_id
+            or float(touched) + DEFAULT_PIN_TTL <= now
+        ]
 
     def all_pins(
         self, proc: Optional[Process] = None
@@ -1350,17 +1356,14 @@ class SDMTables:
             for r, d, t, _off, _n, _vf, vt in reapable:
                 # The execution version by its file, then the chunk-map
                 # version the same flip closed (chunk rows carry no file).
-                self.db.execute(
-                    f"DELETE FROM execution_table WHERE {_INSTANCE} "
-                    "AND file_name = ? AND valid_to = ?",
-                    (r, d, t, file_name, vt),
-                    proc=proc,
+                self._drop_versions(
+                    "execution_table",
+                    f"{_INSTANCE} AND file_name = ? AND valid_to = ?",
+                    (r, d, t, file_name, vt), proc,
                 )
-                self.db.execute(
-                    f"DELETE FROM chunk_table WHERE {_INSTANCE} "
-                    "AND valid_to = ?",
-                    (r, d, t, vt),
-                    proc=proc,
+                self._drop_versions(
+                    "chunk_table", f"{_INSTANCE} AND valid_to = ?",
+                    (r, d, t, vt), proc,
                 )
             new_end = self.max_offset_in_file(file_name, proc)
             if record_extents:
@@ -1413,11 +1416,7 @@ class SDMTables:
 
     def next_maintenance_jobid(self, proc: Optional[Process] = None) -> int:
         """Allocate the next maintenance job id (MAX+1, starting at 1)."""
-        rows = self.db.execute(
-            "SELECT MAX(jobid) FROM maintenance_table", proc=proc
-        )
-        current = rows[0][0]
-        return 1 if current is None else int(current) + 1
+        return self._next_id("maintenance_table", "jobid", proc)
 
     def record_maintenance(
         self, rec: MaintenanceRecord, proc: Optional[Process] = None

@@ -256,7 +256,6 @@ class File:
         if len(off) > 1:
             gap = resolve_gap(
                 self.hints.coalesce_gap, off, ln,
-                waste_fraction=self.hints.coalesce_waste,
                 max_gap=self.hints.ds_threshold_gap,
             )
             coff, clen, owner = coalesce_runs(off, ln, gap)

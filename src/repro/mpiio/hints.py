@@ -34,10 +34,6 @@ class Hints:
     hole to save a request).  Never applied to writes.  The sentinel
     :data:`~repro.mpiio.runs.ADAPTIVE_GAP` (-1) derives the gap per read
     from that read's own hole distribution instead."""
-    coalesce_waste: float = 0.25
-    """Adaptive-gap budget: the largest fraction of a read's payload the
-    derived gap may spend on bridged (read-and-discarded) hole bytes.
-    Only consulted when ``coalesce_gap`` is adaptive."""
 
     @classmethod
     def from_machine(
@@ -51,13 +47,11 @@ class Hints:
             "ds_buffer_size": cio.ds_buffer_size,
             "ds_threshold_gap": cio.ds_threshold_gap,
             "coalesce_gap": cio.coalesce_gap,
-            "coalesce_waste": cio.coalesce_waste,
         }
         if overrides:
             validate_hints(overrides)
             for key, val in overrides.items():
-                coerce = float if key == "coalesce_waste" else int
-                values[key] = coerce(val)
+                values[key] = int(val)
         return cls(**values)
 
     def resolve_cb_nodes(self, comm_size: int, n_controllers: int) -> int:
@@ -91,8 +85,4 @@ def validate_hints(hints: Optional[Mapping[str, int]]) -> None:
             raise ValueError(
                 f"coalesce_gap must be >= 0 or ADAPTIVE_GAP ({ADAPTIVE_GAP}), "
                 f"got {val!r}"
-            )
-        if key == "coalesce_waste" and not 0.0 <= float(val) <= 1.0:
-            raise ValueError(
-                f"coalesce_waste must be a fraction in [0, 1], got {val!r}"
             )

@@ -27,8 +27,8 @@ therefore safe for writes too.
 The gap itself may be *derived* instead of configured: with the
 ``coalesce_gap`` hint set to :data:`ADAPTIVE_GAP` (-1), every read calls
 :func:`adaptive_gap` on its own run list and bridges the largest holes it
-can while the bridged (read-and-discarded) bytes stay under a configured
-fraction of the payload.  The choice is a pure function of the rank's own
+can while the bridged (read-and-discarded) bytes stay under
+:data:`COALESCE_WASTE` of the payload.  The choice is a pure function of the rank's own
 runs — each rank coalesces only the runs it ships into the collective —
 so per-rank adaptivity never diverges a collective's shape.
 """
@@ -41,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "ADAPTIVE_GAP",
+    "COALESCE_WASTE",
     "adaptive_gap",
     "adaptive_gap_positions",
     "coalesce_runs",
@@ -56,16 +57,20 @@ ADAPTIVE_GAP = -1
 distribution (see :func:`adaptive_gap`) instead of using a fixed byte
 count."""
 
+COALESCE_WASTE = 0.25
+"""Adaptive-gap budget: the largest fraction of a read's payload the
+derived gap may spend on bridged (read-and-discarded) hole bytes — the
+value ``BENCH_policy.json``'s adaptive-gap case is measured with."""
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _gap_from_holes(
     holes: np.ndarray,
     payload: int,
-    waste_fraction: float,
     max_gap: Optional[int],
 ) -> int:
-    """Largest gap whose bridged holes total <= ``waste_fraction * payload``.
+    """Largest gap whose bridged holes total <= ``COALESCE_WASTE * payload``.
 
     ``holes`` are the positive hole sizes of one run list.  Bridging at
     gap ``g`` reads-and-discards every hole of size <= ``g``, so the
@@ -85,7 +90,7 @@ def _gap_from_holes(
         if len(sizes) == 0:
             return 0
     waste = np.cumsum(sizes * counts)
-    budget = waste_fraction * payload
+    budget = COALESCE_WASTE * payload
     k = int(np.searchsorted(waste, budget, side="right"))
     return int(sizes[k - 1]) if k > 0 else 0
 
@@ -93,7 +98,6 @@ def _gap_from_holes(
 def adaptive_gap(
     offsets: np.ndarray,
     lengths: np.ndarray,
-    waste_fraction: float = 0.25,
     max_gap: Optional[int] = None,
 ) -> int:
     """Derive a coalescing gap from one run list's hole distribution.
@@ -108,14 +112,13 @@ def adaptive_gap(
         return 0
     reach = np.maximum.accumulate(off + ln)
     return _gap_from_holes(
-        off[1:] - reach[:-1], int(ln.sum()), waste_fraction, max_gap
+        off[1:] - reach[:-1], int(ln.sum()), max_gap
     )
 
 
 def adaptive_gap_positions(
     positions: np.ndarray,
     width: int,
-    waste_fraction: float = 0.25,
     max_gap: Optional[int] = None,
 ) -> int:
     """Uniform-width special case of :func:`adaptive_gap` (the chunked
@@ -123,16 +126,13 @@ def adaptive_gap_positions(
     pos = np.asarray(positions, dtype=np.int64).reshape(-1)
     if len(pos) < 2:
         return 0
-    return _gap_from_holes(
-        np.diff(pos) - width, len(pos) * width, waste_fraction, max_gap
-    )
+    return _gap_from_holes(np.diff(pos) - width, len(pos) * width, max_gap)
 
 
 def resolve_gap(
     gap: int,
     offsets: np.ndarray,
     lengths: np.ndarray,
-    waste_fraction: float = 0.25,
     max_gap: Optional[int] = None,
 ) -> int:
     """The effective gap for one read: the hint's value, or — for
@@ -140,20 +140,19 @@ def resolve_gap(
     this run list."""
     if gap >= 0:
         return gap
-    return adaptive_gap(offsets, lengths, waste_fraction, max_gap)
+    return adaptive_gap(offsets, lengths, max_gap)
 
 
 def resolve_gap_positions(
     gap: int,
     positions: np.ndarray,
     width: int,
-    waste_fraction: float = 0.25,
     max_gap: Optional[int] = None,
 ) -> int:
     """:func:`resolve_gap` for the uniform-width position shape."""
     if gap >= 0:
         return gap
-    return adaptive_gap_positions(positions, width, waste_fraction, max_gap)
+    return adaptive_gap_positions(positions, width, max_gap)
 
 
 def coalesce_runs(

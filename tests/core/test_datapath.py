@@ -736,12 +736,16 @@ def test_first_fit_reuse_evicts_stale_cached_blocks_across_clients():
         # The pinned read resolves the *old* chunked t0: it caches t0's
         # index blocks under version-0 keys in the soon-dead region.
         old = catalog.read_slice(1, "d", 0, share)
-        catalog.release()                    # reap records the dead extent
+        # Drop only the pin (its reap records the dead extent): a full
+        # catalog.release() would also retire the cache under test, and
+        # the hazard is a client that is still registered at reuse time.
+        catalog.pin.release(ctx.comm)
         sdm.data_view(handle, "d", maps_c[ctx.rank])
         sdm.write(handle, "d", 2, maps_c[ctx.rank] * 3.0)  # recycles it
         # Same offsets, same counts, same version axis: without the
         # range eviction this read resolves t2 against t0's stale blocks.
         fresh = catalog.read_slice(1, "d", 2, share)
+        catalog.release()
         sdm.finalize(handle)
         return share, old, fresh
 

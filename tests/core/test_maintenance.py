@@ -22,6 +22,7 @@ from repro.mesh import box_tet_mesh, install_mesh_file, mesh_file_layout
 from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
 from repro.partition import Graph, multilevel_kway
+from repro.simt import FaultPlan
 
 NPROCS = 4
 GLOBAL = 32
@@ -330,19 +331,20 @@ def test_chunked_writes_after_compaction_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-def test_deferred_backlog_survives_snapshot_and_next_job_adopts_it():
+def test_unrun_backlog_survives_snapshot_and_next_job_adopts_it():
     maps = irregular_maps()
 
     def body(sdm, handle):
-        sdm.reorganize(handle, "d", 0)  # recorded, never run (deferred)
+        sdm.reorganize(handle, "d", 0)  # recorded, never run: see below
 
+    # Rank 0 dies between inserting the queue row and spawning a worker
+    # for it, so the job ends with the reorganize recorded but not run.
     producer = mpirun(
         checkpoint_program(maps, body=body), NPROCS, machine=fast_test(),
-        services=sdm_services(maintenance_mode="deferred"),
+        services=sdm_services(),
+        fault_plan=FaultPlan("maint:enqueued", victim="rank0"),
     )
-    for mine, backs, _ in producer.values:  # still served chunked
-        for t, back in enumerate(backs):
-            np.testing.assert_allclose(back, mine * 1.0 + t)
+    assert "rank0" in producer.crashed
     t1 = SDMTables(producer.services["db"])
     pending = t1.pending_maintenance()
     assert [j.kind for j in pending] == ["reorganize"]
@@ -445,6 +447,38 @@ def test_index_cache_dropped_when_cursor_retreats_over_blocks():
                  services=sdm_services())
     for irregular, back2 in job.values:
         np.testing.assert_allclose(back2, irregular * 3.0)
+
+
+def test_cache_registry_forgets_finalized_clients():
+    """The registry lives on the job's maintenance service, which
+    outlives every client: a finalized SDM and a released catalog must
+    take their caches out of it, or a job opening clients in sequence
+    keeps every one's blocks alive and walks them on every flip."""
+    from repro.core.catalog import SDMCatalog
+
+    def reachable(registry):
+        return len(registry._write), len(registry._read)
+
+    def program(ctx):
+        registry = ctx.service("maint").caches
+        seen = []
+        for app in ("first", "second"):
+            sdm = SDM(ctx, app, storage_order=CHUNKED)
+            catalog = SDMCatalog.attach(ctx)
+            ctx.comm.barrier()  # every rank's clients are registered
+            seen.append(reachable(registry))
+            ctx.comm.barrier()
+            catalog.release()
+            sdm.finalize()
+            seen.append(reachable(registry))
+        return seen
+
+    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
+    # One registry serves both ranks: 2 write-side + 4 read-side caches
+    # while a round's clients are live, none once they are gone.
+    assert reachable(job.services["maint"].caches) == (0, 0)
+    assert job.values[0][1::2] == [(0, 0), (0, 0)]
+    assert job.values[0][0] == (2, 4)
 
 
 # ---------------------------------------------------------------------------

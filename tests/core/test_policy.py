@@ -8,6 +8,7 @@ import pytest
 from repro.config import fast_test
 from repro.core import SDM, Organization, sdm_services
 from repro.core.layout import CHUNKED
+from repro.core import policy
 from repro.core.policy import (
     ADAPTIVE,
     ADAPTIVE_GAP,
@@ -20,6 +21,7 @@ from repro.dtypes import DOUBLE
 from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
 from repro.mpiio.hints import Hints, accepted_hints, validate_hints
+from repro.mpiio.runs import COALESCE_WASTE, adaptive_gap
 
 NPROCS = 4
 GLOBAL = 32
@@ -40,9 +42,9 @@ def irregular_maps(nprocs=NPROCS, n=GLOBAL, seed=5):
 def test_calibration_converges_to_observed_ratio():
     """Feeding timings where a slice candidate costs half a hash
     candidate must pull slice_row_cost from the static 2.0 toward 0.5."""
-    cal = PlannerCalibration(explore_obs=4)
+    cal = PlannerCalibration()
     assert cal.slice_row_cost == 2.0  # static default until measured
-    for _ in range(32):
+    for _ in range(policy.CALIBRATION_EXPLORE_OBS + 8):
         cal.observe("hash", rows=100, seconds=100 * 1e-6)
         cal.observe("slice", rows=100, seconds=100 * 0.5e-6)
     assert cal.converged
@@ -50,8 +52,8 @@ def test_calibration_converges_to_observed_ratio():
 
 
 def test_calibration_ignores_noise_floor_and_frozen():
-    cal = PlannerCalibration(min_rows=32)
-    cal.observe("hash", rows=8, seconds=1.0)       # below min_rows
+    cal = PlannerCalibration()
+    cal.observe("hash", rows=policy.CALIBRATION_MIN_ROWS - 1, seconds=1.0)
     cal.observe("hash", rows=64, seconds=0.0)      # timer floor
     assert cal.observations("hash") == 0
     cal.freeze()
@@ -61,12 +63,15 @@ def test_calibration_ignores_noise_floor_and_frozen():
 
 
 def test_calibration_explores_starved_path_then_stops():
-    cal = PlannerCalibration(explore_obs=2, min_rows=1)
+    cal = PlannerCalibration()
     # Cost model says hash; slice has no observations yet -> explore.
     assert cal.decide(False) is True
+    for _ in range(policy.CALIBRATION_EXPLORE_OBS - 1):
+        cal.observe("slice", rows=64, seconds=1e-4)
+        cal.observe("hash", rows=64, seconds=1e-4)
+    # One observation short of the threshold: still exploring.
+    assert cal.decide(False) is True
     cal.observe("slice", rows=64, seconds=1e-4)
-    cal.observe("slice", rows=64, seconds=1e-4)
-    cal.observe("hash", rows=64, seconds=1e-4)
     cal.observe("hash", rows=64, seconds=1e-4)
     # Both paths known: the cost model's pick stands from here on.
     explored = cal.n_explored
@@ -76,7 +81,7 @@ def test_calibration_explores_starved_path_then_stops():
 
 
 def test_calibration_snapshot_round_trip_plans_identically():
-    cal = PlannerCalibration(min_rows=1, explore_obs=1)
+    cal = PlannerCalibration()
     for _ in range(16):
         cal.observe("hash", rows=100, seconds=1e-4)
         cal.observe("slice", rows=100, seconds=3e-4)
@@ -100,6 +105,28 @@ def test_adaptive_planner_attaches_one_shared_calibration():
     assert job.services["db"].planner_calibration is not None
 
 
+def test_planner_snapshot_installs_frozen_calibration():
+    """The documented reproducibility path: a PolicyConfig carrying a
+    planner snapshot makes SDM plan with exactly those constants —
+    statements the job issues are observed by nobody."""
+    snap = {"probe_cost": 1.0, "slice_row_cost": 0.75}
+
+    def program(ctx):
+        sdm = SDM(ctx, "pol", policy=PolicyConfig(
+            planner=ADAPTIVE, planner_snapshot=snap))
+        cal = sdm.planner_calibration
+        cal.observe("hash", rows=1000, seconds=1.0)
+        cal.observe("slice", rows=1000, seconds=9.0)
+        sdm.finalize()
+        return (cal.frozen, cal.snapshot(), cal.observations("hash"),
+                cal.observations("slice"), cal.n_explored,
+                cal.decide(True), cal.decide(False))
+
+    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
+    assert all(v == (True, snap, 0, 0, 0, True, False) for v in job.values)
+    assert job.services["db"].planner_calibration.slice_row_cost == 0.75
+
+
 def test_static_planner_leaves_database_uncalibrated():
     def program(ctx):
         sdm = SDM(ctx, "pol")
@@ -117,7 +144,8 @@ def test_static_planner_leaves_database_uncalibrated():
 
 
 def test_fragmentation_trigger_hysteresis():
-    pol = MaintenancePolicy(compact_hiwater=0.40, compact_lowater=0.15)
+    assert (policy.COMPACT_LOWATER, policy.COMPACT_HIWATER) == (0.15, 0.40)
+    pol = MaintenancePolicy()
     assert not pol.fragmentation_trigger("f", 30, 100)   # below hiwater
     assert pol.fragmentation_trigger("f", 50, 100)       # crosses: fire
     # Disarmed: repeated high observations enqueue nothing more.
@@ -134,19 +162,28 @@ def test_fragmentation_trigger_hysteresis():
 
 
 def test_promotion_fires_exactly_once_at_nth_read():
-    pol = MaintenancePolicy(promote_reads=3)
+    pol = MaintenancePolicy()
     key = (7, "d", 0)
-    assert not pol.note_chunked_read(key)
-    assert not pol.note_chunked_read(key)
+    for _ in range(policy.PROMOTE_READS - 1):
+        assert not pol.note_chunked_read(key)
     assert pol.note_chunked_read(key)
     assert not pol.note_chunked_read(key)    # promoted: never again
     assert pol.n_promotions == 1
     assert pol.note_chunked_read((7, "d", 1)) is False  # independent keys
 
 
-def test_hysteresis_bounds_validated():
-    with pytest.raises(ValueError):
-        MaintenancePolicy(compact_hiwater=0.2, compact_lowater=0.3)
+def test_hysteresis_threshold_arithmetic(monkeypatch):
+    """The trigger fires at exactly hiwater and re-arms at exactly
+    lowater, wherever the two constants sit."""
+    monkeypatch.setattr(policy, "COMPACT_HIWATER", 0.5)
+    monkeypatch.setattr(policy, "COMPACT_LOWATER", 0.25)
+    pol = MaintenancePolicy()
+    assert not pol.fragmentation_trigger("f", 49, 100)
+    assert pol.fragmentation_trigger("f", 50, 100)       # == hiwater
+    assert not pol.fragmentation_trigger("f", 26, 100)   # above lowater
+    assert not pol.fragmentation_trigger("f", 90, 100)   # still disarmed
+    assert not pol.fragmentation_trigger("f", 25, 100)   # == lowater: re-arm
+    assert pol.fragmentation_trigger("f", 50, 100)
 
 
 class _FakeFS:
@@ -166,17 +203,17 @@ class _FakeProc:
 
 
 def test_throttle_exponential_backoff_and_cap():
-    pol = MaintenancePolicy(throttle_depth=1, throttle_hold=1e-3,
-                            throttle_max_holds=4)
+    hold, cap = policy.THROTTLE_HOLD, policy.THROTTLE_MAX_HOLDS
+    pol = MaintenancePolicy()
     proc = _FakeProc()
     # Congestion clears after two polls: two doubling holds, then go.
     assert pol.throttle(_FakeFS([3, 2, 0]), proc) == 2
-    assert proc.holds == [1e-3, 2e-3]
+    assert proc.holds == [hold, 2 * hold]
     # Saturated forever: capped at max_holds, never starved out.
     proc = _FakeProc()
-    assert pol.throttle(_FakeFS([9] * 100), proc) == 4
-    assert proc.holds == [1e-3, 2e-3, 4e-3, 8e-3]
-    assert pol.n_throttle_holds == 6
+    assert pol.throttle(_FakeFS([9] * 100), proc) == cap
+    assert proc.holds == [hold * 2 ** i for i in range(cap)]
+    assert pol.n_throttle_holds == 2 + cap
     # Idle storage: no holds at all.
     assert pol.throttle(_FakeFS([0]), _FakeProc()) == 0
 
@@ -197,7 +234,7 @@ def test_policy_config_resolution():
     assert PolicyConfig.resolve(mixed) is mixed
     assert mixed.make_planner_calibration() is None
     assert mixed.make_maintenance_policy() is None
-    assert adaptive.make_maintenance_policy().promote_reads == 3
+    assert isinstance(adaptive.make_maintenance_policy(), MaintenancePolicy)
     with pytest.raises(ValueError):
         PolicyConfig(planner="sometimes")
     with pytest.raises(ValueError):
@@ -211,13 +248,13 @@ def test_policy_config_resolution():
 
 def test_validate_hints_rejects_unknown_and_nonsense():
     validate_hints(None)
-    validate_hints({"coalesce_gap": ADAPTIVE_GAP, "coalesce_waste": 0.5})
+    validate_hints({"coalesce_gap": ADAPTIVE_GAP})
     with pytest.raises(KeyError, match="accepted hints"):
         validate_hints({"colaesce_gap": 64})
     with pytest.raises(ValueError, match="coalesce_gap"):
         validate_hints({"coalesce_gap": -7})
-    with pytest.raises(ValueError, match="coalesce_waste"):
-        validate_hints({"coalesce_waste": 1.5})
+    with pytest.raises(KeyError, match="accepted hints"):
+        validate_hints({"coalesce_waste": 0.5})  # a constant, not a hint
     assert "coalesce_gap" in accepted_hints()
 
 
@@ -238,14 +275,26 @@ def test_sdm_entry_points_validate_hints():
     assert all(v == ["KeyError", "ValueError"] for v in job.values)
 
 
-def test_hints_from_machine_carries_adaptive_sentinel_and_waste():
+def test_hints_from_machine_carries_adaptive_sentinel():
     m = fast_test()
-    h = Hints.from_machine(
-        m, {"coalesce_gap": ADAPTIVE_GAP, "coalesce_waste": 0.1}
-    )
+    h = Hints.from_machine(m, {"coalesce_gap": ADAPTIVE_GAP})
     assert h.coalesce_gap == ADAPTIVE_GAP
-    assert h.coalesce_waste == pytest.approx(0.1)
     assert Hints.from_machine(m).coalesce_gap == 0  # default unchanged
+
+
+def test_adaptive_gap_spends_at_most_the_waste_budget():
+    """Bridging is bought hole size by hole size, smallest first, while
+    the bridged bytes stay within COALESCE_WASTE of the payload."""
+    lengths = np.full(5, 200)                  # payload 1000 bytes
+    budget = int(COALESCE_WASTE * lengths.sum())
+    small, big = budget // 4, budget           # 2 small + 1 big > budget
+    offsets = np.cumsum([0, 200 + small, 200 + small, 200 + big, 200])
+    assert adaptive_gap(offsets, lengths) == small
+    # One small hole fewer and the big one fits exactly: bridge it too.
+    offsets = np.cumsum([0, 200, 200, 200 + big, 200])
+    assert adaptive_gap(offsets, lengths) == big
+    # max_gap caps the choice regardless of budget.
+    assert adaptive_gap(offsets, lengths, max_gap=big - 1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_indexes_survive_dump_loads_roundtrip(db):
 def test_snapshot_restored_catalog_probes_without_redeclaration():
     # Database.loads restores index declarations, so a reader attaching
     # to a snapshot answers the end-of-file probe from the ordered index
-    # with no create_index / declare_indexes call of its own.
+    # with no create_index / create_all call of its own.
     producer = SDMTables(Database())
     producer.create_all()
     producer.record_execution(1, "p", 3, "f.L3", 300, 100)
@@ -319,7 +319,7 @@ def test_snapshot_restored_catalog_probes_without_redeclaration():
     assert reader.lookup_execution(1, "p", 3) == ("f.L3", 300, 100)
     assert reader.max_offset_in_file("f.L3") == 400
     assert (reader.db.n_sorted_probes, reader.db.n_full_scans) == (1, 0)
-    reader.declare_indexes()  # still idempotent on a restored database
+    reader.create_all()  # still idempotent on a restored database
     assert reader.db.tables["execution_table"].indexes.keys() == (
         producer.db.tables["execution_table"].indexes.keys()
     )

@@ -144,7 +144,7 @@ def test_release_lease_count_checked(tables):
 
 
 def test_ttl_expiry_allows_steal_and_fences_old_holder(tables):
-    assert tables.try_acquire_lease("f", "a", now=0.0, ttl=60.0)
+    assert tables.try_acquire_lease("f", "a", now=0.0)
     # Within the TTL the lease holds.
     assert not tables.try_acquire_lease("f", "b", now=59.0)
     # A full TTL after the last heartbeat it is stealable.
@@ -160,7 +160,7 @@ def test_ttl_expiry_allows_steal_and_fences_old_holder(tables):
 
 
 def test_heartbeat_extends_lease(tables):
-    assert tables.try_acquire_lease("f", "a", now=0.0, ttl=60.0)
+    assert tables.try_acquire_lease("f", "a", now=0.0)
     tables.heartbeat_lease("f", "a", 50.0)
     assert not tables.try_acquire_lease("f", "b", now=100.0)
     assert tables.try_acquire_lease("f", "b", now=110.0)
@@ -178,7 +178,7 @@ def test_boot_expiry_steals_without_clock(tables):
 
 def test_steal_mid_flip_rolls_back_and_fences_commit(tables):
     seeded(tables)
-    assert tables.try_acquire_lease("grp.L3", "a", now=0.0, ttl=60.0)
+    assert tables.try_acquire_lease("grp.L3", "a", now=0.0)
     e = tables.begin_flip("grp.L3")
     tables.update_execution(1, "p", 0, "grp.L3", "grp.L4", 0, 100, e)
     # Holder goes silent; a thief acquires a full TTL later.  The steal

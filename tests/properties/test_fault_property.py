@@ -125,7 +125,6 @@ def steal_recovery(ctx):
     each abandoned file finds the dead holder's lease, resolves the
     interrupted flip, and steals the row."""
     tables = SDMTables(ctx.service("db"))
-    tables.declare_indexes()
     files = None
     if ctx.rank == 0:
         files = sorted(
