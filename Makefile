@@ -6,8 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 FAULT_SEED ?= 0
 export FAULT_SEED
 
-.PHONY: test test-metadb test-datapath test-maintenance test-mvcc \
-    test-policy test-faults lint verify-collectives \
+.PHONY: test test-metadb test-iostack test-datapath test-maintenance \
+    test-mvcc test-policy test-faults lint verify-collectives \
     bench bench-metadb bench-datapath bench-maintenance bench-policy \
     bench-e2e bench-e2e-compare perfcheck
 
@@ -55,6 +55,12 @@ test-mvcc:
 ## metadb engine/planner unit tests + the scan-equivalence property harness
 test-metadb:
 	$(PYTHON) -m pytest tests/metadb tests/properties/test_metadb_index_property.py tests/properties/test_sql_property.py -q
+
+## the I/O stack under core, bottom up: datatype flattening, the file
+## system (byte store, striping, the run-list kernels), MPI-IO (views,
+## sieving, two-phase, the coalesced-read pipeline)
+test-iostack:
+	$(PYTHON) -m pytest tests/dtypes tests/pfs tests/mpiio -q
 
 ## storage-order data path: chunked/canonical/reorganize unit tests + the
 ## cross-order read-equivalence property harness

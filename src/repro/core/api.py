@@ -50,6 +50,7 @@ from repro.core.datapath import (
     locate_instance,
     read_pinned,
     resolve_storage_order,
+    set_instance_view,
 )
 from repro.core.groups import DataGroup, DatasetAttrs, DataView, ImportAttrs
 from repro.core.history import (
@@ -66,7 +67,6 @@ from repro.core.layout import (
 from repro.core.maintenance import COMPACT, REORGANIZE
 from repro.core.policy import PolicyConfig
 from repro.core.ring import EdgeChunk, LocalPartition, owned_nodes_of, ring_partition_index
-from repro.dtypes.constructors import IndexedBlock
 from repro.dtypes.primitives import DOUBLE, INT, Primitive
 from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
 from repro.metadb.schema import SDMTables
@@ -305,12 +305,10 @@ class SDM(DatapathHost):
             self._history_available = True
             return None
         self._history_available = False
-        a1 = self._import_attrs(edge1_name)
         e1 = self.import_contiguous(edge1_name, edge1_offset, total_edges)
         e2 = self.import_contiguous(edge2_name, edge2_offset, total_edges)
         counts = _even_split(total_edges, self.ctx.size)
         gid_start = int(np.sum(counts[: self.ctx.rank]))
-        del a1
         return EdgeChunk(edge1=e1.astype(np.int64), edge2=e2.astype(np.int64),
                          gid_start=gid_start)
 
@@ -354,11 +352,7 @@ class SDM(DatapathHost):
         dtype = attrs.data_type
         view = DataView.from_map(map_array)
         f = self._open_cached(attrs.file_name, MODE_RDONLY)
-        f.set_view(
-            disp=file_offset,
-            etype=dtype,
-            filetype=IndexedBlock(1, view.map_sorted, dtype),
-        )
+        set_instance_view(f, file_offset, dtype, view.map_sorted)
         buf = np.empty(view.local_count, dtype=dtype.numpy_dtype)
         f.read_at_all(0, buf)
         if self.ctx.rank == 0:

@@ -27,14 +27,19 @@ either takes the canonical fast path or runs the chunked read pipeline:
    all chunks merge in a single stable sort whose last-per-gid survivor
    reproduces the two-phase overlap rule (highest writing rank wins) —
    no per-chunk rescan of the wanted array;
-2. **coalesce** — the unique positions collapse into maximal contiguous
-   byte runs (:func:`repro.mpiio.runs.coalesce_positions`, one
-   ``np.diff``), with holes up to the ``coalesce_gap`` MPI-IO hint
-   bridged (read-and-discard, the data-sieving trade), so the collective
-   read ships O(chunks) runs instead of O(elements);
-3. **gather** — one collective ``read_runs_at_all`` fetches the coalesced
-   runs and a vectorized scatter puts each element's bytes back in view
-   order.
+2. **read** — one collective ``File.read_runs_at_all`` takes the unique
+   positions as they are, one run per element, and returns each
+   element's bytes in position order; a vectorized scatter puts them
+   back in view order.
+
+Coalescing is the file's job, not this module's: :class:`~repro.mpiio.
+file.File` resolves the ``coalesce_gap`` hint, merges the positions into
+maximal contiguous byte runs (holes up to the gap bridged — read and
+discarded, the data-sieving trade), ships O(chunks) runs instead of
+O(elements) into the exchange and extracts the requested bytes again
+(``docs/datapath.md``, "The run list").  The batched independent reads
+here (index blocks, reorganize's and compaction's gathers) go through
+``File.read_runs``, the same pipeline over data sieving.
 
 :func:`execute_reorganize` converts a chunked instance into canonical order —
 reading the chunk maps, performing the deferred exchange exactly once,
@@ -141,6 +146,7 @@ __all__ = [
     "locate_instance",
     "read_instance",
     "read_pinned",
+    "set_instance_view",
     "execute_reorganize",
     "compact_chunked_file",
     "acquire_file_lease",
@@ -896,24 +902,8 @@ def _chunk_indexes(
     return out
 
 
-def _read_extents(
-    f: File, offs: np.ndarray, lens: np.ndarray, kind: str = "data",
-    bridge: bool = True,
-) -> List[np.ndarray]:
-    """Each byte extent ``(offs[i], lens[i])`` of ``f`` (ascending
-    offsets), fetched in one coalesced independent request: abutting
-    extents stream as one run and, with ``bridge``, holes up to the
-    file's ``coalesce_gap`` hint are read and discarded."""
-    gap = 0
-    if bridge:
-        gap = runs.resolve_gap(
-            f.hints.coalesce_gap, offs, lens,
-            max_gap=f.hints.ds_threshold_gap,
-        )
-    coff, clen, owner = runs.coalesce_runs(offs, lens, gap)
-    blob = np.empty(int(clen.sum()), dtype=np.uint8)
-    f.read_runs(coff, clen, blob, kind=kind)
-    raw = runs.extract_runs(blob, coff, clen, offs, lens, owner)
+def _split_extents(raw: np.ndarray, lens: np.ndarray) -> List[np.ndarray]:
+    """One batched ``File.read_runs`` result, cut back into its extents."""
     return np.split(raw, np.cumsum(lens)[:-1])
 
 
@@ -926,8 +916,8 @@ def _fetch_index_blocks(
     """Index blocks by ``(index_offset, num_elements)`` key.
 
     Cache hits are resolved first; every miss lands in a single
-    ``read_runs`` call (tagged ``kind="index"`` for the traffic split)
-    whose runs are zero-gap coalesced — adjacent blocks (back-to-back
+    ``read_runs`` call (tagged ``kind="index"`` for the traffic split,
+    which the file zero-gap coalesces) — adjacent blocks (back-to-back
     writer ranks) become one streaming transfer instead of a serial
     chain of per-chunk requests.
     """
@@ -947,7 +937,7 @@ def _fetch_index_blocks(
     need.sort()
     offs = np.array([o for o, _ in need], dtype=np.int64)
     lens = np.array([n * CHUNK_INDEX_BYTES for _, n in need], dtype=np.int64)
-    parts = _read_extents(f, offs, lens, kind="index", bridge=False)
+    parts = _split_extents(f.read_runs(offs, lens, kind="index"), lens)
     for key, part in zip(need, parts):
         gids = part.view(np.int64)
         if cache is not None:
@@ -1148,25 +1138,19 @@ def _assemble_chunked(
 ) -> np.ndarray:
     """Gather this rank's wanted elements out of a chunked instance.
 
-    The chunk maps give each element's file position; the positions
-    coalesce into maximal contiguous byte runs (holes up to the file's
-    ``coalesce_gap`` hint bridged) so the one collective read carries
-    O(chunks) runs, not O(elements); a vectorized scatter puts the bytes
-    back on their elements.  Elements no chunk wrote read as 0 — the
-    bytes a canonical read of an unwritten region would return."""
-    esize = dtype.size
+    The chunk maps give each element's file position; one collective
+    ``read_runs_at_all`` of the unique positions (one run per element —
+    the file coalesces them into maximal contiguous byte runs, holes up
+    to its ``coalesce_gap`` hint bridged, so the exchange carries
+    O(chunks) runs, not O(elements)) returns the elements' bytes in
+    position order.  Elements no chunk wrote read as 0 — the bytes a
+    canonical read of an unwritten region would return."""
     wanted = view.map_sorted
     pos = resolve_chunk_positions(comm, f, chunks, dtype, wanted, cache,
                                   version)
     present = pos >= 0
     upos = np.unique(pos[present])
-    gap = runs.resolve_gap_positions(
-        f.hints.coalesce_gap, upos, esize,
-        max_gap=f.hints.ds_threshold_gap,
-    )
-    coff, clen, owner = runs.coalesce_positions(upos, esize, gap)
-    blob = f.read_runs_at_all(coff, clen)
-    raw = runs.gather_elements(blob, coff, clen, upos, esize, owner)
+    raw = f.read_runs_at_all(upos, np.full(len(upos), dtype.size))
     elems = raw.view(dtype.numpy_dtype)
     out = np.zeros(len(wanted), dtype=dtype.numpy_dtype)
     out[present] = elems[np.searchsorted(upos, pos[present])]
@@ -1235,7 +1219,9 @@ def execute_reorganize(
                 [ch.num_elements * dtype.size for ch in mine], dtype=np.int64
             )
             by_off = np.argsort(offs, kind="stable")
-            pieces = _read_extents(src, offs[by_off], lens[by_off])
+            pieces = _split_extents(
+                src.read_runs(offs[by_off], lens[by_off]), lens[by_off]
+            )
             val_parts = [np.empty(0, dtype=dtype.numpy_dtype)] * len(mine)
             for k, i in enumerate(by_off):
                 val_parts[int(i)] = pieces[k].view(dtype.numpy_dtype)
@@ -1455,7 +1441,7 @@ def _compact_with_plan(host, fl: Flip, file_name: str, plan: Dict) -> Dict:
         if mine:
             src = np.array([m[0] for m in mine], dtype=np.int64)
             lens = np.array([m[1] for m in mine], dtype=np.int64)
-            parts = _read_extents(f, src, lens)
+            parts = _split_extents(f.read_runs(src, lens), lens)
         comm.barrier()  # every source byte is in memory before any write
         if mine:
             order = sorted(range(len(mine)), key=lambda i: mine[i][2])

@@ -25,7 +25,9 @@ def merge_runs(offsets: np.ndarray, lengths: np.ndarray) -> Runs:
     """Coalesce runs where one ends exactly where the next begins.
 
     Merging is *sequential* (typemap order is preserved; no sorting), and
-    zero-length runs are dropped.
+    zero-length runs are dropped.  Not the I/O stack's merge kernel
+    (:func:`repro.pfs.runlist.coalesce_runs`): that one requires ascending
+    offsets, and a typemap's order is its meaning — it cannot be sorted.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)

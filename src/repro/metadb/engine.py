@@ -253,16 +253,21 @@ class Database:
                 f"process {proc.name!r} crashed; statement refused"
             )
 
-    def _run(
-        self, stmt, params: Sequence[Any], proc: Optional[Process]
-    ) -> List[Tuple[Any, ...]]:
-        self._check_live(proc)
-        rows, touched = self._dispatch(stmt, list(params))
+    def _bill(self, touched: int, proc: Optional[Process]) -> None:
+        """Count one statement (batched or not) and charge it: queue at
+        the database server and hold ``statement_time(rows=touched)``."""
         self.n_statements += 1
         if proc is not None and self._server is not None:
             cost = self.machine.database.statement_time(rows=touched)
             with self._server.request(proc):
                 proc.hold(cost)
+
+    def _run(
+        self, stmt, params: Sequence[Any], proc: Optional[Process]
+    ) -> List[Tuple[Any, ...]]:
+        self._check_live(proc)
+        rows, touched = self._dispatch(stmt, list(params))
+        self._bill(touched, proc)
         return rows
 
     def execute_count(
@@ -281,11 +286,7 @@ class Database:
         self._check_live(proc)
         stmt = self.prepare(sql)
         _, touched = self._dispatch(stmt, list(params))
-        self.n_statements += 1
-        if proc is not None and self._server is not None:
-            cost = self.machine.database.statement_time(rows=touched)
-            with self._server.request(proc):
-                proc.hold(cost)
+        self._bill(touched, proc)
         return touched
 
     def execute_many_count(
@@ -304,11 +305,7 @@ class Database:
         for params in param_rows:
             _, t = self._dispatch(stmt, list(params))
             touched += t
-        self.n_statements += 1
-        if proc is not None and self._server is not None:
-            cost = self.machine.database.statement_time(rows=touched)
-            with self._server.request(proc):
-                proc.hold(cost)
+        self._bill(touched, proc)
         return touched
 
     def execute_many(
@@ -346,11 +343,7 @@ class Database:
                 rows, t = self._dispatch(stmt, list(params))
                 out.extend(rows)
                 touched += t
-        self.n_statements += 1
-        if proc is not None and self._server is not None:
-            cost = self.machine.database.statement_time(rows=touched)
-            with self._server.request(proc):
-                proc.hold(cost)
+        self._bill(touched, proc)
         return out
 
     def connect(self, proc: Optional[Process] = None) -> None:

@@ -20,8 +20,7 @@ from repro.dtypes.base import Datatype
 from repro.dtypes.primitives import BYTE
 from repro.errors import FileExists, FileNotFound, MPIIOError
 from repro.mpi.communicator import Communicator
-from repro.mpiio import sieving, twophase
-from repro.mpiio.runs import coalesce_runs, extract_runs, resolve_gap
+from repro.mpiio import runs, sieving, twophase
 from repro.mpiio.consts import (
     MODE_APPEND,
     MODE_CREATE,
@@ -47,6 +46,16 @@ def _as_bytes(buf) -> np.ndarray:
     if arr.dtype == np.uint8 and arr.ndim == 1:
         return arr
     return arr.reshape(-1).view(np.uint8)
+
+
+def _run_payload(lengths: np.ndarray, buf) -> np.ndarray:
+    """``buf`` as bytes, checked to hold exactly the runs' total."""
+    raw = _as_bytes(buf)
+    if raw.size != int(lengths.sum()):
+        raise MPIIOError(
+            f"buffer has {raw.size} bytes, runs cover {int(lengths.sum())}"
+        )
+    return raw
 
 
 class File:
@@ -195,7 +204,7 @@ class File:
         raw = _as_bytes(buf)
         off, ln = self._view.runs_for(offset * self._view.etype.size, len(raw))
         return sieving.independent_write(
-            self.fs, self.comm.proc, self._handle, off, ln, raw
+            self.fs, self.comm.proc, self._handle, off, ln, raw, self.hints
         )
 
     def read_at(self, offset: int, buf) -> np.ndarray:
@@ -204,8 +213,9 @@ class File:
         self._check_live()
         raw = _as_bytes(buf)
         off, ln = self._view.runs_for(offset * self._view.etype.size, len(raw))
-        data = sieving.independent_read(self.fs, self.comm.proc, self._handle, off, ln)
-        raw[:] = data
+        raw[:] = sieving.independent_read(
+            self.fs, self.comm.proc, self._handle, off, ln, self.hints
+        )
         return buf
 
     def write(self, buf) -> int:
@@ -238,41 +248,8 @@ class File:
         self._check_live()
         raw = _as_bytes(buf)
         off, ln = self._view.runs_for(offset * self._view.etype.size, len(raw))
-        raw[:] = self._collective_read_coalesced(off, ln)
+        raw[:] = self._read_coalesced(off, ln, collective=True)
         return buf
-
-    def _collective_read_coalesced(
-        self, off: np.ndarray, ln: np.ndarray
-    ) -> np.ndarray:
-        """Two-phase read with source-side run coalescing.
-
-        This rank merges its runs before the exchange — exactly-adjacent
-        runs always (gap 0, lossless), nearby runs with holes up to the
-        ``coalesce_gap`` hint (read-and-discard) — so the request
-        *metadata* shipped to the aggregators shrinks with the run count,
-        not the element count.  The returned bytes are exactly the
-        requested runs, in run order, either way.
-        """
-        if len(off) > 1:
-            gap = resolve_gap(
-                self.hints.coalesce_gap, off, ln,
-                max_gap=self.hints.ds_threshold_gap,
-            )
-            coff, clen, owner = coalesce_runs(off, ln, gap)
-            if len(coff) < len(off):
-                blob = twophase.collective_read(
-                    self.comm, self.comm.proc, self.fs, self._handle,
-                    coff, clen, self.hints,
-                )
-                if int(clen.sum()) == int(ln.sum()):
-                    # Lossless merge (no holes bridged): the coalesced
-                    # stream is already the concatenated requested runs.
-                    return blob
-                return extract_runs(blob, coff, clen, off, ln, owner)
-        return twophase.collective_read(
-            self.comm, self.comm.proc, self.fs, self._handle, off, ln,
-            self.hints,
-        )
 
     def write_all(self, buf) -> int:
         """Collective write at the individual file pointer."""
@@ -302,46 +279,32 @@ class File:
         off, ln = check_runs(offsets, lengths)
         if len(off) == 0:
             return 0
-        raw = _as_bytes(buf)
-        if raw.size != int(ln.sum()):
-            raise MPIIOError(
-                f"buffer has {raw.size} bytes, runs cover {int(ln.sum())}"
-            )
         return sieving.independent_write(
-            self.fs, self.comm.proc, self._handle, off, ln, raw
+            self.fs, self.comm.proc, self._handle, off, ln,
+            _run_payload(ln, buf), self.hints,
         )
 
-    def read_runs(self, offsets, lengths, buf, kind: str = "data") -> np.ndarray:
-        """Independent read of explicit byte runs into ``buf``.
+    def read_runs(self, offsets, lengths, kind: str = "data") -> np.ndarray:
+        """Independent read of explicit byte runs; returns the bytes in
+        run order.  Nearby runs are merged at the source under the
+        ``coalesce_gap`` hint.
 
         ``kind="index"`` tags the traffic as chunked index-block bytes in
-        the file system's counters."""
+        the file system's counters; such a read merges abutting blocks
+        only — what lies between two index blocks is other chunks' data,
+        and bridging it would bill data bytes as index traffic."""
         self._check_live()
         off, ln = check_runs(offsets, lengths)
-        raw = _as_bytes(buf)
-        if raw.size != int(ln.sum()):
-            raise MPIIOError(
-                f"buffer has {raw.size} bytes, runs cover {int(ln.sum())}"
-            )
-        if len(off):
-            raw[:] = sieving.independent_read(
-                self.fs, self.comm.proc, self._handle, off, ln, kind=kind
-            )
-        return buf
+        return self._read_coalesced(off, ln, collective=False, kind=kind)
 
     def write_runs_at_all(self, offsets, lengths, buf) -> int:
         """Collective write of explicit byte runs; all ranks call (a rank
         with no runs passes empty arrays)."""
         self._check_live()
         off, ln = check_runs(offsets, lengths)
-        raw = _as_bytes(buf)
-        if raw.size != int(ln.sum()):
-            raise MPIIOError(
-                f"buffer has {raw.size} bytes, runs cover {int(ln.sum())}"
-            )
         return twophase.collective_write(
-            self.comm, self.comm.proc, self.fs, self._handle, off, ln, raw,
-            self.hints,
+            self.comm, self.comm.proc, self.fs, self._handle, off, ln,
+            _run_payload(ln, buf), self.hints,
         )
 
     def read_runs_at_all(self, offsets, lengths) -> np.ndarray:
@@ -350,7 +313,50 @@ class File:
         the source under the ``coalesce_gap`` hint."""
         self._check_live()
         off, ln = check_runs(offsets, lengths)
-        return self._collective_read_coalesced(off, ln)
+        return self._read_coalesced(off, ln, collective=True)
+
+    # ------------------------------------------------------------------
+    # The coalesced-read pipeline
+    # ------------------------------------------------------------------
+
+    def _read_coalesced(
+        self, off: np.ndarray, ln: np.ndarray, collective: bool,
+        kind: str = "data",
+    ) -> np.ndarray:
+        """Resolve gap → coalesce → read → extract, the one place a read's
+        run list is merged before it is issued.
+
+        This rank merges its runs at the source — exactly-adjacent runs
+        always (gap 0, lossless), nearby runs with holes up to the
+        ``coalesce_gap`` hint for data reads (read-and-discard; under
+        ``ADAPTIVE_GAP`` the gap is derived from these very runs, so the
+        waste budget is spent once) — so the request *metadata* handed to
+        the two-phase exchange or to data sieving shrinks with the run
+        count, not the element count.  The returned bytes are exactly the
+        requested runs, in run order, either way.
+        """
+        gap = 0
+        if kind != "index":
+            gap = runs.resolve_gap(
+                self.hints.coalesce_gap, off, ln,
+                max_gap=self.hints.ds_threshold_gap,
+            )
+        coff, clen, owner = runs.coalesce_runs(off, ln, gap)
+        if collective:
+            blob = twophase.collective_read(
+                self.comm, self.comm.proc, self.fs, self._handle,
+                coff, clen, self.hints,
+            )
+        else:
+            blob = sieving.independent_read(
+                self.fs, self.comm.proc, self._handle, coff, clen,
+                self.hints, kind=kind,
+            )
+        if int(clen.sum()) == int(ln.sum()):
+            # Lossless merge (no holes bridged): the coalesced stream is
+            # already the concatenated requested runs.
+            return blob
+        return runs.extract_runs(blob, coff, clen, off, ln, owner)
 
     # ------------------------------------------------------------------
 

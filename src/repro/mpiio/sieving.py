@@ -26,9 +26,9 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.mpiio.hints import Hints
-from repro.mpiio.runs import extract_runs
-from repro.pfs.file import PFSHandle
+from repro.pfs.file import RD, PFSHandle
 from repro.pfs.filesystem import FileSystem
+from repro.pfs.runlist import expand_runs
 from repro.simt.process import Process
 
 __all__ = ["sieve_groups", "independent_read", "independent_write"]
@@ -40,7 +40,9 @@ def sieve_groups(
     """Yield ``(start_run, end_run)`` index ranges forming sieving groups.
 
     Runs must be sorted ascending and non-overlapping (file views guarantee
-    this).
+    this).  Not :func:`repro.pfs.runlist.coalesce_runs`: a group is also
+    cut where its *span* would outgrow ``ds_buffer_size`` (ROMIO's bounded
+    sieving buffer), which a gap-only merge cannot express.
     """
     n = len(offsets)
     if n == 0:
@@ -72,13 +74,15 @@ def independent_read(
     handle: PFSHandle,
     offsets: np.ndarray,
     lengths: np.ndarray,
+    hints: Hints,
     kind: str = "data",
 ) -> np.ndarray:
     """Sieved independent read; returns the gathered bytes in run order.
 
-    ``kind`` feeds the file system's index/data traffic split.
+    ``hints`` are the calling file's resolved hints (its per-open
+    ``ds_*`` overrides included); ``kind`` feeds the file system's
+    index/data traffic split.
     """
-    hints = Hints.from_machine(fs.machine)
     fs.runs_submitted += len(offsets)
     total = int(lengths.sum())
     out = np.empty(total, dtype=np.uint8)
@@ -89,20 +93,12 @@ def independent_read(
         span_start = int(grp_off[0])
         span_len = int(grp_off[-1] + grp_len[-1]) - span_start
         grp_bytes = int(grp_len.sum())
-        if span_len == grp_bytes:
-            # Solid group: read exactly.
-            data = fs.read(proc, handle, [span_start], [span_len], kind=kind)
-            out[out_pos : out_pos + grp_bytes] = data
-        else:
-            cover = fs.read(proc, handle, [span_start], [span_len], kind=kind)
+        data = fs.read(proc, handle, [span_start], [span_len], kind=kind)
+        if span_len != grp_bytes:
+            # Holey group: copy the wanted runs out of the covering extent.
             proc.hold(fs.machine.compute.copy_time(grp_bytes))
-            out[out_pos : out_pos + grp_bytes] = extract_runs(
-                cover,
-                np.array([span_start], dtype=np.int64),
-                np.array([span_len], dtype=np.int64),
-                grp_off, grp_len,
-                np.zeros(len(grp_off), dtype=np.int64),
-            )
+            data = data[expand_runs(grp_off - span_start, grp_len)]
+        out[out_pos : out_pos + grp_bytes] = data
         out_pos += grp_bytes
     return out
 
@@ -114,6 +110,7 @@ def independent_write(
     offsets: np.ndarray,
     lengths: np.ndarray,
     data: np.ndarray,
+    hints: Hints,
 ) -> int:
     """Sieved independent write; returns bytes of payload written.
 
@@ -122,11 +119,8 @@ def independent_write(
     sieving is impossible) — the catastrophically slow path the paper's
     collective I/O avoids.
     """
-    hints = Hints.from_machine(fs.machine)
     fs.runs_submitted += len(offsets)
     data = np.asarray(data).reshape(-1).view(np.uint8)
-    from repro.pfs.file import RD
-
     if not (handle.mode & RD):
         pos = 0
         for o, l in zip(offsets.tolist(), lengths.tolist()):
@@ -151,13 +145,7 @@ def independent_write(
             with fs.write_lock(handle.file.name).request(proc):
                 cover = fs.read(proc, handle, [span_start], [span_len])
                 proc.hold(fs.machine.compute.copy_time(grp_bytes))
-                rel = grp_off - span_start
-                first = np.cumsum(grp_len) - grp_len
-                idx = (
-                    np.arange(grp_bytes, dtype=np.int64)
-                    + np.repeat(rel - first, grp_len)
-                )
-                cover[idx] = chunk
+                cover[expand_runs(grp_off - span_start, grp_len)] = chunk
                 fs.write(proc, handle, [span_start], [span_len], cover)
         data_pos += grp_bytes
     return data_pos

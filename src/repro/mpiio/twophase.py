@@ -36,13 +36,13 @@ from repro.mpi.ops import MAX, MIN
 from repro.mpiio.hints import Hints
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
+from repro.pfs.runlist import coalesce_runs, expand_runs
 from repro.pfs.scheduler import controller_batches
 from repro.simt.process import Process
 
 __all__ = [
     "file_domain_bounds",
     "split_runs_by_bounds",
-    "union_runs",
     "collective_write",
     "collective_read",
 ]
@@ -97,75 +97,78 @@ def split_runs_by_bounds(
     return out
 
 
-def union_runs(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximal contiguous intervals covering possibly-overlapping runs."""
-    if len(offsets) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.argsort(offsets, kind="stable")
-    so = offsets[order]
-    se = so + lengths[order]
-    running_end = np.maximum.accumulate(se)
-    new = np.empty(len(so), dtype=bool)
-    new[0] = True
-    np.greater(so[1:], running_end[:-1], out=new[1:])
-    starts_idx = np.flatnonzero(new)
-    uo = so[starts_idx]
-    ue = np.maximum.reduceat(se, starts_idx)
-    return uo, ue - uo
+class _Aggregation:
+    """One aggregator's side of a collective: the segments it received
+    (concatenated in source-rank order) and the maximal contiguous *union
+    runs* covering them (sort + zero-gap merge), laid end to end as a
+    scratch buffer."""
 
-
-def _segment_scatter_indices(
-    seg_off: np.ndarray, seg_len: np.ndarray, uo: np.ndarray, ucum: np.ndarray
-) -> np.ndarray:
-    """Byte indices (into union space) each segment byte lands at, in
-    concatenation (source-rank) order."""
-    k = np.searchsorted(uo, seg_off, side="right") - 1
-    base = ucum[k] + (seg_off - uo[k])
-    total = int(seg_len.sum())
-    starts = np.repeat(base, seg_len)
-    run_first = np.cumsum(seg_len) - seg_len
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_first, seg_len)
-    return starts + within
-
-
-def _gather_segments(
-    recv: Sequence[Optional[tuple]],
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Concatenate per-source segment tuples (src-rank order).
-
-    Returns (offsets, lengths, data-or-None, per-source piece counts).
-    """
-    offs, lens, datas, counts = [], [], [], []
-    for entry in recv:
-        if entry is None:
-            counts.append(0)
-            continue
-        o, l = entry[0], entry[1]
-        counts.append(len(o))
-        offs.append(o)
-        lens.append(l)
-        if len(entry) > 2 and entry[2] is not None:
-            datas.append(entry[2])
-    if not offs:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            None,
-            np.array(counts, dtype=np.int64),
+    def __init__(self, entries: Sequence[tuple]) -> None:
+        self.seg_off = np.concatenate([e[0] for e in entries])
+        self.seg_len = np.concatenate([e[1] for e in entries])
+        order = np.argsort(self.seg_off, kind="stable")
+        self.offsets, self.lengths, _ = coalesce_runs(
+            self.seg_off[order], self.seg_len[order]
         )
-    data = np.concatenate(datas) if datas else None
-    return (
-        np.concatenate(offs),
-        np.concatenate(lens),
-        data,
-        np.array(counts, dtype=np.int64),
-    )
+        self._start = np.cumsum(self.lengths) - self.lengths
+        self.nbytes = int(self.lengths.sum())
+
+    def indices(self, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Scratch index of every byte of the given file runs (each inside
+        one union run), in run order."""
+        k = np.searchsorted(self.offsets, offsets, side="right") - 1
+        return expand_runs(
+            self._start[k] + (offsets - self.offsets[k]), lengths
+        )
+
+    def segment_indices(self) -> np.ndarray:
+        """Scratch index of every received segment byte, source-rank
+        order."""
+        return self.indices(self.seg_off, self.seg_len)
+
+    def batches(self, comm: Communicator, handle: PFSHandle, hints: Hints):
+        """Striping-aware access plan: ``(controller, offsets, lengths,
+        scratch indices)`` single-controller requests of at most
+        ``cb_buffer_size`` bytes, staggered by rank so concurrent
+        aggregators start on disjoint controller queues.  Batches are
+        arbitrary sub-runs of the union, so each addresses its scratch
+        bytes by index instead of a sequential cursor."""
+        layout = handle.file.layout
+        for ctl, b_off, b_len in controller_batches(
+            layout, self.offsets, self.lengths, hints.cb_buffer_size,
+            start=comm.rank % layout.n_controllers,
+        ):
+            yield ctl, b_off, b_len, self.indices(b_off, b_len)
 
 
 def _local_extent(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[int, int]:
     if len(offsets) == 0:
         return _NO_OFFSET, -1
     return int(offsets[0]), int(offsets[-1] + lengths[-1])
+
+
+def _plan_domains(
+    comm: Communicator,
+    fs: FileSystem,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    hints: Hints,
+) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """The prologue both collectives share: agree on the global byte
+    range, cut it into aggregator file domains (domain ``d`` belongs to
+    rank ``d``), clip this rank's runs to each.  Returns the per-domain
+    pieces, or ``None`` (after a barrier) when no rank has any bytes."""
+    fs.runs_submitted += len(offsets)
+    lo, hi = _local_extent(offsets, lengths)
+    glo = comm.allreduce(lo, op=MIN)
+    ghi = comm.allreduce(hi, op=MAX)
+    if ghi <= glo:
+        comm.barrier()
+        return None
+    storage = fs.machine.storage
+    naggs = hints.resolve_cb_nodes(comm.size, storage.n_controllers)
+    bounds = file_domain_bounds(glo, ghi, naggs, storage.stripe_size)
+    return split_runs_by_bounds(offsets, lengths, bounds)
 
 
 def collective_write(
@@ -180,17 +183,10 @@ def collective_write(
 ) -> int:
     """Two-phase collective write of this rank's runs; returns local bytes."""
     handle.check_writable()
-    fs.runs_submitted += len(offsets)
     raw = np.asarray(data).reshape(-1).view(np.uint8)
-    lo, hi = _local_extent(offsets, lengths)
-    glo = comm.allreduce(lo, op=MIN)
-    ghi = comm.allreduce(hi, op=MAX)
-    if ghi <= glo:
-        comm.barrier()
+    pieces = _plan_domains(comm, fs, offsets, lengths, hints)
+    if pieces is None:
         return 0
-    naggs = hints.resolve_cb_nodes(comm.size, fs.machine.storage.n_controllers)
-    bounds = file_domain_bounds(glo, ghi, naggs, fs.machine.storage.stripe_size)
-    pieces = split_runs_by_bounds(offsets, lengths, bounds)
 
     sends: List[Optional[tuple]] = [None] * comm.size
     pos = 0
@@ -201,31 +197,16 @@ def collective_write(
         pos += nb
     recv = comm.alltoallv(sends)
 
-    if comm.rank < naggs:
-        seg_off, seg_len, seg_data, _counts = _gather_segments(recv)
-        if len(seg_off):
-            uo, ul = union_runs(seg_off, seg_len)
-            ucum = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(ul, dtype=np.int64))
-            )
-            scratch = np.zeros(int(ul.sum()), dtype=np.uint8)
-            idx = _segment_scatter_indices(seg_off, seg_len, uo, ucum[:-1])
-            scratch[idx] = seg_data  # src-rank order: highest rank wins overlaps
-            proc.hold(fs.machine.compute.copy_time(len(seg_data)))
-            # Striping-aware access: single-controller batches, staggered
-            # by rank so concurrent aggregators start on disjoint
-            # controller queues.  Batches are arbitrary sub-runs of the
-            # union, so each slices its scratch bytes by scatter index
-            # instead of a sequential cursor.
-            layout = handle.file.layout
-            for ctl, b_off, b_len in controller_batches(
-                layout, uo, ul, hints.cb_buffer_size,
-                start=comm.rank % layout.n_controllers,
-            ):
-                bidx = _segment_scatter_indices(b_off, b_len, uo, ucum[:-1])
-                fs.write(
-                    proc, handle, b_off, b_len, scratch[bidx], controller=ctl
-                )
+    entries = [e for e in recv if e is not None]
+    if entries:  # this rank is an aggregator with segments to serve
+        agg = _Aggregation(entries)
+        seg_data = np.concatenate([e[2] for e in entries])
+        scratch = np.zeros(agg.nbytes, dtype=np.uint8)
+        # src-rank order: highest rank wins overlaps
+        scratch[agg.segment_indices()] = seg_data
+        proc.hold(fs.machine.compute.copy_time(len(seg_data)))
+        for ctl, b_off, b_len, bidx in agg.batches(comm, handle, hints):
+            fs.write(proc, handle, b_off, b_len, scratch[bidx], controller=ctl)
     comm.barrier()
     return int(lengths.sum())
 
@@ -241,17 +222,9 @@ def collective_read(
 ) -> np.ndarray:
     """Two-phase collective read; returns this rank's bytes in run order."""
     handle.check_readable()
-    fs.runs_submitted += len(offsets)
-    lo, hi = _local_extent(offsets, lengths)
-    glo = comm.allreduce(lo, op=MIN)
-    ghi = comm.allreduce(hi, op=MAX)
-    total_local = int(lengths.sum())
-    if ghi <= glo:
-        comm.barrier()
+    pieces = _plan_domains(comm, fs, offsets, lengths, hints)
+    if pieces is None:
         return np.empty(0, dtype=np.uint8)
-    naggs = hints.resolve_cb_nodes(comm.size, fs.machine.storage.n_controllers)
-    bounds = file_domain_bounds(glo, ghi, naggs, fs.machine.storage.stripe_size)
-    pieces = split_runs_by_bounds(offsets, lengths, bounds)
 
     sends: List[Optional[tuple]] = [None] * comm.size
     for d, (o, l) in enumerate(pieces):
@@ -260,47 +233,29 @@ def collective_read(
     recv = comm.alltoallv(sends)
 
     replies: List[Optional[np.ndarray]] = [None] * comm.size
-    if comm.rank < naggs:
-        seg_off, seg_len, _nodata, counts = _gather_segments(recv)
-        if len(seg_off):
-            uo, ul = union_runs(seg_off, seg_len)
-            ucum = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(ul, dtype=np.int64))
-            )
-            scratch = np.empty(int(ul.sum()), dtype=np.uint8)
-            layout = handle.file.layout
-            for ctl, b_off, b_len in controller_batches(
-                layout, uo, ul, hints.cb_buffer_size,
-                start=comm.rank % layout.n_controllers,
-            ):
-                bidx = _segment_scatter_indices(b_off, b_len, uo, ucum[:-1])
-                scratch[bidx] = fs.read(
-                    proc, handle, b_off, b_len, controller=ctl
-                )
-            idx = _segment_scatter_indices(seg_off, seg_len, uo, ucum[:-1])
-            gathered = scratch[idx]  # all requested bytes, src-rank order
-            proc.hold(fs.machine.compute.copy_time(len(gathered)))
-            # Split back per source rank.
-            seg_first = np.cumsum(seg_len) - seg_len
-            piece_idx = 0
-            byte_pos = 0
-            for src in range(comm.size):
-                n_pieces = int(counts[src])
-                if n_pieces == 0:
-                    continue
-                nb = int(seg_len[piece_idx : piece_idx + n_pieces].sum())
-                replies[src] = gathered[byte_pos : byte_pos + nb]
-                piece_idx += n_pieces
-                byte_pos += nb
-            del seg_first
+    entries = [e for e in recv if e is not None]
+    if entries:  # this rank is an aggregator with segments to serve
+        agg = _Aggregation(entries)
+        scratch = np.empty(agg.nbytes, dtype=np.uint8)
+        for ctl, b_off, b_len, bidx in agg.batches(comm, handle, hints):
+            scratch[bidx] = fs.read(proc, handle, b_off, b_len, controller=ctl)
+        # all requested bytes, src-rank order
+        gathered = scratch[agg.segment_indices()]
+        proc.hold(fs.machine.compute.copy_time(len(gathered)))
+        # Split back per source rank.
+        pos = 0
+        for src, entry in enumerate(recv):
+            if entry is not None:
+                nb = int(entry[1].sum())
+                replies[src] = gathered[pos : pos + nb]
+                pos += nb
     back = comm.alltoallv(replies)
 
-    out = np.empty(total_local, dtype=np.uint8)
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
     pos = 0
     for d, (o, l) in enumerate(pieces):
         nb = int(l.sum())
         if nb:
-            chunk = back[d]
-            out[pos : pos + nb] = chunk
+            out[pos : pos + nb] = back[d]
             pos += nb
     return out

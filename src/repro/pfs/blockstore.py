@@ -15,20 +15,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import PFSError
+from repro.pfs.runlist import expand_runs
 
 __all__ = ["ByteStore"]
 
 _LOOP_THRESHOLD = 64
 """Run counts below this use a plain loop; above, vectorized fancy indexing."""
-
-
-def _expand_indices(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Absolute byte index of every byte covered by the runs, run order."""
-    total = int(lengths.sum())
-    starts = np.repeat(offsets, lengths)
-    run_first = np.cumsum(lengths) - lengths
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_first, lengths)
-    return starts + within
 
 
 class ByteStore:
@@ -111,7 +103,7 @@ class ByteStore:
                 self._buf[o : o + l] = raw[pos : pos + l]
                 pos += l
         else:
-            self._buf[_expand_indices(offsets, lengths)] = raw
+            self._buf[expand_runs(offsets, lengths)] = raw
         if end > self.size:
             self.size = end
 
@@ -136,7 +128,7 @@ class ByteStore:
                     out[pos : pos + l] = self._buf[o : o + l]
                     pos += l
             else:
-                out[:] = self._buf[_expand_indices(offsets, lengths)]
+                out[:] = self._buf[expand_runs(offsets, lengths)]
             return out
         # Some runs extend past EOF: clamp per run (rare, slow path).
         pos = 0

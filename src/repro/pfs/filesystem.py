@@ -230,6 +230,11 @@ class FileSystem:
         rank of an independent-I/O phase would queue at controller 0 —
         aligned region starts all map there — and aggregate bandwidth
         would collapse to a single stream's.
+
+        The walk groups consecutive stripe pieces by *controller*; it is
+        not a run merge (:func:`repro.pfs.runlist.coalesce_runs`) —
+        same-controller pieces need not abut in the file, and only each
+        visit's byte total is wanted.
         """
         storage = self.machine.storage
         if controller is not None:

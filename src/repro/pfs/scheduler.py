@@ -22,6 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.pfs.runlist import coalesce_runs, expand_runs
 from repro.pfs.striping import StripeLayout
 
 __all__ = ["split_runs_by_stripe", "size_batches", "controller_batches"]
@@ -47,30 +48,11 @@ def split_runs_by_stripe(
     first = offsets // ss
     last = (offsets + lengths - 1) // ss
     npieces = last - first + 1
-    total = int(npieces.sum())
     run_of = np.repeat(np.arange(len(offsets), dtype=np.int64), npieces)
-    piece_first = np.cumsum(npieces) - npieces
-    within = np.arange(total, dtype=np.int64) - np.repeat(piece_first, npieces)
-    stripe = first[run_of] + within
+    stripe = expand_runs(first, npieces)
     starts = np.maximum(stripe * ss, offsets[run_of])
     ends = np.minimum((stripe + 1) * ss, (offsets + lengths)[run_of])
     return starts, ends - starts, stripe % layout.n_controllers
-
-
-def _merge_adjacent(
-    offsets: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-merge exactly-adjacent pieces (undoes the stripe cut wherever
-    consecutive stripes landed on the same controller)."""
-    if len(offsets) <= 1:
-        return offsets, lengths
-    new = np.empty(len(offsets), dtype=bool)
-    new[0] = True
-    np.not_equal(offsets[1:], offsets[:-1] + lengths[:-1], out=new[1:])
-    starts_idx = np.flatnonzero(new)
-    group_last = np.concatenate((starts_idx[1:], [len(offsets)])) - 1
-    mo = offsets[starts_idx]
-    return mo, offsets[group_last] + lengths[group_last] - mo
 
 
 def size_batches(
@@ -126,7 +108,9 @@ def controller_batches(
         if not sel.any():
             queues.append([])
             continue
-        co, cl = _merge_adjacent(poff[sel], plen[sel])
+        # Undo the stripe cut wherever consecutive stripes landed on the
+        # same controller (pieces are disjoint, so gap 0 is lossless).
+        co, cl, _ = coalesce_runs(poff[sel], plen[sel])
         queues.append(
             [(ctl, bo, bl) for bo, bl in size_batches(co, cl, max_bytes)]
         )

@@ -288,11 +288,11 @@ def test_coalesced_read_matches_per_element_read(monkeypatch):
     def run(coalesce):
         if not coalesce:
             monkeypatch.setattr(
-                runs_mod, "coalesce_positions",
-                lambda pos, width, gap=0: (
-                    np.asarray(pos, dtype=np.int64),
-                    np.full(len(pos), width, dtype=np.int64),
-                    np.arange(len(pos), dtype=np.int64),
+                runs_mod, "coalesce_runs",
+                lambda off, ln, gap=0: (
+                    np.asarray(off, dtype=np.int64),
+                    np.asarray(ln, dtype=np.int64),
+                    np.arange(len(off), dtype=np.int64),
                 ),
             )
         else:

@@ -297,6 +297,58 @@ def test_adaptive_gap_spends_at_most_the_waste_budget():
     assert adaptive_gap(offsets, lengths, max_gap=big - 1) == 0
 
 
+def test_adaptive_chunked_read_spends_the_waste_budget_once():
+    """End to end: a chunked collective read under ADAPTIVE_GAP bridges
+    at most COALESCE_WASTE of its payload.  The hole mix is the one a
+    second coalescing pass would escalate on: the 8-byte holes fit the
+    budget, the 16-byte holes do not — unless a second pass re-derives a
+    fresh budget over the already-bridged runs and buys them as well
+    (10 % + 22 % = 32 % bridged)."""
+    per_rank, esize = 512, DOUBLE.size
+    # 37 stretches of wanted elements separated by 17 one-element and 19
+    # two-element holes: 170 elements, 136 + 304 hole bytes.
+    skips = [1, 2] * 17 + [2, 2]
+    wanted, cursor = [], 0
+    for i, skip in enumerate(skips + [0]):
+        n = 5 if i < 22 else 4
+        wanted.extend(range(cursor, cursor + n))
+        cursor += n + skip
+    wanted = np.array(wanted, dtype=np.int64)
+    payload = len(wanted) * esize
+    assert len(wanted) == 170 and cursor <= per_rank
+    assert 17 * 8 <= COALESCE_WASTE * payload < 17 * 8 + 19 * 16
+
+    def program(ctx):
+        sdm = SDM(ctx, "waste", organization=Organization.LEVEL_2,
+                  storage_order=CHUNKED,
+                  io_hints={"coalesce_gap": ADAPTIVE_GAP})
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE,
+                                 global_size=NPROCS * per_rank)
+        handle = sdm.set_attributes(result)
+        # Dense blocks: arithmetic chunks, so the read is data bytes only.
+        mine = np.arange(per_rank, dtype=np.int64) + ctx.rank * per_rank
+        sdm.data_view(handle, "d", mine)
+        sdm.write(handle, "d", 0, mine * 1.0)
+        holey = wanted + ctx.rank * per_rank
+        sdm.data_view(handle, "d", holey)
+        ctx.comm.barrier()
+        before = sdm.fs.data_bytes_read
+        back = np.empty(len(holey))
+        sdm.read(handle, "d", 0, back)
+        ctx.comm.barrier()
+        read = sdm.fs.data_bytes_read - before
+        sdm.finalize(handle)
+        return holey, back, read
+
+    job = mpirun(program, NPROCS, machine=fast_test(),
+                 services=sdm_services())
+    for holey, back, read in job.values:
+        np.testing.assert_array_equal(back, holey * 1.0)
+        bridged = read - NPROCS * payload
+        assert 0 < bridged <= COALESCE_WASTE * NPROCS * payload
+
+
 # ---------------------------------------------------------------------------
 # Closed loops end to end
 # ---------------------------------------------------------------------------

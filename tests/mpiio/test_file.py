@@ -330,3 +330,31 @@ def test_gap_hint_bridges_holes_in_collective_read():
             got, np.concatenate([whole[o : o + 4] for o in off])
         )
     assert job.values[0][1] == 2  # one bridged run per rank
+
+
+def test_per_file_sieving_hints_reach_independent_io():
+    """A file's own ``ds_*`` hints govern its data sieving: with the
+    machine default a two-run holey ``read_at`` is one covering request;
+    ``ds_threshold_gap=0`` on the open makes it one request per run."""
+
+    def make_program(hints):
+        def program(ctx):
+            fs = ctx.service("fs")
+            f = File.open(ctx.comm, fs, "holey.dat",
+                          MODE_CREATE | MODE_RDWR, hints=hints)
+            f.write_at(0, np.arange(4, dtype=np.float64))
+            # Elements 0 and 2 of every 4: two 8-byte runs, one 8-byte hole.
+            f.set_view(etype=FLOAT64, filetype=IndexedBlock(1, [0, 2], FLOAT64))
+            before = fs.n_requests
+            out = np.empty(2, dtype=np.float64)
+            f.read_at(0, out)
+            requests = fs.n_requests - before
+            f.close()
+            return out, requests
+
+        return program
+
+    for hints, expected in ((None, 1), ({"ds_threshold_gap": 0}, 2)):
+        out, requests = run(make_program(hints), 1).values[0]
+        np.testing.assert_array_equal(out, [0.0, 2.0])
+        assert requests == expected, (hints, requests)

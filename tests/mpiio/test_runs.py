@@ -1,20 +1,23 @@
-"""Unit and property tests for the run-coalescing layer."""
+"""Unit and property tests for the run list's two kernels (merge,
+expansion) and the coalesced-read helpers built on them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpiio.runs import (
-    coalesce_positions,
-    coalesce_runs,
-    extract_runs,
-    gather_elements,
-)
+from repro.mpiio.runs import coalesce_runs, expand_runs, extract_runs
 
 
 def arr(*vals):
     return np.array(vals, dtype=np.int64)
+
+
+def positions(pos, width):
+    """Uniform-width run list: one ``width``-byte run per position (the
+    chunked read path's shape)."""
+    pos = np.asarray(pos, dtype=np.int64)
+    return pos, np.full(len(pos), width, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +82,21 @@ def test_zero_gap_merge_of_disjoint_runs_is_lossless():
 
 
 # ---------------------------------------------------------------------------
-# coalesce_positions
+# uniform-width lengths (element positions)
 # ---------------------------------------------------------------------------
 
 def test_positions_empty():
-    coff, clen, owner = coalesce_positions(arr(), 8)
+    coff, clen, owner = coalesce_runs(*positions(arr(), 8))
     assert len(coff) == len(owner) == 0
 
 
 def test_positions_single():
-    coff, clen, owner = coalesce_positions(arr(72), 8)
+    coff, clen, owner = coalesce_runs(*positions(arr(72), 8))
     assert coff.tolist() == [72] and clen.tolist() == [8]
 
 
 def test_positions_adjacent_elements_merge():
-    coff, clen, owner = coalesce_positions(arr(0, 8, 16, 40, 48), 8)
+    coff, clen, owner = coalesce_runs(*positions(arr(0, 8, 16, 40, 48), 8))
     assert coff.tolist() == [0, 40]
     assert clen.tolist() == [24, 16]
     assert owner.tolist() == [0, 0, 0, 1, 1]
@@ -101,11 +104,68 @@ def test_positions_adjacent_elements_merge():
 
 def test_positions_gap_bridging():
     # Holes of exactly one element (8 bytes) bridge at gap=8, not gap=0.
-    pos = arr(0, 16, 32)
-    coff0, clen0, _ = coalesce_positions(pos, 8, gap=0)
+    pos, ln = positions(arr(0, 16, 32), 8)
+    coff0, clen0, _ = coalesce_runs(pos, ln, gap=0)
     assert coff0.tolist() == [0, 16, 32]
-    coff8, clen8, _ = coalesce_positions(pos, 8, gap=8)
+    coff8, clen8, _ = coalesce_runs(pos, ln, gap=8)
     assert coff8.tolist() == [0] and clen8.tolist() == [40]
+
+
+# ---------------------------------------------------------------------------
+# unsorted overlapping runs after a sort (the aggregators' union)
+# ---------------------------------------------------------------------------
+
+def union(off, ln):
+    order = np.argsort(off, kind="stable")
+    uo, ul, _ = coalesce_runs(off[order], ln[order])
+    return uo, ul
+
+
+def test_union_merges_overlaps_and_adjacency():
+    uo, ul = union(arr(0, 10, 5, 30), arr(10, 5, 10, 5))
+    assert uo.tolist() == [0, 30]
+    assert ul.tolist() == [15, 5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40)), min_size=1, max_size=30)
+)
+def test_union_runs_property(spec):
+    off = np.array([o for o, _ in spec], dtype=np.int64)
+    ln = np.array([l for _, l in spec], dtype=np.int64)
+    uo, ul = union(off, ln)
+    covered = set()
+    for o, l in zip(off.tolist(), ln.tolist()):
+        covered.update(range(o, o + l))
+    union_set = set()
+    for o, l in zip(uo.tolist(), ul.tolist()):
+        union_set.update(range(o, o + l))
+    assert union_set == covered
+    # Maximal: strictly separated intervals.
+    assert (uo[1:] > uo[:-1] + ul[:-1]).all() if len(uo) > 1 else True
+
+
+# ---------------------------------------------------------------------------
+# expand_runs
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 500), st.integers(0, 25)),
+             min_size=0, max_size=25)
+)
+def test_expand_runs_equals_per_run_arange(spec):
+    """Any run list — unsorted, overlapping, zero-length runs included."""
+    off = np.array([o for o, _ in spec], dtype=np.int64)
+    ln = np.array([l for _, l in spec], dtype=np.int64)
+    got = expand_runs(off, ln)
+    expected = np.concatenate(
+        [np.arange(o, o + l, dtype=np.int64) for o, l in spec]
+        + [np.empty(0, dtype=np.int64)]
+    )
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +221,17 @@ def test_coalesce_extract_roundtrip_property(spec, gap):
     st.sampled_from([0, 8, 1 << 20]),
 )
 def test_positions_gather_roundtrip_property(raw_pos, width, gap):
-    """coalesce_positions + gather_elements == per-element direct reads."""
+    """coalesce + extract over uniform-width runs == per-element direct
+    reads."""
     data = _file_bytes()
-    pos = np.sort(np.array(raw_pos, dtype=np.int64)) * width
-    coff, clen, owner = coalesce_positions(pos, width, gap=gap)
+    pos, ln = positions(np.sort(np.array(raw_pos, dtype=np.int64)) * width,
+                        width)
+    coff, clen, owner = coalesce_runs(pos, ln, gap=gap)
     blob = (
         np.concatenate([data[o : o + l] for o, l in zip(coff, clen)])
         if len(coff) else np.empty(0, dtype=np.uint8)
     )
-    got = gather_elements(blob, coff, clen, pos, width, owner)
+    got = extract_runs(blob, coff, clen, pos, ln, owner)
     expected = (
         np.concatenate([data[p : p + width] for p in pos])
         if len(pos) else np.empty(0, dtype=np.uint8)
@@ -177,13 +239,36 @@ def test_positions_gather_roundtrip_property(raw_pos, width, gap):
     np.testing.assert_array_equal(got, expected)
 
 
-def test_gather_elements_with_bridged_holes():
+def test_extract_elements_with_bridged_holes():
     data = _file_bytes()
-    pos = arr(0, 24, 32)  # hole of 16 bytes between first and second
-    coff, clen, owner = coalesce_positions(pos, 8, gap=16)
+    # hole of 16 bytes between first and second
+    pos, ln = positions(arr(0, 24, 32), 8)
+    coff, clen, owner = coalesce_runs(pos, ln, gap=16)
     assert len(coff) == 1  # everything bridged
     blob = data[: int(clen[0])]
-    got = gather_elements(blob, coff, clen, pos, 8, owner)
+    got = extract_runs(blob, coff, clen, pos, ln, owner)
     np.testing.assert_array_equal(
         got, np.concatenate([data[0:8], data[24:32], data[32:40]])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 60), st.integers(1, 25)),
+             min_size=2, max_size=25)
+)
+def test_extract_after_coalesce_roundtrips_through_bridged_holes(spec):
+    """Bridging every hole reads one covering run whose discarded bytes
+    are exactly the holes; extraction still returns the requested bytes."""
+    data = _file_bytes()
+    holes = arr(*[h for h, _ in spec])
+    ln = arr(*[l for _, l in spec])
+    off = np.cumsum(holes + ln) - ln
+    coff, clen, owner = coalesce_runs(off, ln, gap=int(holes.max()))
+    assert len(coff) == 1 and not owner.any()
+    assert int(clen[0]) - int(ln.sum()) == int(holes[1:].sum())
+    blob = data[int(coff[0]) : int(coff[0] + clen[0])]
+    np.testing.assert_array_equal(
+        extract_runs(blob, coff, clen, off, ln, owner),
+        data[expand_runs(off, ln)],
     )

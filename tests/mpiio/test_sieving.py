@@ -101,6 +101,10 @@ def test_vectorized_groups_match_reference_property(spec, gap, buf):
 # independent read/write paths
 # ---------------------------------------------------------------------------
 
+def machine_hints(fs):
+    return Hints.from_machine(fs.machine)
+
+
 def run_one(fn, machine=None):
     sim = Simulator()
     fs = FileSystem(sim, machine or fast_test())
@@ -118,7 +122,8 @@ def test_rmw_preserves_hole_bytes():
         # Write runs at 0..8 and 16..24, leaving 8..16 as a hole.
         off = np.array([0, 16], dtype=np.int64)
         ln = np.array([8, 8], dtype=np.int64)
-        independent_write(fs, proc, h, off, ln, np.full(16, 1, dtype=np.uint8))
+        independent_write(fs, proc, h, off, ln,
+                          np.full(16, 1, dtype=np.uint8), machine_hints(fs))
         return fs.read(proc, h, [0], [24])
 
     result, _ = run_one(fn)
@@ -133,7 +138,8 @@ def test_wronly_fallback_writes_per_run():
         off = np.array([0, 100, 200], dtype=np.int64)
         ln = np.array([4, 4, 4], dtype=np.int64)
         n0 = fs.n_requests
-        independent_write(fs, proc, h, off, ln, np.arange(12, dtype=np.uint8))
+        independent_write(fs, proc, h, off, ln,
+                          np.arange(12, dtype=np.uint8), machine_hints(fs))
         return fs.n_requests - n0
 
     n_requests, fs = run_one(fn)
@@ -149,7 +155,7 @@ def test_sieved_read_gathers_run_order():
         fs.write_at(proc, h, 0, np.arange(64, dtype=np.uint8))
         off = np.array([8, 32, 40], dtype=np.int64)
         ln = np.array([4, 4, 4], dtype=np.int64)
-        return independent_read(fs, proc, h, off, ln)
+        return independent_read(fs, proc, h, off, ln, machine_hints(fs))
 
     result, _ = run_one(fn)
     np.testing.assert_array_equal(
@@ -167,7 +173,7 @@ def test_sieving_issues_fewer_requests_than_runs():
         off = (np.arange(50, dtype=np.int64) * 16)
         ln = np.full(50, 8, dtype=np.int64)
         n0 = fs.n_requests
-        independent_read(fs, proc, h, off, ln)
+        independent_read(fs, proc, h, off, ln, machine_hints(fs))
         return fs.n_requests - n0
 
     n_requests, _ = run_one(fn, machine=origin2000())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.mpiio.twophase import (
     file_domain_bounds,
     split_runs_by_bounds,
-    union_runs,
 )
 from repro.pfs.scheduler import size_batches
 
@@ -103,42 +102,6 @@ def test_split_conserves_bytes_and_order_property(spec, naggs):
         split_bytes.update(range(o, o + l))
     assert split_bytes == orig_bytes
     assert (all_off[1:] >= all_off[:-1] + all_len[:-1]).all()
-
-
-# ---------------------------------------------------------------------------
-# union_runs
-# ---------------------------------------------------------------------------
-
-def test_union_merges_overlaps_and_adjacency():
-    off = np.array([0, 10, 5, 30], dtype=np.int64)
-    ln = np.array([10, 5, 10, 5], dtype=np.int64)
-    uo, ul = union_runs(off, ln)
-    assert uo.tolist() == [0, 30]
-    assert ul.tolist() == [15, 5]
-
-
-def test_union_of_empty():
-    uo, ul = union_runs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    assert len(uo) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40)), min_size=1, max_size=30)
-)
-def test_union_runs_property(spec):
-    off = np.array([o for o, _ in spec], dtype=np.int64)
-    ln = np.array([l for _, l in spec], dtype=np.int64)
-    uo, ul = union_runs(off, ln)
-    covered = set()
-    for o, l in zip(off.tolist(), ln.tolist()):
-        covered.update(range(o, o + l))
-    union_set = set()
-    for o, l in zip(uo.tolist(), ul.tolist()):
-        union_set.update(range(o, o + l))
-    assert union_set == covered
-    # Maximal: strictly separated intervals.
-    assert (uo[1:] > uo[:-1] + ul[:-1]).all() if len(uo) > 1 else True
 
 
 # ---------------------------------------------------------------------------
