@@ -6,21 +6,29 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 FAULT_SEED ?= 0
 export FAULT_SEED
 
-.PHONY: test test-metadb test-iostack test-datapath test-maintenance \
+.PHONY: test test-simt test-metadb test-iostack test-datapath test-maintenance \
     test-mvcc test-policy test-faults lint verify-collectives \
     bench bench-metadb bench-datapath bench-maintenance bench-policy \
     bench-e2e bench-e2e-compare perfcheck
 
-## tier-1 verify: static SPMD lint first (cheapest signal), the metadb
-## subset next, then everything else, then the property harnesses again
-## under the runtime collective sanitizer, then the crash-recovery tier
-test: lint test-metadb
-	$(PYTHON) -m pytest -x -q --ignore=tests/metadb \
+## tier-1 verify: static SPMD lint first (cheapest signal), the simt
+## kernel every simulated job stands on, the metadb subset next, then
+## everything else, then the property harnesses again under the runtime
+## collective sanitizer, then the crash-recovery tier
+test: lint test-simt test-metadb
+	$(PYTHON) -m pytest -x -q --ignore=tests/simt \
+	    --ignore=tests/core/test_job_determinism.py --ignore=tests/metadb \
 	    --ignore=tests/properties/test_metadb_index_property.py \
 	    --ignore=tests/properties/test_sql_property.py \
 	    --ignore=tests/properties/test_fault_property.py
 	$(MAKE) verify-collectives
 	$(MAKE) test-faults
+
+## simt kernel: baton-passing contract on counts (handoffs per switch,
+## golden resume order, callback failures), primitives, fault points, and
+## the job-level run-twice determinism tests (seconds)
+test-simt:
+	$(PYTHON) -m pytest tests/simt tests/core/test_job_determinism.py -q
 
 ## crash tolerance: kernel fault injection, recovery-protocol unit
 ## tests, cross-job crash/restart scenarios, the crash-at-every-point

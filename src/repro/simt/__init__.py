@@ -5,8 +5,9 @@
 * :class:`~repro.simt.simulator.Simulator` — the event loop and virtual clock.
 * :class:`~repro.simt.process.Process` — a simulated process.  Each process is
   backed by a real OS thread, but the kernel enforces that **exactly one**
-  thread (a process or the scheduler) runs at any instant, so simulations are
-  deterministic and shared Python state needs no locking.
+  thread (a process, or the caller of ``run``) holds the baton and runs at any
+  instant, so simulations are deterministic and shared Python state needs no
+  locking.
 * :mod:`~repro.simt.primitives` — Signal (broadcast), SimEvent (one-shot
   future), Resource (FIFO semaphore), Channel (FIFO store with timed delivery).
 

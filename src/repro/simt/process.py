@@ -1,18 +1,29 @@
 """Simulated processes backed by OS threads.
 
-The kernel's central invariant: **at most one thread runs at a time** — either
-the scheduler (inside :meth:`Simulator.run`) or exactly one process thread.
-Control transfer is a pair of :class:`threading.Event` handshakes:
+The kernel's central invariant: **exactly one thread holds the baton** — the
+thread inside :meth:`Simulator.run` or one process thread — and only the
+holder runs; every other process thread is blocked on its own wake-up lock.
+There is no scheduler thread.  A process that parks (:meth:`Process._park`)
+or ends (:meth:`Process._bootstrap`) dispatches the next event itself, on its
+own thread (:meth:`Simulator._dispatch`): callbacks run right there, and
 
-* scheduler → process: the scheduler sets ``proc._resume`` and then blocks on
-  the simulator's ``_sched_wake`` event;
-* process → scheduler: the process sets ``_sched_wake`` and blocks on its own
-  ``_resume`` (:meth:`Process._park`).
+* if the next resume is the parking process's own, it returns without any
+  thread switch;
+* otherwise it releases the target's wake-up and blocks on its own — a
+  single handoff, process → process;
+* for a terminal condition (a crash, nothing left to run, ``until``) the
+  target is the thread inside :meth:`Simulator.run`, which alone decides how
+  a simulation ends.
+
+A wake-up is a raw :class:`threading.Lock` used as a binary semaphore
+(:func:`new_wakeup`): ``acquire`` waits, ``release`` wakes.  It is released
+only by the baton holder, once, as it gives the baton up, so a release can
+never meet an already-released lock.
 
 Because of this invariant, simulation code can freely mutate shared Python
 objects (mailboxes, database tables, file-system state) without locks, and
-runs are fully deterministic: ties in the event queue are broken by insertion
-sequence number.
+runs are fully deterministic: the event queue alone orders the run (ties are
+broken by insertion sequence number), never the thread that happens to pop it.
 """
 
 from __future__ import annotations
@@ -24,6 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simt.simulator import Simulator
 
 __all__ = ["Process", "Killed", "Crashed"]
+
+
+def new_wakeup() -> "threading.Lock":
+    """A binary semaphore with no wake-up pending: the owner waits with
+    ``acquire()``, the baton holder wakes it with ``release()``."""
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
 
 
 class Killed(BaseException):
@@ -93,7 +112,7 @@ class Process:
         self.crash_point: Optional[str] = None
         self.wait_reason: str = "start"
         self._wake_value: Any = None
-        self._resume = threading.Event()
+        self._wake = new_wakeup()
         self._thread = threading.Thread(
             target=self._bootstrap,
             args=(fn, args, kwargs),
@@ -119,7 +138,9 @@ class Process:
         if dt < 0:
             raise ValueError(f"cannot hold for negative time: {dt!r}")
         self.sim.schedule_resume(self, delay=dt)
-        self._park(reason=f"hold({dt:.3g})")
+        # A holding process always has its resume queued, so this reason
+        # can never reach a deadlock report: not worth formatting ``dt``.
+        self._park(reason="hold")
 
     def park(self, reason: str = "wait") -> Any:
         """Block until some other actor resumes this process.
@@ -151,10 +172,9 @@ class Process:
     def _bootstrap(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> None:
         """Thread body: wait for the first resume, run ``fn``, sign off."""
         try:
-            # Initial handshake: control is NOT with this thread yet, so wait
-            # for the scheduler without signalling it.
-            self._resume.wait()
-            self._resume.clear()
+            # The baton is NOT with this thread yet: wait for the first
+            # resume without dispatching.
+            self._wake.acquire()
             self.started = True
             if self.sim._aborting:
                 raise Killed()
@@ -170,28 +190,40 @@ class Process:
             self.error = exc
         finally:
             self.alive = False
-            self.sim._on_process_exit(self)
-            # Hand control back for the last time; this thread then dies.
-            self.sim._signal_scheduler()
+            sim = self.sim
+            sim._on_process_exit(self)
+            # Pass the baton for the last time; this thread then dies.
+            # Killed by _drain: straight back to main, which is reaping.
+            # Otherwise dispatch onward like any parking process.
+            sim._handoff(None if sim._aborting else sim._dispatch())
 
     def _park(self, reason: str) -> Any:
-        """Yield control to the scheduler and block until resumed."""
+        """Dispatch the next event; block unless it is this process's own
+        resume."""
         if self._thread is not threading.current_thread():
             raise RuntimeError(
                 f"process {self.name!r} parked from foreign thread "
                 f"{threading.current_thread().name!r}"
             )
-        if self.sim._aborting:
+        sim = self.sim
+        if sim._in_callback:
+            # On this process's own thread, but as the dispatcher: a
+            # callback must not block whichever thread it happens to run on.
+            raise RuntimeError(
+                f"process {self.name!r} parked from inside a callback"
+            )
+        if sim._aborting:
             raise Killed()
         if self.crashed:
             # Crash-unwinding code (``finally`` cleanup) must not block,
             # hold, or rendezvous: the dead process is gone.
             raise Crashed(f"crashed process {self.name!r} cannot park")
         self.wait_reason = reason
-        self.sim._signal_scheduler()
-        self._resume.wait()
-        self._resume.clear()
-        if self.sim._aborting:
-            raise Killed()
+        target = sim._dispatch()
+        if target is not self:
+            sim._handoff(target)
+            self._wake.acquire()
+            if sim._aborting:
+                raise Killed()
         value, self._wake_value = self._wake_value, None
         return value

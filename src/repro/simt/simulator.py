@@ -7,9 +7,27 @@ deterministic.  Two event kinds exist:
 
 * ``resume`` — transfer control to a parked :class:`Process` (optionally
   passing it a wake value);
-* ``call`` — run a plain callback on the scheduler thread.  Callbacks must
-  not block; they are used for timed actions that do not belong to any
-  process, such as a message arriving in a mailbox.
+* ``call`` — run a plain callback.  Callbacks must not block; they are used
+  for timed actions that do not belong to any process, such as a message
+  arriving in a mailbox.
+
+There is no scheduler thread.  **Exactly one thread holds the baton** — the
+thread inside :meth:`Simulator.run` (called *main* below) or one process
+thread — and only the holder touches the queue, the clock, or any simulation
+state.  A holder that is about to block runs :meth:`Simulator._dispatch`
+itself: it pops events in ``(time, seq)`` order, **runs callbacks on its own
+thread**, and stops at the next resume of a live process.  If that process is
+the holder, it simply carries on (no thread switch at all); otherwise it
+releases the target's wake-up lock and blocks on its own — one cross-thread
+handoff per switch, counted in :attr:`Simulator.handoffs`.  Which thread pops
+an event never influences which event is popped, so event order is that of
+the heap alone.
+
+**Terminal decisions are main's.**  The dispatcher consumes nothing and hands
+the baton to main when a process has raised, a callback has raised, the queue
+is empty, only daemon events remain, or the queue head lies past ``until``;
+:meth:`Simulator.run` then drains the remaining threads and reports (crash,
+deadlock, participant lost, pause, or normal end) from the caller's thread.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ from repro.errors import (
     SimParticipantLost,
     SimProcessCrashed,
 )
-from repro.simt.process import Crashed, Process
+from repro.simt.process import Crashed, Process, new_wakeup
 from repro.simt.trace import Trace
 
 __all__ = ["Simulator", "FaultPlan"]
@@ -106,17 +124,22 @@ class Simulator:
         self.fault_log: List[Tuple[str, str, int]] = []
         """Every fault-point hit seen while a plan was installed:
         ``(process name, point, nth hit of that pair)``."""
+        self.handoffs = 0
+        """Cross-thread wake-ups issued so far: one per switch between two
+        different threads, none when a process's own resume is next."""
         self._fault_hits: dict = {}
         self._queue: List[Tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         self._procs: List[Process] = []
-        self._running: Optional[Process] = None
+        self._live = 0
+        """Alive non-daemon processes."""
+        self._until: Optional[float] = None
         self._aborting = False
         self._crashed: Optional[Process] = None
+        self._callback_error: Optional[BaseException] = None
+        self._in_callback = False
         self._finished = False
-        import threading
-
-        self._sched_wake = threading.Event()
+        self._main_wake = new_wakeup()
 
     # ------------------------------------------------------------------
     # Spawning and scheduling
@@ -142,6 +165,8 @@ class Simulator:
             name = f"proc{len(self._procs)}"
         proc = Process(self, fn, args, kwargs, name=name, daemon=daemon)
         self._procs.append(proc)
+        if not daemon:
+            self._live += 1
         proc._thread.start()
         self.schedule_resume(proc, delay=delay)
         return proc
@@ -157,16 +182,19 @@ class Simulator:
         self._push(self.now + delay, _RESUME, proc, value)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` on the scheduler thread at absolute time ``t``.
+        """Run ``fn()`` at absolute time ``t``, on whichever thread holds
+        the baton then.
 
-        ``fn`` must not block; it may schedule further events.
+        ``fn`` must not block; it may schedule further events.  If it
+        raises, the simulation is torn down and :meth:`run` re-raises the
+        exception.
         """
         if t < self.now:
             raise ValueError(f"call_at into the past: {t!r} < now={self.now!r}")
         self._push(t, _CALL, fn, None)
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` on the scheduler thread ``delay`` seconds from now."""
+        """Run ``fn()`` ``delay`` seconds from now (see :meth:`call_at`)."""
         self.call_at(self.now + delay, fn)
 
     def _push(self, t: float, kind: int, payload: Any, value: Any) -> None:
@@ -183,80 +211,115 @@ class Simulator:
         Returns the final virtual time.  Raises
         :class:`~repro.errors.SimProcessCrashed` if any process raised, and
         :class:`~repro.errors.SimDeadlockError` if live processes remain but
-        no event can ever wake them.
+        no event can ever wake them; re-raises, as it is, whatever a
+        ``call_at`` callback raised.
         """
         if self._finished:
             raise SimError("simulation already finished")
-        while True:
-            if self._crashed is not None:
-                self._drain()
-                crashed = self._crashed
-                self._finished = True
-                raise SimProcessCrashed(
-                    f"process {crashed.name!r} raised "
-                    f"{type(crashed.error).__name__}: {crashed.error}"
-                ) from crashed.error
+        self._until = until
+        proc = self._dispatch()
+        if proc is not None:
+            # The baton now travels from process to process; it only
+            # comes back here for a terminal condition.
+            self._handoff(proc)
+            self._main_wake.acquire()
+        # Which terminal condition, in order of precedence.  _dispatch
+        # consumed nothing on its account, so the queue is as it found it.
+        if self._callback_error is not None:
+            self._drain()
+            raise self._callback_error
+        if self._crashed is not None:
+            self._drain()
+            crashed = self._crashed
+            raise SimProcessCrashed(
+                f"process {crashed.name!r} raised "
+                f"{type(crashed.error).__name__}: {crashed.error}"
+            ) from crashed.error
+        if not self._queue:
             live = [p for p in self._procs if p.alive and not p.daemon]
-            if not self._queue:
-                if live:
-                    report = ", ".join(f"{p.name}[{p.wait_reason}]" for p in live)
-                    # Reporters read live state (e.g. the verifier's
-                    # pending-op map) — consult them before _drain kills
-                    # the blocked processes.
-                    extra = ""
-                    for reporter in self.deadlock_reporters:
-                        try:
-                            extra += "\n  " + reporter()
-                        except Exception:  # pragma: no cover - diagnostics
-                            pass
-                    crashed = [p for p in self._procs if p.crashed]
-                    self._drain()
-                    self._finished = True
-                    if crashed:
-                        # Not a deadlock of the survivors' own making:
-                        # they are rendezvousing with fault-killed peers.
-                        # Attribute the stall so the sanitizer's report
-                        # reads as "participant lost", not "hung".
-                        dead = ", ".join(
-                            f"{p.name}[{p.crash_point}]" for p in crashed
-                        )
-                        raise SimParticipantLost(
-                            f"{len(crashed)} process(es) lost to injected "
-                            f"faults ({dead}); {len(live)} surviving "
-                            f"process(es) blocked on them: {report}{extra}"
-                        )
-                    raise SimDeadlockError(
-                        f"no events pending but {len(live)} process(es) "
-                        f"blocked: {report}{extra}"
+            if live:
+                report = ", ".join(f"{p.name}[{p.wait_reason}]" for p in live)
+                # Reporters read live state (e.g. the verifier's
+                # pending-op map) — consult them before _drain kills
+                # the blocked processes.
+                extra = ""
+                for reporter in self.deadlock_reporters:
+                    try:
+                        extra += "\n  " + reporter()
+                    except Exception:  # pragma: no cover - diagnostics
+                        pass
+                crashed = [p for p in self._procs if p.crashed]
+                self._drain()
+                if crashed:
+                    # Not a deadlock of the survivors' own making:
+                    # they are rendezvousing with fault-killed peers.
+                    # Attribute the stall so the sanitizer's report
+                    # reads as "participant lost", not "hung".
+                    dead = ", ".join(
+                        f"{p.name}[{p.crash_point}]" for p in crashed
                     )
-                break
-            if not live and all(
-                not (p.alive and not p.daemon) for p in self._procs
-            ) and self._only_daemon_events():
-                # All real work done; don't let daemons spin forever.
-                break
-            t, _seq, kind, payload, value = heapq.heappop(self._queue)
-            if until is not None and t > until:
-                # Leave the event for a later run() call.
-                self._push(t, kind, payload, value)
-                self.now = until
-                return self.now
-            self.now = max(self.now, t)
-            if kind == _CALL:
-                payload()
-                continue
-            proc: Process = payload
-            if not proc.alive:
-                continue
-            proc._wake_value = value
-            self._running = proc
-            proc._resume.set()
-            self._sched_wake.wait()
-            self._sched_wake.clear()
-            self._running = None
+                    raise SimParticipantLost(
+                        f"{len(crashed)} process(es) lost to injected "
+                        f"faults ({dead}); {len(live)} surviving "
+                        f"process(es) blocked on them: {report}{extra}"
+                    )
+                raise SimDeadlockError(
+                    f"no events pending but {len(live)} process(es) "
+                    f"blocked: {report}{extra}"
+                )
+        elif self._live or not self._only_daemon_events():
+            # The queue head is past ``until``: it stays queued, under
+            # its own sequence number, for a later run() call.
+            self.now = until
+            return self.now
         self._drain()
-        self._finished = True
         return self.now
+
+    def _dispatch(self) -> Optional[Process]:
+        """Advance the simulation on the calling thread, which holds the
+        baton and is about to block.
+
+        Pops events in ``(time, seq)`` order, running callbacks inline,
+        up to the next resume of a live process; delivers that resume's
+        wake value and returns the process.  The caller either *is* that
+        process and just carries on, or hands it the baton.  Returns
+        None, without consuming the queue head, when the next decision
+        belongs to the thread inside :meth:`run` (the terminal conditions
+        listed there).
+        """
+        if self._crashed is not None:
+            return None
+        queue = self._queue
+        until = self._until
+        while queue:
+            if not self._live and self._only_daemon_events():
+                # All real work done; don't let daemons spin forever.
+                return None
+            if until is not None and queue[0][0] > until:
+                return None
+            t, _seq, kind, payload, value = heapq.heappop(queue)
+            if t > self.now:
+                self.now = t
+            if kind == _CALL:
+                self._in_callback = True
+                try:
+                    payload()
+                except BaseException as exc:  # noqa: BLE001 - run() re-raises
+                    self._callback_error = exc
+                    return None
+                finally:
+                    self._in_callback = False
+            elif payload.alive:
+                payload._wake_value = value
+                return payload
+        return None
+
+    def _handoff(self, proc: Optional[Process]) -> None:
+        """Pass the baton to ``proc`` (None: the thread inside
+        :meth:`run`).  The caller must touch no simulation state
+        afterwards: it blocks on its own wake-up, or its thread ends."""
+        self.handoffs += 1
+        (self._main_wake if proc is None else proc._wake).release()
 
     def _only_daemon_events(self) -> bool:
         """True if every queued resume targets a daemon process."""
@@ -268,23 +331,23 @@ class Simulator:
         return True
 
     def _drain(self) -> None:
-        """Kill all still-alive processes so their threads exit cleanly."""
+        """End the simulation: kill all still-alive processes so their
+        threads exit cleanly."""
         self._aborting = True
         for proc in self._procs:
             while proc.alive:
-                proc._resume.set()
-                self._sched_wake.wait()
-                self._sched_wake.clear()
+                self._handoff(proc)
+                self._main_wake.acquire()
         self._queue.clear()
+        self._finished = True
 
     # ------------------------------------------------------------------
     # Kernel internals (called from process threads)
     # ------------------------------------------------------------------
 
-    def _signal_scheduler(self) -> None:
-        self._sched_wake.set()
-
     def _on_process_exit(self, proc: Process) -> None:
+        if not proc.daemon:
+            self._live -= 1
         if proc.error is not None and not self._aborting:
             self._crashed = proc
 

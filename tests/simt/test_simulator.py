@@ -176,6 +176,30 @@ def test_run_until_pauses_and_resumes():
     assert p.result == "done"
 
 
+def test_run_until_keeps_the_order_of_tied_events():
+    """The event past ``until`` stays queued under its own sequence
+    number: pausing must not reorder it behind its ties."""
+
+    def one_run(pauses):
+        order = []
+
+        def fn(proc):
+            proc.hold(5.0)
+            order.append(proc.name)
+
+        sim = Simulator()
+        sim.spawn(fn, name="a")
+        sim.spawn(fn, name="b")
+        for until in pauses:
+            assert sim.run(until=until) == until
+        assert sim.run() == 5.0
+        return order
+
+    assert one_run(()) == ["a", "b"]
+    assert one_run((2.0,)) == ["a", "b"]
+    assert one_run((1.0, 2.0, 4.5)) == ["a", "b"]
+
+
 def test_run_after_finish_is_an_error():
     sim = Simulator()
     sim.spawn(lambda proc: None)
