@@ -60,7 +60,9 @@ verify-collectives:
 test-mvcc:
 	$(PYTHON) -m pytest tests/properties/test_mvcc_property.py -q
 
-## metadb engine/planner unit tests + the scan-equivalence property harness
+## metadb engine/planner unit tests (incl. the rowid / index-upkeep
+## contract on counts, tests/metadb/test_delete_contract.py) + the
+## scan-equivalence property harness
 test-metadb:
 	$(PYTHON) -m pytest tests/metadb tests/properties/test_metadb_index_property.py tests/properties/test_sql_property.py -q
 
@@ -88,9 +90,11 @@ test-policy:
 	$(PYTHON) -m pytest tests/core/test_policy.py tests/properties/test_datapath_property.py -q
 
 ## metadata query-path ablation (scan vs hash vs ordered vs composite,
-## parse vs statement cache); emits BENCH_metadb.json for cross-PR tracking
+## parse vs statement cache, per-DELETE / per-batch host time vs table
+## size); emits BENCH_metadb.json and holds it to its perfcheck guards
 bench-metadb:
 	METADB_BENCH_JSON=BENCH_metadb.json $(PYTHON) -m pytest benchmarks/bench_ablation_metadb.py --benchmark-only -q
+	$(PYTHON) benchmarks/perfcheck.py BENCH_metadb.json
 
 ## storage-order ablation (chunked vs canonical writes, reorganize cost,
 ## read price of each representation, coalesced-read gap + run counts);
@@ -110,8 +114,8 @@ bench-policy:
 ## benchmarks/perfcheck.py: fails if the cold chunked read exceeds 1.3x
 ## of canonical at 4-32 ranks, the chunked read's submitted run count
 ## regresses toward O(elements), index traffic or churned-file growth
-## leave their bounds, or an adaptive policy falls below its best static
-## setting
+## leave their bounds, an adaptive policy falls below its best static
+## setting, or a metadb DELETE / batch INSERT costs >4x more at 40x the rows
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 

@@ -1,9 +1,9 @@
 """Guard the committed ``BENCH_*.json`` files against regressions.
 
 ``make perfcheck`` (also run at the end of ``make bench``, and by
-``make bench-datapath`` / ``make bench-policy`` against the file each
-just regenerated) loads the committed benchmark matrices and fails if a
-named cell has crossed its bound.  The guards are the :data:`GUARDS`
+``make bench-metadb`` / ``make bench-datapath`` / ``make bench-policy``
+against the file each just regenerated) loads the committed benchmark
+matrices and fails if a named cell has crossed its bound.  The guards are the :data:`GUARDS`
 table — data, one row per invariant:
 
 ``(file, cell selector, quantifier, comparison, bound, what a failure
@@ -50,6 +50,14 @@ GUARDS = (
     ("BENCH_policy.json", "cases/planner|gap|maintenance/win_vs_default",
      "max", ">", 1.05,
      "self-tuning no longer beats the shipped defaults anywhere"),
+    # metadb index upkeep is per entry: 40x the rows may not cost 4x the
+    # host time (host-clock cells, so only their ratio is held).  A
+    # DELETE that rebuilds its table's indexes sits near 130x ...
+    ("BENCH_metadb.json", "scaling/delete_ratio", "each", "<=", 4,
+     "a DELETE's cost grows with the table again, not with the rows deleted"),
+    # ... and a batch INSERT that re-sorts whole ordered indexes near 23x.
+    ("BENCH_metadb.json", "scaling/batch16_ratio", "each", "<=", 4,
+     "a batch INSERT's cost grows with the table again, not with the batch"),
 )
 
 COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}

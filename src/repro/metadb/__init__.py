@@ -35,11 +35,13 @@ path:
    :meth:`~repro.metadb.engine.Database.query_dicts` share it, so a dict
    query costs a single parse (historically it parsed twice).  Batched
    ``execute_many`` INSERTs take a bulk-load path: rows are coerced
-   up front, appended once, and each ordered index ingests the batch
-   with one sort instead of a per-row ``insort``.
+   up front, appended once, and each ordered index sorts the batch and
+   merges it in as a block (one slice insert when it lands in one gap)
+   instead of a per-row ``insort``.
 2. **Conjunct planner** (``Database._index_candidates`` /
    ``Database._sorted_rowids``) — a WHERE tree is decomposed
-   (:func:`~repro.metadb.expr.conjuncts_of`) into its top-level AND of
+   (:func:`~repro.metadb.expr.conjuncts_of`, once per parsed statement:
+   the result is cached on the AST) into its top-level AND of
    equality (``col = v``) and range (``col < v``, ``col >= v``, BETWEEN,
    …) conjuncts, and the cheapest applicable access path wins:
 
@@ -76,8 +78,10 @@ path:
      key wrapping matches ORDER BY semantics exactly (NULL first
      ascending, insertion order among duplicates).
 
-   Both are maintained incrementally on INSERT and UPDATE; DELETE
-   compacts rowids and rebuilds.  :meth:`~repro.metadb.engine.Database.dump`
+   Both are maintained entry by entry on INSERT, UPDATE and DELETE:
+   rowids are stable (:class:`~repro.metadb.table.Table`), so a DELETE
+   removes the doomed rows' entries and touches nothing else.
+   :meth:`~repro.metadb.engine.Database.dump`
    persists the declarations (``{"kind", "columns"}`` per table) and
    :meth:`~repro.metadb.engine.Database.loads` rebuilds the structures
    from the restored rows, so a snapshot is self-contained — no

@@ -15,7 +15,8 @@ path as tables grow:
   (:meth:`Database.prepare`), so the parameterized statements SDM issues in
   loops (one per timestep, per rank, per dataset) parse once per process.
 * **Conjunct planner** — WHERE trees are decomposed into their top-level
-  AND of equality and range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`)
+  AND of equality and range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
+  once per parsed statement: the decomposition rides the cached AST)
   and the cheapest access path is chosen among a composite/single hash
   probe, an ordered-index slice, and the full scan; candidate rows are
   still verified against the complete WHERE, so results are
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineModel
 from repro.errors import MetaDBError, TableExists, TableNotFound
-from repro.metadb.expr import Expr, conjuncts_of
+from repro.metadb.expr import Conjuncts
 from repro.metadb.sqlparser import (
     CreateTable,
     Delete,
@@ -326,7 +327,7 @@ class Database:
             # Bulk-load fast path: coerce every row first (a bad row
             # rejects the whole batch before any state changes), append
             # the heap once, and let each index ingest the batch — one
-            # sort per ordered index instead of per-row insort.
+            # block merge per ordered index instead of per-row insort.
             table = self._table(stmt.table)
             coerced = []
             for params in param_rows:
@@ -466,9 +467,10 @@ class Database:
         return eq_vals, lowers, uppers
 
     def _index_candidates(
-        self, table: Table, where: Expr, params: Sequence[Any]
+        self, table: Table, cj: Conjuncts, params: Sequence[Any]
     ) -> Optional[List[int]]:
-        """Rowids worth checking against ``where``, or None to full-scan.
+        """Rowids worth checking against the WHERE that ``cj`` decomposes,
+        or None to full-scan.
 
         Access paths, cheapest estimated cost wins:
 
@@ -489,7 +491,6 @@ class Database:
         decided by the same ``Expr.eval`` as the slow path.
         """
         self._last_path = None
-        cj = conjuncts_of(where)
         if cj.empty:
             return None
         values = self._conjunct_values(cj, params)
@@ -558,12 +559,14 @@ class Database:
             self._last_path = "hash"
         return best
 
-    def _match_rowids(self, table: Table, where, params) -> List[int]:
+    def _match_rowids(self, table: Table, stmt, params) -> List[int]:
+        """Rowids of the rows ``stmt.where`` accepts, in insertion order."""
+        where = stmt.where
         if where is None:
-            return [i for i, _ in table.scan()]
+            return list(table.rows)
         cal = self.planner_calibration
         t0 = perf_counter() if cal is not None else 0.0
-        candidates = self._index_candidates(table, where, params)
+        candidates = self._index_candidates(table, stmt.conjuncts, params)
         if candidates is None:
             self.n_full_scans += 1
             examined = len(table.rows)
@@ -606,7 +609,7 @@ class Database:
         if len(directions) != 1:
             return None
         desc = directions.pop()
-        cj = conjuncts_of(stmt.where)
+        cj = stmt.conjuncts
         if not cj.complete:
             return None
         eq_cols = [c for c, _ in cj.eq]
@@ -664,7 +667,7 @@ class Database:
             return None
         if stmt.order_by or stmt.limit is not None:
             return None
-        cj = conjuncts_of(stmt.where)
+        cj = stmt.conjuncts
         if not cj.complete:
             return None
         eq_cols = [c for c, _ in cj.eq]
@@ -711,7 +714,7 @@ class Database:
                 self.n_sorted_probes += 1
                 rows = [table.rows[i] for i in rowids]
         if rows is None:
-            rowids = self._match_rowids(table, stmt.where, params)
+            rowids = self._match_rowids(table, stmt, params)
             rows = [table.rows[i] for i in rowids]
             if stmt.order_by:
                 # Sort by keys right-to-left for stable multi-key ordering;
@@ -750,7 +753,7 @@ class Database:
 
     def _update(self, stmt: Update, params: List[Any]) -> Tuple[list, int]:
         table = self._table(stmt.table)
-        rowids = self._match_rowids(table, stmt.where, params)
+        rowids = self._match_rowids(table, stmt, params)
         names = table.column_names
         positions = [(table.column_pos(c), c, e) for c, e in stmt.assignments]
         for i in rowids:
@@ -763,7 +766,7 @@ class Database:
 
     def _delete(self, stmt: Delete, params: List[Any]) -> Tuple[list, int]:
         table = self._table(stmt.table)
-        rowids = self._match_rowids(table, stmt.where, params)
+        rowids = self._match_rowids(table, stmt, params)
         return [], table.delete_rowids(rowids)
 
     # ------------------------------------------------------------------
@@ -784,7 +787,7 @@ class Database:
                 "columns": [(c.name, c.type.name) for c in table.columns],
                 "rows": [
                     [c.type.to_json(v) for c, v in zip(table.columns, row)]
-                    for row in table.rows
+                    for row in table.rows.values()
                 ],
                 "indexes": [
                     {"kind": index.kind, "columns": list(index.columns)}
@@ -802,12 +805,10 @@ class Database:
         for name, spec in doc["tables"].items():
             columns = [Column(n, type_by_name(t)) for n, t in spec["columns"]]
             table = Table(name, columns)
-            for row in spec["rows"]:
-                table.rows.append(
-                    tuple(
-                        c.type.from_json(v) for c, v in zip(columns, row)
-                    )
-                )
+            table.append_rows([
+                tuple(c.type.from_json(v) for c, v in zip(columns, row))
+                for row in spec["rows"]
+            ])
             # Pre-index-persistence dumps carry no "indexes" key; they
             # load fine and simply need re-declaration as before.
             for index in spec.get("indexes", ()):

@@ -395,7 +395,8 @@ class SDMTables:
     def _open_versions(self, table: str, rows, valid_from: int, proc) -> None:
         """Insert ``rows`` (payload column tuples) as open versions
         visible from ``valid_from`` — one statement either way: a lone
-        row keeps the per-row index insort, a batch sorts each index once."""
+        row keeps the per-row index insort, a batch is merged into each
+        index as one block."""
         stamped = [(*row, valid_from, OPEN_EPOCH) for row in rows]
         if len(stamped) == 1:
             self.db.execute(_OPEN_VERSION[table], stamped[0], proc=proc)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SQLSyntaxError
@@ -29,11 +30,13 @@ from repro.metadb.expr import (
     BoolOp,
     ColumnRef,
     Compare,
+    Conjuncts,
     Expr,
     IsNull,
     Literal,
     Not,
     Param,
+    conjuncts_of,
 )
 from repro.metadb.types import ColumnType, type_by_name
 
@@ -116,8 +119,20 @@ class Insert:
     values: Tuple[Expr, ...]
 
 
+class _Filtered:
+    """The statements that carry a WHERE (SELECT / UPDATE / DELETE)."""
+
+    @cached_property
+    def conjuncts(self) -> Conjuncts:
+        """The planner's decomposition of ``where``.  It depends on the
+        AST alone — not on parameters, tables or indexes — so it is worked
+        out once per parsed statement and lives and dies with it in the
+        ``prepare`` caches, shared by every database that runs the text."""
+        return conjuncts_of(self.where)
+
+
 @dataclass(frozen=True)
-class Select:
+class Select(_Filtered):
     table: str
     columns: Optional[Tuple[str, ...]]  # None means '*'
     aggregate: Optional[Tuple[str, Optional[str]]] = None  # (fn, col-or-None)
@@ -127,14 +142,14 @@ class Select:
 
 
 @dataclass(frozen=True)
-class Update:
+class Update(_Filtered):
     table: str
     assignments: Tuple[Tuple[str, Expr], ...]
     where: Optional[Expr] = None
 
 
 @dataclass(frozen=True)
-class Delete:
+class Delete(_Filtered):
     table: str
     where: Optional[Expr] = None
 

@@ -15,6 +15,17 @@ Ordered keys wrap every column value with :func:`_sort_key`, the exact
 key function the engine's ORDER BY uses (NULL sorts first ascending), so
 an index walk and a sort of scanned rows produce identical orderings —
 including rowid-ascending tie-breaks.
+
+Both kinds name rows by *rowid*, and a rowid is stable: a row keeps the
+one it was inserted under until it is deleted, and a freed rowid is never
+handed out again (the contract is on :class:`Table`).  Index upkeep
+therefore costs in proportion to the rows a statement changes, never to
+the table: INSERT adds one entry per index (a batch is merged in as a
+block), UPDATE moves one, DELETE removes one — each a ``bisect`` — and an
+entry that should be there and is not raises :class:`MetaDBError` naming
+the index, key and rowid instead of being papered over.  ``rebuild`` is
+what :meth:`Table.make_index` uses to index rows that already exist, and
+the reference the tests hold the maintained structures against.
 """
 
 from __future__ import annotations
@@ -56,6 +67,15 @@ def index_name(kind: str, columns: Sequence[str]) -> str:
     return f"{kind}({','.join(columns)})"
 
 
+def _missing_entry(index, key: Tuple[Any, ...], rowid: int) -> MetaDBError:
+    """The error for a row its index does not hold: the index is corrupt,
+    and the statement that found out must fail rather than mask it."""
+    return MetaDBError(
+        f"index {index.name} is corrupt: no entry for key {key!r}, "
+        f"rowid {rowid}"
+    )
+
+
 class HashIndex:
     """value-tuple → ascending rowids; equality probes on all columns."""
 
@@ -76,7 +96,7 @@ class HashIndex:
     def add(self, rowid: int, row: Row) -> None:
         self.buckets.setdefault(self.key_of(row), []).append(rowid)
 
-    def add_many(self, pairs: Sequence[Tuple[int, Row]]) -> None:
+    def add_many(self, pairs: Iterable[Tuple[int, Row]]) -> None:
         """Index a batch of appended ``(rowid, row)`` pairs.
 
         Rowids ascend (the pairs come from an append), so plain bucket
@@ -85,21 +105,31 @@ class HashIndex:
         for rowid, row in pairs:
             self.buckets.setdefault(self.key_of(row), []).append(rowid)
 
+    def _drop(self, key: Tuple[Any, ...], rowid: int) -> None:
+        bucket = self.buckets.get(key, ())
+        i = bisect_left(bucket, rowid)
+        if i == len(bucket) or bucket[i] != rowid:
+            raise _missing_entry(self, key, rowid)
+        del bucket[i]
+        if not bucket:
+            del self.buckets[key]
+
+    def remove(self, rowid: int, row: Row) -> None:
+        """Forget a deleted row: one bisect into its (ascending) bucket;
+        a bucket emptied by it is dropped."""
+        self._drop(self.key_of(row), rowid)
+
     def move(self, rowid: int, old: Row, new: Row) -> None:
         old_key, new_key = self.key_of(old), self.key_of(new)
         if old_key == new_key:
             return  # same dict key (1 == 1.0 hash together)
-        bucket = self.buckets.get(old_key)
-        if bucket is not None:
-            bucket.remove(rowid)
-            if not bucket:
-                del self.buckets[old_key]
+        self._drop(old_key, rowid)
         insort(self.buckets.setdefault(new_key, []), rowid)
 
-    def rebuild(self, rows: Sequence[Row]) -> None:
+    def rebuild(self, pairs: Iterable[Tuple[int, Row]]) -> None:
+        """Index ``(rowid, row)`` pairs from scratch (rowids ascending)."""
         self.buckets = {}
-        for i, row in enumerate(rows):
-            self.buckets.setdefault(self.key_of(row), []).append(i)
+        self.add_many(pairs)
 
     def probe(self, values: Tuple[Any, ...]) -> Optional[List[int]]:
         """Ascending rowids where every column equals its value; None when
@@ -135,29 +165,48 @@ class OrderedIndex:
     def add(self, rowid: int, row: Row) -> None:
         insort(self.entries, (self.key_of(row), rowid))
 
-    def add_many(self, pairs: Sequence[Tuple[int, Row]]) -> None:
-        """Index a batch of appended ``(rowid, row)`` pairs in one sort.
+    def add_many(self, pairs: Iterable[Tuple[int, Row]]) -> None:
+        """Index a batch of appended ``(rowid, row)`` pairs.
 
-        Per-row :meth:`add` pays an O(n) ``insort`` memmove per row; a
-        batch extends the array once and re-sorts.  Timsort is near-linear
-        on the mostly-sorted result, so a bulk INSERT stays linear in the
-        batch instead of quadratic — the ordered-index write cost of the
-        batched ``execute_many`` paths.
+        The batch is sorted on its own and merged into the window of
+        entries it spans — from where its smallest entry belongs to where
+        its largest does — so the cost follows the batch and that window,
+        not the index.  A batch that shares its leading key columns, like
+        one instance's chunk rows, spans an empty window (a plain slice
+        insert) or, when it re-versions an instance, that instance's
+        entries; only a batch scattered over the whole key range re-sorts
+        the whole array (Timsort is near-linear on the two sorted runs),
+        still one pass instead of an O(n) ``insort`` memmove per row.
         """
-        self.entries.extend((self.key_of(row), rowid) for rowid, row in pairs)
-        self.entries.sort()
+        batch = sorted((self.key_of(row), rowid) for rowid, row in pairs)
+        if not batch:
+            return
+        entries = self.entries
+        lo = bisect_left(entries, batch[0])
+        hi = bisect_left(entries, batch[-1], lo)
+        entries[lo:hi] = sorted(entries[lo:hi] + batch)
+
+    def _drop(self, key: Tuple[Any, ...], rowid: int) -> None:
+        entry = (key, rowid)
+        i = bisect_left(self.entries, entry)
+        if i == len(self.entries) or self.entries[i] != entry:
+            raise _missing_entry(self, key, rowid)
+        del self.entries[i]
+
+    def remove(self, rowid: int, row: Row) -> None:
+        """Forget a deleted row: one bisect to its ``(key, rowid)`` entry."""
+        self._drop(self.key_of(row), rowid)
 
     def move(self, rowid: int, old: Row, new: Row) -> None:
         old_key, new_key = self.key_of(old), self.key_of(new)
         if old_key == new_key:
             return
-        i = bisect_left(self.entries, (old_key, rowid))
-        if i < len(self.entries) and self.entries[i] == (old_key, rowid):
-            del self.entries[i]
+        self._drop(old_key, rowid)
         insort(self.entries, (new_key, rowid))
 
-    def rebuild(self, rows: Sequence[Row]) -> None:
-        self.entries = sorted((self.key_of(row), i) for i, row in enumerate(rows))
+    def rebuild(self, pairs: Iterable[Tuple[int, Row]]) -> None:
+        """Index ``(rowid, row)`` pairs from scratch."""
+        self.entries = sorted((self.key_of(row), rowid) for rowid, row in pairs)
 
     def slice_bounds(
         self,
@@ -221,12 +270,33 @@ class OrderedIndex:
 
 
 class Table:
-    """Heap of typed rows, append-ordered (insertion order is stable).
+    """Heap of typed rows under stable rowids, in insertion order.
+
+    ``rows`` maps rowid → row.  The rowid contract, which the indexes and
+    the engine's planner stand on:
+
+    * Rowids come from one monotone counter.  A row keeps its rowid until
+      it is deleted; a freed rowid is never reused (reuse would reorder
+      scans and :meth:`Database.dump`).  Hence ascending rowid =
+      insertion order = :meth:`scan` order, so un-ORDERed results are
+      scan-identical whichever index produced the candidates, and
+      sorting an index slice's rowids puts it back in insertion order.
+    * Every hash bucket lists its rowids ascending; ordered entries break
+      key ties by rowid.
+    * Rowids never leave the engine and are not persisted: ``dump()`` of
+      a table that lost rows is byte-identical to that of one that only
+      ever held the survivors, and ``loads`` numbers them densely again.
+    * ``len(table)`` counts live rows only, so what a full scan examines
+      (``n_rows_examined``) and what a statement is billed for
+      (``touched``) do not depend on how many rows were ever deleted.
+    * :meth:`insert` and :meth:`append_rows` are the only writers of new
+      rowids.
 
     A table may carry secondary indexes (:meth:`create_index`) of two
     kinds — ``hash`` (single or composite equality) and ``ordered``
-    (range / ORDER BY) — maintained on insert and in-place update;
-    deletion compacts rowids, so it rebuilds them.
+    (range / ORDER BY).  Each is maintained entry by entry on insert,
+    in-place update and delete, so a statement's upkeep is proportional
+    to the rows it changes, not to the rows the table holds.
     """
 
     def __init__(self, name: str, columns: Sequence[Column]) -> None:
@@ -238,7 +308,8 @@ class Table:
         self.name = name
         self.columns = list(columns)
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
-        self.rows: List[Row] = []
+        self.rows: Dict[int, Row] = {}
+        self._next_rowid = 0
         self.indexes: Dict[str, Any] = {}
         """Index name → :class:`HashIndex` | :class:`OrderedIndex`."""
 
@@ -289,8 +360,9 @@ class Table:
     ) -> Row:
         """Append a validated row; returns it."""
         row = self.coerce_row(values, columns)
-        rowid = len(self.rows)
-        self.rows.append(row)
+        rowid = self._next_rowid
+        self._next_rowid += 1
+        self.rows[rowid] = row
         for index in self.indexes.values():
             index.add(rowid, row)
         return row
@@ -301,18 +373,18 @@ class Table:
         The bulk-load half of :meth:`insert`: callers coerce every row
         first (so a bad row rejects the whole batch before any state
         changes), then the heap extends once and each index ingests the
-        batch through its ``add_many`` (one sort for ordered indexes
-        instead of per-row ``insort``).
+        batch through its ``add_many`` (ordered indexes merge it in as a
+        block instead of per-row ``insort``).
         """
-        start = len(self.rows)
-        self.rows.extend(rows)
-        pairs = list(enumerate(rows, start))
+        pairs = list(enumerate(rows, self._next_rowid))
+        self._next_rowid += len(pairs)
+        self.rows.update(pairs)
         for index in self.indexes.values():
             index.add_many(pairs)
 
     def scan(self) -> Iterable[Tuple[int, Row]]:
         """Iterate ``(rowid, row)`` pairs in insertion order."""
-        return enumerate(self.rows)
+        return self.rows.items()
 
     def replace_row(self, rowid: int, row: Row) -> None:
         """Overwrite one row in place, keeping indexes consistent."""
@@ -322,16 +394,16 @@ class Table:
             index.move(rowid, old, row)
 
     def delete_rowids(self, rowids: Iterable[int]) -> int:
-        """Remove rows by position; returns how many were removed."""
-        doomed = set(rowids)
-        if not doomed:
-            return 0
-        before = len(self.rows)
-        self.rows = [r for i, r in enumerate(self.rows) if i not in doomed]
-        # Compaction renumbers every surviving rowid: rebuild.
-        for index in self.indexes.values():
-            index.rebuild(self.rows)
-        return before - len(self.rows)
+        """Remove the rows under these (distinct, live) rowids and their
+        index entries; returns how many were removed.  The survivors keep
+        their rowids."""
+        removed = 0
+        for rowid in rowids:
+            row = self.rows.pop(rowid)
+            for index in self.indexes.values():
+                index.remove(rowid, row)
+            removed += 1
+        return removed
 
     # -- secondary indexes ------------------------------------------------
 
@@ -353,7 +425,7 @@ class Table:
             raise MetaDBError(
                 f"unknown index kind {kind!r} (expected one of {INDEX_KINDS})"
             )
-        index.rebuild(self.rows)
+        index.rebuild(self.scan())
         return index
 
     def create_index(self, columns, kind: str = "hash") -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from metadb_harness import check_index_integrity
 from repro.config import origin2000
 from repro.errors import MetaDBError, SQLTypeError
 from repro.metadb import Database, SDMTables
@@ -143,7 +144,7 @@ def test_order_by_limit_served_without_sort(db):
     assert (db.n_sorted_probes, db.n_index_probes, db.n_full_scans) == (1, 0, 0)
     # Whole-table ORDER BY (no WHERE) walks the index too.
     db.create_index("t", "c", kind="ordered")
-    expect_all = sorted(r[2] for r in db.tables["t"].rows)
+    expect_all = sorted(row[2] for _rowid, row in db.tables["t"].scan())
     assert [r[0] for r in db.execute("SELECT c FROM t ORDER BY c")] == expect_all
     assert db.n_sorted_probes == 2
 
@@ -181,24 +182,15 @@ def test_index_maintained_across_insert_update_delete(db):
     assert db.execute("SELECT COUNT(*) FROM t") == [(17,)]
 
 
-def _assert_indexes_match_rebuild(db, table_name="t"):
-    table = db.tables[table_name]
-    for index in table.indexes.values():
-        fresh = table.make_index(index.columns, index.kind)
-        if index.kind == "hash":
-            assert index.buckets == fresh.buckets
-        else:
-            assert index.entries == fresh.entries
-
-
 def test_delete_then_reinsert_keeps_indexes_consistent(db):
-    # Regression: deletion compacts rowids; a subsequent insert must land
-    # in the rebuilt structures, not stale pre-compaction buckets.
+    # Regression: deletion leaves the survivors' rowids alone and never
+    # hands a freed one out again; the re-inserted row gets a fresh rowid
+    # and must land beside them in the maintained (not rebuilt) structures.
     db.create_index("t", "a")
     db.create_index("t", ("a", "c"), kind="ordered")
     db.execute("DELETE FROM t WHERE a = ?", (2,))
     db.execute("INSERT INTO t VALUES (2, 'back', 50)")
-    _assert_indexes_match_rebuild(db)
+    check_index_integrity(db)
     assert db.execute("SELECT b, c FROM t WHERE a = 2") == [("back", 50)]
     assert db.execute(
         "SELECT c FROM t WHERE a = ? AND c >= ?", (2, 0)
@@ -211,7 +203,7 @@ def test_update_moves_row_between_buckets(db):
     db.create_index("t", "a")
     db.create_index("t", "c", kind="ordered")
     db.execute("UPDATE t SET a = ?, c = ? WHERE c = ?", (99, 1000, 7))
-    _assert_indexes_match_rebuild(db)
+    check_index_integrity(db)
     assert db.execute("SELECT c FROM t WHERE a = 99") == [(1000,)]
     assert db.execute("SELECT a FROM t WHERE a = 2 AND c = 7") == []
     assert db.execute("SELECT c FROM t WHERE c > ?", (900,)) == [(1000,)]
@@ -220,13 +212,13 @@ def test_update_moves_row_between_buckets(db):
 def test_update_to_null_key_and_back(db):
     db.create_index("t", "c", kind="ordered")
     db.execute("UPDATE t SET c = NULL WHERE a = ?", (1,))
-    _assert_indexes_match_rebuild(db)
+    check_index_integrity(db)
     assert db.execute("SELECT COUNT(*) FROM t WHERE c IS NULL") == [(4,)]
     assert db.execute("SELECT * FROM t WHERE c > ?", (-1000,)) == [
         r for r in db.execute("SELECT * FROM t") if r[2] is not None
     ]
     db.execute("UPDATE t SET c = ? WHERE c IS NULL", (0,))
-    _assert_indexes_match_rebuild(db)
+    check_index_integrity(db)
 
 
 # -- cost accounting (regression: rows *touched*, not rows returned) ----
@@ -298,7 +290,7 @@ def test_indexes_survive_dump_loads_roundtrip(db):
     db.create_index("t", ("a", "c"), kind="ordered")
     restored = Database.loads(db.dump())
     assert sorted(restored.tables["t"].indexes) == sorted(db.tables["t"].indexes)
-    _assert_indexes_match_rebuild(restored)
+    check_index_integrity(restored)
     expect = db.execute("SELECT * FROM t WHERE a = ? AND b = ?", (2, "s1"))
     assert restored.execute("SELECT * FROM t WHERE a = ? AND b = ?", (2, "s1")) == expect
     assert (restored.n_index_probes, restored.n_full_scans) == (1, 0)

@@ -1,0 +1,110 @@
+"""Shared pieces of the metadb scan-equivalence harnesses.
+
+One table shape — ``t (a INTEGER, b TEXT, c INTEGER)`` — the WHERE /
+ORDER BY / LIMIT templates generated queries are assembled from, the
+named index configurations they are run under, and the check that holds
+every maintained index to a from-scratch ``make_index`` rebuild.  Used by
+``tests/properties/test_metadb_index_property.py`` and
+``tests/metadb/test_delete_contract.py`` (``tests/`` is on ``sys.path``
+through its ``conftest.py``).
+"""
+
+from repro.metadb import Database
+
+# (WHERE template, parameter kinds).  Equality and range conjuncts over
+# indexed and unindexed columns, reversed operand order, BETWEEN sugar,
+# OR/NOT/IS NULL subtrees, parenthesized nesting, and contradictory
+# double-equality.
+TEMPLATES = [
+    (None, ()),
+    ("a = ?", ("int",)),
+    ("b = ?", ("txt",)),
+    ("? = a", ("int",)),
+    ("a = ? AND b = ?", ("int", "txt")),
+    ("a = ? AND b = ? AND c = ?", ("int", "txt", "int")),
+    ("a = ? AND c >= ?", ("int", "int")),
+    ("a = ? AND c > ? AND c <= ?", ("int", "int", "int")),
+    ("c BETWEEN ? AND ?", ("int", "int")),
+    ("c < ?", ("int",)),
+    ("? < c", ("int",)),
+    ("c >= ? AND c >= ?", ("int", "int")),
+    ("a = ? AND a = ?", ("int", "int")),
+    ("a = ? AND (b = ? OR c = ?)", ("int", "txt", "int")),
+    ("a = ? OR b = ?", ("int", "txt")),
+    ("NOT a = ?", ("int",)),
+    ("a = ? AND b IS NULL", ("int",)),
+    ("(a = ? AND b = ?) AND c != ?", ("int", "txt", "int")),
+]
+
+ORDER_BYS = [
+    "",
+    "ORDER BY a",
+    "ORDER BY c",
+    "ORDER BY c DESC",
+    "ORDER BY a, c",
+    "ORDER BY c DESC, a DESC",
+    "ORDER BY b, c",
+    "ORDER BY b DESC",
+]
+
+LIMITS = [None, 0, 1, 3]
+
+# Named index configurations; "scan" is the reference plan.
+INDEX_SETS = {
+    "hash": [("a", "hash"), ("b", "hash")],
+    "composite": [(("a", "b"), "hash"), (("a", "b", "c"), "hash")],
+    "ordered": [
+        (("c",), "ordered"),
+        (("a", "c"), "ordered"),
+        (("b",), "ordered"),
+    ],
+    "mixed": [
+        ("a", "hash"),
+        (("a", "b", "c"), "hash"),
+        (("c",), "ordered"),
+        (("a", "c"), "ordered"),
+        (("b", "c"), "ordered"),
+    ],
+}
+
+
+def build(rows, index_set=None):
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)")
+    for row in rows:
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+    if index_set is not None:
+        for columns, kind in INDEX_SETS[index_set]:
+            db.create_index("t", columns, kind)
+    return db
+
+
+def bind(kinds, ints, txt):
+    """Parameters for one template: its int slots take ``ints`` in
+    order, its txt slots ``txt``."""
+    it = iter(ints)
+    return tuple(next(it) if kind == "int" else txt for kind in kinds)
+
+
+def queries(ints, txt, order_bys=ORDER_BYS):
+    """``(sql, params)`` for every WHERE template: ``SELECT *`` under
+    each of ``order_bys``, plus the MIN/MAX aggregates an ordered index
+    may answer from its slice ends."""
+    for template, kinds in TEMPLATES:
+        params = bind(kinds, ints, txt)
+        where = f"WHERE {template} " if template else ""
+        for order_by in order_bys:
+            yield f"SELECT * FROM t {where}{order_by}", params
+        for fn in ("MIN", "MAX"):
+            yield f"SELECT {fn}(c) FROM t {where}", params
+
+
+def check_index_integrity(db):
+    """Every maintained index equals its from-scratch rebuild."""
+    table = db.tables["t"]
+    for index in table.indexes.values():
+        fresh = table.make_index(index.columns, index.kind)
+        if index.kind == "hash":
+            assert index.buckets == fresh.buckets
+        else:
+            assert index.entries == fresh.entries

@@ -7,7 +7,10 @@ NULL semantics) for every generated SELECT/ORDER BY/LIMIT combination,
 and end in identical states after every UPDATE/DELETE.  The indexed
 database's structures must also stay consistent with a from-scratch
 rebuild after each mutation, and must survive a ``dump()``/``loads()``
-persistence round-trip.
+persistence round-trip.  A second, stateful case interleaves INSERT,
+batched INSERT, UPDATE and DELETE and holds both properties after every
+step — index upkeep is per entry, so this is where a stale or missing
+entry would show.
 
 NULL keys and duplicate keys are generated on purpose: the value domains
 are tiny, so collisions and NULLs occur in most examples.
@@ -16,66 +19,20 @@ are tiny, so collisions and NULLs occur in most examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadb_harness import (
+    INDEX_SETS,
+    LIMITS,
+    ORDER_BYS,
+    TEMPLATES,
+    bind,
+    build,
+    check_index_integrity,
+    queries,
+)
 from repro.metadb import Database
 
 _INT = st.one_of(st.none(), st.integers(-5, 5))
 _TXT = st.sampled_from(["x", "y", "z", None])
-
-# (WHERE template, parameter kinds).  Equality and range conjuncts over
-# indexed and unindexed columns, reversed operand order, BETWEEN sugar,
-# OR/NOT/IS NULL subtrees, parenthesized nesting, and contradictory
-# double-equality.
-_TEMPLATES = [
-    (None, ()),
-    ("a = ?", ("int",)),
-    ("b = ?", ("txt",)),
-    ("? = a", ("int",)),
-    ("a = ? AND b = ?", ("int", "txt")),
-    ("a = ? AND b = ? AND c = ?", ("int", "txt", "int")),
-    ("a = ? AND c >= ?", ("int", "int")),
-    ("a = ? AND c > ? AND c <= ?", ("int", "int", "int")),
-    ("c BETWEEN ? AND ?", ("int", "int")),
-    ("c < ?", ("int",)),
-    ("? < c", ("int",)),
-    ("c >= ? AND c >= ?", ("int", "int")),
-    ("a = ? AND a = ?", ("int", "int")),
-    ("a = ? AND (b = ? OR c = ?)", ("int", "txt", "int")),
-    ("a = ? OR b = ?", ("int", "txt")),
-    ("NOT a = ?", ("int",)),
-    ("a = ? AND b IS NULL", ("int",)),
-    ("(a = ? AND b = ?) AND c != ?", ("int", "txt", "int")),
-]
-
-_ORDER_BYS = [
-    "",
-    "ORDER BY a",
-    "ORDER BY c",
-    "ORDER BY c DESC",
-    "ORDER BY a, c",
-    "ORDER BY c DESC, a DESC",
-    "ORDER BY b, c",
-    "ORDER BY b DESC",
-]
-
-_LIMITS = [None, 0, 1, 3]
-
-# Named index configurations; "scan" is the reference plan.
-_INDEX_SETS = {
-    "hash": [("a", "hash"), ("b", "hash")],
-    "composite": [(("a", "b"), "hash"), (("a", "b", "c"), "hash")],
-    "ordered": [
-        (("c",), "ordered"),
-        (("a", "c"), "ordered"),
-        (("b",), "ordered"),
-    ],
-    "mixed": [
-        ("a", "hash"),
-        (("a", "b", "c"), "hash"),
-        (("c",), "ordered"),
-        (("a", "c"), "ordered"),
-        (("b", "c"), "ordered"),
-    ],
-}
 
 
 @st.composite
@@ -83,43 +40,22 @@ def _case(draw):
     rows = draw(
         st.lists(st.tuples(_INT, _TXT, _INT), min_size=0, max_size=30)
     )
-    template, kinds = draw(st.sampled_from(_TEMPLATES))
+    template, kinds = draw(st.sampled_from(TEMPLATES))
     params = tuple(
         draw(_INT) if kind == "int" else draw(_TXT) for kind in kinds
     )
-    order_by = draw(st.sampled_from(_ORDER_BYS))
-    limit = draw(st.sampled_from(_LIMITS))
-    index_set = draw(st.sampled_from(sorted(_INDEX_SETS)))
+    order_by = draw(st.sampled_from(ORDER_BYS))
+    limit = draw(st.sampled_from(LIMITS))
+    index_set = draw(st.sampled_from(sorted(INDEX_SETS)))
     return rows, template, params, order_by, limit, index_set
-
-
-def _build(rows, index_set=None):
-    db = Database()
-    db.execute("CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)")
-    for row in rows:
-        db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
-    if index_set is not None:
-        for columns, kind in _INDEX_SETS[index_set]:
-            db.create_index("t", columns, kind)
-    return db
-
-
-def _check_index_integrity(db):
-    table = db.tables["t"]
-    for index in table.indexes.values():
-        fresh = table.make_index(index.columns, index.kind)
-        if index.kind == "hash":
-            assert index.buckets == fresh.buckets
-        else:
-            assert index.entries == fresh.entries
 
 
 @settings(max_examples=250, deadline=None)
 @given(_case())
 def test_every_index_plan_agrees_with_full_scan(case):
     rows, template, params, order_by, limit, index_set = case
-    plain = _build(rows)
-    fast = _build(rows, index_set)
+    plain = build(rows)
+    fast = build(rows, index_set)
 
     where = f"WHERE {template} " if template else ""
     tail = f"{where}{order_by}"
@@ -141,7 +77,7 @@ def test_every_index_plan_agrees_with_full_scan(case):
     # Persistence round-trips the declarations and the row contents.
     restored = Database.loads(fast.dump())
     assert restored.tables["t"].indexes.keys() == fast.tables["t"].indexes.keys()
-    _check_index_integrity(restored)
+    check_index_integrity(restored)
     assert restored.execute(select, params) == plain.execute(select, params)
 
     # Mutations leave every engine in the same state, and the incremental
@@ -150,26 +86,75 @@ def test_every_index_plan_agrees_with_full_scan(case):
         update = f"UPDATE t SET a = ? {where}"
         fast.execute(update, (3,) + params)
         plain.execute(update, (3,) + params)
-        _check_index_integrity(fast)
+        check_index_integrity(fast)
         assert fast.execute("SELECT * FROM t") == plain.execute("SELECT * FROM t")
 
         delete = f"DELETE FROM t {where}"
         fast.execute(delete, params)
         plain.execute(delete, params)
-        _check_index_integrity(fast)
+        check_index_integrity(fast)
         assert fast.execute("SELECT * FROM t") == plain.execute("SELECT * FROM t")
 
-    # Delete-then-reinsert: compaction renumbered rowids; new rows must
-    # land in the rebuilt structures.
+    # Delete-then-reinsert: survivors keep their rowids and the new rows
+    # get fresh ones; the maintained structures must take both.
     fast.execute("DELETE FROM t WHERE a = ?", (3,))
     plain.execute("DELETE FROM t WHERE a = ?", (3,))
     for row in [(3, "x", 0), (None, None, None), (3, "x", 0)]:
         fast.execute("INSERT INTO t VALUES (?, ?, ?)", row)
         plain.execute("INSERT INTO t VALUES (?, ?, ?)", row)
-    _check_index_integrity(fast)
+    check_index_integrity(fast)
     probe = "SELECT * FROM t WHERE a = ? AND b = ?"
     for needle in (3, 0, None):
         args = (needle, "x")
         assert fast.execute(probe, args) == plain.execute(probe, args)
     ordered = "SELECT * FROM t ORDER BY c DESC, a DESC LIMIT 4"
     assert fast.execute(ordered) == plain.execute(ordered)
+
+
+# -- stateful: interleaved mutations --------------------------------------
+
+_ROW = st.tuples(_INT, _TXT, _INT)
+
+
+@st.composite
+def _mutation(draw):
+    kind = draw(st.sampled_from(["insert", "insert_many", "update", "delete"]))
+    if kind == "insert":
+        return kind, draw(_ROW)
+    if kind == "insert_many":
+        return kind, draw(st.lists(_ROW, min_size=0, max_size=6))
+    # The unfiltered template would empty (or flatten) the table at once.
+    template, kinds = draw(st.sampled_from(TEMPLATES[1:]))
+    params = bind(kinds, draw(st.tuples(_INT, _INT, _INT)), draw(_TXT))
+    if kind == "update":
+        column = draw(st.sampled_from("ac"))
+        return kind, (f"UPDATE t SET {column} = ? WHERE {template}",
+                      (draw(_INT),) + params)
+    return kind, (f"DELETE FROM t WHERE {template}", params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_ROW, max_size=12),
+    st.sampled_from(sorted(INDEX_SETS)),
+    st.lists(_mutation(), min_size=1, max_size=10),
+    st.tuples(_INT, _INT, _INT),
+    _TXT,
+)
+def test_interleaved_mutations_stay_scan_identical(
+    rows, index_set, mutations, ints, txt
+):
+    plain = build(rows)
+    fast = build(rows, index_set)
+    for step, (kind, arg) in enumerate(mutations):
+        for db in (fast, plain):
+            if kind == "insert":
+                db.execute("INSERT INTO t VALUES (?, ?, ?)", arg)
+            elif kind == "insert_many":
+                db.execute_many("INSERT INTO t VALUES (?, ?, ?)", arg)
+            else:
+                db.execute(*arg)
+        check_index_integrity(fast)
+        order_by = ORDER_BYS[1 + step % (len(ORDER_BYS) - 1)]
+        for sql, params in queries(ints, txt, ("", order_by)):
+            assert fast.execute(sql, params) == plain.execute(sql, params), sql
