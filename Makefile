@@ -82,10 +82,9 @@ test-datapath:
 test-maintenance:
 	$(PYTHON) -m pytest tests/core/test_maintenance.py tests/properties/test_datapath_property.py -q
 
-## self-tuning policy tier: planner calibration, adaptive coalesce_gap
-## derivation, maintenance triggers (promotion, autocompaction, worker
-## throttling) + the adaptive read-equivalence dimension of the datapath
-## property harness
+## self-tuning policy tier: the one policy switch, adaptive coalesce_gap
+## derivation, read-count promotion + the adaptive read-equivalence
+## dimension of the datapath property harness
 test-policy:
 	$(PYTHON) -m pytest tests/core/test_policy.py tests/properties/test_datapath_property.py -q
 
@@ -103,8 +102,9 @@ bench-datapath:
 	DATAPATH_BENCH_JSON=BENCH_datapath.json $(PYTHON) -m pytest benchmarks/bench_ablation_datapath.py --benchmark-only -q
 	$(PYTHON) benchmarks/perfcheck.py BENCH_datapath.json
 
-## policy-tier ablation (adaptive planner/gap/maintenance vs a grid of
-## static settings per knob); emits BENCH_policy.json and holds it to its
+## policy-tier ablation (adaptive gap/promotion vs a grid of static
+## settings per knob, the planner's rows examined vs its oracle); every
+## cell is deterministic; emits BENCH_policy.json and holds it to its
 ## perfcheck guards
 bench-policy:
 	POLICY_BENCH_JSON=BENCH_policy.json $(PYTHON) -m pytest benchmarks/bench_ablation_policy.py --benchmark-only -q
@@ -115,7 +115,8 @@ bench-policy:
 ## of canonical at 4-32 ranks, the chunked read's submitted run count
 ## regresses toward O(elements), index traffic or churned-file growth
 ## leave their bounds, an adaptive policy falls below its best static
-## setting, or a metadb DELETE / batch INSERT costs >4x more at 40x the rows
+## setting, the planner examines more rows than the smaller access path
+## offers, or a metadb DELETE / batch INSERT costs >4x more at 40x the rows
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 

@@ -1,22 +1,20 @@
 """Ablation: the self-tuning policy tier vs every static setting.
 
-Each of the three feedback loops :mod:`repro.core.policy` closes is
+Each of the two feedback loops :mod:`repro.core.policy` closes is
 benched against a grid of static settings of the knob it replaces.  The
 acceptance bar (enforced against the committed ``BENCH_policy.json`` by
 ``benchmarks/perfcheck.py``): the adaptive policy must be at
 least as good as the *best* static setting on its own case, and beat the
 *default* static setting by more than 5% on at least one case.  A static
 number can win one regime; the point of the tier is that no static
-number wins them all.
+number wins them all.  The metadb planner rides along as a deterministic
+cell held to its arithmetic minimum — it has no policy mode.
 
 * **planner** — a mixed query workload where both a hash bucket and an
-  ordered slice can serve every WHERE, sized so the static cost model's
-  2.0x slice-penalty picks the wrong path on one family and a
-  slice-friendly 0.5x picks wrong on the other.  The calibrated planner
-  measures both paths (exploration), learns the true per-candidate
-  ratio, and converges to the right pick on each family.  Metric: total
-  ``n_rows_examined`` (deterministic — plan choice is exactly what it
-  counts).
+  ordered slice can serve every WHERE, the bucket smaller on one family
+  and the slice on the other.  Metric: total ``n_rows_examined``
+  (deterministic — plan choice is exactly what it counts) against the
+  oracle that examines min(bucket, slice) rows per query.
 * **gap** — a two-phase read workload: phase A's views leave small
   (~320 B) holes worth bridging, phase B's leave 8 KiB holes that cost
   more to read-and-discard than the run overhead they save.  No static
@@ -49,31 +47,22 @@ from repro.bench.harness import ResultTable
 from repro.config import origin2000
 from repro.core import SDM, Organization, sdm_services
 from repro.core.layout import CANONICAL, CHUNKED
-from repro.core.policy import PlannerCalibration
 from repro.dtypes import DOUBLE
 from repro.metadb import Database
 from repro.mpi import mpirun
 from repro.mpiio.runs import ADAPTIVE_GAP
 
 # ---------------------------------------------------------------------------
-# 1. planner calibration
+# 1. planner access-path choice
 # ---------------------------------------------------------------------------
 
-PLANNER_GRID = (0.5, 2.0, 8.0)
-PLANNER_DEFAULT = 2.0
 PLANNER_QUERIES = 600
-"""Interleaved queries, half per family — long enough that the
-calibration's bounded exploration phase (24 observations per path)
-amortizes to noise."""
+"""Interleaved queries, half per family."""
 
-# Family A: hash bucket 380 rows, ordered slice 200 rows.  The true
-# per-candidate costs are near-equal (both paths verify every candidate
-# against the same WHERE), so the slice is genuinely cheaper — but the
-# static 2.0x penalty prices it at 400 and picks the hash.
+# Family A: hash bucket 380 rows, ordered slice 200 rows — the slice
+# hands the WHERE fewer candidates.
 _A_BOTH, _A_HASH_ONLY = 200, 180
-# Family B: hash bucket 180 rows, ordered slice 300 rows.  The hash is
-# genuinely cheaper — but a slice-friendly static 0.5x prices the slice
-# at 150 and picks it.
+# Family B: hash bucket 180 rows, ordered slice 300 rows — the bucket does.
 _B_BOTH, _B_SLICE_ONLY = 180, 120
 _GROUPS = 4
 
@@ -114,23 +103,15 @@ def _planner_workload(db):
 
 
 def run_planner_case():
-    cells = {"static": {}, }
-    for cost in PLANNER_GRID:
-        db = _build_planner_db()
-        db.slice_row_cost = cost
-        cells["static"][str(cost)] = _planner_workload(db)
-    db = _build_planner_db()
-    cal = PlannerCalibration()
-    db.planner_calibration = cal
-    cells["adaptive"] = _planner_workload(db)
-    cells["learned_slice_row_cost"] = round(cal.slice_row_cost, 3)
-    cells["converged"] = cal.converged
-    cells["best_static"] = min(cells["static"].values())
-    cells["default_static"] = cells["static"][str(PLANNER_DEFAULT)]
-    # Rows examined: lower is better, so the win is static/adaptive.
-    cells["win_vs_best_static"] = cells["best_static"] / cells["adaptive"]
-    cells["win_vs_default"] = cells["default_static"] / cells["adaptive"]
-    return cells
+    rows = _planner_workload(_build_planner_db())
+    # (bucket, slice) candidates per query; the oracle walks the smaller.
+    paths = (
+        (_A_BOTH + _A_HASH_ONLY, _A_BOTH),
+        (_B_BOTH, _B_BOTH + _B_SLICE_ONLY),
+    )
+    oracle = (PLANNER_QUERIES // 2) * sum(min(pair) for pair in paths)
+    return {"rows_examined": rows, "oracle_rows": oracle,
+            "rows_vs_oracle": rows / oracle}
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +289,10 @@ def run_matrix():
         "Ablation (policy) - self-tuning loops vs every static setting"
     )
     planner = run_planner_case()
-    for cost, rows in planner["static"].items():
-        table.add("ablation-policy", f"planner-static/{cost}x",
-                  "rows-examined", float(rows), "rows")
-    table.add("ablation-policy", "planner-adaptive",
-              "rows-examined", float(planner["adaptive"]), "rows")
-    table.add("ablation-policy", "planner-win-vs-best-static",
-              "ratio", planner["win_vs_best_static"], "x")
+    table.add("ablation-policy", "planner",
+              "rows-examined", float(planner["rows_examined"]), "rows")
+    table.add("ablation-policy", "planner-oracle",
+              "rows-examined", float(planner["oracle_rows"]), "rows")
 
     gap = run_gap_case()
     for g, cell in gap["static"].items():
@@ -370,19 +348,19 @@ def test_adaptive_policies_beat_every_static_setting(benchmark, report):
     report(table)
     _emit_json(table, cases)
     # Each loop: at least as good as the best static setting of its knob.
-    for name, case in cases.items():
+    loops = {name: cases[name] for name in ("gap", "maintenance")}
+    for name, case in loops.items():
         assert case["win_vs_best_static"] >= 1.0, (name, case)
     # And the tier must actually matter: >5% over the shipped defaults
     # on at least one loop.
-    assert max(c["win_vs_default"] for c in cases.values()) > 1.05, cases
+    assert max(c["win_vs_default"] for c in loops.values()) > 1.05, cases
     # The maintenance win comes from the promotion actually firing.
     assert cases["maintenance"]["adaptive"]["n_promotions"] == 1, cases
     assert cases["maintenance"]["static"]["n_promotions"] == 0, cases
-    # The planner's exploration must have converged (plans are stable).
-    assert cases["planner"]["converged"], cases["planner"]
-    benchmark.extra_info["planner_win"] = round(
-        cases["planner"]["win_vs_best_static"], 3
-    )
+    # The planner examines exactly the rows the smaller path offers.
+    planner = cases["planner"]
+    assert planner["rows_examined"] == planner["oracle_rows"], planner
+    benchmark.extra_info["planner_rows"] = planner["rows_examined"]
     benchmark.extra_info["gap_win"] = round(
         cases["gap"]["win_vs_best_static"], 3
     )

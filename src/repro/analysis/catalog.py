@@ -135,16 +135,6 @@ CATALOG: Dict[str, CollectiveSpec] = {
     "compact": CollectiveSpec(
         "sdm.compact", uniform_result=True, receivers=_SDMISH
     ),
-    # The fragmentation watcher is bcast-fronted: rank 0 evaluates the
-    # hysteresis trigger against extent_table, every rank receives the
-    # boolean, and a firing observation enqueues one background
-    # compaction on all ranks — collective-in-shape, uniform (None)
-    # result.  Receiver-guarded like the other SDM methods, plus the
-    # ``self`` receiver of SDM's own internal call sites.
-    "_maybe_autocompact": CollectiveSpec(
-        "sdm.autocompact", uniform_result=True,
-        receivers=_SDMISH + ("self",),
-    ),
     "finalize": CollectiveSpec(
         "sdm.finalize", uniform_result=True, receivers=_SDMISH
     ),

@@ -76,7 +76,7 @@ class Fun3dRunConfig:
 
     policy: Optional[str] = None
     """``SDM(policy=...)`` spec: None/"static" keeps every hand-picked
-    constant, "adaptive" closes the three self-tuning loops
+    constant, "adaptive" closes the two self-tuning loops
     (:mod:`repro.core.policy`)."""
 
     mesh_file: str = "uns3d.msh"

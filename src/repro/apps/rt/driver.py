@@ -58,7 +58,7 @@ class RTRunConfig:
 
     policy: Optional[str] = None
     """``SDM(policy=...)`` spec: None/"static" keeps every hand-picked
-    constant, "adaptive" closes the three self-tuning loops
+    constant, "adaptive" closes the two self-tuning loops
     (:mod:`repro.core.policy`)."""
 
 

@@ -62,10 +62,9 @@ from repro.core.layout import (
     CHUNKED,
     Organization,
     checkpoint_file_name,
-    is_chunked_name,
 )
 from repro.core.maintenance import COMPACT, REORGANIZE
-from repro.core.policy import PolicyConfig
+from repro.core.policy import ADAPTIVE, STATIC, MaintenancePolicy
 from repro.core.ring import EdgeChunk, LocalPartition, owned_nodes_of, ring_partition_index
 from repro.dtypes.primitives import DOUBLE, INT, Primitive
 from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
@@ -93,7 +92,7 @@ class SDM(DatapathHost):
         storage_order: Union[str, StorageOrder] = "canonical",
         reorganize_mode: str = "sync",
         snapshot: bool = False,
-        policy: Union[None, str, PolicyConfig] = None,
+        policy: Optional[str] = None,
     ) -> None:
         self.ctx = ctx
         organization = Organization(organization)  # reject before I/O
@@ -117,12 +116,18 @@ class SDM(DatapathHost):
         """MPI-IO hints SDM passes on every file open (the paper: SDM uses
         "the ability to pass hints to the implementation about access
         patterns, file-striping parameters, and so forth")."""
-        self.policy = PolicyConfig.resolve(policy)
-        """Per-loop policy modes (:mod:`repro.core.policy`): planner
-        calibration, adaptive ``coalesce_gap``, self-driving maintenance.
-        Defaults to all-static — the pre-policy behavior, byte for
-        byte."""
-        if self.policy.coalesce != "static" and (
+        if policy is None:
+            policy = STATIC
+        elif policy not in (STATIC, ADAPTIVE):
+            raise ValueError(
+                f"unknown policy {policy!r} "
+                f"(expected None, {STATIC!r} or {ADAPTIVE!r})"
+            )
+        self.policy = policy
+        """``"static"`` (the default — the pre-policy behavior, byte for
+        byte) or ``"adaptive"``: per-read adaptive ``coalesce_gap`` plus
+        read-count promotion (:mod:`repro.core.policy`)."""
+        if policy == ADAPTIVE and (
             self.io_hints is None or "coalesce_gap" not in self.io_hints
         ):
             # The adaptive-gap loop is carried by the hint sentinel: every
@@ -132,19 +137,6 @@ class SDM(DatapathHost):
             self.io_hints["coalesce_gap"] = ADAPTIVE_GAP
         self.db = ctx.service("db")
         tables = SDMTables(self.db)
-        self.planner_calibration = None
-        """This client's view of the database's planner calibration (the
-        job-shared :class:`~repro.core.policy.PlannerCalibration`), or
-        None under a static planner policy."""
-        if self.policy.planner != "static":
-            # The database is one job-shared service; the first adaptive
-            # client installs the calibration, later ones adopt it, so
-            # every rank's statements feed one EWMA.
-            if self.db.planner_calibration is None:
-                self.db.planner_calibration = (
-                    self.policy.make_planner_calibration()
-                )
-            self.planner_calibration = self.db.planner_calibration
         # Establish the database connection; rank 0 creates the schema
         # and allocates the run id.
         self.db.connect(ctx.proc)
@@ -182,16 +174,14 @@ class SDM(DatapathHost):
         self._problem_size = problem_size
         self._part_vector: Optional[np.ndarray] = None
         self._history_available = False
-        self._maint_policy = self.policy.make_maintenance_policy()
-        """Per-rank self-driving maintenance triggers (replicated state;
-        see :class:`~repro.core.policy.MaintenancePolicy`), or None under
-        a static maintenance policy."""
+        self._maint_policy = (
+            MaintenancePolicy() if policy == ADAPTIVE else None
+        )
+        """Per-rank read-count promotion trigger (replicated state; see
+        :class:`~repro.core.policy.MaintenancePolicy`), or None under the
+        static policy."""
         if self.maintenance is not None:
             self.maintenance.attach(ctx)
-            if self._maint_policy is not None:
-                # Workers consult the policy's rate limiter before heavy
-                # I/O (job-shared service: one policy instance suffices).
-                self.maintenance.policy = self._maint_policy
         self.comm.barrier()
 
     # ------------------------------------------------------------------
@@ -469,11 +459,9 @@ class SDM(DatapathHost):
                 f"buffer for {name!r} has {len(buf)} elements, "
                 f"view expects {view.local_count}"
             )
-        fname = self.storage_order.write(
+        return self.storage_order.write(
             self, handle, attrs, view, name, timestep, buf
         )
-        self._maybe_autocompact(fname)
-        return fname
 
     def read(
         self,
@@ -551,17 +539,10 @@ class SDM(DatapathHost):
         attrs = handle.dataset(name)
         rid = self.runid if runid is None else runid
         if self._flip_mode(mode, "reorganization") == "sync":
-            out = self._sync_flip(lambda: execute_reorganize(
+            return self._sync_flip(lambda: execute_reorganize(
                 self, handle.group_id, name, timestep, attrs.data_type,
                 attrs.global_size, rid,
             ))
-            # The exchange leaves the instance's old chunks dead in the
-            # .chunked file; give the fragmentation watcher a look.
-            self._maybe_autocompact(
-                self.checkpoint_file(handle, name, timestep,
-                                     storage_order=CHUNKED)
-            )
-            return out
         # One cheap metadata probe keeps already-canonical instances (and
         # their file names) out of the worker queue — the same no-op fast
         # path the sync call takes, minus the exchange machinery.
@@ -632,8 +613,8 @@ class SDM(DatapathHost):
 
         A flip lease conflict unwinds before any mutation and raises
         symmetrically on every rank, so when the holder may be this job's
-        background tier — e.g. a policy-enqueued compaction of the same
-        file — every rank drains its maintenance queue together and
+        background tier — e.g. a policy-promoted reorganization in the
+        same file — every rank drains its maintenance queue together and
         retries once.  A conflict with a genuinely concurrent *client*
         survives the drain and re-raises.
         """
@@ -644,33 +625,6 @@ class SDM(DatapathHost):
                 raise
             self.drain_maintenance()
             return flip()
-
-    def _maybe_autocompact(self, file_name: str) -> None:
-        """Fragmentation loop: one observation of a chunked file's
-        dead-byte ratio at a collective entry point (write, sync
-        reorganize).
-
-        Rank 0 probes ``extent_table`` free bytes against the file size
-        and runs the hysteresis trigger; every rank receives the decision
-        by broadcast before acting, so the background enqueue below stays
-        a uniform collective no matter which rank's counters say what.
-        Collective in shape — call uniformly on every rank.
-        """
-        pol = self._maint_policy
-        if pol is None or self.maintenance is None:
-            return
-        if not is_chunked_name(file_name):
-            return
-        fire = None
-        if self.ctx.rank == 0:
-            free = self.tables.free_bytes_in(file_name, proc=self.ctx.proc)
-            size = (
-                self.fs.lookup(file_name).size
-                if self.fs.exists(file_name) else 0
-            )
-            fire = pol.fragmentation_trigger(file_name, free, size)
-        if self.comm.bcast(fire, root=0):
-            self.compact(file_name, mode="background")
 
     def checkpoint_file(
         self,

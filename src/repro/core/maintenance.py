@@ -161,11 +161,6 @@ class MaintenanceService:
         """Dead prior-incarnation leases resolved and released at attach."""
         self.n_intents_resolved = 0
         """Orphaned flip intents (no surviving lease) resolved at attach."""
-        self.policy = None
-        """Optional :class:`~repro.core.policy.MaintenancePolicy` whose
-        rate limiter workers consult before heavy I/O (attached by an
-        adaptive-policy SDM; None keeps the pre-policy behavior: jobs
-        contend with foreground traffic immediately)."""
 
     # ------------------------------------------------------------------
     # Binding and registration
@@ -440,11 +435,6 @@ class MaintenanceService:
             job.event.set(job.fn(proc))
             self.n_executed += 1
             return
-        if self.policy is not None:
-            # Rank-local exponential backoff while foreground I/O queues
-            # at the controllers — no collectives, so skewed ranks never
-            # deadlock; the job itself still runs to completion.
-            self.policy.throttle(self.fs, proc)
         # The job's datapath host on this worker: a communicator over the
         # job-unique context, a per-job flip-lease identity (distinct from
         # every SDM client and other job, so overlapping flips fail fast)

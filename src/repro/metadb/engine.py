@@ -30,17 +30,14 @@ path as tables grow:
   materializing every matching row — ``SELECT MAX(runid) FROM run_table``
   is the runid-allocation hot path.
 
-Access-path choice uses a small cost model rather than raw candidate
-counts: a hash-bucket walk costs ~1 per candidate, while an ordered slice
-pays bisect setup plus per-candidate materialization and rowid sorting, so
-a slightly larger hash bucket beats a slice it would lose to on size alone.
+Access-path choice compares candidate counts: the path that hands the
+WHERE fewer rows to verify wins (see :meth:`Database._index_candidates`).
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineModel
@@ -87,14 +84,6 @@ instance-level cache accounting (``n_parses``) is unchanged.
 def clear_global_statement_cache() -> None:
     """Drop every shared parsed statement (benchmarks' cold-parse baseline)."""
     _GLOBAL_STMT_CACHE.clear()
-
-_PROBE_COST = 1.0
-"""Cost-model: flat cost of probing a hash bucket or bisecting a slice."""
-
-_SLICE_ROW_COST = 2.0
-"""Cost-model: per-candidate cost of an ordered slice relative to a hash
-bucket's (the slice is materialized and its rowids sorted back into
-insertion order before verification; a bucket is walked as-is)."""
 
 
 def _descending_rowids(
@@ -162,21 +151,6 @@ class Database:
         """Candidate rows evaluated against a WHERE clause — the work the
         planner's access-path choice actually controls (a full scan
         examines the whole table, an index path only its candidates)."""
-        self.probe_cost = _PROBE_COST
-        self.slice_row_cost = _SLICE_ROW_COST
-        """Planner cost constants, per instance so the self-tuning policy
-        tier can calibrate them; the module constants stay the static
-        defaults."""
-        self.planner_calibration = None
-        """Optional observer/override for the planner's cost model (the
-        policy tier's :class:`~repro.core.policy.PlannerCalibration`,
-        duck-typed here to keep metadb below core in the layering).  When
-        set, :meth:`_match_rowids` reports every index-served statement's
-        ``(path kind, candidates, seconds)`` to ``observe`` and the
-        planner reads ``probe_cost`` / ``slice_row_cost`` from it (and
-        lets ``decide`` flip contested choices for exploration) instead
-        of using the instance constants."""
-        self._last_path: Optional[str] = None
         self._stmt_cache: "OrderedDict[str, Any]" = OrderedDict()
 
     def attach(
@@ -472,7 +446,7 @@ class Database:
         """Rowids worth checking against the WHERE that ``cj`` decomposes,
         or None to full-scan.
 
-        Access paths, cheapest estimated cost wins:
+        Access paths, fewest candidates wins:
 
         1. every hash index whose columns are all bound by equality
            conjuncts — a composite index probes its value tuple once;
@@ -480,17 +454,16 @@ class Database:
            prefix and/or range bounds on the following column — candidates
            are a contiguous ``bisect`` slice.
 
-        Costs are modelled, not just counted: a bucket costs
-        ``_PROBE_COST + n`` while a slice costs
-        ``_PROBE_COST + _SLICE_ROW_COST * n`` (its rowids must be
-        materialized and re-sorted into insertion order), so a hash probe
-        beats a somewhat smaller ordered slice.
+        The choice compares counts because the per-candidate host cost of
+        the two paths measures near-equal (2.08-2.15 us through a bucket,
+        1.88-1.98 us through a slice, its materialize + rowid sort
+        included): verifying a candidate against the WHERE dominates
+        either way of producing it.
 
         The caller still evaluates the complete WHERE on each candidate,
         so this only ever *narrows* the scan — NULL/type semantics are
         decided by the same ``Expr.eval`` as the slow path.
         """
-        self._last_path = None
         if cj.empty:
             return None
         values = self._conjunct_values(cj, params)
@@ -531,32 +504,18 @@ class Database:
             if best_slice is None or count < best_slice[0]:
                 best_slice = (count, index, start, end)
 
-        cal = self.planner_calibration
-        probe = self.probe_cost if cal is None else cal.probe_cost
-        per_slice_row = self.slice_row_cost if cal is None else cal.slice_row_cost
-        hash_cost = None if best is None else probe + len(best)
-        slice_cost = (
-            None if best_slice is None
-            else probe + per_slice_row * best_slice[0]
+        # A tie keeps the bucket, which is already in insertion order.
+        pick_slice = best_slice is not None and (
+            best is None or best_slice[0] < len(best)
         )
-        pick_slice = slice_cost is not None and (
-            hash_cost is None or slice_cost < hash_cost
-        )
-        if cal is not None and hash_cost is not None and slice_cost is not None:
-            # Contested choice: the calibration may flip it to feed an
-            # observation-starved path (results stay scan-identical —
-            # candidates from either path are verified the same way).
-            pick_slice = cal.decide(pick_slice)
         if pick_slice:
             _, index, start, end = best_slice
             self.n_slice_paths += 1
-            self._last_path = "slice"
             # Candidates must be evaluated in insertion order so that
             # un-ORDERed results stay scan-identical.
             return sorted(rowid for _, rowid in index.entries[start:end])
         if best is not None:
             self.n_hash_paths += 1
-            self._last_path = "hash"
         return best
 
     def _match_rowids(self, table: Table, stmt, params) -> List[int]:
@@ -564,18 +523,14 @@ class Database:
         where = stmt.where
         if where is None:
             return list(table.rows)
-        cal = self.planner_calibration
-        t0 = perf_counter() if cal is not None else 0.0
         candidates = self._index_candidates(table, stmt.conjuncts, params)
         if candidates is None:
             self.n_full_scans += 1
             examined = len(table.rows)
-            kind = "scan"
             pairs = table.scan()
         else:
             self.n_index_probes += 1
             examined = len(candidates)
-            kind = self._last_path
             pairs = ((i, table.rows[i]) for i in candidates)
         self.n_rows_examined += examined
         names = table.column_names
@@ -584,11 +539,6 @@ class Database:
             ctx = dict(zip(names, row))
             if where.eval(ctx, params):
                 hits.append(i)
-        if cal is not None and kind is not None:
-            # The window covers candidate generation (the slice path's
-            # materialize + sort included) plus verification — the work
-            # the access-path choice controls.
-            cal.observe(kind, examined, perf_counter() - t0)
         return hits
 
     def _sorted_rowids(

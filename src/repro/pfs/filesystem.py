@@ -89,7 +89,7 @@ class FileSystem:
     def stats(self, reset: bool = False) -> Dict[str, int]:
         """Snapshot every aggregate counter; optionally zero them.
 
-        The one counter-window API benches and policies share: take a
+        The one counter-window API benches share: take a
         snapshot at the window start (``reset=True``) or subtract two
         snapshots — either way no field can be missed the way ad-hoc
         per-field resets could.
@@ -99,15 +99,6 @@ class FileSystem:
             for name in self._STAT_FIELDS:
                 setattr(self, name, 0)
         return snap
-
-    def queue_depth(self) -> int:
-        """Processes currently waiting on storage controllers.
-
-        The contention signal maintenance rate-limiting polls: a nonzero
-        depth means foreground I/O is queued behind busy controllers and
-        background work should yield.
-        """
-        return sum(c.n_waiting for c in self.controllers)
 
     def write_lock(self, name: str) -> Resource:
         """Per-file advisory write lock (fcntl-style).

@@ -1,6 +1,6 @@
-"""The self-tuning policy tier: planner calibration convergence,
-maintenance trigger hysteresis, rate-limit backoff, hint validation,
-and the closed loops driving real SDM runs end to end."""
+"""The self-tuning policy tier: the one ``policy`` switch, read-count
+promotion, hint validation, and the two closed loops driving real SDM
+runs end to end."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from repro.core.policy import (
     ADAPTIVE,
     ADAPTIVE_GAP,
     MaintenancePolicy,
-    PlannerCalibration,
-    PolicyConfig,
     STATIC,
 )
 from repro.dtypes import DOUBLE
@@ -35,130 +33,8 @@ def irregular_maps(nprocs=NPROCS, n=GLOBAL, seed=5):
 
 
 # ---------------------------------------------------------------------------
-# PlannerCalibration
+# MaintenancePolicy: read-count promotion
 # ---------------------------------------------------------------------------
-
-
-def test_calibration_converges_to_observed_ratio():
-    """Feeding timings where a slice candidate costs half a hash
-    candidate must pull slice_row_cost from the static 2.0 toward 0.5."""
-    cal = PlannerCalibration()
-    assert cal.slice_row_cost == 2.0  # static default until measured
-    for _ in range(policy.CALIBRATION_EXPLORE_OBS + 8):
-        cal.observe("hash", rows=100, seconds=100 * 1e-6)
-        cal.observe("slice", rows=100, seconds=100 * 0.5e-6)
-    assert cal.converged
-    assert cal.slice_row_cost == pytest.approx(0.5, rel=0.05)
-
-
-def test_calibration_ignores_noise_floor_and_frozen():
-    cal = PlannerCalibration()
-    cal.observe("hash", rows=policy.CALIBRATION_MIN_ROWS - 1, seconds=1.0)
-    cal.observe("hash", rows=64, seconds=0.0)      # timer floor
-    assert cal.observations("hash") == 0
-    cal.freeze()
-    cal.observe("hash", rows=64, seconds=1.0)
-    assert cal.observations("hash") == 0
-    assert cal.frozen
-
-
-def test_calibration_explores_starved_path_then_stops():
-    cal = PlannerCalibration()
-    # Cost model says hash; slice has no observations yet -> explore.
-    assert cal.decide(False) is True
-    for _ in range(policy.CALIBRATION_EXPLORE_OBS - 1):
-        cal.observe("slice", rows=64, seconds=1e-4)
-        cal.observe("hash", rows=64, seconds=1e-4)
-    # One observation short of the threshold: still exploring.
-    assert cal.decide(False) is True
-    cal.observe("slice", rows=64, seconds=1e-4)
-    cal.observe("hash", rows=64, seconds=1e-4)
-    # Both paths known: the cost model's pick stands from here on.
-    explored = cal.n_explored
-    assert cal.decide(False) is False
-    assert cal.decide(True) is True
-    assert cal.n_explored == explored
-
-
-def test_calibration_snapshot_round_trip_plans_identically():
-    cal = PlannerCalibration()
-    for _ in range(16):
-        cal.observe("hash", rows=100, seconds=1e-4)
-        cal.observe("slice", rows=100, seconds=3e-4)
-    frozen = PlannerCalibration.from_snapshot(cal.snapshot())
-    assert frozen.frozen
-    assert frozen.slice_row_cost == pytest.approx(cal.slice_row_cost)
-    assert frozen.decide(True) is True       # no exploration when frozen
-    frozen.observe("hash", rows=100, seconds=9.9)  # and no learning
-    assert frozen.slice_row_cost == pytest.approx(cal.slice_row_cost)
-
-
-def test_adaptive_planner_attaches_one_shared_calibration():
-    def program(ctx):
-        sdm = SDM(ctx, "pol", policy=ADAPTIVE)
-        shared = sdm.planner_calibration is sdm.db.planner_calibration
-        sdm.finalize()
-        return shared
-
-    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    assert all(job.values)
-    assert job.services["db"].planner_calibration is not None
-
-
-def test_planner_snapshot_installs_frozen_calibration():
-    """The documented reproducibility path: a PolicyConfig carrying a
-    planner snapshot makes SDM plan with exactly those constants —
-    statements the job issues are observed by nobody."""
-    snap = {"probe_cost": 1.0, "slice_row_cost": 0.75}
-
-    def program(ctx):
-        sdm = SDM(ctx, "pol", policy=PolicyConfig(
-            planner=ADAPTIVE, planner_snapshot=snap))
-        cal = sdm.planner_calibration
-        cal.observe("hash", rows=1000, seconds=1.0)
-        cal.observe("slice", rows=1000, seconds=9.0)
-        sdm.finalize()
-        return (cal.frozen, cal.snapshot(), cal.observations("hash"),
-                cal.observations("slice"), cal.n_explored,
-                cal.decide(True), cal.decide(False))
-
-    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    assert all(v == (True, snap, 0, 0, 0, True, False) for v in job.values)
-    assert job.services["db"].planner_calibration.slice_row_cost == 0.75
-
-
-def test_static_planner_leaves_database_uncalibrated():
-    def program(ctx):
-        sdm = SDM(ctx, "pol")
-        sdm.finalize()
-        return sdm.planner_calibration
-
-    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    assert all(v is None for v in job.values)
-    assert job.services["db"].planner_calibration is None
-
-
-# ---------------------------------------------------------------------------
-# MaintenancePolicy triggers
-# ---------------------------------------------------------------------------
-
-
-def test_fragmentation_trigger_hysteresis():
-    assert (policy.COMPACT_LOWATER, policy.COMPACT_HIWATER) == (0.15, 0.40)
-    pol = MaintenancePolicy()
-    assert not pol.fragmentation_trigger("f", 30, 100)   # below hiwater
-    assert pol.fragmentation_trigger("f", 50, 100)       # crosses: fire
-    # Disarmed: repeated high observations enqueue nothing more.
-    assert not pol.fragmentation_trigger("f", 60, 100)
-    assert not pol.fragmentation_trigger("f", 99, 100)
-    # Still above lowater: not re-armed yet.
-    assert not pol.fragmentation_trigger("f", 20, 100)
-    assert not pol.fragmentation_trigger("f", 45, 100)
-    # At/below lowater re-arms; the next crossing fires again.
-    assert not pol.fragmentation_trigger("f", 10, 100)
-    assert pol.fragmentation_trigger("f", 41, 100)
-    assert pol.n_compactions == 2
-    assert not pol.fragmentation_trigger("g", 0, 0)      # empty file
 
 
 def test_promotion_fires_exactly_once_at_nth_read():
@@ -167,78 +43,46 @@ def test_promotion_fires_exactly_once_at_nth_read():
     for _ in range(policy.PROMOTE_READS - 1):
         assert not pol.note_chunked_read(key)
     assert pol.note_chunked_read(key)
+    assert pol._read_counts == {}            # the count left with the key
     assert not pol.note_chunked_read(key)    # promoted: never again
     assert pol.n_promotions == 1
+    assert pol._read_counts == {}
     assert pol.note_chunked_read((7, "d", 1)) is False  # independent keys
 
 
-def test_hysteresis_threshold_arithmetic(monkeypatch):
-    """The trigger fires at exactly hiwater and re-arms at exactly
-    lowater, wherever the two constants sit."""
-    monkeypatch.setattr(policy, "COMPACT_HIWATER", 0.5)
-    monkeypatch.setattr(policy, "COMPACT_LOWATER", 0.25)
-    pol = MaintenancePolicy()
-    assert not pol.fragmentation_trigger("f", 49, 100)
-    assert pol.fragmentation_trigger("f", 50, 100)       # == hiwater
-    assert not pol.fragmentation_trigger("f", 26, 100)   # above lowater
-    assert not pol.fragmentation_trigger("f", 90, 100)   # still disarmed
-    assert not pol.fragmentation_trigger("f", 25, 100)   # == lowater: re-arm
-    assert pol.fragmentation_trigger("f", 50, 100)
-
-
-class _FakeFS:
-    def __init__(self, depths):
-        self.depths = list(depths)
-
-    def queue_depth(self):
-        return self.depths.pop(0) if self.depths else 0
-
-
-class _FakeProc:
-    def __init__(self):
-        self.holds = []
-
-    def hold(self, t):
-        self.holds.append(t)
-
-
-def test_throttle_exponential_backoff_and_cap():
-    hold, cap = policy.THROTTLE_HOLD, policy.THROTTLE_MAX_HOLDS
-    pol = MaintenancePolicy()
-    proc = _FakeProc()
-    # Congestion clears after two polls: two doubling holds, then go.
-    assert pol.throttle(_FakeFS([3, 2, 0]), proc) == 2
-    assert proc.holds == [hold, 2 * hold]
-    # Saturated forever: capped at max_holds, never starved out.
-    proc = _FakeProc()
-    assert pol.throttle(_FakeFS([9] * 100), proc) == cap
-    assert proc.holds == [hold * 2 ** i for i in range(cap)]
-    assert pol.n_throttle_holds == 2 + cap
-    # Idle storage: no holds at all.
-    assert pol.throttle(_FakeFS([0]), _FakeProc()) == 0
-
-
 # ---------------------------------------------------------------------------
-# PolicyConfig resolution
+# The one switch
 # ---------------------------------------------------------------------------
 
 
 def test_policy_config_resolution():
-    assert PolicyConfig.resolve(None) == PolicyConfig()
-    assert PolicyConfig.resolve(STATIC).planner == STATIC
-    adaptive = PolicyConfig.resolve(ADAPTIVE)
-    assert (adaptive.planner, adaptive.coalesce, adaptive.maintenance) == (
-        ADAPTIVE, ADAPTIVE, ADAPTIVE
-    )
-    mixed = PolicyConfig(coalesce=ADAPTIVE)
-    assert PolicyConfig.resolve(mixed) is mixed
-    assert mixed.make_planner_calibration() is None
-    assert mixed.make_maintenance_policy() is None
-    assert isinstance(adaptive.make_maintenance_policy(), MaintenancePolicy)
-    with pytest.raises(ValueError):
-        PolicyConfig(planner="sometimes")
-    with pytest.raises(ValueError):
-        PolicyConfig.resolve(42)
+    """``SDM(policy=...)`` takes None / "static" / "adaptive" and nothing
+    else; adaptive installs the gap sentinel and the promotion counter,
+    an explicit ``coalesce_gap`` hint wins over the sentinel."""
+
+    def program(ctx):
+        seen = []
+        for spec in (None, STATIC, ADAPTIVE):
+            sdm = SDM(ctx, "pol", policy=spec)
+            seen.append((sdm.policy, sdm.io_hints,
+                         isinstance(sdm._maint_policy, MaintenancePolicy)))
+            sdm.finalize()
+        sdm = SDM(ctx, "pol", policy=ADAPTIVE, io_hints={"coalesce_gap": 64})
+        seen.append(sdm.io_hints)
+        sdm.finalize()
+        for spec in ("sometimes", 42):
+            with pytest.raises(ValueError, match="'static' or 'adaptive'"):
+                SDM(ctx, "pol", policy=spec)
+        return seen
+
+    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
+    for seen in job.values:
+        assert seen == [
+            (STATIC, None, False),
+            (STATIC, None, False),
+            (ADAPTIVE, {"coalesce_gap": ADAPTIVE_GAP}, True),
+            {"coalesce_gap": 64},
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +198,9 @@ def test_adaptive_chunked_read_spends_the_waste_budget_once():
 # ---------------------------------------------------------------------------
 
 
-def _policy_program(maps, n=GLOBAL, reads=3, timesteps=1, sync_reorg=()):
-    """Chunked writes, optional sync reorganizations, then ``reads``
-    read-backs of t0 under an adaptive policy."""
+def _policy_program(maps, n=GLOBAL, reads=3):
+    """One chunked write, then ``reads`` read-backs of it under an
+    adaptive policy."""
 
     def program(ctx):
         sdm = SDM(ctx, "pol", organization=Organization.LEVEL_2,
@@ -367,25 +211,18 @@ def _policy_program(maps, n=GLOBAL, reads=3, timesteps=1, sync_reorg=()):
         handle = sdm.set_attributes(result)
         mine = maps[ctx.rank]
         sdm.data_view(handle, "d", mine)
-        for t in range(timesteps):
-            sdm.write(handle, "d", t, mine * 1.0 + t)
-        for t in sync_reorg:
-            sdm.reorganize(handle, "d", t, mode="sync")
+        sdm.write(handle, "d", 0, mine * 1.0)
         backs = []
         for _ in range(reads):
             back = np.empty(len(mine))
             sdm.read(handle, "d", 0, back)
             backs.append(back)
         sdm.drain_maintenance()
-        fname = sdm.checkpoint_file(handle, "d", 0, storage_order=CHUNKED)
-        counters = (
-            sdm._maint_policy.n_promotions,
-            sdm._maint_policy.n_compactions,
-        )
+        promotions = sdm._maint_policy.n_promotions
         after = np.empty(len(mine))
         sdm.read(handle, "d", 0, after)
         sdm.finalize(handle)
-        return backs, after, fname, counters
+        return backs, after, promotions
 
     return program
 
@@ -398,8 +235,8 @@ def test_adaptive_policy_promotes_hot_chunked_instance():
     job = mpirun(_policy_program(maps, reads=3), NPROCS,
                  machine=fast_test(), services=sdm_services())
     tables = SDMTables(job.services["db"])
-    for rank, (backs, after, _, counters) in enumerate(job.values):
-        assert counters[0] == 1
+    for rank, (backs, after, promotions) in enumerate(job.values):
+        assert promotions == 1
         for back in backs + [after]:
             np.testing.assert_allclose(back, maps[rank] * 1.0)
     # The background flip landed: the instance's chunk rows are gone.
@@ -413,29 +250,8 @@ def test_adaptive_policy_stays_chunked_below_promotion_threshold():
     job = mpirun(_policy_program(maps, reads=1), NPROCS,
                  machine=fast_test(), services=sdm_services())
     tables = SDMTables(job.services["db"])
-    assert all(v[3][0] == 0 for v in job.values)
+    assert all(v[2] == 0 for v in job.values)
     assert tables.chunks_for(1, "d", 0) != []
-
-
-def test_adaptive_policy_autocompacts_fragmented_file():
-    """Sync reorganization of the first of 3 instances leaves its data
-    and the shared index blocks dead — past the high-water mark, so the
-    observation after the flip must enqueue a background compaction that
-    reclaims the space with no application compact() call anywhere."""
-    maps = irregular_maps()
-    job = mpirun(
-        _policy_program(maps, reads=1, timesteps=3, sync_reorg=(0,)),
-        NPROCS, machine=fast_test(), services=sdm_services(),
-    )
-    tables = SDMTables(job.services["db"])
-    fname = job.values[0][2]
-    # Rank 0 (the trigger's home) fired exactly once, and the queued
-    # compaction both reclaimed bytes and left no recorded dead extents.
-    assert job.values[0][3][1] == 1
-    assert job.services["maint"].bytes_reclaimed > 0
-    assert tables.free_bytes_in(fname) == 0
-    for rank, (backs, after, _, _) in enumerate(job.values):
-        np.testing.assert_allclose(after, maps[rank] * 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +282,6 @@ def test_stats_snapshot_and_reset():
     assert snap["n_opens"] > 0
     assert fs.bytes_written == 0 and fs.n_requests == 0
     assert fs.stats()["bytes_written"] == 0
-    assert fs.queue_depth() == 0  # job over: nothing queued
 
 
 def test_transport_stats_reset_copies_dicts():

@@ -317,7 +317,7 @@ def test_snapshot_restored_catalog_probes_without_redeclaration():
     )
 
 
-# -- access-path cost model ----------------------------------------------
+# -- access-path choice: fewest candidates --------------------------------
 
 
 def costed_db():
@@ -334,20 +334,30 @@ def costed_db():
     return d
 
 
-def test_cost_model_prefers_hash_over_slightly_smaller_slice():
+def test_planner_takes_smaller_slice_over_larger_bucket():
     d = costed_db()
-    # bucket('x') = 10 candidates; slice c >= 12 = 8.  Raw counts pick the
-    # slice; the cost model knows a slice pays materialization + rowid
-    # sorting per candidate and keeps the hash probe.
+    # bucket('x') = 10 candidates; slice c >= 12 = 8: the slice hands the
+    # WHERE fewer rows to verify, and a candidate costs about the same to
+    # produce either way.
     rows = d.execute("SELECT * FROM t WHERE b = ? AND c >= ?", ("x", 12))
     assert rows == []
+    assert (d.n_hash_paths, d.n_slice_paths) == (0, 1)
+    assert d.n_rows_examined == 8
+
+
+def test_planner_tie_keeps_the_bucket():
+    d = costed_db()
+    # bucket('y') = 10 candidates; slice c >= 10 = the same 10: a tie goes
+    # to the bucket, which is already in insertion order.
+    rows = d.execute("SELECT c FROM t WHERE b = ? AND c >= ?", ("y", 10))
+    assert rows == [(c,) for c in range(10, 20)]
     assert (d.n_hash_paths, d.n_slice_paths) == (1, 0)
+    assert d.n_rows_examined == 10
 
 
 def test_cost_model_still_picks_much_smaller_slice():
     d = costed_db()
-    # slice c >= 18 = 2 candidates: cheaper than the 10-row bucket even at
-    # double per-candidate cost.
+    # slice c >= 18 = 2 candidates against the 10-row bucket.
     rows = d.execute("SELECT c FROM t WHERE b = ? AND c >= ?", ("y", 18))
     assert rows == [(18,), (19,)]
     assert (d.n_hash_paths, d.n_slice_paths) == (0, 1)

@@ -7,18 +7,12 @@ PR) rather than a drive-by default argument.  ISSUE 14 sized the surface
 to its callers; docs/tuning.md lists what became constants and why.
 """
 
-import dataclasses
 import inspect
 
-from repro.core import SDM, sdm_services
+from repro.core import SDM, policy, sdm_services
 from repro.core.catalog import SDMCatalog
 from repro.core.datapath import IndexBlockCache
 from repro.core.maintenance import MaintenanceService
-from repro.core.policy import (
-    MaintenancePolicy,
-    PlannerCalibration,
-    PolicyConfig,
-)
 from repro.metadb.schema import SDMTables
 from repro.mpiio.hints import accepted_hints
 
@@ -28,8 +22,12 @@ def params(fn):
 
 
 def test_policy_config_fields():
-    assert [f.name for f in dataclasses.fields(PolicyConfig)] == [
-        "planner", "coalesce", "maintenance", "planner_snapshot",
+    """The policy tier's whole configuration is one two-valued switch
+    (``SDM(policy=None)`` means static): with the five hints below, six
+    settable values."""
+    assert (policy.STATIC, policy.ADAPTIVE) == ("static", "adaptive")
+    assert policy.__all__ == [
+        "STATIC", "ADAPTIVE", "ADAPTIVE_GAP", "MaintenancePolicy",
     ]
 
 
@@ -51,8 +49,7 @@ def test_entry_point_parameters():
 
 
 def test_tuning_values_are_constants_not_parameters():
-    assert params(MaintenancePolicy.__init__) == []
-    assert params(PlannerCalibration.__init__) == ["frozen"]
+    assert params(policy.MaintenancePolicy.__init__) == []
     assert params(IndexBlockCache.__init__) == []
     assert params(MaintenanceService.__init__) == [
         "sim", "machine", "fs", "db",
