@@ -9,7 +9,7 @@ export FAULT_SEED
 .PHONY: test test-simt test-metadb test-iostack test-datapath test-maintenance \
     test-mvcc test-policy test-faults lint verify-collectives \
     bench bench-metadb bench-datapath bench-maintenance bench-policy \
-    bench-e2e bench-e2e-compare perfcheck
+    bench-collective bench-e2e bench-e2e-compare perfcheck
 
 ## tier-1 verify: static SPMD lint first (cheapest signal), the simt
 ## kernel every simulated job stands on, the metadb subset next, then
@@ -110,13 +110,22 @@ bench-policy:
 	POLICY_BENCH_JSON=BENCH_policy.json $(PYTHON) -m pytest benchmarks/bench_ablation_policy.py --benchmark-only -q
 	$(PYTHON) benchmarks/perfcheck.py BENCH_policy.json
 
+## collective (two-phase) vs independent writes of element-interleaved
+## data at true scale, no time dilation; every cell is virtual-time, so a
+## change to the two-phase path that moves no virtual cell regenerates
+## BENCH_collective.json byte for byte; holds it to its perfcheck guards
+bench-collective:
+	COLLECTIVE_BENCH_JSON=BENCH_collective.json $(PYTHON) -m pytest benchmarks/bench_ablation_collective.py --benchmark-only -q
+	$(PYTHON) benchmarks/perfcheck.py BENCH_collective.json
+
 ## guard the committed BENCH JSONs against the table in
 ## benchmarks/perfcheck.py: fails if the cold chunked read exceeds 1.3x
 ## of canonical at 4-32 ranks, the chunked read's submitted run count
 ## regresses toward O(elements), index traffic or churned-file growth
 ## leave their bounds, an adaptive policy falls below its best static
 ## setting, the planner examines more rows than the smaller access path
-## offers, or a metadb DELETE / batch INSERT costs >4x more at 40x the rows
+## offers, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
+## or two-phase collective writes stop beating both independent paths 10x
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 
@@ -146,8 +155,10 @@ bench-e2e-compare:
 TRACKED_BENCHES := benchmarks/bench_ablation_metadb.py \
     benchmarks/bench_ablation_datapath.py \
     benchmarks/bench_ablation_maintenance.py \
-    benchmarks/bench_ablation_policy.py
-bench: bench-metadb bench-datapath bench-maintenance bench-policy
+    benchmarks/bench_ablation_policy.py \
+    benchmarks/bench_ablation_collective.py
+bench: bench-metadb bench-datapath bench-maintenance bench-policy \
+    bench-collective
 	$(PYTHON) -m pytest --benchmark-only -q \
 	    $(filter-out $(TRACKED_BENCHES),$(wildcard benchmarks/bench_*.py))
 	$(MAKE) perfcheck

@@ -13,7 +13,16 @@ through three code paths:
 
 No time dilation: the pattern is synthetic, so it runs at true scale and
 the factors are the machine model's own.
+
+Set ``COLLECTIVE_BENCH_JSON=<path>`` (the Makefile's ``bench-collective``
+target points it at ``BENCH_collective.json``) to emit the three
+bandwidths and the two ratios as JSON.  Every cell is virtual-time, hence
+deterministic and written unrounded: a change to the two-phase path that
+moves no virtual cell regenerates the file byte for byte.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -81,10 +90,30 @@ def run_paths():
     return table, results
 
 
+def _emit_json(results):
+    """Write the cells to $COLLECTIVE_BENCH_JSON for cross-PR tracking."""
+    path = os.environ.get("COLLECTIVE_BENCH_JSON")
+    if not path:
+        return
+    cells = {f"{mode}_mbps": bw for mode, bw in results.items()}
+    for mode in ("independent_rdwr", "independent_wronly"):
+        cells[f"collective_vs_{mode}"] = results["collective"] / results[mode]
+    doc = {
+        "benchmark": "ablation-collective",
+        "nprocs": NPROCS,
+        "elements_per_rank": ELEMENTS_PER_RANK,
+        "cells": cells,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 @pytest.mark.benchmark(group="ablation-collective")
 def test_collective_io_is_the_enabler(benchmark, report):
     table, results = benchmark.pedantic(run_paths, rounds=1, iterations=1)
     report(table)
+    _emit_json(results)
     # Two-phase collective crushes both independent paths by an order of
     # magnitude on element-interleaved data.
     assert results["collective"] > 10.0 * results["independent_rdwr"]

@@ -1,10 +1,11 @@
 """Guard the committed ``BENCH_*.json`` files against regressions.
 
 ``make perfcheck`` (also run at the end of ``make bench``, and by
-``make bench-metadb`` / ``make bench-datapath`` / ``make bench-policy``
-against the file each just regenerated) loads the committed benchmark
-matrices and fails if a named cell has crossed its bound.  The guards are the :data:`GUARDS`
-table — data, one row per invariant:
+``make bench-metadb`` / ``make bench-datapath`` / ``make bench-policy`` /
+``make bench-collective`` against the file each just regenerated) loads
+the committed benchmark matrices and fails if a named cell has crossed
+its bound.  The guards are the :data:`GUARDS` table — data, one row per
+invariant:
 
 ``(file, cell selector, quantifier, comparison, bound, what a failure
 means)``
@@ -62,6 +63,15 @@ GUARDS = (
     # ... and a batch INSERT that re-sorts whole ordered indexes near 23x.
     ("BENCH_metadb.json", "scaling/batch16_ratio", "each", "<=", 4,
      "a batch INSERT's cost grows with the table again, not with the batch"),
+    # The paper's premise, at true scale on element-interleaved writes:
+    # two-phase beats data-sieving read-modify-write under the file lock ...
+    ("BENCH_collective.json", "cells/collective_vs_independent_rdwr", "each",
+     ">", 10, "two-phase collective I/O lost its order of magnitude over "
+     "independent sieving writes"),
+    # ... and one file-system request per 8-byte run.
+    ("BENCH_collective.json", "cells/collective_vs_independent_wronly",
+     "each", ">", 10, "two-phase collective I/O lost its order of magnitude "
+     "over independent per-run writes"),
 )
 
 COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import MachineModel
 from repro.errors import MPICollectiveMismatch
-from repro.mpi.nbytes import payload_nbytes
+from repro.mpi.nbytes import payload_nbytes, sequence_nbytes
 from repro.mpi.ops import ReduceOp
 from repro.simt.process import Process
 
@@ -57,6 +57,7 @@ class _Entry:
     payload: Any
     nbytes: int
     arrive: float
+    parts: Optional[List[int]] = None  # alltoallv: bytes per destination
 
 
 class CollectiveSite:
@@ -70,12 +71,18 @@ class CollectiveSite:
         self.reduce_op: ReduceOp | None = None
 
     def deposit(self, rank: int, proc: Process, payload: Any, now: float) -> None:
-        """Record rank's contribution; payload size is measured once here."""
+        """Record rank's contribution; payload size is measured once here
+        (an ``alltoallv`` list per destination, for the byte matrix)."""
         if rank in self.entries:
             raise MPICollectiveMismatch(
                 f"rank {rank} entered collective {self.op!r} twice"
             )
-        self.entries[rank] = _Entry(proc, payload, payload_nbytes(payload), now)
+        if self.op == "alltoallv":  # always a list (Communicator.alltoallv)
+            parts = [payload_nbytes(obj) for obj in payload]
+            entry = _Entry(proc, payload, sequence_nbytes(parts), now, parts)
+        else:
+            entry = _Entry(proc, payload, payload_nbytes(payload), now)
+        self.entries[rank] = entry
 
     @property
     def complete(self) -> bool:
@@ -210,14 +217,15 @@ def _alltoallv(site: CollectiveSite, m: MachineModel, size: int):
             )
     bmat = np.zeros((size, size), dtype=np.float64)
     for src, e in site.entries.items():
-        for dst, obj in enumerate(e.payload):
-            bmat[src, dst] = payload_nbytes(obj)
+        bmat[src] = e.parts
     # Pairwise-exchange rounds: in round s each rank i exchanges with (i+s)%P.
     alpha, beta = m.network.latency, m.network.bandwidth
     idx = np.arange(size)
+    partner = (idx + idx[1:, None]) % size  # row s-1: the peers of round s
     duration = 0.0
-    for s in range(1, size):
-        round_bytes = bmat[idx, (idx + s) % size].max() if size > 1 else 0.0
+    # Summed in round order on purpose: a pairwise np.sum would move the
+    # virtual clock in its last digits.
+    for round_bytes in bmat[idx, partner].max(axis=1).tolist():
         duration += alpha + round_bytes / beta
     t = site.last_arrival() + duration
     recv = {

@@ -9,11 +9,11 @@ metadata messages are latency-dominated anyway).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["payload_nbytes"]
+__all__ = ["payload_nbytes", "sequence_nbytes"]
 
 _SCALAR_BYTES = 8
 _CONTAINER_OVERHEAD = 16
@@ -36,7 +36,7 @@ def payload_nbytes(obj: Any) -> int:
     if isinstance(obj, (bool, int, float, complex, np.generic)):
         return _SCALAR_BYTES
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return _CONTAINER_OVERHEAD + sum(payload_nbytes(x) for x in obj)
+        return sequence_nbytes(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
         return _CONTAINER_OVERHEAD + sum(
             payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
@@ -46,3 +46,9 @@ def payload_nbytes(obj: Any) -> int:
     if attrs:
         return _CONTAINER_OVERHEAD + payload_nbytes(attrs)
     return 64
+
+
+def sequence_nbytes(parts: Iterable[int]) -> int:
+    """Size of a list/tuple whose elements measure ``parts`` bytes — for
+    callers that need the per-element sizes as well as the total."""
+    return _CONTAINER_OVERHEAD + sum(parts)

@@ -14,6 +14,8 @@ phases instead of thousands of tiny independent requests:
    are scheduled striping-aware (:mod:`repro.pfs.scheduler`): every batch
    targets a single controller, and aggregators stagger their starting
    controller by rank so a collective drives all controllers concurrently.
+   The access phase is planned once per aggregation, not per controller,
+   batch or domain: its host cost is numpy calls, not the bytes they move.
 
 Writes resolve overlapping segments deterministically: segments are applied
 in source-rank order, so the highest writing rank wins byte-wise (matters
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _NO_OFFSET = 1 << 62
+_EMPTY_PIECE = (np.empty(0, dtype=np.int64),) * 2  # all empty domains share it
 
 
 def file_domain_bounds(glo: int, ghi: int, naggs: int, align: int) -> np.ndarray:
@@ -73,27 +76,30 @@ def split_runs_by_bounds(
     Returns one ``(offsets, lengths)`` pair per domain; a run crossing a
     boundary contributes a clipped piece to both sides.  Data order is
     preserved: concatenating the pieces domain-by-domain reproduces the
-    original byte stream.
+    original byte stream.  Pieces are read-only by contract: one is a
+    view of the inputs unless its first or last run is clipped (only then
+    is it copied), and every empty domain gets the same empty piece.
     """
+    out = [_EMPTY_PIECE] * (len(bounds) - 1)
+    if len(offsets) == 0:
+        return out
     ends = offsets + lengths
-    out: List[Tuple[np.ndarray, np.ndarray]] = []
-    for d in range(len(bounds) - 1):
-        lo, hi = int(bounds[d]), int(bounds[d + 1])
-        i0 = int(np.searchsorted(ends, lo, side="right"))
-        i1 = int(np.searchsorted(offsets, hi, side="left"))
-        if i0 >= i1:
-            out.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            )
-            continue
-        o = offsets[i0:i1].copy()
-        l = lengths[i0:i1].copy()
-        if o[0] < lo:
-            l[0] -= lo - o[0]
-            o[0] = lo
-        if o[-1] + l[-1] > hi:
-            l[-1] = hi - o[-1]
-        out.append((o, l))
+    i0 = np.searchsorted(ends, bounds[:-1], side="right")
+    i1 = np.searchsorted(offsets, bounds[1:], side="left")
+    hit = np.flatnonzero(i0 < i1)  # domains holding any of these runs
+    a, b, lo, hi = i0[hit], i1[hit], bounds[hit], bounds[hit + 1]
+    clipped = (offsets[a] < lo) | (ends[b - 1] > hi)
+    rows = np.column_stack((hit, a, b, lo, hi, clipped))
+    for d, a, b, lo, hi, clip in rows.tolist():
+        o, l = offsets[a:b], lengths[a:b]
+        if clip:
+            o, l = o.copy(), l.copy()
+            if o[0] < lo:
+                l[0] -= lo - o[0]
+                o[0] = lo
+            if o[-1] + l[-1] > hi:
+                l[-1] = hi - o[-1]
+        out[d] = (o, l)
     return out
 
 
@@ -113,18 +119,16 @@ class _Aggregation:
         self._start = np.cumsum(self.lengths) - self.lengths
         self.nbytes = int(self.lengths.sum())
 
-    def indices(self, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Scratch index of every byte of the given file runs (each inside
-        one union run), in run order."""
+    def _scratch(self, offsets: np.ndarray) -> np.ndarray:
+        """Scratch position of the first byte of each given file run
+        (each inside one union run)."""
         k = np.searchsorted(self.offsets, offsets, side="right") - 1
-        return expand_runs(
-            self._start[k] + (offsets - self.offsets[k]), lengths
-        )
+        return self._start[k] + (offsets - self.offsets[k])
 
     def segment_indices(self) -> np.ndarray:
         """Scratch index of every received segment byte, source-rank
         order."""
-        return self.indices(self.seg_off, self.seg_len)
+        return expand_runs(self._scratch(self.seg_off), self.seg_len)
 
     def batches(self, comm: Communicator, handle: PFSHandle, hints: Hints):
         """Striping-aware access plan: ``(controller, offsets, lengths,
@@ -132,19 +136,19 @@ class _Aggregation:
         ``cb_buffer_size`` bytes, staggered by rank so concurrent
         aggregators start on disjoint controller queues.  Batches are
         arbitrary sub-runs of the union, so each addresses its scratch
-        bytes by index instead of a sequential cursor."""
+        bytes by index instead of a sequential cursor.  The plan and every
+        run's scratch start are resolved once per aggregation; the byte
+        expansion stays per batch so that only one request's index array
+        (8 bytes per data byte) is alive across a controller hold."""
         layout = handle.file.layout
-        for ctl, b_off, b_len in controller_batches(
+        ctls, off, ln, bounds = controller_batches(
             layout, self.offsets, self.lengths, hints.cb_buffer_size,
             start=comm.rank % layout.n_controllers,
-        ):
-            yield ctl, b_off, b_len, self.indices(b_off, b_len)
-
-
-def _local_extent(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[int, int]:
-    if len(offsets) == 0:
-        return _NO_OFFSET, -1
-    return int(offsets[0]), int(offsets[-1] + lengths[-1])
+        )
+        at = self._scratch(off)
+        bounds = bounds.tolist()
+        for ctl, a, b in zip(ctls.tolist(), bounds[:-1], bounds[1:]):
+            yield ctl, off[a:b], ln[a:b], expand_runs(at[a:b], ln[a:b])
 
 
 def _plan_domains(
@@ -158,10 +162,10 @@ def _plan_domains(
     range, cut it into aggregator file domains (domain ``d`` belongs to
     rank ``d``), clip this rank's runs to each.  Returns the per-domain
     pieces, or ``None`` (after a barrier) when no rank has any bytes."""
-    fs.runs_submitted += len(offsets)
-    lo, hi = _local_extent(offsets, lengths)
-    glo = comm.allreduce(lo, op=MIN)
-    ghi = comm.allreduce(hi, op=MAX)
+    n = len(offsets)
+    fs.runs_submitted += n
+    glo = comm.allreduce(int(offsets[0]) if n else _NO_OFFSET, op=MIN)
+    ghi = comm.allreduce(int(offsets[-1] + lengths[-1]) if n else -1, op=MAX)
     if ghi <= glo:
         comm.barrier()
         return None
@@ -191,10 +195,10 @@ def collective_write(
     sends: List[Optional[tuple]] = [None] * comm.size
     pos = 0
     for d, (o, l) in enumerate(pieces):
-        nb = int(l.sum())
         if len(o):
+            nb = int(l.sum())
             sends[d] = (o, l, raw[pos : pos + nb])
-        pos += nb
+            pos += nb
     recv = comm.alltoallv(sends)
 
     entries = [e for e in recv if e is not None]
@@ -253,9 +257,9 @@ def collective_read(
 
     out = np.empty(int(lengths.sum()), dtype=np.uint8)
     pos = 0
-    for d, (o, l) in enumerate(pieces):
-        nb = int(l.sum())
-        if nb:
+    for d, (o, _) in enumerate(pieces):
+        if len(o):  # the reply is exactly this piece's bytes
+            nb = len(back[d])
             out[pos : pos + nb] = back[d]
             pos += nb
     return out

@@ -166,7 +166,10 @@ class FileSystem:
             self.create(proc, name, exist_ok=True)
         self._charge_metadata(proc, self.machine.storage.file_open_cost)
         self.n_opens += 1
-        self.sim.trace.record(self.sim.now, proc.name, "pfs.open", {"file": name})
+        if self.sim.trace.enabled:
+            self.sim.trace.record(
+                self.sim.now, proc.name, "pfs.open", {"file": name}
+            )
         return PFSHandle(self, self._files[name], mode)
 
     def close(self, proc: Process, handle: PFSHandle) -> None:
@@ -203,8 +206,9 @@ class FileSystem:
     def _serve(
         self, proc: Process, handle: PFSHandle, offsets, lengths,
         nbytes: int, controller: Optional[int], *, write: bool,
-    ) -> tuple:
-        """Charge one request's controller time; returns ``(ctl, nctl)``.
+    ) -> List[int]:
+        """Charge one request's controller time; returns the controllers
+        it visited, in order (what a trace record is made from).
 
         A *scheduled* request (the striping-aware scheduler emits
         single-controller batches) queues at its chosen controller for
@@ -233,13 +237,13 @@ class FileSystem:
             service = storage.stream_time(nbytes, write=write, runs=len(offsets))
             with self.controllers[ctl].request(proc):
                 proc.hold(service)
-            return ctl, 1
+            return [ctl]
         proc.hold(storage.stream_time(0, write=write, runs=len(offsets)))
         _, plen, pctl = split_runs_by_stripe(
             handle.file.layout, offsets, lengths
         )
         if len(pctl) == 0:
-            return 0, 0
+            return []
         bw = (
             storage.stream_write_bandwidth if write
             else storage.stream_read_bandwidth
@@ -252,11 +256,25 @@ class FileSystem:
         np.not_equal(pctl[1:], pctl[:-1], out=new[1:])
         starts = np.flatnonzero(new)
         visit_bytes = np.add.reduceat(plen, starts)
-        visit_ctl = pctl[starts]
-        for ctl, vbytes in zip(visit_ctl.tolist(), visit_bytes.tolist()):
+        visits = pctl[starts].tolist()
+        for ctl, vbytes in zip(visits, visit_bytes.tolist()):
             with self.controllers[ctl].request(proc):
                 proc.hold(float(vbytes) / bw)
-        return int(visit_ctl[0]), len(np.unique(visit_ctl))
+        return visits
+
+    def _trace_request(
+        self, proc: Process, label: str, handle: PFSHandle, nbytes: int,
+        nruns: int, visits: List[int],
+    ) -> None:
+        """File one ``pfs.read`` / ``pfs.write`` record.  The payload is
+        built only when the trace is on: this runs once per request."""
+        if self.sim.trace.enabled:
+            self.sim.trace.record(
+                self.sim.now, proc.name, label,
+                {"file": handle.file.name, "bytes": nbytes, "runs": nruns,
+                 "ctl": visits[0] if visits else 0,
+                 "nctl": len(set(visits))},
+            )
 
     def write(
         self, proc: Process, handle: PFSHandle, offsets, lengths, data,
@@ -273,7 +291,7 @@ class FileSystem:
         offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))
         lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
         nbytes = int(lengths.sum())
-        ctl, nctl = self._serve(
+        visits = self._serve(
             proc, handle, offsets, lengths, nbytes, controller, write=True
         )
         handle.file.store.writev(offsets, lengths, data)
@@ -281,10 +299,8 @@ class FileSystem:
         self.bytes_written += nbytes
         self.n_requests += 1
         self.runs_serviced += len(offsets)
-        self.sim.trace.record(
-            self.sim.now, proc.name, "pfs.write",
-            {"file": handle.file.name, "bytes": nbytes, "runs": len(offsets),
-             "ctl": ctl, "nctl": nctl},
+        self._trace_request(
+            proc, "pfs.write", handle, nbytes, len(offsets), visits
         )
         return nbytes
 
@@ -301,7 +317,7 @@ class FileSystem:
         offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))
         lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
         nbytes = int(lengths.sum())
-        ctl, nctl = self._serve(
+        visits = self._serve(
             proc, handle, offsets, lengths, nbytes, controller, write=False
         )
         self.bytes_read += nbytes
@@ -311,10 +327,8 @@ class FileSystem:
             self.data_bytes_read += nbytes
         self.n_requests += 1
         self.runs_serviced += len(offsets)
-        self.sim.trace.record(
-            self.sim.now, proc.name, "pfs.read",
-            {"file": handle.file.name, "bytes": nbytes, "runs": len(offsets),
-             "ctl": ctl, "nctl": nctl},
+        self._trace_request(
+            proc, "pfs.read", handle, nbytes, len(offsets), visits
         )
         return handle.file.store.readv(offsets, lengths)
 

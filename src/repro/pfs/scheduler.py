@@ -9,23 +9,53 @@ batches, interleaved round-robin from a caller-chosen starting
 controller — so N aggregators that pick distinct starting points drive
 all controllers concurrently instead of hammering one.
 
-The split is pure layout arithmetic (:class:`~repro.pfs.striping.
-StripeLayout`), fully vectorized: runs are cut at stripe boundaries, each
-piece is owned by ``controller_of`` its stripe, per-controller pieces are
-re-merged where file-contiguous, and size-batched to the collective
-buffer limit.
+The plan is one vectorized pass over all controllers.  :func:`_cut` —
+*cut runs at multiples of a period* — runs twice: on file bytes at
+``stripe_size`` (a piece then lies on one controller) and on each
+controller's cumulative byte stream at ``max_bytes`` (a piece then lies
+in one batch).  In between, same-controller pieces that abut in the file
+are re-merged by one :func:`~repro.pfs.runlist.coalesce_runs` call over
+``controller * span + offset`` — ``span`` exceeds every end, so pieces of
+two controllers never abut and the repo keeps its one merge kernel.  A
+stable sort on ``round * n + (controller - start) mod n`` *is* the
+round-robin interleave: rounds in order, controllers cyclically from
+``start`` within a round, stream order within a batch.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.pfs.runlist import coalesce_runs, expand_runs
 from repro.pfs.striping import StripeLayout
 
-__all__ = ["split_runs_by_stripe", "size_batches", "controller_batches"]
+__all__ = ["split_runs_by_stripe", "controller_batches"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _cut(
+    starts: np.ndarray, lengths: np.ndarray, period: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut non-empty runs at the multiples of ``period``.
+
+    Returns ``(piece_starts, piece_lengths, cell, run_of)``: pieces in
+    input order, each inside cell ``[cell * period, (cell + 1) * period)``
+    and cut from input run ``run_of``.  The address space is the
+    caller's — file bytes, or positions in a byte stream.
+    """
+    first, ends = starts // period, starts + lengths
+    npieces = (ends - 1) // period - first + 1
+    run_of = np.arange(len(starts), dtype=np.int64)
+    if npieces.max() == 1:  # no run crosses a boundary
+        return starts, lengths, first, run_of
+    run_of = np.repeat(run_of, npieces)
+    cell = expand_runs(first, npieces)
+    lo = np.maximum(cell * period, starts[run_of])
+    hi = np.minimum((cell + 1) * period, ends[run_of])
+    return lo, hi - lo, cell, run_of
 
 
 def split_runs_by_stripe(
@@ -41,49 +71,10 @@ def split_runs_by_stripe(
     lengths = np.asarray(lengths, dtype=np.int64)
     keep = lengths > 0
     offsets, lengths = offsets[keep], lengths[keep]
-    empty = np.empty(0, dtype=np.int64)
     if len(offsets) == 0:
-        return empty, empty.copy(), empty.copy()
-    ss = layout.stripe_size
-    first = offsets // ss
-    last = (offsets + lengths - 1) // ss
-    npieces = last - first + 1
-    run_of = np.repeat(np.arange(len(offsets), dtype=np.int64), npieces)
-    stripe = expand_runs(first, npieces)
-    starts = np.maximum(stripe * ss, offsets[run_of])
-    ends = np.minimum((stripe + 1) * ss, (offsets + lengths)[run_of])
-    return starts, ends - starts, stripe % layout.n_controllers
-
-
-def size_batches(
-    offsets: np.ndarray, lengths: np.ndarray, max_bytes: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a run list into requests of at most ``max_bytes`` each.
-
-    Batches are full to capacity: boundaries sit at multiples of
-    ``max_bytes`` in the cumulative byte space of the runs, splitting any
-    run that crosses one.  One cumulative-sum/searchsorted pass — no
-    per-byte walk.
-    """
-    keep = lengths > 0
-    offsets, lengths = offsets[keep], lengths[keep]
-    if len(offsets) == 0:
-        return []
-    cum = np.cumsum(lengths, dtype=np.int64)
-    total = int(cum[-1])
-    run_start = cum - lengths  # byte position (in run space) each run begins
-    cuts = np.arange(max_bytes, total, max_bytes, dtype=np.int64)
-    piece_start = np.union1d(run_start, cuts)
-    piece_len = np.diff(np.concatenate((piece_start, [total])))
-    run_idx = np.searchsorted(cum, piece_start, side="right")
-    piece_off = offsets[run_idx] + (piece_start - run_start[run_idx])
-    splits = np.searchsorted(piece_start, cuts)
-    bounds = np.concatenate(([0], splits, [len(piece_start)]))
-    return [
-        (piece_off[a:b], piece_len[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
+        return _EMPTY, _EMPTY, _EMPTY
+    poff, plen, stripe, _ = _cut(offsets, lengths, layout.stripe_size)
+    return poff, plen, stripe % layout.n_controllers
 
 
 def controller_batches(
@@ -92,34 +83,39 @@ def controller_batches(
     lengths: np.ndarray,
     max_bytes: int,
     start: int = 0,
-) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Order a run list into single-controller requests.
 
-    Returns ``(controller, offsets, lengths)`` batches, each at most
-    ``max_bytes``, interleaved round-robin over the controllers beginning
-    at ``start`` — callers that stagger ``start`` (e.g. by rank) hit
+    Returns the flat plan ``(controllers, offsets, lengths, bounds)``:
+    batch ``b`` is the runs ``offsets[bounds[b]:bounds[b + 1]]`` (with
+    their ``lengths``), all on ``controllers[b]`` and at most
+    ``max_bytes`` together.  Batches are full to capacity per controller
+    and interleaved round-robin over the controllers beginning at
+    ``start`` — callers that stagger ``start`` (e.g. by rank) hit
     disjoint controller queues on their first requests and keep every
     controller streaming.
     """
-    poff, plen, pctl = split_runs_by_stripe(layout, offsets, lengths)
-    queues: List[List[Tuple[int, np.ndarray, np.ndarray]]] = []
-    for ctl in range(layout.n_controllers):
-        sel = pctl == ctl
-        if not sel.any():
-            queues.append([])
-            continue
-        # Undo the stripe cut wherever consecutive stripes landed on the
-        # same controller (pieces are disjoint, so gap 0 is lossless).
-        co, cl, _ = coalesce_runs(poff[sel], plen[sel])
-        queues.append(
-            [(ctl, bo, bl) for bo, bl in size_batches(co, cl, max_bytes)]
-        )
-    out: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    depth = max((len(q) for q in queues), default=0)
     n = layout.n_controllers
-    for round_ in range(depth):
-        for c in range(n):
-            q = queues[(start + c) % n]
-            if round_ < len(q):
-                out.append(q[round_])
-    return out
+    poff, plen, pctl = split_runs_by_stripe(layout, offsets, lengths)
+    if len(poff) == 0:
+        return _EMPTY, _EMPTY, _EMPTY, np.zeros(1, dtype=np.int64)
+    # Undo the stripe cut wherever consecutive stripes landed on the same
+    # controller (pieces are disjoint, so gap 0 is lossless).
+    by_ctl = np.argsort(pctl, kind="stable")
+    poff, plen, pctl = poff[by_ctl], plen[by_ctl], pctl[by_ctl]
+    span = int((poff + plen).max()) + 1
+    lifted, mlen, _ = coalesce_runs(pctl * span + poff, plen)
+    mctl = lifted // span
+    moff = lifted - mctl * span
+    # Where each merged run sits in its controller's byte stream; batch
+    # k of a controller is stream bytes [k * max_bytes, (k + 1) * max_bytes).
+    stream = np.cumsum(mlen) - mlen
+    stream -= stream[np.searchsorted(mctl, mctl)]
+    bpos, blen, round_, run_of = _cut(stream, mlen, max_bytes)
+    boff = moff[run_of] + (bpos - stream[run_of])
+    key = round_ * n + (mctl[run_of] - start) % n
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(key[1:] != key[:-1]) + 1
+    bounds = np.concatenate(([0], first, [len(key)]))
+    return (start + key[bounds[:-1]]) % n, boff[order], blen[order], bounds

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["StripeLayout"]
 
 
@@ -47,19 +45,3 @@ class StripeLayout:
     def controllers_spanned(self, offset: int, length: int) -> int:
         """Number of distinct controllers the request touches."""
         return min(self.stripes_spanned(offset, length), self.n_controllers)
-
-    def controllers_for_runs(self, offsets, lengths) -> np.ndarray:
-        """Distinct controllers touched by a run list (sorted array)."""
-        offsets = np.asarray(offsets, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        hit = set()
-        for o, l in zip(offsets.tolist(), lengths.tolist()):
-            if l <= 0:
-                continue
-            first = o // self.stripe_size
-            last = (o + l - 1) // self.stripe_size
-            if last - first + 1 >= self.n_controllers:
-                return np.arange(self.n_controllers)
-            for s in range(first, last + 1):
-                hit.add(s % self.n_controllers)
-        return np.array(sorted(hit), dtype=np.int64)

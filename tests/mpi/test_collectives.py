@@ -192,6 +192,57 @@ def test_alltoallv_cost_grows_with_process_count():
     assert t16 > t4  # more rounds, more data
 
 
+@pytest.mark.parametrize("p", [1, 2, 5, 8])
+def test_alltoallv_measures_each_payload_once_and_sums_in_round_order(
+    p, monkeypatch
+):
+    """Every ``(src, dst)`` payload is sized exactly once (deposit keeps
+    the per-destination sizes for the byte matrix), the recorded
+    collective bytes are still each rank's whole list, and the duration
+    is the round-by-round sequential sum, to the last bit."""
+    from repro.mpi import collectives
+    from repro.mpi.nbytes import payload_nbytes
+
+    rng = np.random.default_rng(p)
+    sizes = rng.integers(0, 5000, size=(p, p))
+    top_level = []
+
+    def counting(obj):
+        top_level.append(obj)
+        return payload_nbytes(obj)
+
+    monkeypatch.setattr(collectives, "payload_nbytes", counting)
+
+    def program(ctx):
+        sends = [
+            (np.zeros(sizes[ctx.rank, d], dtype=np.uint8), "tag", d)
+            if (ctx.rank + d) % 3 else None
+            for d in range(ctx.size)
+        ]
+        nbytes = payload_nbytes(sends)
+        t0 = ctx.now
+        ctx.comm.alltoallv(sends)
+        return nbytes, ctx.now - t0, ctx.comm.transport.stats()
+
+    machine = fast_test()
+    job = run(program, p, machine=machine)
+    assert len(top_level) == p * p
+    assert job.values[0][2]["coll_bytes"]["alltoallv"] == \
+        sum(v[0] for v in job.values)
+    cell = np.array([
+        [payload_nbytes((np.zeros(sizes[s, d], dtype=np.uint8), "tag", d))
+         if (s + d) % 3 else payload_nbytes(None) for d in range(p)]
+        for s in range(p)
+    ], dtype=np.float64)
+    want = 0.0
+    for s in range(1, p):
+        want += machine.network.latency + max(
+            cell[i, (i + s) % p] for i in range(p)
+        ) / machine.network.bandwidth
+    if p > 1:
+        assert {v[1] for v in job.values} == {want}
+
+
 def test_phase_timer_records_collective_time():
     def program(ctx):
         with ctx.phase("sync"):

@@ -1,15 +1,31 @@
 """Unit tests for the two-phase building blocks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpiio.twophase import (
+    _Aggregation,
     file_domain_bounds,
     split_runs_by_bounds,
 )
-from repro.pfs.scheduler import size_batches
+from repro.pfs import StripeLayout
+from repro.pfs.scheduler import controller_batches
+
+
+def _runs(spec):
+    """Sorted non-overlapping runs from ``(hole, length)`` pairs."""
+    offsets, lengths, cursor = [], [], 0
+    for hole, ln in spec:
+        cursor += hole
+        offsets.append(cursor)
+        lengths.append(ln)
+        cursor += ln
+    return (np.array(offsets, dtype=np.int64),
+            np.array(lengths, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +92,7 @@ def test_split_empty_domain():
     st.integers(1, 6),
 )
 def test_split_conserves_bytes_and_order_property(spec, naggs):
-    offsets, lengths = [], []
-    cursor = 0
-    for gap, ln in spec:
-        cursor += gap
-        offsets.append(cursor)
-        cursor += ln
-        lengths.append(ln)
-    off = np.array(offsets, dtype=np.int64)
-    ln = np.array(lengths, dtype=np.int64)
+    off, ln = _runs(spec)
     lo, hi = int(off[0]), int(off[-1] + ln[-1])
     bounds = file_domain_bounds(lo, hi, naggs, align=1)
     parts = split_runs_by_bounds(off, ln, bounds)
@@ -104,14 +112,137 @@ def test_split_conserves_bytes_and_order_property(spec, naggs):
     assert (all_off[1:] >= all_off[:-1] + all_len[:-1]).all()
 
 
+def _reference_split_runs_by_bounds(offsets, lengths, bounds):
+    """The per-domain searchsorted/copy loop the vectorized split
+    replaced, kept as the oracle."""
+    ends = offsets + lengths
+    out = []
+    for d in range(len(bounds) - 1):
+        lo, hi = int(bounds[d]), int(bounds[d + 1])
+        i0 = int(np.searchsorted(ends, lo, side="right"))
+        i1 = int(np.searchsorted(offsets, hi, side="left"))
+        if i0 >= i1:
+            out.append(([], []))
+            continue
+        o = offsets[i0:i1].copy()
+        l = lengths[i0:i1].copy()
+        if o[0] < lo:
+            l[0] -= lo - o[0]
+            o[0] = lo
+        if o[-1] + l[-1] > hi:
+            l[-1] = hi - o[-1]
+        out.append((o.tolist(), l.tolist()))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(1, 90)),
+             min_size=0, max_size=20),
+    st.lists(st.integers(0, 60), min_size=1, max_size=12),
+    st.integers(0, 30),
+)
+def test_split_matches_per_domain_loop_property(spec, steps, first):
+    """Same pieces as the per-domain loop for runs straddling two or more
+    bounds, empty domains, duplicate bounds (``maximum.accumulate`` makes
+    them when domains are narrower than a stripe), bounds narrower or
+    wider than the runs, and a rank with no runs — and the caller's
+    arrays are left as they were."""
+    off, ln = _runs(spec)
+    bounds = first + np.concatenate(([0], np.cumsum(steps))).astype(np.int64)
+    off0, ln0 = off.copy(), ln.copy()
+    got = split_runs_by_bounds(off, ln, bounds)
+    want = _reference_split_runs_by_bounds(off0, ln0, bounds)
+    assert [(o.tolist(), l.tolist()) for o, l in got] == want
+    assert off.tolist() == off0.tolist() and ln.tolist() == ln0.tolist()
+    for o, l in got:
+        assert o.dtype == np.int64 and l.dtype == np.int64
+
+
+def test_split_run_straddling_three_domains():
+    off = np.array([10, 95], dtype=np.int64)
+    ln = np.array([5, 250], dtype=np.int64)
+    bounds = np.array([0, 100, 100, 200, 300, 400], dtype=np.int64)
+    parts = split_runs_by_bounds(off, ln, bounds)
+    assert [(o.tolist(), l.tolist()) for o, l in parts] == [
+        ([10, 95], [5, 5]),
+        ([100], [0]),  # a degenerate domain inside a run: zero bytes of it
+        ([100], [100]), ([200], [100]), ([300], [45]),
+    ]
+    assert ln.tolist() == [5, 250]  # clipping worked on copies
+
+
+def test_split_no_runs_gives_every_domain_an_empty_piece():
+    empty = np.empty(0, dtype=np.int64)
+    parts = split_runs_by_bounds(empty, empty, np.array([0, 50, 100]))
+    assert [(len(o), len(l)) for o, l in parts] == [(0, 0), (0, 0)]
+
+
 # ---------------------------------------------------------------------------
-# size_batches (repro.pfs.scheduler)
+# _Aggregation.batches: scratch addressing of the access plan
 # ---------------------------------------------------------------------------
+
+def _segment(offsets, lengths):
+    return (np.array(offsets, dtype=np.int64),
+            np.array(lengths, dtype=np.int64))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 5])
+@pytest.mark.parametrize("cap", [7, 64, 10_000])
+def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
+    """Overlapping segments from three sources: the batches' scratch
+    indices are a permutation of ``range(nbytes)``, and each batch's
+    scratch bytes are exactly its file bytes."""
+    agg = _Aggregation([
+        _segment([0, 40, 100], [30, 20, 50]),
+        _segment([20, 55, 300], [25, 10, 70]),  # overlaps source 0 twice
+        _segment([140, 360], [20, 10]),         # overlaps, then abuts
+    ])
+    assert agg.offsets.tolist() == [0, 100, 300]
+    assert agg.lengths.tolist() == [65, 60, 70]
+    layout = StripeLayout(stripe_size=16, n_controllers=3)
+    # scratch holds the union runs end to end: scratch[i] = file byte
+    file_byte = np.concatenate(
+        [np.arange(o, o + l) for o, l in zip(agg.offsets, agg.lengths)]
+    )
+    seen = []
+    for ctl, b_off, b_len, bidx in agg.batches(
+        SimpleNamespace(rank=rank),
+        SimpleNamespace(file=SimpleNamespace(layout=layout)),
+        SimpleNamespace(cb_buffer_size=cap),
+    ):
+        assert int(b_len.sum()) == len(bidx) <= cap
+        want = np.concatenate(
+            [np.arange(o, o + l) for o, l in zip(b_off, b_len)]
+        )
+        assert file_byte[bidx].tolist() == want.tolist()
+        assert {layout.controller_of(int(b)) for b in want} == {ctl}
+        seen.extend(bidx.tolist())
+    assert sorted(seen) == list(range(agg.nbytes))
+    # the segments address the same scratch: 3 sources, overlaps included
+    assert file_byte[agg.segment_indices()].tolist() == np.concatenate(
+        [np.arange(o, o + l) for o, l in zip(agg.seg_off, agg.seg_len)]
+    ).tolist()
+
+
+# ---------------------------------------------------------------------------
+# size batching (repro.pfs.scheduler.controller_batches on one controller)
+# ---------------------------------------------------------------------------
+
+def _size_batches(uo, ul, max_bytes):
+    """Requests of at most ``max_bytes`` from the scheduler: with one
+    controller its plan is pure size batching (the stripe cut, at an
+    awkward 7 bytes, is undone by the re-merge)."""
+    layout = StripeLayout(stripe_size=7, n_controllers=1)
+    ctls, off, ln, bounds = controller_batches(layout, uo, ul, max_bytes)
+    assert not ctls.any()
+    return [(off[a:b], ln[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 def test_batches_split_large_runs():
     uo = np.array([0], dtype=np.int64)
     ul = np.array([100], dtype=np.int64)
-    batches = size_batches(uo, ul, max_bytes=30)
+    batches = _size_batches(uo, ul, max_bytes=30)
     sizes = [int(l.sum()) for _, l in batches]
     assert sizes == [30, 30, 30, 10]
     assert batches[0][0].tolist() == [0]
@@ -121,7 +252,7 @@ def test_batches_split_large_runs():
 def test_batches_group_small_runs():
     uo = np.array([0, 100, 200, 300], dtype=np.int64)
     ul = np.array([10, 10, 10, 10], dtype=np.int64)
-    batches = size_batches(uo, ul, max_bytes=25)
+    batches = _size_batches(uo, ul, max_bytes=25)
     sizes = [int(l.sum()) for _, l in batches]
     assert sum(sizes) == 40
     assert all(s <= 25 for s in sizes)
@@ -152,6 +283,18 @@ def _reference_size_batches(uo, ul, cb_buffer_size):
     return batches
 
 
+def _merge_abutting(off, ln):
+    """The walk emits one piece per input run; the scheduler hands the
+    file system maximal runs.  Same bytes, same batch."""
+    out = []
+    for o, l in zip(off.tolist(), ln.tolist()):
+        if out and out[-1][0] + out[-1][1] == o:
+            out[-1][1] += l
+        else:
+            out.append([o, l])
+    return [o for o, _ in out], [l for _, l in out]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 100), st.integers(0, 120)),
@@ -159,21 +302,12 @@ def _reference_size_batches(uo, ul, cb_buffer_size):
     st.integers(1, 257),
 )
 def test_vectorized_batches_match_reference_property(spec, cap):
-    """The cumulative-sum split produces the reference walk's batches
-    exactly — offsets, lengths, and batch boundaries — for any run list
-    (zero-length runs included) and any buffer size."""
-    offsets, lengths = [], []
-    cursor = 0
-    for hole, ln in spec:
-        cursor += hole
-        offsets.append(cursor)
-        lengths.append(ln)
-        cursor += ln
-    uo = np.array(offsets, dtype=np.int64)
-    ul = np.array(lengths, dtype=np.int64)
-    got = size_batches(uo, ul, cap)
+    """The scheduler's byte-stream cut produces the reference walk's
+    batches exactly — offsets, lengths, and batch boundaries — for any
+    run list (zero-length runs included) and any buffer size."""
+    uo, ul = _runs(spec)
+    got = _size_batches(uo, ul, cap)
     want = _reference_size_batches(uo, ul, cap)
     assert len(got) == len(want)
     for (go, gl), (wo, wl) in zip(got, want):
-        assert go.tolist() == wo.tolist()
-        assert gl.tolist() == wl.tolist()
+        assert (go.tolist(), gl.tolist()) == _merge_abutting(wo, wl)

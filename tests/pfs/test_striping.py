@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pfs import StripeLayout
+from repro.pfs.scheduler import split_runs_by_stripe
 
 
 def test_stripe_and_controller_mapping():
@@ -33,11 +34,13 @@ def test_controllers_spanned_caps_at_pool_size():
 
 
 def test_controllers_for_runs():
+    """Distinct controllers a run list touches: the controller column of
+    the scheduler's stripe cut."""
     lay = StripeLayout(stripe_size=10, n_controllers=4)
-    hit = lay.controllers_for_runs([0, 20], [5, 5])  # stripes 0 and 2
-    np.testing.assert_array_equal(hit, [0, 2])
-    all_hit = lay.controllers_for_runs([0], [1000])
-    np.testing.assert_array_equal(all_hit, [0, 1, 2, 3])
+    hit = split_runs_by_stripe(lay, [0, 20], [5, 5])[2]  # stripes 0 and 2
+    np.testing.assert_array_equal(np.unique(hit), [0, 2])
+    all_hit = split_runs_by_stripe(lay, [0], [1000])[2]
+    np.testing.assert_array_equal(np.unique(all_hit), [0, 1, 2, 3])
 
 
 def test_invalid_layout_rejected():
