@@ -125,9 +125,13 @@ bench-collective:
 ## leave their bounds, an adaptive policy falls below its best static
 ## setting, the planner examines more rows than the smaller access path
 ## offers, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
-## or two-phase collective writes stop beating both independent paths 10x
+## or two-phase collective writes stop beating both independent paths 10x;
+## then time the run list's move kernels against the byte index they
+## replaced, in-process and as ratios so the host's speed cancels (bulk
+## DOUBLE runs >= 2.5x faster, small request lists <= 1.5x slower)
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
+	$(PYTHON) benchmarks/perfcheck_kernels.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

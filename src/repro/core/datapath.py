@@ -1149,11 +1149,16 @@ def _assemble_chunked(
     pos = resolve_chunk_positions(comm, f, chunks, dtype, wanted, cache,
                                   version)
     present = pos >= 0
-    upos = np.unique(pos[present])
+    found = pos[present]
+    # sorted unique positions: a sort and a neighbour mask
+    upos = np.sort(found)
+    keep = np.ones(len(upos), dtype=bool)
+    np.not_equal(upos[1:], upos[:-1], out=keep[1:])
+    upos = upos[keep]
     raw = f.read_runs_at_all(upos, np.full(len(upos), dtype.size))
     elems = raw.view(dtype.numpy_dtype)
     out = np.zeros(len(wanted), dtype=dtype.numpy_dtype)
-    out[present] = elems[np.searchsorted(upos, pos[present])]
+    out[present] = elems[np.searchsorted(upos, found)]
     return view.to_user_order(out)
 
 

@@ -2,14 +2,16 @@
 
 The collective-I/O discipline of the source paper (and of ROMIO's data
 sieving / two-phase machinery) is to never let "many small noncontiguous
-requests" reach the file system.  The run list's two kernels live at the
+requests" reach the file system.  The run list's kernels live at the
 bottom of the stack in :mod:`repro.pfs.runlist` and are listed here
 again because this is the name the MPI-IO layer and the data path use:
 
 * :func:`coalesce_runs` — merge sorted byte runs into maximal contiguous
   runs, optionally bridging holes of at most ``gap`` bytes (the
   data-sieving trade: read-and-discard a small hole to save a request);
-* :func:`expand_runs` — the byte index of every byte a run list covers.
+* :func:`gather_runs` / :func:`scatter_runs` — copy a run list's bytes
+  out of / into a flat buffer, by the element;
+* :func:`expand_runs` — the index of every unit a run list covers.
 
 This module adds what only a coalescing *read* needs:
 
@@ -35,7 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.pfs.runlist import coalesce_runs, expand_runs
+from repro.pfs.runlist import (
+    coalesce_runs,
+    expand_runs,
+    gather_runs,
+    scatter_runs,
+)
 
 __all__ = [
     "ADAPTIVE_GAP",
@@ -44,7 +51,9 @@ __all__ = [
     "coalesce_runs",
     "expand_runs",
     "extract_runs",
+    "gather_runs",
     "resolve_gap",
+    "scatter_runs",
 ]
 
 ADAPTIVE_GAP = -1
@@ -121,4 +130,4 @@ def extract_runs(
     """
     cstart = np.cumsum(clen, dtype=np.int64) - clen
     in_blob = cstart[owner] + (np.asarray(offsets, dtype=np.int64) - coff[owner])
-    return blob[expand_runs(in_blob, lengths)]
+    return gather_runs(blob, in_blob, lengths)

@@ -28,7 +28,7 @@ import numpy as np
 from repro.mpiio.hints import Hints
 from repro.pfs.file import RD, PFSHandle
 from repro.pfs.filesystem import FileSystem
-from repro.pfs.runlist import expand_runs
+from repro.pfs.runlist import gather_runs, scatter_runs
 from repro.simt.process import Process
 
 __all__ = ["sieve_groups", "independent_read", "independent_write"]
@@ -97,7 +97,7 @@ def independent_read(
         if span_len != grp_bytes:
             # Holey group: copy the wanted runs out of the covering extent.
             proc.hold(fs.machine.compute.copy_time(grp_bytes))
-            data = data[expand_runs(grp_off - span_start, grp_len)]
+            data = gather_runs(data, grp_off - span_start, grp_len)
         out[out_pos : out_pos + grp_bytes] = data
         out_pos += grp_bytes
     return out
@@ -145,7 +145,7 @@ def independent_write(
             with fs.write_lock(handle.file.name).request(proc):
                 cover = fs.read(proc, handle, [span_start], [span_len])
                 proc.hold(fs.machine.compute.copy_time(grp_bytes))
-                cover[expand_runs(grp_off - span_start, grp_len)] = chunk
+                scatter_runs(cover, grp_off - span_start, grp_len, chunk)
                 fs.write(proc, handle, [span_start], [span_len], cover)
         data_pos += grp_bytes
     return data_pos

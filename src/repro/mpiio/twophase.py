@@ -38,7 +38,7 @@ from repro.mpi.ops import MAX, MIN
 from repro.mpiio.hints import Hints
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
-from repro.pfs.runlist import coalesce_runs, expand_runs
+from repro.pfs.runlist import coalesce_runs, gather_runs, scatter_runs
 from repro.pfs.scheduler import controller_batches
 from repro.simt.process import Process
 
@@ -125,21 +125,22 @@ class _Aggregation:
         k = np.searchsorted(self.offsets, offsets, side="right") - 1
         return self._start[k] + (offsets - self.offsets[k])
 
-    def segment_indices(self) -> np.ndarray:
-        """Scratch index of every received segment byte, source-rank
-        order."""
-        return expand_runs(self._scratch(self.seg_off), self.seg_len)
+    def segment_runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The received segments as runs of the scratch buffer,
+        source-rank order."""
+        return self._scratch(self.seg_off), self.seg_len
 
     def batches(self, comm: Communicator, handle: PFSHandle, hints: Hints):
         """Striping-aware access plan: ``(controller, offsets, lengths,
-        scratch indices)`` single-controller requests of at most
+        scratch offsets)`` single-controller requests of at most
         ``cb_buffer_size`` bytes, staggered by rank so concurrent
         aggregators start on disjoint controller queues.  Batches are
         arbitrary sub-runs of the union, so each addresses its scratch
-        bytes by index instead of a sequential cursor.  The plan and every
-        run's scratch start are resolved once per aggregation; the byte
-        expansion stays per batch so that only one request's index array
-        (8 bytes per data byte) is alive across a controller hold."""
+        bytes as a run list of its own (same lengths) instead of a
+        sequential cursor.  The plan and every run's scratch start are
+        resolved once per aggregation; nothing is expanded here — the
+        move kernels copy a one-run batch as a slice and index the rest by
+        the element, one request at a time."""
         layout = handle.file.layout
         ctls, off, ln, bounds = controller_batches(
             layout, self.offsets, self.lengths, hints.cb_buffer_size,
@@ -148,7 +149,7 @@ class _Aggregation:
         at = self._scratch(off)
         bounds = bounds.tolist()
         for ctl, a, b in zip(ctls.tolist(), bounds[:-1], bounds[1:]):
-            yield ctl, off[a:b], ln[a:b], expand_runs(at[a:b], ln[a:b])
+            yield ctl, off[a:b], ln[a:b], at[a:b]
 
 
 def _plan_domains(
@@ -205,12 +206,15 @@ def collective_write(
     if entries:  # this rank is an aggregator with segments to serve
         agg = _Aggregation(entries)
         seg_data = np.concatenate([e[2] for e in entries])
-        scratch = np.zeros(agg.nbytes, dtype=np.uint8)
+        # Not zeroed: the union runs are the union of the segments, so
+        # the segments overwrite every scratch byte.
+        scratch = np.empty(agg.nbytes, dtype=np.uint8)
         # src-rank order: highest rank wins overlaps
-        scratch[agg.segment_indices()] = seg_data
+        scatter_runs(scratch, *agg.segment_runs(), seg_data)
         proc.hold(fs.machine.compute.copy_time(len(seg_data)))
-        for ctl, b_off, b_len, bidx in agg.batches(comm, handle, hints):
-            fs.write(proc, handle, b_off, b_len, scratch[bidx], controller=ctl)
+        for ctl, b_off, b_len, b_at in agg.batches(comm, handle, hints):
+            fs.write(proc, handle, b_off, b_len,
+                     gather_runs(scratch, b_at, b_len), controller=ctl)
     comm.barrier()
     return int(lengths.sum())
 
@@ -241,10 +245,11 @@ def collective_read(
     if entries:  # this rank is an aggregator with segments to serve
         agg = _Aggregation(entries)
         scratch = np.empty(agg.nbytes, dtype=np.uint8)
-        for ctl, b_off, b_len, bidx in agg.batches(comm, handle, hints):
-            scratch[bidx] = fs.read(proc, handle, b_off, b_len, controller=ctl)
+        for ctl, b_off, b_len, b_at in agg.batches(comm, handle, hints):
+            scatter_runs(scratch, b_at, b_len,
+                         fs.read(proc, handle, b_off, b_len, controller=ctl))
         # all requested bytes, src-rank order
-        gathered = scratch[agg.segment_indices()]
+        gathered = gather_runs(scratch, *agg.segment_runs())
         proc.hold(fs.machine.compute.copy_time(len(gathered)))
         # Split back per source rank.
         pos = 0

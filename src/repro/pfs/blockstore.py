@@ -1,9 +1,13 @@
 """Real byte storage for simulated files.
 
-A :class:`ByteStore` is a growable flat ``uint8`` buffer with vectorized
+A :class:`ByteStore` is a growable flat ``uint8`` buffer with
 scatter/gather (``writev``/``readv``) over run lists — the storage engine
-under every simulated file.  Growth doubles capacity (the same ``realloc``
-strategy the paper credits SDM's single-pass edge reading to).
+under every simulated file.  The copying itself is the run list's move
+pair (:func:`repro.pfs.runlist.gather_runs` / ``scatter_runs``: slice
+copies for short lists, element-wide indexing for long ones); this module
+owns bounds, growth and the sparse-file rules.  Growth doubles capacity
+(the same ``realloc`` strategy the paper credits SDM's single-pass edge
+reading to).
 
 Reads of never-written ranges return zeros, like a POSIX sparse file.
 """
@@ -15,12 +19,18 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import PFSError
-from repro.pfs.runlist import expand_runs
+from repro.pfs.runlist import gather_runs, scatter_runs
 
 __all__ = ["ByteStore"]
 
-_LOOP_THRESHOLD = 64
-"""Run counts below this use a plain loop; above, vectorized fancy indexing."""
+
+def _extent(offsets: np.ndarray, lengths: np.ndarray, what: str) -> int:
+    """One past the last byte the non-empty runs touch (0 if none do).  An
+    empty run touches nothing wherever it points — POSIX ``pwritev`` with
+    an empty iov neither writes nor extends the file."""
+    if len(offsets) and int(offsets.min()) < 0:
+        raise PFSError(f"{what}: negative offset")
+    return int((offsets + lengths).max(where=lengths > 0, initial=0))
 
 
 class ByteStore:
@@ -88,22 +98,9 @@ class ByteStore:
         total = int(lengths.sum())
         if total != len(raw):
             raise PFSError(f"writev: runs cover {total} bytes, data has {len(raw)}")
-        if len(offsets) == 0:
-            return
-        if len(offsets) and int(offsets.min()) < 0:
-            raise PFSError("writev: negative offset")
-        end = int((offsets + lengths).max())
+        end = _extent(offsets, lengths, "writev")
         self._ensure(end)
-        if len(offsets) == 1:
-            o, l = int(offsets[0]), int(lengths[0])
-            self._buf[o : o + l] = raw
-        elif len(offsets) < _LOOP_THRESHOLD:
-            pos = 0
-            for o, l in zip(offsets.tolist(), lengths.tolist()):
-                self._buf[o : o + l] = raw[pos : pos + l]
-                pos += l
-        else:
-            self._buf[expand_runs(offsets, lengths)] = raw
+        scatter_runs(self._buf, offsets, lengths, raw)
         if end > self.size:
             self.size = end
 
@@ -111,26 +108,11 @@ class ByteStore:
         """Gather the runs into a fresh contiguous buffer (run order)."""
         offsets = np.asarray(offsets, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        total = int(lengths.sum())
-        out = np.zeros(total, dtype=np.uint8)
-        if len(offsets) == 0:
-            return out
-        if len(offsets) and int(offsets.min()) < 0:
-            raise PFSError("readv: negative offset")
-        end = int((offsets + lengths).max())
-        if end <= self.size:
-            if len(offsets) == 1:
-                o, l = int(offsets[0]), int(lengths[0])
-                out[:] = self._buf[o : o + l]
-            elif len(offsets) < _LOOP_THRESHOLD:
-                pos = 0
-                for o, l in zip(offsets.tolist(), lengths.tolist()):
-                    out[pos : pos + l] = self._buf[o : o + l]
-                    pos += l
-            else:
-                out[:] = self._buf[expand_runs(offsets, lengths)]
-            return out
-        # Some runs extend past EOF: clamp per run (rare, slow path).
+        if _extent(offsets, lengths, "readv") <= self.size:
+            return gather_runs(self._buf, offsets, lengths)
+        # Some runs extend past EOF: clamp per run (rare, slow path); the
+        # bytes beyond it read as zeros.
+        out = np.zeros(int(lengths.sum()), dtype=np.uint8)
         pos = 0
         for o, l in zip(offsets.tolist(), lengths.tolist()):
             avail = max(min(self.size, o + l) - o, 0)

@@ -358,3 +358,73 @@ def test_per_file_sieving_hints_reach_independent_io():
         out, requests = run(make_program(hints), 1).values[0]
         np.testing.assert_array_equal(out, [0.0, 2.0])
         assert requests == expected, (hints, requests)
+
+
+@pytest.mark.parametrize("mode", [MODE_WRONLY, MODE_RDWR],
+                         ids=["per-run", "sieved"])
+@pytest.mark.parametrize("collective", [False, True],
+                         ids=["write_runs", "write_runs_at_all"])
+def test_zero_length_run_does_not_extend_the_file(mode, collective):
+    """``check_runs`` admits empty runs; one far past the data must leave
+    file size and ``bytes_written`` those of the non-empty run."""
+
+    def program(ctx):
+        fs = ctx.service("fs")
+        f = File.open(ctx.comm, fs, "z.dat", MODE_CREATE | mode)
+        write = f.write_runs_at_all if collective else f.write_runs
+        if ctx.rank == 0:
+            n = write([0, 1_000_000], [4, 0], np.full(4, 5, dtype=np.uint8))
+        elif collective:
+            n = write([], [], np.empty(0, dtype=np.uint8))
+        else:
+            n = 0
+        f.close()
+        return n
+
+    job = run(program, 2)
+    fs = job.services["fs"]
+    assert job.values == [4, 0]
+    assert fs.lookup("z.dat").size == 4
+    assert fs.bytes_written == 4
+
+
+def test_collective_write_scratch_is_covered_by_its_segments(monkeypatch):
+    """The aggregator's scratch buffer is allocated uninitialised: the
+    union runs are the union of the segments, so every scratch byte is
+    overwritten.  Poison every uninitialised byte buffer with 0xAA and
+    three sources' overlapping segments still land as the right file
+    bytes (highest rank wins an overlap), holes still read as zeros."""
+    real_empty = np.empty
+
+    def poisoned(shape, dtype=float, **kwargs):
+        out = real_empty(shape, dtype, **kwargs)
+        if out.dtype == np.uint8:
+            out.fill(0xAA)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    segments = [  # the layout of test_twophase_helpers' aggregation test
+        ([0, 40, 100], [30, 20, 50]),
+        ([20, 55, 300], [25, 10, 70]),  # overlaps rank 0 twice
+        ([140, 360], [20, 10]),         # overlaps, then abuts
+    ]
+
+    def program(ctx):
+        fs = ctx.service("fs")
+        f = File.open(ctx.comm, fs, "ov3.dat", MODE_CREATE | MODE_RDWR)
+        off, ln = segments[ctx.rank]
+        f.write_runs_at_all(off, ln, np.full(sum(ln), ctx.rank + 1,
+                                             dtype=np.uint8))
+        back = f.read_runs_at_all([0], [370])
+        f.close()
+        return back
+
+    job = run(program, 3)
+    want = np.zeros(370, dtype=np.uint8)
+    for rank, (off, ln) in enumerate(segments):
+        for o, l in zip(off, ln):
+            want[o:o + l] = rank + 1
+    stored = job.services["fs"].lookup("ov3.dat").store.read(0, 370)
+    assert stored.tolist() == want.tolist()
+    for back in job.values:
+        assert back.tolist() == want.tolist()

@@ -1,5 +1,6 @@
-"""Unit and property tests for the run list's two kernels (merge,
-expansion) and the coalesced-read helpers built on them."""
+"""Unit and property tests for the run list's merge and expansion
+kernels and the coalesced-read helpers built on them (the move pair has
+its own file, ``tests/pfs/test_move_kernels.py``)."""
 
 import numpy as np
 import pytest

@@ -187,12 +187,19 @@ def _segment(offsets, lengths):
             np.array(lengths, dtype=np.int64))
 
 
+def _byte_index(offsets, lengths):
+    """Every byte the runs cover, per-run aranges (not the kernel)."""
+    return np.concatenate(
+        [np.arange(o, o + l) for o, l in zip(offsets, lengths)]
+    )
+
+
 @pytest.mark.parametrize("rank", [0, 1, 5])
 @pytest.mark.parametrize("cap", [7, 64, 10_000])
 def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     """Overlapping segments from three sources: the batches' scratch
-    indices are a permutation of ``range(nbytes)``, and each batch's
-    scratch bytes are exactly its file bytes."""
+    runs, expanded, are a permutation of ``range(nbytes)``, and each
+    batch's scratch bytes are exactly its file bytes."""
     agg = _Aggregation([
         _segment([0, 40, 100], [30, 20, 50]),
         _segment([20, 55, 300], [25, 10, 70]),  # overlaps source 0 twice
@@ -202,27 +209,23 @@ def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     assert agg.lengths.tolist() == [65, 60, 70]
     layout = StripeLayout(stripe_size=16, n_controllers=3)
     # scratch holds the union runs end to end: scratch[i] = file byte
-    file_byte = np.concatenate(
-        [np.arange(o, o + l) for o, l in zip(agg.offsets, agg.lengths)]
-    )
+    file_byte = _byte_index(agg.offsets, agg.lengths)
     seen = []
-    for ctl, b_off, b_len, bidx in agg.batches(
+    for ctl, b_off, b_len, b_at in agg.batches(
         SimpleNamespace(rank=rank),
         SimpleNamespace(file=SimpleNamespace(layout=layout)),
         SimpleNamespace(cb_buffer_size=cap),
     ):
+        bidx = _byte_index(b_at, b_len)  # what the move kernels address
         assert int(b_len.sum()) == len(bidx) <= cap
-        want = np.concatenate(
-            [np.arange(o, o + l) for o, l in zip(b_off, b_len)]
-        )
+        want = _byte_index(b_off, b_len)
         assert file_byte[bidx].tolist() == want.tolist()
         assert {layout.controller_of(int(b)) for b in want} == {ctl}
         seen.extend(bidx.tolist())
     assert sorted(seen) == list(range(agg.nbytes))
     # the segments address the same scratch: 3 sources, overlaps included
-    assert file_byte[agg.segment_indices()].tolist() == np.concatenate(
-        [np.arange(o, o + l) for o, l in zip(agg.seg_off, agg.seg_len)]
-    ).tolist()
+    assert file_byte[_byte_index(*agg.segment_runs())].tolist() == \
+        _byte_index(agg.seg_off, agg.seg_len).tolist()
 
 
 # ---------------------------------------------------------------------------

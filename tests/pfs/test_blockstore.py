@@ -58,7 +58,7 @@ def test_writev_readv_scattered_runs():
 
 def test_writev_many_runs_vectorized_path():
     s = ByteStore()
-    n = 1000  # > loop threshold
+    n = 1000  # far past the move kernels' slice-loop cut
     offsets = np.arange(n, dtype=np.int64) * 16
     lengths = np.full(n, 8, dtype=np.int64)
     data = np.arange(n * 8, dtype=np.uint8)
@@ -92,6 +92,19 @@ def test_readv_past_eof_zero_fills():
     np.testing.assert_array_equal(out[:4], np.full(4, 3, dtype=np.uint8))
     np.testing.assert_array_equal(out[4:6], np.full(2, 3, dtype=np.uint8))
     np.testing.assert_array_equal(out[6:], np.zeros(4, dtype=np.uint8))
+
+
+def test_zero_length_run_neither_writes_nor_extends():
+    """POSIX ``pwritev`` with an empty iov is a no-op wherever it points;
+    so is an empty run, alone or next to real ones."""
+    s = ByteStore()
+    s.writev([0, 1_000_000], [4, 0], np.full(4, 7, dtype=np.uint8))
+    assert s.size == 4
+    assert s.capacity == 4096  # nothing allocated for the empty run
+    s.writev([2_000_000], [0], np.empty(0, dtype=np.uint8))
+    assert s.size == 4 and s.capacity == 4096
+    # ... and an empty run past EOF reads as no bytes, not as a miss
+    assert s.readv([0, 1_000_000], [4, 0]).tolist() == [7, 7, 7, 7]
 
 
 def test_truncate_shrinks_and_zeroes():

@@ -208,3 +208,18 @@ def test_fs_counters_track_traffic():
     assert fs.bytes_read == 50
     assert fs.n_requests == 2
     assert fs.n_opens == 1
+
+
+def test_zero_length_run_does_not_extend_the_file():
+    """``FileSystem.write`` of ``[(0, 4), (1_000_000, 0)]``: file size
+    and traffic are those of the non-empty run."""
+    def fn(proc, fs):
+        h = fs.open(proc, "z.dat", RDWR, create=True)
+        n = fs.write(proc, h, [0, 1_000_000], [4, 0],
+                     np.full(4, 9, dtype=np.uint8))
+        return n, fs.stat(proc, "z.dat").size
+
+    (written, size), _, fs = run_one(fn)
+    assert (written, size) == (4, 4)
+    assert fs.bytes_written == 4
+    assert fs.lookup("z.dat").store.capacity == 4096
