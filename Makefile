@@ -125,19 +125,23 @@ bench-collective:
 ## leave their bounds, an adaptive policy falls below its best static
 ## setting, the planner examines more rows than the smaller access path
 ## offers, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
-## or two-phase collective writes stop beating both independent paths 10x;
-## then time the run list's move kernels against the byte index they
-## replaced, in-process and as ratios so the host's speed cancels (bulk
-## DOUBLE runs >= 2.5x faster, small request lists <= 1.5x slower)
+## two-phase collective writes stop beating both independent paths 10x,
+## a warm chunked read falls behind the canonical one, a background
+## reorganize removes < 80 % of the sync critical path, or compaction
+## leaves a free extent behind; then time the run list's move kernels
+## against the byte index they replaced, in-process and as ratios so the
+## host's speed cancels (bulk DOUBLE runs >= 2.5x faster, small request
+## lists <= 1.5x slower)
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits
-## BENCH_maintenance.json
+## BENCH_maintenance.json and holds it to its perfcheck guards
 bench-maintenance:
 	MAINTENANCE_BENCH_JSON=BENCH_maintenance.json $(PYTHON) -m pytest benchmarks/bench_ablation_maintenance.py --benchmark-only -q
+	$(PYTHON) benchmarks/perfcheck.py BENCH_maintenance.json
 
 ## the two-clock end-to-end benchmark (BENCHMARK.json, benchmarks/e2e/):
 ## every workload, both trace modes, one record written to $(OUT); then

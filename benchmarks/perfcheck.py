@@ -2,7 +2,8 @@
 
 ``make perfcheck`` (also run at the end of ``make bench``, and by
 ``make bench-metadb`` / ``make bench-datapath`` / ``make bench-policy`` /
-``make bench-collective`` against the file each just regenerated) loads
+``make bench-collective`` / ``make bench-maintenance`` against the file
+each just regenerated) loads
 the committed benchmark matrices and fails if a named cell has crossed
 its bound.  The guards are the :data:`GUARDS` table — data, one row per
 invariant:
@@ -72,6 +73,18 @@ GUARDS = (
     ("BENCH_collective.json", "cells/collective_vs_independent_wronly",
      "each", ">", 10, "two-phase collective I/O lost its order of magnitude "
      "over independent per-run writes"),
+    # A warm chunked read (index blocks cached) is data-only I/O: no
+    # slower than the canonical read (1.17-1.22x faster when added) ...
+    ("BENCH_maintenance.json", "cells/4|8/cache_gap_closed", "each", ">=",
+     1.0, "a warm chunked read fell behind the canonical read: the index "
+     "cache no longer makes it data-only"),
+    # ... a background reorganize leaves the application's critical path
+    # (0.95-0.97 of the sync exchange removed when added) ...
+    ("BENCH_maintenance.json", "cells/4|8/critical_path_removed", "each",
+     ">=", 0.80, "background reorganization is back on the critical path"),
+    # ... and compaction reclaims every dead byte.
+    ("BENCH_maintenance.json", "cells/4|8/free_after", "each", "<=", 0,
+     "compaction left free extents behind"),
 )
 
 COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}

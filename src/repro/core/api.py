@@ -152,7 +152,7 @@ class SDM(DatapathHost):
         super().__init__(
             ctx.comm, tables, ctx.service("fs"), application, organization,
             lease_holder=f"sdm:{application}:r{self.runid}",
-            maintenance=ctx.services.get("maint"), hints=self.io_hints,
+            maintenance=ctx.service("maint"), hints=self.io_hints,
         )
         self.index_cache = IndexBlockCache()
         """Rank-local LRU over chunked index-block fetches: checkpoint
@@ -180,8 +180,7 @@ class SDM(DatapathHost):
         """Per-rank read-count promotion trigger (replicated state; see
         :class:`~repro.core.policy.MaintenancePolicy`), or None under the
         static policy."""
-        if self.maintenance is not None:
-            self.maintenance.attach(ctx)
+        self.maintenance.attach(ctx)
         self.comm.barrier()
 
     # ------------------------------------------------------------------
@@ -494,7 +493,6 @@ class SDM(DatapathHost):
         if (
             chunks
             and self._maint_policy is not None
-            and self.maintenance is not None
             and self.pin.epoch is None
         ):
             # Promotion loop: the instance is still serving chunked.  The
@@ -592,18 +590,12 @@ class SDM(DatapathHost):
 
     def _flip_mode(self, mode: Optional[str], what: str) -> str:
         """``mode`` (default: :attr:`reorganize_mode`) validated for one
-        flip entry point: ``"sync"``, or ``"background"`` with a
-        maintenance service to enqueue on."""
+        flip entry point: ``"sync"`` or ``"background"``."""
         mode = self.reorganize_mode if mode is None else mode
         if mode not in ("sync", "background"):
             raise SDMStateError(
                 f"unknown {what} mode {mode!r} "
                 "(expected 'sync' or 'background')"
-            )
-        if mode == "background" and self.maintenance is None:
-            raise SDMStateError(
-                f"background {what} needs the maintenance service; "
-                "this job's services dict has no 'maint' entry"
             )
         return mode
 
@@ -621,8 +613,6 @@ class SDM(DatapathHost):
         try:
             return flip()
         except SDMLeaseConflict:
-            if self.maintenance is None:
-                raise
             self.drain_maintenance()
             return flip()
 
@@ -661,9 +651,8 @@ class SDM(DatapathHost):
     def drain_maintenance(self) -> None:
         """Block (in virtual time) until every maintenance job this rank
         enqueued has executed — reorganizations flipped, compactions
-        packed, history slices on disk.  A no-op without the service."""
-        if self.maintenance is not None:
-            self.maintenance.drain(self.ctx.rank, self.ctx.proc)
+        packed, history slices on disk."""
+        self.maintenance.drain(self.ctx.rank, self.ctx.proc)
 
     def finalize(self, handle: Optional[DataGroup] = None) -> None:
         """Close cached files and end the run (``SDM_finalize``).  Collective.

@@ -93,7 +93,7 @@ class SDMCatalog:
     """Read-only view over a (possibly finished) SDM metadata database."""
 
     def __init__(self, ctx: RankContext, tables: SDMTables, fs,
-                 maintenance=None, io_hints=None,
+                 maintenance, io_hints=None,
                  snapshot: bool = True) -> None:
         self.ctx = ctx
         self.tables = tables
@@ -107,11 +107,12 @@ class SDMCatalog:
         """Rank-local LRU over chunked index-block fetches, so a viewer
         stepping through timesteps (which share blocks) fetches each map
         once.  Old-epoch blocks stay valid under their ``(file, offset,
-        version)`` keys; the maintenance registration drops current-epoch
-        entries a flip this job runs has superseded."""
+        version)`` keys; the job-wide registration drops entries a flip or
+        a write of this job moved, freed or recycled."""
         self.maintenance = maintenance
-        if maintenance is not None:
-            maintenance.caches.register(None, self.index_cache)
+        """The job's maintenance service: its read gate admits every read,
+        its registry holds :attr:`index_cache`."""
+        maintenance.caches.register(self.index_cache)
         self.pin = SnapshotPin(tables, "catalog")
         self._leak_stats: Dict[str, int] = {"leaked_pins": 0}
         if snapshot:
@@ -130,7 +131,7 @@ class SDMCatalog:
         # snapshot arrives ready to probe.
         tables = SDMTables(ctx.service("db"))
         return cls(ctx, tables, ctx.service("fs"),
-                   maintenance=ctx.services.get("maint"), io_hints=io_hints,
+                   maintenance=ctx.service("maint"), io_hints=io_hints,
                    snapshot=snapshot)
 
     def release(self) -> None:
@@ -140,8 +141,7 @@ class SDMCatalog:
         any read after release resolves uncached — nothing would
         invalidate the blocks any more."""
         comm = self.ctx.comm
-        if self.maintenance is not None:
-            self.maintenance.caches.unregister(None, self.index_cache)
+        self.maintenance.caches.unregister(self.index_cache)
         self.index_cache = None
         self.pin.release(comm)
         # Leak audit: a clean release leaves no catalog pin and no reap

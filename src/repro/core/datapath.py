@@ -19,14 +19,16 @@ Reads are transparent across both: :func:`locate_instance` returns the
 ``execution_table`` row plus any chunk maps, and :func:`read_instance`
 either takes the canonical fast path or runs the chunked read pipeline:
 
-1. **resolve** — :func:`_chunk_positions` turns the wanted global indices
-   into absolute file byte positions against all chunk maps at once:
-   arithmetic chunks (constant-stride maps, ``index_offset ==
-   data_offset``) are pure arithmetic, and every *indexed* chunk's block
-   is fetched in **one** batched (cache-aware) request; candidates from
-   all chunks merge in a single stable sort whose last-per-gid survivor
-   reproduces the two-phase overlap rule (highest writing rank wins) —
-   no per-chunk rescan of the wanted array;
+1. **resolve** — :func:`resolve_chunk_positions` acquires every index
+   block the wanted range touches in one pass (cache hits, then the
+   collective dealing round or one batched fetch), and the pure
+   :func:`_chunk_positions` turns the wanted global indices into absolute
+   file byte positions against all chunk maps at once: arithmetic chunks
+   (constant-stride maps, ``index_offset == data_offset``) are pure
+   arithmetic, indexed chunks are looked up in their blocks; candidates
+   from all chunks merge in a single stable sort whose last-per-gid
+   survivor reproduces the two-phase overlap rule (highest writing rank
+   wins) — no per-chunk rescan of the wanted array;
 2. **read** — one collective ``File.read_runs_at_all`` takes the unique
    positions as they are, one run per element, and returns each
    element's bytes in position order; a vectorized scatter puts them
@@ -73,34 +75,34 @@ for as long as the reference lives.
 Overlapping chunks (ghost-inclusive map arrays) resolve to the highest
 writing rank, matching the two-phase exchange's overlap rule.
 
-Maintenance hooks (PR 4) and concurrency (PR 7)
------------------------------------------------
+Hosts, caches and flips
+-----------------------
 
-Three additions let the background maintenance layer
-(:mod:`repro.core.maintenance`) keep chunked files healthy off the
-application's critical path:
+Everything here runs on a :class:`DatapathHost` —
+:class:`~repro.core.api.SDM` for the synchronous paths, a maintenance
+worker's per-job host for the background ones — and every host carries
+the job's :class:`~repro.core.maintenance.MaintenanceService`, which is
+always present.
 
-* :class:`IndexBlockCache` — a rank-local LRU over :func:`_chunk_indexes`
-  fetches.  Checkpoint loops share index blocks across timesteps
-  (reference-not-copy), so a warm cache turns steady-state chunked reads
-  into data-only I/O.  Entries are keyed by the owning execution row's
-  version (``valid_from``), so a flip's relocated blocks get fresh keys
-  and a pinned snapshot's old keys stay valid for as long as its epoch
-  lives.
-* :func:`execute_reorganize` — the deferred exchange, parameterized by
-  a *host* instead of a full ``SDM`` so a maintenance worker can run it
-  on a background process.
-* :func:`compact_chunked_file` — packs a ``.chunked`` file's live chunks
-  (two-phase read-then-write, so any overlap is safe) and publishes the
-  rewritten chunk maps as a new epoch.
+Chunked index blocks are cached in two stores: the read side's
+:class:`IndexBlockCache` (a rank-local LRU keyed by the owning execution
+row's version, so a warm checkpoint loop reads data bytes only) and
+:class:`ChunkedOrder`'s write-side reference map (reference-not-copy
+sharing).  Both obey one rule, ``drop(file, lo, hi)``: forget every block
+whose bytes overlap ``[lo, hi)``.  Clients register both stores in the
+job's :class:`ChunkedCaches` (carried by the maintenance service), and
+every invalidation is job-wide through it: a flip publish drops the file,
+an append at a retreated cursor drops everything above the cursor, a
+first-fit reuse drops the recycled range.
 
-Both flips are MVCC publishes driven by :class:`repro.core.mvcc.Flip`
-(``docs/concurrency.md``, "The flip protocol"): readers that pinned an
-epoch keep resolving against their snapshot's row versions and byte
-regions, and ``SDMTables.reap_file`` turns a reaped interior region into
-a free extent (a topmost one retreats the append cursor).  Everything
-here runs on a :class:`DatapathHost` — :class:`~repro.core.api.SDM` for
-the synchronous paths, the maintenance worker's per-job host otherwise.
+:func:`execute_reorganize` (the deferred exchange) and
+:func:`compact_chunked_file` (pack a ``.chunked`` file's live chunks,
+two-phase read-then-write so any overlap is safe) are MVCC publishes
+driven by :class:`repro.core.mvcc.Flip` (``docs/concurrency.md``, "The
+flip protocol"): readers that pinned an epoch keep resolving against
+their snapshot's row versions and byte regions, and
+``SDMTables.reap_file`` turns a reaped interior region into a free extent
+(a topmost one retreats the append cursor).
 """
 
 from __future__ import annotations
@@ -184,6 +186,13 @@ _INDEX_CACHE_BLOCKS = 64
 """Index blocks an :class:`IndexBlockCache` keeps (LRU beyond this)."""
 
 
+def _overlaps(start: int, end: int, lo: int, hi: Optional[int]) -> bool:
+    """Do the bytes ``[start, end)`` overlap ``[lo, hi)`` (``hi=None``:
+    to the end of the file)?  The one invalidation rule of both chunked
+    block stores."""
+    return end > lo and (hi is None or start < hi)
+
+
 class IndexBlockCache:
     """Rank-local LRU cache of chunked index blocks.
 
@@ -205,14 +214,9 @@ class IndexBlockCache:
     reader pinned on an old epoch keeps hitting its own still-valid
     entries.  Checkpoint loops share blocks across timesteps at the same
     version (fresh appends are all version 0), preserving the warm-read
-    fast path.  Entries are additionally dropped
-
-    * when the append cursor retreats to or below the block
-      (:meth:`drop_from`, the write path's endangered-region rule), and
-    * when reorganization or compaction reclaims the file
-      (:meth:`drop_file`, via the maintenance service's registered
-      caches) — now belt-and-braces for the read path, but still load-
-      bearing for the write side's reference cache.
+    fast path — which is also why version-0 keys can be recycled, and
+    why the job's :class:`ChunkedCaches` calls :meth:`drop` whenever
+    bytes are moved, freed or rewritten.
     """
 
     def __init__(self) -> None:
@@ -275,30 +279,15 @@ class IndexBlockCache:
             self._blocks.popitem(last=False)
         return gids
 
-    def drop_file(self, file_name: str) -> None:
-        """Forget every block of one file."""
-        for k in [k for k in self._blocks if k[0] == file_name]:
-            del self._blocks[k]
-
-    def drop_from(self, file_name: str, base: int) -> None:
-        """Forget blocks whose bytes extend above ``base`` — the append
-        cursor retreated there, so anything above may be rewritten."""
+    def drop(self, file_name: str, lo: int = 0,
+             hi: Optional[int] = None) -> None:
+        """Forget every block of ``file_name`` whose bytes overlap
+        ``[lo, hi)`` (default: the whole file).  Touches neither the
+        hit/miss counters nor the LRU order of survivors."""
         for k in [
             k for k, g in self._blocks.items()
-            if k[0] == file_name and k[1] + len(g) * CHUNK_INDEX_BYTES > base
-        ]:
-            del self._blocks[k]
-
-    def drop_range(self, file_name: str, lo: int, hi: int) -> None:
-        """Forget blocks overlapping the byte range ``[lo, hi)`` — a
-        first-fit write is landing inside a previously-dead region, so a
-        block cached at a recycled ``(file, offset, version)`` key could
-        otherwise survive with stale bytes (fresh appends all publish at
-        version 0, so the version axis alone cannot disambiguate)."""
-        for k in [
-            k for k, g in self._blocks.items()
-            if k[0] == file_name and k[1] < hi
-            and k[1] + len(g) * CHUNK_INDEX_BYTES > lo
+            if k[0] == file_name
+            and _overlaps(k[1], k[1] + len(g) * CHUNK_INDEX_BYTES, lo, hi)
         ]:
             del self._blocks[k]
 
@@ -360,61 +349,34 @@ class FileHandleCache:
 
 
 class ChunkedCaches:
-    """Every chunked cache of one job — write-side reference caches
-    (:class:`ChunkedOrder`) and read-side :class:`IndexBlockCache`
-    instances of all its SDMs and catalogs — so whoever moves, frees or
-    recycles a file's bytes invalidates them all.  The job's maintenance
-    service carries the shared registry; an SDM in a job without the
-    tier keeps a private one."""
+    """Every chunked block store of one job — each SDM's write-side
+    reference map (its storage order) and read-side
+    :class:`IndexBlockCache`, each catalog's read-side cache — so whoever
+    moves, frees or recycles a file's bytes invalidates them all.  The
+    job's maintenance service carries the one registry."""
 
     def __init__(self) -> None:
-        self._write: List["ChunkedOrder"] = []
-        self._read: List[IndexBlockCache] = []
+        self._caches: list = []
 
-    def register(
-        self,
-        order: Optional["StorageOrder"],
-        read_cache: Optional[IndexBlockCache],
-    ) -> None:
-        """Add a client's caches: its storage order's write-side
-        reference cache (only :class:`ChunkedOrder` keeps one) and its
-        read-side block cache."""
-        if isinstance(order, ChunkedOrder):
-            self._write.append(order)
-        if read_cache is not None:
-            self._read.append(read_cache)
+    def register(self, *caches) -> None:
+        """Add a client's block stores (anything with :meth:`drop`)."""
+        self._caches.extend(caches)
 
-    def unregister(
-        self,
-        order: Optional["StorageOrder"],
-        read_cache: Optional[IndexBlockCache],
-    ) -> None:
+    def unregister(self, *caches) -> None:
         """Forget what a finished client registered (its ``finalize`` /
         ``release``): the registry outlives every client of the job, so
         without this it would keep each one's blocks alive and walk them
         on every later drop.  Idempotent."""
-        if order in self._write:
-            self._write.remove(order)
-        if read_cache in self._read:
-            self._read.remove(read_cache)
+        for cache in caches:
+            if cache in self._caches:
+                self._caches.remove(cache)
 
-    def drop_file(self, file_name: str) -> None:
-        """A flip retreated the file's cursor or moved its blocks."""
-        for cache in self._write:
-            cache.drop_file_cache(file_name)
-        for cache in self._read:
-            cache.drop_file(file_name)
-
-    def drop_range(self, file_name: str, lo: int, hi: int) -> None:
-        """A first-fit write is recycling ``[lo, hi)`` of a dead extent:
-        fresh rows publish at version 0, so a block *any* client cached at
-        a recycled ``(file, offset, 0)`` key (e.g. a pinned catalog that
-        read the old version before its release-time reap recorded the
-        extent) would otherwise survive with stale bytes."""
-        for cache in self._write:
-            cache.drop_range_cache(file_name, lo, hi)
-        for cache in self._read:
-            cache.drop_range(file_name, lo, hi)
+    def drop(self, file_name: str, lo: int = 0,
+             hi: Optional[int] = None) -> None:
+        """Every registered store forgets the blocks of ``file_name``
+        overlapping ``[lo, hi)`` (default: the whole file)."""
+        for cache in self._caches:
+            cache.drop(file_name, lo, hi)
 
 
 class DatapathHost:
@@ -432,7 +394,7 @@ class DatapathHost:
         application: str,
         organization: Organization,
         lease_holder: str,
-        maintenance=None,
+        maintenance,
         hints=None,
         read_gate=None,
     ) -> None:
@@ -445,11 +407,10 @@ class DatapathHost:
         """Flip-lease identity, distinct per client and per maintenance
         job, so overlapping flips fail fast."""
         self.maintenance = maintenance
-        """The job's maintenance service, or None in a bespoke services
-        dict without the tier."""
-        self.caches: ChunkedCaches = (
-            ChunkedCaches() if maintenance is None else maintenance.caches
-        )
+        """The job's maintenance service (always present): its queue takes
+        background flips, its read gate admits reads."""
+        self.caches: ChunkedCaches = maintenance.caches
+        """The job-wide registry every cache invalidation goes through."""
         self.pin = SnapshotPin(tables, lease_holder)
         self.index_cache: Optional[IndexBlockCache] = None
         self.read_gate = read_gate
@@ -469,7 +430,7 @@ class DatapathHost:
     def invalidate_chunked_caches(self, file_name: str) -> None:
         """A reorganization or compaction this rank ran may have freed or
         moved the file's bytes: every registered cache forgets them."""
-        self.caches.drop_file(file_name)
+        self.caches.drop(file_name)
 
 
 class StorageOrder:
@@ -500,6 +461,12 @@ class StorageOrder:
             sdm.application, handle.group_id, name, timestep,
             sdm.organization, storage_order=self.name,
         )
+
+    def drop(self, file_name: str, lo: int = 0,
+             hi: Optional[int] = None) -> None:
+        """Forget cached index blocks overlapping ``[lo, hi)`` (the
+        :class:`ChunkedCaches` rule); an order that caches none has
+        nothing to forget."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageOrder {self.name}>"
@@ -548,39 +515,15 @@ class ChunkedOrder(StorageOrder):
     def __init__(self) -> None:
         # (fname, group_id, dataset) -> (gids, index_offset, index_end) of
         # this rank's last written index block, for reference-not-copy.
-        self._index_cache: dict = {}
+        self._last_blocks: dict = {}
 
-    def _drop_endangered(self, fname: str, base: int) -> None:
-        """Forget cached index blocks the append cursor has retreated past.
-
-        A base below a cached block's end means reorganization reclaimed
-        the file region holding it: bytes from ``base`` on may be
-        overwritten by this or any later append (any dataset of the file),
-        so every such entry is stale the moment the retreat is observed —
-        before a later write sees the cursor back above the block and
-        wrongly reuses it.
-        """
+    def drop(self, file_name: str, lo: int = 0,
+             hi: Optional[int] = None) -> None:
         for k in [
-            k for k, (_g, _off, end) in self._index_cache.items()
-            if k[0] == fname and end > base
+            k for k, (_g, off, end) in self._last_blocks.items()
+            if k[0] == file_name and _overlaps(off, end, lo, hi)
         ]:
-            del self._index_cache[k]
-
-    def drop_file_cache(self, fname: str) -> None:
-        """Forget every cached index block of one file (reorganization
-        may retreat its append cursor)."""
-        for k in [k for k in self._index_cache if k[0] == fname]:
-            del self._index_cache[k]
-
-    def drop_range_cache(self, fname: str, lo: int, hi: int) -> None:
-        """Forget cached index blocks overlapping ``[lo, hi)`` — a
-        first-fit write is about to overwrite that previously-dead region,
-        so a cached block inside it must never be shared again."""
-        for k in [
-            k for k, (_g, off, end) in self._index_cache.items()
-            if k[0] == fname and off < hi and end > lo
-        ]:
-            del self._index_cache[k]
+            del self._last_blocks[k]
 
     def _shared_index(self, key, gids, base) -> Optional[int]:
         """Offset of a reusable earlier index block, or None.
@@ -589,7 +532,7 @@ class ChunkedOrder(StorageOrder):
         new chunk row then protects it from append-cursor reclamation for
         as long as the row lives (see the module docstring).
         """
-        cached = self._index_cache.get(key)
+        cached = self._last_blocks.get(key)
         if cached is None:
             return None
         prev_gids, offset, end = cached
@@ -644,18 +587,14 @@ class ChunkedOrder(StorageOrder):
             place = sdm.comm.bcast(place, root=0)
             if place is not None:
                 base, reused = place, True
-        if reused:
-            # A write landing *inside* a previously-dead region: cached
-            # blocks overlapping it are stale the moment the bytes land —
-            # fresh rows publish at version 0, so the MVCC cache key alone
-            # cannot tell recycled bytes from old ones — in any client's
-            # cache, hence the job-wide registry.
-            sdm.caches.drop_range(fname, base, base + total_need)
-        else:
-            self._drop_endangered(fname, base)
-            # The read-side block cache obeys the same retreat rule: bytes
-            # from ``base`` up may be rewritten by this or a later append.
-            sdm.index_cache.drop_from(fname, base)
+        # The bytes this write lands on are stale in every client's caches
+        # the moment they land — fresh rows publish at version 0, so the
+        # MVCC cache key alone cannot tell recycled bytes from old ones:
+        # a first-fit reuse recycles [base, base + need) of a dead extent;
+        # an append may sit at a retreated cursor, and everything above
+        # the cursor is dead (every live or pinned row version lies below
+        # it), so dropping it all is never lossy.
+        sdm.caches.drop(fname, base, base + total_need if reused else None)
         # Under level 1 every instance gets its own file, so an index
         # block can never be shared — don't grow the cache with map
         # copies that cannot hit.  A reuse write neither consumes nor
@@ -690,7 +629,7 @@ class ChunkedOrder(StorageOrder):
             index_offset = chunk_off
             data_offset = chunk_off + count * CHUNK_INDEX_BYTES
             if sharable:
-                self._index_cache[key] = (gids.copy(), index_offset, data_offset)
+                self._last_blocks[key] = (gids.copy(), index_offset, data_offset)
         elif shared is not None:
             index_offset, data_offset = shared, chunk_off
         else:  # arithmetic (or empty): no index block anywhere
@@ -835,15 +774,15 @@ def read_pinned(
     Collective over ``comm``; returns ``(elements in view order, file
     name, chunk maps)``.
 
-    ``reader`` supplies ``tables``, ``pin``, ``maintenance`` (the gate, or
-    None) and ``index_cache``.  Rank 0 registers the read with the gate
-    for the whole collective, so an in-place compaction slide can never
-    move bytes out from under it.  ``open_file(name)`` yields the handle;
+    ``reader`` supplies ``tables``, ``pin``, ``maintenance`` (the gate)
+    and ``index_cache``.  Rank 0 registers the read with the gate for the
+    whole collective, so an in-place compaction slide can never move
+    bytes out from under it.  ``open_file(name)`` yields the handle;
     ``close`` closes it before the gate reopens.
     """
     reader.pin.touch(comm)
     gate = reader.maintenance
-    if gate is not None and comm.rank == 0:
+    if comm.rank == 0:
         gate.begin_read(comm.proc)
     try:
         where, chunks, version = locate_instance(
@@ -858,7 +797,7 @@ def read_pinned(
         if close:
             f.close()
     finally:
-        if gate is not None and comm.rank == 0:
+        if comm.rank == 0:
             gate.end_read()
     return out, where[0], chunks
 
@@ -869,37 +808,6 @@ def _arithmetic_gids(ch: ChunkRecord) -> np.ndarray:
     return np.arange(
         ch.gid_min, ch.gid_max + 1, max(ch.gid_step, 1), dtype=np.int64
     )
-
-
-def _chunk_indexes(
-    f: File,
-    chunks: Sequence[ChunkRecord],
-    cache: Optional[IndexBlockCache] = None,
-    version: int = 0,
-    preloaded: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
-) -> Dict[Tuple[int, int], np.ndarray]:
-    """Index blocks of several chunks, fetched in one batched request.
-
-    Returns ``{(index_offset, num_elements): gids}`` for every chunk that
-    stores a real block (arithmetic chunks are skipped).  Blocks already
-    in ``preloaded`` (the collective resolution's dealt blocks) and cache
-    hits are resolved first; every remaining miss lands in a single
-    batched :func:`_fetch_index_blocks` read.
-    """
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    rest: List[Tuple[int, int]] = []
-    for ch in chunks:
-        if ch.index_offset == ch.data_offset:
-            continue
-        key = (ch.index_offset, ch.num_elements)
-        if key in out:
-            continue
-        if preloaded is not None and key in preloaded:
-            out[key] = preloaded[key]
-            continue
-        rest.append(key)
-    out.update(_fetch_index_blocks(f, rest, cache, version))
-    return out
 
 
 def _split_extents(raw: np.ndarray, lens: np.ndarray) -> List[np.ndarray]:
@@ -946,39 +854,47 @@ def _fetch_index_blocks(
     return out
 
 
-def _chunk_positions(
-    f: File, chunks: Sequence[ChunkRecord], dtype: Primitive,
-    wanted: np.ndarray, cache: Optional[IndexBlockCache] = None,
-    version: int = 0,
-    preloaded: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
-) -> np.ndarray:
-    """Absolute file byte position of each wanted global index, resolved
-    against the chunk maps (-1 where no chunk holds it).
-
-    Arithmetic chunks resolve by pure arithmetic; indexed chunks' blocks
-    arrive via one batched :func:`_chunk_indexes` fetch.  Candidate
-    ``(gid, position)`` pairs from every overlapping chunk are gathered in
-    ascending writer rank and merged with one stable sort whose
-    last-per-gid survivor wins — exactly the two-phase exchange's overlap
-    rule (highest writing rank wins) without a per-chunk rescan of the
-    wanted array.
-    """
-    pos = np.full(len(wanted), -1, dtype=np.int64)
+def _live_chunks(
+    chunks: Sequence[ChunkRecord], wanted: np.ndarray
+) -> List[ChunkRecord]:
+    """The non-empty chunks overlapping the sorted ``wanted`` range, in
+    ascending writer rank."""
     if len(wanted) == 0:
-        return pos
+        return []
     lo, hi = int(wanted[0]), int(wanted[-1])
-    esize = dtype.size
-    live = [
+    return [
         ch for ch in sorted(chunks, key=lambda c: c.rank)
         if ch.num_elements and ch.gid_max >= lo and ch.gid_min <= hi
     ]
+
+
+def _chunk_positions(
+    chunks: Sequence[ChunkRecord],
+    blocks: Dict[Tuple[int, int], np.ndarray],
+    esize: int,
+    wanted: np.ndarray,
+) -> np.ndarray:
+    """Absolute file byte position of each wanted global index, resolved
+    against the chunk maps (-1 where no chunk holds it).  Pure: ``blocks``
+    maps every overlapping indexed chunk's :attr:`ChunkRecord.block` to
+    its gids.
+
+    Arithmetic chunks resolve by pure arithmetic, indexed chunks by
+    lookup in their blocks.  Candidate ``(gid, position)`` pairs from
+    every overlapping chunk are gathered in ascending writer rank and
+    merged with one stable sort whose last-per-gid survivor wins —
+    exactly the two-phase exchange's overlap rule (highest writing rank
+    wins) without a per-chunk rescan of the wanted array.
+    """
+    pos = np.full(len(wanted), -1, dtype=np.int64)
+    live = _live_chunks(chunks, wanted)
     if not live:
         return pos
-    blocks = _chunk_indexes(f, live, cache, version, preloaded)
+    lo, hi = int(wanted[0]), int(wanted[-1])
     cand_gid: List[np.ndarray] = []
     cand_pos: List[np.ndarray] = []
     for ch in live:  # ascending rank: later candidates override earlier
-        if ch.index_offset == ch.data_offset:
+        if ch.block is None:
             step = max(ch.gid_step, 1)
             sel = (wanted >= ch.gid_min) & (wanted <= ch.gid_max)
             if step > 1:
@@ -986,7 +902,7 @@ def _chunk_positions(
             g = wanted[sel]
             p = ch.data_offset + ((g - ch.gid_min) // step) * esize
         else:
-            cidx = blocks[(ch.index_offset, ch.num_elements)]
+            cidx = blocks[ch.block]
             a = int(np.searchsorted(cidx, lo))
             b = int(np.searchsorted(cidx, hi, side="right"))
             if b - a <= len(wanted):
@@ -1030,62 +946,50 @@ def resolve_chunk_positions(
     cache: Optional[IndexBlockCache] = None,
     version: int = 0,
 ) -> np.ndarray:
-    """Collective position resolution: :func:`_chunk_positions` with the
-    index blocks dealt across ranks instead of fetched P times.
+    """Collective position resolution: acquire every index block this
+    rank's wanted range touches in one pass, then resolve with the pure
+    :func:`_chunk_positions`.
 
-    On a cold read of a non-arithmetic instance every rank used to fetch
-    every overlapping index block itself, so cold index traffic scaled
-    with rank count.  Here the instance's indexed blocks are *dealt* over
-    the ranks by a deterministic block→rank map (sorted block keys,
-    position modulo ``comm.size`` — pure uniform chunk metadata, so every
-    rank derives the same owners), each rank routes the block keys its
-    cache cannot serve to their owners, every owner fetches its requested
-    blocks exactly once (one batched ``kind="index"`` read), and the
-    blocks travel back over the same :meth:`alltoallv` transport the
-    two-phase exchange uses.  Received blocks land in the requester's
-    :class:`IndexBlockCache`, so the warm path is *exactly* the old one:
-    subsequent reads resolve locally with no exchange at all — an
-    allreduce of the ranks' miss counts skips the dealing round entirely
-    when every rank is warm (its result is uniform, so the collective
-    structure stays SPMD).
+    On a cold read of a non-arithmetic instance, per-rank fetching would
+    make every rank read every overlapping index block, so cold index
+    traffic would scale with rank count.  Instead the instance's indexed
+    blocks are *dealt* over the ranks by a deterministic block→rank map
+    (sorted block keys, position modulo ``comm.size`` — pure uniform
+    chunk metadata, so every rank derives the same owners), each rank
+    routes the block keys its cache cannot serve to their owners, every
+    owner fetches its requested blocks exactly once (one batched
+    ``kind="index"`` read), and the blocks travel back over the same
+    :meth:`alltoallv` transport the two-phase exchange uses.  Received
+    blocks land in the requester's :class:`IndexBlockCache`; an allreduce
+    of the ranks' miss counts skips the dealing round entirely when every
+    rank is warm (its result is uniform, so the collective structure
+    stays SPMD).  Whatever the round did not deliver — cache hits, or
+    everything on one rank or an all-arithmetic instance — comes from one
+    batched cache-aware local fetch.
 
     Must be called by every rank of ``comm`` (a rank with an empty
     ``wanted`` participates with empty requests).  The returned positions
-    are byte-identical to a purely local :func:`_chunk_positions` — the
-    dealt blocks are the same bytes the local path would have fetched.
+    are byte-identical to :func:`_chunk_positions` over purely locally
+    fetched blocks — the dealt blocks are the same bytes.
     """
-    indexed = sorted({
-        (ch.index_offset, ch.num_elements)
-        for ch in chunks
-        if ch.num_elements and ch.index_offset != ch.data_offset
-    })
-    if comm.size == 1 or not indexed:
-        return _chunk_positions(f, chunks, dtype, wanted, cache, version)
-    # Blocks this rank's own resolution will touch (overlapping its
-    # wanted range) that its cache cannot serve.
-    missing: List[Tuple[int, int]] = []
-    if len(wanted):
-        lo, hi = int(wanted[0]), int(wanted[-1])
-        for ch in chunks:
-            if (
-                ch.num_elements and ch.index_offset != ch.data_offset
-                and ch.gid_max >= lo and ch.gid_min <= hi
-            ):
-                key = (ch.index_offset, ch.num_elements)
-                if key in missing:
-                    continue
-                if cache is not None and cache.contains(
-                    f.name, key[0], key[1], version
-                ):
-                    continue
-                missing.append(key)
-    preloaded = None
-    if comm.allreduce(len(missing)) > 0:
-        preloaded = _deal_index_blocks(
-            comm, f, indexed, sorted(missing), cache, version
-        )
-    return _chunk_positions(f, chunks, dtype, wanted, cache, version,
-                            preloaded)
+    keys = list(dict.fromkeys(
+        ch.block for ch in _live_chunks(chunks, wanted) if ch.block
+    ))
+    blocks: Dict[Tuple[int, int], np.ndarray] = {}
+    indexed = sorted({ch.block for ch in chunks if ch.block})
+    if comm.size > 1 and indexed:
+        missing = [
+            key for key in keys
+            if cache is None or not cache.contains(f.name, *key, version)
+        ]
+        if comm.allreduce(len(missing)) > 0:
+            blocks = _deal_index_blocks(
+                comm, f, indexed, sorted(missing), cache, version
+            )
+    blocks.update(_fetch_index_blocks(
+        f, [key for key in keys if key not in blocks], cache, version
+    ))
+    return _chunk_positions(chunks, blocks, dtype.size, wanted)
 
 
 def _deal_index_blocks(
@@ -1208,11 +1112,11 @@ def execute_reorganize(
         ]
         src = host._open_cached(old_fname, MODE_RDONLY)
         # One batched request fetches every index block this rank needs ...
-        blocks = _chunk_indexes(src, mine, cache, version)
+        blocks = _fetch_index_blocks(
+            src, [ch.block for ch in mine if ch.block], cache, version
+        )
         gid_parts: List[np.ndarray] = [
-            _arithmetic_gids(ch)
-            if ch.index_offset == ch.data_offset
-            else blocks[(ch.index_offset, ch.num_elements)]
+            _arithmetic_gids(ch) if ch.block is None else blocks[ch.block]
             for ch in mine
         ]
         val_parts: List[np.ndarray] = []
@@ -1327,7 +1231,7 @@ def _compaction_plan(host, file_name: str, start: int = 0) -> Dict:
                 ))
                 continue
             dbytes = ch.num_elements * esize
-            if ch.index_offset == ch.data_offset:  # dense: data block only
+            if ch.block is None:  # arithmetic: data block only
                 if ch.data_offset != cursor:
                     moves.append((ch.data_offset, dbytes, cursor))
                 recs.append(ChunkRecord(

@@ -61,10 +61,12 @@ machinery as the history files.
 Cache maintenance
 -----------------
 
-The service carries the job's :class:`~repro.core.datapath.ChunkedCaches`
-registry: ``SDM`` instances and catalogs register their chunked caches,
-and background reorganization and compaction invalidate every one of
-them for the touched file.
+The service carries the job's one :class:`~repro.core.datapath.ChunkedCaches`
+registry: every ``SDM`` registers its write-side reference map and its
+read-side index-block cache, every catalog its read-side cache, and every
+invalidation — a flip publish (background or synchronous), an append at a
+retreated cursor, a first-fit reuse — is one job-wide
+``caches.drop(file, lo, hi)``.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ class MaintenanceService:
         self._next_jobid: Optional[int] = None
         self.caches = ChunkedCaches()
         """The job's chunked caches (registered by every SDM and
-        catalog): flips and first-fit writes, background or not,
+        catalog): flips and chunked writes, background or not,
         invalidate all of them, so no application-side cache can serve
-        bytes another client moved."""
+        bytes another client moved or rewrote."""
         # Read gate: in-flight collective reads vs in-place compaction.
         self._reads_in_flight = 0
         self._compacting = False

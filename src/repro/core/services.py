@@ -58,21 +58,19 @@ def snapshot_services(job: JobResult) -> ServicesSnapshot:
     return ServicesSnapshot(files=files, db_dump=db.dump())
 
 
-def sdm_services(
-    seed_from: Optional[ServicesSnapshot] = None,
-    maintenance: bool = True,
-):
+def sdm_services(seed_from: Optional[ServicesSnapshot] = None):
     """Build the ``services`` factory for an SDM job.
 
     The factory creates a fresh :class:`FileSystem` and :class:`Database`
     attached to the job's simulator, plus the job's
-    :class:`~repro.core.maintenance.MaintenanceService`; with ``seed_from``
-    the file and database contents start from a previous job's snapshot
-    (host-side restore, no virtual time) — including any maintenance
-    backlog recorded in ``maintenance_table``, which the new service
-    adopts and executes.  ``maintenance=False`` omits the service
-    entirely, so no attach-time recovery sweep runs — crash-recovery
-    tests use it to force the lazy path, where the first
+    :class:`~repro.core.maintenance.MaintenanceService` — always: it
+    carries the job's chunked-cache registry and read gate, so every SDM
+    and catalog relies on it.  With ``seed_from`` the file and database
+    contents start from a previous job's snapshot (host-side restore, no
+    virtual time) — including any maintenance backlog recorded in
+    ``maintenance_table``, which the service adopts and executes once an
+    ``SDM`` attaches it.  A job in which no ``SDM`` attaches the service
+    (a catalog-only job) runs no attach-time recovery sweep: the first
     ``acquire_file_lease`` after a crash finds the dead holder's lease,
     recovers the file, and steals the lease.
     """
@@ -94,8 +92,6 @@ def sdm_services(
             db.attach(sim, machine)
         else:
             db = Database(sim, machine)
-        if not maintenance:
-            return {"fs": fs, "db": db}
         maint = MaintenanceService(sim, machine, fs, db)
         return {"fs": fs, "db": db, "maint": maint}
 

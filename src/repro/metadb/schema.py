@@ -235,7 +235,7 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     # (composite).
     ("access_pattern_table", ("runid",), "hash"),
     ("access_pattern_table", ("runid", "dataset"), "hash"),
-    # lookup_execution probes the composite hash once; the ordered twin
+    # lookup_execution_version probes the composite hash once; the ordered twin
     # serves the catalog's `WHERE runid/dataset ORDER BY timestep`; the
     # (file_name, file_offset) index answers max_offset_in_file's
     # `ORDER BY file_offset DESC LIMIT 1` end-of-file probe directly.
@@ -295,6 +295,15 @@ class ChunkRecord:
     index_offset: int
     data_offset: int
     gid_step: int = 1
+
+    @property
+    def block(self) -> Optional[Tuple[int, int]]:
+        """``(index_offset, num_elements)`` of the index block this chunk
+        stores — the key blocks are fetched and cached by — or None for
+        an empty or arithmetic chunk, which stores none."""
+        if self.num_elements and self.index_offset != self.data_offset:
+            return (self.index_offset, self.num_elements)
+        return None
 
 
 @dataclass(frozen=True)
@@ -502,21 +511,6 @@ class SDMTables:
             valid_from, proc,
         )
 
-    def lookup_execution(
-        self,
-        runid: int,
-        dataset: str,
-        timestep: int,
-        proc: Optional[Process] = None,
-    ) -> Optional[Tuple[str, int, int]]:
-        """(file_name, file_offset, nbytes) of a written dataset instance,
-        at *current* visibility — still a single composite-hash probe (the
-        OPEN_EPOCH equality rides along as a verified conjunct).  Inside a
-        flip's publish window two open versions can coexist; the newest
-        ``valid_from`` wins."""
-        row = self.lookup_execution_version(runid, dataset, timestep, proc=proc)
-        return row[:3] if row else None
-
     def lookup_execution_version(
         self,
         runid: int,
@@ -525,10 +519,13 @@ class SDMTables:
         epoch: Optional[int] = None,
         proc: Optional[Process] = None,
     ) -> Optional[Tuple[str, int, int, int]]:
-        """Like :meth:`lookup_execution` but resolved against a pinned
-        epoch (``epoch=None``: current visibility) and additionally
-        returning the matched version's ``valid_from`` — the reference
-        epoch chunk maps and index-block cache keys resolve against."""
+        """(file_name, file_offset, nbytes, valid_from) of a written
+        dataset instance, resolved against a pinned epoch (``epoch=None``:
+        current visibility — still a single composite-hash probe, the
+        OPEN_EPOCH equality riding along as a verified conjunct).  Inside
+        a flip's publish window two open versions can coexist; the newest
+        ``valid_from`` wins — the reference epoch chunk maps and
+        index-block cache keys resolve against."""
         visible, at = _visible(epoch)
         rows = self.db.execute(
             "SELECT file_name, file_offset, nbytes, valid_from "

@@ -77,7 +77,7 @@ def test_sdm_files_equal_sequential_reference(problem, part, level):
     tables = SDMTables(job.services["db"])
     for t in range(TIMESTEPS):
         for name in ("p", "q", "r", "s", "res"):
-            where = tables.lookup_execution(1, name, t)
+            where = tables.lookup_execution_version(1, name, t)[:3]
             assert where is not None, (level, name, t)
             fname, base, nbytes = where
             data = fs.lookup(fname).store.read(base, nbytes).view(np.float64)

@@ -109,12 +109,12 @@ def test_chunk_table_records_every_rank_block():
             assert c.data_offset == c.index_offset + 8 * len(mine)
             t0_bytes += 16 * len(mine)
     # The execution row covers index + data bytes so later appends clear it.
-    where = tables.lookup_execution(1, "d", 0)
+    where = tables.lookup_execution_version(1, "d", 0)[:3]
     assert where[2] == t0_bytes
     # Timestep 1 appended after timestep 0's chunks — and, the view being
     # unchanged, shares timestep 0's index blocks instead of rewriting
     # them (reference-not-copy): its region holds data bytes only.
-    t1 = tables.lookup_execution(1, "d", 1)
+    t1 = tables.lookup_execution_version(1, "d", 1)[:3]
     assert t1[1] == t0_bytes
     assert t1[2] == GLOBAL * 8
     for c0, c1 in zip(chunks, tables.chunks_for(1, "d", 1)):
@@ -147,7 +147,7 @@ def test_dense_chunks_store_no_index_block():
     tables = SDMTables(job.services["db"])
     for c in tables.chunks_for(1, "d", 0):
         assert c.index_offset == c.data_offset
-    assert tables.lookup_execution(1, "d", 0)[2] == n * 8
+    assert tables.lookup_execution_version(1, "d", 0)[2] == n * 8
     for mine, back in job.values:
         np.testing.assert_allclose(back, mine * 1.0)
 
@@ -187,8 +187,8 @@ def test_strided_chunks_store_no_index_block_and_read_back():
             assert c.index_offset == c.data_offset  # no index block
             assert c.gid_step == NPROCS
         # The instance region holds exactly the data bytes.
-        assert tables.lookup_execution(1, "d", t)[2] == n * 8
-    fname = tables.lookup_execution(1, "d", 0)[0]
+        assert tables.lookup_execution_version(1, "d", t)[2] == n * 8
+    fname = tables.lookup_execution_version(1, "d", 0)[0]
     assert job.services["fs"].lookup(fname).size == 2 * n * 8
     for mine, back, share, whole in job.values:
         np.testing.assert_allclose(back, mine * 1.0 + 1)
@@ -206,7 +206,7 @@ def test_strided_chunks_reorganize_to_global_order():
     tables = SDMTables(job.services["db"])
     for t in range(2):
         assert tables.chunks_for(1, "d", t) == []
-        fname, base, _nbytes = tables.lookup_execution(1, "d", t)
+        fname, base, _nbytes = tables.lookup_execution_version(1, "d", t)[:3]
         data = (
             job.services["fs"].lookup(fname).store
             .read(base, n * 8).view(np.float64)
@@ -353,7 +353,7 @@ def test_reorganize_flips_metadata_and_builds_global_order():
     tables = SDMTables(job.services["db"])
     for t in range(2):
         assert tables.chunks_for(1, "d", t) == []
-        fname, base, nbytes = tables.lookup_execution(1, "d", t)
+        fname, base, nbytes = tables.lookup_execution_version(1, "d", t)[:3]
         assert fname == "dp/d.dat"  # repointed at the canonical file
         assert nbytes == GLOBAL * 8
         data = (
@@ -411,7 +411,7 @@ def test_index_sharing_survives_space_reclamation():
 
     job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
     tables = SDMTables(job.services["db"])
-    assert tables.lookup_execution(1, "d", 1)[1] == 0  # region reclaimed
+    assert tables.lookup_execution_version(1, "d", 1)[1] == 0  # region reclaimed
     fresh_blocks = [
         c for c in tables.chunks_for(1, "d", 1)
         if c.data_offset == c.index_offset + 8 * c.num_elements
@@ -578,7 +578,7 @@ def test_level1_chunked_writes_do_not_grow_index_cache():
         back = np.empty(len(mine))
         sdm.read(handle, "d", 3, back)
         sdm.finalize(handle)
-        return mine, back, len(sdm.storage_order._index_cache)
+        return mine, back, len(sdm.storage_order._last_blocks)
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     for mine, back, cache_size in job.values:
@@ -610,7 +610,7 @@ def test_canonical_read_skips_chunk_table_probe():
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     by_rank = dict(job.values)
     # The counter is database-global; rank 0 (the only rank issuing
-    # statements) must have seen exactly its lookup_execution.
+    # statements) must have seen exactly its execution_table lookup.
     assert by_rank[0] == 1
 
 
@@ -637,7 +637,7 @@ def test_index_block_cache_drop_range():
     cache.put("f", 32, np.arange(4, dtype=np.int64))     # bytes [32, 64)
     cache.put("f", 64, np.arange(2, dtype=np.int64))     # bytes [64, 80)
     cache.put("g", 0, np.arange(4, dtype=np.int64))      # other file
-    cache.drop_range("f", 30, 64)  # clips the first, covers the second
+    cache.drop("f", 30, 64)  # clips the first, covers the second
     assert not cache.contains("f", 0, 4)
     assert not cache.contains("f", 32, 4)
     assert cache.contains("f", 64, 2)  # [64, 80) starts at hi: untouched
@@ -695,9 +695,9 @@ def test_first_fit_write_reuses_dead_extent_without_growing_file():
     fname = "dp/d.chunked.dat"
     # t2 sits exactly where t0's region was; the extent is fully consumed
     # and the file did not grow past the two original instances.
-    assert tables.lookup_execution(1, "d", 2)[:2] == (fname, 0)
+    assert tables.lookup_execution_version(1, "d", 2)[:2] == (fname, 0)
     assert tables.free_bytes_in(fname) == 0
-    t1_row = tables.lookup_execution(1, "d", 1)
+    t1_row = tables.lookup_execution_version(1, "d", 1)[:3]
     assert job.services["fs"].lookup(fname).size == t1_row[1] + t1_row[2]
     for rank, backs in enumerate(job.values):
         for t, maps in ((0, maps_a), (1, maps_b), (2, maps_c)):
@@ -751,10 +751,57 @@ def test_first_fit_reuse_evicts_stale_cached_blocks_across_clients():
 
     job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
     tables = SDMTables(job.services["db"])
-    assert tables.lookup_execution(1, "d", 2)[1] == 0  # reuse really happened
+    # reuse really happened
+    assert tables.lookup_execution_version(1, "d", 2)[1] == 0
     for share, old, fresh in job.values:
         np.testing.assert_allclose(old, share * 1.0)
         np.testing.assert_allclose(fresh, share * 3.0)
+
+
+def test_cursor_retreat_evicts_stale_blocks_across_clients():
+    """Regression, the cursor-path twin of the first-fit case: a pinned
+    catalog caches the topmost instance's blocks, its release reaps the
+    instance and retreats the append cursor to 0, and the next write —
+    equal counts, different maps — appends at the same offsets.  That
+    append must evict every registered cache's blocks above the cursor,
+    not just the writer's, or the catalog resolves the new instance
+    against the dead one's blocks."""
+    maps_a = equal_count_maps(seed=5)
+    maps_b = equal_count_maps(seed=7)
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                  storage_order=CHUNKED)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=GLOBAL)
+        handle = sdm.set_attributes(result)
+        sdm.data_view(handle, "d", maps_a[ctx.rank])
+        sdm.write(handle, "d", 0, maps_a[ctx.rank] * 1.0)  # topmost region
+        catalog = SDMCatalog.attach(ctx)     # pins the pre-flip epoch
+        sdm.reorganize(handle, "d", 0)       # the pin defers t0's reap
+        lo = GLOBAL * ctx.rank // ctx.size
+        hi = GLOBAL * (ctx.rank + 1) // ctx.size
+        share = np.arange(lo, hi, dtype=np.int64)
+        # Caches t0's index blocks under (file, offset, 0) keys.
+        old = catalog.read_slice(1, "d", 0, share)
+        # The release-time reap retreats the cursor to 0; the catalog
+        # stays registered (a full release would retire its cache).
+        catalog.pin.release(ctx.comm)
+        sdm.data_view(handle, "d", maps_b[ctx.rank])
+        sdm.write(handle, "d", 1, maps_b[ctx.rank] * 2.0)  # appends at 0
+        fresh = catalog.read_slice(1, "d", 1, share)
+        catalog.release()
+        sdm.finalize(handle)
+        return share, old, fresh
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    tables = SDMTables(job.services["db"])
+    # t1 appended at the retreated cursor, not into a recorded extent.
+    assert tables.lookup_execution_version(1, "d", 1)[1] == 0
+    assert tables.free_bytes_in("dp/d.chunked.dat") == 0
+    for share, old, fresh in job.values:
+        np.testing.assert_allclose(old, share * 1.0)
+        np.testing.assert_allclose(fresh, share * 2.0)
 
 
 def test_failed_reorganize_releases_its_flip_lease():

@@ -5,9 +5,10 @@ to be parking, so which OS thread pops the queue differs from run to run
 with the host's scheduling.  None of that may reach a result: the same
 32-rank job — chunked writes, a background reorganize on the maintenance
 workers, a read-back — must end at the same virtual time with the same
-fault-point log, message counters and database, bit for bit, with and
-without an observing :class:`FaultPlan`, under either ``policy``, and
-whatever ``PYTHONHASHSEED`` the interpreter was started with.
+fault-point log, message counters, database and bytes on disk, bit for
+bit, with and without an observing :class:`FaultPlan`, under either
+``policy``, and whatever ``PYTHONHASHSEED`` the interpreter was started
+with.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.config import fast_test
-from repro.core import SDM, sdm_services
+from repro.core import SDM, sdm_services, snapshot_services
 from repro.core.layout import CHUNKED
 from repro.dtypes import DOUBLE
 from repro.mpi import mpirun
@@ -77,6 +78,10 @@ def run_job(observe=False, policy=None):
         "fault_log": job.fault_log,
         "transport": transports[0].stats(),
         "db": db.dump(),
+        "files": {
+            name: hashlib.sha256(data.tobytes()).hexdigest()
+            for name, data in snapshot_services(job).files.items()
+        },
         "planner": (db.n_statements, db.n_rows_examined,
                     db.n_hash_paths, db.n_slice_paths),
     }
@@ -102,7 +107,7 @@ def digest(policy):
     """``now`` and one sha256 over everything a hash seed could reorder."""
     out = run_job(policy=policy)
     h = hashlib.sha256()
-    for key in ("now", "values", "transport", "db"):
+    for key in ("now", "values", "transport", "db", "files"):
         h.update(repr(out[key]).encode())
     return f"{policy} {float(out['now'])!r} {h.hexdigest()}"
 

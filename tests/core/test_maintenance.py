@@ -83,7 +83,7 @@ def test_background_reorganize_flips_metadata_and_preserves_reads():
     tables = SDMTables(job.services["db"])
     for t in range(2):
         assert tables.chunks_for(1, "d", t) == []
-        fname, base, nbytes = tables.lookup_execution(1, "d", t)
+        fname, base, nbytes = tables.lookup_execution_version(1, "d", t)[:3]
         assert fname == "dp/d.dat"
         data = (
             job.services["fs"].lookup(fname).store
@@ -132,28 +132,8 @@ def test_background_enqueue_is_cheap_and_work_completes_after_ranks_exit():
     # The flip still happened — after the ranks exited.
     tables = SDMTables(background.services["db"])
     assert tables.chunks_for(1, "d", 0) == []
-    assert tables.lookup_execution(1, "d", 0)[0] == "dp/d.dat"
+    assert tables.lookup_execution_version(1, "d", 0)[0] == "dp/d.dat"
     assert tables.pending_maintenance() == []
-
-
-def test_background_reorganize_without_service_rejected():
-    def program(ctx):
-        services = dict(ctx.services)
-        services.pop("maint")
-        ctx.services = services
-        sdm = SDM(ctx, "dp", storage_order=CHUNKED,
-                  reorganize_mode="background")
-        result = sdm.make_datalist(["d"])
-        sdm.associate_attributes(result, data_type=DOUBLE, global_size=8)
-        handle = sdm.set_attributes(result)
-        mine = np.arange(4, dtype=np.int64) + 4 * ctx.rank
-        sdm.data_view(handle, "d", mine)
-        sdm.write(handle, "d", 0, mine * 1.0)
-        sdm.reorganize(handle, "d", 0)
-
-    with pytest.raises(SimProcessCrashed) as ei:
-        mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    assert isinstance(ei.value.__cause__, SDMStateError)
 
 
 def test_unknown_reorganize_mode_rejected():
@@ -202,7 +182,7 @@ def test_reorganize_records_interior_extent_and_reclaims_topmost():
         for t, back in enumerate(backs):
             np.testing.assert_allclose(back, mine * 1.0 + t)
     # Only t1 lives in the chunked file now; the cursor sits at its end.
-    where = tables.lookup_execution(1, "d", 1)
+    where = tables.lookup_execution_version(1, "d", 1)[:3]
     assert where[0] == "dp/d.chunked.dat"
     assert cursor == where[1] + where[2]
 
@@ -363,7 +343,7 @@ def test_unrun_backlog_survives_snapshot_and_next_job_adopts_it():
     t2 = SDMTables(consumer.services["db"])
     assert t2.pending_maintenance() == []
     assert t2.chunks_for(1, "d", 0) == []
-    fname, base, nbytes = t2.lookup_execution(1, "d", 0)
+    fname, base, nbytes = t2.lookup_execution_version(1, "d", 0)[:3]
     assert fname == "dp/d.dat"
     data = (
         consumer.services["fs"].lookup(fname).store
@@ -457,7 +437,7 @@ def test_cache_registry_forgets_finalized_clients():
     from repro.core.catalog import SDMCatalog
 
     def reachable(registry):
-        return len(registry._write), len(registry._read)
+        return len(registry._caches)
 
     def program(ctx):
         registry = ctx.service("maint").caches
@@ -476,9 +456,9 @@ def test_cache_registry_forgets_finalized_clients():
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     # One registry serves both ranks: 2 write-side + 4 read-side caches
     # while a round's clients are live, none once they are gone.
-    assert reachable(job.services["maint"].caches) == (0, 0)
-    assert job.values[0][1::2] == [(0, 0), (0, 0)]
-    assert job.values[0][0] == (2, 4)
+    assert reachable(job.services["maint"].caches) == 0
+    assert job.values[0][1::2] == [0, 0]
+    assert job.values[0][0] == 6
 
 
 # ---------------------------------------------------------------------------

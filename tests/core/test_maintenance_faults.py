@@ -64,7 +64,7 @@ def consumer_program(ctx):
 
 def reorganized_data(job):
     tables = SDMTables(job.services["db"])
-    fname, base, _nbytes = tables.lookup_execution(1, "d", 0)
+    fname, base, _nbytes = tables.lookup_execution_version(1, "d", 0)[:3]
     assert fname == "dp/d.dat"
     return (
         job.services["fs"].lookup(fname).store

@@ -181,7 +181,7 @@ def test_level23_offsets_recorded_in_execution_table():
     nbytes = mesh.n_nodes * 8
     # Four instances packed back to back in one group file.
     offsets = [
-        tables.lookup_execution(runid, ds, t)[1]
+        tables.lookup_execution_version(runid, ds, t)[1]
         for t in range(2) for ds in ("p", "q")
     ]
     assert offsets == [0, nbytes, 2 * nbytes, 3 * nbytes]

@@ -263,7 +263,7 @@ def test_create_all_declares_sdm_indexes():
     for table, columns, kind in SDM_INDEXES:
         assert index_name(kind, columns) in tables.db.tables[table].indexes
     tables.record_execution(1, "p", 0, "f.L3", 0, 100)
-    assert tables.lookup_execution(1, "p", 0) == ("f.L3", 0, 100)
+    assert tables.lookup_execution_version(1, "p", 0)[:3] == ("f.L3", 0, 100)
     assert tables.db.n_index_probes > 0
     assert tables.db.n_full_scans == 0
 
@@ -308,7 +308,7 @@ def test_snapshot_restored_catalog_probes_without_redeclaration():
     assert reader.db.tables["execution_table"].indexes.keys() == (
         producer.db.tables["execution_table"].indexes.keys()
     )
-    assert reader.lookup_execution(1, "p", 3) == ("f.L3", 300, 100)
+    assert reader.lookup_execution_version(1, "p", 3)[:3] == ("f.L3", 300, 100)
     assert reader.max_offset_in_file("f.L3") == 400
     assert (reader.db.n_sorted_probes, reader.db.n_full_scans) == (1, 0)
     reader.create_all()  # still idempotent on a restored database

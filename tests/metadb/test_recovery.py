@@ -73,13 +73,13 @@ def test_rollback_restores_metadata_byte_identical(tables):
     # The flip repoints the instance into a successor file, closing the
     # predecessor at e — exactly reorganize's publish step.
     tables.update_execution(1, "p", 0, "grp.L3", "grp.L4", 0, 100, e)
-    assert tables.lookup_execution(1, "p", 0)[0] == "grp.L4"
+    assert tables.lookup_execution_version(1, "p", 0)[0] == "grp.L4"
     tables.rollback_flip("grp.L3", e)
     after = tables.db.execute(
         "SELECT * FROM execution_table ORDER BY file_offset"
     )
     assert after == before
-    assert tables.lookup_execution(1, "p", 0)[0] == "grp.L3"
+    assert tables.lookup_execution_version(1, "p", 0)[0] == "grp.L3"
     assert tables.flip_intent("grp.L3") is None
 
 
@@ -89,7 +89,7 @@ def test_recover_file_rolls_back_surviving_intent(tables):
     tables.update_execution(1, "p", 0, "grp.L3", "grp.L4", 0, 100, e)
     assert tables.recover_file("grp.L3") == "rolled_back"
     assert tables.n_flips_rolled_back == 1
-    assert tables.lookup_execution(1, "p", 0)[0] == "grp.L3"
+    assert tables.lookup_execution_version(1, "p", 0)[0] == "grp.L3"
     # Idempotent: nothing left to resolve.
     assert tables.recover_file("grp.L3") is None
 
@@ -105,7 +105,7 @@ def test_recover_file_rolls_committed_flip_forward(tables):
     assert tables.recover_file("grp.L3") == "rolled_forward"
     assert tables.n_flips_rolled_forward == 1
     assert tables.executions_in_file("grp.L3", dead=True) == []
-    assert tables.lookup_execution(1, "p", 0)[0] == "grp.L4"
+    assert tables.lookup_execution_version(1, "p", 0)[0] == "grp.L4"
     # record_extents=False: recovery never records free extents (the
     # dead offsets may overlap a quiesced compaction's live layout).
     assert tables.db.execute("SELECT * FROM extent_table") == []
@@ -120,8 +120,8 @@ def test_begin_flip_epochs_globally_unique_across_files(tables):
     tables.record_execution(1, "p", 0, "a.L3", 0, 10, valid_from=ea)
     tables.record_execution(1, "q", 0, "b.L3", 0, 10, valid_from=eb)
     tables.rollback_flip("a.L3", ea)
-    assert tables.lookup_execution(1, "p", 0) is None
-    assert tables.lookup_execution(1, "q", 0) is not None
+    assert tables.lookup_execution_version(1, "p", 0) is None
+    assert tables.lookup_execution_version(1, "q", 0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_steal_mid_flip_rolls_back_and_fences_commit(tables):
     # resolves the orphaned flip (rollback — never committed) first.
     assert tables.try_acquire_lease("grp.L3", "b", now=61.0)
     assert tables.n_flips_rolled_back == 1
-    assert tables.lookup_execution(1, "p", 0)[0] == "grp.L3"
+    assert tables.lookup_execution_version(1, "p", 0)[0] == "grp.L3"
     # The original holder waking up cannot publish over the thief.
     with pytest.raises(SDMStateError):
         tables.commit_flip("grp.L3", e)

@@ -56,8 +56,8 @@ def test_dataset_registration(tables):
 def test_execution_record_and_lookup(tables):
     tables.record_execution(1, "p", 10, "grp.L3", 0, 800)
     tables.record_execution(1, "q", 10, "grp.L3", 800, 800)
-    assert tables.lookup_execution(1, "q", 10) == ("grp.L3", 800, 800)
-    assert tables.lookup_execution(1, "q", 20) is None
+    assert tables.lookup_execution_version(1, "q", 10)[:3] == ("grp.L3", 800, 800)
+    assert tables.lookup_execution_version(1, "q", 20) is None
 
 
 def test_max_offset_in_file_for_appends(tables):

@@ -235,14 +235,17 @@ def chunk_mixes(draw):
 @given(chunk_mixes(), st.sampled_from(list(Organization)))
 def test_collective_resolution_matches_local_resolution(mix, level):
     """``resolve_chunk_positions`` (index blocks dealt across ranks and
-    shipped over alltoallv) must return byte-identical positions to a
-    purely local ``_chunk_positions`` — for every rank count 1-8, every
-    organization level, arithmetic/indexed/mixed chunks, and wanted sets
-    including foreign shares and empty participants — cold, and again
-    warm from the cache the collective round just filled."""
+    shipped over alltoallv) must return byte-identical positions to the
+    pure ``_chunk_positions`` over purely locally fetched blocks — for
+    every rank count 1-8, every organization level, arithmetic/indexed/
+    mixed chunks, and wanted sets including foreign shares and empty
+    participants — cold, warm, and from a cache carried across wanted
+    sets (some blocks hit, some dealt).  On counts: a cold round reads
+    every block some rank needs exactly once job-wide, a warm round reads
+    no index byte and issues no ``alltoallv``."""
     from repro.core.datapath import (
-        IndexBlockCache, _chunk_positions, locate_instance,
-        resolve_chunk_positions,
+        IndexBlockCache, _chunk_positions, _fetch_index_blocks,
+        locate_instance, resolve_chunk_positions,
     )
     from repro.mpiio.consts import MODE_RDONLY
     from repro.mpiio.file import File
@@ -262,6 +265,25 @@ def test_collective_resolution_matches_local_resolution(mix, level):
             ctx.comm, sdm.tables, sdm.runid, "d", 0, proc=ctx.proc
         )
         f = File.open(ctx.comm, ctx.service("fs"), where[0], MODE_RDONLY)
+        fs, transport = ctx.service("fs"), ctx.comm.transport
+        blocks = sorted({ch.block for ch in chunks if ch.block})
+
+        def counted(cache, wanted):
+            """One collective round and its job-wide (index bytes read,
+            alltoallv calls), barrier-fenced on both sides."""
+            ctx.comm.barrier()
+            b0 = fs.index_bytes_read
+            a0 = transport.coll_counts.get("alltoallv", 0)
+            ctx.comm.barrier()
+            pos = resolve_chunk_positions(
+                ctx.comm, f, chunks, DOUBLE, wanted, cache, version
+            )
+            ctx.comm.barrier()
+            io = (fs.index_bytes_read - b0,
+                  transport.coll_counts.get("alltoallv", 0) - a0)
+            ctx.comm.barrier()
+            return pos, io
+
         lo = n * ctx.rank // ctx.size
         hi = n * (ctx.rank + 1) // ctx.size
         wanteds = [
@@ -273,29 +295,51 @@ def test_collective_resolution_matches_local_resolution(mix, level):
             else np.empty(0, dtype=np.int64),
         ]
         out = []
-        cache = IndexBlockCache()
+        carried = IndexBlockCache()
         for wanted in wanteds:
-            local = _chunk_positions(f, chunks, DOUBLE, wanted, None, version)
-            cold = resolve_chunk_positions(
-                ctx.comm, f, chunks, DOUBLE, wanted, cache, version
+            local = _chunk_positions(
+                chunks, _fetch_index_blocks(f, blocks, None, version),
+                DOUBLE.size, wanted,
             )
-            warm = resolve_chunk_positions(
-                ctx.comm, f, chunks, DOUBLE, wanted, cache, version
+            fresh = IndexBlockCache()
+            cold, cold_io = counted(fresh, wanted)
+            warm, warm_io = counted(fresh, wanted)
+            mixed = resolve_chunk_positions(
+                ctx.comm, f, chunks, DOUBLE, wanted, carried, version
             )
-            out.append((local, cold, warm))
+            needed = {
+                ch.block for ch in chunks
+                if ch.block and len(wanted)
+                and ch.gid_max >= wanted[0] and ch.gid_min <= wanted[-1]
+            }
+            out.append((local, cold, warm, mixed, cold_io, warm_io, needed))
         f.close()
         sdm.finalize(handle)
-        return out
+        return blocks, out
 
     job = mpirun(program, nprocs, machine=fast_test(),
                  services=sdm_services())
-    for rank, variants in enumerate(job.values):
-        for v, (local, cold, warm) in enumerate(variants):
+    blocks = job.values[0][0]
+    instance_index_bytes = sum(count * 8 for _off, count in blocks)
+    for v in range(3):
+        per_rank = [out[v] for _blocks, out in job.values]
+        needed = set().union(*(r[6] for r in per_rank))
+        for rank, (local, cold, warm, mixed, cold_io, warm_io, _n) in (
+            enumerate(per_rank)
+        ):
+            label = f"rank {rank} variant {v}"
             np.testing.assert_array_equal(
-                cold, local,
-                err_msg=f"cold collective vs local, rank {rank} variant {v}",
+                cold, local, err_msg=f"cold collective vs local, {label}"
             )
             np.testing.assert_array_equal(
-                warm, local,
-                err_msg=f"warm collective vs local, rank {rank} variant {v}",
+                warm, local, err_msg=f"warm collective vs local, {label}"
             )
+            np.testing.assert_array_equal(
+                mixed, local, err_msg=f"carried cache vs local, {label}"
+            )
+            # Each needed block is read exactly once job-wide, cold ...
+            assert cold_io[0] == sum(c * 8 for _o, c in needed), label
+            # ... and the warm round is pure cache hits.
+            assert warm_io == (0, 0), label
+        if v < 2:  # own elements and a covering partition touch them all
+            assert per_rank[0][4][0] == instance_index_bytes

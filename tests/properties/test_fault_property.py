@@ -6,9 +6,9 @@ For each workload kind (write / reorganize / compact), an observe-only
 entry is then replayed as a crashing plan: the job dies exactly there,
 its services snapshot crosses to a second job the way the history-file
 experiments carry state between runs, and recovery runs either *eagerly*
-(the maintenance service's attach sweep) or *lazily* (maintenance
-omitted; the stale lease is found, recovered, and stolen on the next
-``acquire_file_lease``).  After recovery, whatever the crash interrupted
+(the maintenance service's attach sweep) or *lazily* (no ``SDM``
+attaches the service — a catalog-only job; the stale lease is found,
+recovered, and stolen on the next ``acquire_file_lease``).  After recovery, whatever the crash interrupted
 must have resolved exactly one way:
 
 * no stuck leases and no surviving flip intents;
@@ -121,9 +121,10 @@ def attach_recovery(ctx):
 
 
 def steal_recovery(ctx):
-    """Lazy path: no maintenance service at all — the first acquirer of
-    each abandoned file finds the dead holder's lease, resolves the
-    interrupted flip, and steals the row."""
+    """Lazy path: no ``SDM`` attaches the maintenance service, so no
+    attach sweep runs — the first acquirer of each abandoned file finds
+    the dead holder's lease, resolves the interrupted flip, and steals
+    the row."""
     tables = SDMTables(ctx.service("db"))
     files = None
     if ctx.rank == 0:
@@ -197,9 +198,7 @@ def test_crash_at_every_fault_point_recovers(kind, recovery):
         program = attach_recovery if recovery == "attach" else steal_recovery
         job = mpirun(
             program, nranks, machine=fast_test(),
-            services=sdm_services(
-                seed_from=snap, maintenance=recovery == "attach"
-            ),
+            services=sdm_services(seed_from=snap),
         )
         tables = SDMTables(job.services["db"])
         check_recovered_state(tables, recovery)

@@ -45,7 +45,7 @@ def test_entry_point_parameters():
         "snapshot", "policy",
     ]
     assert params(SDMCatalog.attach) == ["ctx", "io_hints", "snapshot"]
-    assert params(sdm_services) == ["seed_from", "maintenance"]
+    assert params(sdm_services) == ["seed_from"]
 
 
 def test_tuning_values_are_constants_not_parameters():
