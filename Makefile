@@ -88,9 +88,10 @@ test-maintenance:
 test-policy:
 	$(PYTHON) -m pytest tests/core/test_policy.py tests/properties/test_datapath_property.py -q
 
-## metadata query-path ablation (scan vs hash vs ordered vs composite,
-## parse vs statement cache, per-DELETE / per-batch host time vs table
-## size); emits BENCH_metadb.json and holds it to its perfcheck guards
+## metadata query-path ablation (scan vs single-column vs composite vs
+## end-of-file index, parse vs statement cache, per-DELETE / per-batch
+## host time vs table size); emits BENCH_metadb.json and holds it to its
+## perfcheck guards
 bench-metadb:
 	METADB_BENCH_JSON=BENCH_metadb.json $(PYTHON) -m pytest benchmarks/bench_ablation_metadb.py --benchmark-only -q
 	$(PYTHON) benchmarks/perfcheck.py BENCH_metadb.json
@@ -125,6 +126,8 @@ bench-collective:
 ## leave their bounds, an adaptive policy falls below its best static
 ## setting, the planner examines more rows than the smaller access path
 ## offers, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
+## a metadb composite / end-of-file probe beats the scan < 50x at 10k
+## rows or the composite gap stops widening with table size,
 ## two-phase collective writes stop beating both independent paths 10x,
 ## a warm chunked read falls behind the canonical one, a background
 ## reorganize removes < 80 % of the sync critical path, or compaction

@@ -1,24 +1,23 @@
-"""Ablation: metadata query path — scan vs hash vs ordered vs composite.
+"""Ablation: metadata query path — scan vs single-column vs composite index.
 
 The paper charges "the database cost to access the metadata" to every SDM
 operation, so the metadata path must not grow with the amount of metadata
-accumulated.  This bench isolates the index generations on the two
+accumulated.  This bench isolates the index shapes on the two
 hottest SDM statement shapes:
 
 * the ``execution_table`` point lookup behind every ``SDM.read``
   (``WHERE runid = ? AND dataset = ? AND timestep = ?``):
 
   - ``scan``      — no indexes: every SELECT walks the whole table,
-  - ``hash``      — PR-1-style single-column hash indexes (smallest
-    bucket wins, residual conjuncts filtered),
-  - ``composite`` — one composite hash probe on the full column triple;
+  - ``single``    — single-column indexes on ``runid`` and ``timestep``
+    (smallest slice wins, residual conjuncts filtered),
+  - ``composite`` — one slice of a ``(runid, dataset, timestep)`` index;
 
 * the end-of-file probe behind every packed append
   (``WHERE file_name = ? ORDER BY file_offset DESC LIMIT 1``):
 
-  - ``scan``    — filter plus sort,
-  - ``ordered`` — one bisect into an ordered ``(file_name, file_offset)``
-    index;
+  - ``scan`` — filter plus sort,
+  - ``eof``  — one bisect into a ``(file_name, file_offset)`` index;
 
 at 100 / 1 000 / 10 000 rows, plus a parse ablation (statement cache
 cleared before each execute vs warm) at the largest size.  Real
@@ -30,11 +29,13 @@ the production ``SDM_INDEXES``: the host time of one reap-shaped
 batch on ``chunk_table`` at 1 000 / 10 000 / 40 000 rows, and the
 40 000 / 1 000 ratio of each.  Index upkeep is per entry, so both must
 stay flat; ``make perfcheck`` holds the ratios (relative bounds only —
-these are host-clock cells).
+these are host-clock cells), and the point-lookup speedups: composite
+and end-of-file >= 50x the scan at 10 000 rows, the composite gap
+widening with table size.
 
 Set ``METADB_BENCH_JSON=<path>`` (the Makefile's ``bench-metadb`` target
 points it at ``BENCH_metadb.json``) to also emit the rows as JSON, so the
-scan/hash/ordered/composite perf trajectory is tracked across PRs.
+scan/single/composite/end-of-file perf trajectory is tracked across PRs.
 """
 
 import json
@@ -70,9 +71,9 @@ _EOF_PROBE = (
 
 _INDEX_SETS = {
     "scan": (),
-    "hash": ((("runid",), "hash"), (("timestep",), "hash")),
-    "composite": ((("runid", "dataset", "timestep"), "hash"),),
-    "ordered": ((("file_name", "file_offset"), "ordered"),),
+    "single": (("runid",), ("timestep",)),
+    "composite": (("runid", "dataset", "timestep"),),
+    "eof": (("file_name", "file_offset"),),
 }
 
 
@@ -103,8 +104,8 @@ def _build(n_rows, indexes):
             (runid, dataset, timestep, _file_for(i), i * 100, 100,
              0, _OPEN_EPOCH),
         )
-    for columns, kind in _INDEX_SETS[indexes]:
-        db.create_index("execution_table", columns, kind)
+    for columns in _INDEX_SETS[indexes]:
+        db.create_index("execution_table", columns)
     return db
 
 
@@ -126,35 +127,35 @@ def _throughput(db, n_rows, sql, params_for, warm_cache=True):
 
 def run_matrix():
     table = ResultTable(
-        "Ablation (metadb) - scan vs hash vs ordered vs composite indexes"
+        "Ablation (metadb) - scan vs single-column vs composite indexes"
     )
     speedups = {}
     for n in SIZES:
-        # Point lookup: full scan vs single-column hash vs composite hash.
+        # Point lookup: full scan vs single-column vs composite index.
         scan = _throughput(_build(n, "scan"), n, _LOOKUP, _params_for)
-        hash_db = _build(n, "hash")
-        single = _throughput(hash_db, n, _LOOKUP, _params_for)
+        single_db = _build(n, "single")
+        single = _throughput(single_db, n, _LOOKUP, _params_for)
         composite_db = _build(n, "composite")
         composite = _throughput(composite_db, n, _LOOKUP, _params_for)
-        assert hash_db.n_full_scans == composite_db.n_full_scans == 0
-        # End-of-file probe: filter-and-sort vs one ordered-index bisect.
+        assert single_db.n_full_scans == composite_db.n_full_scans == 0
+        # End-of-file probe: filter-and-sort vs one index bisect.
         eof_scan = _throughput(_build(n, "scan"), n, _EOF_PROBE, _eof_params_for)
-        ordered_db = _build(n, "ordered")
-        eof_ordered = _throughput(ordered_db, n, _EOF_PROBE, _eof_params_for)
-        assert ordered_db.n_sorted_probes == N_STATEMENTS
-        assert ordered_db.n_full_scans == 0
+        eof_db = _build(n, "eof")
+        eof = _throughput(eof_db, n, _EOF_PROBE, _eof_params_for)
+        assert eof_db.n_sorted_probes == N_STATEMENTS
+        assert eof_db.n_full_scans == 0
 
         speedups[n] = {
-            "hash": single / scan,
+            "single": single / scan,
             "composite": composite / scan,
-            "ordered": eof_ordered / eof_scan,
+            "eof": eof / eof_scan,
         }
         for config, value in (
             (f"lookup-scan/{n}rows", scan),
-            (f"lookup-hash/{n}rows", single),
+            (f"lookup-single/{n}rows", single),
             (f"lookup-composite/{n}rows", composite),
             (f"eof-scan/{n}rows", eof_scan),
-            (f"eof-ordered/{n}rows", eof_ordered),
+            (f"eof-index/{n}rows", eof),
         ):
             table.add("ablation-metadb", config, "throughput", value, "stmt/s")
         for kind, value in speedups[n].items():
@@ -256,6 +257,11 @@ def _emit_json(table, speedups, cache_gain, scaling):
             str(n): {k: round(v, 2) for k, v in by_kind.items()}
             for n, by_kind in speedups.items()
         },
+        # Probes are O(log rows), scans O(rows): the gap must widen.
+        "composite_widening": round(
+            speedups[SIZES[-1]]["composite"] / speedups[SIZES[0]]["composite"],
+            2,
+        ),
         "cache_gain": round(cache_gain, 2),
         "scaling": scaling,
     }
@@ -279,15 +285,11 @@ def test_index_probes_beat_full_scan(benchmark, report):
                   scaling[f"{kind}_ratio"], "x")
     report(table)
     _emit_json(table, speedups, cache_gain, scaling)
-    # Every index kind wins everywhere; the gap widens with table size
-    # (probes are O(1)/O(log rows), scans are O(rows)) and by 10k rows the
-    # composite point lookup and the ordered end-of-file probe are both
-    # >= 50x faster than the scan they replace.
+    # Every index shape wins everywhere.  How much it wins at 10k rows,
+    # and that the gap widens with size, is held by `make perfcheck`
+    # against the committed BENCH_metadb.json.
     for by_kind in speedups.values():
         assert all(s > 1.0 for s in by_kind.values())
-    assert speedups[10_000]["composite"] >= 50.0
-    assert speedups[10_000]["ordered"] >= 50.0
-    assert speedups[10_000]["composite"] > speedups[100]["composite"]
     # Caching the parsed statement is itself a measurable win.
     assert cache_gain > 1.2
     # Index upkeep follows the change, not the table: 40x the rows may
@@ -298,7 +300,7 @@ def test_index_probes_beat_full_scan(benchmark, report):
     benchmark.extra_info["composite_speedup_10k"] = round(
         speedups[10_000]["composite"], 1
     )
-    benchmark.extra_info["ordered_speedup_10k"] = round(
-        speedups[10_000]["ordered"], 1
+    benchmark.extra_info["eof_speedup_10k"] = round(
+        speedups[10_000]["eof"], 1
     )
     benchmark.extra_info["cache_gain"] = round(cache_gain, 2)

@@ -10,11 +10,12 @@ number can win one regime; the point of the tier is that no static
 number wins them all.  The metadb planner rides along as a deterministic
 cell held to its arithmetic minimum — it has no policy mode.
 
-* **planner** — a mixed query workload where both a hash bucket and an
-  ordered slice can serve every WHERE, the bucket smaller on one family
-  and the slice on the other.  Metric: total ``n_rows_examined``
-  (deterministic — plan choice is exactly what it counts) against the
-  oracle that examines min(bucket, slice) rows per query.
+* **planner** — a mixed query workload where two single-column indexes,
+  on ``a`` and on ``b``, can each serve every WHERE, the ``a`` slice
+  smaller on one family and the ``b`` slice on the other.  Metric: total
+  ``n_rows_examined`` (deterministic — plan choice is exactly what it
+  counts) against the oracle that examines min(a slice, b slice) rows
+  per query.
 * **gap** — a two-phase read workload: phase A's views leave small
   (~320 B) holes worth bridging, phase B's leave 8 KiB holes that cost
   more to read-and-discard than the run overhead they save.  No static
@@ -59,11 +60,11 @@ from repro.mpiio.runs import ADAPTIVE_GAP
 PLANNER_QUERIES = 600
 """Interleaved queries, half per family."""
 
-# Family A: hash bucket 380 rows, ordered slice 200 rows — the slice
-# hands the WHERE fewer candidates.
-_A_BOTH, _A_HASH_ONLY = 200, 180
-# Family B: hash bucket 180 rows, ordered slice 300 rows — the bucket does.
-_B_BOTH, _B_SLICE_ONLY = 180, 120
+# Family A: `a` slice 380 rows, `b` slice 200 rows — the `b` slice hands
+# the WHERE fewer candidates.
+_A_BOTH, _A_A_ONLY = 200, 180
+# Family B: `a` slice 180 rows, `b` slice 300 rows — the `a` slice does.
+_B_BOTH, _B_B_ONLY = 180, 120
 _GROUPS = 4
 
 
@@ -78,14 +79,14 @@ def _build_planner_db():
     for g in range(_GROUPS):
         for _ in range(_A_BOTH):
             insert(f"A{g}", f"a{g}")
-        for _ in range(_A_HASH_ONLY):
+        for _ in range(_A_A_ONLY):
             insert(f"A{g}", f"fill{next(filler)}")
         for _ in range(_B_BOTH):
             insert(f"B{g}", f"b{g}")
-        for _ in range(_B_SLICE_ONLY):
+        for _ in range(_B_B_ONLY):
             insert(f"fill{next(filler)}", f"b{g}")
-    db.create_index("t", ("a",), "hash")
-    db.create_index("t", ("b",), "ordered")
+    db.create_index("t", ("a",))
+    db.create_index("t", ("b",))
     return db
 
 
@@ -104,10 +105,11 @@ def _planner_workload(db):
 
 def run_planner_case():
     rows = _planner_workload(_build_planner_db())
-    # (bucket, slice) candidates per query; the oracle walks the smaller.
+    # (a slice, b slice) candidates per query; the oracle walks the
+    # smaller.
     paths = (
-        (_A_BOTH + _A_HASH_ONLY, _A_BOTH),
-        (_B_BOTH, _B_BOTH + _B_SLICE_ONLY),
+        (_A_BOTH + _A_A_ONLY, _A_BOTH),
+        (_B_BOTH, _B_BOTH + _B_B_ONLY),
     )
     oracle = (PLANNER_QUERIES // 2) * sum(min(pair) for pair in paths)
     return {"rows_examined": rows, "oracle_rows": oracle,

@@ -53,7 +53,7 @@ GUARDS = (
      "max", ">", 1.05,
      "self-tuning no longer beats the shipped defaults anywhere"),
     # A deterministic cell, so the bound is exact: the planner examines
-    # min(bucket, slice) candidates per query, the arithmetic minimum.
+    # the smallest index slice per query, the arithmetic minimum.
     ("BENCH_policy.json", "cases/planner/rows_vs_oracle", "each", "<=", 1.0,
      "the planner examined more rows than the smaller access path offers"),
     # metadb index upkeep is per entry: 40x the rows may not cost 4x the
@@ -61,9 +61,18 @@ GUARDS = (
     # DELETE that rebuilds its table's indexes sits near 130x ...
     ("BENCH_metadb.json", "scaling/delete_ratio", "each", "<=", 4,
      "a DELETE's cost grows with the table again, not with the rows deleted"),
-    # ... and a batch INSERT that re-sorts whole ordered indexes near 23x.
+    # ... and a batch INSERT that re-sorts whole indexes near 23x.
     ("BENCH_metadb.json", "scaling/batch16_ratio", "each", "<=", 4,
      "a batch INSERT's cost grows with the table again, not with the batch"),
+    # The read side: an index probe is a bisect, a scan walks the table,
+    # so at 10 000 rows the composite point lookup and the end-of-file
+    # probe each beat the scan they replace by >= 50x ...
+    ("BENCH_metadb.json", "speedups/10000/composite|eof", "each", ">=", 50,
+     "an index probe lost its 50x over the full scan at 10 000 rows"),
+    # ... and the composite lookup's gap widens from 100 to 10 000 rows.
+    ("BENCH_metadb.json", "composite_widening", "each", ">", 1.0,
+     "the composite lookup's gap over the scan no longer grows with the "
+     "table"),
     # The paper's premise, at true scale on element-interleaved writes:
     # two-phase beats data-sieving read-modify-write under the file lock ...
     ("BENCH_collective.json", "cells/collective_vs_independent_rdwr", "each",

@@ -153,7 +153,7 @@ def try_load_history(
     Rank 0 consults ``index_table`` (database cost) and broadcasts the
     verdict; on a hit every rank fetches its ``index_history_table`` row and
     performs one contiguous read of its slice.  Both lookups are single
-    composite-hash probes on ``SDM_INDEXES`` tuples — ``(problem_size,
+    composite-index probes on ``SDM_INDEXES`` tuples — ``(problem_size,
     num_procs)`` and ``(problem_size, num_procs, rank)`` — so the host-side
     engine work stays flat no matter how many histories have accumulated
     (the simulated database cost is per-row-touched either way).  Returns

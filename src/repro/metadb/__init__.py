@@ -35,54 +35,48 @@ path:
    :meth:`~repro.metadb.engine.Database.query_dicts` share it, so a dict
    query costs a single parse (historically it parsed twice).  Batched
    ``execute_many`` INSERTs take a bulk-load path: rows are coerced
-   up front, appended once, and each ordered index sorts the batch and
+   up front, appended once, and each index sorts the batch and
    merges it in as a block (one slice insert when it lands in one gap)
    instead of a per-row ``insort``.
 2. **Conjunct planner** (``Database._index_candidates`` /
-   ``Database._sorted_rowids``) — a WHERE tree is decomposed
+   ``Database._covering_slice``) — a WHERE tree is decomposed
    (:func:`~repro.metadb.expr.conjuncts_of`, once per parsed statement:
    the result is cached on the AST) into its top-level AND of
    equality (``col = v``) and range (``col < v``, ``col >= v``, BETWEEN,
    …) conjuncts, and the cheapest applicable access path wins:
 
-   a. a **sorted probe**: when the WHERE decomposes *completely* into
-      equality conjuncts (plus at most one range pair on the first ORDER
-      BY column) covered by an ordered index whose remaining columns are
-      exactly the ORDER BY columns, the query — filter, sort, and LIMIT —
-      is answered straight from the index with no scan and no sort
+   a. a **covering probe**: when the WHERE decomposes *completely* into
+      equality conjuncts (plus at most one range pair on the next
+      column) covered by an index whose remaining columns are exactly the
+      ORDER BY columns, the query — filter, sort, and LIMIT — is
+      answered straight from the index with no scan and no sort
       (``SELECT ... ORDER BY file_offset DESC LIMIT 1`` is two bisects);
-   b. a **hash probe**: any hash index whose columns are all bound by
-      equality conjuncts probes its value tuple once (a composite index
-      like ``execution_table(runid, dataset, timestep)`` replaces the
-      old intersect-smallest-single-column-bucket dance);
-   c. an **ordered slice**: any ordered index with an equality-bound
-      column prefix and/or range bounds on the following column narrows
-      candidates to one contiguous bisect slice;
-   d. the **full scan** otherwise.
+      ``MIN(col)``/``MAX(col)`` under the same rule, ``col`` next, is a
+      slice end;
+   b. an **index slice**: any index with an equality-bound column prefix
+      and/or range bounds on the following column narrows candidates to
+      one contiguous bisect slice (all columns bound is the composite
+      point lookup), the smallest slice winning;
+   c. the **full scan** otherwise.
 
-   For (b) and (c) the smallest candidate set wins and the full WHERE is
-   still evaluated on every candidate, so the planner only ever *narrows*
-   the scan; path (a) is taken only when the index provably yields the
-   exact result.  Results, ordering, and NULL semantics are bit-identical
-   to the fallback full scan for every path (property-tested across all
-   index configurations in
+   For (b) the full WHERE is still evaluated on every candidate, so the
+   planner only ever *narrows* the scan; path (a) is taken only when the
+   index provably yields the exact result.  Results, ordering, and NULL
+   semantics are bit-identical to the fallback full scan for every path
+   (property-tested across index configurations in
    ``tests/properties/test_metadb_index_property.py``).
 3. **Secondary indexes** (:meth:`~repro.metadb.table.Table.create_index`,
    declared per column tuple via
-   :meth:`~repro.metadb.engine.Database.create_index`) — two kinds:
-
-   * ``hash`` (:class:`~repro.metadb.table.HashIndex`) — value tuple →
-     ascending rowids, single or composite columns, O(1) equality;
-   * ``ordered`` (:class:`~repro.metadb.table.OrderedIndex`) — a
-     ``bisect``-maintained sorted array of ``(key, rowid)`` entries whose
-     key wrapping matches ORDER BY semantics exactly (NULL first
-     ascending, insertion order among duplicates).
-
-   Both are maintained entry by entry on INSERT, UPDATE and DELETE:
-   rowids are stable (:class:`~repro.metadb.table.Table`), so a DELETE
-   removes the doomed rows' entries and touches nothing else.
+   :meth:`~repro.metadb.engine.Database.create_index`) — one structure,
+   :class:`~repro.metadb.table.OrderedIndex`: a ``bisect``-maintained
+   sorted array of ``(key, rowid)`` entries whose key wrapping matches
+   ORDER BY semantics exactly (NULL first ascending, insertion order
+   among duplicates).  Indexes are maintained entry by entry on INSERT,
+   UPDATE and DELETE: rowids are stable
+   (:class:`~repro.metadb.table.Table`), so a DELETE removes the doomed
+   rows' entries and touches nothing else.
    :meth:`~repro.metadb.engine.Database.dump`
-   persists the declarations (``{"kind", "columns"}`` per table) and
+   persists the declarations (``{"columns"}`` per index) and
    :meth:`~repro.metadb.engine.Database.loads` rebuilds the structures
    from the restored rows, so a snapshot is self-contained — no
    re-declaration needed.  ``Database.n_parses`` / ``n_index_probes`` /
@@ -98,7 +92,7 @@ Example::
 """
 
 from repro.metadb.types import ColumnType, BLOB, INTEGER, REAL, TEXT
-from repro.metadb.table import Column, HashIndex, OrderedIndex, Row, Table
+from repro.metadb.table import Column, OrderedIndex, Row, Table
 from repro.metadb.engine import Database
 from repro.metadb.schema import SDM_INDEXES, SDM_SCHEMA, SDMTables
 
@@ -111,7 +105,6 @@ __all__ = [
     "Column",
     "Row",
     "Table",
-    "HashIndex",
     "OrderedIndex",
     "Database",
     "SDM_SCHEMA",

@@ -8,7 +8,7 @@ the "database cost to access the metadata" the paper folds into the
 history-file path.  ``rows`` is the number of rows the statement *touched*:
 returned for SELECT, written for INSERT, matched for UPDATE/DELETE.
 
-Three optimizations keep the metadata path off the application's critical
+Four optimizations keep the metadata path off the application's critical
 path as tables grow:
 
 * **Statement cache** — parsed ASTs are memoized by SQL text
@@ -17,21 +17,17 @@ path as tables grow:
 * **Conjunct planner** — WHERE trees are decomposed into their top-level
   AND of equality and range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
   once per parsed statement: the decomposition rides the cached AST)
-  and the cheapest access path is chosen among a composite/single hash
-  probe, an ordered-index slice, and the full scan; candidate rows are
-  still verified against the complete WHERE, so results are
-  scan-identical.
-* **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE is fully
-  covered by an ordered index's leading columns is answered straight from
+  and the access path is the smallest index slice — an equality-bound
+  column prefix plus range bounds on the next column — or the full scan;
+  candidate rows are still verified against the complete WHERE, so
+  results are scan-identical.
+* **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE an index
+  covers (:meth:`Database._covering_slice`) is answered straight from
   the index, skipping both the scan and the sort.
-* **Aggregate probes** — ``MIN(col)``/``MAX(col)`` whose WHERE is fully
-  covered by an ordered index's equality prefix, with ``col`` the next
-  indexed column, come from the slice *ends* (two bisects) instead of
-  materializing every matching row — ``SELECT MAX(runid) FROM run_table``
-  is the runid-allocation hot path.
-
-Access-path choice compares candidate counts: the path that hands the
-WHERE fewer rows to verify wins (see :meth:`Database._index_candidates`).
+* **Aggregate probes** — ``MIN(col)``/``MAX(col)`` whose WHERE an index
+  covers with ``col`` next come from the slice *ends* (two bisects)
+  instead of materializing every matching row — ``SELECT MAX(runid) FROM
+  run_table`` is the runid-allocation hot path.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from repro.metadb.sqlparser import (
     Update,
     parse,
 )
-from repro.metadb.table import Column, Table
+from repro.metadb.table import Column, OrderedIndex, Table
 from repro.metadb.types import type_by_name
 from repro.simt.primitives import Resource
 from repro.simt.process import Crashed, Process
@@ -112,6 +108,14 @@ def _descending_rowids(
 class Database:
     """An embedded SQL database with optional virtual-time accounting."""
 
+    # Read only by benchmarks/e2e/report.py (its metadb.hash_paths row).
+    n_hash_paths = 0
+
+    @property
+    def n_slice_paths(self) -> int:
+        # Read only by benchmarks/e2e/report.py (its metadb.slice_paths row).
+        return self.n_index_probes
+
     def __init__(
         self,
         sim: Optional[Simulator] = None,
@@ -139,14 +143,10 @@ class Database:
         """WHERE evaluations that walked the whole table."""
         self.n_sorted_probes = 0
         """SELECTs whose WHERE/ORDER BY/LIMIT was answered entirely from
-        an ordered index (no scan, no sort)."""
+        an index (no scan, no sort)."""
         self.n_agg_probes = 0
-        """MIN/MAX aggregates answered from an ordered index's slice ends
-        (no row materialized)."""
-        self.n_hash_paths = 0
-        """Index probes where the planner chose a hash bucket."""
-        self.n_slice_paths = 0
-        """Index probes where the planner chose an ordered slice."""
+        """MIN/MAX aggregates answered from an index's slice ends (no row
+        materialized)."""
         self.n_rows_examined = 0
         """Candidate rows evaluated against a WHERE clause — the work the
         planner's access-path choice actually controls (a full scan
@@ -301,7 +301,7 @@ class Database:
             # Bulk-load fast path: coerce every row first (a bad row
             # rejects the whole batch before any state changes), append
             # the heap once, and let each index ingest the batch — one
-            # block merge per ordered index instead of per-row insort.
+            # block merge per index instead of per-row insort.
             table = self._table(stmt.table)
             coerced = []
             for params in param_rows:
@@ -347,16 +347,11 @@ class Database:
         )
         return [dict(zip(names, row)) for row in rows]
 
-    def create_index(self, table: str, columns, kind: str = "hash") -> None:
-        """Declare a secondary index on a column or column tuple.
-
-        ``kind='hash'`` serves equality WHERE conjuncts (all indexed
-        columns must be bound; a multi-column tuple is a composite index
-        probed once).  ``kind='ordered'`` serves equality on a leading
-        column prefix, range predicates on the next column, and
-        ``ORDER BY`` over the remaining columns.
-        """
-        self._table(table).create_index(columns, kind)
+    def create_index(self, table: str, columns) -> None:
+        """Declare a secondary index on a column or column tuple: it
+        serves equality on a leading column prefix, range predicates on
+        the next column, and ``ORDER BY`` over the remaining columns."""
+        self._table(table).create_index(columns)
 
     # ------------------------------------------------------------------
 
@@ -446,23 +441,13 @@ class Database:
         """Rowids worth checking against the WHERE that ``cj`` decomposes,
         or None to full-scan.
 
-        Access paths, fewest candidates wins:
-
-        1. every hash index whose columns are all bound by equality
-           conjuncts — a composite index probes its value tuple once;
-        2. every ordered index with a non-empty equality-bound column
-           prefix and/or range bounds on the following column — candidates
-           are a contiguous ``bisect`` slice.
-
-        The choice compares counts because the per-candidate host cost of
-        the two paths measures near-equal (2.08-2.15 us through a bucket,
-        1.88-1.98 us through a slice, its materialize + rowid sort
-        included): verifying a candidate against the WHERE dominates
-        either way of producing it.
-
-        The caller still evaluates the complete WHERE on each candidate,
-        so this only ever *narrows* the scan — NULL/type semantics are
-        decided by the same ``Expr.eval`` as the slow path.
+        Every index with a non-empty equality-bound column prefix and/or
+        range bounds on the following column offers a contiguous
+        ``bisect`` slice; the smallest slice wins.  (All columns bound is
+        the composite point lookup.)  The caller still evaluates the
+        complete WHERE on each candidate, so this only ever *narrows* the
+        scan — NULL/type semantics are decided by the same ``Expr.eval``
+        as the slow path.
         """
         if cj.empty:
             return None
@@ -471,26 +456,13 @@ class Database:
             return []
         eq_vals, lowers, uppers = values
 
-        best: Optional[List[int]] = None
-        for index in table.hash_indexes():
-            if not all(c in eq_vals for c in index.columns):
-                continue
-            bucket = index.probe(tuple(eq_vals[c] for c in index.columns))
-            if bucket is None:  # unhashable probe value: scan instead
-                continue
-            if not bucket:
-                return []
-            if best is None or len(bucket) < len(best):
-                best = bucket
-
-        best_slice = None  # (count, index, start, end)
-        for index in table.ordered_indexes():
+        best = None  # (count, index, start, end)
+        for index in table.indexes.values():
             k = 0
             while k < len(index.columns) and index.columns[k] in eq_vals:
                 k += 1
             nxt = index.columns[k] if k < len(index.columns) else None
-            lo = lowers.get(nxt) if nxt is not None else None
-            hi = uppers.get(nxt) if nxt is not None else None
+            lo, hi = lowers.get(nxt), uppers.get(nxt)
             if k == 0 and lo is None and hi is None:
                 continue  # index leads with an unbound column
             prefix = [eq_vals[c] for c in index.columns[:k]]
@@ -498,25 +470,16 @@ class Database:
                 start, end = index.slice_bounds(prefix, lo, hi)
             except TypeError:  # unorderable probe value: scan instead
                 continue
-            count = end - start
-            if count == 0:
+            if end == start:
                 return []
-            if best_slice is None or count < best_slice[0]:
-                best_slice = (count, index, start, end)
-
-        # A tie keeps the bucket, which is already in insertion order.
-        pick_slice = best_slice is not None and (
-            best is None or best_slice[0] < len(best)
-        )
-        if pick_slice:
-            _, index, start, end = best_slice
-            self.n_slice_paths += 1
-            # Candidates must be evaluated in insertion order so that
-            # un-ORDERed results stay scan-identical.
-            return sorted(rowid for _, rowid in index.entries[start:end])
-        if best is not None:
-            self.n_hash_paths += 1
-        return best
+            if best is None or end - start < best[0]:
+                best = (end - start, index, start, end)
+        if best is None:
+            return None
+        _, index, start, end = best
+        # Candidates must be evaluated in insertion order so that
+        # un-ORDERed results stay scan-identical.
+        return sorted(rowid for _, rowid in index.entries[start:end])
 
     def _match_rowids(self, table: Table, stmt, params) -> List[int]:
         """Rowids of the rows ``stmt.where`` accepts, in insertion order."""
@@ -541,115 +504,106 @@ class Database:
                 hits.append(i)
         return hits
 
+    def _covering_slice(
+        self,
+        table: Table,
+        stmt: Select,
+        params: Sequence[Any],
+        tail: Tuple[str, ...],
+        whole: bool,
+    ) -> Optional[Tuple[OrderedIndex, List[Any], int, int]]:
+        """The index slice that *is* the WHERE's answer, ordered by
+        ``tail`` — the coverage rule sorted and aggregate probes share.
+
+        The WHERE must decompose *completely* into at most one equality
+        conjunct per column plus at most one lower and one upper bound on
+        ``tail[0]``, and an index's columns must be exactly the equality
+        columns (in any order) followed by ``tail`` (``whole``: and
+        nothing after it).  The slice then holds exactly the matching
+        rows, ``tail``-ordered with the same key and rowid tie-break the
+        scan path's stable sort uses.
+
+        Returns ``(index, prefix, start, end)`` — an empty slice when a
+        conjunct value is NULL, which matches nothing — or None when no
+        index covers the query or a probe value cannot be ordered
+        against the keys (the caller scans instead).
+        """
+        cj = stmt.conjuncts
+        if not cj.complete or len(cj.lower) > 1 or len(cj.upper) > 1:
+            return None
+        eq_cols = [c for c, _ in cj.eq]
+        if len(set(eq_cols)) != len(eq_cols) or set(eq_cols) & set(tail):
+            return None
+        range_cols = {c for c, _, _ in cj.lower} | {c for c, _, _ in cj.upper}
+        if range_cols - {tail[0]}:
+            return None
+        k = len(eq_cols)
+        for index in table.indexes.values():
+            cols = index.columns
+            if set(cols[:k]) != set(eq_cols) or cols[k:k + len(tail)] != tail:
+                continue
+            if whole and len(cols) != k + len(tail):
+                continue
+            values = self._conjunct_values(cj, params)
+            if values is None:
+                return index, [], 0, 0
+            eq_vals, lowers, uppers = values
+            prefix = [eq_vals[c] for c in cols[:k]]
+            try:
+                start, end = index.slice_bounds(
+                    prefix, lowers.get(tail[0]), uppers.get(tail[0])
+                )
+            except TypeError:
+                return None
+            return index, prefix, start, end
+        return None
+
     def _sorted_rowids(
         self, table: Table, stmt: Select, params: Sequence[Any]
     ) -> Optional[List[int]]:
         """Rowids already filtered, ordered, and limited — or None.
 
-        The whole query must be answerable from one ordered index with no
-        WHERE re-evaluation: the WHERE decomposes *completely* into at
-        most one equality conjunct per column, plus at most one lower and
-        one upper bound on the first ORDER BY column; some ordered index's
-        columns are exactly those equality columns (in any order) followed
-        by the ORDER BY columns (in order, uniform direction).  The index
-        slice then contains exactly the matching rows, pre-sorted with the
-        same key and tie-break the scan path's stable sort would use.
+        The ORDER BY columns (uniform direction) must be the whole tail
+        of a covering index (:meth:`_covering_slice`): trailing index
+        columns would break key ties where the scan breaks them by rowid.
         """
         directions = {desc for _, desc in stmt.order_by}
         if len(directions) != 1:
             return None
-        desc = directions.pop()
-        cj = stmt.conjuncts
-        if not cj.complete:
-            return None
-        eq_cols = [c for c, _ in cj.eq]
         order_cols = tuple(c for c, _ in stmt.order_by)
-        if len(set(eq_cols)) != len(eq_cols) or set(eq_cols) & set(order_cols):
+        found = self._covering_slice(table, stmt, params, order_cols, True)
+        if found is None:
             return None
-        if len(cj.lower) > 1 or len(cj.upper) > 1:
-            return None
-        range_cols = {c for c, _, _ in cj.lower} | {c for c, _, _ in cj.upper}
-        if range_cols and range_cols != {order_cols[0]}:
-            return None
-        k = len(eq_cols)
-        for index in table.ordered_indexes():
-            if len(index.columns) != k + len(order_cols):
-                continue
-            if set(index.columns[:k]) != set(eq_cols):
-                continue
-            if index.columns[k:] != order_cols:
-                continue
-            values = self._conjunct_values(cj, params)
-            if values is None:
-                return []  # a NULL conjunct value: nothing matches
-            eq_vals, lowers, uppers = values
-            prefix = [eq_vals[c] for c in index.columns[:k]]
-            try:
-                start, end = index.slice_bounds(
-                    prefix, lowers.get(order_cols[0]), uppers.get(order_cols[0])
-                )
-            except TypeError:  # unorderable probe value: scan instead
-                return None
-            if desc:
-                return _descending_rowids(
-                    index.entries, start, end, stmt.limit
-                )
-            if stmt.limit is not None:
-                end = min(end, start + stmt.limit)
-            return [rowid for _, rowid in index.entries[start:end]]
-        return None
+        index, _, start, end = found
+        if directions.pop():
+            return _descending_rowids(index.entries, start, end, stmt.limit)
+        if stmt.limit is not None:
+            end = min(end, start + stmt.limit)
+        return [rowid for _, rowid in index.entries[start:end]]
 
     def _aggregate_probe(
         self, table: Table, stmt: Select, params: Sequence[Any]
     ) -> Optional[List[Tuple[Any, ...]]]:
-        """Answer ``MIN(col)``/``MAX(col)`` from an ordered index, or None.
+        """Answer ``MIN(col)``/``MAX(col)`` from an index, or None.
 
-        Needs the same coverage as a sorted probe: the WHERE decomposes
-        *completely* into at most one equality conjunct per column plus at
-        most one lower and one upper bound on ``col``, and some ordered
-        index's columns are exactly the equality columns (any order)
-        followed by ``col``.  The slice then holds exactly the matching
-        rows with ``col`` ascending (NULLs first), so the aggregate is a
-        slice end — no row is materialized or verified.
+        A covering index (:meth:`_covering_slice`) with ``col`` next
+        holds the matching rows with ``col`` ascending (NULLs first), so
+        the aggregate is a slice end — no row is materialized or
+        verified.
         """
         fn, col = stmt.aggregate
         if fn not in ("MIN", "MAX") or col is None:
             return None
         if stmt.order_by or stmt.limit is not None:
             return None
-        cj = stmt.conjuncts
-        if not cj.complete:
+        found = self._covering_slice(table, stmt, params, (col,), False)
+        if found is None:
             return None
-        eq_cols = [c for c, _ in cj.eq]
-        if len(set(eq_cols)) != len(eq_cols) or col in eq_cols:
-            return None
-        if len(cj.lower) > 1 or len(cj.upper) > 1:
-            return None
-        range_cols = {c for c, _, _ in cj.lower} | {c for c, _, _ in cj.upper}
-        if range_cols and range_cols != {col}:
-            return None
-        k = len(eq_cols)
-        for index in table.ordered_indexes():
-            if len(index.columns) <= k:
-                continue
-            if set(index.columns[:k]) != set(eq_cols) or index.columns[k] != col:
-                continue
-            values = self._conjunct_values(cj, params)
-            if values is None:
-                return [(None,)]  # a NULL conjunct value: nothing matches
-            eq_vals, lowers, uppers = values
-            prefix = [eq_vals[c] for c in index.columns[:k]]
-            try:
-                start, end = index.slice_bounds(
-                    prefix, lowers.get(col), uppers.get(col)
-                )
-            except TypeError:  # unorderable probe value: scan instead
-                return None
-            self.n_agg_probes += 1
-            if fn == "MIN":
-                return [(index.min_in_slice(prefix, start, end),)]
-            return [(index.max_in_slice(prefix, start, end),)]
-        return None
+        index, prefix, start, end = found
+        self.n_agg_probes += 1
+        if fn == "MIN":
+            return [(index.min_in_slice(prefix, start, end),)]
+        return [(index.max_in_slice(prefix, start, end),)]
 
     def _select(self, stmt: Select, params: List[Any]) -> List[Tuple[Any, ...]]:
         table = self._table(stmt.table)
@@ -726,7 +680,7 @@ class Database:
     def dump(self) -> str:
         """Serialize the whole database to a JSON string.
 
-        Index *declarations* (kind + column tuple) are persisted per
+        Index *declarations* (``{"columns": [...]}``) are persisted per
         table; the structures themselves are rebuilt from the rows on
         :meth:`loads`, so a restored database is self-contained — no
         ``create_index`` re-declaration needed.
@@ -740,7 +694,7 @@ class Database:
                     for row in table.rows.values()
                 ],
                 "indexes": [
-                    {"kind": index.kind, "columns": list(index.columns)}
+                    {"columns": list(index.columns)}
                     for index in table.indexes.values()
                 ],
             }
@@ -760,9 +714,11 @@ class Database:
                 for row in spec["rows"]
             ])
             # Pre-index-persistence dumps carry no "indexes" key; they
-            # load fine and simply need re-declaration as before.
+            # load fine and simply need re-declaration as before.  An
+            # older dump's "kind" is ignored: twins declared on one column
+            # tuple restore as one index.
             for index in spec.get("indexes", ()):
-                table.create_index(tuple(index["columns"]), index["kind"])
+                table.create_index(index["columns"])
             db.tables[name] = table
         return db
 

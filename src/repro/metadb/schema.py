@@ -49,12 +49,13 @@ maintenance service layer, and four for MVCC and crash recovery:
 methods for exactly the statements SDM issues, so the SQL lives here and the
 runtime stays readable.
 
-:data:`SDM_INDEXES` declares secondary indexes on the hot lookup paths:
-composite hash indexes for the multi-column equality probes (the
-``(runid, dataset, timestep)`` point lookup behind every read, the
-``(problem_size, num_procs[, rank])`` history lookups) and ordered
-indexes for the range/ORDER BY shapes (``max_offset_in_file``'s
-end-of-file probe, the catalog's timestep and run listings).  (This
+:data:`SDM_INDEXES` declares secondary indexes on the hot lookup paths,
+one index per column tuple: each serves equality on any leading prefix
+(the ``(runid, dataset, timestep)`` point lookup behind every read, the
+``(problem_size, num_procs[, rank])`` history lookups) and the
+range/ORDER BY shapes on the column after it (``max_offset_in_file``'s
+end-of-file probe, the catalog's timestep and run listings), so no
+declaration is a column prefix of another on the same table.  (This
 flattens the *host* execution time of the simulator itself as runs and
 timesteps accumulate; the simulated virtual-time charge is set by the
 :class:`~repro.config.DatabaseModel` cost model and is per-row-touched
@@ -227,47 +228,44 @@ SDM_SCHEMA: Tuple[str, ...] = (
     )""",
 )
 
-SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
-    # One probe allocates runids; the ordered index also serves the
-    # catalog's `ORDER BY runid` run listing without a sort.
-    ("run_table", ("runid",), "ordered"),
-    # the catalog's dataset listing (single-column) and _dataset_record
-    # (composite).
-    ("access_pattern_table", ("runid",), "hash"),
-    ("access_pattern_table", ("runid", "dataset"), "hash"),
-    # lookup_execution_version probes the composite hash once; the ordered twin
-    # serves the catalog's `WHERE runid/dataset ORDER BY timestep`; the
-    # (file_name, file_offset) index answers max_offset_in_file's
-    # `ORDER BY file_offset DESC LIMIT 1` end-of-file probe directly.
-    ("execution_table", ("runid", "dataset", "timestep"), "hash"),
-    ("execution_table", ("runid", "dataset", "timestep"), "ordered"),
-    ("execution_table", ("file_name", "file_offset"), "ordered"),
+SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    # One probe allocates runids; the index also serves the catalog's
+    # `ORDER BY runid` run listing without a sort.
+    ("run_table", ("runid",)),
+    # _dataset_record probes both columns; the catalog's dataset listing
+    # binds the runid prefix.
+    ("access_pattern_table", ("runid", "dataset")),
+    # lookup_execution_version and the close/reap statements bind all
+    # three columns, the catalog's `WHERE runid/dataset ORDER BY
+    # timestep` the first two; the (file_name, file_offset) index answers
+    # max_offset_in_file's `ORDER BY file_offset DESC LIMIT 1` end-of-file
+    # probe directly.
+    ("execution_table", ("runid", "dataset", "timestep")),
+    ("execution_table", ("file_name", "file_offset")),
     # chunks_for is a sorted probe (equality triple + ORDER BY rank); the
-    # hash twin serves the close/reap narrowing.
-    ("chunk_table", ("runid", "dataset", "timestep"), "hash"),
-    ("chunk_table", ("runid", "dataset", "timestep", "rank"), "ordered"),
-    ("import_table", ("runid", "imported_name"), "hash"),
-    ("index_table", ("problem_size", "num_procs"), "hash"),
-    ("index_history_table", ("problem_size", "num_procs", "rank"), "hash"),
+    # close/reap statements bind the triple prefix.
+    ("chunk_table", ("runid", "dataset", "timestep", "rank")),
+    ("import_table", ("runid", "imported_name")),
+    ("index_table", ("problem_size", "num_procs")),
+    ("index_history_table", ("problem_size", "num_procs", "rank")),
     # Pending-job adoption walks `ORDER BY jobid` and allocation probes
-    # MAX(jobid) — both served from the slice ends of one ordered index.
-    ("maintenance_table", ("jobid",), "ordered"),
-    # Extent listing/truncation is an equality-plus-range shape; the hash
-    # twin serves clear_extents / free-byte narrowing.
-    ("extent_table", ("file_name", "file_offset"), "ordered"),
-    ("extent_table", ("file_name",), "hash"),
+    # MAX(jobid) — both served from the slice ends of one index.
+    ("maintenance_table", ("jobid",)),
+    # Extent listing/truncation is an equality-plus-range shape;
+    # clear_extents and the free-byte sum bind the file_name prefix.
+    ("extent_table", ("file_name", "file_offset")),
     # Global epoch allocation probes MAX(epoch); per-file current-epoch
     # and history pruning narrow on (file_name, epoch).
-    ("epoch_table", ("epoch",), "ordered"),
-    ("epoch_table", ("file_name", "epoch"), "ordered"),
-    ("lease_table", ("file_name",), "hash"),
+    ("epoch_table", ("epoch",)),
+    ("epoch_table", ("file_name", "epoch")),
+    ("lease_table", ("file_name",)),
     # Pin release probes pin_id; the reap floor probes MIN(epoch).
-    ("pin_table", ("pin_id",), "ordered"),
-    ("pin_table", ("epoch",), "ordered"),
+    ("pin_table", ("pin_id",)),
+    ("pin_table", ("epoch",)),
     # Reap-watermark lookup is a per-file point probe.
-    ("watermark_table", ("file_name",), "hash"),
+    ("watermark_table", ("file_name",)),
 )
-"""(table, column tuple, kind) declarations for SDM's hot lookups."""
+"""(table, column tuple) index declarations for SDM's hot lookups."""
 
 
 CHUNK_INDEX_BYTES = 8
@@ -380,14 +378,14 @@ class SDMTables:
         """Create the thirteen tables and their indexes (idempotent)."""
         for ddl in SDM_SCHEMA:
             self.db.execute(ddl, proc=proc)
-        for table, columns, kind in SDM_INDEXES:
-            self.db.create_index(table, columns, kind)
+        for table, columns in SDM_INDEXES:
+            self.db.create_index(table, columns)
 
     # -- the rules every table below shares, each stated once --------------
 
     def _next_id(self, table: str, column: str, proc) -> int:
         """Allocate a counter column's next id: MAX+1, starting at 1 (one
-        probe of the column's ordered index)."""
+        probe of the column's index)."""
         rows = self.db.execute(f"SELECT MAX({column}) FROM {table}", proc=proc)
         return 1 if rows[0][0] is None else int(rows[0][0]) + 1
 
@@ -476,7 +474,7 @@ class SDMTables:
     def dataset_type_name(
         self, runid: int, dataset: str, proc: Optional[Process] = None
     ) -> Optional[str]:
-        """Registered element-type name of one dataset (composite-hash
+        """Registered element-type name of one dataset (composite-index
         probe), or None if the dataset was never registered."""
         rows = self.db.execute(
             "SELECT data_type FROM access_pattern_table "
@@ -521,7 +519,7 @@ class SDMTables:
     ) -> Optional[Tuple[str, int, int, int]]:
         """(file_name, file_offset, nbytes, valid_from) of a written
         dataset instance, resolved against a pinned epoch (``epoch=None``:
-        current visibility — still a single composite-hash probe, the
+        current visibility — still a single composite-index probe, the
         OPEN_EPOCH equality riding along as a verified conjunct).  Inside
         a flip's publish window two open versions can coexist; the newest
         ``valid_from`` wins — the reference epoch chunk maps and
@@ -559,7 +557,7 @@ class SDMTables:
         dead: bool = False,
     ) -> List[Tuple[int, str, int, int, int, int, int]]:
         """Row versions living in one file, by ascending base offset (a
-        sorted probe of the ``(file_name, file_offset)`` ordered index):
+        sorted probe of the ``(file_name, file_offset)`` index):
         ``(runid, dataset, timestep, file_offset, nbytes, valid_from,
         valid_to)``.  By default the *current* instances (what a
         compaction plan packs and closes); ``dead=True`` lists the

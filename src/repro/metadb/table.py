@@ -1,22 +1,18 @@
 """Tables: typed row storage with schema validation and secondary indexes.
 
-Two index kinds back the engine's planner:
+One index structure backs the engine's planner: :class:`OrderedIndex`, a
+``bisect``-maintained sorted array of ``(key, rowid)`` entries over one
+or more columns.  It serves equality probes on a column *prefix* (all
+columns bound is the composite point lookup), range predicates (``<``
+``<=`` ``>`` ``>=`` and BETWEEN-style pairs) on the column after the
+bound prefix, and ``ORDER BY ... [LIMIT n]`` without sorting.
 
-* :class:`HashIndex` — a dict from a tuple of column values to the
-  ascending list of rowids holding it.  One or more columns; an equality
-  probe over *all* indexed columns answers in O(1).
-* :class:`OrderedIndex` — a ``bisect``-maintained sorted array of
-  ``(key, rowid)`` entries over one or more columns.  Serves equality
-  probes on a column *prefix*, range predicates (``<`` ``<=`` ``>`` ``>=``
-  and BETWEEN-style pairs) on the column after the bound prefix, and
-  ``ORDER BY ... [LIMIT n]`` without sorting.
-
-Ordered keys wrap every column value with :func:`_sort_key`, the exact
-key function the engine's ORDER BY uses (NULL sorts first ascending), so
-an index walk and a sort of scanned rows produce identical orderings —
+Keys wrap every column value with :func:`_sort_key`, the exact key
+function the engine's ORDER BY uses (NULL sorts first ascending), so an
+index walk and a sort of scanned rows produce identical orderings —
 including rowid-ascending tie-breaks.
 
-Both kinds name rows by *rowid*, and a rowid is stable: a row keeps the
+Entries name rows by *rowid*, and a rowid is stable: a row keeps the
 one it was inserted under until it is deleted, and a freed rowid is never
 handed out again (the contract is on :class:`Table`).  Index upkeep
 therefore costs in proportion to the rows a statement changes, never to
@@ -37,12 +33,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ColumnNotFound, MetaDBError, SQLTypeError
 from repro.metadb.types import ColumnType
 
-__all__ = ["Column", "Row", "Table", "HashIndex", "OrderedIndex", "index_name"]
+__all__ = ["Column", "Row", "Table", "OrderedIndex", "index_name"]
 
 Row = Tuple[Any, ...]
 """Rows are plain tuples in column-declaration order."""
-
-INDEX_KINDS = ("hash", "ordered")
 
 _KEY_HI = (2,)
 """Sorts after every wrapped column value ((False, _) and (True, _))."""
@@ -62,82 +56,9 @@ class Column:
     type: ColumnType
 
 
-def index_name(kind: str, columns: Sequence[str]) -> str:
-    """Canonical name of an index declaration, e.g. ``hash(runid,dataset)``."""
-    return f"{kind}({','.join(columns)})"
-
-
-def _missing_entry(index, key: Tuple[Any, ...], rowid: int) -> MetaDBError:
-    """The error for a row its index does not hold: the index is corrupt,
-    and the statement that found out must fail rather than mask it."""
-    return MetaDBError(
-        f"index {index.name} is corrupt: no entry for key {key!r}, "
-        f"rowid {rowid}"
-    )
-
-
-class HashIndex:
-    """value-tuple → ascending rowids; equality probes on all columns."""
-
-    kind = "hash"
-
-    def __init__(self, columns: Sequence[str], positions: Sequence[int]) -> None:
-        self.columns = tuple(columns)
-        self.positions = tuple(positions)
-        self.buckets: Dict[Tuple[Any, ...], List[int]] = {}
-
-    @property
-    def name(self) -> str:
-        return index_name(self.kind, self.columns)
-
-    def key_of(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(row[p] for p in self.positions)
-
-    def add(self, rowid: int, row: Row) -> None:
-        self.buckets.setdefault(self.key_of(row), []).append(rowid)
-
-    def add_many(self, pairs: Iterable[Tuple[int, Row]]) -> None:
-        """Index a batch of appended ``(rowid, row)`` pairs.
-
-        Rowids ascend (the pairs come from an append), so plain bucket
-        appends keep every bucket's rowid list sorted.
-        """
-        for rowid, row in pairs:
-            self.buckets.setdefault(self.key_of(row), []).append(rowid)
-
-    def _drop(self, key: Tuple[Any, ...], rowid: int) -> None:
-        bucket = self.buckets.get(key, ())
-        i = bisect_left(bucket, rowid)
-        if i == len(bucket) or bucket[i] != rowid:
-            raise _missing_entry(self, key, rowid)
-        del bucket[i]
-        if not bucket:
-            del self.buckets[key]
-
-    def remove(self, rowid: int, row: Row) -> None:
-        """Forget a deleted row: one bisect into its (ascending) bucket;
-        a bucket emptied by it is dropped."""
-        self._drop(self.key_of(row), rowid)
-
-    def move(self, rowid: int, old: Row, new: Row) -> None:
-        old_key, new_key = self.key_of(old), self.key_of(new)
-        if old_key == new_key:
-            return  # same dict key (1 == 1.0 hash together)
-        self._drop(old_key, rowid)
-        insort(self.buckets.setdefault(new_key, []), rowid)
-
-    def rebuild(self, pairs: Iterable[Tuple[int, Row]]) -> None:
-        """Index ``(rowid, row)`` pairs from scratch (rowids ascending)."""
-        self.buckets = {}
-        self.add_many(pairs)
-
-    def probe(self, values: Tuple[Any, ...]) -> Optional[List[int]]:
-        """Ascending rowids where every column equals its value; None when
-        the probe value is unhashable (caller falls back to a scan)."""
-        try:
-            return self.buckets.get(values, [])
-        except TypeError:
-            return None
+def index_name(columns: Sequence[str]) -> str:
+    """Canonical name of an index declaration, e.g. ``(runid,dataset)``."""
+    return f"({','.join(columns)})"
 
 
 class OrderedIndex:
@@ -148,8 +69,6 @@ class OrderedIndex:
     and slicing can only ever *narrow* a scan.
     """
 
-    kind = "ordered"
-
     def __init__(self, columns: Sequence[str], positions: Sequence[int]) -> None:
         self.columns = tuple(columns)
         self.positions = tuple(positions)
@@ -157,7 +76,7 @@ class OrderedIndex:
 
     @property
     def name(self) -> str:
-        return index_name(self.kind, self.columns)
+        return index_name(self.columns)
 
     def key_of(self, row: Row) -> Tuple[Any, ...]:
         return tuple(_sort_key(row[p]) for p in self.positions)
@@ -190,7 +109,12 @@ class OrderedIndex:
         entry = (key, rowid)
         i = bisect_left(self.entries, entry)
         if i == len(self.entries) or self.entries[i] != entry:
-            raise _missing_entry(self, key, rowid)
+            # The index is corrupt: the statement that found out must
+            # fail rather than mask it.
+            raise MetaDBError(
+                f"index {self.name} is corrupt: no entry for key {key!r}, "
+                f"rowid {rowid}"
+            )
         del self.entries[i]
 
     def remove(self, rowid: int, row: Row) -> None:
@@ -281,8 +205,7 @@ class Table:
       insertion order = :meth:`scan` order, so un-ORDERed results are
       scan-identical whichever index produced the candidates, and
       sorting an index slice's rowids puts it back in insertion order.
-    * Every hash bucket lists its rowids ascending; ordered entries break
-      key ties by rowid.
+    * Index entries break key ties by rowid.
     * Rowids never leave the engine and are not persisted: ``dump()`` of
       a table that lost rows is byte-identical to that of one that only
       ever held the survivors, and ``loads`` numbers them densely again.
@@ -292,11 +215,11 @@ class Table:
     * :meth:`insert` and :meth:`append_rows` are the only writers of new
       rowids.
 
-    A table may carry secondary indexes (:meth:`create_index`) of two
-    kinds — ``hash`` (single or composite equality) and ``ordered``
-    (range / ORDER BY).  Each is maintained entry by entry on insert,
-    in-place update and delete, so a statement's upkeep is proportional
-    to the rows it changes, not to the rows the table holds.
+    A table may carry secondary indexes (:meth:`create_index`), each an
+    :class:`OrderedIndex` over a column tuple.  Each is maintained entry
+    by entry on insert, in-place update and delete, so a statement's
+    upkeep is proportional to the rows it changes, not to the rows the
+    table holds.
     """
 
     def __init__(self, name: str, columns: Sequence[Column]) -> None:
@@ -310,8 +233,8 @@ class Table:
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
         self.rows: Dict[int, Row] = {}
         self._next_rowid = 0
-        self.indexes: Dict[str, Any] = {}
-        """Index name → :class:`HashIndex` | :class:`OrderedIndex`."""
+        self.indexes: Dict[str, OrderedIndex] = {}
+        """Index name → :class:`OrderedIndex`."""
 
     @property
     def column_names(self) -> List[str]:
@@ -373,8 +296,8 @@ class Table:
         The bulk-load half of :meth:`insert`: callers coerce every row
         first (so a bad row rejects the whole batch before any state
         changes), then the heap extends once and each index ingests the
-        batch through its ``add_many`` (ordered indexes merge it in as a
-        block instead of per-row ``insort``).
+        batch through its ``add_many`` (merged in as a block instead of
+        per-row ``insort``).
         """
         pairs = list(enumerate(rows, self._next_rowid))
         self._next_rowid += len(pairs)
@@ -407,7 +330,7 @@ class Table:
 
     # -- secondary indexes ------------------------------------------------
 
-    def make_index(self, columns, kind: str = "hash"):
+    def make_index(self, columns) -> OrderedIndex:
         """Build (but do not attach) an index over the current rows."""
         if isinstance(columns, str):
             columns = (columns,)
@@ -416,29 +339,15 @@ class Table:
             raise MetaDBError(f"index on {self.name!r} needs at least one column")
         if len(set(columns)) != len(columns):
             raise MetaDBError(f"duplicate columns in index on {self.name!r}")
-        positions = tuple(self.column_pos(c) for c in columns)
-        if kind == "hash":
-            index = HashIndex(columns, positions)
-        elif kind == "ordered":
-            index = OrderedIndex(columns, positions)
-        else:
-            raise MetaDBError(
-                f"unknown index kind {kind!r} (expected one of {INDEX_KINDS})"
-            )
+        index = OrderedIndex(columns, [self.column_pos(c) for c in columns])
         index.rebuild(self.scan())
         return index
 
-    def create_index(self, columns, kind: str = "hash") -> None:
+    def create_index(self, columns) -> None:
         """Declare an index on a column or column tuple (idempotent)."""
-        index = self.make_index(columns, kind)
+        index = self.make_index(columns)
         if index.name not in self.indexes:
             self.indexes[index.name] = index
-
-    def hash_indexes(self) -> List[HashIndex]:
-        return [i for i in self.indexes.values() if i.kind == "hash"]
-
-    def ordered_indexes(self) -> List[OrderedIndex]:
-        return [i for i in self.indexes.values() if i.kind == "ordered"]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -68,6 +68,19 @@ def sieve_groups(
             start = end
 
 
+def _nonempty(
+    offsets: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The runs that move bytes.  An empty run inside a sieving group
+    would stretch the group's covering extent to reach it: read-modify-
+    write would grow the file to its offset, and a read would fetch the
+    hole before it."""
+    keep = lengths > 0
+    if keep.all():
+        return offsets, lengths
+    return offsets[keep], lengths[keep]
+
+
 def independent_read(
     fs: FileSystem,
     proc: Process,
@@ -84,6 +97,7 @@ def independent_read(
     index/data traffic split.
     """
     fs.runs_submitted += len(offsets)
+    offsets, lengths = _nonempty(offsets, lengths)
     total = int(lengths.sum())
     out = np.empty(total, dtype=np.uint8)
     out_pos = 0
@@ -127,6 +141,7 @@ def independent_write(
             fs.write(proc, handle, [o], [l], data[pos : pos + l])
             pos += l
         return pos
+    offsets, lengths = _nonempty(offsets, lengths)
     data_pos = 0
     for lo, hi in sieve_groups(offsets, lengths, hints):
         grp_off = offsets[lo:hi]

@@ -83,7 +83,7 @@ def run_job(observe=False, policy=None):
             for name, data in snapshot_services(job).files.items()
         },
         "planner": (db.n_statements, db.n_rows_examined,
-                    db.n_hash_paths, db.n_slice_paths),
+                    db.n_index_probes, db.n_full_scans),
     }
 
 

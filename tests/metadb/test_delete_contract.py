@@ -3,11 +3,11 @@
 A statement's index upkeep must be proportional to the rows it changes.
 What makes that true is structural, so it is asserted structurally: a
 DELETE never rebuilds an index, survivors keep their rowids, freed rowids
-are never reused, emptied buckets go, a batch that lands in one gap of an
-ordered index is spliced in without a re-sort, the WHERE decomposition is
-computed once per parsed statement — and none of it is visible outside
-the engine: ``dump()`` cannot tell a table that lost rows from one that
-never had them.
+are never reused, a batch that lands in one gap of an index is spliced
+in without a re-sort, the WHERE decomposition is computed once per
+parsed statement — and none of it is visible outside the engine:
+``dump()`` cannot tell a table that lost rows from one that never had
+them.
 """
 
 import random
@@ -19,7 +19,7 @@ from repro.errors import MetaDBError
 from repro.metadb import Database, SDMTables
 from repro.metadb import engine, sqlparser
 from repro.metadb.schema import ChunkRecord
-from repro.metadb.table import HashIndex, OrderedIndex, index_name
+from repro.metadb.table import OrderedIndex, index_name
 
 
 def _rows(n, seed=5):
@@ -46,7 +46,6 @@ def test_flip_reap_and_rollback_never_rebuild_an_index(monkeypatch):
     def rebuilt(self, pairs):
         raise AssertionError(f"{self.name} rebuilt by a DELETE path")
 
-    monkeypatch.setattr(HashIndex, "rebuild", rebuilt)
     monkeypatch.setattr(OrderedIndex, "rebuild", rebuilt)
 
     # One whole flip, as reorganization publishes it, reaped at once.
@@ -71,7 +70,7 @@ def test_flip_reap_and_rollback_never_rebuild_an_index(monkeypatch):
     assert tables.lease_count() == 0
 
 
-# -- (ii) stable rowids, (iii) no empty bucket ------------------------------
+# -- (ii) stable rowids ------------------------------------------------------
 
 
 def test_survivors_keep_rowids_and_freed_ones_are_never_reused():
@@ -92,23 +91,7 @@ def test_survivors_keep_rowids_and_freed_ones_are_never_reused():
     check_index_integrity(db)
 
 
-def test_no_empty_bucket_survives_a_delete():
-    db = build(_rows(30), "hash")
-    db.execute("DELETE FROM t WHERE a = ?", (2,))
-    db.execute("UPDATE t SET a = ? WHERE a = ?", (4, 3))
-    db.execute("DELETE FROM t WHERE b = ?", ("x",))
-    by_a = db.tables["t"].indexes[index_name("hash", ("a",))]
-    by_b = db.tables["t"].indexes[index_name("hash", ("b",))]
-    assert (2,) not in by_a.buckets and (3,) not in by_a.buckets
-    assert ("x",) not in by_b.buckets
-    for index in (by_a, by_b):
-        assert all(index.buckets.values())
-    db.execute("DELETE FROM t")
-    assert by_a.buckets == {} and by_b.buckets == {}
-    assert len(db.tables["t"]) == 0
-
-
-# -- (iv) rowids are not persisted -------------------------------------------
+# -- (iii) rowids are not persisted ------------------------------------------
 
 
 @pytest.mark.parametrize("index_set", sorted(INDEX_SETS))
@@ -134,7 +117,7 @@ def test_dump_cannot_tell_deleted_rows_were_ever_there(index_set):
             assert restored.execute(sql, params) == want, sql
 
 
-# -- (v) batch ingest ---------------------------------------------------------
+# -- (iv) batch ingest --------------------------------------------------------
 
 
 class _WindowSpy(list):
@@ -152,15 +135,15 @@ class _WindowSpy(list):
 
 def test_batch_ingest_touches_the_window_it_spans_not_the_index():
     db = build([(a, "x", c) for a in (1, 3, 5) for c in range(4)])
-    db.create_index("t", ("a", "c"), "ordered")
+    db.create_index("t", ("a", "c"))
     table = db.tables["t"]
-    index = table.ordered_indexes()[0]
+    index = table.indexes[index_name(("a", "c"))]
     index.entries = spy = _WindowSpy(index.entries)
 
     def ingest(rows):
         spy.window = 0
         db.execute_many("INSERT INTO t VALUES (?, ?, ?)", rows)
-        fresh = table.make_index(index.columns, index.kind)
+        fresh = table.make_index(index.columns)
         assert index.entries is spy and spy == fresh.entries
         return spy.window
 
@@ -178,7 +161,7 @@ def test_batch_ingest_touches_the_window_it_spans_not_the_index():
     assert ingest([(0, "y", 0), (9, "y", 9)]) == residents
 
 
-# -- (vi) the decomposition is per statement, the plan per table -----------
+# -- (v) the decomposition is per statement, the plan per table ------------
 
 
 def test_shared_statement_plans_against_each_databases_own_indexes(monkeypatch):
@@ -191,17 +174,17 @@ def test_shared_statement_plans_against_each_databases_own_indexes(monkeypatch):
     monkeypatch.setattr(sqlparser, "conjuncts_of", counting)
     engine.clear_global_statement_cache()  # the text below starts unseen
     rows = [(a, "x", c) for a in range(3) for c in range(-2, 3)]
-    hashed, ordered, plain = build(rows, "hash"), build(rows, "ordered"), build(rows)
+    single, ordered, plain = build(rows, "single"), build(rows, "ordered"), build(rows)
     sql = "SELECT * FROM t WHERE a = ? AND c >= ? ORDER BY c"
-    stmt = hashed.prepare(sql)
+    stmt = single.prepare(sql)
     assert ordered.prepare(sql) is stmt and plain.prepare(sql) is stmt
     for args in ((2, -3), (0, 0), (None, 1)):
         want = plain.execute(sql, args)
-        assert hashed.execute(sql, args) == want
+        assert single.execute(sql, args) == want
         assert ordered.execute(sql, args) == want
-    # ordered(a, c) answers filter + sort by itself; hash(a) only narrows.
+    # (a, c) answers filter + sort by itself; (a) only narrows.
     assert (ordered.n_sorted_probes, ordered.n_index_probes) == (3, 0)
-    assert (hashed.n_sorted_probes, hashed.n_hash_paths) == (0, 2)
+    assert (single.n_sorted_probes, single.n_index_probes) == (0, 3)
     assert (plain.n_sorted_probes, plain.n_full_scans) == (0, 2)
     assert len(walks) == 1  # nine executions, three databases, one walk
 
@@ -209,24 +192,13 @@ def test_shared_statement_plans_against_each_databases_own_indexes(monkeypatch):
 # -- a missing entry is an error, not a no-op ----------------------------------
 
 
-def test_corrupt_hash_index_fails_the_next_delete_and_update():
-    db = build([(1, "x", 10), (1, "y", 11), (2, "x", 12)], "hash")
-    by_a = db.tables["t"].indexes[index_name("hash", ("a",))]
-    by_a.buckets[(1,)].remove(1)  # lose rowid 1 by hand
-    with pytest.raises(MetaDBError, match=r"hash\(a\).*\(1,\).*rowid 1"):
-        db.execute("DELETE FROM t WHERE c = ?", (11,))
-    del by_a.buckets[(2,)]  # lose a whole bucket
-    with pytest.raises(MetaDBError, match=r"hash\(a\).*\(2,\).*rowid 2"):
-        db.execute("UPDATE t SET a = ? WHERE c = ?", (7, 12))
-
-
 def test_corrupt_ordered_index_fails_the_next_update_and_delete():
     db = build([(1, "x", 10), (1, "y", 11), (2, "x", 12)], "ordered")
-    by_c = db.tables["t"].indexes[index_name("ordered", ("c",))]
+    by_c = db.tables["t"].indexes[index_name(("c",))]
     del by_c.entries[1]  # lose (c=11, rowid 1) by hand
     size = len(by_c.entries)
-    with pytest.raises(MetaDBError, match=r"ordered\(c\).*11.*rowid 1"):
+    with pytest.raises(MetaDBError, match=r"index \(c\).*11.*rowid 1"):
         db.execute("UPDATE t SET c = ? WHERE b = ?", (99, "y"))
     assert len(by_c.entries) == size  # and no orphan successor was inserted
-    with pytest.raises(MetaDBError, match=r"ordered\(c\).*rowid 1"):
+    with pytest.raises(MetaDBError, match=r"index \(c\).*rowid 1"):
         db.execute("DELETE FROM t WHERE b = ?", ("y",))

@@ -62,7 +62,7 @@ def test_indexed_equality_probes_skip_the_scan(db):
 def test_unindexed_or_non_equality_falls_back_to_scan(db):
     db.create_index("t", "a")
     db.execute("SELECT * FROM t WHERE c = ?", (7,))  # no index on c
-    db.execute("SELECT * FROM t WHERE a > ?", (3,))  # no ordered index on a
+    db.execute("SELECT * FROM t WHERE a != ?", (3,))  # != is no range
     db.execute("SELECT * FROM t WHERE a = ? OR c = ?", (1, 7))  # OR is opaque
     assert (db.n_index_probes, db.n_full_scans) == (0, 3)
 
@@ -98,17 +98,26 @@ def test_composite_index_probes_once(db):
 
 
 def test_composite_index_needs_every_column_bound(db):
+    # Bound means a leading prefix: it probes a slice, while a trailing
+    # column alone cannot use the index.
     db.create_index("t", ("a", "b"))
-    db.execute("SELECT * FROM t WHERE a = ?", (2,))  # prefix only: no probe
+    db.execute("SELECT * FROM t WHERE b = ?", ("s1",))
     assert (db.n_index_probes, db.n_full_scans) == (0, 1)
+    assert db.execute("SELECT c FROM t WHERE a = ?", (2,)) == [
+        (2,), (7,), (12,), (17,)
+    ]
+    assert (db.n_index_probes, db.n_full_scans, db.n_rows_examined) == (
+        1, 1, 20 + 4
+    )
 
 
 def test_planner_prefers_smallest_candidate_set(db):
-    db.create_index("t", "a")  # buckets of 4
-    db.create_index("t", ("a", "b"))  # buckets of 1-2
-    db.execute("SELECT * FROM t WHERE a = ? AND b = ?", (2, "s1"))
-    probed = db.tables["t"].indexes[index_name("hash", ("a", "b"))]
-    assert max(len(b) for b in probed.buckets.values()) < 4
+    db.create_index("t", "a")  # slices of 4
+    db.create_index("t", ("a", "b"))  # slices of 1-2
+    assert db.execute("SELECT c FROM t WHERE a = ? AND b = ?", (2, "s1")) == [
+        (7,)
+    ]
+    assert db.n_rows_examined == 1  # the composite slice, not a = 2's 4
 
 
 # -- ordered indexes -----------------------------------------------------
@@ -117,7 +126,7 @@ def test_planner_prefers_smallest_candidate_set(db):
 def test_range_predicates_use_ordered_index(db):
     expect_gt = db.execute("SELECT * FROM t WHERE c > ?", (15,))
     expect_between = db.execute("SELECT * FROM t WHERE c BETWEEN ? AND ?", (5, 8))
-    db.create_index("t", "c", kind="ordered")
+    db.create_index("t", "c")
     scans = db.n_full_scans
     assert db.execute("SELECT * FROM t WHERE c > ?", (15,)) == expect_gt
     assert (
@@ -129,7 +138,7 @@ def test_range_predicates_use_ordered_index(db):
 
 def test_ordered_prefix_plus_range(db):
     expect = db.execute("SELECT * FROM t WHERE a = ? AND c >= ?", (3, 10))
-    db.create_index("t", ("a", "c"), kind="ordered")
+    db.create_index("t", ("a", "c"))
     db.n_full_scans = 0
     assert db.execute("SELECT * FROM t WHERE a = ? AND c >= ?", (3, 10)) == expect
     assert (db.n_index_probes, db.n_full_scans) == (1, 0)
@@ -137,13 +146,13 @@ def test_ordered_prefix_plus_range(db):
 
 def test_order_by_limit_served_without_sort(db):
     expect = db.execute("SELECT * FROM t WHERE a = ? ORDER BY c DESC LIMIT 1", (3,))
-    db.create_index("t", ("a", "c"), kind="ordered")
+    db.create_index("t", ("a", "c"))
     db.n_full_scans = 0
     got = db.execute("SELECT * FROM t WHERE a = ? ORDER BY c DESC LIMIT 1", (3,))
     assert got == expect
     assert (db.n_sorted_probes, db.n_index_probes, db.n_full_scans) == (1, 0, 0)
     # Whole-table ORDER BY (no WHERE) walks the index too.
-    db.create_index("t", "c", kind="ordered")
+    db.create_index("t", "c")
     expect_all = sorted(row[2] for _rowid, row in db.tables["t"].scan())
     assert [r[0] for r in db.execute("SELECT c FROM t ORDER BY c")] == expect_all
     assert db.n_sorted_probes == 2
@@ -151,8 +160,8 @@ def test_order_by_limit_served_without_sort(db):
 
 def test_order_by_with_residual_where_still_sorts(db):
     # The WHERE is not fully covered by the index prefix, so the engine
-    # must fall back to filter-then-sort (narrowed by the hash index).
-    db.create_index("t", ("a", "c"), kind="ordered")
+    # must fall back to filter-then-sort (narrowed by an index slice).
+    db.create_index("t", ("a", "c"))
     db.create_index("t", "b")
     rows = db.execute(
         "SELECT c FROM t WHERE a = ? AND b = ? ORDER BY c DESC", (2, "s1")
@@ -162,7 +171,7 @@ def test_order_by_with_residual_where_still_sorts(db):
 
 
 def test_incomparable_range_value_falls_back_to_scan(db):
-    db.create_index("t", "c", kind="ordered")
+    db.create_index("t", "c")
     with pytest.raises(MetaDBError):  # scan raises the usual type error
         db.execute("SELECT * FROM t WHERE c > ?", ("not-an-int",))
 
@@ -187,7 +196,7 @@ def test_delete_then_reinsert_keeps_indexes_consistent(db):
     # hands a freed one out again; the re-inserted row gets a fresh rowid
     # and must land beside them in the maintained (not rebuilt) structures.
     db.create_index("t", "a")
-    db.create_index("t", ("a", "c"), kind="ordered")
+    db.create_index("t", ("a", "c"))
     db.execute("DELETE FROM t WHERE a = ?", (2,))
     db.execute("INSERT INTO t VALUES (2, 'back', 50)")
     check_index_integrity(db)
@@ -199,9 +208,9 @@ def test_delete_then_reinsert_keeps_indexes_consistent(db):
 
 def test_update_moves_row_between_buckets(db):
     # Regression: an UPDATE that changes an indexed column must move the
-    # row out of its old hash bucket and ordered slot.
+    # row out of its old slot in every index.
     db.create_index("t", "a")
-    db.create_index("t", "c", kind="ordered")
+    db.create_index("t", "c")
     db.execute("UPDATE t SET a = ?, c = ? WHERE c = ?", (99, 1000, 7))
     check_index_integrity(db)
     assert db.execute("SELECT c FROM t WHERE a = 99") == [(1000,)]
@@ -210,7 +219,7 @@ def test_update_moves_row_between_buckets(db):
 
 
 def test_update_to_null_key_and_back(db):
-    db.create_index("t", "c", kind="ordered")
+    db.create_index("t", "c")
     db.execute("UPDATE t SET c = NULL WHERE a = ?", (1,))
     check_index_integrity(db)
     assert db.execute("SELECT COUNT(*) FROM t WHERE c IS NULL") == [(4,)]
@@ -260,8 +269,14 @@ def test_create_all_declares_sdm_indexes():
     tables = SDMTables(Database())
     tables.create_all()
     tables.create_all()  # idempotent, indexes included
-    for table, columns, kind in SDM_INDEXES:
-        assert index_name(kind, columns) in tables.db.tables[table].indexes
+    for table, columns in SDM_INDEXES:
+        assert index_name(columns) in tables.db.tables[table].indexes
+        # A declaration that is a column prefix of another on its table
+        # is pure upkeep: the longer index serves every probe it would.
+        assert not any(
+            other != columns and other[:len(columns)] == columns
+            for t, other in SDM_INDEXES if t == table
+        ), (table, columns)
     tables.record_execution(1, "p", 0, "f.L3", 0, 100)
     assert tables.lookup_execution_version(1, "p", 0)[:3] == ("f.L3", 0, 100)
     assert tables.db.n_index_probes > 0
@@ -287,13 +302,51 @@ def test_max_offset_served_by_sorted_probe():
 def test_indexes_survive_dump_loads_roundtrip(db):
     db.create_index("t", "a")
     db.create_index("t", ("a", "b"))
-    db.create_index("t", ("a", "c"), kind="ordered")
+    db.create_index("t", ("a", "c"))
     restored = Database.loads(db.dump())
     assert sorted(restored.tables["t"].indexes) == sorted(db.tables["t"].indexes)
     check_index_integrity(restored)
     expect = db.execute("SELECT * FROM t WHERE a = ? AND b = ?", (2, "s1"))
     assert restored.execute("SELECT * FROM t WHERE a = ? AND b = ?", (2, "s1")) == expect
     assert (restored.n_index_probes, restored.n_full_scans) == (1, 0)
+
+
+# Written when every index declaration carried a "kind": (a, b) has a
+# hash and an ordered twin, (b) is hash-only, (c) ordered-only.
+_KIND_TWINS_DUMP = (
+    '{"tables": {"t": {"columns": [["a", "INTEGER"], ["b", "TEXT"], '
+    '["c", "INTEGER"]], "rows": [[0, null, 0], [1, "y", 1], [2, "z", 2], '
+    '[0, "x", 3], [1, "x", 4], [2, null, 5], [0, "z", 6], [1, "x", 7], '
+    '[2, "x", 8], [0, "y", 9]], "indexes": [{"kind": "hash", "columns": '
+    '["a", "b"]}, {"kind": "ordered", "columns": ["a", "b"]}, {"kind": '
+    '"hash", "columns": ["b"]}, {"kind": "ordered", "columns": ["c"]}]}}, '
+    '"boot": 0}'
+)
+
+
+def test_loads_collapses_kind_twins_of_an_older_dump():
+    restored = Database.loads(_KIND_TWINS_DUMP)
+    assert sorted(restored.tables["t"].indexes) == ["(a,b)", "(b)", "(c)"]
+    check_index_integrity(restored)
+    # Answers and rows examined, as the dumping database gave them.
+    for sql, params, rows, examined in (
+        ("SELECT * FROM t WHERE a = ? AND b = ?", (1, "y"), [(1, "y", 1)], 1),
+        ("SELECT c FROM t WHERE b = ?", ("x",), [(3,), (4,), (7,), (8,)], 4),
+        ("SELECT c FROM t WHERE a = ? AND b = ? AND c > ?", (0, "x", 2),
+         [(3,)], 1),
+        ("SELECT * FROM t WHERE b = ? AND c >= ?", ("y", 7), [(0, "y", 9)], 2),
+        ("SELECT * FROM t WHERE a = ?", (2,),
+         [(2, "z", 2), (2, None, 5), (2, "x", 8)], 3),
+        ("SELECT b FROM t WHERE a = ? ORDER BY b", (2,),
+         [(None,), ("x",), ("z",)], 0),
+        ("SELECT MAX(c) FROM t WHERE c < ?", (6,), [(5,)], 0),
+    ):
+        before = restored.n_rows_examined
+        assert restored.execute(sql, params) == rows, sql
+        assert restored.n_rows_examined - before == examined, sql
+    assert restored.n_full_scans == 0
+    assert (restored.n_sorted_probes, restored.n_agg_probes) == (1, 1)
+    assert '"kind"' not in restored.dump()
 
 
 def test_snapshot_restored_catalog_probes_without_redeclaration():
@@ -323,35 +376,36 @@ def test_snapshot_restored_catalog_probes_without_redeclaration():
 def costed_db():
     d = Database()
     d.execute("CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)")
-    # bucket b='x' holds 10 rows (c = 0..9); b='y' holds c = 10..19.
+    # The "bucket" is an equality slice of the (b) index: b='x' holds 10
+    # rows (c = 0..9); b='y' holds c = 10..19.
     for i in range(20):
         d.execute(
             "INSERT INTO t VALUES (?, ?, ?)",
             (i % 5, "x" if i < 10 else "y", i),
         )
     d.create_index("t", "b")
-    d.create_index("t", "c", "ordered")
+    d.create_index("t", "c")
     return d
 
 
 def test_planner_takes_smaller_slice_over_larger_bucket():
     d = costed_db()
     # bucket('x') = 10 candidates; slice c >= 12 = 8: the slice hands the
-    # WHERE fewer rows to verify, and a candidate costs about the same to
-    # produce either way.
+    # WHERE fewer rows to verify.
     rows = d.execute("SELECT * FROM t WHERE b = ? AND c >= ?", ("x", 12))
     assert rows == []
-    assert (d.n_hash_paths, d.n_slice_paths) == (0, 1)
+    assert (d.n_index_probes, d.n_full_scans) == (1, 0)
     assert d.n_rows_examined == 8
 
 
 def test_planner_tie_keeps_the_bucket():
     d = costed_db()
-    # bucket('y') = 10 candidates; slice c >= 10 = the same 10: a tie goes
-    # to the bucket, which is already in insertion order.
+    # bucket('y') = 10 candidates; slice c >= 10 = the same 10: a tie
+    # keeps the index declared first, here the bucket, and either slice
+    # examines 10 rows and comes back in insertion order.
     rows = d.execute("SELECT c FROM t WHERE b = ? AND c >= ?", ("y", 10))
     assert rows == [(c,) for c in range(10, 20)]
-    assert (d.n_hash_paths, d.n_slice_paths) == (1, 0)
+    assert (d.n_index_probes, d.n_full_scans) == (1, 0)
     assert d.n_rows_examined == 10
 
 
@@ -360,7 +414,7 @@ def test_cost_model_still_picks_much_smaller_slice():
     # slice c >= 18 = 2 candidates against the 10-row bucket.
     rows = d.execute("SELECT c FROM t WHERE b = ? AND c >= ?", ("y", 18))
     assert rows == [(18,), (19,)]
-    assert (d.n_hash_paths, d.n_slice_paths) == (0, 1)
+    assert d.n_rows_examined == 2
 
 
 def test_cost_model_result_matches_scan():
@@ -384,8 +438,8 @@ def test_cost_model_result_matches_scan():
 def agg_db():
     d = Database()
     d.execute("CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)")
-    d.create_index("t", ("a", "c"), "ordered")
-    d.create_index("t", "c", "ordered")
+    d.create_index("t", ("a", "c"))
+    d.create_index("t", "c")
     for i in range(12):
         d.execute("INSERT INTO t VALUES (?, ?, ?)", (i % 3, f"s{i}", i))
     return d
@@ -425,7 +479,7 @@ def test_aggregate_probe_empty_and_null_semantics():
     assert d.execute("SELECT MIN(c) FROM t WHERE a = ?", (1,)) == [(1,)]
     d2 = Database()
     d2.execute("CREATE TABLE t (c INTEGER)")
-    d2.create_index("t", "c", "ordered")
+    d2.create_index("t", "c")
     d2.execute("INSERT INTO t VALUES (?)", (None,))
     assert d2.execute("SELECT MAX(c) FROM t") == [(None,)]
     assert d2.n_agg_probes >= 1
@@ -489,9 +543,9 @@ def test_execute_many_bills_one_batched_statement():
 
 
 def test_bulk_insert_keeps_every_index_scan_identical():
-    """execute_many's append_rows path must leave hash and ordered
-    indexes exactly as per-row inserts would — probes, slices, sorted
-    walks, and aggregates all agree with a fresh scan-only database."""
+    """execute_many's append_rows path must leave every index exactly as
+    per-row inserts would — probes, slices, sorted walks, and aggregates
+    all agree with a fresh scan-only database."""
     import random
 
     rng = random.Random(11)
@@ -502,8 +556,8 @@ def test_bulk_insert_keeps_every_index_scan_identical():
     indexed = Database()
     indexed.execute("CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)")
     indexed.create_index("t", "a")
-    indexed.create_index("t", ("a", "b"), "hash")
-    indexed.create_index("t", ("a", "c"), "ordered")
+    indexed.create_index("t", ("a", "b"))
+    indexed.create_index("t", ("a", "c"))
     indexed.execute_many("INSERT INTO t VALUES (?, ?, ?)", rows)
 
     plain = Database()
@@ -527,10 +581,10 @@ def test_bulk_insert_keeps_every_index_scan_identical():
 def test_bulk_insert_ordered_index_matches_incremental_maintenance():
     db = Database()
     db.execute("CREATE TABLE t (a INTEGER)")
-    db.create_index("t", "a", "ordered")
+    db.create_index("t", "a")
     db.execute("INSERT INTO t VALUES (?)", (5,))
     db.execute_many("INSERT INTO t VALUES (?)", [(9,), (1,), (5,), (3,)])
-    index = db.tables["t"].ordered_indexes()[0]
+    index = db.tables["t"].indexes[index_name(("a",))]
     assert index.entries == sorted(index.entries)
     # Duplicate keys keep rowid-ascending (insertion) order.
     assert [rowid for key, rowid in index.entries
@@ -540,11 +594,11 @@ def test_bulk_insert_ordered_index_matches_incremental_maintenance():
 def test_bulk_insert_bad_row_rejects_whole_batch():
     db = Database()
     db.execute("CREATE TABLE t (a INTEGER)")
-    db.create_index("t", "a", "ordered")
+    db.create_index("t", "a")
     with pytest.raises(SQLTypeError):
         db.execute_many("INSERT INTO t VALUES (?)", [(1,), ("nope",)])
     assert db.execute("SELECT COUNT(*) FROM t") == [(0,)]
-    assert db.tables["t"].ordered_indexes()[0].entries == []
+    assert db.tables["t"].indexes[index_name(("a",))].entries == []
 
 
 # -- process-global statement cache -------------------------------------

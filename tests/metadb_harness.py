@@ -51,20 +51,10 @@ LIMITS = [None, 0, 1, 3]
 
 # Named index configurations; "scan" is the reference plan.
 INDEX_SETS = {
-    "hash": [("a", "hash"), ("b", "hash")],
-    "composite": [(("a", "b"), "hash"), (("a", "b", "c"), "hash")],
-    "ordered": [
-        (("c",), "ordered"),
-        (("a", "c"), "ordered"),
-        (("b",), "ordered"),
-    ],
-    "mixed": [
-        ("a", "hash"),
-        (("a", "b", "c"), "hash"),
-        (("c",), "ordered"),
-        (("a", "c"), "ordered"),
-        (("b", "c"), "ordered"),
-    ],
+    "single": [("a",), ("b",)],
+    "composite": [("a", "b"), ("a", "b", "c")],
+    "ordered": [("c",), ("a", "c"), ("b",)],
+    "mixed": [("a",), ("a", "b", "c"), ("c",), ("a", "c"), ("b", "c")],
 }
 
 
@@ -74,8 +64,8 @@ def build(rows, index_set=None):
     for row in rows:
         db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
     if index_set is not None:
-        for columns, kind in INDEX_SETS[index_set]:
-            db.create_index("t", columns, kind)
+        for columns in INDEX_SETS[index_set]:
+            db.create_index("t", columns)
     return db
 
 
@@ -103,8 +93,4 @@ def check_index_integrity(db):
     """Every maintained index equals its from-scratch rebuild."""
     table = db.tables["t"]
     for index in table.indexes.values():
-        fresh = table.make_index(index.columns, index.kind)
-        if index.kind == "hash":
-            assert index.buckets == fresh.buckets
-        else:
-            assert index.entries == fresh.entries
+        assert index.entries == table.make_index(index.columns).entries

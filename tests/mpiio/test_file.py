@@ -365,27 +365,38 @@ def test_per_file_sieving_hints_reach_independent_io():
 @pytest.mark.parametrize("collective", [False, True],
                          ids=["write_runs", "write_runs_at_all"])
 def test_zero_length_run_does_not_extend_the_file(mode, collective):
-    """``check_runs`` admits empty runs; one far past the data must leave
-    file size and ``bytes_written`` those of the non-empty run."""
+    """``check_runs`` admits empty runs; one far past the data, or one in
+    a hole a sieving group would bridge, must leave file size and
+    ``bytes_written`` those of the non-empty run, and reading the same
+    runs back must read only its bytes."""
+    fars = (1000, 1_000_000)
 
     def program(ctx):
         fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "z.dat", MODE_CREATE | mode)
-        write = f.write_runs_at_all if collective else f.write_runs
-        if ctx.rank == 0:
-            n = write([0, 1_000_000], [4, 0], np.full(4, 5, dtype=np.uint8))
-        elif collective:
-            n = write([], [], np.empty(0, dtype=np.uint8))
-        else:
+        out = []
+        for far in fars:
+            f = File.open(ctx.comm, fs, f"z{far}.dat", MODE_CREATE | mode)
+            write = f.write_runs_at_all if collective else f.write_runs
+            read = f.read_runs_at_all if collective else f.read_runs
+            if ctx.rank == 0:
+                runs, payload = ([0, far], [4, 0]), np.full(4, 5, np.uint8)
+            else:
+                runs, payload = ([], []), np.empty(0, np.uint8)
             n = 0
-        f.close()
-        return n
+            if ctx.rank == 0 or collective:
+                n = write(*runs, payload)
+                if mode == MODE_RDWR:
+                    np.testing.assert_array_equal(read(*runs), payload)
+            out.append(n)
+            f.close()
+        return out
 
     job = run(program, 2)
     fs = job.services["fs"]
-    assert job.values == [4, 0]
-    assert fs.lookup("z.dat").size == 4
-    assert fs.bytes_written == 4
+    assert job.values == [[4, 4], [0, 0]]
+    assert [fs.lookup(f"z{far}.dat").size for far in fars] == [4, 4]
+    assert fs.bytes_written == 8
+    assert fs.bytes_read == (8 if mode == MODE_RDWR else 0)
 
 
 def test_collective_write_scratch_is_covered_by_its_segments(monkeypatch):

@@ -1,8 +1,8 @@
 """Property: every indexed query plan is indistinguishable from a full scan.
 
 Databases with identical contents but different index configurations —
-none (forced full scan), single-column hash, composite hash, ordered, and
-all of them at once — must return byte-identical rows (same order, same
+none (forced full scan), single-column, composite, range/ORDER BY-shaped,
+and all of them at once — must return byte-identical rows (same order, same
 NULL semantics) for every generated SELECT/ORDER BY/LIMIT combination,
 and end in identical states after every UPDATE/DELETE.  The indexed
 database's structures must also stay consistent with a from-scratch
