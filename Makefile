@@ -134,10 +134,13 @@ bench-collective:
 ## leaves a free extent behind; then time the run list's move kernels
 ## against the byte index they replaced, in-process and as ratios so the
 ## host's speed cancels (bulk DOUBLE runs >= 2.5x faster, small request
-## lists <= 1.5x slower)
+## lists <= 1.5x slower); then the resolve-once memos the same way
+## (applying a kept chunked read plan >= 3x faster than resolving it, a
+## FileView over a memoised filetype >= 10x faster than over a fresh one)
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
+	$(PYTHON) benchmarks/perfcheck_plans.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

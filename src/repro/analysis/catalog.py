@@ -98,10 +98,10 @@ CATALOG: Dict[str, CollectiveSpec] = {
     # collectives inside, so their *call sites* are collective-in-shape.
     "locate_instance": CollectiveSpec("locate_instance", uniform_result=True),
     "read_instance": CollectiveSpec("read_instance"),
-    # Collective index resolution: block→rank dealing over alltoallv;
-    # every rank of the file's communicator must call it (empty-wanted
-    # ranks participate with empty requests).
-    "resolve_chunk_positions": CollectiveSpec("resolve_chunk_positions"),
+    # Collective index-block acquisition: block→rank dealing over
+    # alltoallv; every rank of the file's communicator must call it
+    # (empty-wanted ranks participate with empty requests).
+    "acquire_index_blocks": CollectiveSpec("acquire_index_blocks"),
     "execute_reorganize": CollectiveSpec("execute_reorganize"),
     "compact_chunked_file": CollectiveSpec(
         "compact_chunked_file", uniform_result=True

@@ -341,7 +341,7 @@ class SDM(DatapathHost):
         dtype = attrs.data_type
         view = DataView.from_map(map_array)
         f = self._open_cached(attrs.file_name, MODE_RDONLY)
-        set_instance_view(f, file_offset, dtype, view.map_sorted)
+        set_instance_view(f, file_offset, dtype, view)
         buf = np.empty(view.local_count, dtype=dtype.numpy_dtype)
         f.read_at_all(0, buf)
         if self.ctx.rank == 0:
@@ -453,11 +453,7 @@ class SDM(DatapathHost):
         """
         attrs = handle.dataset(name)
         view = handle.view(name)
-        if len(buf) != view.local_count:
-            raise SDMStateError(
-                f"buffer for {name!r} has {len(buf)} elements, "
-                f"view expects {view.local_count}"
-            )
+        _check_buffer(name, buf, view)
         return self.storage_order.write(
             self, handle, attrs, view, name, timestep, buf
         )
@@ -485,6 +481,7 @@ class SDM(DatapathHost):
         """
         attrs = handle.dataset(name)
         view = handle.view(name)
+        _check_buffer(name, buf, view)
         rid = self.runid if runid is None else runid
         buf[:], fname, chunks = read_pinned(
             self, self.comm, rid, name, timestep, attrs.data_type, view,
@@ -683,6 +680,16 @@ class SDM(DatapathHost):
         after :meth:`finalize`): shutdown leak audit plus the shared
         tables' recovery totals."""
         return {**self._leak_stats, **self.tables.recovery_stats()}
+
+
+def _check_buffer(name: str, buf: np.ndarray, view: DataView) -> None:
+    """A read or write buffer must hold exactly the view's elements;
+    checked before the call enters any collective."""
+    if len(buf) != view.local_count:
+        raise SDMStateError(
+            f"buffer for {name!r} has {len(buf)} elements, "
+            f"view expects {view.local_count}"
+        )
 
 
 def _even_split(total: int, parts: int) -> np.ndarray:

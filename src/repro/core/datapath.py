@@ -19,7 +19,7 @@ Reads are transparent across both: :func:`locate_instance` returns the
 ``execution_table`` row plus any chunk maps, and :func:`read_instance`
 either takes the canonical fast path or runs the chunked read pipeline:
 
-1. **resolve** — :func:`resolve_chunk_positions` acquires every index
+1. **resolve** — :func:`acquire_index_blocks` acquires every index
    block the wanted range touches in one pass (cache hits, then the
    collective dealing round or one batched fetch), and the pure
    :func:`_chunk_positions` turns the wanted global indices into absolute
@@ -33,6 +33,15 @@ either takes the canonical fast path or runs the chunked read pipeline:
    positions as they are, one run per element, and returns each
    element's bytes in position order; a vectorized scatter puts them
    back in view order.
+
+Step 1's host work is done once per data view and chunk layout: the
+resolved positions (relative to the first live chunk's data), their
+sorted unique order and the extraction index are a read plan, kept in
+the rank's :class:`IndexBlockCache` beside the blocks it was resolved
+from.  A checkpoint loop's next timestep shares those blocks, so its
+read is the plan plus one base offset.  Block acquisition still runs on
+every read, which keeps the collectives and index traffic independent of
+what is cached.
 
 Coalescing is the file's job, not this module's: :class:`~repro.mpiio.
 file.File` resolves the ``coalesce_gap`` hint, merges the positions into
@@ -86,10 +95,11 @@ always present.
 
 Chunked index blocks are cached in two stores: the read side's
 :class:`IndexBlockCache` (a rank-local LRU keyed by the owning execution
-row's version, so a warm checkpoint loop reads data bytes only) and
-:class:`ChunkedOrder`'s write-side reference map (reference-not-copy
-sharing).  Both obey one rule, ``drop(file, lo, hi)``: forget every block
-whose bytes overlap ``[lo, hi)``.  Clients register both stores in the
+row's version, so a warm checkpoint loop reads data bytes only; the read
+plans live beside its blocks) and :class:`ChunkedOrder`'s write-side
+reference map (reference-not-copy sharing).  Both obey one rule,
+``drop(file, lo, hi)``: forget every block or plan whose bytes overlap
+``[lo, hi)``.  Clients register both stores in the
 job's :class:`ChunkedCaches` (carried by the maintenance service), and
 every invalidation is job-wide through it: a flip publish drops the file,
 an append at a retreated cursor drops everything above the cursor, a
@@ -108,7 +118,7 @@ their snapshot's row versions and byte regions, and
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,7 +130,6 @@ from repro.core.layout import (
     checkpoint_file_name,
     is_chunked_name,
 )
-from repro.dtypes.constructors import IndexedBlock
 from repro.dtypes.primitives import Primitive, primitive_by_name
 from repro.core.mvcc import (
     Flip,
@@ -144,7 +153,7 @@ __all__ = [
     "FileHandleCache",
     "IndexBlockCache",
     "resolve_storage_order",
-    "resolve_chunk_positions",
+    "acquire_index_blocks",
     "locate_instance",
     "read_instance",
     "read_pinned",
@@ -160,15 +169,14 @@ ExecutionRow = Tuple[str, int, int]
 
 
 def set_instance_view(f: File, base: int, dtype: Primitive,
-                      gids: np.ndarray) -> None:
+                      view: DataView) -> None:
     """Install the irregular view of one canonical instance: element ``g``
-    of the global array at ``base + g * esize``.  An empty map gets a dense
-    view (a filetype needs positive size) — the rank still participates in
-    the collective with zero bytes."""
-    if len(gids) == 0:
-        f.set_view(disp=base, etype=dtype)
-        return
-    f.set_view(disp=base, etype=dtype, filetype=IndexedBlock(1, gids, dtype))
+    of the global array at ``base + g * esize``, through the data view's
+    filetype (:meth:`DataView.filetype` — built and flattened once per
+    view, however many reads and writes install it).  An empty map gets a
+    dense view — the rank still participates in the collective with zero
+    bytes."""
+    f.set_view(disp=base, etype=dtype, filetype=view.filetype(dtype))
 
 
 def _next_append_base(sdm, fname: str) -> int:
@@ -185,6 +193,9 @@ def _next_append_base(sdm, fname: str) -> int:
 _INDEX_CACHE_BLOCKS = 64
 """Index blocks an :class:`IndexBlockCache` keeps (LRU beyond this)."""
 
+_INDEX_CACHE_PLANS = 8
+"""Read plans an :class:`IndexBlockCache` keeps (LRU beyond this)."""
+
 
 def _overlaps(start: int, end: int, lo: int, hi: Optional[int]) -> bool:
     """Do the bytes ``[start, end)`` overlap ``[lo, hi)`` (``hi=None``:
@@ -193,8 +204,31 @@ def _overlaps(start: int, end: int, lo: int, hi: Optional[int]) -> bool:
     return end > lo and (hi is None or start < hi)
 
 
+class _ReadPlan(NamedTuple):
+    """One data view's resolution of a chunked instance, relative to the
+    first live chunk's ``data_offset`` (the *base*): what
+    :func:`_assemble_chunked` derives from the chunk maps and index
+    blocks, so a read with the same chunk layout at another base is
+    ``rel + base``, one ``read_runs_at_all`` and one ``take``."""
+
+    view: DataView
+    """The one view the plan is served to (its map is read-only)."""
+    rel: np.ndarray
+    """Sorted unique file positions of the wanted elements, minus base."""
+    present: Optional[np.ndarray]
+    """Which wanted elements some chunk holds (None: all of them)."""
+    take: Optional[np.ndarray]
+    """Index into ``rel`` of each present element (None: identity)."""
+    lo: int
+    hi: int
+    """The bytes ``[lo, hi)`` the plan was resolved from — index blocks
+    and data blocks — which :meth:`IndexBlockCache.drop` tests (empty
+    when no chunk is live: that plan depends on no byte of the file)."""
+
+
 class IndexBlockCache:
-    """Rank-local LRU cache of chunked index blocks.
+    """Rank-local LRU cache of chunked index blocks, and of the read
+    plans resolved from them.
 
     Assembling a chunked read fetches every overlapping chunk's index
     block from the file — as many bytes as the data itself for irregular
@@ -217,12 +251,21 @@ class IndexBlockCache:
     fast path — which is also why version-0 keys can be recycled, and
     why the job's :class:`ChunkedCaches` calls :meth:`drop` whenever
     bytes are moved, freed or rewritten.
+
+    Beside the blocks sit up to :data:`_INDEX_CACHE_PLANS` read plans
+    (:class:`_ReadPlan`, read-only arrays), each keyed by the file, the
+    version, the element size and every live chunk's layout relative to
+    the base — so timestep *t + 1* over a shared index block hits the
+    plan timestep *t* built — and served only to the data view that built
+    it.  :meth:`drop` forgets a plan with its bytes, so a read after any
+    invalidation resolves afresh.
     """
 
     def __init__(self) -> None:
         self._blocks: "OrderedDict[Tuple[str, int, int], np.ndarray]" = (
             OrderedDict()
         )
+        self._plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -279,17 +322,38 @@ class IndexBlockCache:
             self._blocks.popitem(last=False)
         return gids
 
+    def plan(self, key: tuple, view: DataView) -> Optional[_ReadPlan]:
+        """The plan kept under ``key`` if ``view`` built it, else None."""
+        plan = self._plans.get(key)
+        if plan is None or plan.view is not view:
+            return None
+        self._plans.move_to_end(key)
+        return plan
+
+    def keep_plan(self, key: tuple, plan: _ReadPlan) -> None:
+        """Remember a plan (evicts LRU beyond :data:`_INDEX_CACHE_PLANS`);
+        ``key[0]`` is its file name."""
+        self._plans[key] = plan
+        self._plans.move_to_end(key)
+        if len(self._plans) > _INDEX_CACHE_PLANS:
+            self._plans.popitem(last=False)
+
     def drop(self, file_name: str, lo: int = 0,
              hi: Optional[int] = None) -> None:
-        """Forget every block of ``file_name`` whose bytes overlap
-        ``[lo, hi)`` (default: the whole file).  Touches neither the
-        hit/miss counters nor the LRU order of survivors."""
+        """Forget every block and plan of ``file_name`` whose bytes
+        overlap ``[lo, hi)`` (default: the whole file).  Touches neither
+        the hit/miss counters nor the LRU order of survivors."""
         for k in [
             k for k, g in self._blocks.items()
             if k[0] == file_name
             and _overlaps(k[1], k[1] + len(g) * CHUNK_INDEX_BYTES, lo, hi)
         ]:
             del self._blocks[k]
+        for k in [
+            k for k, p in self._plans.items()
+            if k[0] == file_name and _overlaps(p.lo, p.hi, lo, hi)
+        ]:
+            del self._plans[k]
 
 
 class FileHandleCache:
@@ -481,7 +545,7 @@ class CanonicalOrder(StorageOrder):
         fname = self.file_name(sdm, handle, name, timestep)
         base = _next_append_base(sdm, fname)
         f = sdm._open_cached(fname, MODE_CREATE | MODE_RDWR)
-        set_instance_view(f, base, attrs.data_type, view.map_sorted)
+        set_instance_view(f, base, attrs.data_type, view)
         data = view.to_file_order(
             np.asarray(buf, dtype=attrs.data_type.numpy_dtype)
         )
@@ -751,7 +815,7 @@ def read_instance(
     if chunks:
         return _assemble_chunked(comm, f, chunks, dtype, view, cache, version)
     _fname, base, _nbytes = where
-    set_instance_view(f, base, dtype, view.map_sorted)
+    set_instance_view(f, base, dtype, view)
     out = np.empty(view.local_count, dtype=dtype.numpy_dtype)
     f.read_at_all(0, out)
     return view.to_user_order(out)
@@ -937,18 +1001,17 @@ def _chunk_positions(
     return pos
 
 
-def resolve_chunk_positions(
+def acquire_index_blocks(
     comm: Communicator,
     f: File,
     chunks: Sequence[ChunkRecord],
-    dtype: Primitive,
     wanted: np.ndarray,
     cache: Optional[IndexBlockCache] = None,
     version: int = 0,
-) -> np.ndarray:
-    """Collective position resolution: acquire every index block this
-    rank's wanted range touches in one pass, then resolve with the pure
-    :func:`_chunk_positions`.
+) -> Dict[Tuple[int, int], np.ndarray]:
+    """Collective block acquisition: every index block this rank's sorted
+    ``wanted`` range touches, by ``(index_offset, num_elements)`` key, in
+    one pass — what the pure :func:`_chunk_positions` resolves against.
 
     On a cold read of a non-arithmetic instance, per-rank fetching would
     make every rank read every overlapping index block, so cold index
@@ -968,9 +1031,9 @@ def resolve_chunk_positions(
     batched cache-aware local fetch.
 
     Must be called by every rank of ``comm`` (a rank with an empty
-    ``wanted`` participates with empty requests).  The returned positions
-    are byte-identical to :func:`_chunk_positions` over purely locally
-    fetched blocks — the dealt blocks are the same bytes.
+    ``wanted`` participates with empty requests).  The blocks are the
+    bytes a purely local fetch would return, so positions resolved
+    against them are byte-identical.
     """
     keys = list(dict.fromkeys(
         ch.block for ch in _live_chunks(chunks, wanted) if ch.block
@@ -989,7 +1052,7 @@ def resolve_chunk_positions(
     blocks.update(_fetch_index_blocks(
         f, [key for key in keys if key not in blocks], cache, version
     ))
-    return _chunk_positions(chunks, blocks, dtype.size, wanted)
+    return blocks
 
 
 def _deal_index_blocks(
@@ -1000,7 +1063,7 @@ def _deal_index_blocks(
     cache: Optional[IndexBlockCache],
     version: int,
 ) -> Dict[Tuple[int, int], np.ndarray]:
-    """The exchange half of :func:`resolve_chunk_positions`: route each
+    """The exchange half of :func:`acquire_index_blocks`: route each
     missing block key to its owner rank, owners fetch their requested
     blocks once, and the blocks come back keyed for local resolution."""
     owner = {key: i % comm.size for i, key in enumerate(all_keys)}
@@ -1048,22 +1111,71 @@ def _assemble_chunked(
     to its ``coalesce_gap`` hint bridged, so the exchange carries
     O(chunks) runs, not O(elements)) returns the elements' bytes in
     position order.  Elements no chunk wrote read as 0 — the bytes a
-    canonical read of an unwritten region would return."""
+    canonical read of an unwritten region would return.
+
+    Block acquisition runs on every read, so the collectives and the
+    index traffic never depend on what a rank has cached.  The rest —
+    positions, their sorted unique order, the extraction index — is the
+    view's :class:`_ReadPlan`, kept in ``cache`` and reused while the
+    live chunks keep their layout relative to the first one's data."""
     wanted = view.map_sorted
-    pos = resolve_chunk_positions(comm, f, chunks, dtype, wanted, cache,
-                                  version)
-    present = pos >= 0
-    found = pos[present]
-    # sorted unique positions: a sort and a neighbour mask
-    upos = np.sort(found)
-    keep = np.ones(len(upos), dtype=bool)
-    np.not_equal(upos[1:], upos[:-1], out=keep[1:])
-    upos = upos[keep]
+    blocks = acquire_index_blocks(comm, f, chunks, wanted, cache, version)
+    live = _live_chunks(chunks, wanted)
+    base = live[0].data_offset if live else 0
+    key = (f.name, version, dtype.size, tuple(
+        (ch.rank, ch.block, ch.num_elements, ch.gid_min, ch.gid_max,
+         ch.gid_step, ch.data_offset - base)
+        for ch in live
+    ))
+    plan = cache.plan(key, view) if cache is not None else None
+    if plan is None:
+        plan = _read_plan(view, live, blocks, dtype.size, base)
+        if cache is not None:
+            cache.keep_plan(key, plan)
+    upos = plan.rel + base
     raw = f.read_runs_at_all(upos, np.full(len(upos), dtype.size))
     elems = raw.view(dtype.numpy_dtype)
+    if plan.take is not None:
+        elems = elems.take(plan.take)
+    if plan.present is None:
+        return view.to_user_order(elems)
     out = np.zeros(len(wanted), dtype=dtype.numpy_dtype)
-    out[present] = elems[np.searchsorted(upos, found)]
+    out[plan.present] = elems
     return view.to_user_order(out)
+
+
+def _read_plan(
+    view: DataView,
+    live: Sequence[ChunkRecord],
+    blocks: Dict[Tuple[int, int], np.ndarray],
+    esize: int,
+    base: int,
+) -> _ReadPlan:
+    """Resolve ``view`` against its live chunks (:func:`_chunk_positions`)
+    into a plan relative to ``base``."""
+    pos = _chunk_positions(live, blocks, esize, view.map_sorted)
+    present = pos >= 0
+    found = pos[present]
+    take = None
+    if (found[1:] > found[:-1]).all():
+        upos = found  # already sorted unique: extraction is the identity
+    else:
+        # sorted unique positions: a sort and a neighbour mask
+        upos = np.sort(found)
+        keep = np.ones(len(upos), dtype=bool)
+        np.not_equal(upos[1:], upos[:-1], out=keep[1:])
+        upos = upos[keep]
+        take = np.searchsorted(upos, found)
+    rel = upos - base
+    present = None if present.all() else present
+    for a in (rel, present, take):
+        if a is not None:
+            a.setflags(write=False)
+    # An index block lies at or below the data of every chunk using it.
+    lo = min((ch.index_offset for ch in live), default=0)
+    hi = max((ch.data_offset + ch.num_elements * esize for ch in live),
+             default=0)
+    return _ReadPlan(view, rel, present, take, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1265,7 @@ def execute_reorganize(
         )
         base = _next_append_base(host, new_fname)
         dst = host._open_cached(new_fname, MODE_CREATE | MODE_RDWR)
-        set_instance_view(dst, base, dtype, gids)
+        set_instance_view(dst, base, dtype, DataView.from_map(gids))
         dst.write_at_all(0, vals)
 
         def write_successors(epoch: int) -> None:

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.dtypes.constructors import IndexedBlock
 from repro.dtypes.primitives import DOUBLE, Primitive
 from repro.errors import SDMStateError, SDMUnknownDataset
 
@@ -52,18 +53,28 @@ class ImportAttrs:
     partition: str = "DISTRIBUTED"
 
 
-@dataclass
+@dataclass(eq=False)
 class DataView:
     """An installed data mapping for one dataset (from ``SDM_data_view``).
 
     File views need monotone displacements, so the map array is sorted once
-    here; ``perm`` reorders user data into sorted-map order and ``inv``
-    restores it.  For SDM's own maps (built sorted) both are identity.
+    here; ``perm`` reorders user data into sorted-map order and
+    :meth:`to_user_order` restores it.  For SDM's own maps (built sorted)
+    ``perm`` is None.
+
+    A view built by :meth:`from_map` owns its arrays — private read-only
+    copies, as MPI copies a datatype's displacements at creation — so
+    what is derived from it once (:meth:`filetype`, a chunked read's plan
+    in :mod:`repro.core.datapath`) stays true for the view's lifetime.
+    Views compare by identity.
     """
 
     map_sorted: np.ndarray
     perm: Optional[np.ndarray]
     local_count: int
+    _filetypes: Dict[Primitive, IndexedBlock] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def gid_min(self) -> int:
@@ -78,13 +89,31 @@ class DataView:
 
     @classmethod
     def from_map(cls, map_array: np.ndarray) -> "DataView":
-        m = np.asarray(map_array, dtype=np.int64)
+        """A view over a private read-only copy of ``map_array``: the
+        caller may reuse or mutate its array afterwards."""
+        m = np.array(map_array, dtype=np.int64)
         if m.ndim != 1:
             raise SDMStateError("map array must be 1-D")
-        if len(m) > 1 and (np.diff(m) > 0).all():
-            return cls(map_sorted=m, perm=None, local_count=len(m))
-        perm = np.argsort(m, kind="stable")
-        return cls(map_sorted=m[perm], perm=perm, local_count=len(m))
+        perm = None
+        if not (len(m) > 1 and (np.diff(m) > 0).all()):
+            perm = np.argsort(m, kind="stable")
+            m = m[perm]
+            perm.setflags(write=False)
+        m.setflags(write=False)
+        return cls(map_sorted=m, perm=perm, local_count=len(m))
+
+    def filetype(self, dtype: Primitive) -> Optional[IndexedBlock]:
+        """The map-array filetype over ``dtype`` elements (element ``g`` at
+        ``g * dtype.extent``), built once per element type, so every file
+        view installed through it after the first reuses the flattened
+        tile (:mod:`repro.mpiio.view`).  None for an empty view, which
+        installs a dense view instead (a filetype needs positive size)."""
+        ft = self._filetypes.get(dtype)
+        if ft is None and self.local_count:
+            ft = self._filetypes[dtype] = IndexedBlock(
+                1, self.map_sorted, dtype
+            )
+        return ft
 
     def to_file_order(self, buf: np.ndarray) -> np.ndarray:
         """User-order data -> sorted (file) order."""

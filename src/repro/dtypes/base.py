@@ -25,11 +25,18 @@ class Datatype:
       in typemap order (not merged, not sorted).
 
     Types are immutable; ``commit()`` exists for MPI API fidelity and
-    returns ``self``.
+    returns ``self``.  Because they are, a lowering derived from a type is
+    a pure function of the instance and may be kept on it: a file view
+    flattens and validates its filetype once (:mod:`repro.mpiio.view`).
+    Displacement arrays are held by reference, so a constructor's caller
+    must not mutate them afterwards (MPI copies them at creation).
     """
 
     _size: int
     _extent: int
+    _view_tile = None
+    """The file view's flattened, validated tile of this type, set the
+    first time a :class:`~repro.mpiio.view.FileView` installs it."""
 
     @property
     def size(self) -> int:

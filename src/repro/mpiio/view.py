@@ -15,6 +15,14 @@ trivially correct.
 storage-order layer builds per-chunk runs directly from chunk maps (no
 filetype in sight) and hands them to :meth:`repro.mpiio.file.File`'s
 ``*_runs`` methods, which validate through this one gate.
+
+A filetype's *tile* — its flattened runs, validated against that
+contract, and their cumulative lengths — is computed once per
+:class:`~repro.dtypes.base.Datatype` instance and kept on it (types are
+immutable): SDM installs one map-array filetype per data view on every
+checkpoint read and write, and each install after the first reuses the
+tile instead of re-flattening a run per element.  Only a valid tile is
+kept, so an overlapping filetype raises on every install.
 """
 
 from __future__ import annotations
@@ -58,6 +66,30 @@ _EXPANSION_CAP = 32_000_000
 """Refuse run expansions above this many runs (guards absurd views)."""
 
 
+def _tile(filetype: Datatype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The filetype's validated tile ``(offsets, lengths, cumulative
+    lengths)``, read-only, computed on the first call for this instance
+    and kept on it; a filetype that fails validation is never kept."""
+    tile = filetype._view_tile
+    if tile is not None:
+        return tile
+    off, ln = flatten(filetype)
+    if len(off) > 1:
+        ends = off[:-1] + ln[:-1]
+        if not (off[1:] >= ends).all():
+            raise MPIIOError(
+                "filetype displacements must be monotonically "
+                "nondecreasing and non-overlapping for a file view"
+            )
+    cum = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(ln, dtype=np.int64))
+    )
+    for a in (off, ln, cum):
+        a.setflags(write=False)
+    filetype._view_tile = tile = (off, ln, cum)
+    return tile
+
+
 class FileView:
     """An installed file view for one rank."""
 
@@ -81,21 +113,11 @@ class FileView:
                 f"filetype size {self.filetype.size} not a multiple of "
                 f"etype size {self.etype.size}"
             )
-        off, ln = flatten(self.filetype)
-        if len(off) > 1:
-            ends = off[:-1] + ln[:-1]
-            if not (off[1:] >= ends).all():
-                raise MPIIOError(
-                    "filetype displacements must be monotonically "
-                    "nondecreasing and non-overlapping for a file view"
-                )
+        off, ln, self._cum = _tile(self.filetype)
         self._tile_off = off
         self._tile_len = ln
         self._tile_size = self.filetype.size
         self._tile_extent = self.filetype.extent
-        self._cum = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(ln, dtype=np.int64))
-        )
         self.dense = (
             len(off) == 1 and off[0] == 0 and ln[0] == self._tile_extent
         )

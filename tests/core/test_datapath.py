@@ -12,11 +12,13 @@ import pytest
 from repro.config import fast_test
 from repro.core import SDM, Organization, sdm_services, snapshot_services
 from repro.core.catalog import SDMCatalog
+from repro.core.groups import DataGroup
 from repro.core.layout import CANONICAL, CHUNKED, checkpoint_file_name
 from repro.dtypes import DOUBLE
 from repro.errors import SDMStateError, SimProcessCrashed
 from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
+from repro.mpiio.consts import MODE_RDONLY
 
 NPROCS = 4
 GLOBAL = 32
@@ -837,3 +839,272 @@ def test_failed_reorganize_releases_its_flip_lease():
         assert first == second
     tables = SDMTables(job.services["db"])
     assert tables.lease_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# Resolve once, read many: read plans and memoised filetypes, on counts
+# ---------------------------------------------------------------------------
+
+def own_range_maps(nprocs=NPROCS, per=16, seed=4):
+    """Unsorted irregular maps, each inside its rank's own gid range: every
+    chunk stores an index block, and a rank's read touches its own chunk
+    only."""
+    rng = np.random.default_rng(seed)
+    maps = [rng.choice(per, per // 2, replace=False).astype(np.int64)
+            + r * per for r in range(nprocs)]
+    for m in maps:
+        s = np.sort(m)
+        assert not (np.diff(s) == np.diff(s)[0]).all(), "arithmetic map"
+    return maps
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call is recorded; returns the list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def fenced(ctx, calls, step):
+    """Job-wide calls recorded while every rank runs ``step`` (one
+    collective step, barrier-fenced on both sides)."""
+    ctx.comm.barrier()
+    before = len(calls)
+    ctx.comm.barrier()
+    step()
+    ctx.comm.barrier()
+    grown = len(calls) - before
+    ctx.comm.barrier()
+    return grown
+
+
+def chunked_group(ctx, mine, n):
+    sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+              storage_order=CHUNKED)
+    result = sdm.make_datalist(["d"])
+    sdm.associate_attributes(result, data_type=DOUBLE, global_size=n)
+    handle = sdm.set_attributes(result)
+    sdm.data_view(handle, "d", mine)
+    return sdm, handle
+
+
+@pytest.mark.parametrize("spanning", [False, True])
+def test_checkpoint_loop_reads_resolve_once(monkeypatch, spanning):
+    """Write-then-read over three timesteps through one view: timestep
+    t + 1 shares t's index blocks, so its read is t's plan at a new base
+    and calls ``_chunk_positions`` zero times.  A read spanning several
+    chunks (ghost maps) also resolves timestep 1: timestep 0 stored the
+    index blocks between the data blocks, so the chunks' relative layout
+    only settles from timestep 1 on."""
+    import repro.core.datapath as dp
+
+    calls = count_calls(monkeypatch, dp, "_chunk_positions")
+    n = 16 * NPROCS
+    maps = own_range_maps()
+    if spanning:  # each rank also writes its right neighbour's first gid
+        maps = [np.concatenate([m, maps[(r + 1) % NPROCS][:1]])
+                for r, m in enumerate(maps)]
+
+    def program(ctx):
+        mine = maps[ctx.rank]
+        sdm, handle = chunked_group(ctx, mine, n)
+        builds, backs = [], []
+        for t in range(3):
+            sdm.write(handle, "d", t, mine * 1.0 + t)
+            back = np.empty(len(mine))
+            builds.append(fenced(
+                ctx, calls, lambda: sdm.read(handle, "d", t, back)))
+            backs.append(back)
+        sdm.finalize(handle)
+        return mine, builds, backs
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    for mine, builds, backs in job.values:
+        assert builds == ([NPROCS, NPROCS, 0] if spanning
+                          else [NPROCS, 0, 0])
+        for t, back in enumerate(backs):
+            np.testing.assert_allclose(back, mine * 1.0 + t)
+
+
+def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):
+    """Every ``drop`` shape (a flip publish's whole file, a retreated
+    cursor's tail, a recycled extent's range) and a version bump force
+    exactly the rebuilds of the plans they cover, once; a drop above
+    every plan forces none."""
+    import repro.core.datapath as dp
+
+    calls = count_calls(monkeypatch, dp, "_chunk_positions")
+    n = 16 * NPROCS
+    maps = own_range_maps()
+
+    def program(ctx):
+        mine = maps[ctx.rank]
+        sdm, handle = chunked_group(ctx, mine, n)
+        fname = sdm.write(handle, "d", 0, mine * 1.0)
+        sdm.write(handle, "d", 1, mine * 2.0)  # shares t0's index blocks
+        back = np.empty(len(mine))
+
+        def read():
+            sdm.read(handle, "d", 1, back)
+
+        def rebuilds_after(invalidate):
+            invalidate()
+            first = fenced(ctx, calls, read)
+            return first, fenced(ctx, calls, read)
+
+        where, chunks, version = dp.locate_instance(
+            ctx.comm, sdm.tables, sdm.runid, "d", 1, proc=ctx.proc)
+        out = {
+            "cold": rebuilds_after(lambda: None),
+            # flip publish: reorganizing t0 drops the whole file
+            "flip": rebuilds_after(lambda: sdm.reorganize(handle, "d", 0)),
+            # retreated-cursor append: everything from t1's base up
+            "cursor": rebuilds_after(
+                lambda: sdm.caches.drop(fname, where[1])),
+            # first-fit reuse of [0, 8): only rank 0's index block
+            "reuse": rebuilds_after(lambda: sdm.caches.drop(fname, 0, 8)),
+            "above": rebuilds_after(lambda: sdm.caches.drop(
+                fname, sdm.fs.lookup(fname).size)),
+        }
+        f = sdm._open_cached(fname, MODE_RDONLY)
+        out["version"] = (
+            fenced(ctx, calls, lambda: dp.read_instance(
+                ctx.comm, f, where, chunks, DOUBLE, handle.view("d"),
+                sdm.index_cache, version + 1)),
+            fenced(ctx, calls, read),  # the old version's plan survives
+        )
+        sdm._close_cached(fname)
+        sdm.finalize(handle)
+        return out, mine, back
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    for out, mine, back in job.values:
+        assert out == {
+            "cold": (NPROCS, 0), "flip": (NPROCS, 0), "cursor": (NPROCS, 0),
+            "reuse": (1, 0), "above": (0, 0), "version": (NPROCS, 0),
+        }
+        np.testing.assert_allclose(back, mine * 2.0)
+
+
+def test_canonical_reads_and_writes_flatten_the_view_once(monkeypatch):
+    """Three canonical writes and three reads install six file views per
+    rank through one data view: its filetype is flattened once."""
+    from repro.dtypes import IndexedBlock
+    from repro.mpiio import view as view_mod
+
+    calls = count_calls(monkeypatch, view_mod, "flatten")
+    maps = own_range_maps()
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                  storage_order=CANONICAL)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE,
+                                 global_size=16 * NPROCS)
+        handle = sdm.set_attributes(result)
+        mine = maps[ctx.rank]
+        sdm.data_view(handle, "d", mine)
+        backs = []
+        for t in range(3):
+            sdm.write(handle, "d", t, mine * 1.0 + t)
+        for t in range(3):
+            back = np.empty(len(mine))
+            sdm.read(handle, "d", t, back)
+            backs.append(back)
+        sdm.finalize(handle)
+        return mine, backs
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    assert sum(isinstance(args[0], IndexedBlock) for args in calls) == NPROCS
+    for mine, backs in job.values:
+        for t, back in enumerate(backs):
+            np.testing.assert_allclose(back, mine * 1.0 + t)
+
+
+def test_overlapping_filetype_raises_on_every_set_view():
+    """A filetype that fails the view contract is never memoised: every
+    install re-validates and raises."""
+    from repro.dtypes import IndexedBlock
+    from repro.errors import MPIIOError
+    from repro.mpiio.consts import MODE_CREATE, MODE_RDWR
+    from repro.mpiio.file import File
+
+    def program(ctx):
+        f = File.open(ctx.comm, ctx.service("fs"), "v.dat",
+                      MODE_CREATE | MODE_RDWR)
+        bad = IndexedBlock(1, [5, 2], DOUBLE)
+        for _attempt in range(3):
+            with pytest.raises(MPIIOError):
+                f.set_view(etype=DOUBLE, filetype=bad)
+        assert bad._view_tile is None
+        good = IndexedBlock(1, [2, 5], DOUBLE)
+        f.set_view(etype=DOUBLE, filetype=good)
+        assert good._view_tile is not None
+        f.close()
+
+    mpirun(program, 2, machine=fast_test(), services=sdm_services())
+
+
+def test_first_fit_reuse_drops_a_pinned_readers_plan():
+    """Regression for the plan half of the first-fit hazard: a pinned
+    reader resolves a dead instance after its flip, the pin's release
+    recycles the instance's extent, and the next write lands the same
+    layout there at version 0 — same plan key, different index blocks.
+    The reuse write's range drop must take the plan with the blocks, or
+    the reader's next read through the same view serves the dead
+    instance's positions."""
+    per = 8
+
+    def bounded_maps(k):
+        """Each rank's map holds both ends of its gid range and two
+        interior gids picked by ``k``: equal counts and gid bounds, so
+        every instance has the same chunk layout and plan key, but
+        different (irregular, never shared) index blocks."""
+        inner = [0, per - 1, 1 + k, per - 2 - k]
+        return [np.array(inner, dtype=np.int64)[::-1] + r * per
+                for r in range(NPROCS)]
+
+    maps_a, maps_b, maps_c = (bounded_maps(k) for k in range(3))
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                  storage_order=CHUNKED, reorganize_mode="background",
+                  snapshot=True)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE,
+                                 global_size=per * NPROCS)
+        handle = sdm.set_attributes(result)
+        sdm.data_view(handle, "d", maps_a[ctx.rank])
+        sdm.write(handle, "d", 0, maps_a[ctx.rank] * 1.0)
+        sdm.data_view(handle, "d", maps_b[ctx.rank])
+        sdm.write(handle, "d", 1, maps_b[ctx.rank] * 2.0)
+        sdm.reorganize(handle, "d", 0)   # a worker flips t0 ...
+        sdm.drain_maintenance()          # ... and the pin defers its reap
+        # One reader view for the whole test, on a group of its own.
+        reader = DataGroup(handle.group_id, sdm.runid, handle.datasets)
+        share = np.arange(ctx.rank * per, (ctx.rank + 1) * per,
+                          dtype=np.int64)
+        sdm.data_view(reader, "d", share)
+        old = np.empty(per)
+        sdm.read(reader, "d", 0, old)    # the pinned epoch: chunked t0
+        sdm.pin.release(ctx.comm)        # reaps t0 into a free extent
+        sdm.data_view(handle, "d", maps_c[ctx.rank])
+        sdm.write(handle, "d", 2, maps_c[ctx.rank] * 3.0)  # recycles it
+        fresh = np.empty(per)
+        sdm.read(reader, "d", 2, fresh)
+        sdm.finalize(handle)
+        return share, old, fresh
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    tables = SDMTables(job.services["db"])
+    assert tables.lookup_execution_version(1, "d", 2)[1] == 0  # reused
+    for rank, (share, old, fresh) in enumerate(job.values):
+        for got, maps, scale in ((old, maps_a, 1.0), (fresh, maps_c, 3.0)):
+            want = np.where(np.isin(share, maps[rank]), share * scale, 0.0)
+            np.testing.assert_array_equal(got, want)

@@ -42,6 +42,31 @@ def test_duplicate_map_entries_keep_stable_order():
     np.testing.assert_array_equal(v.to_user_order(v.to_file_order(user)), user)
 
 
+@pytest.mark.parametrize("given", [[1, 3, 5], [5, 1, 3]])
+def test_view_owns_a_read_only_copy_of_its_map(given):
+    """Regression: a sorted int64 map used to be aliased, so mutating it
+    after ``data_view`` left ``map_sorted`` unsorted with ``perm=None``."""
+    m = np.array(given, dtype=np.int64)
+    v = DataView.from_map(m)
+    m[0] = 7
+    np.testing.assert_array_equal(v.map_sorted, [1, 3, 5])
+    assert not v.map_sorted.flags.writeable
+    assert v.perm is None or not v.perm.flags.writeable
+    with pytest.raises(ValueError):
+        v.map_sorted[0] = 7
+
+
+def test_view_builds_its_filetype_once_per_element_type():
+    from repro.dtypes import FLOAT32
+
+    v = DataView.from_map(np.array([4, 0, 2], dtype=np.int64))
+    ft = v.filetype(DOUBLE)
+    assert v.filetype(DOUBLE) is ft
+    assert v.filetype(FLOAT32) is not ft
+    assert ft.displacements is v.map_sorted
+    assert DataView.from_map(np.empty(0, dtype=np.int64)).filetype(DOUBLE) is None
+
+
 def test_2d_map_rejected():
     with pytest.raises(SDMStateError):
         DataView.from_map(np.zeros((2, 2), dtype=np.int64))

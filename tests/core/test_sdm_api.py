@@ -250,6 +250,29 @@ def test_write_without_view_rejected():
     assert isinstance(ei.value.__cause__, SDMStateError)
 
 
+@pytest.mark.parametrize("order", ["canonical", "chunked"])
+def test_read_rejects_buffer_of_wrong_length(order):
+    """Regression: a read into a buffer longer than the view used to
+    broadcast the view's one element over the whole buffer.  It must be
+    refused before any collective, exactly as ``write`` refuses it."""
+
+    def program(ctx):
+        sdm = SDM(ctx, "bad", storage_order=order)
+        result = sdm.make_datalist(["p"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=2)
+        handle = sdm.set_attributes(result)
+        sdm.data_view(handle, "p", np.array([ctx.rank], dtype=np.int64))
+        sdm.write(handle, "p", 0, np.array([10.0]))
+        sdm.read(handle, "p", 0, np.empty(5))
+
+    with pytest.raises(SimProcessCrashed) as ei:
+        mpirun(program, 2, machine=fast_test(), services=sdm_services())
+    assert isinstance(ei.value.__cause__, SDMStateError)
+    assert str(ei.value.__cause__) == (
+        "buffer for 'p' has 5 elements, view expects 1"
+    )
+
+
 def test_write_unknown_dataset_rejected():
     def program(ctx):
         sdm = SDM(ctx, "bad")

@@ -18,6 +18,9 @@ The maintenance dimension extends the same property behind the service
 tier: writing chunked, *enqueueing* reorganization and compaction on the
 background workers, draining, and reading must also be byte-identical —
 with the compacted file's recorded free bytes at zero.
+
+The read-plan dimension holds every plan-served chunked read to a cold
+resolve of the same instance at the same epoch.
 """
 
 import numpy as np
@@ -234,18 +237,18 @@ def chunk_mixes(draw):
 @settings(max_examples=10, deadline=None)
 @given(chunk_mixes(), st.sampled_from(list(Organization)))
 def test_collective_resolution_matches_local_resolution(mix, level):
-    """``resolve_chunk_positions`` (index blocks dealt across ranks and
-    shipped over alltoallv) must return byte-identical positions to the
-    pure ``_chunk_positions`` over purely locally fetched blocks — for
-    every rank count 1-8, every organization level, arithmetic/indexed/
-    mixed chunks, and wanted sets including foreign shares and empty
-    participants — cold, warm, and from a cache carried across wanted
+    """Positions resolved against ``acquire_index_blocks`` (index blocks
+    dealt across ranks and shipped over alltoallv) must be byte-identical
+    to the pure ``_chunk_positions`` over purely locally fetched blocks —
+    for every rank count 1-8, every organization level, arithmetic/
+    indexed/mixed chunks, and wanted sets including foreign shares and
+    empty participants — cold, warm, and from a cache carried across wanted
     sets (some blocks hit, some dealt).  On counts: a cold round reads
     every block some rank needs exactly once job-wide, a warm round reads
     no index byte and issues no ``alltoallv``."""
     from repro.core.datapath import (
         IndexBlockCache, _chunk_positions, _fetch_index_blocks,
-        locate_instance, resolve_chunk_positions,
+        acquire_index_blocks, locate_instance,
     )
     from repro.mpiio.consts import MODE_RDONLY
     from repro.mpiio.file import File
@@ -268,6 +271,11 @@ def test_collective_resolution_matches_local_resolution(mix, level):
         fs, transport = ctx.service("fs"), ctx.comm.transport
         blocks = sorted({ch.block for ch in chunks if ch.block})
 
+        def resolve(wanted, cache):
+            return _chunk_positions(chunks, acquire_index_blocks(
+                ctx.comm, f, chunks, wanted, cache, version
+            ), DOUBLE.size, wanted)
+
         def counted(cache, wanted):
             """One collective round and its job-wide (index bytes read,
             alltoallv calls), barrier-fenced on both sides."""
@@ -275,9 +283,7 @@ def test_collective_resolution_matches_local_resolution(mix, level):
             b0 = fs.index_bytes_read
             a0 = transport.coll_counts.get("alltoallv", 0)
             ctx.comm.barrier()
-            pos = resolve_chunk_positions(
-                ctx.comm, f, chunks, DOUBLE, wanted, cache, version
-            )
+            pos = resolve(wanted, cache)
             ctx.comm.barrier()
             io = (fs.index_bytes_read - b0,
                   transport.coll_counts.get("alltoallv", 0) - a0)
@@ -304,9 +310,7 @@ def test_collective_resolution_matches_local_resolution(mix, level):
             fresh = IndexBlockCache()
             cold, cold_io = counted(fresh, wanted)
             warm, warm_io = counted(fresh, wanted)
-            mixed = resolve_chunk_positions(
-                ctx.comm, f, chunks, DOUBLE, wanted, carried, version
-            )
+            mixed = resolve(wanted, carried)
             needed = {
                 ch.block for ch in chunks
                 if ch.block and len(wanted)
@@ -343,3 +347,118 @@ def test_collective_resolution_matches_local_resolution(mix, level):
             assert warm_io == (0, 0), label
         if v < 2:  # own elements and a covering partition touch them all
             assert per_rank[0][4][0] == instance_index_bytes
+
+
+# ---------------------------------------------------------------------------
+# Read plans: a plan-served read is a cold resolve
+# ---------------------------------------------------------------------------
+
+def run_plan_once(level, n, maps, pinned):
+    """Three chunked timesteps through one view; every ``SDM.read`` is
+    paired with a cold read of the same instance at the same epoch
+    (``read_instance`` without a cache: resolved afresh, no plan
+    kept or served).  Returns per rank the (label, served bytes, cold
+    bytes) pairs and the job-wide ``_chunk_positions`` calls per step."""
+    from unittest import mock
+
+    import repro.core.datapath as dp
+    from repro.mpiio.consts import MODE_RDONLY
+
+    nprocs = len(maps)
+    real = dp._chunk_positions
+    with mock.patch.object(dp, "_chunk_positions", side_effect=real) as cp:
+
+        def program(ctx):
+            sdm = SDM(ctx, "plan", organization=level, storage_order=CHUNKED,
+                      reorganize_mode="background", snapshot=pinned)
+            result = sdm.make_datalist(["d"])
+            sdm.associate_attributes(result, data_type=DOUBLE, global_size=n)
+            handle = sdm.set_attributes(result)
+            mine = maps[ctx.rank]
+            sdm.data_view(handle, "d", mine)
+            for t in range(3):
+                sdm.write(handle, "d", t, mine * 1.5 + 0.25 + t)
+            pairs, builds = [], []
+
+            def cold(t, view):
+                where, chunks, version = dp.locate_instance(
+                    ctx.comm, sdm.tables, sdm.runid, "d", t, proc=ctx.proc,
+                    epoch=sdm.pin.epoch, required=True,
+                )
+                f = sdm._open_cached(where[0], MODE_RDONLY)
+                out = dp.read_instance(ctx.comm, f, where, chunks, DOUBLE,
+                                       view, cache=None, version=version)
+                sdm._close_cached(where[0])
+                return out
+
+            def both(label, t):
+                view = handle.view("d")
+                served = np.empty(view.local_count)
+                ctx.comm.barrier()
+                before = cp.call_count
+                ctx.comm.barrier()
+                sdm.read(handle, "d", t, served)
+                ctx.comm.barrier()
+                builds.append((label, cp.call_count - before))
+                ctx.comm.barrier()
+                pairs.append((label, served.tobytes(),
+                              cold(t, view).tobytes()))
+
+            # t -> t + 1 over shared blocks, then warm repeats
+            for t in range(3):
+                both(f"t{t}", t)
+            for t in (1, 2):
+                both(f"t{t} again", t)
+            # a reorganize and a compaction flip between reads
+            sdm.reorganize(handle, "d", 0)
+            for fname in sdm.chunked_checkpoint_files(handle, range(3)):
+                sdm.compact(fname)
+            sdm.drain_maintenance()
+            for t in range(3):
+                both(f"flipped t{t}", t)
+            # a re-installed view never hits the old view's plan
+            sdm.data_view(handle, "d", mine)
+            both("reinstalled", 2)
+            both("reinstalled again", 2)
+            # a foreign view over holes and every writer's chunk
+            lo = n * ctx.rank // ctx.size
+            hi = n * (ctx.rank + 1) // ctx.size
+            sdm.data_view(handle, "d", np.arange(lo, hi, dtype=np.int64))
+            both("foreign", 1)
+            both("foreign again", 1)
+            sdm.finalize(handle)
+            return mine, pairs, builds
+
+        job = mpirun(program, nprocs, machine=fast_test(),
+                     services=sdm_services())
+    return job.values
+
+
+@settings(max_examples=8, deadline=None)
+@given(chunk_mixes(), st.sampled_from(list(Organization)), st.booleans())
+def test_plan_served_reads_match_cold_resolution(mix, level, pinned):
+    """A plan-served chunked read is byte-identical to a cold resolve
+    across overlapping writers and holes (random subsets of a wider gid
+    range), arithmetic / indexed / mixed chunks, a t -> t + 1 rebase over
+    shared index blocks, a reorganize and a compaction flip between reads,
+    a reader pinned on the pre-flip epoch, a re-installed view and a
+    foreign one.  On counts: a repeat read with nothing invalidated
+    resolves nothing, timestep 2 rebases timestep 1's plan (levels 2 and
+    3 share the blocks), and a re-installed view resolves afresh on
+    every rank."""
+    n, maps = mix
+    nprocs = len(maps)
+    for rank, (mine, pairs, builds) in enumerate(
+            run_plan_once(level, n, maps, pinned)):
+        for label, served, cold in pairs:
+            assert served == cold, f"rank {rank} {label}"
+            if label == "t1":
+                np.testing.assert_array_equal(
+                    np.frombuffer(served), mine * 1.5 + 1.25)
+        counts = dict(builds)
+        shared = level != Organization.LEVEL_1
+        assert counts["t2"] == (0 if shared else nprocs), builds
+        for label in ("t1 again", "t2 again", "reinstalled again",
+                      "foreign again"):
+            assert counts[label] == 0, (label, builds)
+        assert counts["reinstalled"] == nprocs, builds
