@@ -87,7 +87,6 @@ CATALOG: Dict[str, CollectiveSpec] = {
     "write_all": CollectiveSpec("write_all"),
     "read_runs_at_all": CollectiveSpec("read_runs_at_all"),
     "write_runs_at_all": CollectiveSpec("write_runs_at_all"),
-    "close_all": CollectiveSpec("close_all", uniform_result=True),
     "_open_cached": CollectiveSpec("open_cached", uniform_result=True),
     "_close_cached": CollectiveSpec("close_cached", uniform_result=True),
     # ------------------------------------- two-phase transport ops -----
@@ -123,6 +122,13 @@ CATALOG: Dict[str, CollectiveSpec] = {
     "try_load_history": CollectiveSpec("try_load_history"),
     "ring_partition_index": CollectiveSpec("ring_partition_index"),
     "_next_append_base": CollectiveSpec("next_append_base", uniform_result=True),
+    # DatapathHost lifecycle: the pinned read (locate bcast, collective
+    # read; returns this rank's elements) and the shutdown (close, audit
+    # bcast, barrier; receiver-guarded: the name is generic bare).
+    "read_pinned": CollectiveSpec("host.read_pinned"),
+    "shutdown": CollectiveSpec(
+        "host.shutdown", uniform_result=True, receivers=("self", "host")
+    ),
     # SDM methods (receiver-guarded: the names are too generic bare).
     # ``write``/``reorganize``/``compact`` return the file name — the
     # same on every rank — so they launder taint; ``read`` returns this

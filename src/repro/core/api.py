@@ -43,12 +43,10 @@ import numpy as np
 
 from repro.core.datapath import (
     DatapathHost,
-    IndexBlockCache,
     StorageOrder,
     compact_chunked_file,
     execute_reorganize,
     locate_instance,
-    read_pinned,
     resolve_storage_order,
     set_instance_view,
 )
@@ -153,20 +151,14 @@ class SDM(DatapathHost):
             ctx.comm, tables, ctx.service("fs"), application, organization,
             lease_holder=f"sdm:{application}:r{self.runid}",
             maintenance=ctx.service("maint"), hints=self.io_hints,
+            stores=(self.storage_order,),
         )
-        self.index_cache = IndexBlockCache()
-        """Rank-local LRU over chunked index-block fetches: checkpoint
-        loops share blocks across timesteps, so warm chunked reads move
-        data bytes only."""
-        self.caches.register(self.storage_order, self.index_cache)
         if snapshot:
             # Every read resolves against the epoch current now until
             # finalize (or a flip this client publishes itself advances
             # it), no matter what background maintenance reorganizes or
             # compacts meanwhile.
             self.pin.take(self.comm)
-        self._leak_stats: Dict[str, int] = {"leaked_leases": 0,
-                                            "leaked_pins": 0}
         self._groups: Dict[int, DataGroup] = {}
         self._next_group = 1
         self._importlist: "OrderedDict[str, ImportAttrs]" = OrderedDict()
@@ -477,15 +469,14 @@ class SDM(DatapathHost):
         pinned epoch, so a concurrent background reorganization or
         compaction can never change what this call returns; unpinned
         reads see the newest published metadata
-        (:func:`~repro.core.datapath.read_pinned`).
+        (:meth:`~repro.core.datapath.DatapathHost.read_pinned`).
         """
         attrs = handle.dataset(name)
         view = handle.view(name)
         _check_buffer(name, buf, view)
         rid = self.runid if runid is None else runid
-        buf[:], fname, chunks = read_pinned(
-            self, self.comm, rid, name, timestep, attrs.data_type, view,
-            open_file=lambda fname: self._open_cached(fname, MODE_RDONLY),
+        buf[:], fname, chunks = self.read_pinned(
+            rid, name, timestep, attrs.data_type, view
         )
         if (
             chunks
@@ -657,29 +648,12 @@ class SDM(DatapathHost):
         A ``snapshot=True`` SDM releases its pin here and reaps any row
         versions it was the last reader holding live.  The shutdown leak
         audit then counts whatever this client still holds in lease/pin
-        rows (:class:`~repro.core.mvcc.SnapshotPin`), surfaced through
-        :meth:`stats` as ``leaked_leases`` / ``leaked_pins`` on every
-        rank."""
-        self._files.close_all()
-        self.caches.unregister(self.storage_order, self.index_cache)
+        rows, surfaced through :meth:`stats` as ``leaked_leases`` /
+        ``leaked_pins`` on every rank
+        (:meth:`~repro.core.datapath.DatapathHost.shutdown`)."""
         if handle is not None:
             handle.finalized = True
-        self.pin.release(self.comm)
-        leaks = None
-        if self.comm.rank == 0:
-            leaks = self.pin.audit(
-                self.comm.proc, holders=(self.lease_holder,)
-            )
-        leaks = self.comm.bcast(leaks, root=0)
-        self._leak_stats["leaked_leases"] += leaks[0]
-        self._leak_stats["leaked_pins"] += leaks[1]
-        self.comm.barrier()
-
-    def stats(self) -> Dict[str, int]:
-        """Robustness counters for this client (uniform across ranks
-        after :meth:`finalize`): shutdown leak audit plus the shared
-        tables' recovery totals."""
-        return {**self._leak_stats, **self.tables.recovery_stats()}
+        self.shutdown()
 
 
 def _check_buffer(name: str, buf: np.ndarray, view: DataView) -> None:

@@ -36,26 +36,21 @@ instead.  See ``docs/concurrency.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.core.datapath import IndexBlockCache, read_pinned
+from repro.core.datapath import DatapathHost
 from repro.core.groups import DataGroup, DatasetAttrs, DataView
-from repro.core.mvcc import SnapshotPin
-from repro.dtypes.primitives import Primitive, BYTE, FLOAT32, FLOAT64, INT32, INT64
+from repro.core.layout import Organization
+from repro.dtypes.primitives import Primitive, primitive_by_name
 from repro.errors import SDMUnknownDataset
 from repro.metadb.schema import SDMTables
+from repro.mpi.communicator import Communicator
 from repro.mpi.job import RankContext
-from repro.mpiio.consts import MODE_RDONLY
-from repro.mpiio.file import File
 from repro.mpiio.hints import validate_hints
 
 __all__ = ["RunRecord", "DatasetRecord", "SDMCatalog"]
-
-_TYPE_BY_NAME: Dict[str, Primitive] = {
-    t.name: t for t in (BYTE, INT32, INT64, FLOAT32, FLOAT64)
-}
 
 
 @dataclass(frozen=True)
@@ -84,80 +79,62 @@ class DatasetRecord:
 def _dataset_from_row(
     runid: int, name: str, pattern: str, type_name: str, order: str, size
 ) -> DatasetRecord:
-    """Build a DatasetRecord from an access_pattern_table row."""
-    dtype = _TYPE_BY_NAME.get(type_name, FLOAT64)
+    """Build a DatasetRecord from an access_pattern_table row — outside
+    input, so an unknown type name raises ``DatatypeError``."""
+    dtype = primitive_by_name(type_name)
     return DatasetRecord(runid, name, pattern, dtype, order, int(size))
 
 
-class SDMCatalog:
-    """Read-only view over a (possibly finished) SDM metadata database."""
+class SDMCatalog(DatapathHost):
+    """Read-only view over a (possibly finished) SDM metadata database: a
+    datapath host with pin identity ``"catalog"`` that writes nothing."""
 
-    def __init__(self, ctx: RankContext, tables: SDMTables, fs,
-                 maintenance, io_hints=None,
+    def __init__(self, ctx: RankContext, io_hints=None,
                  snapshot: bool = True) -> None:
         self.ctx = ctx
-        self.tables = tables
-        self.fs = fs
         validate_hints(io_hints)
         self.io_hints = dict(io_hints) if io_hints else None
         """MPI-IO hints applied to every catalog read (e.g. a
         ``coalesce_gap`` for viewers scanning sparse subsets of chunked
         runs)."""
-        self.index_cache = IndexBlockCache()
-        """Rank-local LRU over chunked index-block fetches, so a viewer
-        stepping through timesteps (which share blocks) fetches each map
-        once.  Old-epoch blocks stay valid under their ``(file, offset,
-        version)`` keys; the job-wide registration drops entries a flip or
-        a write of this job moved, freed or recycled."""
-        self.maintenance = maintenance
-        """The job's maintenance service: its read gate admits every read,
-        its registry holds :attr:`index_cache`."""
-        maintenance.caches.register(self.index_cache)
-        self.pin = SnapshotPin(tables, "catalog")
-        self._leak_stats: Dict[str, int] = {"leaked_pins": 0}
+        # Database.loads restores persisted index declarations, so a
+        # snapshot arrives ready to probe.
+        super().__init__(
+            ctx.comm, SDMTables(ctx.service("db")), ctx.service("fs"),
+            "", Organization.LEVEL_2,  # a catalog writes nothing
+            lease_holder="catalog", maintenance=ctx.service("maint"),
+            hints=self.io_hints,
+        )
         if snapshot:
             # Every browse and read below resolves against the epoch
             # current at attach until release(), whatever concurrent
             # maintenance publishes meanwhile.
-            self.pin.take(ctx.comm)
+            self.pin.take(self.comm)
+
+    @property
+    def comm(self) -> Communicator:
+        """``ctx.comm`` at call time: a subgroup that installs its
+        ``comm.split`` communicator as ``ctx.comm`` reads on its ranks."""
+        return self.ctx.comm
+
+    @comm.setter
+    def comm(self, comm: Communicator) -> None:
+        self.ctx.comm = comm
 
     @classmethod
     def attach(cls, ctx: RankContext, io_hints=None,
                snapshot: bool = True) -> "SDMCatalog":
-        """Attach to the job's shared database and file system services.
-        Collective; pins the current metadata epoch unless
-        ``snapshot=False``."""
-        # Database.loads restores persisted index declarations, so a
-        # snapshot arrives ready to probe.
-        tables = SDMTables(ctx.service("db"))
-        return cls(ctx, tables, ctx.service("fs"),
-                   maintenance=ctx.service("maint"), io_hints=io_hints,
-                   snapshot=snapshot)
+        """Attach to the job's shared database, file system and
+        maintenance services.  Collective; pins the current metadata
+        epoch unless ``snapshot=False``."""
+        return cls(ctx, io_hints, snapshot)
 
     def release(self) -> None:
-        """Drop the snapshot pin (collective; idempotent) and reap the
-        row versions this catalog was the last reader holding live.  The
-        job's cache registry forgets this catalog's index-block cache, so
-        any read after release resolves uncached — nothing would
-        invalidate the blocks any more."""
-        comm = self.ctx.comm
-        self.maintenance.caches.unregister(self.index_cache)
-        self.index_cache = None
-        self.pin.release(comm)
-        # Leak audit: a clean release leaves no catalog pin and no reap
-        # lease behind.  Anything still there is a bug in this class (or
-        # a crashed peer catalog) worth surfacing through stats().
-        leaks = None
-        if comm.rank == 0:
-            leaks = sum(self.pin.audit(comm.proc))
-        leaks = comm.bcast(leaks, root=0)
-        self._leak_stats["leaked_pins"] += int(leaks)
-        comm.barrier()
-
-    def stats(self) -> Dict[str, int]:
-        """Leak and recovery counters observed by this catalog (valid
-        after :meth:`release`; recovery counters are database-wide)."""
-        return {**self._leak_stats, **self.tables.recovery_stats()}
+        """Drop the snapshot pin, reap what it alone held live and audit
+        for leaks (collective; idempotent;
+        :meth:`~repro.core.datapath.DatapathHost.shutdown`).  Reads after
+        release still work, cold."""
+        self.shutdown()
 
     # ------------------------------------------------------------------
     # Browsing
@@ -249,14 +226,9 @@ class SDMCatalog:
         to write.
         """
         rec = self._dataset_record(runid, dataset)
-        comm = self.ctx.comm  # communicator-relative: works on subgroups too
         view = DataView.from_map(np.asarray(map_array, dtype=np.int64))
-        out, _fname, _chunks = read_pinned(
-            self, comm, runid, dataset, timestep, rec.data_type, view,
-            open_file=lambda fname: File.open(
-                comm, self.fs, fname, MODE_RDONLY, hints=self.io_hints
-            ),
-            close=True,
+        out, _fname, _chunks = self.read_pinned(
+            runid, dataset, timestep, rec.data_type, view, close=True
         )
         return out
 
@@ -266,7 +238,7 @@ class SDMCatalog:
         """Collectively read a whole dataset instance; every rank receives
         the full global array (the visualization-front-end pattern)."""
         rec = self._dataset_record(runid, dataset)
-        comm = self.ctx.comm
+        comm = self.comm
         # Ranks split the read evenly, then allgather.
         n = rec.global_size
         base = n // comm.size

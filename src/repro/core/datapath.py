@@ -87,23 +87,23 @@ writing rank, matching the two-phase exchange's overlap rule.
 Hosts, caches and flips
 -----------------------
 
-Everything here runs on a :class:`DatapathHost` —
-:class:`~repro.core.api.SDM` for the synchronous paths, a maintenance
-worker's per-job host for the background ones — and every host carries
-the job's :class:`~repro.core.maintenance.MaintenanceService`, which is
-always present.
+Everything here runs on a :class:`DatapathHost`, the one datapath
+client — :class:`~repro.core.api.SDM`, :class:`~repro.core.catalog.
+SDMCatalog`, a maintenance worker's per-job host — and every host
+carries the job's :class:`~repro.core.maintenance.MaintenanceService`,
+which is always present.
 
-Chunked index blocks are cached in two stores: the read side's
+Chunked index blocks are cached in two stores: each host's
 :class:`IndexBlockCache` (a rank-local LRU keyed by the owning execution
 row's version, so a warm checkpoint loop reads data bytes only; the read
 plans live beside its blocks) and :class:`ChunkedOrder`'s write-side
 reference map (reference-not-copy sharing).  Both obey one rule,
 ``drop(file, lo, hi)``: forget every block or plan whose bytes overlap
-``[lo, hi)``.  Clients register both stores in the
-job's :class:`ChunkedCaches` (carried by the maintenance service), and
-every invalidation is job-wide through it: a flip publish drops the file,
-an append at a retreated cursor drops everything above the cursor, a
-first-fit reuse drops the recycled range.
+``[lo, hi)``.  Hosts register their stores in the job's
+:class:`ChunkedCaches` (carried by the maintenance service) until they
+close, and every invalidation is job-wide through it: a flip publish
+drops the file, an append at a retreated cursor drops everything above
+the cursor, a first-fit reuse drops the recycled range.
 
 :func:`execute_reorganize` (the deferred exchange) and
 :func:`compact_chunked_file` (pack a ``.chunked`` file's live chunks,
@@ -150,13 +150,11 @@ __all__ = [
     "ChunkedOrder",
     "ChunkedCaches",
     "DatapathHost",
-    "FileHandleCache",
     "IndexBlockCache",
     "resolve_storage_order",
     "acquire_index_blocks",
     "locate_instance",
     "read_instance",
-    "read_pinned",
     "set_instance_view",
     "execute_reorganize",
     "compact_chunked_file",
@@ -356,68 +354,12 @@ class IndexBlockCache:
             del self._plans[k]
 
 
-class FileHandleCache:
-    """Collective file-handle cache every datapath host carries.
-
-    Identical open/close call sequences on all ranks of ``comm`` keep the
-    cache coherent across the job — the invariant ``SDM`` always relied
-    on, now shared with the maintenance workers so both sync and
-    background paths open files the same way (``hints`` included).
-
-    Cached handles are *refcounted*: every :meth:`open` of a key takes a
-    reference and every :meth:`close` of the name drops one, with the
-    underlying collective close deferred until the last reference goes —
-    so one client's eager close (the LEVEL_1 per-read discipline) cannot
-    yank a handle from under another client's in-flight coalesced read.
-    Identical call sequences across ranks keep the counts symmetric.
-    """
-
-    def __init__(self, comm, fs, hints=None) -> None:
-        self.comm = comm
-        self.fs = fs
-        self.hints = hints
-        self._files: Dict[Tuple[str, int], File] = {}
-        self._refs: Dict[Tuple[str, int], int] = {}
-
-    def open(self, name: str, amode: int) -> File:
-        """Get or collectively open a file (one reference per call)."""
-        key = (name, amode)
-        f = self._files.get(key)
-        if f is None or f.closed:
-            f = File.open(self.comm, self.fs, name, amode, hints=self.hints)
-            self._files[key] = f
-            self._refs[key] = 0
-        self._refs[key] = self._refs.get(key, 0) + 1
-        return f
-
-    def close(self, name: str) -> None:
-        """Drop one reference per cached handle on ``name``, collectively
-        closing each handle whose last reference this was."""
-        for key in list(self._files):
-            if key[0] == name:
-                self._refs[key] = self._refs.get(key, 1) - 1
-                if self._refs[key] <= 0:
-                    f = self._files.pop(key)
-                    del self._refs[key]
-                    if not f.closed:
-                        f.close()
-
-    def close_all(self) -> None:
-        """Collectively close everything regardless of references, in
-        sorted key order (symmetric across ranks)."""
-        for key in sorted(self._files):
-            f = self._files.pop(key)
-            self._refs.pop(key, None)
-            if not f.closed:
-                f.close()
-
-
 class ChunkedCaches:
-    """Every chunked block store of one job — each SDM's write-side
-    reference map (its storage order) and read-side
-    :class:`IndexBlockCache`, each catalog's read-side cache — so whoever
-    moves, frees or recycles a file's bytes invalidates them all.  The
-    job's maintenance service carries the one registry."""
+    """Every chunked block store of one job — each host's read-side
+    :class:`IndexBlockCache`, each SDM's write-side reference map (its
+    storage order) — so whoever moves, frees or recycles a file's bytes
+    invalidates them all.  The job's maintenance service carries the one
+    registry."""
 
     def __init__(self) -> None:
         self._caches: list = []
@@ -427,10 +369,10 @@ class ChunkedCaches:
         self._caches.extend(caches)
 
     def unregister(self, *caches) -> None:
-        """Forget what a finished client registered (its ``finalize`` /
-        ``release``): the registry outlives every client of the job, so
-        without this it would keep each one's blocks alive and walk them
-        on every later drop.  Idempotent."""
+        """Forget what a finished client registered (its
+        :meth:`DatapathHost.close`): the registry outlives every client of
+        the job, so without this it would keep each one's blocks alive
+        and walk them on every later drop.  Idempotent."""
         for cache in caches:
             if cache in self._caches:
                 self._caches.remove(cache)
@@ -444,11 +386,13 @@ class ChunkedCaches:
 
 
 class DatapathHost:
-    """The execution context the datapath collectives run on:
-    :class:`~repro.core.api.SDM` derives from it for the synchronous
-    paths, a maintenance worker builds a plain one per job.  Every
-    attribute is always present; where a worker has nothing to do the
-    default is inert (no pin taken, no caches of its own)."""
+    """One datapath client — :class:`~repro.core.api.SDM` and
+    :class:`~repro.core.catalog.SDMCatalog` derive from it, a maintenance
+    worker builds a plain one per job — owning its collective file
+    handles, a block cache registered with any further ``stores`` (an
+    SDM's storage order), its pin, the pinned read, :meth:`close`,
+    :meth:`shutdown` and :meth:`stats`.  Where a worker has nothing to do
+    the default is inert (no pin taken)."""
 
     def __init__(
         self,
@@ -461,6 +405,7 @@ class DatapathHost:
         maintenance,
         hints=None,
         read_gate=None,
+        stores: Sequence = (),
     ) -> None:
         self.comm = comm  # its rank 0 issues the metadata statements
         self.tables = tables
@@ -468,28 +413,123 @@ class DatapathHost:
         self.application = application
         self.organization = Organization(organization)
         self.lease_holder = lease_holder
-        """Flip-lease identity, distinct per client and per maintenance
-        job, so overlapping flips fail fast."""
+        """Flip-lease and pin identity, distinct per client and per
+        maintenance job, so overlapping flips fail fast."""
         self.maintenance = maintenance
         """The job's maintenance service (always present): its queue takes
         background flips, its read gate admits reads."""
         self.caches: ChunkedCaches = maintenance.caches
         """The job-wide registry every cache invalidation goes through."""
         self.pin = SnapshotPin(tables, lease_holder)
-        self.index_cache: Optional[IndexBlockCache] = None
+        self.index_cache = IndexBlockCache()
+        """Rank-local LRU over chunked index-block fetches: timesteps
+        share blocks, so warm chunked reads move data bytes only."""
+        self._stores = (self.index_cache, *stores)
+        self.caches.register(*self._stores)
+        self.closed = False
         self.read_gate = read_gate
         """What a quiesced in-place compaction drains in-flight reads
         through: the service on a background host, nothing on a
         synchronous caller (it cannot be mid-read on its own ranks)."""
-        self._files = FileHandleCache(comm, fs, hints=hints)
+        self._hints = hints
+        self._files: Dict[Tuple[str, int], File] = {}
+        self._leak_stats = {"leaked_leases": 0, "leaked_pins": 0}
 
     def _open_cached(self, name: str, amode: int) -> File:
         """Get or collectively open a file (identical call sequence on all
         ranks keeps the cache coherent across the job)."""
-        return self._files.open(name, amode)
+        key = (name, amode)
+        f = self._files.get(key)
+        if f is None or f.closed:
+            f = self._files[key] = File.open(
+                self.comm, self.fs, name, amode, hints=self._hints
+            )
+        return f
 
     def _close_cached(self, name: str) -> None:
-        self._files.close(name)
+        """Collectively close every cached handle on ``name``."""
+        for key in [k for k in self._files if k[0] == name]:
+            f = self._files.pop(key)
+            if not f.closed:
+                f.close()
+
+    def _block_cache(self) -> IndexBlockCache:
+        """The registered cache; once :meth:`close` unregistered it (so
+        nothing invalidates it any more), a fresh one per call: cold."""
+        return IndexBlockCache() if self.closed else self.index_cache
+
+    def read_pinned(
+        self,
+        runid: int,
+        dataset: str,
+        timestep: int,
+        dtype: Primitive,
+        view: DataView,
+        close: bool = False,
+    ) -> Tuple[np.ndarray, str, List[ChunkRecord]]:
+        """The one read sequence behind ``SDM.read`` and
+        ``SDMCatalog.read_slice``: touch the pin, enter the read gate,
+        locate at the pinned epoch (unpinned: the newest published
+        metadata), read.  Collective over :attr:`comm`; returns
+        ``(elements in view order, file name, chunk maps)``.
+
+        Rank 0 holds the read gate for the whole collective, so an
+        in-place compaction slide can never move bytes out from under it;
+        ``close`` closes the handle before the gate reopens.
+        """
+        comm = self.comm
+        self.pin.touch(comm)
+        gate = self.maintenance
+        if comm.rank == 0:
+            gate.begin_read(comm.proc)
+        try:
+            where, chunks, version = locate_instance(
+                comm, self.tables, runid, dataset, timestep,
+                proc=comm.proc, epoch=self.pin.epoch, required=True,
+            )
+            f = self._open_cached(where[0], MODE_RDONLY)
+            out = read_instance(
+                comm, f, where, chunks, dtype, view, self._block_cache(),
+                version,
+            )
+            if close:
+                self._close_cached(where[0])
+        finally:
+            if comm.rank == 0:
+                gate.end_read()
+        return out, where[0], chunks
+
+    def close(self) -> None:
+        """Collectively close every cached file handle (in name order,
+        symmetric across ranks) and take this client's block stores out
+        of the job's registry, which outlives it.  Idempotent."""
+        for name in sorted({name for name, _amode in self._files}):
+            self._close_cached(name)
+        self.caches.unregister(*self._stores)
+        self.closed = True
+
+    def shutdown(self) -> None:
+        """End the client (collective): :meth:`close`, release the pin
+        (reaping what it alone held live), then audit the lease and pin
+        rows still standing in this client's name — counted by rank 0,
+        broadcast, so :meth:`stats` agrees on every rank."""
+        self.close()
+        self.pin.release(self.comm)
+        leaks = None
+        if self.comm.rank == 0:
+            leaks = self.pin.audit(
+                self.comm.proc, holders=(self.lease_holder,)
+            )
+        leaks = self.comm.bcast(leaks, root=0)
+        self._leak_stats["leaked_leases"] += leaks[0]
+        self._leak_stats["leaked_pins"] += leaks[1]
+        self.comm.barrier()
+
+    def stats(self) -> Dict[str, int]:
+        """Robustness counters for this client (uniform across ranks
+        after :meth:`shutdown`): the shutdown leak audit plus the shared
+        tables' recovery totals (database-wide)."""
+        return {**self._leak_stats, **self.tables.recovery_stats()}
 
     def invalidate_chunked_caches(self, file_name: str) -> None:
         """A reorganization or compaction this rank ran may have freed or
@@ -578,7 +618,8 @@ class ChunkedOrder(StorageOrder):
 
     def __init__(self) -> None:
         # (fname, group_id, dataset) -> (gids, index_offset, index_end) of
-        # this rank's last written index block, for reference-not-copy.
+        # this rank's last written index block, for reference-not-copy;
+        # gids is the writing view's own read-only map, kept by reference.
         self._last_blocks: dict = {}
 
     def drop(self, file_name: str, lo: int = 0,
@@ -607,7 +648,7 @@ class ChunkedOrder(StorageOrder):
     def write(self, sdm, handle, attrs, view, name, timestep, buf):
         dtype = attrs.data_type
         count = view.local_count
-        gids = view.map_sorted.astype(np.int64, copy=False)
+        gids = view.map_sorted  # sorted int64, private and read-only
         data = view.to_file_order(np.asarray(buf, dtype=dtype.numpy_dtype))
         steps = np.diff(gids)
         if count > 1 and bool((steps == 0).any()):
@@ -693,7 +734,7 @@ class ChunkedOrder(StorageOrder):
             index_offset = chunk_off
             data_offset = chunk_off + count * CHUNK_INDEX_BYTES
             if sharable:
-                self._last_blocks[key] = (gids.copy(), index_offset, data_offset)
+                self._last_blocks[key] = (gids, index_offset, data_offset)
         elif shared is not None:
             index_offset, data_offset = shared, chunk_off
         else:  # arithmetic (or empty): no index block anywhere
@@ -803,15 +844,15 @@ def read_instance(
     chunks: Sequence[ChunkRecord],
     dtype: Primitive,
     view: DataView,
-    cache: Optional[IndexBlockCache] = None,
+    cache: IndexBlockCache,
     version: int = 0,
 ) -> np.ndarray:
     """Collectively read this rank's view of one instance (either
     representation); returns the elements in the view's user order.
-    ``cache``, when given, serves repeat index-block fetches of chunked
-    instances without touching the file; ``version`` (the located
-    execution row's ``valid_from``) scopes its keys to the snapshot the
-    chunk maps came from."""
+    ``cache`` serves repeat index-block fetches (and read plans) of
+    chunked instances without touching the file; ``version`` (the
+    located execution row's ``valid_from``) scopes its keys to the
+    snapshot the chunk maps came from."""
     if chunks:
         return _assemble_chunked(comm, f, chunks, dtype, view, cache, version)
     _fname, base, _nbytes = where
@@ -819,51 +860,6 @@ def read_instance(
     out = np.empty(view.local_count, dtype=dtype.numpy_dtype)
     f.read_at_all(0, out)
     return view.to_user_order(out)
-
-
-def read_pinned(
-    reader,
-    comm: Communicator,
-    runid: int,
-    dataset: str,
-    timestep: int,
-    dtype: Primitive,
-    view: DataView,
-    open_file,
-    close: bool = False,
-) -> Tuple[np.ndarray, str, List[ChunkRecord]]:
-    """The one read sequence behind ``SDM.read`` and
-    ``SDMCatalog.read_slice``: touch the pin, enter the read gate, locate
-    at the pinned epoch (unpinned: the newest published metadata), read.
-    Collective over ``comm``; returns ``(elements in view order, file
-    name, chunk maps)``.
-
-    ``reader`` supplies ``tables``, ``pin``, ``maintenance`` (the gate)
-    and ``index_cache``.  Rank 0 registers the read with the gate for the
-    whole collective, so an in-place compaction slide can never move
-    bytes out from under it.  ``open_file(name)`` yields the handle;
-    ``close`` closes it before the gate reopens.
-    """
-    reader.pin.touch(comm)
-    gate = reader.maintenance
-    if comm.rank == 0:
-        gate.begin_read(comm.proc)
-    try:
-        where, chunks, version = locate_instance(
-            comm, reader.tables, runid, dataset, timestep,
-            proc=comm.proc, epoch=reader.pin.epoch, required=True,
-        )
-        f = open_file(where[0])
-        out = read_instance(
-            comm, f, where, chunks, dtype, view,
-            cache=reader.index_cache, version=version,
-        )
-        if close:
-            f.close()
-    finally:
-        if comm.rank == 0:
-            gate.end_read()
-    return out, where[0], chunks
 
 
 def _arithmetic_gids(ch: ChunkRecord) -> np.ndarray:
@@ -882,7 +878,7 @@ def _split_extents(raw: np.ndarray, lens: np.ndarray) -> List[np.ndarray]:
 def _fetch_index_blocks(
     f: File,
     keys: Sequence[Tuple[int, int]],
-    cache: Optional[IndexBlockCache] = None,
+    cache: IndexBlockCache,
     version: int = 0,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Index blocks by ``(index_offset, num_elements)`` key.
@@ -898,12 +894,11 @@ def _fetch_index_blocks(
     for key in keys:
         if key in out or key in need:
             continue
-        if cache is not None:
-            gids = cache.get(f.name, key[0], key[1], version)
-            if gids is not None:
-                out[key] = gids
-                continue
-        need.append(key)
+        gids = cache.get(f.name, key[0], key[1], version)
+        if gids is None:
+            need.append(key)
+        else:
+            out[key] = gids
     if not need:
         return out
     need.sort()
@@ -911,10 +906,7 @@ def _fetch_index_blocks(
     lens = np.array([n * CHUNK_INDEX_BYTES for _, n in need], dtype=np.int64)
     parts = _split_extents(f.read_runs(offs, lens, kind="index"), lens)
     for key, part in zip(need, parts):
-        gids = part.view(np.int64)
-        if cache is not None:
-            gids = cache.put(f.name, key[0], gids, version)
-        out[key] = gids
+        out[key] = cache.put(f.name, key[0], part.view(np.int64), version)
     return out
 
 
@@ -930,6 +922,21 @@ def _live_chunks(
         ch for ch in sorted(chunks, key=lambda c: c.rank)
         if ch.num_elements and ch.gid_max >= lo and ch.gid_min <= hi
     ]
+
+
+def _last_per_gid(
+    gid: np.ndarray, val: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The overlap rule, stated once: of candidate ``(gid, val)`` pairs
+    listed in ascending writer rank, each global index keeps its last —
+    the highest writing rank's, as the two-phase exchange resolves
+    overlapping writes.  Returns the sorted unique gids and their
+    values."""
+    order = np.argsort(gid, kind="stable")  # ties keep writer order
+    gid = gid[order]
+    last = np.ones(len(gid), dtype=bool)
+    np.not_equal(gid[1:], gid[:-1], out=last[:-1])
+    return gid[last], val[order][last]
 
 
 def _chunk_positions(
@@ -985,14 +992,8 @@ def _chunk_positions(
                 p = ch.data_offset + j[m] * esize
         cand_gid.append(g)
         cand_pos.append(p)
-    gid = np.concatenate(cand_gid)
-    gpos = np.concatenate(cand_pos)
-    if len(gid) == 0:
-        return pos
-    order = np.argsort(gid, kind="stable")  # ties keep rank order
-    gid, gpos = gid[order], gpos[order]
-    last = np.r_[gid[1:] != gid[:-1], True]
-    gid, gpos = gid[last], gpos[last]
+    gid, gpos = _last_per_gid(np.concatenate(cand_gid),
+                              np.concatenate(cand_pos))
     j = np.searchsorted(gid, wanted)
     inb = j < len(gid)
     hit = np.zeros(len(wanted), dtype=bool)
@@ -1006,7 +1007,7 @@ def acquire_index_blocks(
     f: File,
     chunks: Sequence[ChunkRecord],
     wanted: np.ndarray,
-    cache: Optional[IndexBlockCache] = None,
+    cache: IndexBlockCache,
     version: int = 0,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Collective block acquisition: every index block this rank's sorted
@@ -1042,8 +1043,7 @@ def acquire_index_blocks(
     indexed = sorted({ch.block for ch in chunks if ch.block})
     if comm.size > 1 and indexed:
         missing = [
-            key for key in keys
-            if cache is None or not cache.contains(f.name, *key, version)
+            key for key in keys if not cache.contains(f.name, *key, version)
         ]
         if comm.allreduce(len(missing)) > 0:
             blocks = _deal_index_blocks(
@@ -1060,7 +1060,7 @@ def _deal_index_blocks(
     f: File,
     all_keys: Sequence[Tuple[int, int]],
     missing: Sequence[Tuple[int, int]],
-    cache: Optional[IndexBlockCache],
+    cache: IndexBlockCache,
     version: int,
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """The exchange half of :func:`acquire_index_blocks`: route each
@@ -1088,9 +1088,7 @@ def _deal_index_blocks(
         if not req:
             continue
         for key, gids in zip(req, back[dest]):
-            if cache is not None:
-                gids = cache.put(f.name, key[0], gids, version)
-            got[key] = gids
+            got[key] = cache.put(f.name, key[0], gids, version)
     return got
 
 
@@ -1100,7 +1098,7 @@ def _assemble_chunked(
     chunks: Sequence[ChunkRecord],
     dtype: Primitive,
     view: DataView,
-    cache: Optional[IndexBlockCache] = None,
+    cache: IndexBlockCache,
     version: int = 0,
 ) -> np.ndarray:
     """Gather this rank's wanted elements out of a chunked instance.
@@ -1127,11 +1125,10 @@ def _assemble_chunked(
          ch.gid_step, ch.data_offset - base)
         for ch in live
     ))
-    plan = cache.plan(key, view) if cache is not None else None
+    plan = cache.plan(key, view)
     if plan is None:
         plan = _read_plan(view, live, blocks, dtype.size, base)
-        if cache is not None:
-            cache.keep_plan(key, plan)
+        cache.keep_plan(key, plan)
     upos = plan.rel + base
     raw = f.read_runs_at_all(upos, np.full(len(upos), dtype.size))
     elems = raw.view(dtype.numpy_dtype)
@@ -1191,9 +1188,12 @@ def execute_reorganize(
     Collective over ``host.comm`` (the application ranks for a synchronous
     call, the maintenance workers for a background job).
 
-    Chunks are dealt round-robin to ranks; each rank reads its chunks
-    back contiguously (independent I/O) and one collective write performs
-    the exchange the chunked write skipped.  The flip runs under the
+    Chunks are dealt to ranks in contiguous runs of writer order; each
+    rank reads its chunks back contiguously (independent I/O) and one
+    collective write performs the exchange the chunked write skipped.
+    The exchange resolves overlaps by source rank, so order-preserving
+    runs keep the overlap rule (highest writer wins) on fewer ranks than
+    wrote the chunks.  The flip runs under the
     chunked file's lease (:class:`~repro.core.mvcc.Flip`): the chunk-map
     versions close and the ``execution_table`` row is repointed as one
     new epoch, so a reader pinned on an older epoch keeps resolving the
@@ -1216,16 +1216,18 @@ def execute_reorganize(
     if not chunks:
         return old_fname
     with Flip(host, old_fname) as fl:
-        # -- gather phase: read my share of the chunks back, writer order --
-        cache = host.index_cache
+        # -- gather phase: read my run of the chunks back, writer order --
+        ordered = sorted(chunks, key=lambda c: c.rank)
+        per = -(-len(ordered) // comm.size)  # ceil: one run per rank
         mine = [
-            ch for i, ch in enumerate(sorted(chunks, key=lambda c: c.rank))
-            if i % comm.size == comm.rank and ch.num_elements
+            ch for ch in ordered[comm.rank * per:(comm.rank + 1) * per]
+            if ch.num_elements
         ]
         src = host._open_cached(old_fname, MODE_RDONLY)
         # One batched request fetches every index block this rank needs ...
         blocks = _fetch_index_blocks(
-            src, [ch.block for ch in mine if ch.block], cache, version
+            src, [ch.block for ch in mine if ch.block], host._block_cache(),
+            version,
         )
         gid_parts: List[np.ndarray] = [
             _arithmetic_gids(ch) if ch.block is None else blocks[ch.block]
@@ -1247,13 +1249,8 @@ def execute_reorganize(
             for k, i in enumerate(by_off):
                 val_parts[int(i)] = pieces[k].view(dtype.numpy_dtype)
         if gid_parts:
-            gids = np.concatenate(gid_parts)
-            vals = np.concatenate(val_parts)
-            order = np.argsort(gids, kind="stable")
-            gids, vals = gids[order], vals[order]
-            # Overlaps among my chunks: keep the last (highest writer rank).
-            last = np.r_[gids[1:] != gids[:-1], True]
-            gids, vals = gids[last], vals[last]
+            gids, vals = _last_per_gid(np.concatenate(gid_parts),
+                                       np.concatenate(val_parts))
         else:
             gids = np.empty(0, dtype=np.int64)
             vals = np.empty(0, dtype=dtype.numpy_dtype)

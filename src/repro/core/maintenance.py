@@ -62,11 +62,11 @@ Cache maintenance
 -----------------
 
 The service carries the job's one :class:`~repro.core.datapath.ChunkedCaches`
-registry: every ``SDM`` registers its write-side reference map and its
-read-side index-block cache, every catalog its read-side cache, and every
-invalidation — a flip publish (background or synchronous), an append at a
-retreated cursor, a first-fit reuse — is one job-wide
-``caches.drop(file, lo, hi)``.
+registry: every datapath host — ``SDM``, catalog, and each job's worker
+host — registers its read-side index-block cache until it closes, every
+``SDM`` its write-side reference map too, and every invalidation — a
+flip publish (background or synchronous), an append at a retreated
+cursor, a first-fit reuse — is one job-wide ``caches.drop(file, lo, hi)``.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class MaintenanceService:
         self._enqueued_count: List[int] = []
         self._next_jobid: Optional[int] = None
         self.caches = ChunkedCaches()
-        """The job's chunked caches (registered by every SDM and
-        catalog): flips and chunked writes, background or not,
+        """The job's chunked caches (registered by every datapath host):
+        flips and chunked writes, background or not,
         invalidate all of them, so no application-side cache can serve
         bytes another client moved or rewrote."""
         # Read gate: in-flight collective reads vs in-place compaction.
@@ -439,9 +439,10 @@ class MaintenanceService:
             return
         # The job's datapath host on this worker: a communicator over the
         # job-unique context, a per-job flip-lease identity (distinct from
-        # every SDM client and other job, so overlapping flips fail fast)
-        # and file cache, default MPI-IO hints (the enqueuer's SDM may be
-        # gone by now), this service as cache registry and read gate.
+        # every SDM client and other job, so overlapping flips fail fast),
+        # file and block caches of its own, default MPI-IO hints (the
+        # enqueuer's SDM may be gone by now), this service as cache
+        # registry and read gate.
         host = DatapathHost(
             Communicator(
                 self._transport, rank, proc, ctx_id=("maint", job.jobid)
@@ -486,6 +487,4 @@ class MaintenanceService:
                     f"unknown maintenance job kind {job.kind!r}"
                 )
         finally:
-            # Identical open sequences on all workers keep the collective
-            # close order symmetric.
-            host._files.close_all()
+            host.close()

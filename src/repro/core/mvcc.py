@@ -3,10 +3,10 @@ piece implemented once: :class:`Flip` — the lease → intent → successors
 → commit → reap → barrier → release driver behind reorganization, both
 compaction modes and the ``REAP`` job; :func:`reap_sweep` — the
 release-time "try-lease, reap, release" pass; :class:`SnapshotPin` — a
-reader's pin from take to audited release, for ``SDM`` and ``SDMCatalog``
-alike.  Rank 0 of the calling communicator issues every metadata
-statement; the other ranks learn outcomes by broadcast, so failures
-unwind symmetrically.
+client's pin from take to audited release, held by every datapath host
+(``SDM`` and ``SDMCatalog`` alike).  Rank 0 of the calling communicator
+issues every metadata statement; the other ranks learn outcomes by
+broadcast, so failures unwind symmetrically.
 """
 
 from __future__ import annotations

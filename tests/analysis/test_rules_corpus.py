@@ -309,6 +309,40 @@ def test_collective_file_handle_is_uniform():
     assert rules_of(res) == []
 
 
+def test_rank_guarded_host_lifecycle_true_positive():
+    # A datapath host's pinned read and shutdown are collective: issued
+    # on rank 0 alone they leave the other ranks in the bcast/barrier.
+    res = findings_in(
+        """
+        class Client(DatapathHost):
+            def finalize(self):
+                if self.comm.rank == 0:
+                    self.shutdown()
+
+            def peek(self, view):
+                out = None
+                if self.comm.rank == 0:
+                    out = self.read_pinned(1, "d", 0, DOUBLE, view)
+                return out
+        """
+    )
+    assert rules_of(res) == ["rank-branch", "rank-branch"]
+    assert [f.op for f in res.findings] == [
+        "host.shutdown", "host.read_pinned",
+    ]
+
+
+def test_generic_shutdown_receiver_is_not_a_collective():
+    res = findings_in(
+        """
+        def program(ctx, pool):
+            if ctx.comm.rank == 0:
+                pool.shutdown()
+        """
+    )
+    assert rules_of(res) == []
+
+
 def test_numpy_reduce_is_not_a_collective():
     res = findings_in(
         """

@@ -7,7 +7,7 @@ from repro.config import fast_test
 from repro.core import SDM, Organization, sdm_services, snapshot_services
 from repro.core.catalog import SDMCatalog
 from repro.dtypes import DOUBLE, INT32
-from repro.errors import SDMUnknownDataset, SimProcessCrashed
+from repro.errors import DatatypeError, SDMUnknownDataset, SimProcessCrashed
 from repro.mpi import mpirun
 
 NPROCS = 4
@@ -170,3 +170,41 @@ def test_catalog_sees_multiple_runs(produced):
 
     job2 = run_catalog(program, snap2, nprocs=2)
     assert job2.values[0] == [(1, "producer"), (2, "producer")]
+
+
+@pytest.mark.parametrize("call", ["datasets", "read_slice", "read_global"])
+def test_unknown_element_type_name_is_rejected(call):
+    """Regression: the element type comes from a snapshot's
+    access_pattern_table, which is outside input.  An INT32 instance whose
+    type name was edited to one no primitive carries must raise
+    DatatypeError from browsing and reading alike, not come back as
+    FLOAT64 reinterpretations of its bytes."""
+
+    def produce(ctx):
+        sdm = SDM(ctx, "ints")
+        result = sdm.make_datalist(["ids"])
+        sdm.associate_attributes(result, data_type=INT32, global_size=GLOBAL)
+        handle = sdm.set_attributes(result)
+        lo = ctx.rank * (GLOBAL // ctx.size)
+        mine = np.arange(lo, lo + GLOBAL // ctx.size, dtype=np.int64)
+        sdm.data_view(handle, "ids", mine)
+        sdm.write(handle, "ids", 0, mine.astype(np.int32))
+        sdm.finalize(handle)
+
+    job = mpirun(produce, 2, machine=fast_test(), services=sdm_services())
+    job.services["db"].execute(
+        "UPDATE access_pattern_table SET data_type = ? WHERE dataset = ?",
+        ("INT16", "ids"),
+    )
+    calls = {
+        "datasets": lambda cat: cat.datasets(1),
+        "read_slice": lambda cat: cat.read_slice(1, "ids", 0, np.arange(4)),
+        "read_global": lambda cat: cat.read_global(1, "ids", 0),
+    }
+
+    def program(ctx):
+        calls[call](SDMCatalog.attach(ctx))
+
+    with pytest.raises(SimProcessCrashed) as ei:
+        run_catalog(program, snapshot_services(job), nprocs=2)
+    assert isinstance(ei.value.__cause__, DatatypeError)

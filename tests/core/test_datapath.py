@@ -19,6 +19,7 @@ from repro.errors import SDMStateError, SimProcessCrashed
 from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
 from repro.mpiio.consts import MODE_RDONLY
+from repro.mpiio.file import File
 
 NPROCS = 4
 GLOBAL = 32
@@ -75,6 +76,53 @@ def test_reorganize_then_read_roundtrip(level):
                  machine=fast_test(), services=sdm_services())
     for mine, back, _ in job.values:
         np.testing.assert_allclose(back, mine * 1.0 + 1)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_reorganize_on_fewer_ranks_keeps_highest_writer(workers):
+    """Regression: four writers' windows overlap, each value tagged with
+    its writer rank, and a follow-up job reorganizes on ``workers`` ranks.
+    The deferred exchange must resolve every overlap to the highest
+    writer, as the chunked read does, however many ranks run it: dealing
+    chunks round-robin let the highest *worker* win instead (writer 1
+    over writer 2 on 2 ranks, writer 2 over writer 3 on 3)."""
+    n = 16
+    windows = [np.arange(lo, hi, dtype=np.int64)
+               for lo, hi in ((0, 6), (3, 9), (6, 12), (9, 16))]
+    expected = np.repeat([0.0, 1.0, 2.0, 3.0], [3, 3, 3, 7])
+
+    def produce(ctx):
+        sdm = SDM(ctx, "dp", storage_order=CHUNKED)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=n)
+        handle = sdm.set_attributes(result)
+        mine = windows[ctx.rank]
+        sdm.data_view(handle, "d", mine)
+        sdm.write(handle, "d", 0, np.full(len(mine), float(ctx.rank)))
+        sdm.data_view(handle, "d", np.arange(n))
+        back = np.empty(n)
+        sdm.read(handle, "d", 0, back)
+        sdm.finalize(handle)
+        return back
+
+    job = mpirun(produce, 4, machine=fast_test(), services=sdm_services())
+    for back in job.values:
+        np.testing.assert_array_equal(back, expected)
+
+    def reorganize(ctx):
+        catalog = SDMCatalog.attach(ctx, snapshot=False)
+        sdm = SDM(ctx, "reorg")
+        sdm.reorganize(catalog.load_group(1), "d", 0, runid=1)
+        data = catalog.read_global(1, "d", 0)
+        catalog.release()
+        sdm.finalize()
+        return data
+
+    after = mpirun(reorganize, workers, machine=fast_test(),
+                   services=sdm_services(seed_from=snapshot_services(job)))
+    assert SDMTables(after.services["db"]).chunks_for(1, "d", 0) == []
+    for data in after.values:
+        np.testing.assert_array_equal(data, expected)
 
 
 def test_chunked_write_does_no_data_exchange():
@@ -768,6 +816,17 @@ def test_cursor_retreat_evicts_stale_blocks_across_clients():
     append must evict every registered cache's blocks above the cursor,
     not just the writer's, or the catalog resolves the new instance
     against the dead one's blocks."""
+    check_cursor_retreat(full_release=False)
+
+
+def test_released_catalog_reads_cold():
+    """The same scenario with the catalog fully released before the
+    append: it left the registry, so no drop reaches its cache, and its
+    reads must resolve against a fresh one, never the stale blocks."""
+    check_cursor_retreat(full_release=True)
+
+
+def check_cursor_retreat(full_release):
     maps_a = equal_count_maps(seed=5)
     maps_b = equal_count_maps(seed=7)
 
@@ -786,9 +845,12 @@ def test_cursor_retreat_evicts_stale_blocks_across_clients():
         share = np.arange(lo, hi, dtype=np.int64)
         # Caches t0's index blocks under (file, offset, 0) keys.
         old = catalog.read_slice(1, "d", 0, share)
-        # The release-time reap retreats the cursor to 0; the catalog
-        # stays registered (a full release would retire its cache).
-        catalog.pin.release(ctx.comm)
+        # The release-time reap retreats the cursor to 0; dropping only
+        # the pin keeps the catalog registered.
+        if full_release:
+            catalog.release()
+        else:
+            catalog.pin.release(ctx.comm)
         sdm.data_view(handle, "d", maps_b[ctx.rank])
         sdm.write(handle, "d", 1, maps_b[ctx.rank] * 2.0)  # appends at 0
         fresh = catalog.read_slice(1, "d", 1, share)
@@ -972,14 +1034,14 @@ def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):
             "above": rebuilds_after(lambda: sdm.caches.drop(
                 fname, sdm.fs.lookup(fname).size)),
         }
-        f = sdm._open_cached(fname, MODE_RDONLY)
+        f = File.open(ctx.comm, sdm.fs, fname, MODE_RDONLY)
         out["version"] = (
             fenced(ctx, calls, lambda: dp.read_instance(
                 ctx.comm, f, where, chunks, DOUBLE, handle.view("d"),
                 sdm.index_cache, version + 1)),
             fenced(ctx, calls, read),  # the old version's plan survives
         )
-        sdm._close_cached(fname)
+        f.close()
         sdm.finalize(handle)
         return out, mine, back
 
@@ -1033,7 +1095,6 @@ def test_overlapping_filetype_raises_on_every_set_view():
     from repro.dtypes import IndexedBlock
     from repro.errors import MPIIOError
     from repro.mpiio.consts import MODE_CREATE, MODE_RDWR
-    from repro.mpiio.file import File
 
     def program(ctx):
         f = File.open(ctx.comm, ctx.service("fs"), "v.dat",

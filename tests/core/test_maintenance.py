@@ -431,9 +431,10 @@ def test_index_cache_dropped_when_cursor_retreats_over_blocks():
 
 def test_cache_registry_forgets_finalized_clients():
     """The registry lives on the job's maintenance service, which
-    outlives every client: a finalized SDM and a released catalog must
-    take their caches out of it, or a job opening clients in sequence
-    keeps every one's blocks alive and walks them on every flip."""
+    outlives every client: a finalized SDM, a released catalog and a
+    finished worker job must take their caches out of it, or a job
+    opening clients in sequence keeps every one's blocks alive and walks
+    them on every flip."""
     from repro.core.catalog import SDMCatalog
 
     def reachable(registry):
@@ -448,8 +449,17 @@ def test_cache_registry_forgets_finalized_clients():
             ctx.comm.barrier()  # every rank's clients are registered
             seen.append(reachable(registry))
             ctx.comm.barrier()
+            result = sdm.make_datalist(["d"])
+            sdm.associate_attributes(result, data_type=DOUBLE, global_size=8)
+            handle = sdm.set_attributes(result)
+            mine = np.arange(4, dtype=np.int64) + 4 * ctx.rank
+            sdm.data_view(handle, "d", mine)
+            sdm.write(handle, "d", 0, mine * 1.0)
+            # The worker's per-job host registers a block cache of its own.
+            sdm.reorganize(handle, "d", 0, mode="background")
+            sdm.drain_maintenance()
             catalog.release()
-            sdm.finalize()
+            sdm.finalize(handle)
             seen.append(reachable(registry))
         return seen
 
@@ -459,6 +469,8 @@ def test_cache_registry_forgets_finalized_clients():
     assert reachable(job.services["maint"].caches) == 0
     assert job.values[0][1::2] == [0, 0]
     assert job.values[0][0] == 6
+    # two reorganize jobs, each executed by both ranks' workers
+    assert job.services["maint"].stats()["executed"] == 2 * 2
 
 
 # ---------------------------------------------------------------------------

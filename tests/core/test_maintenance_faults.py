@@ -179,8 +179,9 @@ def test_crash_after_commit_rolls_forward():
 
 @pytest.mark.parametrize("client", ["sdm", "catalog"])
 def test_shutdown_audit_reports_leaks_on_every_rank(client):
-    """Both pinned client kinds release and audit through the one
-    SnapshotPin: their own pin goes, planted strays are counted."""
+    """Both pinned client kinds shut down and audit through the one
+    host: their own pin goes, planted strays are counted, and both
+    report them in one stats shape."""
 
     def program(ctx):
         if client == "sdm":
@@ -201,15 +202,15 @@ def test_shutdown_audit_reports_leaks_on_every_rank(client):
             )
         shutdown()
         assert owner.pin.epoch is None
-        return owner.stats()
+        other = (SDMCatalog.attach(ctx, snapshot=False) if client == "sdm"
+                 else SDM(ctx, "other"))
+        return owner.stats(), set(other.stats())
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    for stats in job.values:
-        if client == "sdm":
-            assert stats["leaked_leases"] == 1
-            assert stats["leaked_pins"] == 1
-        else:  # a catalog reports its lease and pin leaks as one number
-            assert stats["leaked_pins"] == 2
+    for stats, other_keys in job.values:
+        assert stats["leaked_leases"] == 1
+        assert stats["leaked_pins"] == 1
+        assert set(stats) == other_keys  # SDM and SDMCatalog: one shape
     tables = SDMTables(job.services["db"])
     assert len(tables.all_pins()) == 1  # the stray; the client's own is gone
 
@@ -234,9 +235,9 @@ def test_clean_run_audits_zero_leaks(snapshot):
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     for sdm_stats, cat_stats, data in job.values:
-        assert sdm_stats["leaked_leases"] == 0
-        assert sdm_stats["leaked_pins"] == 0
-        assert cat_stats["leaked_pins"] == 0
+        for stats in (sdm_stats, cat_stats):
+            assert stats["leaked_leases"] == 0
+            assert stats["leaked_pins"] == 0
         np.testing.assert_allclose(data, np.arange(GLOBAL) * 1.0)
     tables = SDMTables(job.services["db"])
     assert tables.all_leases() == []

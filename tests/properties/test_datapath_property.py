@@ -304,7 +304,8 @@ def test_collective_resolution_matches_local_resolution(mix, level):
         carried = IndexBlockCache()
         for wanted in wanteds:
             local = _chunk_positions(
-                chunks, _fetch_index_blocks(f, blocks, None, version),
+                chunks,
+                _fetch_index_blocks(f, blocks, IndexBlockCache(), version),
                 DOUBLE.size, wanted,
             )
             fresh = IndexBlockCache()
@@ -356,13 +357,15 @@ def test_collective_resolution_matches_local_resolution(mix, level):
 def run_plan_once(level, n, maps, pinned):
     """Three chunked timesteps through one view; every ``SDM.read`` is
     paired with a cold read of the same instance at the same epoch
-    (``read_instance`` without a cache: resolved afresh, no plan
-    kept or served).  Returns per rank the (label, served bytes, cold
-    bytes) pairs and the job-wide ``_chunk_positions`` calls per step."""
+    (``read_instance`` over its own handle and a fresh cache: resolved
+    afresh, no plan served).  Returns per rank the (label, served bytes,
+    cold bytes) pairs and the job-wide ``_chunk_positions`` calls per
+    step."""
     from unittest import mock
 
     import repro.core.datapath as dp
     from repro.mpiio.consts import MODE_RDONLY
+    from repro.mpiio.file import File
 
     nprocs = len(maps)
     real = dp._chunk_positions
@@ -385,10 +388,10 @@ def run_plan_once(level, n, maps, pinned):
                     ctx.comm, sdm.tables, sdm.runid, "d", t, proc=ctx.proc,
                     epoch=sdm.pin.epoch, required=True,
                 )
-                f = sdm._open_cached(where[0], MODE_RDONLY)
+                f = File.open(ctx.comm, sdm.fs, where[0], MODE_RDONLY)
                 out = dp.read_instance(ctx.comm, f, where, chunks, DOUBLE,
-                                       view, cache=None, version=version)
-                sdm._close_cached(where[0])
+                                       view, dp.IndexBlockCache(), version)
+                f.close()
                 return out
 
             def both(label, t):
