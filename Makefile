@@ -17,6 +17,7 @@ export FAULT_SEED
 ## collective sanitizer, then the crash-recovery tier
 test: lint test-simt test-metadb
 	$(PYTHON) -m pytest -x -q --ignore=tests/simt \
+	    --ignore=tests/pfs/test_filesystem.py \
 	    --ignore=tests/core/test_job_determinism.py --ignore=tests/metadb \
 	    --ignore=tests/properties/test_metadb_index_property.py \
 	    --ignore=tests/properties/test_sql_property.py \
@@ -25,10 +26,14 @@ test: lint test-simt test-metadb
 	$(MAKE) test-faults
 
 ## simt kernel: baton-passing contract on counts (handoffs per switch,
-## golden resume order, callback failures), primitives, fault points, and
-## the job-level run-twice determinism tests (seconds)
+## one park per file-system request, golden resume order, callback
+## failures), primitives (serve against the request/hold loop it
+## replaces), fault points, the file system's walk exactness (one park,
+## today's float sum, queue wait in closed form) and the job-level
+## run-twice determinism tests (seconds)
 test-simt:
-	$(PYTHON) -m pytest tests/simt tests/core/test_job_determinism.py -q
+	$(PYTHON) -m pytest tests/simt tests/pfs/test_filesystem.py \
+	    tests/core/test_job_determinism.py -q
 
 ## crash tolerance: kernel fault injection, recovery-protocol unit
 ## tests, cross-job crash/restart scenarios, the crash-at-every-point

@@ -15,6 +15,11 @@ calling :class:`~repro.simt.Process` so it can charge virtual time:
   controller — so one stream never exceeds stream bandwidth while
   aggregate bandwidth saturates at ``n_controllers`` concurrent streams.
 
+Every charge is one :func:`~repro.simt.primitives.serve` walk: the caller
+parks once per request however many queues it visits, and the queue steps
+run as kernel callbacks it owns.  The virtual seconds those visits spend
+queued (controllers and MDS alike) add up in ``queue_wait_s``.
+
 Data is real: writes land in the file's :class:`ByteStore`, reads come back
 out, run lists included.
 """
@@ -30,7 +35,7 @@ from repro.errors import FileExists, FileNotFound, PFSError
 from repro.pfs.file import RD, RDWR, WR, FileStat, PFSFile, PFSHandle
 from repro.pfs.scheduler import split_runs_by_stripe
 from repro.pfs.striping import StripeLayout
-from repro.simt.primitives import Resource
+from repro.simt.primitives import Resource, serve
 from repro.simt.process import Process
 from repro.simt.simulator import Simulator
 
@@ -79,14 +84,17 @@ class FileSystem:
         exactly that (chunked vs canonical submissions)."""
         self.runs_serviced = 0
         """Byte runs actually issued to the file system (post-merge)."""
+        self.queue_wait_s = 0.0
+        """Virtual seconds requests spent queued at a controller or the
+        MDS, from each visit's arrival to its grant, summed over visits."""
 
     _STAT_FIELDS = (
         "bytes_written", "bytes_read", "index_bytes_read",
         "data_bytes_read", "n_requests", "n_opens", "runs_submitted",
-        "runs_serviced",
+        "runs_serviced", "queue_wait_s",
     )
 
-    def stats(self, reset: bool = False) -> Dict[str, int]:
+    def stats(self, reset: bool = False) -> Dict[str, float]:
         """Snapshot every aggregate counter; optionally zero them.
 
         The one counter-window API benches share: take a
@@ -131,9 +139,15 @@ class FileSystem:
         except KeyError:
             raise FileNotFound(f"no such file: {name!r}") from None
 
+    def _walk(self, proc: Process, visits, lead: Optional[float] = None) -> None:
+        """One :func:`serve` walk, its queue wait added to the total."""
+        # Not ``self.queue_wait_s += serve(...)``: that reads the total
+        # before the caller parks, losing every wait added meanwhile.
+        waited = serve(proc, visits, lead)
+        self.queue_wait_s += waited
+
     def _charge_metadata(self, proc: Process, cost: float) -> None:
-        with self.metadata_server.request(proc):
-            proc.hold(cost)
+        self._walk(proc, [(self.metadata_server, cost)])
 
     def create(self, proc: Process, name: str, *, exist_ok: bool = False) -> PFSFile:
         """Create an empty file (metadata-op cost; FIFO at the MDS)."""
@@ -230,36 +244,42 @@ class FileSystem:
         not a run merge (:func:`repro.pfs.runlist.coalesce_runs`) —
         same-controller pieces need not abut in the file, and only each
         visit's byte total is wanted.
+
+        Either way the request is one :func:`~repro.simt.primitives.serve`
+        call (the unscheduled overhead is its ``lead``), so the caller
+        parks once per request, not once per queue and hold.
         """
         storage = self.machine.storage
+        runs = len(offsets)
         if controller is not None:
             ctl = controller % len(self.controllers)
-            service = storage.stream_time(nbytes, write=write, runs=len(offsets))
-            with self.controllers[ctl].request(proc):
-                proc.hold(service)
+            service = storage.stream_time(nbytes, write=write, runs=runs)
+            self._walk(proc, [(self.controllers[ctl], service)])
             return [ctl]
-        proc.hold(storage.stream_time(0, write=write, runs=len(offsets)))
+        lead = storage.stream_time(0, write=write, runs=runs)
         _, plen, pctl = split_runs_by_stripe(
             handle.file.layout, offsets, lengths
         )
         if len(pctl) == 0:
+            self._walk(proc, [], lead)
             return []
         bw = (
             storage.stream_write_bandwidth if write
             else storage.stream_read_bandwidth
         )
-        # One hold per controller *visit* (consecutive pieces on the same
-        # controller collapse), so the walk length is the stripe count,
-        # not the run count.
+        # One walk step per controller *visit* (consecutive pieces on the
+        # same controller collapse), so the walk length is the stripe
+        # count, not the run count; the caller parks once for all of it.
         new = np.empty(len(pctl), dtype=bool)
         new[0] = True
         np.not_equal(pctl[1:], pctl[:-1], out=new[1:])
         starts = np.flatnonzero(new)
         visit_bytes = np.add.reduceat(plen, starts)
         visits = pctl[starts].tolist()
-        for ctl, vbytes in zip(visits, visit_bytes.tolist()):
-            with self.controllers[ctl].request(proc):
-                proc.hold(float(vbytes) / bw)
+        self._walk(proc, [
+            (self.controllers[ctl], float(vbytes) / bw)
+            for ctl, vbytes in zip(visits, visit_bytes.tolist())
+        ], lead)
         return visits
 
     def _trace_request(

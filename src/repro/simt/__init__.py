@@ -9,7 +9,8 @@
   instant, so simulations are deterministic and shared Python state needs no
   locking.
 * :mod:`~repro.simt.primitives` — Signal (broadcast), SimEvent (one-shot
-  future), Resource (FIFO semaphore), Channel (FIFO store with timed delivery).
+  future), Resource (FIFO semaphore), serve (a FIFO walk through several
+  Resources for one park), Channel (FIFO store with timed delivery).
 
 Processes are plain Python functions whose first argument is their
 :class:`Process` handle::
@@ -26,7 +27,7 @@ Processes are plain Python functions whose first argument is their
 
 from repro.simt.process import Crashed, Killed, Process
 from repro.simt.simulator import FaultPlan, Simulator
-from repro.simt.primitives import Channel, Resource, Signal, SimEvent
+from repro.simt.primitives import Channel, Resource, Signal, SimEvent, serve
 from repro.simt.trace import Trace, TraceRecord
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "Signal",
     "SimEvent",
     "Resource",
+    "serve",
     "Channel",
     "Trace",
     "TraceRecord",

@@ -20,6 +20,12 @@ A wake-up is a raw :class:`threading.Lock` used as a binary semaphore
 only by the baton holder, once, as it gives the baton up, so a release can
 never meet an already-released lock.
 
+A parked process may still have work in flight: callbacks it *owns*
+(:meth:`Simulator.call_at` with ``owner=``) run on whichever thread holds the
+baton, and the last of them schedules the owner's resume.  That is how
+:func:`~repro.simt.primitives.serve` walks a file-system request through
+several FIFO queues for one park instead of one per queue and hold.
+
 Because of this invariant, simulation code can freely mutate shared Python
 objects (mailboxes, database tables, file-system state) without locks, and
 runs are fully deterministic: the event queue alone orders the run (ties are
@@ -135,8 +141,8 @@ class Process:
         Other runnable processes execute during the hold — this is how
         computation, transfer, and service times are charged.
         """
-        if dt < 0:
-            raise ValueError(f"cannot hold for negative time: {dt!r}")
+        if not dt >= 0:
+            raise ValueError(f"hold time must be >= 0, got {dt!r}")
         self.sim.schedule_resume(self, delay=dt)
         # A holding process always has its resume queued, so this reason
         # can never reach a deadlock report: not worth formatting ``dt``.

@@ -1,15 +1,21 @@
 """The discrete-event scheduler and virtual clock.
 
 Event-queue entries are ``(time, seq, kind, payload, value)`` tuples ordered
-by ``(time, seq)``; ``seq`` is a monotonically increasing counter so
+by ``(time, seq)`` (``value`` is a resume's wake value, a callback's owner);
+``seq`` is a monotonically increasing counter so
 simultaneous events fire in the order they were scheduled, which makes runs
 deterministic.  Two event kinds exist:
 
 * ``resume`` — transfer control to a parked :class:`Process` (optionally
   passing it a wake value);
 * ``call`` — run a plain callback.  Callbacks must not block; they are used
-  for timed actions that do not belong to any process, such as a message
-  arriving in a mailbox.
+  for timed actions that need no thread of their own, such as a message
+  arriving in a mailbox.  A callback may be *owned* by a process
+  (``call_at(t, fn, owner=proc)``): it is then a step of that process's
+  work run without a thread switch — a file-system request's walk through
+  the controller queues (:func:`~repro.simt.primitives.serve`) while its
+  owner sits parked.  For the daemon rule below, an owned callback counts
+  as an event of its owner.
 
 There is no scheduler thread.  **Exactly one thread holds the baton** — the
 thread inside :meth:`Simulator.run` (called *main* below) or one process
@@ -25,7 +31,9 @@ the heap alone.
 
 **Terminal decisions are main's.**  The dispatcher consumes nothing and hands
 the baton to main when a process has raised, a callback has raised, the queue
-is empty, only daemon events remain, or the queue head lies past ``until``;
+is empty, only daemon events remain (resumes of daemons and callbacks owned
+by daemons; a plain callback keeps the run alive), or the queue head lies
+past ``until``;
 :meth:`Simulator.run` then drains the remaining threads and reports (crash,
 deadlock, participant lost, pause, or normal end) from the caller's thread.
 """
@@ -164,34 +172,42 @@ class Simulator:
         if name is None:
             name = f"proc{len(self._procs)}"
         proc = Process(self, fn, args, kwargs, name=name, daemon=daemon)
+        # Scheduled first: a bad ``delay`` raises before a thread exists.
+        self.schedule_resume(proc, delay=delay)
         self._procs.append(proc)
         if not daemon:
             self._live += 1
         proc._thread.start()
-        self.schedule_resume(proc, delay=delay)
         return proc
 
     def schedule_resume(self, proc: Process, delay: float = 0.0, value: Any = None) -> None:
         """Schedule ``proc`` to resume at ``now + delay`` with ``value``.
 
         ``value`` is returned from the process's pending
-        :meth:`~repro.simt.process.Process.park` call.
+        :meth:`~repro.simt.process.Process.park` call.  ``delay`` must be
+        ``>= 0``: a NaN would sit in the heap unordered.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._push(self.now + delay, _RESUME, proc, value)
 
-    def call_at(self, t: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at absolute time ``t``, on whichever thread holds
-        the baton then.
+    def call_at(
+        self, t: float, fn: Callable[[], None], owner: Optional[Process] = None,
+    ) -> None:
+        """Run ``fn()`` at absolute time ``t`` (``>= now``), on whichever
+        thread holds the baton then.
 
         ``fn`` must not block; it may schedule further events.  If it
         raises, the simulation is torn down and :meth:`run` re-raises the
-        exception.
+        exception.  ``owner`` marks ``fn`` as a step of that process's
+        work, treated as the owner's event: skipped once the owner is dead
+        (as its resumes are), and, since the run ends when only daemons'
+        events remain, a daemon's steps do not keep a finished simulation
+        alive where a plain callback would.
         """
-        if t < self.now:
-            raise ValueError(f"call_at into the past: {t!r} < now={self.now!r}")
-        self._push(t, _CALL, fn, None)
+        if not t >= self.now:
+            raise ValueError(f"call_at needs t >= now={self.now!r}, got {t!r}")
+        self._push(t, _CALL, fn, owner)
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` ``delay`` seconds from now (see :meth:`call_at`)."""
@@ -301,6 +317,8 @@ class Simulator:
             if t > self.now:
                 self.now = t
             if kind == _CALL:
+                if value is not None and not value.alive:
+                    continue  # a dead owner's step, skipped like its resume
                 self._in_callback = True
                 try:
                     payload()
@@ -322,11 +340,11 @@ class Simulator:
         (self._main_wake if proc is None else proc._wake).release()
 
     def _only_daemon_events(self) -> bool:
-        """True if every queued resume targets a daemon process."""
-        for _t, _seq, kind, payload, _value in self._queue:
-            if kind == _CALL:
-                return False
-            if not payload.daemon:
+        """True if every queued event is a daemon's: a resume of a daemon
+        or a callback a daemon owns."""
+        for _t, _seq, kind, payload, value in self._queue:
+            owner = payload if kind == _RESUME else value
+            if owner is None or not owner.daemon:
                 return False
         return True
 

@@ -210,6 +210,82 @@ def test_fs_counters_track_traffic():
     assert fs.n_opens == 1
 
 
+def counting_parks(proc):
+    """Count ``proc``'s parks (holds included) in the returned list."""
+    parks = [0]
+    park = proc._park
+
+    def counted(reason):
+        parks[0] += 1
+        return park(reason)
+
+    proc._park = counted
+    return parks
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_unscheduled_read_over_k_controllers_parks_once(k):
+    """One park for the whole stripe walk, and — uncontended — exactly
+    the clock of one hold for the request overhead and one per visit."""
+    machine = origin2000()
+    storage = machine.storage
+    stripe = storage.stripe_size
+    offsets = [i * stripe + 100 for i in range(k)]
+    lengths = [stripe - 300] * k
+
+    def fn(proc, fs):
+        h = fs.open(proc, "k.dat", RDWR, create=True)
+        fs.write_at(proc, h, 0, np.zeros(k * stripe, dtype=np.uint8))
+        proc.hold(0.1)
+        before, t0 = parks[0], proc.now
+        out = fs.read(proc, h, offsets, lengths)
+        return parks[0] - before, t0, proc.now, out.size
+
+    sim = Simulator()
+    fs = FileSystem(sim, machine)
+    p = sim.spawn(fn, fs)
+    parks = counting_parks(p)
+    sim.run()
+    n_parks, t0, t1, size = p.result
+    assert (n_parks, size) == (1, sum(lengths))
+    expected = t0 + storage.stream_time(0, write=False, runs=k)
+    for length in lengths:  # one visit per run: each on its own controller
+        expected += float(length) / storage.stream_read_bandwidth
+    assert t1 == expected
+    assert fs.queue_wait_s == 0.0
+
+
+def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
+    """Three equal requests reach controller 0 at once: they wait 0, s and
+    2s.  Three stats reach the two-way MDS at once: the third waits one
+    metadata op."""
+    machine = origin2000()
+    storage = machine.storage
+    n = 200_000
+    s = storage.stream_time(n, write=True, runs=1)
+    op = storage.metadata_op_cost
+    marks = {}
+
+    def fn(proc, fs, i):
+        h = fs.open(proc, f"q{i}.dat", WR, create=True)
+        proc.hold(1.0 - proc.now)
+        marks.setdefault("stat", fs.stats()["queue_wait_s"])
+        fs.stat(proc, f"q{i}.dat")
+        proc.hold(2.0 - proc.now)
+        marks.setdefault("write", fs.stats()["queue_wait_s"])
+        fs.write(proc, h, [0], [n], np.zeros(n, dtype=np.uint8), controller=0)
+
+    sim = Simulator()
+    fs = FileSystem(sim, machine)
+    for i in range(3):
+        sim.spawn(fn, fs, i, name=f"w{i}")
+    sim.run()
+    assert marks["write"] - marks["stat"] == pytest.approx(op, rel=1e-12)
+    total = fs.stats(reset=True)["queue_wait_s"]
+    assert total - marks["write"] == pytest.approx(3 * s, rel=1e-12)
+    assert fs.stats()["queue_wait_s"] == 0
+
+
 def test_zero_length_run_does_not_extend_the_file():
     """``FileSystem.write`` of ``[(0, 4), (1_000_000, 0)]``: file size
     and traffic are those of the non-empty run."""

@@ -2,16 +2,21 @@
 
 Exactly one thread holds the baton; a parking thread dispatches the next
 event itself.  These tests hold the kernel to what that promises — how
-many cross-thread wake-ups a run costs (:attr:`Simulator.handoffs`), the
-resume order of a scenario recorded before the scheduler thread was
-removed, and where a raising callback ends up — never to a clock.
+many cross-thread wake-ups a run costs (:attr:`Simulator.handoffs`), how
+many parks a file-system request costs its caller, the resume order of a
+scenario recorded before the scheduler thread was removed, and where a
+raising callback ends up — never to a clock.
 """
 
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.config import origin2000
+from repro.pfs import FileSystem
+from repro.pfs.file import WR
 from repro.simt import Channel, Resource, Simulator
 
 
@@ -142,6 +147,47 @@ def test_mixed_scenario_resumes_in_the_recorded_order(pauses):
     log, end = mixed_scenario(pauses)
     assert log == GOLDEN_RESUMES
     assert end == 4.75
+
+
+def test_file_system_request_parks_its_caller_once():
+    """16 ranks each write run lists that span all 10 controllers, on their
+    own: every request is one park, however long its walk through the
+    controller queues, and the wake-ups follow from the parks."""
+    machine = origin2000()
+    stripe = machine.storage.stripe_size
+    n_ctl = machine.storage.n_controllers
+    parks, per_request = {}, []
+
+    def writer(proc, fs, idx):
+        h = fs.open(proc, f"f{idx}.dat", WR, create=True)
+        for req in range(4):
+            base = req * n_ctl * stripe
+            offsets = [base + c * stripe + 64 * idx for c in range(n_ctl)]
+            lengths = [4096 + 512 * (idx % 3)] * n_ctl
+            data = np.full(sum(lengths), idx, dtype=np.uint8)
+            before = parks[proc.name]
+            fs.write(proc, h, offsets, lengths, data)
+            per_request.append(parks[proc.name] - before)
+
+    sim = Simulator()
+    fs = FileSystem(sim, machine)
+    procs = [sim.spawn(writer, fs, i, name=f"rank{i}") for i in range(16)]
+    for proc in procs:
+        inner = proc._park
+
+        def counted(reason, inner=inner, name=proc.name):
+            parks[name] += 1
+            return inner(reason)
+
+        parks[proc.name] = 0
+        proc._park = counted
+    sim.run()
+    assert per_request == [1] * (16 * 4)
+    assert fs.n_requests == 16 * 4
+    assert fs.queue_wait_s > 0  # they did contend
+    # A wake-up is main's first, or one per park or process exit at most.
+    assert sim.handoffs <= 1 + sum(parks.values()) + len(procs)
+    assert reaped(sim)
 
 
 def test_one_runner_at_a_time_under_a_hostile_switch_interval():

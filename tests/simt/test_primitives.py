@@ -1,9 +1,13 @@
-"""Unit tests for Signal, SimEvent, Resource, and Channel primitives."""
+"""Unit tests for Signal, SimEvent, Resource, serve, and Channel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimDeadlockError, SimError, SimProcessCrashed
-from repro.simt import Channel, Resource, Signal, SimEvent, Simulator
+from repro.simt import (
+    Channel, FaultPlan, Resource, Signal, SimEvent, Simulator, serve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +186,184 @@ def test_resource_counts_available_and_waiting():
     sim.spawn(second_fire)
     sim.run()
     assert observed == {"available": 0, "waiting": 1}
+
+
+# ---------------------------------------------------------------------------
+# serve
+# ---------------------------------------------------------------------------
+
+def reference_walk(proc, visits, lead=None):
+    """What :func:`serve` replaces, one park per queue and hold; returns
+    the virtual seconds queued, measured around each acquire."""
+    waited = 0.0
+    if lead is not None:
+        proc.hold(lead)
+    for res, seconds in visits:
+        t0 = proc.now
+        with res.request(proc):
+            waited += proc.now - t0
+            proc.hold(seconds)
+    return waited
+
+
+def count_parks(proc, counts):
+    """Count every park of ``proc`` (holds included) in ``counts``."""
+    park = proc._park
+    counts[proc.name] = 0
+
+    def counted(reason):
+        counts[proc.name] += 1
+        return park(reason)
+
+    proc._park = counted
+
+
+def run_walks(walk, capacities, programs, pauses=()):
+    """Run one scenario with ``walk`` as the walk primitive.
+
+    ``programs`` is a list of ``(daemon, steps)``; a step is ``("think",
+    dt)`` or ``("walk", lead, [(resource index, seconds), ...])``.  A
+    daemon repeats its steps forever (with a quarter-second hold between
+    laps, so the clock always moves).  Returns the ``(now, name)`` log of
+    every resume, ``sim.now``, ``sim._seq``, each walk's queue wait and
+    each walk's park count."""
+    log, waits, parks, counts = [], [], [], {}
+    sim = Simulator()
+    res = [Resource(sim, cap, f"r{i}") for i, cap in enumerate(capacities)]
+
+    def program(proc, daemon, steps):
+        while True:
+            for step in steps:
+                if step[0] == "think":
+                    proc.hold(step[1])
+                else:
+                    _, lead, visits = step
+                    before = counts[proc.name]
+                    waits.append(walk(proc, [
+                        (res[i % len(res)], seconds) for i, seconds in visits
+                    ], lead))
+                    parks.append(counts[proc.name] - before)
+                log.append((proc.now, proc.name))
+            if not daemon:
+                return
+            proc.hold(0.25)
+
+    for k, (daemon, steps) in enumerate(programs):
+        proc = sim.spawn(program, daemon, steps, name=f"p{k}", daemon=daemon)
+        count_parks(proc, counts)
+    for until in pauses:
+        sim.run(until=until)
+        if sim._finished:
+            break
+    if not sim._finished:
+        sim.run()
+    return log, sim.now, sim._seq, waits, parks
+
+
+quarters = st.integers(0, 8).map(lambda k: k / 4)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("think"), quarters),
+        st.tuples(
+            st.just("walk"), st.one_of(st.none(), quarters),
+            st.lists(st.tuples(st.integers(0, 2), quarters),
+                     min_size=1, max_size=4),
+        ),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    capacities=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    programs=st.lists(st.tuples(st.booleans(), steps),
+                      min_size=2, max_size=6),
+    pauses=st.lists(st.integers(1, 24).map(lambda k: k / 4),
+                    max_size=3, unique=True).map(sorted),
+)
+def test_serve_is_the_request_hold_loop_for_one_park(
+    capacities, programs, pauses
+):
+    """Same resumes at the same times, same clock, same events pushed and
+    same queue waits as the loop it replaces — and one park per walk."""
+    programs = [(daemon and k > 0, s) for k, (daemon, s) in
+                enumerate(programs)]  # someone must keep the run alive
+    log, now, seq, waits, parks = run_walks(
+        serve, capacities, programs, pauses
+    )
+    ref_log, ref_now, ref_seq, ref_waits, _ = run_walks(
+        reference_walk, capacities, programs, pauses
+    )
+    assert log == ref_log
+    assert now == ref_now
+    assert seq == ref_seq
+    assert waits == ref_waits
+    assert set(parks) <= {1}
+
+
+@pytest.mark.parametrize("walk", [serve, reference_walk])
+def test_daemon_mid_walk_dies_when_the_last_process_ends(walk):
+    """The daemon is between two visits at 1.5, when ``p1`` ends: its walk
+    steps are its own events, so the run stops there as it always did."""
+    programs = [
+        (False, [("think", 1.5)]),
+        (True, [("walk", None, [(0, 1.0), (1, 1.0), (0, 1.0)])]),
+    ]
+    programs.reverse()  # spawn the daemon first: it walks from t=0
+    log, now, seq, waits, parks = run_walks(walk, [1, 1], programs)
+    assert log == [(1.5, "p1")]
+    assert now == 1.5
+    # two spawns, the daemon's first two holds, p1's hold
+    assert seq == 5
+    assert waits == []
+
+
+@pytest.mark.parametrize("walk", [serve, reference_walk])
+def test_walk_begun_by_a_crashed_process_goes_nowhere(walk):
+    """A crashed process's cleanup may start a walk; its park refuses, and
+    the lead it scheduled is dropped like any resume of a dead process —
+    no grant is taken later on its behalf."""
+    log = []
+    sim = Simulator()
+    sim.fault_plan = FaultPlan("boom", victim="victim")
+    res = Resource(sim, 1, "r")
+
+    def victim(proc):
+        try:
+            proc.fault_point("boom")
+        finally:
+            walk(proc, [(res, 1.0), (res, 1.0)], 0.5)
+
+    def other(proc):
+        proc.hold(1.0)
+        log.append(walk(proc, [(res, 1.0)]))
+
+    v = sim.spawn(victim, name="victim")
+    sim.spawn(other, name="other")
+    sim.run()
+    assert v.crashed and log == [0.0]
+    assert (sim.now, sim._seq, res.available) == (2.0, 5, 1)
+
+
+@pytest.mark.parametrize("visits, lead", [
+    ([(0, float("nan"))], None),
+    ([(0, 1.0)], float("nan")),
+    ([(0, 1.0), (0, -0.25)], None),
+    ([], float("nan")),
+], ids=["nan-visit", "nan-lead", "negative-visit", "nan-lead-alone"])
+def test_serve_rejects_a_duration_that_is_not_nonnegative(visits, lead):
+    sim = Simulator()
+    res = Resource(sim, 1, "r")
+
+    def fn(proc):
+        serve(proc, [(res, seconds) for _i, seconds in visits], lead)
+
+    sim.spawn(fn)
+    with pytest.raises(SimProcessCrashed) as ei:
+        sim.run()
+    assert isinstance(ei.value.__cause__, ValueError)
+    assert (sim.now, sim._seq, res.available) == (0.0, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,47 @@ def test_call_at_into_the_past_rejected():
         sim.call_at(-1.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+def test_nan_hold_is_rejected_in_the_holding_process():
+    """A NaN time compares false both ways: let into the heap it resumed at
+    0.0 or at the next event's time depending on spawn order."""
+
+    def nan_holder(proc):
+        proc.hold(NAN)
+
+    def sleeper(proc):
+        proc.hold(5.0)
+
+    for order in ((nan_holder, sleeper), (sleeper, nan_holder)):
+        sim = Simulator()
+        for fn in order:
+            sim.spawn(fn, name=fn.__name__)
+        with pytest.raises(SimProcessCrashed, match="nan_holder") as ei:
+            sim.run()
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim, p: sim.call_at(NAN, lambda: None),
+    lambda sim, p: sim.call_after(NAN, lambda: None),
+    lambda sim, p: sim.schedule_resume(p, delay=NAN),
+    lambda sim, p: sim.spawn(lambda proc: None, delay=NAN),
+], ids=["call_at", "call_after", "schedule_resume", "spawn"])
+def test_nan_time_is_rejected_before_it_reaches_the_heap(schedule):
+    sim = Simulator()
+    p = sim.spawn(lambda proc: proc.park("parked"), name="p")
+    seq = sim._seq
+    with pytest.raises(ValueError, match="nan"):
+        schedule(sim, p)
+    assert sim._seq == seq
+    assert sim._procs == [p]
+    with pytest.raises(SimDeadlockError):
+        sim.run()
+
+
 def test_schedule_resume_passes_value():
     def waiter(proc):
         return proc.park(reason="value")
