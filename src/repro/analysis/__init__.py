@@ -8,14 +8,14 @@ hang or corrupted bytes deep in a property run.  This package is the
 correctness tooling that catches such divergence before it ships:
 
 * **Static linter** (``python -m repro.analysis`` / ``make lint``) — an
-  AST pass over the repo's own source.  :mod:`~repro.analysis.catalog`
-  names every collective entry point (``Communicator`` collectives,
-  ``File`` collective I/O, the two-phase transport ops, the SDM-level
-  collective helpers); :mod:`~repro.analysis.taint` tracks values derived
-  from ``comm.rank``; :mod:`~repro.analysis.rules` flags collectives
-  reachable on only some ranks' paths.  Findings are suppressed inline
-  with ``# spmdlint: ok(<rule>) <reason>`` or carried in a committed
-  baseline file.
+  AST pass over the repo's own source.  Each collective entry point
+  (``Communicator`` collectives, ``File`` collective I/O, the two-phase
+  ops, the SDM-level helpers) is declared at its definition with
+  :func:`~repro.analysis.catalog.collective`; ``taint`` tracks values
+  derived from ``comm.rank``; ``rules`` flags collectives reachable on
+  only some ranks' paths.  Findings are suppressed inline with
+  ``# spmdlint: ok(<rule>) <reason>`` or carried in a committed baseline
+  file.
 
 * **Runtime sanitizer** (``SPMD_VERIFY=1``) — :mod:`~repro.analysis.verifier`
   records a :class:`~repro.simt.trace.CollectiveSignature` for every

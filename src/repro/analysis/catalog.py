@@ -1,30 +1,33 @@
-"""The catalog of collective entry points spmdlint knows about.
+"""The collective entry points spmdlint knows about, declared where they
+are defined.
 
 A *collective* here is any call that every rank of a communicator must
 make, in the same program order, for the program to be correct: the
-``Communicator`` collectives themselves, the ``File`` collective I/O
-methods (two-phase open/read/write), the transport-level two-phase ops,
-and the SDM-layer helpers that are documented "Collective" (they contain
-collectives on every path, so a call site is collective-in-shape).
+``Communicator`` collectives, the ``File`` collective I/O methods, the
+two-phase transport ops, and the SDM-layer functions documented
+"Collective" (they contain collectives on every path, so a call site is
+collective-in-shape).  Each carries its facts on its definition —
+``@collective(uniform_result=True, root="root")`` on ``bcast`` — and
+:func:`collective` returns the function unchanged, so a declared call
+costs nothing.  :func:`catalog` reads the declarations back from the AST
+of ``src/repro`` (parsed, never imported), so they cannot drift.
 
-Matching is syntactic — by method/function name, with a receiver-text
-guard for names too generic to match bare (``reduce`` must be called on
-something communicator-ish, ``write`` on an ``sdm``-ish receiver) and a
-blanket exclusion for numpy receivers (``np.maximum.reduce`` is not MPI).
-The catalog also records the facts the taint pass and the runtime
-verifier need: whether the call's *result* is identical on every rank
-(``uniform_result`` — assigning from such a call launders rank taint),
-which argument names the root, and whether the op's payload must have
-the same shape on every rank (the reduce family).
+Calls are matched syntactically, by name, with a receiver-text guard for
+names too generic to match bare (``reduce`` must be called on something
+communicator-ish, ``close`` on a file or host).  One name declared twice
+must carry the same facts; a conflict is an error naming both sites.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-__all__ = ["CollectiveSpec", "CATALOG", "match_call", "receiver_text"]
+__all__ = ["CollectiveSpec", "catalog", "collective", "match_call",
+           "read_catalog", "receiver_text"]
 
 
 @dataclass(frozen=True)
@@ -48,163 +51,94 @@ class CollectiveSpec:
 
     receivers: Optional[Tuple[str, ...]] = None
     """Receiver-text guard for generic names: ``"comm"`` matches a
-    receiver named exactly ``comm`` or ending in ``.comm`` (likewise
-    ``"sdm"``); an exact string such as ``"File"`` matches literally.
-    None accepts any receiver (including bare-name calls)."""
+    receiver named exactly ``comm`` or ending in ``.comm``; an exact
+    string such as ``"File"`` matches literally.  None accepts any
+    receiver (including bare-name calls)."""
 
 
-_COMMISH = ("comm",)
-_SDMISH = ("sdm",)
+def collective(fn=None, *, op=None, uniform_result=False, root=None,
+               uniform_shape=False, receivers=None):
+    """Declare a collective: bare, or with :class:`CollectiveSpec`'s facts
+    as literal keywords (``op`` defaults to the function name without a
+    leading underscore; ``root`` names the root parameter).  Returns the
+    function unchanged."""
+    return (lambda f: f) if fn is None else fn
 
-CATALOG: Dict[str, CollectiveSpec] = {
-    # ------------------------------------------------- Communicator ----
-    "barrier": CollectiveSpec("barrier", uniform_result=True),
-    "bcast": CollectiveSpec("bcast", uniform_result=True, root_arg=(1, "root")),
-    "reduce": CollectiveSpec(
-        "reduce", root_arg=(2, "root"), uniform_shape=True, receivers=_COMMISH
-    ),
-    "allreduce": CollectiveSpec(
-        "allreduce", uniform_result=True, uniform_shape=True
-    ),
-    "scan": CollectiveSpec("scan", uniform_shape=True, receivers=_COMMISH),
-    "exscan": CollectiveSpec("exscan", uniform_shape=True),
-    "gather": CollectiveSpec("gather", root_arg=(1, "root")),
-    "allgather": CollectiveSpec("allgather", uniform_result=True),
-    "scatter": CollectiveSpec("scatter", root_arg=(1, "root")),
-    "alltoall": CollectiveSpec("alltoall"),
-    "alltoallv": CollectiveSpec("alltoallv"),
-    "ring_shift": CollectiveSpec("ring_shift"),
-    "split": CollectiveSpec("split", receivers=_COMMISH),
-    "dup": CollectiveSpec("dup", receivers=_COMMISH),
-    # ------------------------------------------------- mpiio.File ------
-    # Collective opens return matching per-rank handles on one shared
-    # file: the *handle* is uniform in the sense the taint pass cares
-    # about (all ranks' copies name the same collective context).
-    "open": CollectiveSpec("File.open", uniform_result=True, receivers=("File",)),
-    "read_at_all": CollectiveSpec("read_at_all"),
-    "write_at_all": CollectiveSpec("write_at_all"),
-    "read_all": CollectiveSpec("read_all"),
-    "write_all": CollectiveSpec("write_all"),
-    "read_runs_at_all": CollectiveSpec("read_runs_at_all"),
-    "write_runs_at_all": CollectiveSpec("write_runs_at_all"),
-    "_open_cached": CollectiveSpec("open_cached", uniform_result=True),
-    "_close_cached": CollectiveSpec("close_cached", uniform_result=True),
-    # ------------------------------------- two-phase transport ops -----
-    "collective_read": CollectiveSpec("collective_read"),
-    "collective_write": CollectiveSpec("collective_write"),
-    # ------------------------------------------- SDM-layer helpers -----
-    # Documented-collective functions: every rank reaches the same
-    # collectives inside, so their *call sites* are collective-in-shape.
-    "locate_instance": CollectiveSpec("locate_instance", uniform_result=True),
-    "read_instance": CollectiveSpec("read_instance"),
-    # Collective index-block acquisition: block→rank dealing over
-    # alltoallv; every rank of the file's communicator must call it
-    # (empty-wanted ranks participate with empty requests).
-    "acquire_index_blocks": CollectiveSpec("acquire_index_blocks"),
-    "execute_reorganize": CollectiveSpec("execute_reorganize"),
-    "compact_chunked_file": CollectiveSpec(
-        "compact_chunked_file", uniform_result=True
-    ),
-    # The flip lease is bcast-fronted: rank 0 runs the insert-then-verify
-    # protocol and every rank symmetrically succeeds or raises
-    # SDMLeaseConflict, so the call site is collective-in-shape and its
-    # (None-or-raise) outcome is uniform.
-    "acquire_file_lease": CollectiveSpec(
-        "acquire_file_lease", uniform_result=True
-    ),
-    # The flip driver's commit half ends in an epoch bcast and a barrier;
-    # it returns the broadcast epoch (receiver-guarded: the name is far
-    # too generic bare).
-    "publish": CollectiveSpec(
-        "flip.publish", uniform_result=True, receivers=("fl",)
-    ),
-    "register_history_async": CollectiveSpec("register_history_async"),
-    "try_load_history": CollectiveSpec("try_load_history"),
-    "ring_partition_index": CollectiveSpec("ring_partition_index"),
-    "_next_append_base": CollectiveSpec("next_append_base", uniform_result=True),
-    # DatapathHost lifecycle: the pinned read (locate bcast, collective
-    # read; returns this rank's elements) and the shutdown (close, audit
-    # bcast, barrier; receiver-guarded: the name is generic bare).
-    "read_pinned": CollectiveSpec("host.read_pinned"),
-    "shutdown": CollectiveSpec(
-        "host.shutdown", uniform_result=True, receivers=("self", "host")
-    ),
-    # SDM methods (receiver-guarded: the names are too generic bare).
-    # ``write``/``reorganize``/``compact`` return the file name — the
-    # same on every rank — so they launder taint; ``read`` returns this
-    # rank's buffer and does not.
-    "write": CollectiveSpec("sdm.write", uniform_result=True, receivers=_SDMISH),
-    "read": CollectiveSpec("sdm.read", receivers=_SDMISH),
-    "reorganize": CollectiveSpec(
-        "sdm.reorganize", uniform_result=True, receivers=_SDMISH
-    ),
-    "compact": CollectiveSpec(
-        "sdm.compact", uniform_result=True, receivers=_SDMISH
-    ),
-    "finalize": CollectiveSpec(
-        "sdm.finalize", uniform_result=True, receivers=_SDMISH
-    ),
-    "set_attributes": CollectiveSpec(
-        "sdm.set_attributes", uniform_result=True, receivers=_SDMISH
-    ),
-    "index_registry": CollectiveSpec("sdm.index_registry", receivers=_SDMISH),
-    "import_index": CollectiveSpec(
-        "sdm.import_index", uniform_result=False, receivers=_SDMISH
-    ),
-    "import_contiguous": CollectiveSpec("sdm.import_contiguous", receivers=_SDMISH),
-    "import_irregular": CollectiveSpec("sdm.import_irregular", receivers=_SDMISH),
-    "partition_index": CollectiveSpec("sdm.partition_index", receivers=_SDMISH),
-    # SDMCatalog snapshot lifecycle (receiver-guarded: both names are far
-    # too generic bare).  attach pins via a bcast — uniform handle;
-    # release is barrier-backed.
-    "attach": CollectiveSpec(
-        "catalog.attach", uniform_result=True, receivers=("SDMCatalog",)
-    ),
-    "release": CollectiveSpec(
-        "catalog.release", uniform_result=True, receivers=("catalog",)
-    ),
-}
 
-_NUMPY_PREFIXES = ("np.", "numpy.")
+_FACTS = ("op", "uniform_result", "root", "uniform_shape", "receivers")
+
+
+@lru_cache(maxsize=None)
+def catalog() -> Dict[str, CollectiveSpec]:
+    """Every collective declared under ``src/repro``, by name."""
+    return read_catalog(Path(__file__).resolve().parents[1])
+
+
+def read_catalog(root) -> Dict[str, CollectiveSpec]:
+    """The ``@collective`` declarations of the modules under ``root``, by
+    function name; a malformed or conflicting one raises ``ValueError``
+    naming its ``file:line``."""
+    specs: Dict[str, CollectiveSpec] = {}
+    sites: Dict[str, str] = {}
+    for path in sorted(Path(root).rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "@collective" not in source:
+            continue
+        tree = ast.parse(source, str(path))
+        methods = {id(n) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for n in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in fn.decorator_list:
+                if getattr(getattr(deco, "func", deco), "id", None) != "collective":
+                    continue
+                where = f"{path}:{deco.lineno}"
+                spec = _spec(fn, deco, id(fn) in methods, where)
+                if specs.setdefault(fn.name, spec) != spec:
+                    raise ValueError(f"{where}: {fn.name!r} declared with "
+                                     f"facts that differ from {sites[fn.name]}")
+                sites.setdefault(fn.name, where)
+    return specs
+
+
+def _spec(fn, deco, method: bool, where: str) -> CollectiveSpec:
+    """One declaration's facts (a method's ``self``/``cls`` is not a
+    position ``root`` can name)."""
+    keywords = getattr(deco, "keywords", [])
+    if getattr(deco, "args", []) or any(k.arg not in _FACTS for k in keywords):
+        raise ValueError(f"{where}: @collective takes only the keywords {_FACTS}")
+    facts = {}
+    for kw in keywords:
+        try:
+            facts[kw.arg] = ast.literal_eval(kw.value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: {kw.arg}= must be a literal") from None
+    root = facts.pop("root", None)
+    if root is not None:
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args][method:]
+        if root not in params:
+            raise ValueError(f"{where}: root={root!r} is not a parameter of {fn.name}")
+        facts["root_arg"] = (params.index(root), root)
+    if facts.get("receivers") is not None:
+        facts["receivers"] = tuple(facts["receivers"])
+    return CollectiveSpec(facts.pop("op", None) or fn.name.removeprefix("_"), **facts)
 
 
 def receiver_text(call: ast.Call) -> str:
     """Source text of the receiver (empty for bare-name calls)."""
-    if isinstance(call.func, ast.Attribute):
-        try:
-            return ast.unparse(call.func.value)
-        except Exception:  # pragma: no cover - unparse is total on 3.9+
-            return "<?>"
-    return ""
-
-
-def _receiver_ok(recv: str, guards: Optional[Tuple[str, ...]]) -> bool:
-    if guards is None:
-        return True
-    for g in guards:
-        if recv == g or recv.endswith("." + g):
-            return True
-    return False
+    func = call.func
+    return ast.unparse(func.value) if isinstance(func, ast.Attribute) else ""
 
 
 def match_call(call: ast.Call) -> Optional[CollectiveSpec]:
-    """The catalog entry a call matches, or None.
-
-    Numpy-rooted receivers never match (``np.maximum.reduce`` etc.), and
-    receiver-guarded names match only communicator-/SDM-ish receivers.
-    """
+    """The declared collective a call matches, or None (a receiver-guarded
+    name matches only the receivers its declaration allows)."""
     func = call.func
-    if isinstance(func, ast.Attribute):
-        name = func.attr
-        recv = receiver_text(call)
-        if recv.startswith(_NUMPY_PREFIXES) or recv in ("np", "numpy"):
-            return None
-    elif isinstance(func, ast.Name):
-        name = func.id
-        recv = ""
-    else:
-        return None
-    spec = CATALOG.get(name)
-    if spec is None or not _receiver_ok(recv, spec.receivers):
-        return None
-    return spec
+    spec = catalog().get(getattr(func, "attr", getattr(func, "id", None)))
+    if spec is None or spec.receivers is None:
+        return spec
+    recv = receiver_text(call)
+    if any(recv == g or recv.endswith("." + g) for g in spec.receivers):
+        return spec
+    return None

@@ -29,9 +29,9 @@ the rules turn those facts into findings:
     ``bcast(x, root=rank)``): ranks rendezvous on different contexts or
     disagree on the root.
 
-Inter-procedural divergence (a rank-guarded call to a helper that is not
-in the catalog but contains collectives) is out of scope for the static
-pass — the runtime sanitizer (``SPMD_VERIFY=1``) covers it.
+Inter-procedural divergence (a rank-guarded call to an undeclared helper
+that contains collectives) is out of scope for the static pass — the
+runtime sanitizer (``SPMD_VERIFY=1``) covers it.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.datapath import (
     DatapathHost,
     StorageOrder,
@@ -203,6 +204,7 @@ class SDM(DatapathHost):
             if storage_order is not None:
                 a.storage_order = storage_order
 
+    @collective(op="sdm.set_attributes", uniform_result=True, receivers=("sdm",))
     def set_attributes(self, datalist: Sequence[DatasetAttrs]) -> DataGroup:
         """Freeze a datalist into a data group and store its metadata
         (``SDM_set_attributes``).  Collective."""
@@ -257,6 +259,7 @@ class SDM(DatapathHost):
                 f"{name!r} is not in the import list"
             ) from None
 
+    @collective(op="sdm.import_index", receivers=("sdm",))
     def import_index(
         self,
         edge1_name: str,
@@ -293,6 +296,7 @@ class SDM(DatapathHost):
         return EdgeChunk(edge1=e1.astype(np.int64), edge2=e2.astype(np.int64),
                          gid_start=gid_start)
 
+    @collective(op="sdm.import_contiguous", receivers=("sdm",))
     def import_contiguous(
         self, name: str, file_offset: int, total_elements: int
     ) -> np.ndarray:
@@ -319,6 +323,7 @@ class SDM(DatapathHost):
             )
         return buf
 
+    @collective(op="sdm.import_irregular", receivers=("sdm",))
     def import_irregular(
         self,
         name: str,
@@ -359,6 +364,7 @@ class SDM(DatapathHost):
         )
         return owned_nodes_of(self._part_vector, self.ctx.rank)
 
+    @collective(op="sdm.partition_index", receivers=("sdm",))
     def partition_index(
         self,
         partitioning_vector: np.ndarray,
@@ -403,6 +409,7 @@ class SDM(DatapathHost):
         self._require_local()
         return self._local.n_local_nodes
 
+    @collective(op="sdm.index_registry", receivers=("sdm",))
     def index_registry(
         self, local: Optional[LocalPartition] = None
     ) -> HistoryRegistration:
@@ -430,6 +437,7 @@ class SDM(DatapathHost):
         handle.dataset(name)
         handle.views[name] = DataView.from_map(map_array)
 
+    @collective(op="sdm.write", uniform_result=True, receivers=("sdm",))
     def write(
         self, handle: DataGroup, name: str, timestep: int, buf: np.ndarray
     ) -> str:
@@ -450,6 +458,7 @@ class SDM(DatapathHost):
             self, handle, attrs, view, name, timestep, buf
         )
 
+    @collective(op="sdm.read", receivers=("sdm",))
     def read(
         self,
         handle: DataGroup,
@@ -496,6 +505,7 @@ class SDM(DatapathHost):
             self._close_cached(fname)
         return buf
 
+    @collective(op="sdm.reorganize", uniform_result=True, receivers=("sdm",))
     def reorganize(
         self,
         handle: DataGroup,
@@ -552,6 +562,7 @@ class SDM(DatapathHost):
         # its chunked file.
         return where[0]
 
+    @collective(op="sdm.compact", uniform_result=True, receivers=("sdm",))
     def compact(self, file_name: str, mode: Optional[str] = None) -> str:
         """Pack a ``.chunked`` checkpoint file down to its live bytes
         (reclaiming the dead extents reorganization left behind).
@@ -642,6 +653,7 @@ class SDM(DatapathHost):
         packed, history slices on disk."""
         self.maintenance.drain(self.ctx.rank, self.ctx.proc)
 
+    @collective(op="sdm.finalize", uniform_result=True, receivers=("sdm",))
     def finalize(self, handle: Optional[DataGroup] = None) -> None:
         """Close cached files and end the run (``SDM_finalize``).  Collective.
 

@@ -40,6 +40,7 @@ from typing import List
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.datapath import DatapathHost
 from repro.core.groups import DataGroup, DatasetAttrs, DataView
 from repro.core.layout import Organization
@@ -122,6 +123,7 @@ class SDMCatalog(DatapathHost):
         self.ctx.comm = comm
 
     @classmethod
+    @collective(op="catalog.attach", uniform_result=True, receivers=("SDMCatalog",))
     def attach(cls, ctx: RankContext, io_hints=None,
                snapshot: bool = True) -> "SDMCatalog":
         """Attach to the job's shared database, file system and
@@ -129,6 +131,7 @@ class SDMCatalog(DatapathHost):
         epoch unless ``snapshot=False``."""
         return cls(ctx, io_hints, snapshot)
 
+    @collective(op="catalog.release", uniform_result=True, receivers=("catalog",))
     def release(self) -> None:
         """Drop the snapshot pin, reap what it alone held live and audit
         for leaks (collective; idempotent;
@@ -209,6 +212,7 @@ class SDMCatalog(DatapathHost):
             )
         return group
 
+    @collective(op="catalog.read_slice")
     def read_slice(
         self,
         runid: int,
@@ -232,6 +236,7 @@ class SDMCatalog(DatapathHost):
         )
         return out
 
+    @collective(op="catalog.read_global", uniform_result=True)
     def read_global(
         self, runid: int, dataset: str, timestep: int
     ) -> np.ndarray:

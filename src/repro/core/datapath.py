@@ -122,6 +122,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.groups import DataGroup, DatasetAttrs, DataView
 from repro.core.layout import (
     CANONICAL,
@@ -177,6 +178,7 @@ def set_instance_view(f: File, base: int, dtype: Primitive,
     f.set_view(disp=base, etype=dtype, filetype=view.filetype(dtype))
 
 
+@collective(uniform_result=True)
 def _next_append_base(sdm, fname: str) -> int:
     """Next append offset in a checkpoint file (0 under level 1, else the
     end-of-file probe through ``execution_table``, broadcast from rank 0)."""
@@ -435,6 +437,7 @@ class DatapathHost:
         self._files: Dict[Tuple[str, int], File] = {}
         self._leak_stats = {"leaked_leases": 0, "leaked_pins": 0}
 
+    @collective(uniform_result=True)
     def _open_cached(self, name: str, amode: int) -> File:
         """Get or collectively open a file (identical call sequence on all
         ranks keeps the cache coherent across the job)."""
@@ -446,6 +449,7 @@ class DatapathHost:
             )
         return f
 
+    @collective(uniform_result=True)
     def _close_cached(self, name: str) -> None:
         """Collectively close every cached handle on ``name``."""
         for key in [k for k in self._files if k[0] == name]:
@@ -458,6 +462,7 @@ class DatapathHost:
         nothing invalidates it any more), a fresh one per call: cold."""
         return IndexBlockCache() if self.closed else self.index_cache
 
+    @collective(op="host.read_pinned")
     def read_pinned(
         self,
         runid: int,
@@ -499,6 +504,7 @@ class DatapathHost:
                 gate.end_read()
         return out, where[0], chunks
 
+    @collective(uniform_result=True, receivers=("f", "host", "self"))
     def close(self) -> None:
         """Collectively close every cached file handle (in name order,
         symmetric across ranks) and take this client's block stores out
@@ -508,6 +514,7 @@ class DatapathHost:
         self.caches.unregister(*self._stores)
         self.closed = True
 
+    @collective(op="host.shutdown", uniform_result=True, receivers=("self", "host"))
     def shutdown(self) -> None:
         """End the client (collective): :meth:`close`, release the pin
         (reaping what it alone held live), then audit the lease and pin
@@ -788,6 +795,7 @@ def resolve_storage_order(spec) -> StorageOrder:
 # ---------------------------------------------------------------------------
 
 
+@collective(uniform_result=True)
 def locate_instance(
     comm: Communicator,
     tables: SDMTables,
@@ -837,6 +845,7 @@ def locate_instance(
     return info
 
 
+@collective
 def read_instance(
     comm: Communicator,
     f: File,
@@ -1002,6 +1011,7 @@ def _chunk_positions(
     return pos
 
 
+@collective
 def acquire_index_blocks(
     comm: Communicator,
     f: File,
@@ -1180,6 +1190,7 @@ def _read_plan(
 # ---------------------------------------------------------------------------
 
 
+@collective
 def execute_reorganize(
     host, group_id: int, dataset: str, timestep: int,
     dtype: Primitive, global_size: int, runid: int,
@@ -1378,6 +1389,7 @@ def _compaction_plan(host, file_name: str, start: int = 0) -> Dict:
     }
 
 
+@collective(uniform_result=True)
 def compact_chunked_file(host, file_name: str) -> Dict:
     """Pack a ``.chunked`` file's live chunks.  Collective over
     ``host.comm``; returns ``{"before", "after", "moved_bytes"}``.

@@ -39,6 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.layout import history_file_name
 from repro.core.ring import LocalPartition, owned_nodes_of
 from repro.errors import SDMHistoryMismatch
@@ -74,6 +75,7 @@ class HistoryRegistration:
         self.event.wait(proc)
 
 
+@collective
 def register_history_async(
     ctx: RankContext,
     tables: SDMTables,
@@ -141,6 +143,7 @@ def register_history_async(
     return HistoryRegistration(file_name=fname, event=event)
 
 
+@collective
 def try_load_history(
     ctx: RankContext,
     tables: SDMTables,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Tuple
 
+from repro.analysis.catalog import collective
 from repro.errors import SDMLeaseConflict, SDMStateError
 from repro.metadb.schema import DEFAULT_PIN_TTL, SDMTables
 from repro.mpi.communicator import Communicator
@@ -31,6 +32,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@collective(uniform_result=True)
 def acquire_file_lease(
     comm: Communicator,
     tables: SDMTables,
@@ -126,6 +128,7 @@ class Flip:
         proc.fault_point("flip:intent")
         return self.epoch
 
+    @collective(op="flip.publish", uniform_result=True, receivers=("fl",))
     def publish(
         self,
         write_successors: Callable[[int], None],
@@ -201,6 +204,7 @@ class SnapshotPin:
         self.epoch: Optional[int] = None
         self._touched = 0.0
 
+    @collective(op="pin.take", uniform_result=True, receivers=("pin",))
     def take(self, comm: Communicator) -> None:
         """Pin the epoch current now (collective): every read through
         this pin resolves against it until :meth:`release`, whatever

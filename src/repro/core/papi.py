@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.api import SDM
 from repro.core.groups import DataGroup, DatasetAttrs
 from repro.core.layout import Organization
@@ -82,6 +83,7 @@ def SDM_associate_attributes(
     sdm.associate_attributes(attrs, **shared)
 
 
+@collective(uniform_result=True)
 def SDM_set_attributes(sdm: SDM, n: int, datalist: Sequence[DatasetAttrs]) -> DataGroup:
     """Store the datalist's metadata; returns the group handle."""
     _check_count(n, datalist)
@@ -97,6 +99,7 @@ def SDM_make_importlist(
     return sdm.make_importlist(names, file_name=file_name, index_names=index_names)
 
 
+@collective
 def SDM_import(
     sdm: SDM,
     name: str,
@@ -116,6 +119,7 @@ def SDM_partition_table(sdm: SDM, partitioning_vector: np.ndarray) -> np.ndarray
     return sdm.partition_table(partitioning_vector)
 
 
+@collective
 def SDM_partition_index(
     sdm: SDM, partitioning_vector: np.ndarray, chunk: Optional[EdgeChunk]
 ) -> LocalPartition:
@@ -133,6 +137,7 @@ def SDM_partition_data_size(sdm: SDM) -> int:
     return sdm.partition_data_size()
 
 
+@collective
 def SDM_index_registry(sdm: SDM, local: Optional[LocalPartition] = None):
     """Register the index distribution in a history file (asynchronous)."""
     return sdm.index_registry(local)
@@ -143,16 +148,19 @@ def SDM_data_view(sdm: SDM, handle: DataGroup, name: str, map_array) -> None:
     sdm.data_view(handle, name, map_array)
 
 
+@collective(uniform_result=True)
 def SDM_write(sdm: SDM, handle: DataGroup, name: str, timestep: int, buf) -> str:
     """Collectively write one dataset instance."""
     return sdm.write(handle, name, timestep, buf)
 
 
+@collective
 def SDM_read(sdm: SDM, handle: DataGroup, name: str, timestep: int, buf) -> np.ndarray:
     """Collectively read one dataset instance back."""
     return sdm.read(handle, name, timestep, buf)
 
 
+@collective(uniform_result=True)
 def SDM_reorganize(
     sdm: SDM, handle: DataGroup, name: str, timestep: int
 ) -> str:
@@ -165,6 +173,7 @@ def SDM_release_importlist(sdm: SDM, n: int = 0) -> None:
     sdm.release_importlist()
 
 
+@collective(uniform_result=True)
 def SDM_finalize(sdm: SDM, handle: Optional[DataGroup] = None, n: int = 0) -> None:
     """Close files and end the run."""
     sdm.finalize(handle)

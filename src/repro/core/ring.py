@@ -23,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.core.growable import GrowableArray
 from repro.errors import PartitionError
 from repro.mpi.job import RankContext
@@ -99,6 +100,7 @@ def owned_nodes_of(part_vector: np.ndarray, rank: int) -> np.ndarray:
     return np.flatnonzero(np.asarray(part_vector) == rank).astype(np.int64)
 
 
+@collective
 def ring_partition_index(
     ctx: RankContext,
     part_vector: np.ndarray,

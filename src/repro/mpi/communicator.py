@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.analysis.catalog import collective
 from repro.analysis.verifier import call_site, payload_signature
 from repro.errors import MPICollectiveMismatch, MPIInvalidRank
 from repro.mpi.collectives import COMPUTE_FNS, CollectiveSite
@@ -178,6 +179,7 @@ class Communicator:
             self._world(self._rank), source, tag, ctx=self.ctx_id
         )
 
+    @collective
     def ring_shift(self, obj: Any, displacement: int = 1, tag: int = 0) -> Any:
         """Pass ``obj`` to rank ``(rank+displacement) % size`` and receive from
         ``(rank-displacement) % size`` — the paper's ring-oriented exchange."""
@@ -272,43 +274,52 @@ class Communicator:
             verifier.leave(self.proc.name)
         return result
 
+    @collective(uniform_result=True)
     def barrier(self) -> None:
         """Block until every rank reaches the barrier."""
         self._rendezvous("barrier", None)
 
+    @collective(uniform_result=True, root="root")
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; returns it on every rank."""
         self._check_rank(root)
         return self._rendezvous("bcast", obj if self._rank == root else None, root=root)
 
+    @collective(root="root", uniform_shape=True, receivers=("comm",))
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         """Combine contributions; the result lands only on ``root``."""
         self._check_rank(root)
         return self._rendezvous("reduce", obj, root=root, reduce_op=op)
 
+    @collective(uniform_result=True, uniform_shape=True)
     def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Combine contributions; the result lands on every rank."""
         return self._rendezvous("allreduce", obj, reduce_op=op)
 
+    @collective(uniform_shape=True, receivers=("comm",))
     def scan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction over ranks 0..self."""
         return self._rendezvous("scan", obj, reduce_op=op)
 
+    @collective(uniform_shape=True)
     def exscan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction: rank r gets the fold of ranks 0..r-1
         (``None`` on rank 0) — the idiom for computing file offsets from
         per-rank byte counts."""
         return self._rendezvous("exscan", obj, reduce_op=op)
 
+    @collective(root="root")
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         """Root receives ``[obj_0, ..., obj_{P-1}]``; others get ``None``."""
         self._check_rank(root)
         return self._rendezvous("gather", obj, root=root)
 
+    @collective(uniform_result=True)
     def allgather(self, obj: Any) -> List[Any]:
         """Every rank receives ``[obj_0, ..., obj_{P-1}]``."""
         return self._rendezvous("allgather", obj)
 
+    @collective(root="root")
     def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
         """Root provides one object per rank; each rank gets its own."""
         self._check_rank(root)
@@ -316,10 +327,12 @@ class Communicator:
             "scatter", objs if self._rank == root else None, root=root
         )
 
+    @collective
     def alltoall(self, objs: Sequence[Any]) -> List[Any]:
         """Alias for :meth:`alltoallv` (object layer does not distinguish)."""
         return self.alltoallv(objs)
 
+    @collective
     def alltoallv(self, objs: Sequence[Any]) -> List[Any]:
         """Personalized all-to-all: ``objs[d]`` goes to rank ``d``; returns
         the list of objects every rank sent to this one, indexed by source."""
@@ -329,6 +342,7 @@ class Communicator:
     # Communicator construction (split / dup)
     # ------------------------------------------------------------------
 
+    @collective(receivers=("comm",))
     def split(self, color: Optional[int], key: int = 0) -> Optional["Communicator"]:
         """Partition this communicator by ``color`` (``MPI_Comm_split``).
 
@@ -351,6 +365,7 @@ class Communicator:
             group=group_world,
         )
 
+    @collective(receivers=("comm",))
     def dup(self) -> "Communicator":
         """Duplicate this communicator with an isolated context
         (``MPI_Comm_dup``).  Collective."""

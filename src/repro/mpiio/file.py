@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.dtypes.base import Datatype
 from repro.dtypes.primitives import BYTE
 from repro.errors import FileExists, FileNotFound, MPIIOError
@@ -85,6 +86,7 @@ class File:
     # ------------------------------------------------------------------
 
     @classmethod
+    @collective(op="File.open", uniform_result=True, receivers=("File",))
     def open(
         cls,
         comm: Communicator,
@@ -135,6 +137,7 @@ class File:
             f._pos = handle.file.size  # etype is BYTE initially
         return f
 
+    @collective(uniform_result=True, receivers=("f", "host", "self"))
     def close(self) -> None:
         """Collective close."""
         if self.closed:
@@ -234,6 +237,7 @@ class File:
     # Collective data access (two-phase)
     # ------------------------------------------------------------------
 
+    @collective
     def write_at_all(self, offset: int, buf) -> int:
         """Collective write at ``offset`` (etype units); all ranks call."""
         self._check_live()
@@ -243,6 +247,7 @@ class File:
             self.comm, self.comm.proc, self.fs, self._handle, off, ln, raw, self.hints
         )
 
+    @collective
     def read_at_all(self, offset: int, buf) -> np.ndarray:
         """Collective read at ``offset`` (etype units) into ``buf``."""
         self._check_live()
@@ -251,12 +256,14 @@ class File:
         raw[:] = self._read_coalesced(off, ln, collective=True)
         return buf
 
+    @collective
     def write_all(self, buf) -> int:
         """Collective write at the individual file pointer."""
         n = self.write_at_all(self._pos, buf)
         self._pos += len(_as_bytes(buf)) // self._view.etype.size
         return n
 
+    @collective
     def read_all(self, buf) -> np.ndarray:
         """Collective read at the individual file pointer."""
         out = self.read_at_all(self._pos, buf)
@@ -297,6 +304,7 @@ class File:
         off, ln = check_runs(offsets, lengths)
         return self._read_coalesced(off, ln, collective=False, kind=kind)
 
+    @collective
     def write_runs_at_all(self, offsets, lengths, buf) -> int:
         """Collective write of explicit byte runs; all ranks call (a rank
         with no runs passes empty arrays)."""
@@ -307,6 +315,7 @@ class File:
             _run_payload(ln, buf), self.hints,
         )
 
+    @collective
     def read_runs_at_all(self, offsets, lengths) -> np.ndarray:
         """Collective read of explicit byte runs; returns the bytes in run
         order (empty for a rank with no runs).  Nearby runs are merged at

@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.catalog import collective
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import MAX, MIN
 from repro.mpiio.hints import Hints
@@ -176,6 +177,7 @@ def _plan_domains(
     return split_runs_by_bounds(offsets, lengths, bounds)
 
 
+@collective
 def collective_write(
     comm: Communicator,
     proc: Process,
@@ -219,6 +221,7 @@ def collective_write(
     return int(lengths.sum())
 
 
+@collective
 def collective_read(
     comm: Communicator,
     proc: Process,

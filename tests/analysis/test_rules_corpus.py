@@ -343,6 +343,41 @@ def test_generic_shutdown_receiver_is_not_a_collective():
     assert rules_of(res) == []
 
 
+@pytest.mark.parametrize(
+    "call, op",
+    [
+        ("catalog.read_slice(1, 'd', 0, mine)", "catalog.read_slice"),
+        ("f.close()", "close"),
+        ("self.pin.take(comm)", "pin.take"),
+        ("SDM_write(sdm, group, 'p', 0, buf)", "SDM_write"),
+    ],
+)
+def test_rank_guarded_documented_collective_true_positive(call, op):
+    # Each of these says "Collective" in its docstring and carries a
+    # declaration at its definition.
+    res = findings_in(
+        f"""
+        def program(self, comm, catalog, f, sdm, group, mine, buf):
+            if comm.rank == 0:
+                {call}
+        """
+    )
+    assert rules_of(res) == ["rank-branch"]
+    assert res.findings[0].op == op
+
+
+def test_numpy_take_is_not_a_collective():
+    res = findings_in(
+        """
+        def program(ctx, elems, idx):
+            if ctx.comm.rank == 0:
+                elems = elems.take(idx)
+            return elems
+        """
+    )
+    assert rules_of(res) == []
+
+
 def test_numpy_reduce_is_not_a_collective():
     res = findings_in(
         """
