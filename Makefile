@@ -26,7 +26,8 @@ test: lint test-simt test-metadb
 	$(MAKE) test-faults
 
 ## simt kernel: baton-passing contract on counts (handoffs per switch,
-## one park per file-system request, golden resume order, callback
+## one park per file-system request and per two-phase aggregator's
+## access phase, golden resume order, callback
 ## failures), primitives (serve against the request/hold loop it
 ## replaces), fault points, the file system's walk exactness (one park,
 ## today's float sum, queue wait in closed form) and the job-level
@@ -73,7 +74,8 @@ test-metadb:
 
 ## the I/O stack under core, bottom up: datatype flattening, the file
 ## system (byte store, striping, the run-list kernels), MPI-IO (views,
-## sieving, two-phase, the coalesced-read pipeline)
+## sieving, two-phase — its one-walk access phase held to the
+## per-request loop it replaced — the coalesced-read pipeline)
 test-iostack:
 	$(PYTHON) -m pytest tests/dtypes tests/pfs tests/mpiio -q
 

@@ -9,19 +9,25 @@ phases instead of thousands of tiny independent requests:
    ships ``(offsets, lengths, data)`` segments to the owning aggregators
    with one ``alltoallv``.
 2. **Access** — each aggregator coalesces the segments it received into
-   maximal contiguous *union runs* and accesses the file system in at most
+   maximal contiguous *union runs* — laid end to end, they are its
+   scratch buffer — and accesses the file system in at most
    ``cb_buffer_size``-byte requests, each a streaming transfer.  Requests
    are scheduled striping-aware (:mod:`repro.pfs.scheduler`): every batch
    targets a single controller, and aggregators stagger their starting
    controller by rank so a collective drives all controllers concurrently.
    The access phase is planned once per aggregation, not per controller,
-   batch or domain: its host cost is numpy calls, not the bytes they move.
+   batch or domain, and served as one walk
+   (:meth:`~repro.pfs.filesystem.FileSystem.serve_plan`): the aggregator
+   parks once for all its requests, and its bytes move once, scratch to
+   file (or back) with one ``writev`` / ``readv`` when the walk ends.  Its
+   host cost is numpy calls, not the bytes they move.
 
 Writes resolve overlapping segments deterministically: segments are applied
 in source-rank order, so the highest writing rank wins byte-wise (matters
 for SDM's ghost-inclusive map arrays, where overlapping values are equal
 anyway).  Reads are the mirror image with a second ``alltoallv`` returning
-data.
+data.  Zero-length runs are dropped before planning: they move no bytes,
+and one far away would stretch the global range the domains split.
 
 All data movement is real numpy traffic; all timing (exchange cost,
 aggregator memcpy, controller contention) comes from the machine model.
@@ -117,40 +123,35 @@ class _Aggregation:
         self.offsets, self.lengths, _ = coalesce_runs(
             self.seg_off[order], self.seg_len[order]
         )
-        self._start = np.cumsum(self.lengths) - self.lengths
         self.nbytes = int(self.lengths.sum())
-
-    def _scratch(self, offsets: np.ndarray) -> np.ndarray:
-        """Scratch position of the first byte of each given file run
-        (each inside one union run)."""
-        k = np.searchsorted(self.offsets, offsets, side="right") - 1
-        return self._start[k] + (offsets - self.offsets[k])
 
     def segment_runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """The received segments as runs of the scratch buffer,
-        source-rank order."""
-        return self._scratch(self.seg_off), self.seg_len
+        source-rank order (each segment lies inside one union run)."""
+        start = np.cumsum(self.lengths) - self.lengths
+        k = np.searchsorted(self.offsets, self.seg_off, side="right") - 1
+        return start[k] + (self.seg_off - self.offsets[k]), self.seg_len
 
-    def batches(self, comm: Communicator, handle: PFSHandle, hints: Hints):
-        """Striping-aware access plan: ``(controller, offsets, lengths,
-        scratch offsets)`` single-controller requests of at most
+    def access(
+        self, comm: Communicator, proc: Process, fs: FileSystem,
+        handle: PFSHandle, hints: Hints,
+        scratch: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """Write ``scratch`` to the union runs, or read and return it.
+
+        The striping-aware plan — single-controller requests of at most
         ``cb_buffer_size`` bytes, staggered by rank so concurrent
-        aggregators start on disjoint controller queues.  Batches are
-        arbitrary sub-runs of the union, so each addresses its scratch
-        bytes as a run list of its own (same lengths) instead of a
-        sequential cursor.  The plan and every run's scratch start are
-        resolved once per aggregation; nothing is expanded here — the
-        move kernels copy a one-run batch as a slice and index the rest by
-        the element, one request at a time."""
+        aggregators start on disjoint controller queues — is made once per
+        aggregation and served as one walk; the scratch buffer moves as
+        one run list, never batch by batch."""
         layout = handle.file.layout
-        ctls, off, ln, bounds = controller_batches(
+        plan = controller_batches(
             layout, self.offsets, self.lengths, hints.cb_buffer_size,
             start=comm.rank % layout.n_controllers,
         )
-        at = self._scratch(off)
-        bounds = bounds.tolist()
-        for ctl, a, b in zip(ctls.tolist(), bounds[:-1], bounds[1:]):
-            yield ctl, off[a:b], ln[a:b], at[a:b]
+        return fs.serve_plan(
+            proc, handle, plan, self.offsets, self.lengths, scratch
+        )
 
 
 def _plan_domains(
@@ -164,8 +165,11 @@ def _plan_domains(
     range, cut it into aggregator file domains (domain ``d`` belongs to
     rank ``d``), clip this rank's runs to each.  Returns the per-domain
     pieces, or ``None`` (after a barrier) when no rank has any bytes."""
+    fs.runs_submitted += len(offsets)
+    keep = lengths > 0  # the rule sieving applies (see module docstring)
+    if not keep.all():
+        offsets, lengths = offsets[keep], lengths[keep]
     n = len(offsets)
-    fs.runs_submitted += n
     glo = comm.allreduce(int(offsets[0]) if n else _NO_OFFSET, op=MIN)
     ghi = comm.allreduce(int(offsets[-1] + lengths[-1]) if n else -1, op=MAX)
     if ghi <= glo:
@@ -214,9 +218,7 @@ def collective_write(
         # src-rank order: highest rank wins overlaps
         scatter_runs(scratch, *agg.segment_runs(), seg_data)
         proc.hold(fs.machine.compute.copy_time(len(seg_data)))
-        for ctl, b_off, b_len, b_at in agg.batches(comm, handle, hints):
-            fs.write(proc, handle, b_off, b_len,
-                     gather_runs(scratch, b_at, b_len), controller=ctl)
+        agg.access(comm, proc, fs, handle, hints, scratch)
     comm.barrier()
     return int(lengths.sum())
 
@@ -247,10 +249,7 @@ def collective_read(
     entries = [e for e in recv if e is not None]
     if entries:  # this rank is an aggregator with segments to serve
         agg = _Aggregation(entries)
-        scratch = np.empty(agg.nbytes, dtype=np.uint8)
-        for ctl, b_off, b_len, b_at in agg.batches(comm, handle, hints):
-            scatter_runs(scratch, b_at, b_len,
-                         fs.read(proc, handle, b_off, b_len, controller=ctl))
+        scratch = agg.access(comm, proc, fs, handle, hints)
         # all requested bytes, src-rank order
         gathered = gather_runs(scratch, *agg.segment_runs())
         proc.hold(fs.machine.compute.copy_time(len(gathered)))

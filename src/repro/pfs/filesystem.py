@@ -7,21 +7,25 @@ calling :class:`~repro.simt.Process` so it can charge virtual time:
 * **metadata ops** (create, open, stat, unlink) hold the metadata server
   (a capacity-limited FIFO resource) for a fixed cost — 64 ranks opening the
   same file queue up, which is exactly the level-1 penalty of the paper;
-* **data ops** (:meth:`read` / :meth:`write`) stream through the
-  per-controller queues for a total of ``request_overhead +
-  runs·run_overhead + bytes/stream_bandwidth``: a scheduled request
-  (explicit ``controller=``) holds its one controller for the whole
-  service, an unscheduled one walks its stripe pieces controller by
-  controller — so one stream never exceeds stream bandwidth while
-  aggregate bandwidth saturates at ``n_controllers`` concurrent streams.
+* **data ops** stream through the per-controller queues for a total of
+  ``request_overhead + runs·run_overhead + bytes/stream_bandwidth`` per
+  request.  An independent request (:meth:`read` / :meth:`write`) walks
+  its stripe pieces controller by controller — so one stream never
+  exceeds stream bandwidth while aggregate bandwidth saturates at
+  ``n_controllers`` concurrent streams.  A two-phase aggregator's access
+  phase (:meth:`serve_plan`) is the scheduler's single-controller
+  batches, one request each, each holding its controller for the whole
+  service.
 
 Every charge is one :func:`~repro.simt.primitives.serve` walk: the caller
-parks once per request however many queues it visits, and the queue steps
-run as kernel callbacks it owns.  The virtual seconds those visits spend
-queued (controllers and MDS alike) add up in ``queue_wait_s``.
+parks once per independent request, once per metadata op and once per
+aggregator access phase however many queues it visits, and the queue
+steps run as kernel callbacks it owns.  The virtual seconds those visits
+spend queued (controllers and MDS alike) add up in ``queue_wait_s``.
 
 Data is real: writes land in the file's :class:`ByteStore`, reads come back
-out, run lists included.
+out, run lists included — an aggregator's whole file domain with one
+``writev`` / ``readv`` when its walk ends.
 """
 
 from __future__ import annotations
@@ -52,11 +56,10 @@ class FileSystem:
         self.sim = sim
         self.machine = machine
         self._files: Dict[str, PFSFile] = {}
-        # One stream slot per I/O controller: a request queues at the
-        # controller serving its first byte, so requests landing on
-        # distinct controllers proceed concurrently while same-controller
-        # requests serialize — the contention the striping-aware run
-        # scheduler (repro.pfs.scheduler) exists to spread.
+        # One stream slot per I/O controller: streams on distinct
+        # controllers proceed concurrently while same-controller visits
+        # serialize — the contention the striping-aware run scheduler
+        # (repro.pfs.scheduler) exists to spread.
         self.controllers = [
             Resource(sim, capacity=1, name=f"pfs-ctl{i}")
             for i in range(machine.storage.n_controllers)
@@ -146,6 +149,9 @@ class FileSystem:
         waited = serve(proc, visits, lead)
         self.queue_wait_s += waited
 
+    def _add_queue_wait(self, seconds: float) -> None:
+        self.queue_wait_s += seconds
+
     def _charge_metadata(self, proc: Process, cost: float) -> None:
         self._walk(proc, [(self.metadata_server, cost)])
 
@@ -219,22 +225,20 @@ class FileSystem:
 
     def _serve(
         self, proc: Process, handle: PFSHandle, offsets, lengths,
-        nbytes: int, controller: Optional[int], *, write: bool,
+        *, write: bool,
     ) -> List[int]:
-        """Charge one request's controller time; returns the controllers
-        it visited, in order (what a trace record is made from).
+        """Charge one independent request's controller time; returns the
+        controllers it visited, in order (what a trace record is made
+        from).
 
-        A *scheduled* request (the striping-aware scheduler emits
-        single-controller batches) queues at its chosen controller for
-        the full stream time.  An *unscheduled* request is walked stripe
-        piece by stripe piece: the fixed per-request overhead is charged
-        client-side, then the stream holds each controller its bytes
-        land on, in file order, for exactly that visit's transfer time.
-        A lone stream therefore still totals ``request_overhead +
-        runs·run_overhead + nbytes/bandwidth`` — one stream never
-        exceeds stream bandwidth — but concurrent streams pipeline
-        through the controller array (while one is on controller *c*,
-        another streams on *c+1*) instead of serializing behind
+        The request is walked stripe piece by stripe piece: the fixed
+        per-request overhead is charged client-side, then the stream holds
+        each controller its bytes land on, in file order, for exactly that
+        visit's transfer time.  A lone stream therefore still totals
+        ``request_overhead + runs·run_overhead + nbytes/bandwidth`` — one
+        stream never exceeds stream bandwidth — but concurrent streams
+        pipeline through the controller array (while one is on controller
+        *c*, another streams on *c+1*) instead of serializing behind
         whichever queue owns their first byte.  Without the walk, every
         rank of an independent-I/O phase would queue at controller 0 —
         aligned region starts all map there — and aggregate bandwidth
@@ -243,20 +247,13 @@ class FileSystem:
         The walk groups consecutive stripe pieces by *controller*; it is
         not a run merge (:func:`repro.pfs.runlist.coalesce_runs`) —
         same-controller pieces need not abut in the file, and only each
-        visit's byte total is wanted.
-
-        Either way the request is one :func:`~repro.simt.primitives.serve`
-        call (the unscheduled overhead is its ``lead``), so the caller
-        parks once per request, not once per queue and hold.
+        visit's byte total is wanted.  It is one
+        :func:`~repro.simt.primitives.serve` call (the overhead is its
+        ``lead``), so the caller parks once per request, not once per
+        queue and hold.
         """
         storage = self.machine.storage
-        runs = len(offsets)
-        if controller is not None:
-            ctl = controller % len(self.controllers)
-            service = storage.stream_time(nbytes, write=write, runs=runs)
-            self._walk(proc, [(self.controllers[ctl], service)])
-            return [ctl]
-        lead = storage.stream_time(0, write=write, runs=runs)
+        lead = storage.stream_time(0, write=write, runs=len(offsets))
         _, plen, pctl = split_runs_by_stripe(
             handle.file.layout, offsets, lengths
         )
@@ -298,22 +295,19 @@ class FileSystem:
 
     def write(
         self, proc: Process, handle: PFSHandle, offsets, lengths, data,
-        *, controller: Optional[int] = None,
     ) -> int:
-        """One write request over a run list; returns bytes written.
+        """One independent write request over a run list; returns bytes
+        written.
 
-        Holds one controller stream for the modelled service time, then
-        lands the real bytes.  ``data`` is contiguous and must match the
-        run total.  The request queues at the controller serving its first
-        byte unless the caller (the striping-aware scheduler) picked one.
+        Walks the controllers its stripe pieces land on for the modelled
+        service time, then lands the real bytes.  ``data`` is contiguous
+        and must match the run total.
         """
         handle.check_writable()
         offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))
         lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
         nbytes = int(lengths.sum())
-        visits = self._serve(
-            proc, handle, offsets, lengths, nbytes, controller, write=True
-        )
+        visits = self._serve(proc, handle, offsets, lengths, write=True)
         handle.file.store.writev(offsets, lengths, data)
         handle.file.mtime = self.sim.now
         self.bytes_written += nbytes
@@ -326,9 +320,10 @@ class FileSystem:
 
     def read(
         self, proc: Process, handle: PFSHandle, offsets, lengths,
-        *, controller: Optional[int] = None, kind: str = "data",
+        *, kind: str = "data",
     ) -> np.ndarray:
-        """One read request over a run list; returns the gathered bytes.
+        """One independent read request over a run list; returns the
+        gathered bytes.
 
         ``kind`` splits the traffic counters: ``"index"`` for chunked
         index-block fetches, ``"data"`` (default) for everything else.
@@ -337,9 +332,7 @@ class FileSystem:
         offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))
         lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
         nbytes = int(lengths.sum())
-        visits = self._serve(
-            proc, handle, offsets, lengths, nbytes, controller, write=False
-        )
+        visits = self._serve(proc, handle, offsets, lengths, write=False)
         self.bytes_read += nbytes
         if kind == "index":
             self.index_bytes_read += nbytes
@@ -351,6 +344,68 @@ class FileSystem:
             proc, "pfs.read", handle, nbytes, len(offsets), visits
         )
         return handle.file.store.readv(offsets, lengths)
+
+    def serve_plan(
+        self, proc: Process, handle: PFSHandle, plan, offsets, lengths,
+        scratch: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """A two-phase aggregator's access phase: one request per batch of
+        ``plan``, all charged as one walk, the bytes moved once.
+
+        ``(offsets, lengths)`` are the aggregation's union runs (sorted,
+        disjoint); laid end to end they are the scratch buffer.  ``plan``
+        is their :func:`~repro.pfs.scheduler.controller_batches` flat plan
+        ``(controllers, offsets, lengths, bounds)``.  With ``scratch`` the
+        union runs are written from it (one ``writev``) and ``None`` is
+        returned; without, they are read (one ``readv``) and returned as
+        the scratch buffer.
+
+        Batch ``b`` is one request: a visit holding ``controllers[b]`` for
+        its stream time, in plan order, and one request's worth of every
+        counter and (trace on) one ``pfs.read`` / ``pfs.write`` record,
+        stamped at the walk's end.  A walk of k visits pushes exactly the
+        events of k back-to-back one-visit requests, and each visit's
+        queue wait is added as the visit ends, so the clock, the event
+        order and every counter are those of issuing the batches one by
+        one.  What differs is when the bytes move: the whole file domain
+        lands (or is read) when the walk ends, as ``mtime`` is set.
+        """
+        ctls, _, blen, bounds = plan
+        write = scratch is not None
+        if write:
+            handle.check_writable()
+        else:
+            handle.check_readable()
+        if len(ctls) == 0:  # nothing but empty runs
+            return None if write else np.empty(0, dtype=np.uint8)
+        rows = list(zip(  # (controller, bytes, runs) per batch
+            ctls.tolist(), np.add.reduceat(blen, bounds[:-1]).tolist(),
+            np.diff(bounds).tolist(),
+        ))
+        storage = self.machine.storage
+        serve(proc, [
+            (self.controllers[ctl],
+             storage.stream_time(nbytes, write=write, runs=nruns))
+            for ctl, nbytes, nruns in rows
+        ], on_wait=self._add_queue_wait)
+        total = int(blen.sum())
+        store = handle.file.store
+        out = None
+        if write:
+            store.writev(offsets, lengths, scratch)
+            handle.file.mtime = self.sim.now
+            self.bytes_written += total
+        else:
+            out = store.readv(offsets, lengths)
+            self.bytes_read += total
+            self.data_bytes_read += total
+        self.n_requests += len(rows)
+        self.runs_serviced += len(blen)
+        if self.sim.trace.enabled:
+            label = "pfs.write" if write else "pfs.read"
+            for ctl, nbytes, nruns in rows:
+                self._trace_request(proc, label, handle, nbytes, nruns, [ctl])
+        return out
 
     def write_at(self, proc: Process, handle: PFSHandle, offset: int, data) -> int:
         """Contiguous-write convenience."""

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import SimError
 from repro.simt.process import Process
@@ -166,9 +168,13 @@ class _Walk:
     """One :func:`serve` call in flight: its owner is parked, and each step
     below runs as a callback the owner owns."""
 
-    __slots__ = ("proc", "sim", "visits", "i", "holding", "arrived", "waited")
+    __slots__ = ("proc", "sim", "visits", "i", "holding", "arrived", "waited",
+                 "visit_waited", "on_wait")
 
-    def __init__(self, proc: Process, visits: Sequence[Visit]) -> None:
+    def __init__(
+        self, proc: Process, visits: Sequence[Visit],
+        on_wait: Optional[Callable[[float], None]],
+    ) -> None:
         self.proc = proc
         self.sim = proc.sim
         self.visits = visits
@@ -178,11 +184,15 @@ class _Walk:
         self.arrived = 0.0
         self.waited = 0.0
         """Virtual seconds spent queued, summed over the visits."""
+        self.visit_waited = 0.0
+        """Virtual seconds the current visit spent queued."""
+        self.on_wait = on_wait
 
     def arrive(self) -> None:
         """Queue at the current visit's resource: take a free grant at
         once, or wait FIFO for :meth:`Resource.release` to hand one over."""
         res = self.visits[self.i][0]
+        self.visit_waited = 0.0
         if res._available > 0:
             res._available -= 1
             self.hold()
@@ -192,7 +202,8 @@ class _Walk:
 
     def granted(self) -> None:
         """A releaser handed this walk its grant."""
-        self.waited += self.sim.now - self.arrived
+        self.visit_waited = self.sim.now - self.arrived
+        self.waited += self.visit_waited
         self.hold()
 
     def hold(self) -> None:
@@ -209,12 +220,15 @@ class _Walk:
         """Release the grant and move on to the next visit."""
         res, self.holding = self.holding, None
         res.release()
+        if self.on_wait is not None:
+            self.on_wait(self.visit_waited)
         self.i += 1
         self.arrive()
 
 
 def serve(
     proc: Process, visits: Sequence[Visit], lead: Optional[float] = None,
+    on_wait: Optional[Callable[[float], None]] = None,
 ) -> float:
     """Hold ``lead`` seconds if given, then visit each ``(resource,
     seconds)`` in order — queue FIFO, hold the grant that long, release
@@ -237,6 +251,11 @@ def serve(
     on its own thread when it resumes — or, unwound from its park instead
     (killed when the run ends, or already crashed), whichever grant it
     holds, as the loop's ``with`` would.  Every duration must be ``>= 0``.
+
+    ``on_wait``, if given, is called with each visit's queued seconds as
+    that visit ends (the last one's when the owner resumes): the moments a
+    loop of one-visit walks would add them to a running total, so a total
+    kept that way sums in the loop's order, float for float.
     """
     for seconds in [s for _res, s in visits] + ([] if lead is None else [lead]):
         if not seconds >= 0:
@@ -245,7 +264,7 @@ def serve(
         if lead is not None:
             proc.hold(lead)
         return 0.0
-    walk = _Walk(proc, visits)
+    walk = _Walk(proc, visits, on_wait)
     if lead is None:
         walk.arrive()
     else:
@@ -255,6 +274,8 @@ def serve(
     finally:
         if walk.holding is not None:
             walk.holding.release()
+    if on_wait is not None:
+        on_wait(walk.visit_waited)
     return walk.waited
 
 

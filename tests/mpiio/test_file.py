@@ -399,6 +399,35 @@ def test_zero_length_run_does_not_extend_the_file(mode, collective):
     assert fs.bytes_read == (8 if mode == MODE_RDWR else 0)
 
 
+def test_zero_length_run_does_not_stretch_the_two_phase_domains():
+    """4 ranks, 8 stripe-sized runs each, interleaved: one extra empty run
+    at 1e9 on rank 0 must not widen the range the file domains split —
+    same requests, same clock, same bytes as without it."""
+    def job(empty):
+        def program(ctx):
+            stripe = ctx.machine.storage.stripe_size
+            off = (np.arange(8) * 4 + ctx.rank) * stripe
+            ln = np.full(8, stripe)
+            if empty and ctx.rank == 0:
+                off, ln = np.append(off, 10**9), np.append(ln, 0)
+            f = File.open(ctx.comm, ctx.service("fs"), "e.dat",
+                          MODE_CREATE | MODE_RDWR)
+            f.write_runs_at_all(off, ln, np.full(8 * stripe, ctx.rank + 1,
+                                                 dtype=np.uint8))
+            back = f.read_runs_at_all(off, ln)
+            f.close()
+            return back.tolist()
+
+        result = run(program, 4)
+        fs = result.services["fs"]
+        return (result.sim.now, fs.n_requests, fs.lookup("e.dat").size,
+                result.values)
+
+    plain = job(empty=False)
+    assert plain[1] == 2 * 4 * 4  # (write + read) x 4 aggregators x 4 ctls
+    assert job(empty=True) == plain
+
+
 def test_collective_write_scratch_is_covered_by_its_segments(monkeypatch):
     """The aggregator's scratch buffer is allocated uninitialised: the
     union runs are the union of the segments, so every scratch byte is

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import fast_test
 from repro.mpiio.twophase import (
     _Aggregation,
     file_domain_bounds,
     split_runs_by_bounds,
 )
-from repro.pfs import StripeLayout
+from repro.pfs import FileSystem, StripeLayout
+from repro.pfs.file import RDWR
 from repro.pfs.scheduler import controller_batches
+from repro.simt import Simulator, Trace
 
 
 def _runs(spec):
@@ -179,7 +182,7 @@ def test_split_no_runs_gives_every_domain_an_empty_piece():
 
 
 # ---------------------------------------------------------------------------
-# _Aggregation.batches: scratch addressing of the access plan
+# _Aggregation.access: the charged plan and the scratch layout
 # ---------------------------------------------------------------------------
 
 def _segment(offsets, lengths):
@@ -197,9 +200,12 @@ def _byte_index(offsets, lengths):
 @pytest.mark.parametrize("rank", [0, 1, 5])
 @pytest.mark.parametrize("cap", [7, 64, 10_000])
 def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
-    """Overlapping segments from three sources: the batches' scratch
-    runs, expanded, are a permutation of ``range(nbytes)``, and each
-    batch's scratch bytes are exactly its file bytes."""
+    """Overlapping segments from three sources, written from and read
+    back into scratch: the charged requests — (controller, bytes, runs)
+    per batch, in order — are ``controller_batches``' flat plan; each
+    batch lies on its controller within ``cap``; and the union runs lay
+    scratch end to end, so every scratch byte lands on exactly its file
+    byte and nowhere else."""
     agg = _Aggregation([
         _segment([0, 40, 100], [30, 20, 50]),
         _segment([20, 55, 300], [25, 10, 70]),  # overlaps source 0 twice
@@ -207,22 +213,42 @@ def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     ])
     assert agg.offsets.tolist() == [0, 100, 300]
     assert agg.lengths.tolist() == [65, 60, 70]
+    machine = fast_test().with_storage(stripe_size=16, n_controllers=3)
     layout = StripeLayout(stripe_size=16, n_controllers=3)
+    ctls, off, ln, bounds = controller_batches(
+        layout, agg.offsets, agg.lengths, cap, start=rank % 3
+    )
+    plan = []
+    for ctl, a, b in zip(ctls.tolist(), bounds[:-1], bounds[1:]):
+        want = _byte_index(off[a:b], ln[a:b])
+        assert len(want) <= cap
+        assert {layout.controller_of(int(x)) for x in want} == {ctl}
+        plan.append((ctl, int(ln[a:b].sum()), int(b - a)))
+    scratch = (np.arange(agg.nbytes) + 1).astype(np.uint8)  # no zero byte
+    comm = SimpleNamespace(rank=rank)
+    hints = SimpleNamespace(cb_buffer_size=cap)
+
+    def fn(proc, fs):
+        h = fs.open(proc, "agg.dat", RDWR, create=True)
+        assert agg.access(comm, proc, fs, h, hints, scratch) is None
+        return agg.access(comm, proc, fs, h, hints)
+
+    sim = Simulator(trace=Trace(enabled=True))
+    fs = FileSystem(sim, machine)
+    p = sim.spawn(fn, fs)
+    sim.run()
+    for label in ("pfs.write", "pfs.read"):
+        charged = [(r.data["ctl"], r.data["bytes"], r.data["runs"])
+                   for r in sim.trace.by_label(label)]
+        assert charged == plan
+    assert fs.n_requests == 2 * len(plan)
+    assert fs.runs_serviced == 2 * len(ln)
     # scratch holds the union runs end to end: scratch[i] = file byte
     file_byte = _byte_index(agg.offsets, agg.lengths)
-    seen = []
-    for ctl, b_off, b_len, b_at in agg.batches(
-        SimpleNamespace(rank=rank),
-        SimpleNamespace(file=SimpleNamespace(layout=layout)),
-        SimpleNamespace(cb_buffer_size=cap),
-    ):
-        bidx = _byte_index(b_at, b_len)  # what the move kernels address
-        assert int(b_len.sum()) == len(bidx) <= cap
-        want = _byte_index(b_off, b_len)
-        assert file_byte[bidx].tolist() == want.tolist()
-        assert {layout.controller_of(int(b)) for b in want} == {ctl}
-        seen.extend(bidx.tolist())
-    assert sorted(seen) == list(range(agg.nbytes))
+    stored = fs.lookup("agg.dat").store.read(0, 400)
+    assert stored[file_byte].tolist() == scratch.tolist()
+    assert np.count_nonzero(stored) == agg.nbytes  # and nothing else
+    assert p.result.tolist() == scratch.tolist()
     # the segments address the same scratch: 3 sources, overlaps included
     assert file_byte[_byte_index(*agg.segment_runs())].tolist() == \
         _byte_index(agg.seg_off, agg.seg_len).tolist()

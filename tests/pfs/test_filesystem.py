@@ -273,7 +273,10 @@ def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
         fs.stat(proc, f"q{i}.dat")
         proc.hold(2.0 - proc.now)
         marks.setdefault("write", fs.stats()["queue_wait_s"])
-        fs.write(proc, h, [0], [n], np.zeros(n, dtype=np.uint8), controller=0)
+        # one batch on controller 0: one scheduled request of n bytes
+        plan = (np.array([0]), np.array([0]), np.array([n]), np.array([0, 1]))
+        fs.serve_plan(proc, h, plan, np.array([0]), np.array([n]),
+                      np.zeros(n, dtype=np.uint8))
 
     sim = Simulator()
     fs = FileSystem(sim, machine)

@@ -217,12 +217,13 @@ def _check_roundtrip(job, disp):
 
 @pytest.fixture
 def aggregations(monkeypatch):
+    """``(bytes, union runs)`` of every aggregation, as it is made."""
     made = []
     init = twophase._Aggregation.__init__
 
     def counting(self, entries):
         init(self, entries)
-        made.append(self.nbytes)
+        made.append((self.nbytes, len(self.offsets)))
 
     monkeypatch.setattr(twophase._Aggregation, "__init__", counting)
     return made
@@ -233,12 +234,13 @@ def test_collective_of_double_runs_indexes_elements_not_bytes(
     """An aggregation of ``n`` one-element DOUBLE runs materialises ``n``
     index entries — one per element, for its segments — where the byte
     index took ``8 n`` for the segments and ``8 n`` again for the
-    batches; and its batches, one contiguous run each (the union of the
-    interleaved segments is solid), materialise none."""
+    batches; and its move between scratch and file, one union run (the
+    union of the interleaved segments is solid) in one ``writev`` /
+    ``readv``, materialises none."""
     job = _interleaved_roundtrip(disp=0)
     _check_roundtrip(job, 0)
     # 4 aggregators x (write + read), one stripe of the file each
-    assert aggregations == [PER_RANK * 8] * 8
+    assert aggregations == [(PER_RANK * 8, 1)] * 8
     # one index per aggregation and nothing else: not per batch, not in
     # the byte store, not in the (lossless) read's extraction
     assert index_entries == [PER_RANK] * 8
@@ -251,5 +253,6 @@ def test_collective_through_an_odd_displacement_falls_back_to_bytes(
     same."""
     job = _interleaved_roundtrip(disp=1)
     _check_roundtrip(job, 1)
-    assert sum(aggregations) == 2 * 4 * PER_RANK * 8
-    assert sum(index_entries) == sum(aggregations)
+    nbytes = [n for n, _ in aggregations]
+    assert sum(nbytes) == 2 * 4 * PER_RANK * 8
+    assert sum(index_entries) == sum(nbytes)

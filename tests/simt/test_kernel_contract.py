@@ -3,9 +3,10 @@
 Exactly one thread holds the baton; a parking thread dispatches the next
 event itself.  These tests hold the kernel to what that promises — how
 many cross-thread wake-ups a run costs (:attr:`Simulator.handoffs`), how
-many parks a file-system request costs its caller, the resume order of a
-scenario recorded before the scheduler thread was removed, and where a
-raising callback ends up — never to a clock.
+many parks a file-system request or a two-phase aggregator's whole access
+phase costs its caller, the resume order of a scenario recorded before
+the scheduler thread was removed, and where a raising callback ends up —
+never to a clock.
 """
 
 import sys
@@ -16,8 +17,10 @@ import pytest
 
 from repro.config import origin2000
 from repro.pfs import FileSystem
-from repro.pfs.file import WR
+from repro.pfs.file import RDWR, WR
+from repro.pfs.scheduler import controller_batches
 from repro.simt import Channel, Resource, Simulator
+from serve_plan_reference import reference_serve_plan
 
 
 def reaped(sim):
@@ -187,6 +190,58 @@ def test_file_system_request_parks_its_caller_once():
     assert fs.queue_wait_s > 0  # they did contend
     # A wake-up is main's first, or one per park or process exit at most.
     assert sim.handoffs <= 1 + sum(parks.values()) + len(procs)
+    assert reaped(sim)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("serve_plan, parks_per_access", [
+    (FileSystem.serve_plan, lambda k: 1),
+    (reference_serve_plan, lambda k: k),
+], ids=["one-walk", "per-request"])
+def test_aggregation_of_k_batches_parks_its_caller_once(
+        k, serve_plan, parks_per_access):
+    """An aggregator's write and read of ``k`` single-stripe batches, each
+    on its own controller: one park each, however many batches — the
+    per-request loop it replaced parks once per batch — for the same
+    requests and the same clock."""
+    machine = origin2000()
+    stripe = machine.storage.stripe_size
+    offsets = np.array([0], dtype=np.int64)  # one union run, k stripes
+    lengths = np.array([k * stripe], dtype=np.int64)
+    parks = {"agg": 0}
+
+    def aggregator(proc, fs):
+        h = fs.open(proc, "agg.dat", RDWR, create=True)
+        plan = controller_batches(h.file.layout, offsets, lengths, stripe)
+        assert len(plan[0]) == k
+        scratch = np.full(k * stripe, 7, dtype=np.uint8)
+        before = parks["agg"]
+        serve_plan(fs, proc, h, plan, offsets, lengths, scratch)
+        wrote = parks["agg"] - before
+        back = serve_plan(fs, proc, h, plan, offsets, lengths)
+        assert back.tolist() == scratch.tolist()
+        return wrote, parks["agg"] - before - wrote, proc.now
+
+    sim = Simulator()
+    fs = FileSystem(sim, machine)
+    proc = sim.spawn(aggregator, fs, name="agg")
+    inner = proc._park
+
+    def counted(reason):
+        parks["agg"] += 1
+        return inner(reason)
+
+    proc._park = counted
+    sim.run()
+    wrote, read, end = proc.result
+    assert (wrote, read) == (parks_per_access(k),) * 2
+    assert fs.n_requests == 2 * k
+    storage = machine.storage
+    expected = storage.metadata_op_cost + storage.file_open_cost  # MDS
+    for write in (True, False):
+        for _ in range(k):
+            expected += storage.stream_time(stripe, write=write)
+    assert end == expected
     assert reaped(sim)
 
 

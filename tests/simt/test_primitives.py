@@ -302,6 +302,52 @@ def test_serve_is_the_request_hold_loop_for_one_park(
     assert set(parks) <= {1}
 
 
+def serve_visit_waits(proc, visits, lead=None):
+    """:func:`serve` reporting through ``on_wait``: ``(time, seconds)``
+    of each visit's queue wait, taken when it is reported."""
+    got = []
+    serve(proc, visits, lead,
+          on_wait=lambda seconds: got.append((proc.sim.now, seconds)))
+    return got
+
+
+def reference_visit_waits(proc, visits, lead=None):
+    """The loop's ``(time, seconds)`` per visit, at the end of its hold."""
+    got = []
+    if lead is not None:
+        proc.hold(lead)
+    for res, seconds in visits:
+        t0 = proc.now
+        with res.request(proc):
+            waited = proc.now - t0
+            proc.hold(seconds)
+        got.append((proc.now, waited))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    capacities=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    programs=st.lists(st.tuples(st.booleans(), steps),
+                      min_size=2, max_size=6),
+)
+def test_serve_reports_each_visit_wait_as_the_visit_ends(
+    capacities, programs
+):
+    """``on_wait`` gets every visit's queue wait at the instant the loop
+    would have it — the end of that visit — and the walk is unchanged."""
+    programs = [(daemon and k > 0, s) for k, (daemon, s) in
+                enumerate(programs)]
+    log, now, seq, waits, parks = run_walks(
+        serve_visit_waits, capacities, programs
+    )
+    ref_log, ref_now, ref_seq, ref_waits, _ = run_walks(
+        reference_visit_waits, capacities, programs
+    )
+    assert (log, now, seq, waits) == (ref_log, ref_now, ref_seq, ref_waits)
+    assert set(parks) <= {1}
+
+
 @pytest.mark.parametrize("walk", [serve, reference_walk])
 def test_daemon_mid_walk_dies_when_the_last_process_ends(walk):
     """The daemon is between two visits at 1.5, when ``p1`` ends: its walk
