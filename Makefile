@@ -75,7 +75,8 @@ test-metadb:
 ## the I/O stack under core, bottom up: datatype flattening, the file
 ## system (byte store, striping, the run-list kernels), MPI-IO (views,
 ## sieving, two-phase — its one-walk access phase held to the
-## per-request loop it replaced — the coalesced-read pipeline)
+## per-request loop it replaced, its span and packed scratch layouts to
+## each other — the coalesced-read pipeline)
 test-iostack:
 	$(PYTHON) -m pytest tests/dtypes tests/pfs tests/mpiio -q
 
@@ -143,11 +144,15 @@ bench-collective:
 ## host's speed cancels (bulk DOUBLE runs >= 2.5x faster, small request
 ## lists <= 1.5x slower); then the resolve-once memos the same way
 ## (applying a kept chunked read plan >= 3x faster than resolving it, a
-## FileView over a memoised filetype >= 10x faster than over a fresh one)
+## FileView over a memoised filetype >= 10x faster than over a fresh one);
+## then a two-phase aggregation's span layout against the packed one
+## (build plus move >= 2x faster on bulk_datapath's shape, <= 1.1x slower
+## on the workloads' small shapes)
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
 	$(PYTHON) benchmarks/perfcheck_plans.py
+	$(PYTHON) benchmarks/perfcheck_aggregation.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

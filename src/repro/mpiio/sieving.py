@@ -74,7 +74,8 @@ def _nonempty(
     """The runs that move bytes.  An empty run inside a sieving group
     would stretch the group's covering extent to reach it: read-modify-
     write would grow the file to its offset, and a read would fetch the
-    hole before it."""
+    hole before it; on the write-only fallback it would be a request of
+    its own."""
     keep = lengths > 0
     if keep.all():
         return offsets, lengths
@@ -135,13 +136,13 @@ def independent_write(
     """
     fs.runs_submitted += len(offsets)
     data = np.asarray(data).reshape(-1).view(np.uint8)
+    offsets, lengths = _nonempty(offsets, lengths)  # on both paths
     if not (handle.mode & RD):
         pos = 0
         for o, l in zip(offsets.tolist(), lengths.tolist()):
             fs.write(proc, handle, [o], [l], data[pos : pos + l])
             pos += l
         return pos
-    offsets, lengths = _nonempty(offsets, lengths)
     data_pos = 0
     for lo, hi in sieve_groups(offsets, lengths, hints):
         grp_off = offsets[lo:hi]

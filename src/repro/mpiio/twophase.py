@@ -8,10 +8,24 @@ phases instead of thousands of tiny independent requests:
    them, stripe-aligned).  Every rank splits its byte runs by domain and
    ships ``(offsets, lengths, data)`` segments to the owning aggregators
    with one ``alltoallv``.
-2. **Access** — each aggregator coalesces the segments it received into
-   maximal contiguous *union runs* — laid end to end, they are its
-   scratch buffer — and accesses the file system in at most
-   ``cb_buffer_size``-byte requests, each a streaming transfer.  Requests
+2. **Access** — each aggregator finds the maximal contiguous *union
+   runs* covering the segments it received, moves the segments' bytes
+   through a scratch buffer laid out one of two ways, and accesses the
+   file system in at most ``cb_buffer_size``-byte requests, each a
+   streaming transfer.  An aggregation is *dense* when its span — lowest
+   segment offset ``lo`` to highest segment end ``hi`` — is at most
+   :data:`_DENSE` (2) times the bytes it received.  A dense one uses the
+   *span layout*, ROMIO's collective buffer addressed by file offset:
+   scratch byte ``i`` is file byte ``lo + i``, so a segment's scratch
+   position is its offset minus ``lo``, and one word index over the
+   segments (:class:`~repro.pfs.runlist.RunMove`) both moves their bytes
+   and marks a coverage mask whose edges are the union runs — no sort;
+   with no hole the union is the one run ``[lo, hi)``.  A sparse one uses
+   the *packed layout*: the segments are sorted and merged, and the union
+   runs laid end to end are the scratch buffer, so scratch never costs
+   more than the bytes it holds.  Either way the file system sees the
+   union runs' bytes end to end: a dense union with holes is packed
+   before the access phase (and unpacked after a read).  Requests
    are scheduled striping-aware (:mod:`repro.pfs.scheduler`): every batch
    targets a single controller, and aggregators stagger their starting
    controller by rank so a collective drives all controllers concurrently.
@@ -45,7 +59,7 @@ from repro.mpi.ops import MAX, MIN
 from repro.mpiio.hints import Hints
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
-from repro.pfs.runlist import coalesce_runs, gather_runs, scatter_runs
+from repro.pfs.runlist import RunMove, coalesce_runs
 from repro.pfs.scheduler import controller_batches
 from repro.simt.process import Process
 
@@ -110,34 +124,75 @@ def split_runs_by_bounds(
     return out
 
 
+_DENSE = 2
+"""An aggregation is *dense* when its span — lowest segment offset to
+highest segment end — is at most this many times its segment bytes
+(overlapping bytes counted once per segment): its scratch is then the
+span itself, addressed by file offset.  Sparser ones pack their union
+runs end to end, so scratch never costs more than twice the bytes
+received."""
+
+
 class _Aggregation:
     """One aggregator's side of a collective: the segments it received
-    (concatenated in source-rank order) and the maximal contiguous *union
-    runs* covering them (sort + zero-gap merge), laid end to end as a
-    scratch buffer."""
+    (concatenated in source-rank order), the maximal contiguous *union
+    runs* covering them, and the scratch buffer between the two — laid
+    out by :data:`_DENSE`, see the module docstring."""
 
     def __init__(self, entries: Sequence[tuple]) -> None:
         self.seg_off = np.concatenate([e[0] for e in entries])
         self.seg_len = np.concatenate([e[1] for e in entries])
-        order = np.argsort(self.seg_off, kind="stable")
-        self.offsets, self.lengths, _ = coalesce_runs(
-            self.seg_off[order], self.seg_len[order]
-        )
+        lo = int(self.seg_off.min())
+        span = int((self.seg_off + self.seg_len).max()) - lo
+        self._pack: Optional[RunMove] = None
+        dense = span <= _DENSE * int(self.seg_len.sum())
+        if dense:
+            # Span layout: scratch byte i is file byte lo + i.  The
+            # segments' one index moves their bytes and marks the union.
+            self._moves = RunMove(self.seg_off - lo, self.seg_len)
+            union_off, self.lengths = self._moves.union(span)
+            self.offsets = union_off + lo
+            if len(union_off) > 1:  # holes: pack around the access phase
+                self._pack = RunMove(union_off, self.lengths)
+        else:
+            # Packed layout: the union runs (sort, zero-gap merge) end to
+            # end; a segment lies inside one of them.
+            order = np.argsort(self.seg_off, kind="stable")
+            self.offsets, self.lengths, _ = coalesce_runs(
+                self.seg_off[order], self.seg_len[order]
+            )
+            start = np.cumsum(self.lengths) - self.lengths
+            k = np.searchsorted(self.offsets, self.seg_off, side="right") - 1
+            self._moves = RunMove(
+                start[k] + (self.seg_off - self.offsets[k]), self.seg_len
+            )
         self.nbytes = int(self.lengths.sum())
+        self._scratch_bytes = span if dense else self.nbytes
 
-    def segment_runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The received segments as runs of the scratch buffer,
-        source-rank order (each segment lies inside one union run)."""
-        start = np.cumsum(self.lengths) - self.lengths
-        k = np.searchsorted(self.offsets, self.seg_off, side="right") - 1
-        return start[k] + (self.seg_off - self.offsets[k]), self.seg_len
+    def put(self, data: np.ndarray) -> np.ndarray:
+        """The union runs' bytes, end to end, with the segments' ``data``
+        (source-rank order) applied in order: the highest source wins an
+        overlap.  Every union byte is some segment's, so none is stale."""
+        scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+        self._moves.scatter(scratch, data)
+        return scratch if self._pack is None else self._pack.gather(scratch)
+
+    def take(self, union: np.ndarray) -> np.ndarray:
+        """The segments' bytes, source-rank order, out of the union
+        runs' bytes laid end to end."""
+        if self._pack is not None:
+            scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+            self._pack.scatter(scratch, union)
+            union = scratch
+        return self._moves.gather(union)
 
     def access(
         self, comm: Communicator, proc: Process, fs: FileSystem,
         handle: PFSHandle, hints: Hints,
         scratch: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
-        """Write ``scratch`` to the union runs, or read and return it.
+        """Write ``scratch`` — the union runs' bytes end to end (from
+        :meth:`put`) — to the union runs, or read and return it.
 
         The striping-aware plan — single-controller requests of at most
         ``cb_buffer_size`` bytes, staggered by rank so concurrent
@@ -212,11 +267,7 @@ def collective_write(
     if entries:  # this rank is an aggregator with segments to serve
         agg = _Aggregation(entries)
         seg_data = np.concatenate([e[2] for e in entries])
-        # Not zeroed: the union runs are the union of the segments, so
-        # the segments overwrite every scratch byte.
-        scratch = np.empty(agg.nbytes, dtype=np.uint8)
-        # src-rank order: highest rank wins overlaps
-        scatter_runs(scratch, *agg.segment_runs(), seg_data)
+        scratch = agg.put(seg_data)  # src-rank order: highest rank wins
         proc.hold(fs.machine.compute.copy_time(len(seg_data)))
         agg.access(comm, proc, fs, handle, hints, scratch)
     comm.barrier()
@@ -249,9 +300,8 @@ def collective_read(
     entries = [e for e in recv if e is not None]
     if entries:  # this rank is an aggregator with segments to serve
         agg = _Aggregation(entries)
-        scratch = agg.access(comm, proc, fs, handle, hints)
         # all requested bytes, src-rank order
-        gathered = gather_runs(scratch, *agg.segment_runs())
+        gathered = agg.take(agg.access(comm, proc, fs, handle, hints))
         proc.hold(fs.machine.compute.copy_time(len(gathered)))
         # Split back per source rank.
         pos = 0

@@ -6,14 +6,18 @@ that pair that recur everywhere live here exactly once, at the bottom of
 the stack so the file system, MPI-IO and the data path all import the
 same code:
 
-* :func:`coalesce_runs` — merge sorted runs into maximal runs (the
-  aggregators' union, the scheduler's per-controller re-merge, the read
+* :func:`coalesce_runs` — merge sorted runs into maximal runs (a sparse
+  aggregation's union, the scheduler's per-controller re-merge, the read
   path's request coalescing);
 * :func:`gather_runs` / :func:`scatter_runs` — copy the runs out of /
-  into a flat byte buffer (the byte store's ``readv`` / ``writev``, the
-  aggregators' scratch buffer, data sieving's covering extent,
-  extraction from a coalesced read).  They move data by the *element*:
-  the word width is read off the run list, never passed in;
+  into a flat byte buffer (the byte store's ``readv`` / ``writev``,
+  data sieving's covering extent, extraction from a coalesced read).
+  They move data by the *element*: the word width is read off the run
+  list, never passed in;
+* :class:`RunMove` — the same move planned once, for a list that moves
+  more than once or whose union is wanted too (a two-phase aggregator's
+  scratch buffer: a dense aggregation's one word index both moves its
+  segments' bytes and marks the union runs they cover);
 * :func:`expand_runs` — the index of every unit the runs cover, the one
   expansion under the move pair (and the scheduler's cell numbering).
 
@@ -27,7 +31,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["coalesce_runs", "expand_runs", "gather_runs", "scatter_runs"]
+__all__ = [
+    "RunMove", "coalesce_runs", "expand_runs", "gather_runs", "scatter_runs",
+]
 
 
 def coalesce_runs(
@@ -152,6 +158,104 @@ def _as_words(a: np.ndarray, w: int) -> np.ndarray:
     return a if w == 1 else a[: len(a) // w * w].view(_WORDS[w])
 
 
+def _gather(buf, offsets, lengths, total, plan) -> np.ndarray:
+    if plan is not None:
+        w, index = plan
+        return _as_words(buf, w)[index].view(np.uint8)
+    out = np.empty(total, dtype=np.uint8)
+    pos = 0
+    for o, l in zip(offsets.tolist(), lengths.tolist()):
+        out[pos : pos + l] = buf[o : o + l]
+        pos += l
+    return out
+
+
+def _scatter(buf, offsets, lengths, data, plan) -> None:
+    if plan is not None:
+        w, index = plan
+        _as_words(buf, w)[index] = _as_words(data, w)
+        return
+    pos = 0
+    for o, l in zip(offsets.tolist(), lengths.tolist()):
+        buf[o : o + l] = data[pos : pos + l]
+        pos += l
+
+
+class RunMove:
+    """One run list's move, planned once: the copy :func:`gather_runs` /
+    :func:`scatter_runs` pick for it (per-run slices, or the index of
+    every word the runs cover), kept so the list can move any number of
+    times — and so its :meth:`union` is read off that same index.
+
+    Runs need not be sorted or disjoint; each must lie inside the buffers
+    it moves.  ``nbytes`` is the bytes they cover with multiplicity (the
+    length of the contiguous side of every move).
+    """
+
+    __slots__ = ("offsets", "lengths", "nbytes", "_plan")
+
+    def __init__(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.nbytes = int(self.lengths.sum())
+        self._plan = _move_plan(self.offsets, self.lengths, self.nbytes)
+
+    def gather(self, buf: np.ndarray) -> np.ndarray:
+        """The runs' bytes out of flat ``uint8`` ``buf``, concatenated in
+        run order, as a fresh array (never a view of ``buf``)."""
+        return _gather(buf, self.offsets, self.lengths, self.nbytes,
+                       self._plan)
+
+    def scatter(self, buf: np.ndarray, data: np.ndarray) -> None:
+        """Copy contiguous ``uint8`` ``data`` (``nbytes`` long) into the
+        runs of flat ``uint8`` ``buf``, in run order: where runs overlap,
+        the later run wins."""
+        _scatter(buf, self.offsets, self.lengths, data, self._plan)
+
+    def union(self, extent: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The maximal runs covering every byte the (non-empty) runs
+        cover, ascending and disjoint; every run ends at or before
+        ``extent``.
+
+        With an index plan, the indexed words are marked in an
+        ``extent``-byte coverage mask and its edges are the union — no
+        sort, O(extent / word) memory, so meant for runs packed densely
+        into ``[0, extent)``; a mask with no hole is the one run ``[0,
+        extent)``.  A list copied run by run is sorted and merged
+        instead: in Python when it is that short (a list operation costs
+        less than a numpy call), else by :func:`coalesce_runs`.
+        """
+        if self._plan is None:
+            n = len(self.offsets)
+            if n == 1:
+                return self.offsets, self.lengths
+            if n <= _SLICE_RUNS:
+                starts, ends = [], []
+                for o, l in sorted(zip(self.offsets.tolist(),
+                                       self.lengths.tolist())):
+                    if ends and o <= ends[-1]:
+                        ends[-1] = max(ends[-1], o + l)
+                    else:
+                        starts.append(o)
+                        ends.append(o + l)
+                coff = np.array(starts, dtype=np.int64)
+                return coff, np.array(ends, dtype=np.int64) - coff
+            order = np.argsort(self.offsets, kind="stable")
+            coff, clen, _ = coalesce_runs(
+                self.offsets[order], self.lengths[order]
+            )
+            return coff, clen
+        w, index = self._plan
+        covered = np.zeros(-(-extent // w), dtype=bool)
+        covered[index] = True
+        if covered.all():
+            return (np.zeros(1, dtype=np.int64),
+                    np.array([extent], dtype=np.int64))
+        edges = np.flatnonzero(np.diff(covered, prepend=False, append=False))
+        starts = edges[0::2]
+        return starts * w, (edges[1::2] - starts) * w
+
+
 def gather_runs(
     buf: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -163,16 +267,8 @@ def gather_runs(
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
-    plan = _move_plan(offsets, lengths, total)
-    if plan is not None:
-        w, index = plan
-        return _as_words(buf, w)[index].view(np.uint8)
-    out = np.empty(total, dtype=np.uint8)
-    pos = 0
-    for o, l in zip(offsets.tolist(), lengths.tolist()):
-        out[pos : pos + l] = buf[o : o + l]
-        pos += l
-    return out
+    return _gather(buf, offsets, lengths, total,
+                   _move_plan(offsets, lengths, total))
 
 
 def scatter_runs(
@@ -186,12 +282,5 @@ def scatter_runs(
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    plan = _move_plan(offsets, lengths, len(data))
-    if plan is not None:
-        w, index = plan
-        _as_words(buf, w)[index] = _as_words(data, w)
-        return
-    pos = 0
-    for o, l in zip(offsets.tolist(), lengths.tolist()):
-        buf[o : o + l] = data[pos : pos + l]
-        pos += l
+    _scatter(buf, offsets, lengths, data,
+             _move_plan(offsets, lengths, len(data)))

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import fast_test, origin2000
+from repro.mpi import mpirun
+from repro.mpiio import MODE_CREATE, MODE_RDWR, MODE_WRONLY, File
 from repro.mpiio.hints import Hints
 from repro.mpiio.sieving import independent_read, independent_write, sieve_groups
 from repro.pfs import FileSystem
@@ -147,6 +149,30 @@ def test_wronly_fallback_writes_per_run():
     np.testing.assert_array_equal(
         fs.lookup("f").store.read(100, 4), np.array([4, 5, 6, 7], dtype=np.uint8)
     )
+
+
+@pytest.mark.parametrize("mode", [MODE_WRONLY, MODE_RDWR],
+                         ids=["wronly", "rdwr"])
+def test_zero_length_runs_are_never_billed(mode):
+    """An empty run moves no bytes, so it costs no request and no
+    virtual time on either write path — the write-only fallback's
+    per-run loop included — and is never written."""
+    def run(offsets, lengths):
+        def program(ctx):
+            fs, proc = ctx.service("fs"), ctx.comm.proc
+            f = File.open(ctx.comm, fs, "z.dat", MODE_CREATE | mode)
+            t0, n0 = proc.now, fs.n_requests
+            f.write_runs(offsets, lengths, np.arange(16, dtype=np.uint8))
+            return proc.now - t0, fs.n_requests - n0
+
+        job = mpirun(program, 1, machine=fast_test(),
+                     services=lambda sim, m: {"fs": FileSystem(sim, m)})
+        return job.values[0], job.services["fs"].lookup("z.dat").size
+
+    with_empty = run([0, 64, 1_000_000], [8, 8, 0])
+    assert with_empty == run([0, 64], [8, 8])
+    (_, n_requests), size = with_empty
+    assert n_requests == 2 and size == 72
 
 
 def test_sieved_read_gathers_run_order():

@@ -1,5 +1,6 @@
 """Unit tests for the two-phase building blocks."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import fast_test
+from repro.mpiio import twophase
 from repro.mpiio.twophase import (
     _Aggregation,
     file_domain_bounds,
@@ -201,11 +203,22 @@ def _byte_index(offsets, lengths):
 @pytest.mark.parametrize("cap", [7, 64, 10_000])
 def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     """Overlapping segments from three sources, written from and read
-    back into scratch: the charged requests — (controller, bytes, runs)
-    per batch, in order — are ``controller_batches``' flat plan; each
-    batch lies on its controller within ``cap``; and the union runs lay
-    scratch end to end, so every scratch byte lands on exactly its file
-    byte and nowhere else."""
+    back into scratch, in each scratch layout (``_DENSE`` forced: 0
+    packs the union runs, infinity spans the segments — this aggregation,
+    370 bytes across for 235 received, is naturally the span one, with
+    holes): the charged requests — (controller, bytes, runs) per batch,
+    in order — are ``controller_batches``' flat plan; each batch lies on
+    its controller within ``cap``; the access phase moves the union
+    runs' bytes end to end, so every one lands on exactly its file byte
+    and nowhere else; and ``put`` / ``take`` address each segment's
+    bytes of it, the highest source winning an overlap."""
+    for dense in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(twophase, "_DENSE", dense)
+            _address_every_scratch_byte_once(rank, cap)
+
+
+def _address_every_scratch_byte_once(rank, cap):
     agg = _Aggregation([
         _segment([0, 40, 100], [30, 20, 50]),
         _segment([20, 55, 300], [25, 10, 70]),  # overlaps source 0 twice
@@ -249,9 +262,17 @@ def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     assert stored[file_byte].tolist() == scratch.tolist()
     assert np.count_nonzero(stored) == agg.nbytes  # and nothing else
     assert p.result.tolist() == scratch.tolist()
-    # the segments address the same scratch: 3 sources, overlaps included
-    assert file_byte[_byte_index(*agg.segment_runs())].tolist() == \
-        _byte_index(agg.seg_off, agg.seg_len).tolist()
+    # the segments address the same bytes: 3 sources, overlaps included
+    data = (np.arange(int(agg.seg_len.sum())) % 251 + 1).astype(np.uint8)
+    image = np.zeros(400, dtype=np.uint8)
+    pos = 0
+    for o, l in zip(agg.seg_off.tolist(), agg.seg_len.tolist()):
+        image[o:o + l] = data[pos:pos + l]  # source order: later wins
+        pos += l
+    union = agg.put(data)
+    assert union.tolist() == image[file_byte].tolist()
+    assert agg.take(union).tolist() == \
+        image[_byte_index(agg.seg_off, agg.seg_len)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -231,28 +231,34 @@ def aggregations(monkeypatch):
 
 def test_collective_of_double_runs_indexes_elements_not_bytes(
         index_entries, aggregations):
-    """An aggregation of ``n`` one-element DOUBLE runs materialises ``n``
-    index entries — one per element, for its segments — where the byte
-    index took ``8 n`` for the segments and ``8 n`` again for the
-    batches; and its move between scratch and file, one union run (the
-    union of the interleaved segments is solid) in one ``writev`` /
-    ``readv``, materialises none."""
+    """An aggregation of ``n`` one-element DOUBLE runs materialises one
+    ``n``-entry index — one entry per element — and nothing else: the
+    interleaved segments are dense, so the same index moves their bytes
+    in or out of scratch and marks the union they cover (one solid run,
+    no sort).  The byte index took ``8 n`` for the segments and ``8 n``
+    again for the batches; the move between scratch and file, one union
+    run in one ``writev`` / ``readv``, materialises none."""
     job = _interleaved_roundtrip(disp=0)
     _check_roundtrip(job, 0)
     # 4 aggregators x (write + read), one stripe of the file each
     assert aggregations == [(PER_RANK * 8, 1)] * 8
     # one index per aggregation and nothing else: not per batch, not in
-    # the byte store, not in the (lossless) read's extraction
+    # the byte store, not for the union, not in the (lossless) read's
+    # extraction
     assert index_entries == [PER_RANK] * 8
 
 
 def test_collective_through_an_odd_displacement_falls_back_to_bytes(
         index_entries, aggregations):
-    """One odd byte in front of the data and no run is word-aligned in
-    the file: the same calls index bytes, as before, and read back the
-    same."""
+    """One odd byte in front of the data: the file domains' bounds are
+    stripe-aligned, so each cuts an element into a 1- and a 7-byte piece
+    and no aggregation's segments share a width above one byte (their
+    offsets, taken from the span's start, all would).  Each aggregation
+    still materialises exactly one index — one entry per byte, which also
+    gives its union, one solid run — and the calls read back the same."""
     job = _interleaved_roundtrip(disp=1)
     _check_roundtrip(job, 1)
     nbytes = [n for n, _ in aggregations]
     assert sum(nbytes) == 2 * 4 * PER_RANK * 8
-    assert sum(index_entries) == sum(nbytes)
+    assert [runs for _, runs in aggregations] == [1] * 8
+    assert index_entries == nbytes
