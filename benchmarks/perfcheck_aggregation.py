@@ -2,9 +2,10 @@
 
 An aggregator builds an ``_Aggregation`` from the segments it received
 and moves their bytes into scratch (``put``, a write) or out of it
-(``take``, a read).  A dense aggregation (:data:`twophase._DENSE`) lays
-scratch out by file offset and reads its union runs off the move's own
-word index; a sparse one sorts, merges and packs.  This script forces
+(``take``, a read).  A dense aggregation (:data:`twophase._DENSE`) reads
+its union runs off the move's own word index and, when they are one
+run, addresses scratch by file offset; a sparse one sorts, merges and
+packs.  This script forces
 each layout on the same segments (``_DENSE`` patched to infinity and to
 0), times build plus move in this process, the two layouts in
 alternating rounds, and holds only the median per-round *ratio*, so the

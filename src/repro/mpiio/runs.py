@@ -10,8 +10,7 @@ again because this is the name the MPI-IO layer and the data path use:
   runs, optionally bridging holes of at most ``gap`` bytes (the
   data-sieving trade: read-and-discard a small hole to save a request);
 * :func:`gather_runs` / :func:`scatter_runs` — copy a run list's bytes
-  out of / into a flat buffer, by the element; :class:`RunMove` plans
-  that copy once for a list that moves more than once;
+  out of / into a flat buffer, by the element;
 * :func:`expand_runs` — the index of every unit a run list covers.
 
 This module adds what only a coalescing *read* needs:
@@ -39,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from repro.pfs.runlist import (
-    RunMove,
     coalesce_runs,
     expand_runs,
     gather_runs,
@@ -49,7 +47,6 @@ from repro.pfs.runlist import (
 __all__ = [
     "ADAPTIVE_GAP",
     "COALESCE_WASTE",
-    "RunMove",
     "adaptive_gap",
     "coalesce_runs",
     "expand_runs",

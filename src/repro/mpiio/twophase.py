@@ -10,22 +10,22 @@ phases instead of thousands of tiny independent requests:
    with one ``alltoallv``.
 2. **Access** — each aggregator finds the maximal contiguous *union
    runs* covering the segments it received, moves the segments' bytes
-   through a scratch buffer laid out one of two ways, and accesses the
-   file system in at most ``cb_buffer_size``-byte requests, each a
-   streaming transfer.  An aggregation is *dense* when its span — lowest
-   segment offset ``lo`` to highest segment end ``hi`` — is at most
-   :data:`_DENSE` (2) times the bytes it received.  A dense one uses the
-   *span layout*, ROMIO's collective buffer addressed by file offset:
-   scratch byte ``i`` is file byte ``lo + i``, so a segment's scratch
-   position is its offset minus ``lo``, and one word index over the
-   segments (:class:`~repro.pfs.runlist.RunMove`) both moves their bytes
-   and marks a coverage mask whose edges are the union runs — no sort;
-   with no hole the union is the one run ``[lo, hi)``.  A sparse one uses
-   the *packed layout*: the segments are sorted and merged, and the union
-   runs laid end to end are the scratch buffer, so scratch never costs
-   more than the bytes it holds.  Either way the file system sees the
-   union runs' bytes end to end: a dense union with holes is packed
-   before the access phase (and unpacked after a read).  Requests
+   through a scratch buffer — the union runs' bytes laid end to end —
+   and accesses the file system in at most ``cb_buffer_size``-byte
+   requests, each a streaming transfer.  An aggregation is *dense* when
+   its span — lowest segment offset ``lo`` to highest segment end ``hi``
+   — is at most :data:`_DENSE` (2) times the bytes it received.  A dense
+   one finds its union with no sort: one word index over the segments
+   placed at their offset minus ``lo``
+   (:class:`~repro.pfs.runlist.RunMove`) marks a coverage mask whose
+   edges are the union runs.  With no hole the union is the one run
+   ``[lo, hi)`` and the scratch is the *span layout*, ROMIO's collective
+   buffer addressed by file offset (scratch byte ``i`` is file byte
+   ``lo + i``), and that same index moves the segments' bytes.
+   Otherwise — a sparse aggregation, whose segments are sorted and
+   merged, or a dense one with holes — each segment is placed in the
+   *packed layout* by a search into the union runs, so scratch never
+   costs more than the bytes it holds.  Requests
    are scheduled striping-aware (:mod:`repro.pfs.scheduler`): every batch
    targets a single controller, and aggregators stagger their starting
    controller by rank so a collective drives all controllers concurrently.
@@ -127,63 +127,57 @@ def split_runs_by_bounds(
 _DENSE = 2
 """An aggregation is *dense* when its span — lowest segment offset to
 highest segment end — is at most this many times its segment bytes
-(overlapping bytes counted once per segment): its scratch is then the
-span itself, addressed by file offset.  Sparser ones pack their union
-runs end to end, so scratch never costs more than twice the bytes
-received."""
+(overlapping bytes counted once per segment): its union runs are then
+read off a coverage mask over the span, and when they are one run the
+scratch is the span itself, addressed by file offset."""
 
 
 class _Aggregation:
     """One aggregator's side of a collective: the segments it received
     (concatenated in source-rank order), the maximal contiguous *union
-    runs* covering them, and the scratch buffer between the two — laid
-    out by :data:`_DENSE`, see the module docstring."""
+    runs* covering them, and the scratch buffer between the two — the
+    union runs' bytes laid end to end, found by :data:`_DENSE`, see the
+    module docstring."""
 
     def __init__(self, entries: Sequence[tuple]) -> None:
         self.seg_off = np.concatenate([e[0] for e in entries])
         self.seg_len = np.concatenate([e[1] for e in entries])
         lo = int(self.seg_off.min())
         span = int((self.seg_off + self.seg_len).max()) - lo
-        self._pack: Optional[RunMove] = None
-        dense = span <= _DENSE * int(self.seg_len.sum())
-        if dense:
+        if span <= _DENSE * int(self.seg_len.sum()):
             # Span layout: scratch byte i is file byte lo + i.  The
             # segments' one index moves their bytes and marks the union.
             self._moves = RunMove(self.seg_off - lo, self.seg_len)
             union_off, self.lengths = self._moves.union(span)
             self.offsets = union_off + lo
-            if len(union_off) > 1:  # holes: pack around the access phase
-                self._pack = RunMove(union_off, self.lengths)
+            solid = len(union_off) == 1
         else:
-            # Packed layout: the union runs (sort, zero-gap merge) end to
-            # end; a segment lies inside one of them.
             order = np.argsort(self.seg_off, kind="stable")
             self.offsets, self.lengths, _ = coalesce_runs(
                 self.seg_off[order], self.seg_len[order]
             )
+            solid = False
+        if not solid:
+            # Packed layout: the union runs end to end; a segment lies
+            # inside one of them.
             start = np.cumsum(self.lengths) - self.lengths
             k = np.searchsorted(self.offsets, self.seg_off, side="right") - 1
             self._moves = RunMove(
                 start[k] + (self.seg_off - self.offsets[k]), self.seg_len
             )
         self.nbytes = int(self.lengths.sum())
-        self._scratch_bytes = span if dense else self.nbytes
 
     def put(self, data: np.ndarray) -> np.ndarray:
         """The union runs' bytes, end to end, with the segments' ``data``
         (source-rank order) applied in order: the highest source wins an
         overlap.  Every union byte is some segment's, so none is stale."""
-        scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+        scratch = np.empty(self.nbytes, dtype=np.uint8)
         self._moves.scatter(scratch, data)
-        return scratch if self._pack is None else self._pack.gather(scratch)
+        return scratch
 
     def take(self, union: np.ndarray) -> np.ndarray:
         """The segments' bytes, source-rank order, out of the union
         runs' bytes laid end to end."""
-        if self._pack is not None:
-            scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
-            self._pack.scatter(scratch, union)
-            union = scratch
         return self._moves.gather(union)
 
     def access(

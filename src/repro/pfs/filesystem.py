@@ -353,13 +353,10 @@ class FileSystem:
         ``plan``, all charged as one walk, the bytes moved once.
 
         ``(offsets, lengths)`` are the aggregation's union runs (sorted,
-        disjoint), and ``scratch`` — or the array returned — is their
-        bytes laid end to end, whatever the aggregator's own scratch
-        layout: a packed one is already that; a span one (scratch
-        addressed by file offset) is the same bytes when its union is one
-        run, and is packed before a write and unpacked after a read when
-        it has holes (``mpiio.twophase._Aggregation.put`` / ``take``), so
-        no base offset reaches this method.  ``plan`` is the union runs'
+        disjoint); laid end to end they are the scratch buffer, whichever
+        layout the aggregator found it by (a span layout, addressed by
+        file offset, is one union run, so the same bytes), and no base
+        offset reaches this method.  ``plan`` is the union runs'
         :func:`~repro.pfs.scheduler.controller_batches` flat plan
         ``(controllers, offsets, lengths, bounds)``.  With ``scratch`` the
         union runs are written from it (one ``writev``) and ``None`` is

@@ -15,9 +15,10 @@ same code:
   They move data by the *element*: the word width is read off the run
   list, never passed in;
 * :class:`RunMove` — the same move planned once, for a list that moves
-  more than once or whose union is wanted too (a two-phase aggregator's
-  scratch buffer: a dense aggregation's one word index both moves its
-  segments' bytes and marks the union runs they cover);
+  more than once or whose union is wanted too.  Not part of the listed
+  surface: its one user is the two-phase aggregator's scratch buffer,
+  where a dense aggregation's one word index both moves its segments'
+  bytes and marks the union runs they cover;
 * :func:`expand_runs` — the index of every unit the runs cover, the one
   expansion under the move pair (and the scheduler's cell numbering).
 
@@ -31,9 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "RunMove", "coalesce_runs", "expand_runs", "gather_runs", "scatter_runs",
-]
+__all__ = ["coalesce_runs", "expand_runs", "gather_runs", "scatter_runs"]
 
 
 def coalesce_runs(
@@ -221,25 +220,10 @@ class RunMove:
         ``extent``-byte coverage mask and its edges are the union — no
         sort, O(extent / word) memory, so meant for runs packed densely
         into ``[0, extent)``; a mask with no hole is the one run ``[0,
-        extent)``.  A list copied run by run is sorted and merged
-        instead: in Python when it is that short (a list operation costs
-        less than a numpy call), else by :func:`coalesce_runs`.
+        extent)``.  A list copied run by run is sorted and merged by
+        :func:`coalesce_runs` instead.
         """
         if self._plan is None:
-            n = len(self.offsets)
-            if n == 1:
-                return self.offsets, self.lengths
-            if n <= _SLICE_RUNS:
-                starts, ends = [], []
-                for o, l in sorted(zip(self.offsets.tolist(),
-                                       self.lengths.tolist())):
-                    if ends and o <= ends[-1]:
-                        ends[-1] = max(ends[-1], o + l)
-                    else:
-                        starts.append(o)
-                        ends.append(o + l)
-                coff = np.array(starts, dtype=np.int64)
-                return coff, np.array(ends, dtype=np.int64) - coff
             order = np.argsort(self.offsets, kind="stable")
             coff, clen, _ = coalesce_runs(
                 self.offsets[order], self.lengths[order]

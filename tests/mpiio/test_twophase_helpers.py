@@ -203,10 +203,11 @@ def _byte_index(offsets, lengths):
 @pytest.mark.parametrize("cap", [7, 64, 10_000])
 def test_aggregation_batches_address_every_scratch_byte_once(rank, cap):
     """Overlapping segments from three sources, written from and read
-    back into scratch, in each scratch layout (``_DENSE`` forced: 0
-    packs the union runs, infinity spans the segments — this aggregation,
-    370 bytes across for 235 received, is naturally the span one, with
-    holes): the charged requests — (controller, bytes, runs) per batch,
+    back into scratch, each way of finding the union (``_DENSE`` forced:
+    0 sorts and merges, infinity reads it off the segments' own move —
+    this aggregation, 370 bytes across for 235 received, is naturally
+    dense, with holes, so its segments are placed packed either way):
+    the charged requests — (controller, bytes, runs) per batch,
     in order — are ``controller_batches``' flat plan; each batch lies on
     its controller within ``cap``; the access phase moves the union
     runs' bytes end to end, so every one lands on exactly its file byte

@@ -1,9 +1,11 @@
 """A two-phase aggregation's two scratch layouts give the same everything.
 
-``_Aggregation`` lays its scratch buffer out by file offset when it is
-dense (span at most ``_DENSE`` times its segment bytes) and packs its
-union runs end to end otherwise.  The layout is host-side bookkeeping
-only, so forcing either one on every aggregation — ``_DENSE`` patched to
+``_Aggregation`` reads its union runs off the segments' own move when
+it is dense (span at most ``_DENSE`` times its segment bytes), and then
+addresses its scratch by file offset if the union is one run; otherwise
+it sorts and merges, and places segments in the union runs packed end
+to end.  The layout is host-side bookkeeping only, so forcing either
+one on every aggregation — ``_DENSE`` patched to
 0 (always packed) and to infinity (always span) — and leaving the rule
 alone must give the same union runs, access plan, bytes handed to the
 file system, per-source bytes returned, file contents, clock, events
@@ -27,7 +29,7 @@ from repro.mpi import mpirun
 from repro.mpiio import MODE_CREATE, MODE_RDWR, File, twophase
 from repro.mpiio.twophase import _Aggregation
 from repro.pfs import FileSystem
-from repro.pfs.runlist import gather_runs
+from repro.pfs.runlist import coalesce_runs, gather_runs
 
 LAYOUTS = {"rule": twophase._DENSE, "packed": 0, "span": math.inf}
 
@@ -113,17 +115,27 @@ def test_span_and_packed_move_the_same_bytes_property(entries):
 def test_density_threshold_is_inclusive(monkeypatch, gap, dense):
     """Two 16-byte segments ``gap`` bytes apart: span ``32 + gap`` against
     ``2 x 32`` received bytes.  At the threshold (a 32-byte hole) the
-    aggregation is still the span one (hole-bearing, so it packs around
-    the access phase); one byte past it, it is the packed one.  Either
-    way the same union."""
+    aggregation is still dense — its union comes off the segments' own
+    move, never through the aggregation's sort and merge; one byte past
+    it, it is sparse.  Either way the same union, and the scratch is its
+    bytes end to end."""
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return coalesce_runs(*args)
+
+    monkeypatch.setattr(twophase, "coalesce_runs", counted)
     entries = [(np.array([5], dtype=np.int64), np.array([16], dtype=np.int64)),
                (np.array([21 + gap], dtype=np.int64),
                 np.array([16], dtype=np.int64))]
     agg = _Aggregation(entries)
-    assert agg._scratch_bytes == (32 + gap if dense else 32)
-    assert (agg._pack is not None) == (dense and gap > 0)
+    assert len(merges) == (0 if dense else 1)
     want = [[5], [32]] if gap == 0 else [[5, 21 + gap], [16, 16]]
     assert [agg.offsets.tolist(), agg.lengths.tolist()] == want
+    data = np.arange(1, 33, dtype=np.uint8)
+    assert agg.put(data).tolist() == data.tolist()
+    assert agg.take(data).tolist() == data.tolist()
 
 
 # ---------------------------------------------------------------------------
