@@ -9,7 +9,7 @@ export FAULT_SEED
 .PHONY: test test-simt test-metadb test-iostack test-datapath test-maintenance \
     test-mvcc test-policy test-faults lint verify-collectives \
     bench bench-metadb bench-datapath bench-maintenance bench-policy \
-    bench-collective bench-e2e bench-e2e-compare perfcheck
+    bench-collective bench-e2e bench-e2e-compare perfcheck reach
 
 ## tier-1 verify: static SPMD lint first (cheapest signal), the simt
 ## kernel every simulated job stands on, the metadb subset next, then
@@ -72,7 +72,7 @@ test-mvcc:
 test-metadb:
 	$(PYTHON) -m pytest tests/metadb tests/properties/test_metadb_index_property.py tests/properties/test_sql_property.py -q
 
-## the I/O stack under core, bottom up: datatype flattening, the file
+## the I/O stack under core, bottom up: datatypes, the file
 ## system (byte store, striping, the run-list kernels), MPI-IO (views,
 ## sieving, two-phase — its one-walk access phase held to the
 ## per-request loop it replaced, its span and packed scratch layouts to
@@ -140,19 +140,28 @@ bench-collective:
 ## a warm chunked read falls behind the canonical one, a background
 ## reorganize removes < 80 % of the sync critical path, or compaction
 ## leaves a free extent behind; then time the run list's move kernels
-## against the byte index they replaced, in-process and as ratios so the
-## host's speed cancels (bulk DOUBLE runs >= 2.5x faster, small request
-## lists <= 1.5x slower); then the resolve-once memos the same way
+## against the byte index they replaced, in-process in alternating
+## rounds, holding the median per-round ratio so the host's speed
+## cancels (bulk DOUBLE runs >= 2.5x faster, small request lists <= 1.5x
+## slower); then the resolve-once memos the same way
 ## (applying a kept chunked read plan >= 3x faster than resolving it, a
 ## FileView over a memoised filetype >= 10x faster than over a fresh one);
 ## then a two-phase aggregation's span layout against the packed one
 ## (build plus move >= 2x faster on bulk_datapath's shape, <= 1.1x slower
-## on the workloads' small shapes)
+## on the workloads' small shapes); then `make reach`
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
 	$(PYTHON) benchmarks/perfcheck_plans.py
 	$(PYTHON) benchmarks/perfcheck_aggregation.py
+	$(MAKE) reach
+
+## every function under src/repro (outside analysis/) that no workload,
+## `python -m repro.bench --fast`, example or JSON-emitting ablation
+## enters must be listed in reach.baseline with the reason it stays
+## (about a minute)
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

@@ -30,7 +30,7 @@ import pytest
 from repro.bench.harness import ResultTable
 from repro.config import origin2000
 from repro.core import sdm_services
-from repro.dtypes import FLOAT64, Contiguous
+from repro.dtypes import FLOAT64
 from repro.mpi import mpirun
 from repro.mpiio import File, MODE_CREATE, MODE_RDWR, MODE_WRONLY
 
@@ -57,7 +57,7 @@ def run_paths():
             )
             f = File.open(ctx.comm, fs, "inter.dat", amode)
             # Element k of this rank lives at global element k*P + rank.
-            ft = Contiguous(1, FLOAT64).with_extent(8 * ctx.size)
+            ft = FLOAT64.with_extent(8 * ctx.size)
             f.set_view(disp=8 * ctx.rank, etype=FLOAT64, filetype=ft)
             data = np.arange(ELEMENTS_PER_RANK, dtype=np.float64) + ctx.rank
             t0 = ctx.now

@@ -120,13 +120,12 @@ def layouts_us(entries, data, **timing):
         twophase._DENSE = DENSE
 
 
-def compare(us, move):
-    """Best span and packed microseconds for ``move`` and the median of
-    their per-round ratio (span over packed): one slow sample on either
+def compare(a_us, b_us):
+    """Best microseconds of two alternated sample lists and the median of
+    their per-round ratio (``a`` over ``b``): one slow sample on either
     side moves the median by one rank, not the ratio of two minima."""
-    span, packed = us[move, "span"], us[move, "packed"]
-    ratio = statistics.median(a / b for a, b in zip(span, packed))
-    return min(span), min(packed), ratio
+    ratio = statistics.median(a / b for a, b in zip(a_us, b_us))
+    return min(a_us), min(b_us), ratio
 
 
 def main() -> int:
@@ -139,7 +138,7 @@ def main() -> int:
     for nsources, nsegs, nbytes in SMALL_SHAPES:
         us = layouts_us(*segments(rng, nsources, nsegs, nbytes))
         for move in ("put", "take"):
-            span, packed, ratio = compare(us, move)
+            span, packed, ratio = compare(us[move, "span"], us[move, "packed"])
             ok = ratio <= SMALL_MAX_SLOWDOWN
             print(f"perfcheck: small {move} {nsources} x {nsegs} over "
                   f"{nbytes} B: packed {packed:.1f} us, span {span:.1f} us, "
@@ -152,8 +151,7 @@ def main() -> int:
     nsources, nsegs, nbytes = BULK
     us = layouts_us(*segments(rng, nsources, nsegs, nbytes), seconds=0.2)
     for move in ("put", "take"):
-        span, packed, ratio = compare(us, move)
-        ratio = 1 / ratio
+        packed, span, ratio = compare(us[move, "packed"], us[move, "span"])
         ok = ratio >= BULK_MIN_SPEEDUP
         print(f"perfcheck: bulk {move} {nsources} x {nsegs} DOUBLE "
               f"segments: packed {packed / 1e3:.2f} ms, span "

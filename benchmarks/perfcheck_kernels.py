@@ -2,8 +2,9 @@
 
 ``gather_runs`` / ``scatter_runs`` (:mod:`repro.pfs.runlist`) replaced
 the byte-granular ``buf[expand_runs(offsets, lengths)]`` at every site
-that copies run-list data.  Both sides are timed in this process,
-best-of-N, and only their *ratio* is held, so the box's speed cancels:
+that copies run-list data.  Both sides are timed in this process, in
+alternating rounds (``perfcheck_aggregation.samples_us``), and only the
+median per-round *ratio* is held, so the box's speed cancels:
 
 * **bulk** — 250 000 sorted one-to-four-element DOUBLE runs over an 8 MB
   buffer (one rank's share of ``bulk_datapath``'s irregular map): the
@@ -15,8 +16,9 @@ best-of-N, and only their *ratio* is held, so the box's speed cancels:
   63 x 16 B, one that always looks for the word width fails everywhere.
 
 It also prints the sweep the three path cuts in ``runlist.py`` were set
-from: per-call microseconds of the three candidate copies (per-run slice
-loop, byte index, 8-byte word index) over run count x run length.
+from: per-call microseconds (the best of five alternated samples) of the
+three candidate copies (per-run slice loop, byte index, 8-byte word
+index) and the kernel over run count x run length.
 
 Run directly (no JSON input; seconds)::
 
@@ -24,10 +26,10 @@ Run directly (no JSON input; seconds)::
 """
 
 import sys
-import timeit
 
 import numpy as np
 
+from perfcheck_aggregation import compare, samples_us
 from repro.pfs.runlist import expand_runs, gather_runs, scatter_runs
 
 BULK_MIN_SPEEDUP = 2.5
@@ -63,13 +65,6 @@ def word_gather(buf, off, ln):
     return words[expand_runs(off // w, ln // w)].view(np.uint8)
 
 
-def best_us(fn, *args, seconds=0.02, repeat=7):
-    """Best-of-``repeat`` microseconds per call."""
-    timer = timeit.Timer(lambda: fn(*args))
-    number = max(1, int(seconds / max(timer.timeit(1), 1e-7)))
-    return min(timer.repeat(repeat, number)) / number * 1e6
-
-
 def strided(nruns, nbytes):
     """``nruns`` runs of ``nbytes`` with equal holes between them."""
     off = np.arange(nruns, dtype=np.int64) * (2 * nbytes)
@@ -84,14 +79,16 @@ def bulk_runs(rng, nruns=250_000):
 
 
 def byte_index_vs_kernel(buf, off, ln, **timing):
-    """``(name, byte-index us, kernel us)`` for the gather and the
-    scatter of one run list."""
+    """``(name, byte-index samples, kernel samples)`` (us, alternated)
+    for the gather and the scatter of one run list."""
     data = buf[: int(ln.sum())].copy()
     return (
-        ("gather", best_us(byte_gather, buf, off, ln, **timing),
-         best_us(gather_runs, buf, off, ln, **timing)),
-        ("scatter", best_us(byte_scatter, buf, off, ln, data, **timing),
-         best_us(scatter_runs, buf, off, ln, data, **timing)),
+        ("gather", *samples_us([lambda: byte_gather(buf, off, ln),
+                                lambda: gather_runs(buf, off, ln)],
+                               **timing)),
+        ("scatter", *samples_us([lambda: byte_scatter(buf, off, ln, data),
+                                 lambda: scatter_runs(buf, off, ln, data)],
+                                **timing)),
     )
 
 
@@ -104,15 +101,17 @@ def main() -> int:
     for nruns in SWEEP_RUNS:
         for nbytes in SWEEP_BYTES:
             off, ln = strided(nruns, nbytes)
-            cells = [best_us(fn, buf, off, ln) for fn in
-                     (loop_gather, byte_gather, word_gather, gather_runs)]
+            cells = samples_us(
+                [lambda fn=fn: fn(buf, off, ln) for fn in
+                 (loop_gather, byte_gather, word_gather, gather_runs)],
+                repeat=5)
             print(f"perfcheck: {nruns:5d} x {nbytes:4d} B  "
-                  + " ".join(f"{c:8.1f}" for c in cells))
+                  + " ".join(f"{min(c):8.1f}" for c in cells))
 
     for nruns, nbytes in SMALL_POINTS:
-        for name, old, new in byte_index_vs_kernel(
+        for name, old_us, new_us in byte_index_vs_kernel(
                 buf, *strided(nruns, nbytes)):
-            ratio = new / old
+            new, old, ratio = compare(new_us, old_us)
             ok = ratio <= SMALL_MAX_SLOWDOWN
             print(f"perfcheck: small {name} {nruns} x {nbytes} B: byte index "
                   f"{old:.1f} us, kernel {new:.1f} us, {ratio:.2f}x "
@@ -122,8 +121,9 @@ def main() -> int:
                                 f"{ratio:.2f}x the byte index")
 
     off, ln = bulk_runs(rng)
-    for name, old, new in byte_index_vs_kernel(buf, off, ln, seconds=0.2):
-        ratio = old / new
+    for name, old_us, new_us in byte_index_vs_kernel(buf, off, ln,
+                                                     seconds=0.2):
+        old, new, ratio = compare(old_us, new_us)
         ok = ratio >= BULK_MIN_SPEEDUP
         print(f"perfcheck: bulk {name} {len(off)} DOUBLE runs: byte index "
               f"{old / 1e3:.2f} ms, kernel {new / 1e3:.2f} ms, {ratio:.2f}x "

@@ -4,11 +4,12 @@ cancelled out.
 A checkpoint loop reads through one data view again and again, and two
 answers do not change between those reads: the chunked read's
 resolution (:class:`repro.core.datapath._ReadPlan`, kept beside the
-index blocks it came from) and the canonical view's flattened filetype
-(kept on the ``Datatype`` by :mod:`repro.mpiio.view`).  Both sides of
-each memo are timed in this process, best-of-N, and only their *ratio*
-is held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in 4 indexed
-chunks, one rank's 250 k wanted elements:
+index blocks it came from) and the canonical view's lowered filetype
+tile (kept on the ``Datatype`` by :mod:`repro.mpiio.view`).  Both sides
+of each memo are timed in this process, in alternating rounds
+(``perfcheck_aggregation.samples_us``), and only the median per-round
+*ratio* is held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in 4
+indexed chunks, one rank's 250 k wanted elements:
 
 * **plan** — applying a kept plan (rebase, extraction) must beat
   resolving it (``_chunk_positions`` plus the sorted unique positions
@@ -23,10 +24,10 @@ Run directly (no JSON input; seconds)::
 """
 
 import sys
-import timeit
 
 import numpy as np
 
+from perfcheck_aggregation import compare, samples_us
 from repro.core.datapath import _live_chunks, _read_plan
 from repro.core.groups import DataView
 from repro.dtypes import DOUBLE, IndexedBlock
@@ -39,11 +40,7 @@ ELEMENTS = 1_000_000
 CHUNKS = 4
 
 
-def best_us(fn, *args, seconds=0.2, repeat=5):
-    """Best-of-``repeat`` microseconds per call."""
-    timer = timeit.Timer(lambda: fn(*args))
-    number = max(1, int(seconds / max(timer.timeit(1), 1e-7)))
-    return min(timer.repeat(repeat, number)) / number * 1e6
+TIMING = {"seconds": 0.2, "repeat": 7}
 
 
 def bulk_instance(rng):
@@ -88,9 +85,9 @@ def main() -> int:
         view = DataView.from_map(wanted)
         plan = resolve(view, chunks, blocks)
         elems = rng.standard_normal(len(plan.rel))
-        cold = best_us(resolve, view, chunks, blocks)
-        warm = best_us(apply, plan, chunks[0].data_offset, elems)
-        ratio = cold / warm
+        cold, warm, ratio = compare(*samples_us(
+            [lambda: resolve(view, chunks, blocks),
+             lambda: apply(plan, chunks[0].data_offset, elems)], **TIMING))
         ok = ratio >= PLAN_MIN_SPEEDUP
         print(f"perfcheck: plan, {name} ({len(wanted)} of {ELEMENTS}): "
               f"resolve {cold / 1e3:.2f} ms, apply {warm / 1e3:.2f} ms, "
@@ -103,10 +100,9 @@ def main() -> int:
     view = DataView.from_map(maps[0])
     kept = view.filetype(DOUBLE)
     FileView(0, DOUBLE, kept)
-    fresh = best_us(lambda: FileView(
-        0, DOUBLE, IndexedBlock(1, view.map_sorted, DOUBLE)))
-    memo = best_us(lambda: FileView(0, DOUBLE, kept))
-    ratio = fresh / memo
+    fresh, memo, ratio = compare(*samples_us(
+        [lambda: FileView(0, DOUBLE, IndexedBlock(1, view.map_sorted, DOUBLE)),
+         lambda: FileView(0, DOUBLE, kept)], **TIMING))
     ok = ratio >= VIEW_MIN_SPEEDUP
     print(f"perfcheck: FileView over {len(maps[0])} runs: fresh filetype "
           f"{fresh / 1e3:.2f} ms, memoised {memo:.1f} us, {ratio:.0f}x "

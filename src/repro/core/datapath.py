@@ -171,7 +171,7 @@ def set_instance_view(f: File, base: int, dtype: Primitive,
                       view: DataView) -> None:
     """Install the irregular view of one canonical instance: element ``g``
     of the global array at ``base + g * esize``, through the data view's
-    filetype (:meth:`DataView.filetype` — built and flattened once per
+    filetype (:meth:`DataView.filetype` — built and lowered once per
     view, however many reads and writes install it).  An empty map gets a
     dense view — the rank still participates in the collective with zero
     bytes."""

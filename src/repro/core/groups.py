@@ -105,7 +105,7 @@ class DataView:
     def filetype(self, dtype: Primitive) -> Optional[IndexedBlock]:
         """The map-array filetype over ``dtype`` elements (element ``g`` at
         ``g * dtype.extent``), built once per element type, so every file
-        view installed through it after the first reuses the flattened
+        view installed through it after the first reuses the lowered
         tile (:mod:`repro.mpiio.view`).  None for an empty view, which
         installs a dense view instead (a filetype needs positive size)."""
         ft = self._filetypes.get(dtype)

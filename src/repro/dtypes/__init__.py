@@ -3,22 +3,21 @@
 SDM's irregular I/O rests on MPI derived datatypes: a *map array* (which
 global element belongs to this rank) becomes an indexed filetype, which
 becomes an MPI-IO file view, which collective I/O then optimizes.  This
-package implements the datatype algebra:
+package holds the types that path builds:
 
 * primitives (:data:`INT32`, :data:`FLOAT64`, ...) mapping to numpy dtypes;
-* constructors — :class:`Contiguous`, :class:`Vector`, :class:`Hvector`,
-  :class:`Indexed`, :class:`IndexedBlock`, :class:`Hindexed`,
-  :class:`Struct`, :class:`Subarray` — composable to arbitrary depth;
-* :func:`flatten` — lowering any datatype to vectorized ``(offsets,
-  lengths)`` byte runs with adjacent-run merging (the form the I/O layer
-  consumes);
-* :func:`pack` / :func:`unpack` — gather/scatter between a typed layout and
-  a contiguous buffer.
+* :class:`IndexedBlock` — the map-array filetype;
+* ``Datatype.with_extent`` (``MPI_Type_create_resized``) — the stride a
+  view tiles a type at.
+
+A type's :meth:`~Datatype.runs` are its byte runs ``(offsets, lengths)``;
+:mod:`repro.mpiio.view` validates and merges them into a view's tile.
 
 Example — every 4th double out of a file, as rank ``r`` of 4 would view it::
 
-    ft = Vector(count=10, blocklength=1, stride=4, base=FLOAT64)
-    offsets, lengths = flatten(ft)        # [0, 32, 64, ...], [8, 8, 8, ...]
+    ft = FLOAT64.with_extent(4 * FLOAT64.size)
+    view = FileView(disp=8 * r, etype=FLOAT64, filetype=ft)
+    offsets, lengths = view.runs_for(0, 3 * 8)   # [8r, 8r + 32, ...], [8, ...]
 """
 
 from repro.dtypes.base import Datatype
@@ -33,18 +32,7 @@ from repro.dtypes.primitives import (
     Primitive,
     from_numpy_dtype,
 )
-from repro.dtypes.constructors import (
-    Contiguous,
-    Hindexed,
-    Hvector,
-    Indexed,
-    IndexedBlock,
-    Struct,
-    Subarray,
-    Vector,
-)
-from repro.dtypes.flatten import flatten, merge_runs
-from repro.dtypes.pack import pack, unpack
+from repro.dtypes.constructors import IndexedBlock
 
 __all__ = [
     "Datatype",
@@ -57,16 +45,5 @@ __all__ = [
     "INT",
     "DOUBLE",
     "from_numpy_dtype",
-    "Contiguous",
-    "Vector",
-    "Hvector",
-    "Indexed",
     "IndexedBlock",
-    "Hindexed",
-    "Struct",
-    "Subarray",
-    "flatten",
-    "merge_runs",
-    "pack",
-    "unpack",
 ]

@@ -24,10 +24,9 @@ class Datatype:
     * :meth:`runs` — the byte runs of one instance relative to its origin,
       in typemap order (not merged, not sorted).
 
-    Types are immutable; ``commit()`` exists for MPI API fidelity and
-    returns ``self``.  Because they are, a lowering derived from a type is
-    a pure function of the instance and may be kept on it: a file view
-    flattens and validates its filetype once (:mod:`repro.mpiio.view`).
+    Types are immutable, so a lowering derived from a type is a pure
+    function of the instance and may be kept on it: a file view lowers
+    and validates its filetype once (:mod:`repro.mpiio.view`).
     Displacement arrays are held by reference, so a constructor's caller
     must not mutate them afterwards (MPI copies them at creation).
     """
@@ -35,7 +34,7 @@ class Datatype:
     _size: int
     _extent: int
     _view_tile = None
-    """The file view's flattened, validated tile of this type, set the
+    """The file view's lowered, validated tile of this type, set the
     first time a :class:`~repro.mpiio.view.FileView` installs it."""
 
     @property
@@ -53,17 +52,11 @@ class Datatype:
         """Byte runs ``(offsets, lengths)`` of one instance, typemap order."""
         raise NotImplementedError
 
-    def commit(self) -> "Datatype":
-        """MPI fidelity no-op."""
-        return self
-
     def with_extent(self, extent: int) -> "Datatype":
         """Return a copy resized to a new extent (``MPI_Type_create_resized``)."""
         from repro.dtypes.constructors import Resized
 
         return Resized(self, extent)
-
-    # Helpers shared by constructors -----------------------------------
 
     @staticmethod
     def _check_count(name: str, value: int) -> int:

@@ -1,9 +1,10 @@
-"""Derived-datatype constructors (the MPI ``Type_create_*`` family).
+"""Derived-datatype constructors: the two a file view is built from.
 
-All constructors validate eagerly and precompute their byte runs as numpy
-arrays, so :func:`repro.dtypes.flatten.flatten` on a million-block indexed
-type is a vectorized operation, not a Python loop — this is the hot path of
-every irregular file view SDM builds from a map array.
+SDM turns a map array into an :class:`IndexedBlock` over a primitive;
+:class:`Resized` (``Datatype.with_extent``) sets the stride at which a
+view tiles a type.  Both precompute their byte runs as numpy arrays, so
+lowering a million-block map array is a vectorized operation, not a
+Python loop — the hot path of every irregular file view SDM builds.
 """
 
 from __future__ import annotations
@@ -15,154 +16,7 @@ import numpy as np
 from repro.dtypes.base import Datatype, Runs
 from repro.errors import DatatypeError
 
-__all__ = [
-    "Contiguous",
-    "Vector",
-    "Hvector",
-    "Indexed",
-    "IndexedBlock",
-    "Hindexed",
-    "Struct",
-    "Subarray",
-    "Resized",
-]
-
-
-def _tile(base_runs: Runs, starts_bytes: np.ndarray) -> Runs:
-    """Replicate base runs at each byte start (vectorized outer sum)."""
-    off, ln = base_runs
-    n_starts, n_runs = len(starts_bytes), len(off)
-    offsets = (starts_bytes[:, None] + off[None, :]).reshape(n_starts * n_runs)
-    lengths = np.broadcast_to(ln, (n_starts, n_runs)).reshape(n_starts * n_runs)
-    return offsets.astype(np.int64, copy=False), lengths.astype(np.int64, copy=True)
-
-
-def _block_runs(base: Datatype, blocklength: int, starts_bytes: np.ndarray) -> Runs:
-    """Runs of `blocklength` consecutive base instances at each start."""
-    if blocklength == 0 or len(starts_bytes) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    base_off, base_len = base.runs()
-    if len(base_off) == 1 and base_len[0] == base.extent:
-        # Dense base: a block of `blocklength` instances is one solid run.
-        offsets = starts_bytes.astype(np.int64, copy=True)
-        lengths = np.full(len(starts_bytes), blocklength * base.extent, dtype=np.int64)
-        return offsets, lengths
-    # Sparse base: expand each instance within each block.
-    instance_starts = (
-        starts_bytes[:, None] + (np.arange(blocklength) * base.extent)[None, :]
-    ).reshape(-1)
-    return _tile((base_off, base_len), instance_starts)
-
-
-class Contiguous(Datatype):
-    """``count`` consecutive instances of ``base``."""
-
-    def __init__(self, count: int, base: Datatype) -> None:
-        self.count = self._check_count("count", count)
-        self.base = base
-        self._size = self.count * base.size
-        self._extent = self.count * base.extent
-
-    def runs(self) -> Runs:
-        starts = np.arange(self.count, dtype=np.int64) * self.base.extent
-        return _block_runs(self.base, 1, starts)
-
-
-class Vector(Datatype):
-    """``count`` blocks of ``blocklength`` bases, strided by ``stride`` bases.
-
-    The canonical round-robin view: rank r of P sees ``Vector(n, 1, P)``
-    offset by ``r`` elements.
-    """
-
-    def __init__(self, count: int, blocklength: int, stride: int, base: Datatype) -> None:
-        self.count = self._check_count("count", count)
-        self.blocklength = self._check_count("blocklength", blocklength)
-        if stride < blocklength and count > 1:
-            raise DatatypeError(
-                f"vector stride {stride} overlaps blocklength {blocklength}"
-            )
-        self.stride = int(stride)
-        self.base = base
-        self._size = self.count * self.blocklength * base.size
-        last = (self.count - 1) * self.stride + self.blocklength if self.count else 0
-        self._extent = last * base.extent
-
-    def runs(self) -> Runs:
-        starts = (
-            np.arange(self.count, dtype=np.int64) * self.stride * self.base.extent
-        )
-        return _block_runs(self.base, self.blocklength, starts)
-
-
-class Hvector(Datatype):
-    """Like :class:`Vector` but the stride is given in bytes."""
-
-    def __init__(self, count: int, blocklength: int, stride_bytes: int, base: Datatype) -> None:
-        self.count = self._check_count("count", count)
-        self.blocklength = self._check_count("blocklength", blocklength)
-        self.stride_bytes = int(stride_bytes)
-        block_bytes = blocklength * base.extent
-        if self.stride_bytes < block_bytes and count > 1:
-            raise DatatypeError(
-                f"hvector stride {stride_bytes}B overlaps block of {block_bytes}B"
-            )
-        self.base = base
-        self._size = self.count * self.blocklength * base.size
-        self._extent = (
-            (self.count - 1) * self.stride_bytes + block_bytes if self.count else 0
-        )
-
-    def runs(self) -> Runs:
-        starts = np.arange(self.count, dtype=np.int64) * self.stride_bytes
-        return _block_runs(self.base, self.blocklength, starts)
-
-
-class Indexed(Datatype):
-    """Blocks of varying length at varying displacements (in base extents)."""
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements: Sequence[int],
-        base: Datatype,
-    ) -> None:
-        bl = np.asarray(blocklengths, dtype=np.int64)
-        disp = np.asarray(displacements, dtype=np.int64)
-        if bl.shape != disp.shape or bl.ndim != 1:
-            raise DatatypeError(
-                f"blocklengths {bl.shape} and displacements {disp.shape} must be "
-                "equal-length 1-D sequences"
-            )
-        if len(bl) and bl.min() < 0:
-            raise DatatypeError("negative blocklength")
-        if len(disp) and disp.min() < 0:
-            raise DatatypeError("negative displacement")
-        self.blocklengths = bl
-        self.displacements = disp
-        self.base = base
-        self._size = int(bl.sum()) * base.size
-        self._extent = (
-            int((disp + bl).max()) * base.extent if len(bl) else 0
-        )
-
-    def runs(self) -> Runs:
-        base = self.base
-        base_off, base_len = base.runs()
-        if len(base_off) == 1 and base_len[0] == base.extent:
-            offsets = self.displacements * base.extent
-            lengths = self.blocklengths * base.extent
-            keep = lengths > 0
-            return offsets[keep].astype(np.int64), lengths[keep].astype(np.int64)
-        # Sparse base: expand block by block (rare; bounded use).
-        parts_off, parts_len = [], []
-        for bl, disp in zip(self.blocklengths, self.displacements):
-            o, l = _block_runs(base, int(bl), np.array([disp * base.extent], dtype=np.int64))
-            parts_off.append(o)
-            parts_len.append(l)
-        if not parts_off:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(parts_off), np.concatenate(parts_len)
+__all__ = ["IndexedBlock", "Resized"]
 
 
 class IndexedBlock(Datatype):
@@ -189,143 +43,19 @@ class IndexedBlock(Datatype):
         )
 
     def runs(self) -> Runs:
-        starts = self.displacements * self.base.extent
-        return _block_runs(self.base, self.blocklength, starts)
-
-
-class Hindexed(Datatype):
-    """Indexed with displacements in bytes."""
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements_bytes: Sequence[int],
-        base: Datatype,
-    ) -> None:
-        bl = np.asarray(blocklengths, dtype=np.int64)
-        disp = np.asarray(displacements_bytes, dtype=np.int64)
-        if bl.shape != disp.shape or bl.ndim != 1:
-            raise DatatypeError("blocklengths/displacements shape mismatch")
-        if len(bl) and (bl.min() < 0 or disp.min() < 0):
-            raise DatatypeError("negative blocklength or displacement")
-        self.blocklengths = bl
-        self.displacements_bytes = disp
-        self.base = base
-        self._size = int(bl.sum()) * base.size
-        self._extent = (
-            int((disp + bl * base.extent).max()) if len(bl) else 0
-        )
-
-    def runs(self) -> Runs:
-        parts_off, parts_len = [], []
-        base_off, base_len = self.base.runs()
-        dense = len(base_off) == 1 and base_len[0] == self.base.extent
-        if dense:
-            keep = self.blocklengths > 0
-            return (
-                self.displacements_bytes[keep].astype(np.int64, copy=True),
-                (self.blocklengths[keep] * self.base.extent).astype(np.int64),
-            )
-        for bl, disp in zip(self.blocklengths, self.displacements_bytes):
-            o, l = _block_runs(self.base, int(bl), np.array([disp], dtype=np.int64))
-            parts_off.append(o)
-            parts_len.append(l)
-        if not parts_off:
+        base, bl = self.base, self.blocklength
+        starts = self.displacements * base.extent
+        if bl == 0 or len(starts) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(parts_off), np.concatenate(parts_len)
-
-
-class Struct(Datatype):
-    """Heterogeneous blocks: per-block base type and byte displacement."""
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements_bytes: Sequence[int],
-        types: Sequence[Datatype],
-    ) -> None:
-        if not (len(blocklengths) == len(displacements_bytes) == len(types)):
-            raise DatatypeError("struct argument lists must have equal length")
-        self.blocklengths = [self._check_count("blocklength", b) for b in blocklengths]
-        self.displacements_bytes = [int(d) for d in displacements_bytes]
-        if any(d < 0 for d in self.displacements_bytes):
-            raise DatatypeError("negative displacement")
-        self.types = list(types)
-        self._size = sum(b * t.size for b, t in zip(self.blocklengths, self.types))
-        self._extent = max(
-            (d + b * t.extent for d, b, t in
-             zip(self.displacements_bytes, self.blocklengths, self.types)),
-            default=0,
-        )
-
-    def runs(self) -> Runs:
-        parts_off, parts_len = [], []
-        for bl, disp, typ in zip(
-            self.blocklengths, self.displacements_bytes, self.types
-        ):
-            o, l = _block_runs(typ, bl, np.array([disp], dtype=np.int64))
-            parts_off.append(o)
-            parts_len.append(l)
-        if not parts_off:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(parts_off), np.concatenate(parts_len)
-
-
-class Subarray(Datatype):
-    """An n-dimensional C-order subarray of a larger array.
-
-    The regular-application workhorse (``MPI_Type_create_subarray``): the
-    extent is the *full* array, the data is the sub-block, so tiling a file
-    with this type gives each rank its block of a global array.
-    """
-
-    def __init__(
-        self,
-        shape: Sequence[int],
-        subshape: Sequence[int],
-        starts: Sequence[int],
-        base: Datatype,
-    ) -> None:
-        self.shape = [self._check_count("shape", s) for s in shape]
-        self.subshape = [self._check_count("subshape", s) for s in subshape]
-        self.starts = [self._check_count("starts", s) for s in starts]
-        if not (len(self.shape) == len(self.subshape) == len(self.starts)):
-            raise DatatypeError("shape/subshape/starts rank mismatch")
-        for full, sub, st in zip(self.shape, self.subshape, self.starts):
-            if st + sub > full:
-                raise DatatypeError(
-                    f"subarray [{st}, {st + sub}) exceeds dimension of size {full}"
-                )
-        self.base = base
-        nelem_sub = int(np.prod(self.subshape)) if self.subshape else 1
-        nelem_full = int(np.prod(self.shape)) if self.shape else 1
-        self._size = nelem_sub * base.size
-        self._extent = nelem_full * base.extent
-
-    def runs(self) -> Runs:
-        if not self.shape:
-            return self.base.runs()
-        # Rows along the last dimension are contiguous; enumerate the outer
-        # index grid vectorized.
-        outer_shape = self.subshape[:-1]
-        row_len = self.subshape[-1]
-        if row_len == 0 or any(s == 0 for s in outer_shape):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        strides = np.ones(len(self.shape), dtype=np.int64)
-        for i in range(len(self.shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.shape[i + 1]
-        grids = np.meshgrid(
-            *[np.arange(st, st + sub, dtype=np.int64)
-              for st, sub in zip(self.starts[:-1], outer_shape)],
-            indexing="ij",
-        ) if outer_shape else []
-        base_elem = self.starts[-1]
-        flat = np.full(1, 0, dtype=np.int64)
-        if grids:
-            flat = sum(g * s for g, s in zip(grids, strides[:-1])).reshape(-1)
-        starts_elems = flat + base_elem
-        starts_bytes = starts_elems * self.base.extent
-        return _block_runs(self.base, row_len, np.sort(starts_bytes))
+        base_off, base_len = base.runs()
+        if len(base_off) == 1 and base_len[0] == base.extent:
+            # Dense base: a block of `bl` instances is one solid run.
+            return starts, np.full(len(starts), bl * base.extent, dtype=np.int64)
+        # Sparse base: every instance of every block, at its own start.
+        instance = (starts[:, None] + (np.arange(bl) * base.extent)[None, :])
+        offsets = (instance.reshape(-1)[:, None] + base_off[None, :]).reshape(-1)
+        lengths = np.tile(base_len, len(starts) * bl)
+        return offsets, lengths.astype(np.int64, copy=False)
 
 
 class Resized(Datatype):

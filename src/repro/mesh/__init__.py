@@ -21,11 +21,6 @@ with the same structural properties:
 from repro.mesh.tetra import TetMesh, box_tet_mesh
 from repro.mesh.meshfile import MeshFileLayout, install_mesh_file, mesh_file_layout
 from repro.mesh.generators import fun3d_like_problem, rt_like_problem
-from repro.mesh.reorder import (
-    apply_node_permutation,
-    numbering_bandwidth,
-    rcm_ordering,
-)
 from repro.mesh.validate import validate_mesh
 
 __all__ = [
@@ -36,8 +31,5 @@ __all__ = [
     "install_mesh_file",
     "fun3d_like_problem",
     "rt_like_problem",
-    "rcm_ordering",
-    "apply_node_permutation",
-    "numbering_bandwidth",
     "validate_mesh",
 ]

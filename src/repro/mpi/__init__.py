@@ -10,7 +10,7 @@ It follows mpi4py's conventions where they matter to the paper:
   arrays travel by reference — the simulation charges transfer time for
   their ``nbytes`` but does not copy them).
 * **Collectives** — barrier, bcast, reduce, allreduce, gather, allgather,
-  scatter, alltoall(v).  Data movement is real; completion *times* follow the
+  scatter, alltoallv.  Data movement is real; completion *times* follow the
   standard algorithms (dissemination barrier, binomial trees, recursive
   doubling, pairwise exchange) computed analytically so a 64-rank alltoallv
   costs O(P) simulator events instead of O(P²) thread handoffs.

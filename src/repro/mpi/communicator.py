@@ -328,11 +328,6 @@ class Communicator:
         )
 
     @collective
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        """Alias for :meth:`alltoallv` (object layer does not distinguish)."""
-        return self.alltoallv(objs)
-
-    @collective
     def alltoallv(self, objs: Sequence[Any]) -> List[Any]:
         """Personalized all-to-all: ``objs[d]`` goes to rank ``d``; returns
         the list of objects every rank sent to this one, indexed by source."""

@@ -18,11 +18,12 @@ optimizations:
 Entry point is :class:`~repro.mpiio.file.File`, mirroring mpi4py's
 ``MPI.File``: ``File.open(comm, fs, name, amode)``, ``set_view``,
 ``read_at/write_at`` (independent), ``read_at_all/write_at_all``
-(collective), individual file pointers, ``close``.
+(collective), the explicit-run ``*_runs`` family the storage-order layer
+uses, ``close``.  There are no individual file pointers: every access
+names its offset.
 """
 
 from repro.mpiio.consts import (
-    MODE_APPEND,
     MODE_CREATE,
     MODE_EXCL,
     MODE_RDONLY,
@@ -42,5 +43,4 @@ __all__ = [
     "MODE_RDWR",
     "MODE_CREATE",
     "MODE_EXCL",
-    "MODE_APPEND",
 ]

@@ -16,6 +16,3 @@ MODE_RDWR = 0x08
 
 MODE_EXCL = 0x40
 """Error if MODE_CREATE and the file already exists."""
-
-MODE_APPEND = 0x80
-"""Position the individual file pointer at end-of-file on open."""

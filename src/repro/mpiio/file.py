@@ -23,7 +23,6 @@ from repro.errors import FileExists, FileNotFound, MPIIOError
 from repro.mpi.communicator import Communicator
 from repro.mpiio import runs, sieving, twophase
 from repro.mpiio.consts import (
-    MODE_APPEND,
     MODE_CREATE,
     MODE_EXCL,
     MODE_RDONLY,
@@ -36,11 +35,6 @@ from repro.pfs.file import RD, RDWR, WR
 from repro.pfs.filesystem import FileSystem
 
 __all__ = ["File"]
-
-SEEK_SET = 0
-SEEK_CUR = 1
-SEEK_END = 2
-
 
 def _as_bytes(buf) -> np.ndarray:
     arr = np.asarray(buf)
@@ -78,7 +72,6 @@ class File:
         self._handle = handle
         self.hints = hints
         self._view = FileView()
-        self._pos = 0  # individual file pointer, in etype units
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -96,7 +89,7 @@ class File:
         hints: Optional[Mapping[str, int]] = None,
     ) -> "File":
         """Collective open; every rank of ``comm`` must call with the same
-        arguments.  Honors MODE_CREATE / MODE_EXCL / MODE_APPEND."""
+        arguments.  Honors MODE_CREATE / MODE_EXCL."""
         n_access = bool(amode & MODE_RDONLY) + bool(amode & MODE_WRONLY) + bool(
             amode & MODE_RDWR
         )
@@ -132,10 +125,7 @@ class File:
             mode = RDWR
         handle = fs.open(proc, name, mode)
         resolved = Hints.from_machine(fs.machine, hints)
-        f = cls(comm, fs, name, amode, handle, resolved)
-        if amode & MODE_APPEND:
-            f._pos = handle.file.size  # etype is BYTE initially
-        return f
+        return cls(comm, fs, name, amode, handle, resolved)
 
     @collective(uniform_result=True, receivers=("f", "host", "self"))
     def close(self) -> None:
@@ -154,7 +144,7 @@ class File:
             self.close()
 
     # ------------------------------------------------------------------
-    # Views and pointers
+    # Views
     # ------------------------------------------------------------------
 
     def set_view(
@@ -163,39 +153,10 @@ class File:
         etype: Datatype = BYTE,
         filetype: Optional[Datatype] = None,
     ) -> None:
-        """Install a file view (charges the per-process view cost) and reset
-        the individual file pointer."""
+        """Install a file view (charges the per-process view cost)."""
         self._check_live()
         self.comm.proc.hold(self.fs.machine.storage.file_view_cost)
         self._view = FileView(disp, etype, filetype)
-        self._pos = 0
-
-    def get_view(self) -> FileView:
-        """The currently installed view."""
-        return self._view
-
-    def seek(self, offset: int, whence: int = SEEK_SET) -> None:
-        """Move the individual file pointer (etype units of the view)."""
-        self._check_live()
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = self._pos + offset
-        elif whence == SEEK_END:
-            new = self.get_size() // self._view.etype.size + offset
-        else:
-            raise MPIIOError(f"bad whence: {whence!r}")
-        if new < 0:
-            raise MPIIOError(f"seek to negative offset: {new}")
-        self._pos = new
-
-    def get_position(self) -> int:
-        """Individual file pointer, in etype units."""
-        return self._pos
-
-    def get_size(self) -> int:
-        """Current file size in bytes (no time charge: cached attr model)."""
-        return self._handle.file.size
 
     # ------------------------------------------------------------------
     # Independent data access (data sieving)
@@ -221,18 +182,6 @@ class File:
         )
         return buf
 
-    def write(self, buf) -> int:
-        """Independent write at the individual file pointer."""
-        n = self.write_at(self._pos, buf)
-        self._pos += n // self._view.etype.size
-        return n
-
-    def read(self, buf) -> np.ndarray:
-        """Independent read at the individual file pointer."""
-        out = self.read_at(self._pos, buf)
-        self._pos += _as_bytes(buf).size // self._view.etype.size
-        return out
-
     # ------------------------------------------------------------------
     # Collective data access (two-phase)
     # ------------------------------------------------------------------
@@ -255,20 +204,6 @@ class File:
         off, ln = self._view.runs_for(offset * self._view.etype.size, len(raw))
         raw[:] = self._read_coalesced(off, ln, collective=True)
         return buf
-
-    @collective
-    def write_all(self, buf) -> int:
-        """Collective write at the individual file pointer."""
-        n = self.write_at_all(self._pos, buf)
-        self._pos += len(_as_bytes(buf)) // self._view.etype.size
-        return n
-
-    @collective
-    def read_all(self, buf) -> np.ndarray:
-        """Collective read at the individual file pointer."""
-        out = self.read_at_all(self._pos, buf)
-        self._pos += len(_as_bytes(buf)) // self._view.etype.size
-        return out
 
     # ------------------------------------------------------------------
     # Direct-run data access (per-chunk views)

@@ -16,13 +16,17 @@ storage-order layer builds per-chunk runs directly from chunk maps (no
 filetype in sight) and hands them to :meth:`repro.mpiio.file.File`'s
 ``*_runs`` methods, which validate through this one gate.
 
-A filetype's *tile* — its flattened runs, validated against that
-contract, and their cumulative lengths — is computed once per
-:class:`~repro.dtypes.base.Datatype` instance and kept on it (types are
-immutable): SDM installs one map-array filetype per data view on every
-checkpoint read and write, and each install after the first reuses the
-tile instead of re-flattening a run per element.  Only a valid tile is
-kept, so an overlapping filetype raises on every install.
+A filetype's *tile* — its runs, validated against that contract and
+merged by the run list's own kernel
+(:func:`repro.pfs.runlist.coalesce_runs`), and their cumulative lengths
+— is computed once per :class:`~repro.dtypes.base.Datatype` instance
+and kept on it (types are immutable): SDM installs one map-array
+filetype per data view on every checkpoint read and write, and each
+install after the first reuses the tile instead of re-lowering a run
+per element.  Only a valid tile is kept, so an overlapping filetype
+raises on every install.  A valid tile ends within the filetype's
+extent, so consecutive tiles never overlap either, and a window across
+several tiles merges with the same kernel.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.dtypes.base import Datatype
-from repro.dtypes.flatten import flatten
 from repro.dtypes.primitives import BYTE
 from repro.errors import MPIIOError
+from repro.pfs.runlist import coalesce_runs
 
 __all__ = ["FileView", "check_runs"]
 
@@ -68,12 +72,18 @@ _EXPANSION_CAP = 32_000_000
 
 def _tile(filetype: Datatype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The filetype's validated tile ``(offsets, lengths, cumulative
-    lengths)``, read-only, computed on the first call for this instance
+    lengths)``, read-only, lowered on the first call for this instance
     and kept on it; a filetype that fails validation is never kept."""
     tile = filetype._view_tile
-    if tile is not None:
-        return tile
-    off, ln = flatten(filetype)
+    if tile is None:
+        filetype._view_tile = tile = _lower(filetype)
+    return tile
+
+
+def _lower(filetype: Datatype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the filetype's runs — ascending, non-overlapping, ending
+    within its extent — and merge the abutting ones."""
+    off, ln = filetype.runs()
     if len(off) > 1:
         ends = off[:-1] + ln[:-1]
         if not (off[1:] >= ends).all():
@@ -81,13 +91,18 @@ def _tile(filetype: Datatype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 "filetype displacements must be monotonically "
                 "nondecreasing and non-overlapping for a file view"
             )
+    if len(off) and int(off[-1] + ln[-1]) > filetype.extent:
+        raise MPIIOError(
+            f"filetype data ends at byte {int(off[-1] + ln[-1])}, past its "
+            f"extent {filetype.extent}: consecutive tiles would overlap"
+        )
+    off, ln, _ = coalesce_runs(off, ln)
     cum = np.concatenate(
         (np.zeros(1, dtype=np.int64), np.cumsum(ln, dtype=np.int64))
     )
     for a in (off, ln, cum):
         a.setflags(write=False)
-    filetype._view_tile = tile = (off, ln, cum)
-    return tile
+    return off, ln, cum
 
 
 class FileView:
@@ -193,9 +208,10 @@ class FileView:
         o, l = self._clip(0, r1 + 1)
         pieces_off.append(o + (self.disp + t1 * extent))
         pieces_len.append(l)
-        from repro.dtypes.flatten import merge_runs
-
-        return merge_runs(np.concatenate(pieces_off), np.concatenate(pieces_len))
+        off, ln, _ = coalesce_runs(
+            np.concatenate(pieces_off), np.concatenate(pieces_len)
+        )
+        return off, ln
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

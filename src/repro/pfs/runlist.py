@@ -6,9 +6,9 @@ that pair that recur everywhere live here exactly once, at the bottom of
 the stack so the file system, MPI-IO and the data path all import the
 same code:
 
-* :func:`coalesce_runs` — merge sorted runs into maximal runs (a sparse
-  aggregation's union, the scheduler's per-controller re-merge, the read
-  path's request coalescing);
+* :func:`coalesce_runs` — merge sorted runs into maximal runs (a file
+  view's filetype tile, a sparse aggregation's union, the scheduler's
+  per-controller re-merge, the read path's request coalescing);
 * :func:`gather_runs` / :func:`scatter_runs` — copy the runs out of /
   into a flat byte buffer (the byte store's ``readv`` / ``writev``,
   data sieving's covering extent, extraction from a coalesced read).
@@ -65,7 +65,9 @@ def coalesce_runs(
     owner = np.cumsum(new, dtype=np.int64) - 1
     starts = np.flatnonzero(new)
     coff = off[starts]
-    cend = np.maximum.reduceat(ends, starts)
+    # The reach at a group's last run is the group's furthest end: every
+    # earlier group ended before the group's first offset.
+    cend = reach[np.append(starts[1:] - 1, n - 1)]
     return coff, cend - coff, owner
 
 

@@ -10,7 +10,7 @@
   locking.
 * :mod:`~repro.simt.primitives` — Signal (broadcast), SimEvent (one-shot
   future), Resource (FIFO semaphore), serve (a FIFO walk through several
-  Resources for one park), Channel (FIFO store with timed delivery).
+  Resources for one park).
 
 Processes are plain Python functions whose first argument is their
 :class:`Process` handle::
@@ -27,7 +27,7 @@ Processes are plain Python functions whose first argument is their
 
 from repro.simt.process import Crashed, Killed, Process
 from repro.simt.simulator import FaultPlan, Simulator
-from repro.simt.primitives import Channel, Resource, Signal, SimEvent, serve
+from repro.simt.primitives import Resource, Signal, SimEvent, serve
 from repro.simt.trace import Trace, TraceRecord
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SimEvent",
     "Resource",
     "serve",
-    "Channel",
     "Trace",
     "TraceRecord",
 ]

@@ -14,8 +14,6 @@ process owns).
 * :func:`serve` — a FIFO walk through ``(resource, seconds)`` visits for
   one park: the steps in between are callbacks the parked process owns,
   event for event those of the request/hold loop it replaces.
-* :class:`Channel` — FIFO item store with optionally *delayed* delivery,
-  the building block for message transports.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.errors import SimError
 from repro.simt.process import Process
 from repro.simt.simulator import Simulator
 
-__all__ = ["Signal", "SimEvent", "Resource", "Channel", "serve"]
+__all__ = ["Signal", "SimEvent", "Resource", "serve"]
 
 
 class Signal:
@@ -277,52 +275,3 @@ def serve(
     if on_wait is not None:
         on_wait(walk.visit_waited)
     return walk.waited
-
-
-class Channel:
-    """FIFO item queue with timed delivery.
-
-    ``put`` may specify a delivery ``delay``: the item becomes visible to
-    getters only after that much virtual time, which models a message in
-    flight.  Getters block (FIFO) while the channel is empty.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "channel") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Process] = deque()
-
-    def put(self, item: Any, delay: float = 0.0) -> None:
-        """Deposit ``item``, visible ``delay`` seconds from now."""
-        if delay <= 0.0:
-            self._deposit(item)
-        else:
-            self.sim.call_after(delay, lambda: self._deposit(item))
-
-    def _deposit(self, item: Any) -> None:
-        if self._getters:
-            getter = self._getters.popleft()
-            self.sim.schedule_resume(getter, value=(True, item))
-        else:
-            self._items.append(item)
-
-    def get(self, proc: Process) -> Any:
-        """Pop the oldest visible item, blocking if none."""
-        if self._items:
-            return self._items.popleft()
-        self._getters.append(proc)
-        ok, item = proc.park(reason=f"channel:{self.name}")
-        if not ok:  # pragma: no cover - defensive; only used by future cancel
-            raise SimError(f"channel {self.name!r} get cancelled")
-        return item
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Nonblocking pop: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def __len__(self) -> int:
-        """Number of items currently visible."""
-        return len(self._items)

@@ -152,7 +152,7 @@ class Process:
         """Block until some other actor resumes this process.
 
         Returns the value passed to :meth:`Simulator.schedule_resume`.
-        Low-level primitive used by Signals, Resources, Channels, and the MPI
+        Low-level primitive used by Signals, Resources, and the MPI
         matching engine.
         """
         return self._park(reason=reason)

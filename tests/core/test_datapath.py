@@ -1056,11 +1056,11 @@ def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):
 
 def test_canonical_reads_and_writes_flatten_the_view_once(monkeypatch):
     """Three canonical writes and three reads install six file views per
-    rank through one data view: its filetype is flattened once."""
+    rank through one data view: its filetype's tile is lowered once."""
     from repro.dtypes import IndexedBlock
     from repro.mpiio import view as view_mod
 
-    calls = count_calls(monkeypatch, view_mod, "flatten")
+    calls = count_calls(monkeypatch, view_mod, "_lower")
     maps = own_range_maps()
 
     def program(ctx):

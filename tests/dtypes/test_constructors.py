@@ -11,22 +11,23 @@ from repro.dtypes import (
     INT,
     INT32,
     INT64,
-    Contiguous,
-    Hindexed,
-    Hvector,
-    Indexed,
     IndexedBlock,
-    Struct,
-    Subarray,
-    Vector,
-    flatten,
     from_numpy_dtype,
 )
 from repro.errors import DatatypeError
+from repro.mpiio import FileView
 
 
-def runs_of(dt, offset=0, count=1):
-    off, ln = flatten(dt, offset=offset, count=count)
+def runs_of(dt):
+    """One instance's runs, typemap order, unmerged."""
+    off, ln = dt.runs()
+    return list(zip(off.tolist(), ln.tolist()))
+
+
+def tiled(dt, count=1):
+    """``count`` instances of ``dt`` as a file view lowers them: tiled at
+    its extent, abutting runs merged."""
+    off, ln = FileView(filetype=dt).runs_for(0, count * dt.size)
     return list(zip(off.tolist(), ln.tolist()))
 
 
@@ -51,58 +52,8 @@ def test_from_numpy_dtype_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Contiguous / Vector / Hvector
+# IndexedBlock
 # ---------------------------------------------------------------------------
-
-def test_contiguous_is_single_merged_run():
-    dt = Contiguous(10, FLOAT64)
-    assert dt.size == 80 and dt.extent == 80
-    assert runs_of(dt) == [(0, 80)]
-
-
-def test_contiguous_zero_count():
-    dt = Contiguous(0, FLOAT64)
-    assert dt.size == 0 and runs_of(dt) == []
-
-
-def test_vector_every_fourth_element():
-    dt = Vector(count=3, blocklength=1, stride=4, base=FLOAT64)
-    assert dt.size == 24
-    assert dt.extent == (2 * 4 + 1) * 8  # last block start + blocklength
-    assert runs_of(dt) == [(0, 8), (32, 8), (64, 8)]
-
-
-def test_vector_blocklength_equals_stride_merges_to_contiguous():
-    dt = Vector(count=4, blocklength=2, stride=2, base=INT32)
-    assert runs_of(dt) == [(0, 32)]
-
-
-def test_vector_overlapping_stride_rejected():
-    with pytest.raises(DatatypeError):
-        Vector(count=2, blocklength=4, stride=2, base=INT32)
-
-
-def test_hvector_byte_stride():
-    dt = Hvector(count=3, blocklength=1, stride_bytes=100, base=INT32)
-    assert runs_of(dt) == [(0, 4), (100, 4), (200, 4)]
-    assert dt.extent == 204
-
-
-# ---------------------------------------------------------------------------
-# Indexed family
-# ---------------------------------------------------------------------------
-
-def test_indexed_variable_blocks():
-    dt = Indexed(blocklengths=[2, 1, 3], displacements=[0, 5, 10], base=FLOAT64)
-    assert dt.size == 6 * 8
-    assert dt.extent == 13 * 8
-    assert runs_of(dt) == [(0, 16), (40, 8), (80, 24)]
-
-
-def test_indexed_unsorted_displacements_keep_typemap_order():
-    dt = Indexed(blocklengths=[1, 1], displacements=[7, 2], base=INT32)
-    assert runs_of(dt) == [(28, 4), (8, 4)]
-
 
 def test_indexed_block_from_map_array():
     map_array = np.array([3, 0, 9, 4], dtype=np.int64)
@@ -112,92 +63,50 @@ def test_indexed_block_from_map_array():
     assert runs_of(dt) == [(24, 8), (0, 8), (72, 8), (32, 8)]
 
 
+def test_indexed_unsorted_displacements_keep_typemap_order():
+    dt = IndexedBlock(1, [7, 2], INT32)
+    assert runs_of(dt) == [(28, 4), (8, 4)]
+
+
 def test_indexed_block_contiguous_map_merges():
     dt = IndexedBlock(1, np.arange(100), base=FLOAT64)
-    assert runs_of(dt) == [(0, 800)]
+    assert tiled(dt) == [(0, 800)]
 
 
 def test_indexed_block_large_map_vectorized():
     n = 200_000
     disp = np.arange(n) * 2  # every other element
     dt = IndexedBlock(1, disp, base=FLOAT64)
-    off, ln = flatten(dt)
+    off, ln = dt.runs()
     assert len(off) == n
     assert off[-1] == (n - 1) * 16
     assert int(ln.sum()) == dt.size
 
 
-def test_hindexed_byte_displacements():
-    dt = Hindexed(blocklengths=[1, 2], displacements_bytes=[4, 100], base=INT32)
-    assert runs_of(dt) == [(4, 4), (100, 8)]
-
-
 def test_indexed_negative_values_rejected():
     with pytest.raises(DatatypeError):
-        Indexed([1], [-1], INT32)
-    with pytest.raises(DatatypeError):
-        Indexed([-1], [0], INT32)
-    with pytest.raises(DatatypeError):
         IndexedBlock(1, [-3], INT32)
-
-
-# ---------------------------------------------------------------------------
-# Struct / Subarray / Resized
-# ---------------------------------------------------------------------------
-
-def test_struct_mixed_types():
-    dt = Struct(
-        blocklengths=[1, 3],
-        displacements_bytes=[0, 8],
-        types=[INT64, FLOAT32],
-    )
-    assert dt.size == 8 + 12
-    assert dt.extent == 8 + 12
-    assert runs_of(dt) == [(0, 20)]  # abutting runs merge
-
-
-def test_struct_with_hole():
-    dt = Struct([1, 1], [0, 16], [INT32, FLOAT64])
-    assert dt.size == 12
-    assert dt.extent == 24
-    assert runs_of(dt) == [(0, 4), (16, 8)]
-
-
-def test_subarray_2d_block():
-    # 4x6 global, 2x3 block at (1, 2): rows are partially contiguous.
-    dt = Subarray(shape=[4, 6], subshape=[2, 3], starts=[1, 2], base=FLOAT64)
-    assert dt.size == 6 * 8
-    assert dt.extent == 24 * 8
-    assert runs_of(dt) == [(8 * 8, 24), (14 * 8, 24)]
-
-
-def test_subarray_full_rows_merge():
-    dt = Subarray(shape=[4, 6], subshape=[2, 6], starts=[1, 0], base=INT32)
-    assert runs_of(dt) == [(24, 48)]
-
-
-def test_subarray_out_of_bounds_rejected():
     with pytest.raises(DatatypeError):
-        Subarray([4, 4], [2, 2], [3, 0], INT32)
+        IndexedBlock(-1, [0], INT32)
 
+
+# ---------------------------------------------------------------------------
+# Resized
+# ---------------------------------------------------------------------------
 
 def test_resized_extent_override_for_tiling():
-    dt = Contiguous(2, INT32).with_extent(16)
+    dt = IndexedBlock(2, [0], INT32).with_extent(16)
     assert dt.size == 8 and dt.extent == 16
-    assert runs_of(dt, count=3) == [(0, 8), (16, 8), (32, 8)]
+    assert tiled(dt, count=3) == [(0, 8), (16, 8), (32, 8)]
 
 
 # ---------------------------------------------------------------------------
 # Nesting
 # ---------------------------------------------------------------------------
 
-def test_nested_vector_of_vectors():
-    inner = Vector(count=2, blocklength=1, stride=2, base=INT32)  # x.x
-    outer = Contiguous(2, inner.with_extent(16))
-    assert runs_of(outer) == [(0, 4), (8, 4), (16, 4), (24, 4)]
-
-
-def test_contiguous_of_struct_with_hole():
-    s = Struct([1], [0], [INT32]).with_extent(8)  # int + 4B pad
-    dt = Contiguous(3, s)
-    assert runs_of(dt) == [(0, 4), (8, 4), (16, 4)]
+def test_indexed_block_over_a_resized_base():
+    """A base with a hole expands instance by instance: a block of three
+    padded ints is three runs."""
+    dt = IndexedBlock(3, [0, 4], INT32.with_extent(8))
+    assert dt.size == 24 and dt.extent == 56
+    assert runs_of(dt) == [(0, 4), (8, 4), (16, 4), (32, 4), (40, 4), (48, 4)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import fast_test, origin2000
-from repro.dtypes import FLOAT64, INT32, Contiguous, IndexedBlock, Vector
+from repro.dtypes import FLOAT64, IndexedBlock
 from repro.errors import FileExists, FileNotFound, MPIIOError, SimProcessCrashed
 from repro.mpiio import (
     File,
@@ -59,7 +59,7 @@ def test_collective_interleaved_write_via_vector_view():
         fs = ctx.service("fs")
         P = ctx.size
         f = File.open(ctx.comm, fs, "inter.dat", MODE_CREATE | MODE_WRONLY)
-        ft = Contiguous(1, FLOAT64).with_extent(8 * P)
+        ft = FLOAT64.with_extent(8 * P)
         f.set_view(disp=8 * ctx.rank, etype=FLOAT64, filetype=ft)
         data = np.arange(per_rank, dtype=np.float64) * 10 + ctx.rank
         f.write_at_all(0, data)
@@ -130,7 +130,7 @@ def test_independent_write_read_with_sieving():
         fs = ctx.service("fs")
         f = File.open(ctx.comm, fs, "ind.dat", MODE_CREATE | MODE_RDWR)
         # Every rank owns every size-th double, offset by its rank.
-        ft = Contiguous(1, FLOAT64).with_extent(8 * ctx.size)
+        ft = FLOAT64.with_extent(8 * ctx.size)
         f.set_view(disp=8 * ctx.rank, etype=FLOAT64, filetype=ft)
         data = np.arange(20, dtype=np.float64) + 100 * ctx.rank
         f.write_at(0, data)
@@ -143,26 +143,6 @@ def test_independent_write_read_with_sieving():
     job = run(program, 2)
     for r, out in enumerate(job.values):
         np.testing.assert_array_equal(out, np.arange(20, dtype=np.float64) + 100 * r)
-
-
-def test_individual_file_pointer_write_read():
-    def program(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "ptr.dat", MODE_CREATE | MODE_RDWR)
-        if ctx.rank == 0:
-            f.write(np.arange(4, dtype=np.int32))
-            f.write(np.arange(4, 8, dtype=np.int32))
-            assert f.get_position() == 32  # bytes (etype BYTE)
-        ctx.comm.barrier()
-        f.seek(0)
-        out = np.empty(8, dtype=np.int32)
-        f.read(out)
-        f.close()
-        return out
-
-    job = run(program, 2)
-    for out in job.values:
-        np.testing.assert_array_equal(out, np.arange(8, dtype=np.int32))
 
 
 def test_open_missing_without_create_fails_on_all_ranks():
@@ -218,7 +198,7 @@ def test_collective_beats_independent_for_interleaved_pattern():
     def collective(ctx):
         fs = ctx.service("fs")
         f = File.open(ctx.comm, fs, "c.dat", MODE_CREATE | MODE_WRONLY)
-        ft = Contiguous(1, FLOAT64).with_extent(8 * ctx.size)
+        ft = FLOAT64.with_extent(8 * ctx.size)
         f.set_view(disp=8 * ctx.rank, etype=FLOAT64, filetype=ft)
         t0 = ctx.now
         f.write_at_all(0, np.zeros(per_rank, dtype=np.float64))
@@ -229,7 +209,7 @@ def test_collective_beats_independent_for_interleaved_pattern():
     def independent(ctx):
         fs = ctx.service("fs")
         f = File.open(ctx.comm, fs, "i.dat", MODE_CREATE | MODE_WRONLY)
-        ft = Contiguous(1, FLOAT64).with_extent(8 * ctx.size)
+        ft = FLOAT64.with_extent(8 * ctx.size)
         f.set_view(disp=8 * ctx.rank, etype=FLOAT64, filetype=ft)
         t0 = ctx.now
         f.write_at(0, np.zeros(per_rank, dtype=np.float64))

@@ -1,13 +1,13 @@
-"""File pointers, seek semantics, collective pointer ops, subarray views."""
+"""File handle lifecycle (context manager, double close, access modes)
+and a 2-D block view through MPI-IO."""
 
 import numpy as np
 import pytest
 
 from repro.config import fast_test
-from repro.dtypes import FLOAT64, INT32, Subarray
+from repro.dtypes import FLOAT64, IndexedBlock
 from repro.errors import MPIIOError, SimProcessCrashed
-from repro.mpiio import File, FileView, MODE_CREATE, MODE_RDONLY, MODE_RDWR
-from repro.mpiio.file import SEEK_CUR, SEEK_END, SEEK_SET
+from repro.mpiio import File, MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.mpi import mpirun
 from repro.pfs import FileSystem
 
@@ -20,80 +20,18 @@ def run(fn, nprocs=2):
     return mpirun(fn, nprocs, machine=fast_test(), services=fs_services)
 
 
-def test_seek_set_cur_end():
-    def program(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "s.dat", MODE_CREATE | MODE_RDWR)
-        if ctx.rank == 0:
-            f.write_at(0, np.zeros(100, dtype=np.uint8))
-        ctx.comm.barrier()
-        f.seek(10)
-        assert f.get_position() == 10
-        f.seek(5, SEEK_CUR)
-        assert f.get_position() == 15
-        f.seek(-20, SEEK_END)
-        pos_from_end = f.get_position()
-        f.seek(0, SEEK_SET)
-        f.close()
-        return pos_from_end
-
-    job = run(program)
-    assert job.values == [80, 80]
-
-
-def test_seek_negative_and_bad_whence_rejected():
-    def neg(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "n.dat", MODE_CREATE | MODE_RDWR)
-        f.seek(-1)
-
-    with pytest.raises(SimProcessCrashed) as ei:
-        run(neg)
-    assert isinstance(ei.value.__cause__, MPIIOError)
-
-    def bad(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "w.dat", MODE_CREATE | MODE_RDWR)
-        f.seek(0, 99)
-
-    with pytest.raises(SimProcessCrashed) as ei:
-        run(bad)
-    assert isinstance(ei.value.__cause__, MPIIOError)
-
-
-def test_collective_pointer_ops_write_all_read_all():
-    """write_all/read_all: each rank's individual pointer advances in etype
-    units while the collective machinery handles the data."""
-
-    def program(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "ptr.dat", MODE_CREATE | MODE_RDWR)
-        # Per-rank disjoint blocks via view displacement.
-        f.set_view(disp=ctx.rank * 64, etype=FLOAT64)
-        f.write_all(np.full(4, float(ctx.rank)))        # elements 0..3
-        f.write_all(np.full(4, float(ctx.rank) + 10))   # elements 4..7
-        assert f.get_position() == 8
-        f.seek(0)
-        out = np.empty(8, dtype=np.float64)
-        f.read_all(out)
-        f.close()
-        return out
-
-    job = run(program)
-    for r, out in enumerate(job.values):
-        np.testing.assert_array_equal(out[:4], np.full(4, float(r)))
-        np.testing.assert_array_equal(out[4:], np.full(4, float(r) + 10))
-
-
 def test_subarray_filetype_through_mpiio():
-    """A 2-D block decomposition via Subarray filetypes: the classic
-    regular-application pattern at the MPI-IO level."""
+    """A 2-D block decomposition of a C-order array, each rank's block an
+    indexed filetype over its element ids: the classic regular-application
+    pattern at the MPI-IO level."""
     shape, sub = (8, 8), (4, 4)
 
     def program(ctx):
         fs = ctx.service("fs")
-        starts = {0: (0, 0), 1: (0, 4), 2: (4, 0), 3: (4, 4)}[ctx.rank]
-        ft = Subarray(shape, sub, starts, FLOAT64)
+        r0, c0 = {0: (0, 0), 1: (0, 4), 2: (4, 0), 3: (4, 4)}[ctx.rank]
+        rows, cols = np.meshgrid(np.arange(r0, r0 + sub[0]),
+                                 np.arange(c0, c0 + sub[1]), indexing="ij")
+        ft = IndexedBlock(1, (rows * shape[1] + cols).reshape(-1), FLOAT64)
         f = File.open(ctx.comm, fs, "grid.dat", MODE_CREATE | MODE_RDWR)
         f.set_view(etype=FLOAT64, filetype=ft)
         block = np.full(16, float(ctx.rank))
@@ -109,20 +47,6 @@ def test_subarray_filetype_through_mpiio():
     np.testing.assert_array_equal(grid[:4, 4:], np.ones((4, 4)))
     np.testing.assert_array_equal(grid[4:, :4], np.full((4, 4), 2.0))
     np.testing.assert_array_equal(grid[4:, 4:], np.full((4, 4), 3.0))
-
-
-def test_get_view_reflects_installed_view():
-    def program(ctx):
-        fs = ctx.service("fs")
-        f = File.open(ctx.comm, fs, "v.dat", MODE_CREATE | MODE_RDWR)
-        default = f.get_view()
-        f.set_view(disp=100, etype=FLOAT64)
-        installed = f.get_view()
-        f.close()
-        return default.dense, default.disp, installed.disp, installed.etype.size
-
-    job = run(program)
-    assert job.values[0] == (True, 0, 100, 8)
 
 
 def test_context_manager_closes_collectively():

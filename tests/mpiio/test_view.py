@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dtypes import BYTE, FLOAT64, INT32, Contiguous, IndexedBlock, Vector
+from repro.dtypes import BYTE, FLOAT64, INT32, IndexedBlock
 from repro.errors import MPIIOError
 from repro.mpiio import FileView
 
@@ -27,7 +27,7 @@ def test_displacement_shifts_everything():
 
 def test_vector_filetype_round_robin():
     # Rank 1 of 4: every 4th double, starting at element 1.
-    ft = Vector(count=1, blocklength=1, stride=1, base=FLOAT64).with_extent(32)
+    ft = IndexedBlock(1, [0], FLOAT64).with_extent(32)
     v = FileView(disp=8, etype=FLOAT64, filetype=ft)
     assert v.tile_size == 8 and v.tile_extent == 32
     assert runs(v, 0, 24) == [(8, 8), (40, 8), (72, 8)]
@@ -35,14 +35,14 @@ def test_vector_filetype_round_robin():
 
 def test_partial_tile_clipping():
     # Filetype: 2 doubles data then 2 doubles hole (extent 32B, size 16B).
-    ft = Contiguous(2, FLOAT64).with_extent(32)
+    ft = IndexedBlock(2, [0], FLOAT64).with_extent(32)
     v = FileView(etype=FLOAT64, filetype=ft)
     # Start mid-tile: second double of tile 0, first double of tile 1.
     assert runs(v, 8, 16) == [(8, 8), (32, 8)]
 
 
 def test_many_middle_tiles_vectorized():
-    ft = Contiguous(1, FLOAT64).with_extent(64)
+    ft = FLOAT64.with_extent(64)
     v = FileView(etype=FLOAT64, filetype=ft)
     o, l = v.runs_for(0, 8 * 1000)
     assert len(o) == 1000
@@ -64,8 +64,20 @@ def test_nonmonotonic_filetype_rejected():
         FileView(etype=FLOAT64, filetype=ft)
 
 
+def test_filetype_extent_shorter_than_its_data_rejected():
+    """Tiled at a stride shorter than its data, a filetype would give
+    overlapping runs — four doubles tiled every 8 bytes — so the view
+    refuses it, at every install."""
+    ft = IndexedBlock(4, [0], FLOAT64).with_extent(8)
+    for _ in range(2):
+        with pytest.raises(MPIIOError, match="past its extent"):
+            FileView(etype=FLOAT64, filetype=ft)
+    with pytest.raises(MPIIOError):
+        FileView(etype=FLOAT64, filetype=FLOAT64.with_extent(0))
+
+
 def test_etype_filetype_size_divisibility_enforced():
-    ft = Contiguous(3, BYTE)
+    ft = IndexedBlock(3, [0], BYTE)
     with pytest.raises(MPIIOError):
         FileView(etype=INT32, filetype=ft)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import fast_test
-from repro.dtypes import FLOAT64, Contiguous
+from repro.dtypes import FLOAT64
 from repro.mpi import mpirun
 from repro.mpiio import MODE_CREATE, MODE_RDWR, File, twophase
 from repro.pfs import FileSystem, runlist
@@ -194,7 +194,7 @@ def _interleaved_roundtrip(disp):
     def program(ctx):
         fs = ctx.service("fs")
         f = File.open(ctx.comm, fs, "il.dat", MODE_CREATE | MODE_RDWR)
-        ft = Contiguous(1, FLOAT64).with_extent(8 * ctx.size)
+        ft = FLOAT64.with_extent(8 * ctx.size)
         f.set_view(disp=disp + 8 * ctx.rank, etype=FLOAT64, filetype=ft)
         mine = np.arange(PER_RANK, dtype=np.float64) * ctx.size + ctx.rank
         f.write_at_all(0, mine)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dtypes import FLOAT64, IndexedBlock, Vector
+from repro.dtypes import FLOAT64, IndexedBlock
 from repro.mpiio import FileView
 
 
@@ -42,13 +42,11 @@ def test_indexed_view_selects_mapped_elements(case):
     st.integers(0, 30),   # starting element
 )
 def test_round_robin_view_arithmetic(nprocs, rank, count, start):
-    """The rank-strided vector view maps element k to file element
+    """The rank-strided view maps element k to file element
     k*nprocs + rank — checked for arbitrary windows."""
     if rank >= nprocs:
         rank = rank % nprocs
-    ft = Vector(count=1, blocklength=1, stride=1, base=FLOAT64).with_extent(
-        8 * nprocs
-    )
+    ft = IndexedBlock(1, [0], FLOAT64).with_extent(8 * nprocs)
     view = FileView(disp=8 * rank, etype=FLOAT64, filetype=ft)
     off, ln = view.runs_for(start * 8, count * 8)
     selected = []
@@ -78,3 +76,39 @@ def test_view_windows_compose(case):
         return out
 
     assert expand(o1, l1) + expand(o2, l2) == expand(o_all, l_all)
+
+
+@st.composite
+def tiled_blocks(draw):
+    """An ``IndexedBlock`` of ``blocklength`` doubles per displacement
+    (blocks ascending and disjoint, possibly abutting), resized to a
+    stride at or past its extent, and a window over several tiles."""
+    b = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    disp = np.cumsum([g + b for g in gaps]) - b
+    pad = draw(st.integers(0, 3))
+    stride = int(disp[-1]) + b + pad
+    per_tile = len(disp) * b
+    start = draw(st.integers(0, 3 * per_tile))
+    count = draw(st.integers(1, 4 * per_tile))
+    return b, disp, stride, start, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_blocks())
+def test_multi_tile_windows_select_and_merge(case):
+    """Across tiles — the head, middle and tail of ``runs_for`` — visible
+    element k is file element ``t * stride + disp[j // b] + j % b`` (``t,
+    j = divmod(k, len(disp) * b)``), and the runs come back maximal:
+    abutting blocks, and a tile's last block abutting the next tile's
+    first, are one run."""
+    b, disp, stride, start, count = case
+    ft = IndexedBlock(b, disp, FLOAT64).with_extent(8 * stride)
+    view = FileView(etype=FLOAT64, filetype=ft)
+    off, ln = view.runs_for(start * 8, count * 8)
+    assert (off[1:] > off[:-1] + ln[:-1]).all()
+    selected = []
+    for o, l in zip(off.tolist(), ln.tolist()):
+        selected.extend(range(o // 8, (o + l) // 8))
+    t, j = np.divmod(np.arange(start, start + count), len(disp) * b)
+    np.testing.assert_array_equal(selected, t * stride + disp[j // b] + j % b)

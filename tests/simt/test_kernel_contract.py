@@ -11,6 +11,7 @@ never to a clock.
 
 import sys
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.config import origin2000
 from repro.pfs import FileSystem
 from repro.pfs.file import RDWR, WR
 from repro.pfs.scheduler import controller_batches
-from repro.simt import Channel, Resource, Simulator
+from repro.simt import Resource, Simulator
 from serve_plan_reference import reference_serve_plan
 
 
@@ -86,14 +87,39 @@ GOLDEN_RESUMES = [
 ]
 
 
+class Mailbox:
+    """FIFO items delivered after a delay: each delivery is a ``call``
+    event, and a getter parks until one reaches it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.items = deque()
+        self.getters = deque()
+
+    def put(self, item, delay):
+        self.sim.call_after(delay, lambda: self._deliver(item))
+
+    def _deliver(self, item):
+        if self.getters:
+            self.sim.schedule_resume(self.getters.popleft(), value=item)
+        else:
+            self.items.append(item)
+
+    def get(self, proc):
+        if self.items:
+            return self.items.popleft()
+        self.getters.append(proc)
+        return proc.park(reason="mail")
+
+
 def mixed_scenario(pauses=()):
-    """Tied holds, FIFO queueing on a Resource, delayed Channel deliveries
+    """Tied holds, FIFO queueing on a Resource, delayed mailbox deliveries
     (``call`` events), a daemon, and ``run(until)`` pauses; every time is
     a binary fraction, so the log compares exactly."""
     log = []
     sim = Simulator()
     disk = Resource(sim, 1, "disk")
-    mail = Channel(sim, "mail")
+    mail = Mailbox(sim)
 
     def mark(proc):
         log.append((proc.now, proc.name))

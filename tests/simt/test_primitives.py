@@ -1,4 +1,4 @@
-"""Unit tests for Signal, SimEvent, Resource, serve, and Channel."""
+"""Unit tests for Signal, SimEvent, Resource, and serve."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimDeadlockError, SimError, SimProcessCrashed
 from repro.simt import (
-    Channel, FaultPlan, Resource, Signal, SimEvent, Simulator, serve,
+    FaultPlan, Resource, Signal, SimEvent, Simulator, serve,
 )
 
 
@@ -410,90 +410,3 @@ def test_serve_rejects_a_duration_that_is_not_nonnegative(visits, lead):
         sim.run()
     assert isinstance(ei.value.__cause__, ValueError)
     assert (sim.now, sim._seq, res.available) == (0.0, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Channel
-# ---------------------------------------------------------------------------
-
-def test_channel_put_then_get_immediate():
-    def producer(proc, ch):
-        ch.put("a")
-        ch.put("b")
-
-    def consumer(proc, ch):
-        proc.hold(1.0)
-        return [ch.get(proc), ch.get(proc)]
-
-    sim = Simulator()
-    ch = Channel(sim)
-    sim.spawn(producer, ch)
-    c = sim.spawn(consumer, ch)
-    sim.run()
-    assert c.result == ["a", "b"]
-
-
-def test_channel_get_blocks_until_delayed_delivery():
-    def producer(proc, ch):
-        ch.put("late", delay=4.0)
-
-    def consumer(proc, ch):
-        item = ch.get(proc)
-        return (item, proc.now)
-
-    sim = Simulator()
-    ch = Channel(sim)
-    sim.spawn(producer, ch)
-    c = sim.spawn(consumer, ch)
-    sim.run()
-    assert c.result == ("late", 4.0)
-
-
-def test_channel_delayed_items_become_visible_in_delivery_order():
-    def producer(proc, ch):
-        ch.put("slow", delay=5.0)
-        ch.put("fast", delay=1.0)
-
-    def consumer(proc, ch):
-        return [ch.get(proc), ch.get(proc)]
-
-    sim = Simulator()
-    ch = Channel(sim)
-    sim.spawn(producer, ch)
-    c = sim.spawn(consumer, ch)
-    sim.run()
-    assert c.result == ["fast", "slow"]
-
-
-def test_channel_try_get_nonblocking():
-    def fn(proc, ch):
-        ok0, _ = ch.try_get()
-        ch.put("x")
-        ok1, item = ch.try_get()
-        return (ok0, ok1, item, len(ch))
-
-    sim = Simulator()
-    ch = Channel(sim)
-    p = sim.spawn(fn, ch)
-    sim.run()
-    assert p.result == (False, True, "x", 0)
-
-
-def test_channel_multiple_getters_fifo():
-    got = []
-
-    def getter(proc, ch):
-        got.append((proc.name, ch.get(proc)))
-
-    def producer(proc, ch):
-        proc.hold(1.0)
-        for i in range(3):
-            ch.put(i)
-
-    sim = Simulator()
-    ch = Channel(sim)
-    for i in range(3):
-        sim.spawn(getter, ch, name=f"g{i}")
-    sim.spawn(producer, ch)
-    sim.run()
-    assert got == [("g0", 0), ("g1", 1), ("g2", 2)]
