@@ -1,20 +1,28 @@
-"""Guard the two resolve-once memos of the read path, host speed
-cancelled out.
+"""Guard the resolve-once memos of the read path and the resolution
+they memoise, host speed cancelled out.
 
 A checkpoint loop reads through one data view again and again, and two
 answers do not change between those reads: the chunked read's
 resolution (:class:`repro.core.datapath._ReadPlan`, kept beside the
 index blocks it came from) and the canonical view's lowered filetype
 tile (kept on the ``Datatype`` by :mod:`repro.mpiio.view`).  Both sides
-of each memo are timed in this process, in alternating rounds
+of each comparison are timed in this process, in alternating rounds
 (``perfcheck_aggregation.samples_us``), and only the median per-round
-*ratio* is held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in 4
-indexed chunks, one rank's 250 k wanted elements:
+*ratio* is held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in
+4 indexed chunks, one rank's 250 k wanted elements:
 
-* **plan** — applying a kept plan (rebase, extraction) must beat
-  resolving it (``_chunk_positions`` plus the sorted unique positions
-  and the extraction index) by ``PLAN_MIN_SPEEDUP``, for the rank's own
-  map (extraction is the identity) and for a foreign one (it is not);
+* **plan** — applying a kept plan (rebase its merged runs, extraction)
+  must beat resolving it (``_chunk_positions``, the sorted unique
+  positions, their gap-0 merge and the extraction index) by
+  ``PLAN_MIN_SPEEDUP``, for the rank's own map (one run, extraction is
+  the identity) and for a foreign one (neither holds);
+* **resolve** — ``_chunk_positions``, which walks the chunks in writer
+  rank and assigns each one's hits in place, must beat the sort-based
+  merge it replaced (every chunk's candidates concatenated, one stable
+  argsort, a final ``searchsorted``; kept here as ``sorted_merge``) by
+  ``RESOLVE_MIN_SPEEDUP`` for the own and the foreign map, and may be
+  at most ``SPARSE_MAX_SLOWDOWN`` slower for a sparse viewer (1 000
+  scattered gids);
 * **filetype** — a ``FileView`` over a memoised filetype must be built
   ``VIEW_MIN_SPEEDUP`` times faster than over a fresh one.
 
@@ -28,7 +36,7 @@ import sys
 import numpy as np
 
 from perfcheck_aggregation import compare, samples_us
-from repro.core.datapath import _live_chunks, _read_plan
+from repro.core.datapath import _chunk_positions, _live_chunks, _read_plan
 from repro.core.groups import DataView
 from repro.dtypes import DOUBLE, IndexedBlock
 from repro.metadb.schema import CHUNK_INDEX_BYTES, ChunkRecord
@@ -36,6 +44,9 @@ from repro.mpiio.view import FileView
 
 PLAN_MIN_SPEEDUP = 3.0
 VIEW_MIN_SPEEDUP = 10.0
+RESOLVE_MIN_SPEEDUP = 1.2
+SPARSE_MAX_SLOWDOWN = 1.5
+SPARSE = 1_000
 ELEMENTS = 1_000_000
 CHUNKS = 4
 
@@ -64,15 +75,54 @@ def resolve(view, chunks, blocks):
 
 
 def apply(plan, base, elems):
-    """A plan hit's host work around the read: rebase, then extract."""
-    upos = plan.rel + base
+    """A plan hit's host work around the read: rebase the runs, then
+    extract."""
+    off = plan.rel + base
     if plan.take is not None:
         elems = elems.take(plan.take)
     if plan.present is None:
-        return upos, elems
+        return off, elems
     out = np.zeros(len(plan.view.map_sorted), dtype=elems.dtype)
     out[plan.present] = elems
-    return upos, out
+    return off, out
+
+
+def sorted_merge(chunks, blocks, esize, wanted):
+    """The resolution ``_chunk_positions`` replaced: candidates from every
+    live chunk in writer rank, one stable sort keeping each gid's last,
+    then every wanted gid searched back in."""
+    pos = np.full(len(wanted), -1, dtype=np.int64)
+    live = _live_chunks(chunks, wanted)
+    lo, hi = int(wanted[0]), int(wanted[-1])
+    cand_gid, cand_pos = [], []
+    for ch in live:  # indexed chunks only at this shape
+        cidx = blocks[ch.block]
+        a = int(np.searchsorted(cidx, lo))
+        b = int(np.searchsorted(cidx, hi, side="right"))
+        if b - a <= len(wanted):
+            g = cidx[a:b]
+            p = ch.data_offset + np.arange(a, b, dtype=np.int64) * esize
+        else:
+            j = np.searchsorted(cidx, wanted)
+            inb = j < len(cidx)
+            m = np.zeros(len(wanted), dtype=bool)
+            m[inb] = cidx[j[inb]] == wanted[inb]
+            g = wanted[m]
+            p = ch.data_offset + j[m] * esize
+        cand_gid.append(g)
+        cand_pos.append(p)
+    gid, gpos = np.concatenate(cand_gid), np.concatenate(cand_pos)
+    order = np.argsort(gid, kind="stable")
+    gid = gid[order]
+    last = np.ones(len(gid), dtype=bool)
+    np.not_equal(gid[1:], gid[:-1], out=last[:-1])
+    gid, gpos = gid[last], gpos[order][last]
+    j = np.searchsorted(gid, wanted)
+    inb = j < len(gid)
+    hit = np.zeros(len(wanted), dtype=bool)
+    hit[inb] = gid[j[inb]] == wanted[inb]
+    pos[hit] = gpos[j[hit]]
+    return pos
 
 
 def main() -> int:
@@ -80,22 +130,43 @@ def main() -> int:
     maps, chunks, blocks = bulk_instance(rng)
     failures = []
 
-    foreign = rng.choice(ELEMENTS, ELEMENTS // CHUNKS, replace=False)
+    foreign = np.sort(rng.choice(ELEMENTS, ELEMENTS // CHUNKS,
+                                 replace=False))
+    sparse = np.sort(rng.choice(ELEMENTS, SPARSE, replace=False))
     for name, wanted in (("own map", maps[0]), ("foreign map", foreign)):
         view = DataView.from_map(wanted)
         plan = resolve(view, chunks, blocks)
-        elems = rng.standard_normal(len(plan.rel))
+        elems = rng.standard_normal(int(plan.rlen.sum()) // DOUBLE.size)
         cold, warm, ratio = compare(*samples_us(
             [lambda: resolve(view, chunks, blocks),
              lambda: apply(plan, chunks[0].data_offset, elems)], **TIMING))
         ok = ratio >= PLAN_MIN_SPEEDUP
-        print(f"perfcheck: plan, {name} ({len(wanted)} of {ELEMENTS}): "
-              f"resolve {cold / 1e3:.2f} ms, apply {warm / 1e3:.2f} ms, "
-              f"{ratio:.1f}x (min {PLAN_MIN_SPEEDUP}x) "
+        print(f"perfcheck: plan, {name} ({len(wanted)} of {ELEMENTS}, "
+              f"{len(plan.rel)} runs): resolve {cold / 1e3:.2f} ms, apply "
+              f"{warm / 1e3:.2f} ms, {ratio:.1f}x (min {PLAN_MIN_SPEEDUP}x) "
               f"{'ok' if ok else 'FAIL'}")
         if not ok:
             failures.append(f"applying a plan ({name}) is only "
                             f"{ratio:.1f}x faster than resolving it")
+
+    for name, wanted, bound in (
+        ("own map", maps[0], RESOLVE_MIN_SPEEDUP),
+        ("foreign map", foreign, RESOLVE_MIN_SPEEDUP),
+        ("sparse", sparse, 1 / SPARSE_MAX_SLOWDOWN),
+    ):
+        args = (chunks, blocks, DOUBLE.size, wanted)
+        np.testing.assert_array_equal(_chunk_positions(*args),
+                                      sorted_merge(*args))
+        old, new, ratio = compare(*samples_us(
+            [lambda: sorted_merge(*args), lambda: _chunk_positions(*args)],
+            **TIMING))
+        ok = ratio >= bound
+        print(f"perfcheck: resolve, {name} ({len(wanted)} of {ELEMENTS}): "
+              f"sorted merge {old / 1e3:.2f} ms, in place {new / 1e3:.2f} "
+              f"ms, {ratio:.2f}x (min {bound:.2f}x) {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(f"resolving {name} in place is {ratio:.2f}x "
+                            f"the sorted merge (min {bound:.2f}x)")
 
     view = DataView.from_map(maps[0])
     kept = view.filetype(DOUBLE)

@@ -23,34 +23,34 @@ either takes the canonical fast path or runs the chunked read pipeline:
    block the wanted range touches in one pass (cache hits, then the
    collective dealing round or one batched fetch), and the pure
    :func:`_chunk_positions` turns the wanted global indices into absolute
-   file byte positions against all chunk maps at once: arithmetic chunks
+   file byte positions against all chunk maps: arithmetic chunks
    (constant-stride maps, ``index_offset == data_offset``) are pure
-   arithmetic, indexed chunks are looked up in their blocks; candidates
-   from all chunks merge in a single stable sort whose last-per-gid
-   survivor reproduces the two-phase overlap rule (highest writing rank
-   wins) — no per-chunk rescan of the wanted array;
-2. **read** — one collective ``File.read_runs_at_all`` takes the unique
-   positions as they are, one run per element, and returns each
-   element's bytes in position order; a vectorized scatter puts them
+   arithmetic, indexed chunks are looked up in their blocks; walked in
+   ascending writer rank, a later chunk's hits overwrite an earlier
+   one's — the two-phase overlap rule (highest writing rank wins), with
+   no sort.  The unique positions are merged at gap 0 into byte runs;
+2. **read** — one collective ``File.read_runs_at_all`` takes those
+   runs (one for a rank reading back its own chunk) and returns the
+   elements' bytes in position order; a vectorized scatter puts them
    back in view order.
 
 Step 1's host work is done once per data view and chunk layout: the
-resolved positions (relative to the first live chunk's data), their
-sorted unique order and the extraction index are a read plan, kept in
-the rank's :class:`IndexBlockCache` beside the blocks it was resolved
-from.  A checkpoint loop's next timestep shares those blocks, so its
-read is the plan plus one base offset.  Block acquisition still runs on
-every read, which keeps the collectives and index traffic independent of
-what is cached.
+merged runs (relative to the first live chunk's data) and the
+extraction index are a read plan, kept in the rank's
+:class:`IndexBlockCache` beside the blocks it was resolved from.  A
+checkpoint loop's next timestep shares those blocks, so its read is the
+plan's runs plus one base offset, O(runs) host work.  Block acquisition
+still runs on every read, which keeps the collectives and index traffic
+independent of what is cached.
 
-Coalescing is the file's job, not this module's: :class:`~repro.mpiio.
-file.File` resolves the ``coalesce_gap`` hint, merges the positions into
-maximal contiguous byte runs (holes up to the gap bridged — read and
-discarded, the data-sieving trade), ships O(chunks) runs instead of
-O(elements) into the exchange and extracts the requested bytes again
-(``docs/datapath.md``, "The run list").  The batched independent reads
-here (index blocks, reorganize's and compaction's gathers) go through
-``File.read_runs``, the same pipeline over data sieving.
+Bridging holes is the file's job, not this module's: :class:`~repro.
+mpiio.file.File` resolves the ``coalesce_gap`` hint over the runs it is
+handed — a gap-0 merge leaves its holes and payload as they were —
+bridges holes up to the gap (read and discarded, the data-sieving trade)
+and extracts the requested bytes again (``docs/datapath.md``, "The run
+list").  The batched independent reads here (index blocks, reorganize's
+and compaction's gathers) go through ``File.read_runs``, the same
+pipeline over data sieving.
 
 :func:`execute_reorganize` converts a chunked instance into canonical order —
 reading the chunk maps, performing the deferred exchange exactly once,
@@ -214,7 +214,10 @@ class _ReadPlan(NamedTuple):
     view: DataView
     """The one view the plan is served to (its map is read-only)."""
     rel: np.ndarray
-    """Sorted unique file positions of the wanted elements, minus base."""
+    rlen: np.ndarray
+    """The wanted elements' sorted unique file positions as maximal byte
+    runs (merged at gap 0, so no hole is bridged), offsets minus base —
+    O(runs), one run for a rank reading back its own chunk."""
     present: Optional[np.ndarray]
     """Which wanted elements some chunk holds (None: all of them)."""
     take: Optional[np.ndarray]
@@ -936,11 +939,11 @@ def _live_chunks(
 def _last_per_gid(
     gid: np.ndarray, val: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The overlap rule, stated once: of candidate ``(gid, val)`` pairs
-    listed in ascending writer rank, each global index keeps its last —
-    the highest writing rank's, as the two-phase exchange resolves
-    overlapping writes.  Returns the sorted unique gids and their
-    values."""
+    """The overlap rule, as reorganize applies it: of candidate ``(gid,
+    val)`` pairs listed in ascending writer rank, each global index keeps
+    its last — the highest writing rank's, as the two-phase exchange
+    resolves overlapping writes.  Returns the sorted unique gids and
+    their values."""
     order = np.argsort(gid, kind="stable")  # ties keep writer order
     gid = gid[order]
     last = np.ones(len(gid), dtype=bool)
@@ -959,55 +962,48 @@ def _chunk_positions(
     maps every overlapping indexed chunk's :attr:`ChunkRecord.block` to
     its gids.
 
-    Arithmetic chunks resolve by pure arithmetic, indexed chunks by
-    lookup in their blocks.  Candidate ``(gid, position)`` pairs from
-    every overlapping chunk are gathered in ascending writer rank and
-    merged with one stable sort whose last-per-gid survivor wins —
-    exactly the two-phase exchange's overlap rule (highest writing rank
-    wins) without a per-chunk rescan of the wanted array.
+    The live chunks are walked in ascending writer rank and each one's
+    hits are assigned straight into the result, so a later chunk
+    overwrites an earlier one — exactly the two-phase exchange's overlap
+    rule (highest writing rank wins), with no sort.  Arithmetic chunks
+    resolve by pure arithmetic; an indexed chunk probes the smaller of
+    two in-range slices into the larger — its block's gids inside the
+    wanted range (a bulk read), or the wanted gids inside its range (a
+    sparse catalog viewer) — so each chunk costs O(smaller slice · log).
+    A ``wanted`` that repeats a gid is resolved on its unique values.
     """
     pos = np.full(len(wanted), -1, dtype=np.int64)
     live = _live_chunks(chunks, wanted)
     if not live:
         return pos
+    if len(wanted) > 1 and not (wanted[1:] != wanted[:-1]).all():
+        uniq, inv = np.unique(wanted, return_inverse=True)
+        return _chunk_positions(live, blocks, esize, uniq)[inv]
     lo, hi = int(wanted[0]), int(wanted[-1])
-    cand_gid: List[np.ndarray] = []
-    cand_pos: List[np.ndarray] = []
-    for ch in live:  # ascending rank: later candidates override earlier
+    for ch in live:  # ascending rank: later chunks overwrite earlier ones
+        i = int(np.searchsorted(wanted, ch.gid_min))
+        j = int(np.searchsorted(wanted, ch.gid_max, side="right"))
+        w, out = wanted[i:j], pos[i:j]  # out is a view: writes land in pos
         if ch.block is None:
-            step = max(ch.gid_step, 1)
-            sel = (wanted >= ch.gid_min) & (wanted <= ch.gid_max)
-            if step > 1:
-                sel &= (wanted - ch.gid_min) % step == 0
-            g = wanted[sel]
-            p = ch.data_offset + ((g - ch.gid_min) // step) * esize
+            k, r = np.divmod(w - ch.gid_min, max(ch.gid_step, 1))
+            out[r == 0] = ch.data_offset + k[r == 0] * esize
+            continue
+        cidx = blocks[ch.block]
+        a = int(np.searchsorted(cidx, lo))
+        b = int(np.searchsorted(cidx, hi, side="right"))
+        if b - a <= j - i:
+            # The block's slice is the smaller: find each of its gids
+            # among the wanted ones.
+            g = cidx[a:b]
+            k = np.searchsorted(w, g)
+            hit = np.flatnonzero(w.take(k, mode="clip") == g)
+            out[k[hit]] = ch.data_offset + (a + hit) * esize
         else:
-            cidx = blocks[ch.block]
-            a = int(np.searchsorted(cidx, lo))
-            b = int(np.searchsorted(cidx, hi, side="right"))
-            if b - a <= len(wanted):
-                # Bulk read: the chunk's in-range slice is the smaller
-                # side — contribute it wholesale.
-                g = cidx[a:b]
-                p = ch.data_offset + np.arange(a, b, dtype=np.int64) * esize
-            else:
-                # Sparse read (catalog viewers): probing wanted into the
-                # block bounds candidates by O(wanted), not O(chunk).
-                j = np.searchsorted(cidx, wanted)
-                inb = j < len(cidx)
-                m = np.zeros(len(wanted), dtype=bool)
-                m[inb] = cidx[j[inb]] == wanted[inb]
-                g = wanted[m]
-                p = ch.data_offset + j[m] * esize
-        cand_gid.append(g)
-        cand_pos.append(p)
-    gid, gpos = _last_per_gid(np.concatenate(cand_gid),
-                              np.concatenate(cand_pos))
-    j = np.searchsorted(gid, wanted)
-    inb = j < len(gid)
-    hit = np.zeros(len(wanted), dtype=bool)
-    hit[inb] = gid[j[inb]] == wanted[inb]
-    pos[hit] = gpos[j[hit]]
+            # The wanted slice is the smaller: find each wanted gid in
+            # the block.
+            k = np.searchsorted(cidx, w)
+            hit = cidx.take(k, mode="clip") == w
+            out[hit] = ch.data_offset + k[hit] * esize
     return pos
 
 
@@ -1113,19 +1109,18 @@ def _assemble_chunked(
 ) -> np.ndarray:
     """Gather this rank's wanted elements out of a chunked instance.
 
-    The chunk maps give each element's file position; one collective
-    ``read_runs_at_all`` of the unique positions (one run per element —
-    the file coalesces them into maximal contiguous byte runs, holes up
-    to its ``coalesce_gap`` hint bridged, so the exchange carries
-    O(chunks) runs, not O(elements)) returns the elements' bytes in
+    The chunk maps give each element's file position; the sorted unique
+    positions, merged into maximal byte runs, go to one collective
+    ``read_runs_at_all`` (the file bridges holes up to its
+    ``coalesce_gap`` hint on top), which returns the elements' bytes in
     position order.  Elements no chunk wrote read as 0 — the bytes a
     canonical read of an unwritten region would return.
 
     Block acquisition runs on every read, so the collectives and the
     index traffic never depend on what a rank has cached.  The rest —
-    positions, their sorted unique order, the extraction index — is the
-    view's :class:`_ReadPlan`, kept in ``cache`` and reused while the
-    live chunks keep their layout relative to the first one's data."""
+    positions, their merged runs, the extraction index — is the view's
+    :class:`_ReadPlan`, kept in ``cache`` and reused while the live
+    chunks keep their layout relative to the first one's data."""
     wanted = view.map_sorted
     blocks = acquire_index_blocks(comm, f, chunks, wanted, cache, version)
     live = _live_chunks(chunks, wanted)
@@ -1139,8 +1134,7 @@ def _assemble_chunked(
     if plan is None:
         plan = _read_plan(view, live, blocks, dtype.size, base)
         cache.keep_plan(key, plan)
-    upos = plan.rel + base
-    raw = f.read_runs_at_all(upos, np.full(len(upos), dtype.size))
+    raw = f.read_runs_at_all(plan.rel + base, plan.rlen)
     elems = raw.view(dtype.numpy_dtype)
     if plan.take is not None:
         elems = elems.take(plan.take)
@@ -1173,16 +1167,18 @@ def _read_plan(
         np.not_equal(upos[1:], upos[:-1], out=keep[1:])
         upos = upos[keep]
         take = np.searchsorted(upos, found)
-    rel = upos - base
+    rel, rlen, _ = runs.coalesce_runs(
+        upos - base, np.full(len(upos), esize, dtype=np.int64)
+    )
     present = None if present.all() else present
-    for a in (rel, present, take):
+    for a in (rel, rlen, present, take):
         if a is not None:
             a.setflags(write=False)
     # An index block lies at or below the data of every chunk using it.
     lo = min((ch.index_offset for ch in live), default=0)
     hi = max((ch.data_offset + ch.num_elements * esize for ch in live),
              default=0)
-    return _ReadPlan(view, rel, present, take, lo, hi)
+    return _ReadPlan(view, rel, rlen, present, take, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class File:
         only — what lies between two index blocks is other chunks' data,
         and bridging it would bill data bytes as index traffic."""
         self._check_live()
-        off, ln = check_runs(offsets, lengths)
+        off, ln, _ = runs.coalesce_runs(*check_runs(offsets, lengths))
         return self._read_coalesced(off, ln, collective=False, kind=kind)
 
     @collective
@@ -256,7 +256,7 @@ class File:
         order (empty for a rank with no runs).  Nearby runs are merged at
         the source under the ``coalesce_gap`` hint."""
         self._check_live()
-        off, ln = check_runs(offsets, lengths)
+        off, ln, _ = runs.coalesce_runs(*check_runs(offsets, lengths))
         return self._read_coalesced(off, ln, collective=True)
 
     # ------------------------------------------------------------------
@@ -267,17 +267,17 @@ class File:
         self, off: np.ndarray, ln: np.ndarray, collective: bool,
         kind: str = "data",
     ) -> np.ndarray:
-        """Resolve gap → coalesce → read → extract, the one place a read's
-        run list is merged before it is issued.
+        """Resolve gap → coalesce → read → extract over maximal runs.
 
-        This rank merges its runs at the source — exactly-adjacent runs
-        always (gap 0, lossless), nearby runs with holes up to the
-        ``coalesce_gap`` hint for data reads (read-and-discard; under
-        ``ADAPTIVE_GAP`` the gap is derived from these very runs, so the
-        waste budget is spent once) — so the request *metadata* handed to
-        the two-phase exchange or to data sieving shrinks with the run
-        count, not the element count.  The returned bytes are exactly the
-        requested runs, in run order, either way.
+        Every run list arrives merged at gap 0 (a view's by
+        :meth:`FileView.runs_for`, explicit runs right after
+        :func:`check_runs`), so the merge kernel runs only to bridge
+        holes: for data reads, up to the ``coalesce_gap`` hint
+        (read-and-discard; under ``ADAPTIVE_GAP`` the gap is derived from
+        these very runs, so the waste budget is spent once).  The request
+        *metadata* handed to the two-phase exchange or to data sieving
+        shrinks with the run count, not the element count; the returned
+        bytes are exactly the requested runs, in run order.
         """
         gap = 0
         if kind != "index":
@@ -285,7 +285,9 @@ class File:
                 self.hints.coalesce_gap, off, ln,
                 max_gap=self.hints.ds_threshold_gap,
             )
-        coff, clen, owner = runs.coalesce_runs(off, ln, gap)
+        coff, clen, owner = off, ln, None
+        if gap > 0:
+            coff, clen, owner = runs.coalesce_runs(off, ln, gap)
         if collective:
             blob = twophase.collective_read(
                 self.comm, self.comm.proc, self.fs, self._handle,

@@ -20,6 +20,7 @@ from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
 from repro.mpiio.consts import MODE_RDONLY
 from repro.mpiio.file import File
+from repro.mpiio.runs import ADAPTIVE_GAP
 
 NPROCS = 4
 GLOBAL = 32
@@ -328,35 +329,105 @@ def test_sparse_foreign_view_reads_few_elements_of_big_chunks():
         np.testing.assert_allclose(back, sparse * 1.0)
 
 
-def test_coalesced_read_matches_per_element_read(monkeypatch):
-    """Coalescing off (one run per element) and on must produce
-    byte-identical chunked reads."""
+def per_element(monkeypatch):
+    """Patch the merge kernel every read-side merge goes through (the
+    read plan's, the file's) into one run per input run."""
     from repro.mpiio import runs as runs_mod
 
+    monkeypatch.setattr(
+        runs_mod, "coalesce_runs",
+        lambda off, ln, gap=0: (
+            np.asarray(off, dtype=np.int64),
+            np.asarray(ln, dtype=np.int64),
+            np.arange(len(off), dtype=np.int64),
+        ),
+    )
+
+
+def test_coalesced_read_matches_per_element_read(monkeypatch):
+    """Coalescing off (one run per element) and on must produce
+    byte-identical chunked reads.  The off side is held to one submitted
+    run per element — the patched kernel reaches the read plan's merge
+    too — and the on side to one run per rank (each reads its own
+    chunk)."""
+    from repro.mpiio import twophase
+
     maps = irregular_maps()
+    submitted = count_calls(monkeypatch, twophase, "collective_read")
 
     def run(coalesce):
-        if not coalesce:
-            monkeypatch.setattr(
-                runs_mod, "coalesce_runs",
-                lambda off, ln, gap=0: (
-                    np.asarray(off, dtype=np.int64),
-                    np.asarray(ln, dtype=np.int64),
-                    np.arange(len(off), dtype=np.int64),
-                ),
+        with pytest.MonkeyPatch.context() as mp:
+            if not coalesce:
+                per_element(mp)
+            del submitted[:]
+            job = mpirun(
+                simple_program(CHUNKED, Organization.LEVEL_2, maps=maps),
+                NPROCS, machine=fast_test(), services=sdm_services(),
             )
-        else:
-            monkeypatch.undo()
-        job = mpirun(
-            simple_program(CHUNKED, Organization.LEVEL_2, maps=maps),
-            NPROCS, machine=fast_test(), services=sdm_services(),
-        )
-        return [back for _, back, _ in job.values]
+        runs = sum(len(args[4]) for args in submitted)
+        return [back for _, back, _ in job.values], runs
 
-    off = run(False)
-    on = run(True)
+    off, off_runs = run(False)
+    on, on_runs = run(True)
+    assert (off_runs, on_runs) == (GLOBAL, NPROCS)
     for a, b in zip(off, on):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("gap", [16, ADAPTIVE_GAP])
+def test_gap_bridged_chunked_read_matches_per_element_read(monkeypatch, gap):
+    """Under a positive ``coalesce_gap`` and under ``ADAPTIVE_GAP`` a
+    chunked read whose wanted elements leave holes returns the bytes a
+    per-element read returns, and the gap it resolves — over the plan's
+    merged runs — is the one resolved over the one-element runs."""
+    from repro.mpiio import runs as runs_mod
+
+    n = 64
+    maps = irregular_maps(n=n, seed=11)
+    gaps = {}
+    real = runs_mod.resolve_gap
+
+    def recorded(hint, off, ln, max_gap=None):
+        got = real(hint, off, ln, max_gap)
+        if hint == ADAPTIVE_GAP:
+            assert got == runs_mod.adaptive_gap(off, ln, max_gap)
+        gaps[runs_mod.expand_runs(off, ln).tobytes()] = got
+        return got
+
+    monkeypatch.setattr(runs_mod, "resolve_gap", recorded)
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                  storage_order=CHUNKED, io_hints={"coalesce_gap": gap})
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=n)
+        handle = sdm.set_attributes(result)
+        sdm.data_view(handle, "d", maps[ctx.rank])
+        sdm.write(handle, "d", 0, maps[ctx.rank] * 1.0)
+        # Every gid but one in seven: 8-byte holes in every chunk.
+        wanted = np.setdiff1d(np.arange(n), np.arange(ctx.rank, n, 7))
+        sdm.data_view(handle, "d", wanted[::-1].copy())
+        back = np.empty(len(wanted))
+        sdm.read(handle, "d", 0, back)
+        sdm.finalize(handle)
+        return wanted[::-1], back
+
+    def run(coalesce):
+        gaps.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            if not coalesce:
+                per_element(mp)
+            job = mpirun(program, NPROCS, machine=fast_test(),
+                         services=sdm_services())
+        return job.values, dict(gaps)
+
+    off, off_gaps = run(False)
+    on, on_gaps = run(True)
+    assert on_gaps == off_gaps and len(on_gaps) == NPROCS
+    assert all(g > 0 for g in on_gaps.values()), on_gaps
+    for (wanted, a), (_, b) in zip(off, on):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(b, wanted * 1.0)
 
 
 def test_index_block_cache_entries_are_immutable():
@@ -992,6 +1063,50 @@ def test_checkpoint_loop_reads_resolve_once(monkeypatch, spanning):
                           else [NPROCS, 0, 0])
         for t, back in enumerate(backs):
             np.testing.assert_allclose(back, mine * 1.0 + t)
+
+
+def test_warm_plan_hit_submits_the_plans_merged_runs(monkeypatch):
+    """A rank reading back its own permutation share: the read plan keeps
+    its positions as one merged run, and a warm read (timestep 2 over
+    timestep 1's layout, a plan hit) hands
+    ``read_runs_at_all`` exactly that run at the new base — one run,
+    not one per element."""
+    import repro.core.datapath as dp
+
+    builds = count_calls(monkeypatch, dp, "_chunk_positions")
+    handed = count_calls(monkeypatch, File, "read_runs_at_all")
+    n = 64
+    maps = irregular_maps(n=n, seed=5)
+
+    def program(ctx):
+        mine = maps[ctx.rank]
+        sdm, handle = chunked_group(ctx, mine, n)
+        backs = []
+        for t in range(3):
+            sdm.write(handle, "d", t, mine * 1.0 + t)
+        for t in (1, 2):
+            back = np.empty(len(mine))
+            built = fenced(ctx, builds,
+                           lambda: sdm.read(handle, "d", t, back))
+            backs.append((built, back))
+        (plan,) = sdm.index_cache._plans.values()
+        where, chunks, _v = dp.locate_instance(
+            ctx.comm, sdm.tables, sdm.runid, "d", 2, proc=ctx.proc)
+        base = dp._live_chunks(chunks, plan.view.map_sorted)[0].data_offset
+        mine_handed = [args[1:] for args in handed
+                       if args[0].comm.rank == ctx.rank]
+        sdm.finalize(handle)
+        return mine, backs, plan, base, mine_handed
+
+    job = mpirun(program, NPROCS, machine=fast_test(), services=sdm_services())
+    for mine, backs, plan, base, mine_handed in job.values:
+        assert [built for built, _ in backs] == [NPROCS, 0]
+        for t, (_, back) in enumerate(backs, start=1):
+            np.testing.assert_allclose(back, mine * 1.0 + t)
+        assert len(plan.rel) == 1 and plan.rlen[0] == len(mine) * 8
+        off, ln = mine_handed[-1]
+        assert ln is plan.rlen
+        np.testing.assert_array_equal(off, plan.rel + base)
 
 
 def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):

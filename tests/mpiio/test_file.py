@@ -281,6 +281,58 @@ def test_adjacent_runs_coalesce_at_source_by_default():
         assert job.values[0][1] == 2, job.values[0][1]
 
 
+def test_canonical_read_at_all_merges_nothing_at_gap_zero(monkeypatch):
+    """A view's runs reach the read pipeline already maximal
+    (``FileView.runs_for`` merged them), so at the default
+    ``coalesce_gap`` of 0 a collective read through an irregular view —
+    one tile, and a window across tiles — calls the merge kernel zero
+    times; under a positive gap it is called once per read."""
+    from repro.mpiio import runs as runs_mod
+
+    calls = []
+    real = runs_mod.coalesce_runs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runs_mod, "coalesce_runs", counted)
+    disp = np.array([0, 1, 2, 5, 7, 8, 11], dtype=np.int64)  # abutting + holes
+
+    def make_program(hints):
+        def program(ctx):
+            fs = ctx.service("fs")
+            f = File.open(ctx.comm, fs, "view.dat", MODE_CREATE | MODE_RDWR,
+                          hints=hints)
+            if ctx.rank == 0:
+                f.write_at(0, np.arange(64, dtype=np.float64))
+            ctx.comm.barrier()
+            f.set_view(ctx.rank * 8 * 32, FLOAT64,
+                       IndexedBlock(1, disp, FLOAT64).with_extent(16 * 8))
+            got = []
+            for count in (len(disp), 2 * len(disp)):  # one tile, two
+                ctx.comm.barrier()
+                before = len(calls)
+                ctx.comm.barrier()
+                out = np.empty(count, dtype=np.float64)
+                f.read_at_all(0, out)
+                ctx.comm.barrier()
+                got.append((out, len(calls) - before))
+                ctx.comm.barrier()
+            f.close()
+            return got
+
+        return program
+
+    for hints, merges in ((None, 0), ({"coalesce_gap": 64}, 2)):
+        job = run(make_program(hints), 2)
+        for r, got in enumerate(job.values):
+            for t, (out, n) in enumerate(got):
+                tiles = np.concatenate([disp + 16 * k for k in range(t + 1)])
+                np.testing.assert_array_equal(out, tiles + 32 * r)
+                assert n == merges, (hints, t, n)
+
+
 def test_gap_hint_bridges_holes_in_collective_read():
     """With coalesce_gap, sparse runs merge into one covering request and
     the hole bytes are discarded before the caller sees them."""
