@@ -17,9 +17,10 @@ lint tool ``make lint`` runs — that none of them entered is *unreached*.
 Each one must be listed in ``reach.baseline`` (``<file>::<qualname>``,
 then the reason it stays), the way ``spmdlint.baseline`` lists known
 findings: new code is either reached by a workload or justified there.
-A function that is unreached and not listed, or a listed entry without
-a reason, fails the check; a listed entry that is reached now is
-reported, so the baseline can shrink.
+A function that is unreached and not listed, a listed entry without a
+reason, or a listed entry whose function is no longer defined fails the
+check; a listed entry that is reached now is reported, so the baseline
+can shrink.
 
 Run from the repository root (``make reach``; about a minute)::
 
@@ -182,8 +183,12 @@ def main(argv=None) -> int:
 
     baseline, bad = read_baseline()
     new = [k for k in unreached if k not in baseline]
-    for key in sorted(set(baseline) - set(unreached)):
+    gone = sorted(set(baseline) - set(defined))
+    for key in sorted(set(baseline) - set(unreached) - set(gone)):
         print(f"reach: {key} is reached now; drop it from {BASELINE.name}")
+    for key in gone:
+        print(f"reach: FAIL {key} is no longer defined; drop it from "
+              f"{BASELINE.name}", file=sys.stderr)
     for line in bad:
         print(f"reach: FAIL {BASELINE.name} entry without a reason: {line}",
               file=sys.stderr)
@@ -191,7 +196,7 @@ def main(argv=None) -> int:
         print(f"reach: FAIL {key} ({body_lines(defined[key])} lines) is "
               f"reached by no workload, bench or example and not in "
               f"{BASELINE.name}", file=sys.stderr)
-    if new or bad:
+    if new or bad or gone:
         return 1
     print(f"reach: every unreached function is listed in {BASELINE.name}")
     return 0

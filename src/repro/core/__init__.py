@@ -18,17 +18,13 @@ all run on the per-rank daemon workers of
 "background"``, ``SDM.compact``, ``SDM.drain_maintenance``).
 
 See :mod:`repro.core.api` for the class, :mod:`repro.core.datapath` for
-the storage-order strategies, :mod:`repro.core.maintenance` for the
-service tier, and :mod:`repro.core.papi` for C-style aliases that mirror
-the paper's Figures 2 and 3 line by line.
+the two storage orders' write and read paths,
+:mod:`repro.core.maintenance` for the service tier, and
+:mod:`repro.core.papi` for C-style aliases that mirror the paper's
+Figures 2 and 3 line by line.
 """
 
-from repro.core.datapath import (
-    CanonicalOrder,
-    ChunkedOrder,
-    IndexBlockCache,
-    StorageOrder,
-)
+from repro.core.datapath import IndexBlockCache
 from repro.core.groups import DataGroup, DatasetAttrs, ImportAttrs
 from repro.core.layout import CANONICAL, CHUNKED, Organization
 from repro.core.api import SDM
@@ -38,9 +34,6 @@ from repro.core.services import sdm_services, snapshot_services
 __all__ = [
     "SDM",
     "Organization",
-    "StorageOrder",
-    "CanonicalOrder",
-    "ChunkedOrder",
     "IndexBlockCache",
     "MaintenanceService",
     "REORGANIZE",

@@ -3,7 +3,7 @@
 One :class:`SDM` instance per rank fronts everything: the metadata database
 (through :class:`~repro.metadb.schema.SDMTables`), the parallel file system
 (through :class:`~repro.mpiio.file.File`), the ring index distribution,
-history files, and the pluggable storage-order data path
+history files, and the two storage orders' data path
 (:mod:`repro.core.datapath`).  Method names are pythonic;
 :mod:`repro.core.papi` provides ``SDM_*`` aliases matching the paper's
 figures symbol for symbol.
@@ -37,19 +37,19 @@ order after the fact.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.catalog import collective
 from repro.core.datapath import (
     DatapathHost,
-    StorageOrder,
     compact_chunked_file,
     execute_reorganize,
     locate_instance,
-    resolve_storage_order,
     set_instance_view,
+    write_canonical,
+    write_chunked,
 )
 from repro.core.groups import DataGroup, DatasetAttrs, DataView, ImportAttrs
 from repro.core.history import (
@@ -58,7 +58,9 @@ from repro.core.history import (
     try_load_history,
 )
 from repro.core.layout import (
+    CANONICAL,
     CHUNKED,
+    STORAGE_ORDERS,
     Organization,
     checkpoint_file_name,
 )
@@ -88,16 +90,16 @@ class SDM(DatapathHost):
         problem_size: int = 0,
         num_timesteps: int = 0,
         io_hints: Optional[Dict[str, int]] = None,
-        storage_order: Union[str, StorageOrder] = "canonical",
+        storage_order: str = CANONICAL,
         reorganize_mode: str = "sync",
         snapshot: bool = False,
         policy: Optional[str] = None,
     ) -> None:
         self.ctx = ctx
         organization = Organization(organization)  # reject before I/O
-        self.storage_order = resolve_storage_order(storage_order)
-        """Write-side data path: ``CanonicalOrder`` assembles global order
-        at write time; ``ChunkedOrder`` appends distribution order and
+        self.storage_order = _storage_order(storage_order)
+        """Write-side data path, a name: ``"canonical"`` assembles global
+        order at write time; ``"chunked"`` appends distribution order and
         defers the exchange.  Reads are transparent either way."""
         if reorganize_mode not in ("sync", "background"):
             raise SDMStateError(
@@ -152,7 +154,6 @@ class SDM(DatapathHost):
             ctx.comm, tables, ctx.service("fs"), application, organization,
             lease_holder=f"sdm:{application}:r{self.runid}",
             maintenance=ctx.service("maint"), hints=self.io_hints,
-            stores=(self.storage_order,),
         )
         if snapshot:
             # Every read resolves against the epoch current now until
@@ -454,9 +455,10 @@ class SDM(DatapathHost):
         attrs = handle.dataset(name)
         view = handle.view(name)
         _check_buffer(name, buf, view)
-        return self.storage_order.write(
-            self, handle, attrs, view, name, timestep, buf
+        write = (
+            write_chunked if self.storage_order == CHUNKED else write_canonical
         )
+        return write(self, handle, attrs, view, name, timestep, buf)
 
     @collective(op="sdm.read", receivers=("sdm",))
     def read(
@@ -625,7 +627,8 @@ class SDM(DatapathHost):
         """File name a (dataset, timestep) instance lands in under this
         SDM's organization (defaults to the configured storage order)."""
         order = (
-            self.storage_order.name if storage_order is None else storage_order
+            self.storage_order if storage_order is None
+            else _storage_order(storage_order)
         )
         return checkpoint_file_name(
             self.application, handle.group_id, name, timestep,
@@ -666,6 +669,17 @@ class SDM(DatapathHost):
         if handle is not None:
             handle.finalized = True
         self.shutdown()
+
+
+def _storage_order(name: str) -> str:
+    """A storage-order name ("canonical"/"chunked", any case), lowered."""
+    order = str(name).lower()
+    if order not in STORAGE_ORDERS:
+        raise SDMStateError(
+            f"unknown storage order {name!r} "
+            f"(expected one of {sorted(STORAGE_ORDERS)})"
+        )
+    return order
 
 
 def _check_buffer(name: str, buf: np.ndarray, view: DataView) -> None:

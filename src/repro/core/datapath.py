@@ -1,15 +1,15 @@
-"""Pluggable storage orders: the write/read data path behind ``SDM``.
+"""The storage orders: the write/read data path behind ``SDM``.
 
 The paper's key observation for irregular applications is that the runtime
 may write each rank's data *in the order it is distributed* and defer
-assembling global order until somebody needs it.  This module turns that
-into a strategy layer:
+assembling global order until somebody needs it.  ``SDM.write`` picks one
+of two write functions by its storage-order name:
 
-* :class:`CanonicalOrder` — the classic path: every write scatters through
+* :func:`write_canonical` — the classic path: every write scatters through
   an irregular file view and the two-phase collective exchange builds
   global element order on disk immediately.  Writes pay the exchange;
   reads are cheap.
-* :class:`ChunkedOrder` — the write-optimized path: every rank appends its
+* :func:`write_chunked` — the write-optimized path: every rank appends its
   local block as-is (a sorted int64 index block, then the data block) with
   *independent* I/O — no interprocess data exchange whatsoever.  Each
   chunk's location and global-index range is recorded in the metadata
@@ -93,13 +93,13 @@ SDMCatalog`, a maintenance worker's per-job host — and every host
 carries the job's :class:`~repro.core.maintenance.MaintenanceService`,
 which is always present.
 
-Chunked index blocks are cached in two stores: each host's
-:class:`IndexBlockCache` (a rank-local LRU keyed by the owning execution
-row's version, so a warm checkpoint loop reads data bytes only; the read
-plans live beside its blocks) and :class:`ChunkedOrder`'s write-side
-reference map (reference-not-copy sharing).  Both obey one rule,
-``drop(file, lo, hi)``: forget every block or plan whose bytes overlap
-``[lo, hi)``.  Hosts register their stores in the job's
+Chunked index blocks are cached in one store per host, its
+:class:`IndexBlockCache`: a rank-local LRU keyed by the owning execution
+row's version, so a warm checkpoint loop reads data bytes only, with the
+read plans beside its blocks and the write side's last written block per
+dataset (reference-not-copy sharing).  It obeys one rule,
+``drop(file, lo, hi)``: forget every block, plan or written block whose
+bytes overlap ``[lo, hi)``.  Hosts register their cache in the job's
 :class:`ChunkedCaches` (carried by the maintenance service) until they
 close, and every invalidation is job-wide through it: a flip publish
 drops the file, an append at a retreated cursor drops everything above
@@ -132,12 +132,7 @@ from repro.core.layout import (
     is_chunked_name,
 )
 from repro.dtypes.primitives import Primitive, primitive_by_name
-from repro.core.mvcc import (
-    Flip,
-    SnapshotPin,
-    acquire_file_lease,
-    release_file_lease,
-)
+from repro.core.mvcc import Flip, SnapshotPin
 from repro.errors import SDMStateError, SDMUnknownDataset
 from repro.metadb.schema import CHUNK_INDEX_BYTES, ChunkRecord, SDMTables
 from repro.mpi.communicator import Communicator
@@ -146,21 +141,17 @@ from repro.mpiio.consts import MODE_CREATE, MODE_RDONLY, MODE_RDWR
 from repro.mpiio.file import File
 
 __all__ = [
-    "StorageOrder",
-    "CanonicalOrder",
-    "ChunkedOrder",
     "ChunkedCaches",
     "DatapathHost",
     "IndexBlockCache",
-    "resolve_storage_order",
+    "write_canonical",
+    "write_chunked",
     "acquire_index_blocks",
     "locate_instance",
     "read_instance",
     "set_instance_view",
     "execute_reorganize",
     "compact_chunked_file",
-    "acquire_file_lease",
-    "release_file_lease",
 ]
 
 ExecutionRow = Tuple[str, int, int]
@@ -199,8 +190,8 @@ _INDEX_CACHE_PLANS = 8
 
 def _overlaps(start: int, end: int, lo: int, hi: Optional[int]) -> bool:
     """Do the bytes ``[start, end)`` overlap ``[lo, hi)`` (``hi=None``:
-    to the end of the file)?  The one invalidation rule of both chunked
-    block stores."""
+    to the end of the file)?  The one invalidation rule of every entry of
+    an :class:`IndexBlockCache`."""
     return end > lo and (hi is None or start < hi)
 
 
@@ -230,8 +221,8 @@ class _ReadPlan(NamedTuple):
 
 
 class IndexBlockCache:
-    """Rank-local LRU cache of chunked index blocks, and of the read
-    plans resolved from them.
+    """Rank-local LRU cache of chunked index blocks, of the read plans
+    resolved from them, and of the write side's last written blocks.
 
     Assembling a chunked read fetches every overlapping chunk's index
     block from the file — as many bytes as the data itself for irregular
@@ -262,6 +253,14 @@ class IndexBlockCache:
     plan timestep *t* built — and served only to the data view that built
     it.  :meth:`drop` forgets a plan with its bytes, so a read after any
     invalidation resolves afresh.
+
+    The write side keeps, per ``(file, group_id, dataset)``, the rank's
+    last written index block as ``(gids, index_offset, index_end)`` —
+    ``gids`` the writing view's own read-only map, kept by reference and
+    unbounded (one entry per dataset written) — so a rank whose map is
+    unchanged references that block instead of rewriting it
+    (:meth:`shared_index`).  :meth:`drop` forgets these with their bytes
+    too.
     """
 
     def __init__(self) -> None:
@@ -269,6 +268,7 @@ class IndexBlockCache:
             OrderedDict()
         )
         self._plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
+        self._written: Dict[tuple, Tuple[np.ndarray, int, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -341,11 +341,36 @@ class IndexBlockCache:
         if len(self._plans) > _INDEX_CACHE_PLANS:
             self._plans.popitem(last=False)
 
+    def shared_index(self, key: tuple, gids: np.ndarray,
+                     base: int) -> Optional[int]:
+        """Offset of the last block written under ``key`` if a write at
+        ``base`` may reference it, else None.
+
+        Reuse requires an equal map and the block to lie below this
+        instance's base: the new chunk row then protects it from
+        append-cursor reclamation for as long as the row lives (see the
+        module docstring).
+        """
+        written = self._written.get(key)
+        if written is None:
+            return None
+        prev_gids, offset, end = written
+        if end <= base and np.array_equal(prev_gids, gids):
+            return offset
+        return None
+
+    def keep_written(self, key: tuple, gids: np.ndarray, offset: int,
+                     end: int) -> None:
+        """Remember the block ``[offset, end)`` just written under ``key``
+        (``(file_name, group_id, dataset)``) with its map ``gids``."""
+        self._written[key] = (gids, offset, end)
+
     def drop(self, file_name: str, lo: int = 0,
              hi: Optional[int] = None) -> None:
-        """Forget every block and plan of ``file_name`` whose bytes
-        overlap ``[lo, hi)`` (default: the whole file).  Touches neither
-        the hit/miss counters nor the LRU order of survivors."""
+        """Forget every block, plan and written block of ``file_name``
+        whose bytes overlap ``[lo, hi)`` (default: the whole file).
+        Touches neither the hit/miss counters nor the LRU order of
+        survivors."""
         for k in [
             k for k, g in self._blocks.items()
             if k[0] == file_name
@@ -357,34 +382,36 @@ class IndexBlockCache:
             if k[0] == file_name and _overlaps(p.lo, p.hi, lo, hi)
         ]:
             del self._plans[k]
+        for k in [
+            k for k, (_g, off, end) in self._written.items()
+            if k[0] == file_name and _overlaps(off, end, lo, hi)
+        ]:
+            del self._written[k]
 
 
 class ChunkedCaches:
-    """Every chunked block store of one job — each host's read-side
-    :class:`IndexBlockCache`, each SDM's write-side reference map (its
-    storage order) — so whoever moves, frees or recycles a file's bytes
-    invalidates them all.  The job's maintenance service carries the one
-    registry."""
+    """Every host's :class:`IndexBlockCache` in one job, so whoever
+    moves, frees or recycles a file's bytes invalidates them all.  The
+    job's maintenance service carries the one registry."""
 
     def __init__(self) -> None:
-        self._caches: list = []
+        self._caches: List[IndexBlockCache] = []
 
-    def register(self, *caches) -> None:
-        """Add a client's block stores (anything with :meth:`drop`)."""
-        self._caches.extend(caches)
+    def register(self, cache: IndexBlockCache) -> None:
+        """Add a host's cache."""
+        self._caches.append(cache)
 
-    def unregister(self, *caches) -> None:
-        """Forget what a finished client registered (its
+    def unregister(self, cache: IndexBlockCache) -> None:
+        """Forget what a finished host registered (its
         :meth:`DatapathHost.close`): the registry outlives every client of
         the job, so without this it would keep each one's blocks alive
         and walk them on every later drop.  Idempotent."""
-        for cache in caches:
-            if cache in self._caches:
-                self._caches.remove(cache)
+        if cache in self._caches:
+            self._caches.remove(cache)
 
     def drop(self, file_name: str, lo: int = 0,
              hi: Optional[int] = None) -> None:
-        """Every registered store forgets the blocks of ``file_name``
+        """Every registered cache forgets the entries of ``file_name``
         overlapping ``[lo, hi)`` (default: the whole file)."""
         for cache in self._caches:
             cache.drop(file_name, lo, hi)
@@ -394,10 +421,9 @@ class DatapathHost:
     """One datapath client — :class:`~repro.core.api.SDM` and
     :class:`~repro.core.catalog.SDMCatalog` derive from it, a maintenance
     worker builds a plain one per job — owning its collective file
-    handles, a block cache registered with any further ``stores`` (an
-    SDM's storage order), its pin, the pinned read, :meth:`close`,
-    :meth:`shutdown` and :meth:`stats`.  Where a worker has nothing to do
-    the default is inert (no pin taken)."""
+    handles, its registered block cache, its pin, the pinned read,
+    :meth:`close`, :meth:`shutdown` and :meth:`stats`.  Where a worker
+    has nothing to do the default is inert (no pin taken)."""
 
     def __init__(
         self,
@@ -410,7 +436,6 @@ class DatapathHost:
         maintenance,
         hints=None,
         read_gate=None,
-        stores: Sequence = (),
     ) -> None:
         self.comm = comm  # its rank 0 issues the metadata statements
         self.tables = tables
@@ -427,10 +452,10 @@ class DatapathHost:
         """The job-wide registry every cache invalidation goes through."""
         self.pin = SnapshotPin(tables, lease_holder)
         self.index_cache = IndexBlockCache()
-        """Rank-local LRU over chunked index-block fetches: timesteps
-        share blocks, so warm chunked reads move data bytes only."""
-        self._stores = (self.index_cache, *stores)
-        self.caches.register(*self._stores)
+        """The host's one chunked store: timesteps share blocks, so warm
+        chunked reads move data bytes only and steady-state chunked
+        writes write data bytes only."""
+        self.caches.register(self.index_cache)
         self.closed = False
         self.read_gate = read_gate
         """What a quiesced in-place compaction drains in-flight reads
@@ -510,11 +535,11 @@ class DatapathHost:
     @collective(uniform_result=True, receivers=("f", "host", "self"))
     def close(self) -> None:
         """Collectively close every cached file handle (in name order,
-        symmetric across ranks) and take this client's block stores out
-        of the job's registry, which outlives it.  Idempotent."""
+        symmetric across ranks) and take this client's block cache out of
+        the job's registry, which outlives it.  Idempotent."""
         for name in sorted({name for name, _amode in self._files}):
             self._close_cached(name)
-        self.caches.unregister(*self._stores)
+        self.caches.unregister(self.index_cache)
         self.closed = True
 
     @collective(op="host.shutdown", uniform_result=True, receivers=("self", "host"))
@@ -547,73 +572,39 @@ class DatapathHost:
         self.caches.drop(file_name)
 
 
-class StorageOrder:
-    """Strategy for arranging one dataset instance's bytes in its file.
-
-    Implementations are stateless; they operate on the calling
-    :class:`~repro.core.api.SDM` instance (files, tables, communicator).
-    """
-
-    name: str = ""
-
-    def write(
-        self,
-        sdm,
-        handle: DataGroup,
-        attrs: DatasetAttrs,
-        view: DataView,
-        name: str,
-        timestep: int,
-        buf: np.ndarray,
-    ) -> str:
-        """Write one instance collectively; returns the file name."""
-        raise NotImplementedError
-
-    def file_name(self, sdm, handle: DataGroup, name: str, timestep: int) -> str:
-        """Checkpoint file this strategy writes the instance to."""
-        return checkpoint_file_name(
-            sdm.application, handle.group_id, name, timestep,
-            sdm.organization, storage_order=self.name,
+def write_canonical(sdm, handle: DataGroup, attrs: DatasetAttrs,
+                    view: DataView, name: str, timestep: int,
+                    buf: np.ndarray) -> str:
+    """Write one instance in global element order (the exchange happens
+    at write time); returns the file name."""
+    fname = checkpoint_file_name(
+        sdm.application, handle.group_id, name, timestep, sdm.organization,
+        storage_order=CANONICAL,
+    )
+    base = _next_append_base(sdm, fname)
+    f = sdm._open_cached(fname, MODE_CREATE | MODE_RDWR)
+    set_instance_view(f, base, attrs.data_type, view)
+    data = view.to_file_order(
+        np.asarray(buf, dtype=attrs.data_type.numpy_dtype)
+    )
+    f.write_at_all(0, data)
+    if sdm.comm.rank == 0:
+        sdm.tables.record_execution(
+            sdm.runid, name, timestep, fname, base, attrs.global_bytes(),
+            proc=sdm.comm.proc,
         )
-
-    def drop(self, file_name: str, lo: int = 0,
-             hi: Optional[int] = None) -> None:
-        """Forget cached index blocks overlapping ``[lo, hi)`` (the
-        :class:`ChunkedCaches` rule); an order that caches none has
-        nothing to forget."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StorageOrder {self.name}>"
+        sdm.comm.proc.fault_point("write:recorded")
+    if sdm.organization == Organization.LEVEL_1:
+        sdm._close_cached(fname)
+    return fname
 
 
-class CanonicalOrder(StorageOrder):
-    """Global element order on disk; the exchange happens at write time."""
-
-    name = CANONICAL
-
-    def write(self, sdm, handle, attrs, view, name, timestep, buf):
-        fname = self.file_name(sdm, handle, name, timestep)
-        base = _next_append_base(sdm, fname)
-        f = sdm._open_cached(fname, MODE_CREATE | MODE_RDWR)
-        set_instance_view(f, base, attrs.data_type, view)
-        data = view.to_file_order(
-            np.asarray(buf, dtype=attrs.data_type.numpy_dtype)
-        )
-        f.write_at_all(0, data)
-        if sdm.comm.rank == 0:
-            sdm.tables.record_execution(
-                sdm.runid, name, timestep, fname, base, attrs.global_bytes(),
-                proc=sdm.comm.proc,
-            )
-            sdm.comm.proc.fault_point("write:recorded")
-        if sdm.organization == Organization.LEVEL_1:
-            sdm._close_cached(fname)
-        return fname
-
-
-class ChunkedOrder(StorageOrder):
-    """Distribution order on disk; the exchange is deferred to reads (or a
-    one-time :func:`reorganize`).
+def write_chunked(sdm, handle: DataGroup, attrs: DatasetAttrs,
+                  view: DataView, name: str, timestep: int,
+                  buf: np.ndarray) -> str:
+    """Write one instance in distribution order (the exchange is deferred
+    to reads, or a one-time :func:`execute_reorganize`); returns the file
+    name.
 
     Each rank independently appends its chunk at an offset derived from an
     exscan of local byte counts — only scalar metadata crosses ranks; the
@@ -623,174 +614,128 @@ class ChunkedOrder(StorageOrder):
     the rank's previous chunk when the map is unchanged — the
     checkpoint-loop steady state writes data bytes only.
     """
-
-    name = CHUNKED
-
-    def __init__(self) -> None:
-        # (fname, group_id, dataset) -> (gids, index_offset, index_end) of
-        # this rank's last written index block, for reference-not-copy;
-        # gids is the writing view's own read-only map, kept by reference.
-        self._last_blocks: dict = {}
-
-    def drop(self, file_name: str, lo: int = 0,
-             hi: Optional[int] = None) -> None:
-        for k in [
-            k for k, (_g, off, end) in self._last_blocks.items()
-            if k[0] == file_name and _overlaps(off, end, lo, hi)
-        ]:
-            del self._last_blocks[k]
-
-    def _shared_index(self, key, gids, base) -> Optional[int]:
-        """Offset of a reusable earlier index block, or None.
-
-        Reuse requires the block to lie below this instance's base: the
-        new chunk row then protects it from append-cursor reclamation for
-        as long as the row lives (see the module docstring).
-        """
-        cached = self._last_blocks.get(key)
-        if cached is None:
-            return None
-        prev_gids, offset, end = cached
-        if end <= base and np.array_equal(prev_gids, gids):
-            return offset
-        return None
-
-    def write(self, sdm, handle, attrs, view, name, timestep, buf):
-        dtype = attrs.data_type
-        count = view.local_count
-        gids = view.map_sorted  # sorted int64, private and read-only
-        data = view.to_file_order(np.asarray(buf, dtype=dtype.numpy_dtype))
-        steps = np.diff(gids)
-        if count > 1 and bool((steps == 0).any()):
-            # The canonical path rejects duplicate map entries through its
-            # file view; match it rather than write an ambiguous chunk.
-            raise SDMStateError(
-                f"map array for {name!r} holds duplicate global indices"
-            )
-        # Constant-stride maps (contiguous blocks, round-robin/block-cyclic
-        # interleavings) need no index block: positions are arithmetic.
-        # ``step == 0`` means the map is genuinely irregular.
-        if count > 1:
-            step = int(steps[0]) if bool((steps == steps[0]).all()) else 0
-        else:
-            step = 1  # empty or single-element: trivially arithmetic
-        arithmetic = step > 0
-
-        fname = self.file_name(sdm, handle, name, timestep)
-        base = _next_append_base(sdm, fname)
-        # First-fit extent reuse: place the instance into a free extent
-        # (reap's dead-region bookkeeping) instead of growing the file,
-        # when one fits.  Sized for the worst case — every non-arithmetic
-        # rank writing its own index block — because whether a rank can
-        # share an earlier block is only knowable after placement, and a
-        # reuse write disables sharing anyway (below).  Placement is part
-        # of the normal write: rows still publish at valid_from=0 under
-        # no lease, and reap records extents only below the min-pin floor,
-        # so the region is invisible to every snapshot by construction.
-        reused = False
-        total_need = 0
-        if sdm.organization != Organization.LEVEL_1:
-            local_need = count * dtype.size
-            if count and not arithmetic:
-                local_need += count * CHUNK_INDEX_BYTES
-            total_need = sdm.comm.allreduce(local_need)
-            place = None
-            if total_need and sdm.comm.rank == 0:
-                place = sdm.tables.allocate_extent(
-                    fname, total_need, proc=sdm.comm.proc
-                )
-            place = sdm.comm.bcast(place, root=0)
-            if place is not None:
-                base, reused = place, True
-        # The bytes this write lands on are stale in every client's caches
-        # the moment they land — fresh rows publish at version 0, so the
-        # MVCC cache key alone cannot tell recycled bytes from old ones:
-        # a first-fit reuse recycles [base, base + need) of a dead extent;
-        # an append may sit at a retreated cursor, and everything above
-        # the cursor is dead (every live or pinned row version lies below
-        # it), so dropping it all is never lossy.
-        sdm.caches.drop(fname, base, base + total_need if reused else None)
-        # Under level 1 every instance gets its own file, so an index
-        # block can never be shared — don't grow the cache with map
-        # copies that cannot hit.  A reuse write neither consumes nor
-        # publishes shared blocks: sharing's safety argument (the
-        # referencing row holds the append cursor above the block) only
-        # holds when every referencing row was appended at the cursor.
-        sharable = sdm.organization != Organization.LEVEL_1 and not reused
-        key = (fname, handle.group_id, name)
-        shared = (
-            self._shared_index(key, gids, base)
-            if sharable and not arithmetic else None
-        )
-        write_index = count > 0 and not arithmetic and shared is None
-        local_bytes = count * dtype.size
-        if write_index:
-            local_bytes += count * CHUNK_INDEX_BYTES
-        start = sdm.comm.exscan(local_bytes)
-        chunk_off = base + (0 if start is None else int(start))
-
-        f = sdm._open_cached(fname, MODE_CREATE | MODE_RDWR)
-        if count:
-            parts = [np.ascontiguousarray(data).view(np.uint8)]
-            if write_index:
-                parts.insert(0, np.ascontiguousarray(gids).view(np.uint8))
-            blob = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            f.write_runs(
-                np.array([chunk_off], dtype=np.int64),
-                np.array([len(blob)], dtype=np.int64),
-                blob,
-            )
-        if write_index:
-            index_offset = chunk_off
-            data_offset = chunk_off + count * CHUNK_INDEX_BYTES
-            if sharable:
-                self._last_blocks[key] = (gids, index_offset, data_offset)
-        elif shared is not None:
-            index_offset, data_offset = shared, chunk_off
-        else:  # arithmetic (or empty): no index block anywhere
-            index_offset = data_offset = chunk_off
-        record = ChunkRecord(
-            rank=sdm.comm.rank,
-            gid_min=view.gid_min,
-            gid_max=view.gid_max,
-            num_elements=count,
-            index_offset=index_offset,
-            data_offset=data_offset,
-            gid_step=step if arithmetic else 1,
-        )
-        payloads = sdm.comm.gather((record, local_bytes), root=0)
-        if sdm.comm.rank == 0:
-            total = sum(nbytes for _, nbytes in payloads)
-            sdm.tables.record_execution(
-                sdm.runid, name, timestep, fname, base, total,
-                proc=sdm.comm.proc,
-            )
-            sdm.tables.record_chunks(
-                sdm.runid, name, timestep,
-                [rec for rec, _ in payloads], proc=sdm.comm.proc,
-            )
-            sdm.comm.proc.fault_point("write:recorded")
-        # Readers must not race ahead of rank 0's metadata inserts.
-        sdm.comm.barrier()
-        if sdm.organization == Organization.LEVEL_1:
-            sdm._close_cached(fname)
-        return fname
-
-
-_ORDERS = {CANONICAL: CanonicalOrder, CHUNKED: ChunkedOrder}
-
-
-def resolve_storage_order(spec) -> StorageOrder:
-    """Coerce a strategy instance or name ("canonical"/"chunked")."""
-    if isinstance(spec, StorageOrder):
-        return spec
-    try:
-        return _ORDERS[str(spec).lower()]()
-    except KeyError:
+    dtype = attrs.data_type
+    count = view.local_count
+    gids = view.map_sorted  # sorted int64, private and read-only
+    data = view.to_file_order(np.asarray(buf, dtype=dtype.numpy_dtype))
+    steps = np.diff(gids)
+    if count > 1 and bool((steps == 0).any()):
+        # The canonical path rejects duplicate map entries through its
+        # file view; match it rather than write an ambiguous chunk.
         raise SDMStateError(
-            f"unknown storage order {spec!r} "
-            f"(expected one of {sorted(_ORDERS)})"
-        ) from None
+            f"map array for {name!r} holds duplicate global indices"
+        )
+    # Constant-stride maps (contiguous blocks, round-robin/block-cyclic
+    # interleavings) need no index block: positions are arithmetic.
+    # ``step == 0`` means the map is genuinely irregular.
+    if count > 1:
+        step = int(steps[0]) if bool((steps == steps[0]).all()) else 0
+    else:
+        step = 1  # empty or single-element: trivially arithmetic
+    arithmetic = step > 0
+
+    fname = checkpoint_file_name(
+        sdm.application, handle.group_id, name, timestep, sdm.organization,
+        storage_order=CHUNKED,
+    )
+    base = _next_append_base(sdm, fname)
+    # First-fit extent reuse: place the instance into a free extent
+    # (reap's dead-region bookkeeping) instead of growing the file,
+    # when one fits.  Sized for the worst case — every non-arithmetic
+    # rank writing its own index block — because whether a rank can
+    # share an earlier block is only knowable after placement, and a
+    # reuse write disables sharing anyway (below).  Placement is part
+    # of the normal write: rows still publish at valid_from=0 under
+    # no lease, and reap records extents only below the min-pin floor,
+    # so the region is invisible to every snapshot by construction.
+    reused = False
+    total_need = 0
+    if sdm.organization != Organization.LEVEL_1:
+        local_need = count * dtype.size
+        if count and not arithmetic:
+            local_need += count * CHUNK_INDEX_BYTES
+        total_need = sdm.comm.allreduce(local_need)
+        place = None
+        if total_need and sdm.comm.rank == 0:
+            place = sdm.tables.allocate_extent(
+                fname, total_need, proc=sdm.comm.proc
+            )
+        place = sdm.comm.bcast(place, root=0)
+        if place is not None:
+            base, reused = place, True
+    # The bytes this write lands on are stale in every client's caches
+    # the moment they land — fresh rows publish at version 0, so the
+    # MVCC cache key alone cannot tell recycled bytes from old ones:
+    # a first-fit reuse recycles [base, base + need) of a dead extent;
+    # an append may sit at a retreated cursor, and everything above
+    # the cursor is dead (every live or pinned row version lies below
+    # it), so dropping it all is never lossy.
+    sdm.caches.drop(fname, base, base + total_need if reused else None)
+    # Under level 1 every instance gets its own file, so an index
+    # block can never be shared — don't grow the cache with map
+    # copies that cannot hit.  A reuse write neither consumes nor
+    # publishes shared blocks: sharing's safety argument (the
+    # referencing row holds the append cursor above the block) only
+    # holds when every referencing row was appended at the cursor.
+    sharable = sdm.organization != Organization.LEVEL_1 and not reused
+    key = (fname, handle.group_id, name)
+    shared = (
+        sdm.index_cache.shared_index(key, gids, base)
+        if sharable and not arithmetic else None
+    )
+    write_index = count > 0 and not arithmetic and shared is None
+    local_bytes = count * dtype.size
+    if write_index:
+        local_bytes += count * CHUNK_INDEX_BYTES
+    start = sdm.comm.exscan(local_bytes)
+    chunk_off = base + (0 if start is None else int(start))
+
+    f = sdm._open_cached(fname, MODE_CREATE | MODE_RDWR)
+    if count:
+        parts = [np.ascontiguousarray(data).view(np.uint8)]
+        if write_index:
+            parts.insert(0, np.ascontiguousarray(gids).view(np.uint8))
+        blob = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        f.write_runs(
+            np.array([chunk_off], dtype=np.int64),
+            np.array([len(blob)], dtype=np.int64),
+            blob,
+        )
+    if write_index:
+        index_offset = chunk_off
+        data_offset = chunk_off + count * CHUNK_INDEX_BYTES
+        if sharable:
+            sdm.index_cache.keep_written(key, gids, index_offset, data_offset)
+    elif shared is not None:
+        index_offset, data_offset = shared, chunk_off
+    else:  # arithmetic (or empty): no index block anywhere
+        index_offset = data_offset = chunk_off
+    record = ChunkRecord(
+        rank=sdm.comm.rank,
+        gid_min=view.gid_min,
+        gid_max=view.gid_max,
+        num_elements=count,
+        index_offset=index_offset,
+        data_offset=data_offset,
+        gid_step=step if arithmetic else 1,
+    )
+    payloads = sdm.comm.gather((record, local_bytes), root=0)
+    if sdm.comm.rank == 0:
+        total = sum(nbytes for _, nbytes in payloads)
+        sdm.tables.record_execution(
+            sdm.runid, name, timestep, fname, base, total,
+            proc=sdm.comm.proc,
+        )
+        sdm.tables.record_chunks(
+            sdm.runid, name, timestep,
+            [rec for rec, _ in payloads], proc=sdm.comm.proc,
+        )
+        sdm.comm.proc.fault_point("write:recorded")
+    # Readers must not race ahead of rank 0's metadata inserts.
+    sdm.comm.barrier()
+    if sdm.organization == Organization.LEVEL_1:
+        sdm._close_cached(fname)
+    return fname
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@ Cache maintenance
 
 The service carries the job's one :class:`~repro.core.datapath.ChunkedCaches`
 registry: every datapath host — ``SDM``, catalog, and each job's worker
-host — registers its read-side index-block cache until it closes, every
-``SDM`` its write-side reference map too, and every invalidation — a
-flip publish (background or synchronous), an append at a retreated
-cursor, a first-fit reuse — is one job-wide ``caches.drop(file, lo, hi)``.
+host — registers its one index-block cache (read plans and the write
+side's last written blocks included) until it closes, and every
+invalidation — a flip publish (background or synchronous), an append at
+a retreated cursor, a first-fit reuse — is one job-wide
+``caches.drop(file, lo, hi)``.
 """
 
 from __future__ import annotations

@@ -699,7 +699,7 @@ def test_level1_chunked_writes_do_not_grow_index_cache():
         back = np.empty(len(mine))
         sdm.read(handle, "d", 3, back)
         sdm.finalize(handle)
-        return mine, back, len(sdm.storage_order._last_blocks)
+        return mine, back, len(sdm.index_cache._written)
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
     for mine, back, cache_size in job.values:
@@ -742,6 +742,34 @@ def test_unknown_storage_order_rejected():
     with pytest.raises(SimProcessCrashed) as ei:
         mpirun(program, 2, machine=fast_test(), services=sdm_services())
     assert isinstance(ei.value.__cause__, SDMStateError)
+    assert str(ei.value.__cause__) == (
+        "unknown storage order 'sideways' "
+        "(expected one of ['canonical', 'chunked'])"
+    )
+
+
+def test_checkpoint_file_checks_its_storage_order():
+    """An explicit storage order passes the same check as the
+    constructor's: any case names the file a write lands in, and an
+    unknown name raises instead of naming a file."""
+
+    def program(ctx):
+        sdm = SDM(ctx, "app", storage_order="CHUNKED")
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=8)
+        handle = sdm.set_attributes(result)
+        mine = np.arange(4, dtype=np.int64) + 4 * ctx.rank
+        sdm.data_view(handle, "d", mine)
+        written = sdm.write(handle, "d", 0, mine * 1.0)
+        named = sdm.checkpoint_file(handle, "d", 0, storage_order="CHUNKED")
+        with pytest.raises(SDMStateError, match="unknown storage order"):
+            sdm.checkpoint_file(handle, "d", 0, storage_order="sideways")
+        sdm.finalize(handle)
+        return written, named
+
+    job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
+    for written, named in job.values:
+        assert named == written == "app/d.chunked.dat"
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +793,22 @@ def test_index_block_cache_drop_range():
     assert cache.contains("g", 0, 4)
     # Eviction is no-count bookkeeping: the probes above used contains().
     assert cache.hits == 0 and cache.misses == 0
+
+    # The write side's last written blocks follow the same rule.
+    gids = np.array([3, 5, 9], dtype=np.int64)
+    cache.keep_written(("f", 1, "a"), gids, 100, 124)   # bytes [100, 124)
+    cache.keep_written(("f", 1, "b"), gids, 200, 224)   # bytes [200, 224)
+    cache.keep_written(("g", 1, "a"), gids, 100, 124)   # other file
+    assert cache.shared_index(("f", 1, "a"), gids, 124) == 100
+    assert cache.shared_index(("f", 1, "a"), gids, 123) is None  # above base
+    assert cache.shared_index(("f", 1, "a"), gids + 1, 124) is None  # new map
+    cache.drop("f", 124, 200)  # disjoint from both blocks of "f"
+    assert cache.shared_index(("f", 1, "a"), gids, 124) == 100
+    assert cache.shared_index(("f", 1, "b"), gids, 224) == 200
+    cache.drop("f", 120, 130)  # clips the first
+    assert cache.shared_index(("f", 1, "a"), gids, 124) is None
+    assert cache.shared_index(("f", 1, "b"), gids, 224) == 200
+    assert cache.shared_index(("g", 1, "a"), gids, 124) == 100
 
 
 def equal_count_maps(seed, nprocs=NPROCS, n=GLOBAL):

@@ -464,11 +464,12 @@ def test_cache_registry_forgets_finalized_clients():
         return seen
 
     job = mpirun(program, 2, machine=fast_test(), services=sdm_services())
-    # One registry serves both ranks: 2 write-side + 4 read-side caches
-    # while a round's clients are live, none once they are gone.
+    # One registry serves both ranks: one cache per SDM and per catalog
+    # on each rank while a round's clients are live, none once they are
+    # gone.
     assert reachable(job.services["maint"].caches) == 0
     assert job.values[0][1::2] == [0, 0]
-    assert job.values[0][0] == 6
+    assert job.values[0][0] == 4
     # two reorganize jobs, each executed by both ranks' workers
     assert job.services["maint"].stats()["executed"] == 2 * 2
 

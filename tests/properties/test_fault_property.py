@@ -31,8 +31,8 @@ import pytest
 from repro.config import fast_test
 from repro.core import SDM, Organization, sdm_services, snapshot_services
 from repro.core.catalog import SDMCatalog
-from repro.core.datapath import acquire_file_lease, release_file_lease
 from repro.core.layout import CHUNKED
+from repro.core.mvcc import acquire_file_lease, release_file_lease
 from repro.metadb.schema import SDMTables
 from repro.dtypes import DOUBLE
 from repro.mpi import mpirun

@@ -11,7 +11,7 @@ import inspect
 
 from repro.core import SDM, policy, sdm_services
 from repro.core.catalog import SDMCatalog
-from repro.core.datapath import IndexBlockCache
+from repro.core.datapath import DatapathHost, IndexBlockCache
 from repro.core.maintenance import MaintenanceService
 from repro.metadb.schema import SDMTables
 from repro.mpiio.hints import accepted_hints
@@ -45,6 +45,10 @@ def test_entry_point_parameters():
         "snapshot", "policy",
     ]
     assert params(SDMCatalog.attach) == ["ctx", "io_hints", "snapshot"]
+    assert params(DatapathHost.__init__) == [
+        "comm", "tables", "fs", "application", "organization",
+        "lease_holder", "maintenance", "hints", "read_gate",
+    ]
     assert params(sdm_services) == ["seed_from"]
 
 
