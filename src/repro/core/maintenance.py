@@ -10,7 +10,8 @@ ingest path.  This module is that tier for the reproduction: one
 ``SDM.finalize`` within the job) runs a per-rank daemon worker — a
 :class:`~repro.simt.process.Process` per rank, spawned lazily and kept
 alive exactly as long as its queue has work — that executes three job
-kinds:
+kinds (superseded row versions need no job of their own: they are
+reaped after every flip, at pin release and in the attach sweep):
 
 * **reorganize** — the deferred chunked→canonical exchange
   (:func:`repro.core.datapath.execute_reorganize`), run collectively
@@ -19,8 +20,6 @@ kinds:
   representation is current at any instant;
 * **compact** — pack a ``.chunked`` file down over its ``extent_table``
   dead regions (:func:`repro.core.datapath.compact_chunked_file`);
-* **reap** — garbage-collect a file's superseded row versions once the
-  snapshot pins that held them drain (``SDMTables.reap_file``);
 * **local** — a rank-private callable with no collectives (the history
   writer of :mod:`repro.core.history`, now a thin client of this layer).
 
@@ -84,7 +83,7 @@ from repro.core.datapath import (
     execute_reorganize,
 )
 from repro.core.layout import Organization
-from repro.core.mvcc import Flip, reap_sweep
+from repro.core.mvcc import reap_sweep
 from repro.dtypes.primitives import primitive_by_name
 from repro.errors import SDMStateError
 from repro.metadb.engine import Database
@@ -96,16 +95,13 @@ from repro.simt.primitives import Signal, SimEvent
 from repro.simt.process import Process
 from repro.simt.simulator import Simulator
 
-__all__ = ["MaintenanceService", "REORGANIZE", "COMPACT", "REAP"]
+__all__ = ["MaintenanceService", "REORGANIZE", "COMPACT"]
 
 REORGANIZE = "reorganize"
 """Job kind: run the deferred chunked→canonical exchange."""
 
 COMPACT = "compact"
 """Job kind: pack a chunked file down over its dead extents."""
-
-REAP = "reap"
-"""Job kind: garbage-collect a file's drained superseded row versions."""
 
 
 @dataclass
@@ -138,6 +134,8 @@ class MaintenanceService:
         self.fs = fs
         self.db = db
         self.tables = SDMTables(db)
+        """The job's one metadata accessor: every datapath host of the job
+        (``SDM``, ``SDMCatalog``, each worker's host) issues through it."""
         self._transport = None
         self._nprocs = 0
         self._queues: List[Deque[Any]] = []
@@ -254,9 +252,10 @@ class MaintenanceService:
         return len(expired)
 
     def stats(self) -> Dict[str, int]:
-        """Service counters (work executed plus crash-recovery totals;
-        the pins-expired total lives on the shared tables so acquire-path
-        steals and the attach sweep feed one number)."""
+        """Service counters: work executed plus the job's crash-recovery
+        totals, kept on the one :class:`SDMTables` every host of the job
+        shares, so a client's acquire-path steal and the attach sweep
+        feed one number."""
         return {
             "enqueued": self.n_enqueued,
             "adopted": self.n_adopted,
@@ -442,13 +441,13 @@ class MaintenanceService:
         # job-unique context, a per-job flip-lease identity (distinct from
         # every SDM client and other job, so overlapping flips fail fast),
         # file and block caches of its own, default MPI-IO hints (the
-        # enqueuer's SDM may be gone by now), this service as cache
-        # registry and read gate.
+        # enqueuer's SDM may be gone by now), this service as metadata
+        # accessor, file system, cache registry and read gate.
         host = DatapathHost(
             Communicator(
                 self._transport, rank, proc, ctx_id=("maint", job.jobid)
             ),
-            self.tables, self.fs, job.application, job.organization,
+            job.application, job.organization,
             lease_holder=f"maint:{job.jobid}", maintenance=self,
             read_gate=self,
         )
@@ -460,7 +459,6 @@ class MaintenanceService:
     def _run_job(self, host: DatapathHost, job: MaintenanceRecord) -> None:
         """One persistent job on this worker's host (collective across
         the workers over the job-unique ``host.comm``)."""
-        comm = host.comm
         try:
             if job.kind == REORGANIZE:
                 execute_reorganize(
@@ -470,19 +468,10 @@ class MaintenanceService:
                 )
             elif job.kind == COMPACT:
                 stats = compact_chunked_file(host, job.file_name)
-                if comm.rank == 0:
+                if host.comm.rank == 0:
                     self.bytes_reclaimed += max(
                         stats["before"] - stats["after"], 0
                     )
-            elif job.kind == REAP:
-                with Flip(host, job.file_name):
-                    if comm.rank == 0:
-                        # Leak sweep first: pins abandoned past their
-                        # timeout stop protecting versions before this
-                        # file's reap computes what is still held live.
-                        self.reap_abandoned_pins(comm.proc)
-                        self.tables.reap_file(job.file_name, proc=comm.proc)
-                    comm.barrier()
             else:
                 raise SDMStateError(
                     f"unknown maintenance job kind {job.kind!r}"

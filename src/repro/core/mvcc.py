@@ -1,7 +1,7 @@
 """Client side of the metadb MVCC protocol (``docs/concurrency.md``), each
 piece implemented once: :class:`Flip` — the lease → intent → successors
-→ commit → reap → barrier → release driver behind reorganization, both
-compaction modes and the ``REAP`` job; :func:`reap_sweep` — the
+→ commit → reap → barrier → release driver behind reorganization and
+both compaction modes; :func:`reap_sweep` — the
 release-time "try-lease, reap, release" pass; :class:`SnapshotPin` — a
 client's pin from take to audited release, held by every datapath host
 (``SDM`` and ``SDMCatalog`` alike).  Rank 0 of the calling communicator

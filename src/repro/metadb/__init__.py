@@ -10,11 +10,12 @@ database as an embedded engine:
   ORDER BY, LIMIT) / ``UPDATE`` / ``DELETE``, with ``?`` parameters;
 * typed storage (:mod:`~repro.metadb.table`): INTEGER / REAL / TEXT / BLOB
   columns with validation;
-* a :class:`~repro.metadb.engine.Database` front end with optional JSON
-  persistence and a per-statement virtual-time cost model (so "the database
-  cost to access the metadata" shows up in history-file timings, as the
-  paper reports) — charged on rows *touched*: returned for SELECT,
-  inserted for INSERT, matched for UPDATE/DELETE;
+* a :class:`~repro.metadb.engine.Database` front end with JSON
+  persistence (``dump``/``loads``) and a per-statement virtual-time cost
+  model (so "the database cost to access the metadata" shows up in
+  history-file timings, as the paper reports) — charged on rows
+  *touched*: returned for SELECT, inserted for INSERT, matched for
+  UPDATE/DELETE;
 * :mod:`~repro.metadb.schema` — the paper's six SDM tables, typed
   accessors, and the :data:`~repro.metadb.schema.SDM_INDEXES` declarations.
 
@@ -25,19 +26,20 @@ Statements flow through three layers, each optional-but-default on the SDM
 path:
 
 1. **Statement cache** (:meth:`~repro.metadb.engine.Database.prepare`) —
-   parsed ASTs are memoized by exact SQL text in a bounded per-instance
-   LRU backed by a bounded *process-global* cache shared across every
-   ``Database``, so the parameterized statements SDM issues in loops
-   (one per timestep, rank, dataset) tokenize and parse exactly once per
-   process — even across :meth:`~repro.metadb.engine.Database.loads`
-   restores, which arrive with a cold instance cache but a warm shared
-   one.  Both :meth:`~repro.metadb.engine.Database.execute` and
-   :meth:`~repro.metadb.engine.Database.query_dicts` share it, so a dict
-   query costs a single parse (historically it parsed twice).  Batched
-   ``execute_many`` INSERTs take a bulk-load path: rows are coerced
-   up front, appended once, and each index sorts the batch and
-   merges it in as a block (one slice insert when it lands in one gap)
-   instead of a per-row ``insort``.
+   parsed ASTs are memoized by exact SQL text in one bounded
+   *process-global* LRU shared by every ``Database``, so the
+   parameterized statements SDM issues in loops (one per timestep, rank,
+   dataset) tokenize and parse exactly once per process — even across
+   :meth:`~repro.metadb.engine.Database.loads` restores.  There are two
+   statement calls: :meth:`~repro.metadb.engine.Database.execute` runs
+   one parameter row and returns the result rows;
+   :meth:`~repro.metadb.engine.Database.execute_many` runs a batch as one
+   billed statement and returns the rows it touched, which is what the
+   count-checked UPDATE/DELETE fences check.  Every INSERT is a batch (a
+   single row through ``execute`` is a batch of one): rows are coerced
+   up front, appended once, and each index sorts the batch and merges it
+   in as a block (one slice insert when it lands in one gap; a lone row
+   is one ``insort``).
 2. **Conjunct planner** (``Database._index_candidates`` /
    ``Database._covering_slice``) — a WHERE tree is decomposed
    (:func:`~repro.metadb.expr.conjuncts_of`, once per parsed statement:

@@ -11,9 +11,11 @@ returned for SELECT, written for INSERT, matched for UPDATE/DELETE.
 Four optimizations keep the metadata path off the application's critical
 path as tables grow:
 
-* **Statement cache** — parsed ASTs are memoized by SQL text
-  (:meth:`Database.prepare`), so the parameterized statements SDM issues in
-  loops (one per timestep, per rank, per dataset) parse once per process.
+* **Statement cache** — parsed ASTs are memoized by SQL text in one
+  process-global LRU (:meth:`Database.prepare`), so the parameterized
+  statements SDM issues in loops (one per timestep, per rank, per
+  dataset) parse once per process, :meth:`Database.loads` restores
+  included.
 * **Conjunct planner** — WHERE trees are decomposed into their top-level
   AND of equality and range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
   once per parsed statement: the decomposition rides the cached AST)
@@ -59,22 +61,13 @@ __all__ = ["Database"]
 _SERVER_CONNECTIONS = 4
 """Concurrent statements the database server executes."""
 
-_STMT_CACHE_CAPACITY = 512
-"""Parsed statements kept per database (LRU eviction beyond this)."""
-
 _GLOBAL_STMT_CAPACITY = 4096
-"""Parsed statements shared across every Database in the process."""
+"""Parsed statements kept per process (LRU eviction beyond this)."""
 
 _GLOBAL_STMT_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-"""Process-global parse cache, keyed by exact SQL text.
-
-Per-database caches die with their instance, but the SQL text SDM issues
-is identical across instances — a :meth:`Database.loads` restore (the
-"subsequent run" path) would otherwise re-parse every statement from a
-cold cache.  Parsed ASTs are immutable once built, so sharing them across
-databases is safe; the per-instance LRU stays in front of this one so
-instance-level cache accounting (``n_parses``) is unchanged.
-"""
+"""The parse cache, keyed by exact SQL text and shared by every
+:class:`Database` in the process: the SQL text SDM issues is identical
+across instances, and parsed ASTs are immutable once built."""
 
 
 def clear_global_statement_cache() -> None:
@@ -132,11 +125,7 @@ class Database:
         state crosses jobs here."""
         self.n_statements = 0
         self.n_parses = 0
-        """Statements this instance had to prepare (instance-cache misses;
-        a miss resolved by the process-global cache still counts)."""
-        self.n_cold_parses = 0
-        """Statements that actually ran the parser (missed both the
-        instance cache and the process-global cache)."""
+        """Times this instance ran the parser (statement-cache misses)."""
         self.n_index_probes = 0
         """WHERE evaluations narrowed by a secondary index."""
         self.n_full_scans = 0
@@ -151,7 +140,6 @@ class Database:
         """Candidate rows evaluated against a WHERE clause — the work the
         planner's access-path choice actually controls (a full scan
         examines the whole table, an index path only its candidates)."""
-        self._stmt_cache: "OrderedDict[str, Any]" = OrderedDict()
 
     def attach(
         self, sim: Optional[Simulator], machine: Optional[MachineModel]
@@ -173,30 +161,17 @@ class Database:
     # ------------------------------------------------------------------
 
     def prepare(self, sql: str):
-        """Parse one statement, memoized by SQL text (two-level LRU).
-
-        An instance-cache miss consults the process-global cache before
-        parsing, so statements another :class:`Database` already prepared
-        (e.g. the instance this one was :meth:`loads`-restored from) cost
-        a dict lookup, not a parse.
-        """
-        cache = self._stmt_cache
+        """Parse one statement, memoized by SQL text in the process-global
+        LRU, so a statement another :class:`Database` already prepared
+        (e.g. the instance this one was :meth:`loads`-restored from) costs
+        a dict lookup, not a parse."""
+        cache = _GLOBAL_STMT_CACHE
         try:
             stmt = cache[sql]
         except KeyError:
             self.n_parses += 1
-            shared = _GLOBAL_STMT_CACHE
-            try:
-                stmt = shared[sql]
-                shared.move_to_end(sql)
-            except KeyError:
-                stmt = parse(sql)
-                self.n_cold_parses += 1
-                shared[sql] = stmt
-                if len(shared) > _GLOBAL_STMT_CAPACITY:
-                    shared.popitem(last=False)
-            cache[sql] = stmt
-            if len(cache) > _STMT_CACHE_CAPACITY:
+            stmt = cache[sql] = parse(sql)
+            if len(cache) > _GLOBAL_STMT_CAPACITY:
                 cache.popitem(last=False)
         else:
             cache.move_to_end(sql)
@@ -214,7 +189,33 @@ class Database:
         ``proc`` is given and the database is attached to a simulation, the
         statement's virtual-time cost is charged to that process.
         """
-        return self._run(self.prepare(sql), params, proc)
+        self._check_live(proc)
+        rows, touched = self._dispatch(self.prepare(sql), params)
+        self._bill(touched, proc)
+        return rows
+
+    def execute_many(
+        self,
+        sql: str,
+        param_rows: Sequence[Sequence[Any]],
+        proc: Optional[Process] = None,
+    ) -> int:
+        """Run one parameterized statement over many parameter rows,
+        billed as a single batched statement: one parse, one server trip,
+        ``query_cost + total rows x row_cost`` — the multi-row INSERT
+        shape.  Returns the rows the batch touched (what it is billed
+        for): a count-checked UPDATE/DELETE fences on it, so a zero-row
+        match means the target row was concurrently repointed.
+        """
+        self._check_live(proc)
+        stmt = self.prepare(sql)
+        if isinstance(stmt, Insert):
+            touched = self._insert(stmt, param_rows)
+        else:
+            touched = sum(self._dispatch(stmt, params)[1]
+                          for params in param_rows)
+        self._bill(touched, proc)
+        return touched
 
     @staticmethod
     def _check_live(proc: Optional[Process]) -> None:
@@ -237,115 +238,10 @@ class Database:
             with self._server.request(proc):
                 proc.hold(cost)
 
-    def _run(
-        self, stmt, params: Sequence[Any], proc: Optional[Process]
-    ) -> List[Tuple[Any, ...]]:
-        self._check_live(proc)
-        rows, touched = self._dispatch(stmt, list(params))
-        self._bill(touched, proc)
-        return rows
-
-    def execute_count(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        proc: Optional[Process] = None,
-    ) -> int:
-        """Run one statement and return the matched-row count.
-
-        UPDATE/DELETE statements report how many rows the WHERE clause
-        actually touched, which callers flipping versioned metadata must
-        verify — a zero-row update means the target row was concurrently
-        repointed, not that the flip succeeded.
-        """
-        self._check_live(proc)
-        stmt = self.prepare(sql)
-        _, touched = self._dispatch(stmt, list(params))
-        self._bill(touched, proc)
-        return touched
-
-    def execute_many_count(
-        self,
-        sql: str,
-        param_rows: Sequence[Sequence[Any]],
-        proc: Optional[Process] = None,
-    ) -> int:
-        """``execute_many`` but returning the total matched-row count
-        (billed identically: one batched statement)."""
-        self._check_live(proc)
-        stmt = self.prepare(sql)
-        if isinstance(stmt, Insert):
-            raise ValueError("execute_many_count is for UPDATE/DELETE batches")
-        touched = 0
-        for params in param_rows:
-            _, t = self._dispatch(stmt, list(params))
-            touched += t
-        self._bill(touched, proc)
-        return touched
-
-    def execute_many(
-        self,
-        sql: str,
-        param_rows: Sequence[Sequence[Any]],
-        proc: Optional[Process] = None,
-    ) -> List[Tuple[Any, ...]]:
-        """Run one parameterized statement over many parameter rows,
-        billed as a single batched statement: one parse, one server trip,
-        ``query_cost + total rows x row_cost`` — the multi-row INSERT
-        shape.  Results (for SELECTs) are concatenated in row order.
-        """
-        self._check_live(proc)
-        stmt = self.prepare(sql)
-        out: List[Tuple[Any, ...]] = []
-        if isinstance(stmt, Insert):
-            # Bulk-load fast path: coerce every row first (a bad row
-            # rejects the whole batch before any state changes), append
-            # the heap once, and let each index ingest the batch — one
-            # block merge per index instead of per-row insort.
-            table = self._table(stmt.table)
-            coerced = []
-            for params in param_rows:
-                row_params = list(params)
-                coerced.append(table.coerce_row(
-                    [e.eval({}, row_params) for e in stmt.values],
-                    stmt.columns,
-                ))
-            table.append_rows(coerced)
-            touched = len(coerced)
-        else:
-            touched = 0
-            for params in param_rows:
-                rows, t = self._dispatch(stmt, list(params))
-                out.extend(rows)
-                touched += t
-        self._bill(touched, proc)
-        return out
-
     def connect(self, proc: Optional[Process] = None) -> None:
         """Model establishing the connection (charged in SDM_initialize)."""
         if proc is not None and self._server is not None:
             proc.hold(self.machine.database.connect_cost)
-
-    def query_dicts(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        proc: Optional[Process] = None,
-    ) -> List[Dict[str, Any]]:
-        """SELECT convenience: rows as dicts keyed by column name."""
-        stmt = self.prepare(sql)
-        if not isinstance(stmt, Select):
-            raise MetaDBError("query_dicts requires a SELECT statement")
-        rows = self._run(stmt, params, proc)
-        if stmt.aggregate is not None:
-            name = stmt.aggregate[0].lower()
-            return [{name: rows[0][0]}]
-        names = (
-            list(stmt.columns)
-            if stmt.columns is not None
-            else self._table(stmt.table).column_names
-        )
-        return [dict(zip(names, row)) for row in rows]
 
     def create_index(self, table: str, columns) -> None:
         """Declare a secondary index on a column or column tuple: it
@@ -361,19 +257,22 @@ class Database:
         except KeyError:
             raise TableNotFound(f"no such table: {name!r}") from None
 
-    def _dispatch(self, stmt, params: List[Any]) -> Tuple[List[Tuple[Any, ...]], int]:
-        """Execute one parsed statement.
+    def _dispatch(
+        self, stmt, params: Sequence[Any]
+    ) -> Tuple[List[Tuple[Any, ...]], int]:
+        """Execute one parsed statement with one parameter row.
 
         Returns ``(result rows, rows touched)`` — touched is what the cost
         model bills: rows returned by a SELECT, inserted by an INSERT,
         matched by an UPDATE or DELETE, zero for DDL.
         """
+        if isinstance(stmt, Insert):
+            return [], self._insert(stmt, (params,))
+        params = list(params)
         if isinstance(stmt, CreateTable):
             return self._create(stmt), 0
         if isinstance(stmt, DropTable):
             return self._drop(stmt), 0
-        if isinstance(stmt, Insert):
-            return self._insert(stmt, params), 1
         if isinstance(stmt, Select):
             rows = self._select(stmt, params)
             return rows, len(rows)
@@ -401,11 +300,21 @@ class Database:
         del self.tables[stmt.name]
         return []
 
-    def _insert(self, stmt: Insert, params: List[Any]) -> list:
+    def _insert(self, stmt: Insert, param_rows) -> int:
+        """Insert one row per parameter row; returns how many.  Every row
+        is coerced first, so a bad row rejects the whole batch before any
+        state changes; then the heap extends once and each index takes
+        the batch in one merge (:meth:`Table.append_rows`)."""
         table = self._table(stmt.table)
-        values = [e.eval({}, params) for e in stmt.values]
-        table.insert(values, stmt.columns)
-        return []
+        values, columns = stmt.values, stmt.columns
+        rows = []
+        for params in param_rows:
+            params = list(params)
+            rows.append(table.coerce_row(
+                [e.eval({}, params) for e in values], columns
+            ))
+        table.append_rows(rows)
+        return len(rows)
 
     # -- planner ---------------------------------------------------------
 
@@ -721,14 +630,3 @@ class Database:
                 table.create_index(index["columns"])
             db.tables[name] = table
         return db
-
-    def save(self, path: str) -> None:
-        """Persist to a file on the host filesystem."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dump())
-
-    @classmethod
-    def load(cls, path: str) -> "Database":
-        """Load a database persisted with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())

@@ -365,8 +365,9 @@ class SDMTables:
         """Abandoned snapshot pins released on a dead client's behalf."""
 
     def recovery_stats(self) -> Dict[str, int]:
-        """The crash-recovery counters every ``stats()`` surface reports
-        (database-wide totals as seen through this accessor)."""
+        """The crash-recovery counters every ``stats()`` surface reports:
+        the recoveries made through this accessor, which a job's
+        maintenance service shares with every host of the job."""
         return {
             "leases_stolen": self.n_leases_stolen,
             "flips_rolled_back": self.n_flips_rolled_back,
@@ -401,14 +402,12 @@ class SDMTables:
 
     def _open_versions(self, table: str, rows, valid_from: int, proc) -> None:
         """Insert ``rows`` (payload column tuples) as open versions
-        visible from ``valid_from`` — one statement either way: a lone
-        row keeps the per-row index insort, a batch is merged into each
-        index as one block."""
-        stamped = [(*row, valid_from, OPEN_EPOCH) for row in rows]
-        if len(stamped) == 1:
-            self.db.execute(_OPEN_VERSION[table], stamped[0], proc=proc)
-        else:
-            self.db.execute_many(_OPEN_VERSION[table], stamped, proc=proc)
+        visible from ``valid_from`` — one batched statement."""
+        self.db.execute_many(
+            _OPEN_VERSION[table],
+            [(*row, valid_from, OPEN_EPOCH) for row in rows],
+            proc=proc,
+        )
 
     def _close_versions(
         self, table: str, where: str, valid_to: int, keys, proc
@@ -417,7 +416,7 @@ class SDMTables:
         parameter tuple in ``keys`` (one batched statement): a flip closes
         predecessors at its epoch, a rollback reopens them.  Returns the
         matched-row count for the caller's fence."""
-        return self.db.execute_many_count(
+        return self.db.execute_many(
             f"UPDATE {table} SET valid_to = ? WHERE {where}",
             [(valid_to, *key) for key in keys],
             proc=proc,
@@ -961,10 +960,10 @@ class SDMTables:
         under a stolen lease; raised as :class:`SDMStateError` so the
         fenced-off publisher cannot continue as if it committed.
         """
-        touched = self.db.execute_count(
+        touched = self.db.execute_many(
             "UPDATE epoch_table SET state = ? "
             "WHERE file_name = ? AND epoch = ? AND state = ?",
-            (EPOCH_PUBLISHED, file_name, epoch, EPOCH_INTENT),
+            [(EPOCH_PUBLISHED, file_name, epoch, EPOCH_INTENT)],
             proc=proc,
         )
         self._expect_rows(
@@ -1126,10 +1125,10 @@ class SDMTables:
             ):
                 return False
             self.recover_file(file_name, proc)
-            stolen = self.db.execute_count(
+            stolen = self.db.execute_many(
                 "DELETE FROM lease_table "
                 "WHERE file_name = ? AND holder = ?",
-                (file_name, dead_holder),
+                [(file_name, dead_holder)],
                 proc=proc,
             )
             if stolen != 1:
@@ -1163,9 +1162,9 @@ class SDMTables:
         of silently deleting nothing — the holder must not believe it
         still ended the critical section cleanly.
         """
-        touched = self.db.execute_count(
+        touched = self.db.execute_many(
             "DELETE FROM lease_table WHERE file_name = ? AND holder = ?",
-            (file_name, holder),
+            [(file_name, holder)],
             proc=proc,
         )
         self._expect_rows(
@@ -1187,10 +1186,10 @@ class SDMTables:
         Count-checked as a *fence*: a zero-row update means the lease
         expired and was stolen, so the presumed-dead holder stops before
         publishing over the thief's flip."""
-        touched = self.db.execute_count(
+        touched = self.db.execute_many(
             "UPDATE lease_table SET heartbeat = ? "
             "WHERE file_name = ? AND holder = ?",
-            (now, file_name, holder),
+            [(now, file_name, holder)],
             proc=proc,
         )
         self._expect_rows(
@@ -1242,9 +1241,9 @@ class SDMTables:
         Count-checked: a double release, or releasing a pin the
         abandoned-pin reaper already expired, raises
         :class:`SDMStateError` instead of silently deleting nothing."""
-        touched = self.db.execute_count(
+        touched = self.db.execute_many(
             "DELETE FROM pin_table WHERE pin_id = ?",
-            (pin_id,),
+            [(pin_id,)],
             proc=proc,
         )
         self._expect_rows(
@@ -1260,9 +1259,9 @@ class SDMTables:
         throttled, on the read path so live pins never age out).
         Count-checked as a fence against reading through an
         already-reaped pin."""
-        touched = self.db.execute_count(
+        touched = self.db.execute_many(
             "UPDATE pin_table SET touched = ? WHERE pin_id = ?",
-            (now, pin_id),
+            [(now, pin_id)],
             proc=proc,
         )
         self._expect_rows(

@@ -81,22 +81,24 @@ class OrderedIndex:
     def key_of(self, row: Row) -> Tuple[Any, ...]:
         return tuple(_sort_key(row[p]) for p in self.positions)
 
-    def add(self, rowid: int, row: Row) -> None:
-        insort(self.entries, (self.key_of(row), rowid))
-
-    def add_many(self, pairs: Iterable[Tuple[int, Row]]) -> None:
+    def add_many(self, pairs: Sequence[Tuple[int, Row]]) -> None:
         """Index a batch of appended ``(rowid, row)`` pairs.
 
-        The batch is sorted on its own and merged into the window of
-        entries it spans — from where its smallest entry belongs to where
-        its largest does — so the cost follows the batch and that window,
-        not the index.  A batch that shares its leading key columns, like
-        one instance's chunk rows, spans an empty window (a plain slice
-        insert) or, when it re-versions an instance, that instance's
-        entries; only a batch scattered over the whole key range re-sorts
-        the whole array (Timsort is near-linear on the two sorted runs),
-        still one pass instead of an O(n) ``insort`` memmove per row.
+        A lone row is one ``insort``.  A larger batch is sorted on its
+        own and merged into the window of entries it spans — from where
+        its smallest entry belongs to where its largest does — so the
+        cost follows the batch and that window, not the index.  A batch
+        that shares its leading key columns, like one instance's chunk
+        rows, spans an empty window (a plain slice insert) or, when it
+        re-versions an instance, that instance's entries; only a batch
+        scattered over the whole key range re-sorts the whole array
+        (Timsort is near-linear on the two sorted runs), still one pass
+        instead of an O(n) ``insort`` memmove per row.
         """
+        if len(pairs) == 1:
+            rowid, row = pairs[0]
+            insort(self.entries, (self.key_of(row), rowid))
+            return
         batch = sorted((self.key_of(row), rowid) for rowid, row in pairs)
         if not batch:
             return
@@ -212,8 +214,7 @@ class Table:
     * ``len(table)`` counts live rows only, so what a full scan examines
       (``n_rows_examined``) and what a statement is billed for
       (``touched``) do not depend on how many rows were ever deleted.
-    * :meth:`insert` and :meth:`append_rows` are the only writers of new
-      rowids.
+    * :meth:`append_rows` is the only writer of new rowids.
 
     A table may carry secondary indexes (:meth:`create_index`), each an
     :class:`OrderedIndex` over a column tuple.  Each is maintained entry
@@ -278,27 +279,11 @@ class Table:
             row[pos] = self.columns[pos].type.coerce(value)
         return tuple(row)
 
-    def insert(
-        self, values: Sequence[Any], columns: Optional[Sequence[str]] = None
-    ) -> Row:
-        """Append a validated row; returns it."""
-        row = self.coerce_row(values, columns)
-        rowid = self._next_rowid
-        self._next_rowid += 1
-        self.rows[rowid] = row
-        for index in self.indexes.values():
-            index.add(rowid, row)
-        return row
-
     def append_rows(self, rows: Sequence[Row]) -> None:
-        """Append pre-coerced rows and index them in one batch.
-
-        The bulk-load half of :meth:`insert`: callers coerce every row
-        first (so a bad row rejects the whole batch before any state
-        changes), then the heap extends once and each index ingests the
-        batch through its ``add_many`` (merged in as a block instead of
-        per-row ``insort``).
-        """
+        """Append rows already validated by :meth:`coerce_row` (callers
+        coerce a whole batch first, so a bad row rejects it before any
+        state changes): the heap extends once and each index ingests the
+        batch through its ``add_many``."""
         pairs = list(enumerate(rows, self._next_rowid))
         self._next_rowid += len(pairs)
         self.rows.update(pairs)

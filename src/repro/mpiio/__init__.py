@@ -30,14 +30,12 @@ from repro.mpiio.consts import (
     MODE_RDWR,
     MODE_WRONLY,
 )
-from repro.mpiio.hints import Hints
 from repro.mpiio.view import FileView
 from repro.mpiio.file import File
 
 __all__ = [
     "File",
     "FileView",
-    "Hints",
     "MODE_RDONLY",
     "MODE_WRONLY",
     "MODE_RDWR",

@@ -17,6 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.analysis.catalog import collective
+from repro.config import CollectiveIOModel
 from repro.dtypes.base import Datatype
 from repro.dtypes.primitives import BYTE
 from repro.errors import FileExists, FileNotFound, MPIIOError
@@ -29,7 +30,7 @@ from repro.mpiio.consts import (
     MODE_RDWR,
     MODE_WRONLY,
 )
-from repro.mpiio.hints import Hints
+from repro.mpiio.hints import resolve_hints
 from repro.mpiio.view import FileView, check_runs
 from repro.pfs.file import RD, RDWR, WR
 from repro.pfs.filesystem import FileSystem
@@ -63,7 +64,7 @@ class File:
         name: str,
         amode: int,
         handle,
-        hints: Hints,
+        hints: CollectiveIOModel,
     ) -> None:
         self.comm = comm
         self.fs = fs
@@ -124,8 +125,9 @@ class File:
         else:
             mode = RDWR
         handle = fs.open(proc, name, mode)
-        resolved = Hints.from_machine(fs.machine, hints)
-        return cls(comm, fs, name, amode, handle, resolved)
+        return cls(
+            comm, fs, name, amode, handle, resolve_hints(fs.machine, hints)
+        )
 
     @collective(uniform_result=True, receivers=("f", "host", "self"))
     def close(self) -> None:

@@ -25,7 +25,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.mpiio.hints import Hints
+from repro.config import CollectiveIOModel
 from repro.pfs.file import RD, PFSHandle
 from repro.pfs.filesystem import FileSystem
 from repro.pfs.runlist import gather_runs, scatter_runs
@@ -35,7 +35,7 @@ __all__ = ["sieve_groups", "independent_read", "independent_write"]
 
 
 def sieve_groups(
-    offsets: np.ndarray, lengths: np.ndarray, hints: Hints
+    offsets: np.ndarray, lengths: np.ndarray, hints: CollectiveIOModel
 ) -> Iterator[Tuple[int, int]]:
     """Yield ``(start_run, end_run)`` index ranges forming sieving groups.
 
@@ -88,7 +88,7 @@ def independent_read(
     handle: PFSHandle,
     offsets: np.ndarray,
     lengths: np.ndarray,
-    hints: Hints,
+    hints: CollectiveIOModel,
     kind: str = "data",
 ) -> np.ndarray:
     """Sieved independent read; returns the gathered bytes in run order.
@@ -125,7 +125,7 @@ def independent_write(
     offsets: np.ndarray,
     lengths: np.ndarray,
     data: np.ndarray,
-    hints: Hints,
+    hints: CollectiveIOModel,
 ) -> int:
     """Sieved independent write; returns bytes of payload written.
 

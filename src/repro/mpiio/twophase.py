@@ -54,9 +54,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.catalog import collective
+from repro.config import CollectiveIOModel
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import MAX, MIN
-from repro.mpiio.hints import Hints
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
 from repro.pfs.runlist import RunMove, coalesce_runs
@@ -182,7 +182,7 @@ class _Aggregation:
 
     def access(
         self, comm: Communicator, proc: Process, fs: FileSystem,
-        handle: PFSHandle, hints: Hints,
+        handle: PFSHandle, hints: CollectiveIOModel,
         scratch: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
         """Write ``scratch`` — the union runs' bytes end to end (from
@@ -203,12 +203,20 @@ class _Aggregation:
         )
 
 
+def resolve_cb_nodes(cb_nodes: int, comm_size: int, n_controllers: int) -> int:
+    """Number of aggregators: the ``cb_nodes`` hint, else
+    min(P, 2 x controllers)."""
+    if cb_nodes > 0:
+        return max(1, min(cb_nodes, comm_size))
+    return max(1, min(comm_size, 2 * n_controllers))
+
+
 def _plan_domains(
     comm: Communicator,
     fs: FileSystem,
     offsets: np.ndarray,
     lengths: np.ndarray,
-    hints: Hints,
+    hints: CollectiveIOModel,
 ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
     """The prologue both collectives share: agree on the global byte
     range, cut it into aggregator file domains (domain ``d`` belongs to
@@ -225,7 +233,7 @@ def _plan_domains(
         comm.barrier()
         return None
     storage = fs.machine.storage
-    naggs = hints.resolve_cb_nodes(comm.size, storage.n_controllers)
+    naggs = resolve_cb_nodes(hints.cb_nodes, comm.size, storage.n_controllers)
     bounds = file_domain_bounds(glo, ghi, naggs, storage.stripe_size)
     return split_runs_by_bounds(offsets, lengths, bounds)
 
@@ -239,7 +247,7 @@ def collective_write(
     offsets: np.ndarray,
     lengths: np.ndarray,
     data: np.ndarray,
-    hints: Hints,
+    hints: CollectiveIOModel,
 ) -> int:
     """Two-phase collective write of this rank's runs; returns local bytes."""
     handle.check_writable()
@@ -276,7 +284,7 @@ def collective_read(
     handle: PFSHandle,
     offsets: np.ndarray,
     lengths: np.ndarray,
-    hints: Hints,
+    hints: CollectiveIOModel,
 ) -> np.ndarray:
     """Two-phase collective read; returns this rank's bytes in run order."""
     handle.check_readable()

@@ -115,6 +115,21 @@ def test_enqueue_crash_leaves_row_for_next_job_to_adopt():
     assert t2.all_pins() == []
 
 
+def test_recovery_totals_are_per_job_not_per_client():
+    """The attach sweep expires the dead job's pin on the service's
+    behalf; every rank's SDM reports the same recovery totals as the
+    service, because the job has one metadata accessor."""
+    snap = snapshot_services(crashed_producer("maint:enqueued", "rank0"))
+    consumer = mpirun(consumer_program, NPROCS, machine=fast_test(),
+                      services=sdm_services(seed_from=snap))
+    maint = consumer.services["maint"].stats()
+    assert maint["pins_expired"] >= 1
+    keys = ("leases_stolen", "flips_rolled_back", "flips_rolled_forward",
+            "pins_expired")
+    for stats in consumer.values:
+        assert {k: stats[k] for k in keys} == {k: maint[k] for k in keys}
+
+
 # ---------------------------------------------------------------------------
 # Interrupted flips: roll back before the commit point, forward after
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.core.policy import (
 from repro.dtypes import DOUBLE
 from repro.metadb.schema import SDMTables
 from repro.mpi import mpirun
-from repro.mpiio.hints import Hints, accepted_hints, validate_hints
+from repro.mpiio.hints import accepted_hints, resolve_hints, validate_hints
 from repro.mpiio.runs import COALESCE_WASTE, adaptive_gap
 
 NPROCS = 4
@@ -121,9 +121,10 @@ def test_sdm_entry_points_validate_hints():
 
 def test_hints_from_machine_carries_adaptive_sentinel():
     m = fast_test()
-    h = Hints.from_machine(m, {"coalesce_gap": ADAPTIVE_GAP})
+    h = resolve_hints(m, {"coalesce_gap": ADAPTIVE_GAP})
     assert h.coalesce_gap == ADAPTIVE_GAP
-    assert Hints.from_machine(m).coalesce_gap == 0  # default unchanged
+    assert resolve_hints(m).coalesce_gap == 0  # default unchanged
+    assert m.collective_io.coalesce_gap == 0  # the machine's is not touched
 
 
 def test_adaptive_gap_spends_at_most_the_waste_budget():

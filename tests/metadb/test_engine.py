@@ -213,20 +213,16 @@ def test_missing_parameter_rejected(db):
         db.execute("INSERT INTO runs VALUES (?, ?, ?, ?)", (1,))
 
 
-def test_query_dicts(db):
+def test_select_column_list_and_count(db):
     db.execute("INSERT INTO runs VALUES (7, 'p', 0.5, NULL)")
-    rows = db.query_dicts("SELECT runid, dataset FROM runs")
-    assert rows == [{"runid": 7, "dataset": "p"}]
-    rows = db.query_dicts("SELECT * FROM runs")
-    assert rows[0]["t"] == 0.5
-    assert db.query_dicts("SELECT COUNT(*) FROM runs") == [{"count": 1}]
+    assert db.execute("SELECT runid, dataset FROM runs") == [(7, "p")]
+    assert db.execute("SELECT * FROM runs") == [(7, "p", 0.5, None)]
+    assert db.execute("SELECT COUNT(*) FROM runs") == [(1,)]
 
 
-def test_persistence_roundtrip(tmp_path, db):
+def test_persistence_roundtrip(db):
     db.execute("INSERT INTO runs VALUES (1, 'p', 0.5, ?)", (b"\xde\xad",))
-    path = str(tmp_path / "meta.json")
-    db.save(path)
-    loaded = Database.load(path)
+    loaded = Database.loads(db.dump())
     assert loaded.execute("SELECT * FROM runs") == [(1, "p", 0.5, b"\xde\xad")]
     # Schema survives too.
     loaded.execute("INSERT INTO runs VALUES (2, 'q', 1.0, NULL)")

@@ -6,6 +6,7 @@ from metadb_harness import check_index_integrity
 from repro.config import origin2000
 from repro.errors import MetaDBError, SQLTypeError
 from repro.metadb import Database, SDMTables
+from repro.metadb.engine import clear_global_statement_cache
 from repro.metadb.schema import SDM_INDEXES
 from repro.metadb.table import index_name
 from repro.simt import Simulator
@@ -21,25 +22,32 @@ def db():
 
 
 # -- statement cache ----------------------------------------------------
+#
+# The parse cache is process-global, so every test that counts parses
+# clears it first: a statement text another test already ran would
+# otherwise cost this test no parse at all.
 
 
 def test_statement_cache_parses_once(db):
+    clear_global_statement_cache()
     parses = db.n_parses
     for i in range(10):
         db.execute("SELECT * FROM t WHERE a = ?", (i,))
     assert db.n_parses == parses + 1
 
 
-def test_query_dicts_single_parse(db):
+def test_projected_select_single_parse(db):
+    clear_global_statement_cache()
     parses = db.n_parses
-    rows = db.query_dicts("SELECT a, b FROM t WHERE c = ?", (7,))
-    assert rows == [{"a": 2, "b": "s1"}]
-    assert db.n_parses == parses + 1  # regression: used to parse twice
-    db.query_dicts("SELECT a, b FROM t WHERE c = ?", (8,))
+    rows = db.execute("SELECT a, b FROM t WHERE c = ?", (7,))
+    assert rows == [(2, "s1")]
+    assert db.n_parses == parses + 1
+    db.execute("SELECT a, b FROM t WHERE c = ?", (8,))
     assert db.n_parses == parses + 1
 
 
 def test_cache_is_per_sql_text(db):
+    clear_global_statement_cache()
     parses = db.n_parses
     db.execute("SELECT * FROM t WHERE a = 1")
     db.execute("SELECT * FROM t WHERE a = 2")
@@ -605,24 +613,22 @@ def test_bulk_insert_bad_row_rejects_whole_batch():
 
 
 def test_restored_database_reparses_nothing():
-    """Database.loads restores share the process-global parse cache: the
-    statements the original instance prepared cost a dict hit, not a
-    parse, in the restored one."""
-    from repro.metadb.engine import clear_global_statement_cache
-
+    """A statement text parses once per process: a Database.loads
+    restore finds what the original instance prepared in the shared
+    cache and runs the parser for none of it."""
     clear_global_statement_cache()
     sql = "SELECT * FROM shared_cache_t WHERE a = ?"
     db1 = Database()
     db1.execute("CREATE TABLE shared_cache_t (a INTEGER)")
     db1.execute("INSERT INTO shared_cache_t VALUES (?)", (1,))
     db1.execute(sql, (1,))
-    assert db1.n_cold_parses >= 1
+    db1.execute(sql, (2,))
+    assert db1.n_parses == 3
 
     db2 = Database.loads(db1.dump())
-    cold_before = db2.n_cold_parses
     assert db2.execute(sql, (1,)) == [(1,)]
-    assert db2.n_parses == 1  # instance cache was cold...
-    assert db2.n_cold_parses == cold_before  # ...but nothing re-parsed
+    db2.execute("INSERT INTO shared_cache_t VALUES (?)", (2,))
+    assert db2.n_parses == 0
 
 
 def test_global_cache_is_bounded_and_clearable():
@@ -632,11 +638,82 @@ def test_global_cache_is_bounded_and_clearable():
     db = Database()
     db.execute("CREATE TABLE g (a INTEGER)")
     db.execute("SELECT * FROM g WHERE a = 1")
-    assert len(engine._GLOBAL_STMT_CACHE) > 0
+    assert len(engine._GLOBAL_STMT_CACHE) == db.n_parses == 2
     engine.clear_global_statement_cache()
     assert len(engine._GLOBAL_STMT_CACHE) == 0
     # A fresh database re-parses after the clear (the cold baseline).
     db2 = Database()
-    cold = db2.n_cold_parses
     db2.execute("CREATE TABLE g2 (a INTEGER)")
-    assert db2.n_cold_parses == cold + 1
+    db2.prepare("SELECT * FROM g WHERE a = 1")
+    assert db2.n_parses == 2
+    # Beyond its capacity the cache evicts least recently used texts.
+    capacity = engine._GLOBAL_STMT_CAPACITY
+    for i in range(capacity + 1):
+        db2.prepare(f"SELECT * FROM g WHERE a = {i}")
+    assert len(engine._GLOBAL_STMT_CACHE) == capacity
+    assert "CREATE TABLE g2 (a INTEGER)" not in engine._GLOBAL_STMT_CACHE
+    engine.clear_global_statement_cache()
+
+
+# -- one insert path, one counted batch ---------------------------------
+
+
+def _billed(db):
+    """Record the rows each statement is billed for."""
+    billed = []
+    bill = db._bill
+
+    def record(touched, proc):
+        billed.append(touched)
+        bill(touched, proc)
+
+    db._bill = record
+    return billed
+
+
+def test_one_row_insert_is_a_batch_of_one():
+    """A one-row INSERT through execute and through execute_many leaves
+    the same rows, the same index entries, the same statement count and
+    the same billed rows."""
+    ddl = "CREATE TABLE t (a INTEGER, b TEXT, c INTEGER)"
+    sql = "INSERT INTO t VALUES (?, ?, ?)"
+    seed = [(3, "x", 0), (1, "y", 1), (3, None, 2), (2, "x", 3)]
+    rows = [(3, "x", 9), (0, None, 10), (2, "z", 11)]
+    dbs = []
+    for many in (False, True):
+        db = Database()
+        db.execute(ddl)
+        for columns in ("a", ("a", "b"), ("b", "c")):
+            db.create_index("t", columns)
+        db.execute_many(sql, seed)
+        billed = _billed(db)
+        statements = db.n_statements
+        for row in rows:
+            if many:
+                assert db.execute_many(sql, [row]) == 1
+            else:
+                assert db.execute(sql, row) == []
+        dbs.append((db, billed, db.n_statements - statements))
+    (one, billed_one, n_one), (many, billed_many, n_many) = dbs
+    assert one.dump() == many.dump()
+    for name, index in one.tables["t"].indexes.items():
+        assert index.entries == many.tables["t"].indexes[name].entries
+    assert n_one == n_many == len(rows)
+    assert billed_one == billed_many == [1] * len(rows)
+
+
+def test_counted_update_returns_matched_rows():
+    """A count-checked UPDATE through execute_many returns (and is billed
+    for) the rows it matched, 0 included."""
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    db.create_index("t", "a")
+    db.execute_many("INSERT INTO t VALUES (?, ?)", [(1, 0), (2, 0), (2, 0)])
+    billed = _billed(db)
+    sql = "UPDATE t SET b = ? WHERE a = ?"
+    assert db.execute_many(sql, [(5, 2)]) == 2
+    assert db.execute_many(sql, [(5, 9)]) == 0
+    assert db.execute_many(sql, [(6, 1), (6, 9), (6, 2)]) == 3
+    assert db.execute_many(sql, []) == 0
+    assert billed == [2, 0, 3, 0]
+    assert db.execute("SELECT a, b FROM t") == [(1, 6), (2, 6), (2, 6)]

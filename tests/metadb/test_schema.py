@@ -72,11 +72,12 @@ def test_import_registration(tables):
         1, "edge1", "uns3d.msh", "INTEGER", "ROW_MAJOR",
         "DISTRIBUTED", "INDEX", 0, 100,
     )
-    sql = "SELECT * FROM import_table WHERE runid = ? AND imported_name = ?"
-    (rec,) = tables.db.query_dicts(sql, (1, "edge1"))
-    assert rec["file_content"] == "INDEX"
-    assert rec["num_elements"] == 100
-    assert tables.db.query_dicts(sql, (1, "nothing")) == []
+    sql = (
+        "SELECT file_content, num_elements FROM import_table "
+        "WHERE runid = ? AND imported_name = ?"
+    )
+    assert tables.db.execute(sql, (1, "edge1")) == [("INDEX", 100)]
+    assert tables.db.execute(sql, (1, "nothing")) == []
 
 
 def test_history_register_find(tables):

@@ -1,5 +1,7 @@
 """Data-sieving internals: grouping policy and the RMW/fallback paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from repro.config import fast_test, origin2000
 from repro.mpi import mpirun
 from repro.mpiio import MODE_CREATE, MODE_RDWR, MODE_WRONLY, File
-from repro.mpiio.hints import Hints
 from repro.mpiio.sieving import independent_read, independent_write, sieve_groups
 from repro.pfs import FileSystem
 from repro.pfs.file import RD, RDWR, WR
@@ -16,10 +17,8 @@ from repro.simt import Simulator
 
 
 def hints(gap=100, buf=1000):
-    h = Hints.from_machine(fast_test())
-    h.ds_threshold_gap = gap
-    h.ds_buffer_size = buf
-    return h
+    return replace(fast_test().collective_io, ds_threshold_gap=gap,
+                   ds_buffer_size=buf)
 
 
 def groups_of(offsets, lengths, **kw):
@@ -104,7 +103,7 @@ def test_vectorized_groups_match_reference_property(spec, gap, buf):
 # ---------------------------------------------------------------------------
 
 def machine_hints(fs):
-    return Hints.from_machine(fs.machine)
+    return fs.machine.collective_io
 
 
 def run_one(fn, machine=None):

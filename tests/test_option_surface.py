@@ -46,8 +46,8 @@ def test_entry_point_parameters():
     ]
     assert params(SDMCatalog.attach) == ["ctx", "io_hints", "snapshot"]
     assert params(DatapathHost.__init__) == [
-        "comm", "tables", "fs", "application", "organization",
-        "lease_holder", "maintenance", "hints", "read_gate",
+        "comm", "application", "organization", "lease_holder",
+        "maintenance", "hints", "read_gate",
     ]
     assert params(sdm_services) == ["seed_from"]
 
