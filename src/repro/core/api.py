@@ -545,8 +545,7 @@ class SDM(DatapathHost):
         # their file names) out of the worker queue — the same no-op fast
         # path the sync call takes, minus the exchange machinery.
         where, chunks, _version = locate_instance(
-            self.comm, self.tables, rid, name, timestep,
-            proc=self.ctx.proc, required=True,
+            self.comm, self.tables, rid, name, timestep
         )
         if chunks:
             self.maintenance.enqueue(

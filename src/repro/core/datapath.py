@@ -518,7 +518,7 @@ class DatapathHost:
         try:
             where, chunks, version = locate_instance(
                 comm, self.tables, runid, dataset, timestep,
-                proc=comm.proc, epoch=self.pin.epoch, required=True,
+                epoch=self.pin.epoch,
             )
             f = self._open_cached(where[0], MODE_RDONLY)
             out = read_instance(
@@ -750,16 +750,14 @@ def locate_instance(
     runid: int,
     dataset: str,
     timestep: int,
-    proc=None,
     epoch: Optional[int] = None,
-    required: bool = False,
-) -> Tuple[Optional[ExecutionRow], List[ChunkRecord], int]:
-    """Metadata of one written instance, broadcast from rank 0's lookup:
-    the ``execution_table`` row (None if never written — or, with
-    ``required``, :class:`~repro.errors.SDMUnknownDataset` on every
-    rank), its chunk maps (empty for a canonical instance), and the
-    matched row's version (``valid_from`` — the index-block cache key
-    component).
+) -> Tuple[ExecutionRow, List[ChunkRecord], int]:
+    """Metadata of one written instance, broadcast from rank 0's lookup
+    (billed to ``comm.proc``): the ``execution_table`` row, its chunk
+    maps (empty for a canonical instance), and the matched row's version
+    (``valid_from`` — the index-block cache key component).  An instance
+    never written raises :class:`~repro.errors.SDMUnknownDataset` on
+    every rank.
 
     ``epoch=None`` resolves current visibility (open row versions — still
     one metadata probe for a canonical instance); a pinned reader passes
@@ -767,6 +765,7 @@ def locate_instance(
     execution row's own version, which keeps the pair consistent even
     inside another client's publish window."""
     info = None
+    proc = comm.proc
     if comm.rank == 0:
         row = tables.lookup_execution_version(
             runid, dataset, timestep, epoch=epoch, proc=proc
@@ -785,7 +784,7 @@ def locate_instance(
                 )
         info = (where, chunks, version)
     info = comm.bcast(info, root=0)
-    if required and info[0] is None:
+    if info[0] is None:
         raise SDMUnknownDataset(
             f"no execution record for run {runid} dataset {dataset!r} "
             f"timestep {timestep}"
@@ -1161,8 +1160,7 @@ def execute_reorganize(
     comm = host.comm
     proc = comm.proc
     where, chunks, version = locate_instance(
-        comm, host.tables, runid, dataset, timestep, proc=proc,
-        required=True,
+        comm, host.tables, runid, dataset, timestep
     )
     old_fname = where[0]
     if not chunks:

@@ -5,18 +5,24 @@ descriptions, index-distribution history — in a relational database, keeping
 only bulk data in the parallel file system.  This package provides that
 database as an embedded engine:
 
-* a mini-SQL dialect (:mod:`~repro.metadb.sqlparser`):
-  ``CREATE TABLE`` / ``DROP TABLE`` / ``INSERT`` / ``SELECT`` (WHERE,
-  ORDER BY, LIMIT) / ``UPDATE`` / ``DELETE``, with ``?`` parameters;
-* typed storage (:mod:`~repro.metadb.table`): INTEGER / REAL / TEXT / BLOB
-  columns with validation;
+* one mini-SQL dialect (:mod:`~repro.metadb.sqlparser`), the statements
+  SDM issues and nothing more: ``CREATE TABLE [IF NOT EXISTS]``,
+  ``INSERT INTO t VALUES (...)``, ``SELECT * | cols | COUNT(*) |
+  MAX(col) | SUM(col)`` (WHERE, ORDER BY, LIMIT), ``UPDATE ... SET`` and
+  ``DELETE``; a WHERE is ``=`` ``<`` ``<=`` ``>`` ``>=`` comparisons
+  joined by AND (with parentheses) over columns, ``?`` parameters and
+  int, float or string literals;
+* typed storage (:mod:`~repro.metadb.table`): INTEGER / REAL / TEXT
+  columns with validation, every one NOT NULL — a None value or
+  parameter is refused before any state changes;
 * a :class:`~repro.metadb.engine.Database` front end with JSON
   persistence (``dump``/``loads``) and a per-statement virtual-time cost
   model (so "the database cost to access the metadata" shows up in
   history-file timings, as the paper reports) — charged on rows
   *touched*: returned for SELECT, inserted for INSERT, matched for
   UPDATE/DELETE;
-* :mod:`~repro.metadb.schema` — the paper's six SDM tables, typed
+* :mod:`~repro.metadb.schema` — the thirteen SDM tables (the paper's six
+  plus chunk, maintenance, extent and the four MVCC tables), typed
   accessors, and the :data:`~repro.metadb.schema.SDM_INDEXES` declarations.
 
 Query pipeline architecture
@@ -41,11 +47,11 @@ path:
    in as a block (one slice insert when it lands in one gap; a lone row
    is one ``insort``).
 2. **Conjunct planner** (``Database._index_candidates`` /
-   ``Database._covering_slice``) — a WHERE tree is decomposed
+   ``Database._covering_slice``) — a WHERE is decomposed
    (:func:`~repro.metadb.expr.conjuncts_of`, once per parsed statement:
-   the result is cached on the AST) into its top-level AND of
-   equality (``col = v``) and range (``col < v``, ``col >= v``, BETWEEN,
-   …) conjuncts, and the cheapest applicable access path wins:
+   the result is cached on the AST) into its equality (``col = v``) and
+   range (``col < v``, ``col >= v``, …) conjuncts, and the cheapest
+   applicable access path wins:
 
    a. a **covering probe**: when the WHERE decomposes *completely* into
       equality conjuncts (plus at most one range pair on the next
@@ -53,8 +59,8 @@ path:
       ORDER BY columns, the query — filter, sort, and LIMIT — is
       answered straight from the index with no scan and no sort
       (``SELECT ... ORDER BY file_offset DESC LIMIT 1`` is two bisects);
-      ``MIN(col)``/``MAX(col)`` under the same rule, ``col`` next, is a
-      slice end;
+      ``MAX(col)`` under the same rule, ``col`` next, is the slice's
+      last entry;
    b. an **index slice**: any index with an equality-bound column prefix
       and/or range bounds on the following column narrows candidates to
       one contiguous bisect slice (all columns bound is the composite
@@ -63,17 +69,17 @@ path:
 
    For (b) the full WHERE is still evaluated on every candidate, so the
    planner only ever *narrows* the scan; path (a) is taken only when the
-   index provably yields the exact result.  Results, ordering, and NULL
-   semantics are bit-identical to the fallback full scan for every path
+   index provably yields the exact result.  Results and ordering are
+   bit-identical to the fallback full scan for every path
    (property-tested across index configurations in
    ``tests/properties/test_metadb_index_property.py``).
 3. **Secondary indexes** (:meth:`~repro.metadb.table.Table.create_index`,
    declared per column tuple via
    :meth:`~repro.metadb.engine.Database.create_index`) — one structure,
    :class:`~repro.metadb.table.OrderedIndex`: a ``bisect``-maintained
-   sorted array of ``(key, rowid)`` entries whose key wrapping matches
-   ORDER BY semantics exactly (NULL first ascending, insertion order
-   among duplicates).  Indexes are maintained entry by entry on INSERT,
+   sorted array of ``(key, rowid)`` entries whose keys are the raw
+   column values, so they order exactly as ORDER BY does (insertion
+   order among duplicates).  Indexes are maintained entry by entry on INSERT,
    UPDATE and DELETE: rowids are stable
    (:class:`~repro.metadb.table.Table`), so a DELETE removes the doomed
    rows' entries and touches nothing else.
@@ -93,7 +99,7 @@ Example::
     rows = db.execute("SELECT * FROM run_table WHERE runid = ?", (1,))
 """
 
-from repro.metadb.types import ColumnType, BLOB, INTEGER, REAL, TEXT
+from repro.metadb.types import ColumnType, INTEGER, REAL, TEXT
 from repro.metadb.table import Column, OrderedIndex, Row, Table
 from repro.metadb.engine import Database
 from repro.metadb.schema import SDM_INDEXES, SDM_SCHEMA, SDMTables
@@ -103,7 +109,6 @@ __all__ = [
     "INTEGER",
     "REAL",
     "TEXT",
-    "BLOB",
     "Column",
     "Row",
     "Table",

@@ -16,8 +16,8 @@ path as tables grow:
   statements SDM issues in loops (one per timestep, per rank, per
   dataset) parse once per process, :meth:`Database.loads` restores
   included.
-* **Conjunct planner** — WHERE trees are decomposed into their top-level
-  AND of equality and range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
+* **Conjunct planner** — a WHERE is decomposed into its equality and
+  range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
   once per parsed statement: the decomposition rides the cached AST)
   and the access path is the smallest index slice — an equality-bound
   column prefix plus range bounds on the next column — or the full scan;
@@ -26,25 +26,29 @@ path as tables grow:
 * **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE an index
   covers (:meth:`Database._covering_slice`) is answered straight from
   the index, skipping both the scan and the sort.
-* **Aggregate probes** — ``MIN(col)``/``MAX(col)`` whose WHERE an index
-  covers with ``col`` next come from the slice *ends* (two bisects)
-  instead of materializing every matching row — ``SELECT MAX(runid) FROM
+* **Aggregate probes** — ``MAX(col)`` whose WHERE an index covers with
+  ``col`` next comes from the slice's last entry (two bisects) instead
+  of materializing every matching row — ``SELECT MAX(runid) FROM
   run_table`` is the runid-allocation hot path.
+
+The dialect is the one :mod:`~repro.metadb.sqlparser` documents — the
+statements SDM issues — and every column is NOT NULL: a None parameter
+is refused before a statement plans or changes anything.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineModel
-from repro.errors import MetaDBError, TableExists, TableNotFound
+from repro.errors import MetaDBError, SQLTypeError, TableExists, TableNotFound
 from repro.metadb.expr import Conjuncts
 from repro.metadb.sqlparser import (
     CreateTable,
     Delete,
-    DropTable,
     Insert,
     Select,
     Update,
@@ -73,6 +77,18 @@ across instances, and parsed ASTs are immutable once built."""
 def clear_global_statement_cache() -> None:
     """Drop every shared parsed statement (benchmarks' cold-parse baseline)."""
     _GLOBAL_STMT_CACHE.clear()
+
+
+def _not_null(param_rows) -> None:
+    """Refuse a None parameter before a statement plans or changes
+    anything: every column is NOT NULL, so no statement stores, compares
+    or probes a NULL, and a batch carrying one is rejected whole."""
+    for params in param_rows:
+        if None in params:
+            raise SQLTypeError(
+                f"NULL parameter in {tuple(params)!r}: every column is "
+                f"NOT NULL"
+            )
 
 
 def _descending_rowids(
@@ -134,7 +150,7 @@ class Database:
         """SELECTs whose WHERE/ORDER BY/LIMIT was answered entirely from
         an index (no scan, no sort)."""
         self.n_agg_probes = 0
-        """MIN/MAX aggregates answered from an index's slice ends (no row
+        """MAX aggregates answered from an index's slice end (no row
         materialized)."""
         self.n_rows_examined = 0
         """Candidate rows evaluated against a WHERE clause — the work the
@@ -190,6 +206,7 @@ class Database:
         statement's virtual-time cost is charged to that process.
         """
         self._check_live(proc)
+        _not_null((params,))
         rows, touched = self._dispatch(self.prepare(sql), params)
         self._bill(touched, proc)
         return rows
@@ -208,6 +225,7 @@ class Database:
         match means the target row was concurrently repointed.
         """
         self._check_live(proc)
+        _not_null(param_rows)
         stmt = self.prepare(sql)
         if isinstance(stmt, Insert):
             touched = self._insert(stmt, param_rows)
@@ -271,8 +289,6 @@ class Database:
         params = list(params)
         if isinstance(stmt, CreateTable):
             return self._create(stmt), 0
-        if isinstance(stmt, DropTable):
-            return self._drop(stmt), 0
         if isinstance(stmt, Select):
             rows = self._select(stmt, params)
             return rows, len(rows)
@@ -292,27 +308,17 @@ class Database:
         )
         return []
 
-    def _drop(self, stmt: DropTable) -> list:
-        if stmt.name not in self.tables:
-            if stmt.if_exists:
-                return []
-            raise TableNotFound(f"no such table: {stmt.name!r}")
-        del self.tables[stmt.name]
-        return []
-
     def _insert(self, stmt: Insert, param_rows) -> int:
         """Insert one row per parameter row; returns how many.  Every row
         is coerced first, so a bad row rejects the whole batch before any
         state changes; then the heap extends once and each index takes
         the batch in one merge (:meth:`Table.append_rows`)."""
         table = self._table(stmt.table)
-        values, columns = stmt.values, stmt.columns
-        rows = []
-        for params in param_rows:
-            params = list(params)
-            rows.append(table.coerce_row(
-                [e.eval({}, params) for e in values], columns
-            ))
+        values = stmt.values
+        rows = [
+            table.coerce_row([e.eval({}, params) for e in values])
+            for params in param_rows
+        ]
         table.append_rows(rows)
         return len(rows)
 
@@ -324,24 +330,16 @@ class Database:
 
         Returns ``(eq_vals, lowers, uppers)`` dicts keyed by column (first
         conjunct per column wins; duplicates are still re-verified by the
-        full WHERE evaluation), or None when any value is NULL — a
-        comparison with NULL is always False, so the whole AND matches
-        nothing.
+        full WHERE evaluation).
         """
         eq_vals: Dict[str, Any] = {}
         for col, e in cj.eq:
-            v = e.eval({}, params)
-            if v is None:
-                return None
-            eq_vals.setdefault(col, v)
+            eq_vals.setdefault(col, e.eval({}, params))
         lowers: Dict[str, Tuple[str, Any]] = {}
         uppers: Dict[str, Tuple[str, Any]] = {}
         for bounds, conjuncts in ((lowers, cj.lower), (uppers, cj.upper)):
             for col, op, e in conjuncts:
-                v = e.eval({}, params)
-                if v is None:
-                    return None
-                bounds.setdefault(col, (op, v))
+                bounds.setdefault(col, (op, e.eval({}, params)))
         return eq_vals, lowers, uppers
 
     def _index_candidates(
@@ -355,15 +353,12 @@ class Database:
         ``bisect`` slice; the smallest slice wins.  (All columns bound is
         the composite point lookup.)  The caller still evaluates the
         complete WHERE on each candidate, so this only ever *narrows* the
-        scan — NULL/type semantics are decided by the same ``Expr.eval``
-        as the slow path.
+        scan — type semantics are decided by the same ``Expr.eval`` as the
+        slow path.
         """
         if cj.empty:
             return None
-        values = self._conjunct_values(cj, params)
-        if values is None:
-            return []
-        eq_vals, lowers, uppers = values
+        eq_vals, lowers, uppers = self._conjunct_values(cj, params)
 
         best = None  # (count, index, start, end)
         for index in table.indexes.values():
@@ -432,10 +427,9 @@ class Database:
         rows, ``tail``-ordered with the same key and rowid tie-break the
         scan path's stable sort uses.
 
-        Returns ``(index, prefix, start, end)`` — an empty slice when a
-        conjunct value is NULL, which matches nothing — or None when no
-        index covers the query or a probe value cannot be ordered
-        against the keys (the caller scans instead).
+        Returns ``(index, prefix, start, end)``, or None when no index
+        covers the query or a probe value cannot be ordered against the
+        keys (the caller scans instead).
         """
         cj = stmt.conjuncts
         if not cj.complete or len(cj.lower) > 1 or len(cj.upper) > 1:
@@ -453,10 +447,7 @@ class Database:
                 continue
             if whole and len(cols) != k + len(tail):
                 continue
-            values = self._conjunct_values(cj, params)
-            if values is None:
-                return index, [], 0, 0
-            eq_vals, lowers, uppers = values
+            eq_vals, lowers, uppers = self._conjunct_values(cj, params)
             prefix = [eq_vals[c] for c in cols[:k]]
             try:
                 start, end = index.slice_bounds(
@@ -493,15 +484,14 @@ class Database:
     def _aggregate_probe(
         self, table: Table, stmt: Select, params: Sequence[Any]
     ) -> Optional[List[Tuple[Any, ...]]]:
-        """Answer ``MIN(col)``/``MAX(col)`` from an index, or None.
+        """Answer ``MAX(col)`` from an index, or None.
 
         A covering index (:meth:`_covering_slice`) with ``col`` next
-        holds the matching rows with ``col`` ascending (NULLs first), so
-        the aggregate is a slice end — no row is materialized or
-        verified.
+        holds the matching rows with ``col`` ascending, so the aggregate
+        is the slice's last entry — no row is materialized or verified.
         """
         fn, col = stmt.aggregate
-        if fn not in ("MIN", "MAX") or col is None:
+        if fn != "MAX":
             return None
         if stmt.order_by or stmt.limit is not None:
             return None
@@ -510,8 +500,6 @@ class Database:
             return None
         index, prefix, start, end = found
         self.n_agg_probes += 1
-        if fn == "MIN":
-            return [(index.min_in_slice(prefix, start, end),)]
         return [(index.max_in_slice(prefix, start, end),)]
 
     def _select(self, stmt: Select, params: List[Any]) -> List[Tuple[Any, ...]]:
@@ -529,36 +517,19 @@ class Database:
         if rows is None:
             rowids = self._match_rowids(table, stmt, params)
             rows = [table.rows[i] for i in rowids]
-            if stmt.order_by:
-                # Sort by keys right-to-left for stable multi-key ordering;
-                # None sorts first ascending (last descending).
-                for col, desc in reversed(stmt.order_by):
-                    pos = table.column_pos(col)
-                    rows.sort(
-                        key=lambda r: (r[pos] is not None, r[pos])
-                        if r[pos] is not None
-                        else (False, 0),
-                        reverse=desc,
-                    )
+            # Sort by keys right-to-left for stable multi-key ordering.
+            for col, desc in reversed(stmt.order_by):
+                rows.sort(key=itemgetter(table.column_pos(col)), reverse=desc)
             if stmt.limit is not None:
                 rows = rows[: stmt.limit]
         if stmt.aggregate is not None:
             fn, col = stmt.aggregate
-            if fn == "COUNT" and col is None:
+            if fn == "COUNT":
                 return [(len(rows),)]
-            pos = table.column_pos(col)
-            values = [r[pos] for r in rows if r[pos] is not None]
+            values = list(map(itemgetter(table.column_pos(col)), rows))
             if not values:
                 return [(None,)]
-            if fn == "COUNT":
-                return [(len(values),)]
-            if fn == "MAX":
-                return [(max(values),)]
-            if fn == "MIN":
-                return [(min(values),)]
-            if fn == "SUM":
-                return [(sum(values),)]
-            raise MetaDBError(f"unknown aggregate {fn!r}")  # pragma: no cover
+            return [(max(values) if fn == "MAX" else sum(values),)]
         if stmt.columns is None:
             return rows
         positions = [table.column_pos(c) for c in stmt.columns]
@@ -598,10 +569,7 @@ class Database:
         for name, table in self.tables.items():
             doc[name] = {
                 "columns": [(c.name, c.type.name) for c in table.columns],
-                "rows": [
-                    [c.type.to_json(v) for c, v in zip(table.columns, row)]
-                    for row in table.rows.values()
-                ],
+                "rows": list(table.rows.values()),
                 "indexes": [
                     {"columns": list(index.columns)}
                     for index in table.indexes.values()
@@ -614,19 +582,13 @@ class Database:
         """Rebuild a database (rows *and* indexes) from :meth:`dump` output."""
         doc = json.loads(text)
         db = cls()
-        db.boot_id = int(doc.get("boot", 0)) + 1
+        db.boot_id = doc["boot"] + 1
         for name, spec in doc["tables"].items():
-            columns = [Column(n, type_by_name(t)) for n, t in spec["columns"]]
-            table = Table(name, columns)
-            table.append_rows([
-                tuple(c.type.from_json(v) for c, v in zip(columns, row))
-                for row in spec["rows"]
+            table = Table(name, [
+                Column(n, type_by_name(t)) for n, t in spec["columns"]
             ])
-            # Pre-index-persistence dumps carry no "indexes" key; they
-            # load fine and simply need re-declaration as before.  An
-            # older dump's "kind" is ignored: twins declared on one column
-            # tuple restore as one index.
-            for index in spec.get("indexes", ()):
+            table.append_rows([table.coerce_row(row) for row in spec["rows"]])
+            for index in spec["indexes"]:
                 table.create_index(index["columns"])
             db.tables[name] = table
         return db

@@ -1,13 +1,16 @@
 """WHERE/SET expression AST and evaluation.
 
 Expressions are small immutable trees evaluated against a row context
-(column name → value).  SQL three-valued logic is simplified to two-valued
-with explicit ``IS NULL`` / ``IS NOT NULL``: comparisons involving NULL are
-False (which matches how SDM's queries use the database).
+(column name → value).  A WHERE is a :class:`Compare` (``=``, ``<``,
+``<=``, ``>``, ``>=``) or an :class:`And` of them; its operands are
+columns, ``?`` parameters and int, float or string literals.  Every
+column is NOT NULL and the engine refuses a None parameter before it
+plans, so logic is plain two-valued.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -19,9 +22,8 @@ __all__ = [
     "Param",
     "ColumnRef",
     "Compare",
-    "BoolOp",
-    "Not",
-    "IsNull",
+    "And",
+    "COMPARATORS",
     "Conjuncts",
     "conjuncts_of",
 ]
@@ -36,7 +38,7 @@ class Expr:
 
 @dataclass(frozen=True)
 class Literal(Expr):
-    """A constant (int, float, str, or None)."""
+    """A constant (int, float or str)."""
 
     value: Any
 
@@ -72,19 +74,19 @@ class ColumnRef(Expr):
             raise MetaDBError(f"unknown column {self.name!r}") from None
 
 
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+COMPARATORS = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
+"""The dialect's comparison operators."""
 
 
 @dataclass(frozen=True)
 class Compare(Expr):
-    """Binary comparison; NULL on either side yields False."""
+    """Binary comparison."""
 
     op: str
     left: Expr
@@ -93,10 +95,8 @@ class Compare(Expr):
     def eval(self, row, params):
         a = self.left.eval(row, params)
         b = self.right.eval(row, params)
-        if a is None or b is None:
-            return False
         try:
-            return _COMPARATORS[self.op](a, b)
+            return COMPARATORS[self.op](a, b)
         except TypeError:
             raise MetaDBError(
                 f"cannot compare {a!r} {self.op} {b!r}"
@@ -104,55 +104,31 @@ class Compare(Expr):
 
 
 @dataclass(frozen=True)
-class BoolOp(Expr):
-    """AND / OR over two or more operands (short-circuiting)."""
+class And(Expr):
+    """A conjunction of two or more comparisons (short-circuiting); the
+    parser flattens parenthesized ANDs into one node."""
 
-    op: str  # "AND" | "OR"
-    operands: tuple
-
-    def eval(self, row, params):
-        if self.op == "AND":
-            return all(bool(o.eval(row, params)) for o in self.operands)
-        return any(bool(o.eval(row, params)) for o in self.operands)
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    """Logical negation."""
-
-    operand: Expr
+    operands: Tuple[Compare, ...]
 
     def eval(self, row, params):
-        return not bool(self.operand.eval(row, params))
-
-
-@dataclass(frozen=True)
-class IsNull(Expr):
-    """``col IS NULL`` / ``col IS NOT NULL``."""
-
-    operand: Expr
-    negated: bool = False
-
-    def eval(self, row, params):
-        result = self.operand.eval(row, params) is None
-        return not result if self.negated else result
+        return all(o.eval(row, params) for o in self.operands)
 
 
 # ---------------------------------------------------------------------------
 # Conjunct decomposition (what the planner sees)
 # ---------------------------------------------------------------------------
 
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass
 class Conjuncts:
-    """A WHERE tree decomposed into its top-level AND conjuncts.
+    """A WHERE tree decomposed into its AND conjuncts.
 
     Each entry pairs a column name with a value expression (a
     :class:`Literal` or :class:`Param`); reversed comparisons
     (``? < col``) are normalized so the column is always on the left.
-    ``complete`` is True iff *every* node of the tree was consumed — the
+    ``complete`` is True iff *every* comparison was consumed — the
     conjuncts then are not merely necessary for a row to match but
     sufficient, which is what lets the engine answer a query entirely
     from an index without re-evaluating the WHERE expression.
@@ -174,46 +150,30 @@ class Conjuncts:
 def conjuncts_of(where: Optional[Expr]) -> Conjuncts:
     """Decompose a WHERE tree for the planner.
 
-    Walks ``Compare`` nodes with a column ref on one side and a literal
-    or parameter on the other, recursing through ``BoolOp('AND')``
-    (nested ANDs from parenthesized input included).  Any other node —
-    OR, NOT, IS NULL, ``!=``, column-to-column comparison — contributes
-    no conjuncts and clears ``complete``, but does not invalidate its
-    AND siblings.
+    Takes each comparison with a column ref on one side and a literal or
+    parameter on the other.  Any other comparison — column to column,
+    value to value — contributes no conjunct and clears ``complete``, but
+    does not invalidate its AND siblings.
     """
     out = Conjuncts()
     if where is None:
         return out
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, BoolOp) and node.op == "AND":
-            for operand in node.operands:
-                walk(operand)
-            return
-        if isinstance(node, Compare):
-            op = node.op
-            if isinstance(node.left, ColumnRef) and isinstance(
-                node.right, (Literal, Param)
-            ):
-                col, value = node.left.name, node.right
-            elif isinstance(node.right, ColumnRef) and isinstance(
-                node.left, (Literal, Param)
-            ):
-                col, value = node.right.name, node.left
-                op = _FLIP.get(op, op)
-            else:
-                out.complete = False
-                return
-            if op == "=":
-                out.eq.append((col, value))
-            elif op in (">", ">="):
-                out.lower.append((col, op, value))
-            elif op in ("<", "<="):
-                out.upper.append((col, op, value))
-            else:  # != narrows nothing
-                out.complete = False
-            return
-        out.complete = False
-
-    walk(where)
+    for node in where.operands if isinstance(where, And) else (where,):
+        if isinstance(node.left, ColumnRef) and isinstance(
+            node.right, (Literal, Param)
+        ):
+            col, op, value = node.left.name, node.op, node.right
+        elif isinstance(node.right, ColumnRef) and isinstance(
+            node.left, (Literal, Param)
+        ):
+            col, op, value = node.right.name, _FLIP[node.op], node.left
+        else:
+            out.complete = False
+            continue
+        if op == "=":
+            out.eq.append((col, value))
+        elif op in (">", ">="):
+            out.lower.append((col, op, value))
+        else:
+            out.upper.append((col, op, value))
     return out

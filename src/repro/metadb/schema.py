@@ -259,7 +259,9 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("epoch_table", ("epoch",)),
     ("epoch_table", ("file_name", "epoch")),
     ("lease_table", ("file_name",)),
-    # Pin release probes pin_id; the reap floor probes MIN(epoch).
+    # Pin release probes pin_id.  No statement probes (epoch) since
+    # per-file reap watermarks replaced the global MIN(epoch) floor; it
+    # stays declared because dumps persist index declarations.
     ("pin_table", ("pin_id",)),
     ("pin_table", ("epoch",)),
     # Reap-watermark lookup is a per-file point probe.

@@ -1,40 +1,42 @@
 """Tokenizer and recursive-descent parser for the mini-SQL dialect.
 
-Supported statements (keywords case-insensitive, identifiers preserved):
+The dialect is the statements SDM issues, nothing more (keywords
+case-insensitive, identifiers preserved):
 
 .. code-block:: sql
 
     CREATE TABLE [IF NOT EXISTS] t (col TYPE, ...)
-    DROP TABLE [IF EXISTS] t
-    INSERT INTO t [(col, ...)] VALUES (expr, ...)
-    SELECT * | col, ... | COUNT(*) | MAX(col) | MIN(col) | SUM(col)
-        FROM t [WHERE expr] [ORDER BY col [ASC|DESC], ...] [LIMIT n]
-    UPDATE t SET col = expr, ... [WHERE expr]
-    DELETE FROM t [WHERE expr]
+    INSERT INTO t VALUES (operand, ...)
+    SELECT * | col, ... | COUNT(*) | MAX(col) | SUM(col)
+        FROM t [WHERE cond] [ORDER BY col [ASC|DESC], ...] [LIMIT n]
+    UPDATE t SET col = operand, ... [WHERE cond]
+    DELETE FROM t [WHERE cond]
 
-Expressions: literals (integers, floats, 'strings', NULL), ``?`` parameters,
-column refs, comparisons (= != <> < <= > >=), ``x BETWEEN lo AND hi``
-(desugared to ``x >= lo AND x <= hi``, so the planner sees two range
-conjuncts), IS [NOT] NULL, NOT, AND, OR, parentheses.
+A ``cond`` is comparisons (``=``, ``<``, ``<=``, ``>``, ``>=``) joined by
+AND, with parentheses; an operand is a column, a ``?`` parameter or an
+int, float or 'string' literal.  Column types are INTEGER, REAL and TEXT,
+and every column is NOT NULL, so ``NULL`` is a reserved word no rule
+accepts.  Anything else — OR, NOT, BETWEEN, IS NULL, ``!=``, MIN,
+``COUNT(col)``, an INSERT column list, DROP TABLE — is a
+:class:`~repro.errors.SQLSyntaxError`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SQLSyntaxError
 from repro.metadb.expr import (
-    BoolOp,
+    COMPARATORS,
+    And,
     ColumnRef,
     Compare,
     Conjuncts,
     Expr,
-    IsNull,
     Literal,
-    Not,
     Param,
     conjuncts_of,
 )
@@ -43,7 +45,6 @@ from repro.metadb.types import ColumnType, type_by_name
 __all__ = [
     "parse",
     "CreateTable",
-    "DropTable",
     "Insert",
     "Select",
     "Update",
@@ -57,16 +58,15 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><>|<=|>=|!=|=|<|>|\(|\)|,|\?|\*)
+  | (?P<op><=|>=|=|<|>|\(|\)|,|\?|\*)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {
-    "CREATE", "TABLE", "IF", "NOT", "EXISTS", "DROP", "INSERT", "INTO",
-    "VALUES", "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC",
-    "LIMIT", "UPDATE", "SET", "DELETE", "AND", "OR", "NULL", "IS",
-    "BETWEEN", "COUNT", "MAX", "MIN", "SUM",
+    "CREATE", "TABLE", "IF", "NOT", "EXISTS", "INSERT", "INTO", "VALUES",
+    "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT",
+    "UPDATE", "SET", "DELETE", "AND", "COUNT", "MAX", "SUM", "NULL",
 }
 
 
@@ -107,15 +107,8 @@ class CreateTable:
 
 
 @dataclass(frozen=True)
-class DropTable:
-    name: str
-    if_exists: bool = False
-
-
-@dataclass(frozen=True)
 class Insert:
     table: str
-    columns: Optional[Tuple[str, ...]]
     values: Tuple[Expr, ...]
 
 
@@ -221,7 +214,6 @@ class _Parser:
             raise SQLSyntaxError(f"statement must start with a keyword: {self.sql!r}")
         handler = {
             "CREATE": self._create,
-            "DROP": self._drop,
             "INSERT": self._insert,
             "SELECT": self._select,
             "UPDATE": self._update,
@@ -255,33 +247,17 @@ class _Parser:
         self.expect("op", ")")
         return CreateTable(name, tuple(cols), if_not_exists)
 
-    def _drop(self) -> DropTable:
-        self.expect("keyword", "DROP")
-        self.expect("keyword", "TABLE")
-        if_exists = False
-        if self.accept("keyword", "IF"):
-            self.expect("keyword", "EXISTS")
-            if_exists = True
-        return DropTable(self.expect_ident(), if_exists)
-
     def _insert(self) -> Insert:
         self.expect("keyword", "INSERT")
         self.expect("keyword", "INTO")
         table = self.expect_ident()
-        columns = None
-        if self.accept("op", "("):
-            names = [self.expect_ident()]
-            while self.accept("op", ","):
-                names.append(self.expect_ident())
-            self.expect("op", ")")
-            columns = tuple(names)
         self.expect("keyword", "VALUES")
         self.expect("op", "(")
-        values = [self._expr()]
+        values = [self._operand()]
         while self.accept("op", ","):
-            values.append(self._expr())
+            values.append(self._operand())
         self.expect("op", ")")
-        return Insert(table, columns, tuple(values))
+        return Insert(table, tuple(values))
 
     def _select(self) -> Select:
         self.expect("keyword", "SELECT")
@@ -290,11 +266,12 @@ class _Parser:
         if self.accept("op", "*"):
             pass
         elif self.peek() and self.peek().kind == "keyword" and self.peek().text in (
-            "COUNT", "MAX", "MIN", "SUM"
+            "COUNT", "MAX", "SUM"
         ):
             fn = self.next().text
             self.expect("op", "(")
-            if fn == "COUNT" and self.accept("op", "*"):
+            if fn == "COUNT":
+                self.expect("op", "*")
                 aggregate = ("COUNT", None)
             else:
                 aggregate = (fn, self.expect_ident())
@@ -334,7 +311,7 @@ class _Parser:
         while True:
             col = self.expect_ident()
             self.expect("op", "=")
-            assignments.append((col, self._expr()))
+            assignments.append((col, self._operand()))
             if not self.accept("op", ","):
                 break
         return Update(table, tuple(assignments), self._where_clause())
@@ -347,85 +324,49 @@ class _Parser:
 
     def _where_clause(self) -> Optional[Expr]:
         if self.accept("keyword", "WHERE"):
-            return self._expr()
+            return self._conjunction()
         return None
 
-    # -- expressions -------------------------------------------------------
-    # precedence: OR < AND < NOT < comparison < primary
+    # -- conditions ----------------------------------------------------------
 
-    def _expr(self) -> Expr:
-        return self._or()
+    def _conjunction(self) -> Expr:
+        """Comparisons joined by AND; a parenthesized conjunction is
+        flattened into its parent."""
+        operands: List[Compare] = []
+        while True:
+            if self.accept("op", "("):
+                inner = self._conjunction()
+                self.expect("op", ")")
+            else:
+                inner = self._comparison()
+            operands.extend(inner.operands if isinstance(inner, And) else (inner,))
+            if not self.accept("keyword", "AND"):
+                break
+        return operands[0] if len(operands) == 1 else And(tuple(operands))
 
-    def _or(self) -> Expr:
-        operands = [self._and()]
-        while self.accept("keyword", "OR"):
-            operands.append(self._and())
-        return operands[0] if len(operands) == 1 else BoolOp("OR", tuple(operands))
-
-    def _and(self) -> Expr:
-        operands = [self._not()]
-        while self.accept("keyword", "AND"):
-            operands.append(self._not())
-        return operands[0] if len(operands) == 1 else BoolOp("AND", tuple(operands))
-
-    def _not(self) -> Expr:
-        if self.accept("keyword", "NOT"):
-            return Not(self._not())
-        return self._comparison()
-
-    def _comparison(self) -> Expr:
-        left = self._primary()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in ("=", "!=", "<>", "<", "<=", ">", ">="):
-            self.pos += 1
-            op = "!=" if tok.text == "<>" else tok.text
-            right = self._primary()
-            return Compare(op, left, right)
-        if tok and tok.kind == "keyword" and tok.text == "IS":
-            self.pos += 1
-            negated = bool(self.accept("keyword", "NOT"))
-            self.expect("keyword", "NULL")
-            return IsNull(left, negated)
-        if tok and tok.kind == "keyword" and tok.text == "BETWEEN":
-            # BETWEEN binds tighter than AND: the AND here is part of the
-            # BETWEEN, and the whole thing desugars to two range conjuncts.
-            self.pos += 1
-            low = self._primary()
-            self.expect("keyword", "AND")
-            high = self._primary()
-            return BoolOp(
-                "AND", (Compare(">=", left, low), Compare("<=", left, high))
+    def _comparison(self) -> Compare:
+        left = self._operand()
+        tok = self.next()
+        if tok.kind != "op" or tok.text not in COMPARATORS:
+            raise SQLSyntaxError(
+                f"expected a comparison operator, got {tok.text!r} "
+                f"in {self.sql!r}"
             )
-        return left
+        return Compare(tok.text, left, self._operand())
 
-    def _primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise SQLSyntaxError(f"unexpected end of expression in {self.sql!r}")
-        if tok.kind == "op" and tok.text == "(":
-            self.pos += 1
-            inner = self._expr()
-            self.expect("op", ")")
-            return inner
+    def _operand(self) -> Expr:
+        tok = self.next()
         if tok.kind == "op" and tok.text == "?":
-            self.pos += 1
             param = Param(self.n_params)
             self.n_params += 1
             return param
         if tok.kind == "int":
-            self.pos += 1
             return Literal(int(tok.text))
         if tok.kind == "float":
-            self.pos += 1
             return Literal(float(tok.text))
         if tok.kind == "string":
-            self.pos += 1
             return Literal(tok.text[1:-1].replace("''", "'"))
-        if tok.kind == "keyword" and tok.text == "NULL":
-            self.pos += 1
-            return Literal(None)
         if tok.kind == "ident":
-            self.pos += 1
             return ColumnRef(tok.text)
         raise SQLSyntaxError(f"unexpected token {tok.text!r} in {self.sql!r}")
 

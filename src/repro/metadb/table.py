@@ -3,14 +3,15 @@
 One index structure backs the engine's planner: :class:`OrderedIndex`, a
 ``bisect``-maintained sorted array of ``(key, rowid)`` entries over one
 or more columns.  It serves equality probes on a column *prefix* (all
-columns bound is the composite point lookup), range predicates (``<``
-``<=`` ``>`` ``>=`` and BETWEEN-style pairs) on the column after the
-bound prefix, and ``ORDER BY ... [LIMIT n]`` without sorting.
+columns bound is the composite point lookup), a lower (``>``, ``>=``)
+and an upper (``<``, ``<=``) bound on the column after the bound prefix,
+and ``ORDER BY ... [LIMIT n]`` without sorting.
 
-Keys wrap every column value with :func:`_sort_key`, the exact key
-function the engine's ORDER BY uses (NULL sorts first ascending), so an
-index walk and a sort of scanned rows produce identical orderings —
-including rowid-ascending tie-breaks.
+Every column is NOT NULL (:class:`~repro.metadb.types.ColumnType`
+refuses None), so a key is the row's raw column values: it orders
+exactly as the engine's ORDER BY does, and an index walk and a sort of
+scanned rows produce identical orderings — including rowid-ascending
+tie-breaks.
 
 Entries name rows by *rowid*, and a rowid is stable: a row keeps the
 one it was inserted under until it is deleted, and a freed rowid is never
@@ -38,14 +39,18 @@ __all__ = ["Column", "Row", "Table", "OrderedIndex", "index_name"]
 Row = Tuple[Any, ...]
 """Rows are plain tuples in column-declaration order."""
 
-_KEY_HI = (2,)
-"""Sorts after every wrapped column value ((False, _) and (True, _))."""
+
+class _Top:
+    """Sorts above every column value — only ever as the probe of a
+    ``bisect_right``, whose one comparison is ``probe < entry``."""
+
+    def __lt__(self, other: Any) -> bool:
+        return False
 
 
-def _sort_key(value: Any) -> Tuple[Any, ...]:
-    """Total-order key for one column value; matches ORDER BY semantics
-    (NULL first ascending, ties left to the caller)."""
-    return (True, value) if value is not None else (False, 0)
+_TOP = _Top()
+"""Ends a probe key: ``prefix + (_TOP,)`` sorts after every key that
+starts with ``prefix``."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,10 @@ def index_name(columns: Sequence[str]) -> str:
 
 
 class OrderedIndex:
-    """Sorted ``(wrapped-key-tuple, rowid)`` entries over the columns.
+    """Sorted ``(key-tuple, rowid)`` entries over the columns.
 
-    Every row is present (NULL keys wrap to a value that sorts first), so
-    any contiguous slice is a faithful fragment of the ORDER BY ordering
-    and slicing can only ever *narrow* a scan.
+    Every row is present, so any contiguous slice is a faithful fragment
+    of the ORDER BY ordering and slicing can only ever *narrow* a scan.
     """
 
     def __init__(self, columns: Sequence[str], positions: Sequence[int]) -> None:
@@ -79,7 +83,7 @@ class OrderedIndex:
         return index_name(self.columns)
 
     def key_of(self, row: Row) -> Tuple[Any, ...]:
-        return tuple(_sort_key(row[p]) for p in self.positions)
+        return tuple([row[p] for p in self.positions])
 
     def add_many(self, pairs: Sequence[Tuple[int, Row]]) -> None:
         """Index a batch of appended ``(rowid, row)`` pairs.
@@ -144,55 +148,32 @@ class OrderedIndex:
         plus an optional lower/upper bound ``(op, value)`` on column ``k``.
 
         The slice is *exact*: equality uses the same ``==`` the evaluator
-        does, and range bounds exclude NULL keys (a comparison with NULL is
-        always False).  Raises TypeError if the probe values cannot be
-        ordered against the stored keys — callers fall back to a scan,
-        which raises (or not) with identical semantics.
+        does.  Raises TypeError if the probe values cannot be ordered
+        against the stored keys — callers fall back to a scan, which
+        raises (or not) with identical semantics.
         """
-        p = tuple(_sort_key(v) for v in prefix)
+        p = tuple(prefix)
         entries = self.entries
-        if lower is not None:
-            op, value = lower
-            w = _sort_key(value)
-            if op == ">":
-                start = bisect_right(entries, (p + (w, _KEY_HI),))
-            else:  # >=
-                start = bisect_left(entries, (p + (w,),))
-        elif upper is not None:
-            # Skip NULL keys so an upper-bound-only slice stays exact.
-            start = bisect_left(entries, (p + ((True,),),))
-        else:
+        if lower is None:
             start = bisect_left(entries, (p,)) if p else 0
-        if upper is not None:
-            op, value = upper
-            w = _sort_key(value)
-            if op == "<":
-                end = bisect_left(entries, (p + (w,),))
-            else:  # <=
-                end = bisect_right(entries, (p + (w, _KEY_HI),))
-        else:
-            end = bisect_right(entries, (p + (_KEY_HI,),)) if p else len(entries)
+        elif lower[0] == ">":
+            start = bisect_right(entries, (p + (lower[1], _TOP),))
+        else:  # >=
+            start = bisect_left(entries, (p + (lower[1],),))
+        if upper is None:
+            end = bisect_right(entries, (p + (_TOP,),)) if p else len(entries)
+        elif upper[0] == "<":
+            end = bisect_left(entries, (p + (upper[1],),))
+        else:  # <=
+            end = bisect_right(entries, (p + (upper[1], _TOP),))
         return start, max(start, end)
 
-    def min_in_slice(self, prefix: Sequence[Any], start: int, end: int) -> Any:
-        """Smallest non-NULL value of column ``len(prefix)`` over
-        ``entries[start:end]`` (a :meth:`slice_bounds` slice, so the prefix
-        columns are constant and that column ascends); None when every key
-        in the slice is NULL."""
-        p = tuple(_sort_key(v) for v in prefix)
-        # NULL keys wrap to (False, 0) and sort first: bisect past them.
-        nn = bisect_left(self.entries, (p + ((True,),),), start, end)
-        if nn >= end:
-            return None
-        return self.entries[nn][0][len(p)][1]
-
     def max_in_slice(self, prefix: Sequence[Any], start: int, end: int) -> Any:
-        """Largest non-NULL value of column ``len(prefix)`` over
-        ``entries[start:end]``; None when the slice is empty or all-NULL."""
-        if end <= start:
-            return None
-        non_null, value = self.entries[end - 1][0][len(prefix)]
-        return value if non_null else None
+        """Largest value of column ``len(prefix)`` over
+        ``entries[start:end]`` (a :meth:`slice_bounds` slice, so the prefix
+        columns are constant and that column ascends); None when the
+        slice is empty."""
+        return self.entries[end - 1][0][len(prefix)] if end > start else None
 
 
 class Table:
@@ -251,33 +232,16 @@ class Table:
                 f"table {self.name!r} has no column {name!r}"
             ) from None
 
-    def coerce_row(
-        self, values: Sequence[Any], columns: Optional[Sequence[str]] = None
-    ) -> Row:
-        """Validate a row; ``columns`` selects a subset (others NULL)."""
-        if columns is None:
-            if len(values) != len(self.columns):
-                raise SQLTypeError(
-                    f"table {self.name!r} expects {len(self.columns)} values, "
-                    f"got {len(values)}"
-                )
-            return tuple(
-                col.type.coerce(v) for col, v in zip(self.columns, values)
-            )
-        if len(columns) != len(values):
+    def coerce_row(self, values: Sequence[Any]) -> Row:
+        """Validate a row: one value per column, in declaration order."""
+        if len(values) != len(self.columns):
             raise SQLTypeError(
-                f"{len(columns)} columns but {len(values)} values"
+                f"table {self.name!r} expects {len(self.columns)} values, "
+                f"got {len(values)}"
             )
-        if len(set(columns)) != len(columns):
-            dupes = sorted({c for c in columns if list(columns).count(c) > 1})
-            raise SQLTypeError(
-                f"duplicate column(s) {dupes} in INSERT column list"
-            )
-        row: List[Any] = [None] * len(self.columns)
-        for name, value in zip(columns, values):
-            pos = self.column_pos(name)
-            row[pos] = self.columns[pos].type.coerce(value)
-        return tuple(row)
+        return tuple(
+            col.type.coerce(v) for col, v in zip(self.columns, values)
+        )
 
     def append_rows(self, rows: Sequence[Row]) -> None:
         """Append rows already validated by :meth:`coerce_row` (callers

@@ -1,84 +1,44 @@
-"""Column types of the metadata database."""
+"""Column types of the metadata database: INTEGER, REAL and TEXT.
+
+Every column is NOT NULL: :meth:`ColumnType.coerce` rejects None like
+any other value of the wrong type.
+"""
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Tuple
+
+import numpy as np
 
 from repro.errors import SQLTypeError
 
-__all__ = ["ColumnType", "INTEGER", "REAL", "TEXT", "BLOB", "type_by_name"]
+__all__ = ["ColumnType", "INTEGER", "REAL", "TEXT", "type_by_name"]
 
 
 @dataclass(frozen=True)
 class ColumnType:
-    """A declared SQL column type with validation/coercion rules."""
+    """A declared SQL column type: the Python values it accepts and the
+    conversion that stores them."""
 
     name: str
+    accepts: Tuple[type, ...]
+    convert: Callable[[Any], Any]
 
     def coerce(self, value: Any) -> Any:
-        """Validate/convert a Python value for storage; None always allowed."""
-        if value is None:
-            return None
-        if self.name == "INTEGER":
-            if isinstance(value, bool) or not isinstance(value, int):
-                # numpy integer scalars are fine; bools are not.
-                try:
-                    import numpy as np
-
-                    if isinstance(value, np.integer):
-                        return int(value)
-                except ImportError:  # pragma: no cover
-                    pass
-                raise SQLTypeError(f"INTEGER column got {value!r}")
-            return int(value)
-        if self.name == "REAL":
-            if isinstance(value, bool):
-                raise SQLTypeError(f"REAL column got {value!r}")
-            if isinstance(value, (int, float)):
-                return float(value)
-            try:
-                import numpy as np
-
-                if isinstance(value, (np.integer, np.floating)):
-                    return float(value)
-            except ImportError:  # pragma: no cover
-                pass
-            raise SQLTypeError(f"REAL column got {value!r}")
-        if self.name == "TEXT":
-            if not isinstance(value, str):
-                raise SQLTypeError(f"TEXT column got {value!r}")
-            return value
-        if self.name == "BLOB":
-            if isinstance(value, (bytes, bytearray, memoryview)):
-                return bytes(value)
-            raise SQLTypeError(f"BLOB column got {value!r}")
-        raise SQLTypeError(f"unknown column type {self.name!r}")  # pragma: no cover
-
-    def to_json(self, value: Any) -> Any:
-        """JSON-serializable representation for persistence."""
-        if value is None:
-            return None
-        if self.name == "BLOB":
-            return base64.b64encode(value).decode("ascii")
-        return value
-
-    def from_json(self, value: Any) -> Any:
-        """Inverse of :meth:`to_json`."""
-        if value is None:
-            return None
-        if self.name == "BLOB":
-            return base64.b64decode(value)
-        return self.coerce(value)
+        """Validate/convert a Python value for storage.  A bool is no
+        number here, and None is no value: every column is NOT NULL."""
+        if isinstance(value, self.accepts) and not isinstance(value, bool):
+            return self.convert(value)
+        got = "NULL (every column is NOT NULL)" if value is None else repr(value)
+        raise SQLTypeError(f"{self.name} column got {got}")
 
 
-INTEGER = ColumnType("INTEGER")
-REAL = ColumnType("REAL")
-TEXT = ColumnType("TEXT")
-BLOB = ColumnType("BLOB")
+INTEGER = ColumnType("INTEGER", (int, np.integer), int)
+REAL = ColumnType("REAL", (int, float, np.integer, np.floating), float)
+TEXT = ColumnType("TEXT", (str,), str)
 
-_TYPES = {t.name: t for t in (INTEGER, REAL, TEXT, BLOB)}
+_TYPES = {t.name: t for t in (INTEGER, REAL, TEXT)}
 
 
 def type_by_name(name: str) -> ColumnType:

@@ -1135,7 +1135,7 @@ def test_warm_plan_hit_submits_the_plans_merged_runs(monkeypatch):
             backs.append((built, back))
         (plan,) = sdm.index_cache._plans.values()
         where, chunks, _v = dp.locate_instance(
-            ctx.comm, sdm.tables, sdm.runid, "d", 2, proc=ctx.proc)
+            ctx.comm, sdm.tables, sdm.runid, "d", 2)
         base = dp._live_chunks(chunks, plan.view.map_sorted)[0].data_offset
         mine_handed = [args[1:] for args in handed
                        if args[0].comm.rank == ctx.rank]
@@ -1180,7 +1180,7 @@ def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):
             return first, fenced(ctx, calls, read)
 
         where, chunks, version = dp.locate_instance(
-            ctx.comm, sdm.tables, sdm.runid, "d", 1, proc=ctx.proc)
+            ctx.comm, sdm.tables, sdm.runid, "d", 1)
         out = {
             "cold": rebuilds_after(lambda: None),
             # flip publish: reorganizing t0 drops the whole file

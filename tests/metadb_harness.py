@@ -12,9 +12,9 @@ through its ``conftest.py``).
 from repro.metadb import Database
 
 # (WHERE template, parameter kinds).  Equality and range conjuncts over
-# indexed and unindexed columns, reversed operand order, BETWEEN sugar,
-# OR/NOT/IS NULL subtrees, parenthesized nesting, and contradictory
-# double-equality.
+# indexed and unindexed columns, reversed operand order, a two-sided
+# range, column-to-column comparisons (the conjuncts no index narrows),
+# parenthesized nesting, and contradictory double-equality.
 TEMPLATES = [
     (None, ()),
     ("a = ?", ("int",)),
@@ -24,16 +24,15 @@ TEMPLATES = [
     ("a = ? AND b = ? AND c = ?", ("int", "txt", "int")),
     ("a = ? AND c >= ?", ("int", "int")),
     ("a = ? AND c > ? AND c <= ?", ("int", "int", "int")),
-    ("c BETWEEN ? AND ?", ("int", "int")),
+    ("c >= ? AND c <= ?", ("int", "int")),
     ("c < ?", ("int",)),
     ("? < c", ("int",)),
     ("c >= ? AND c >= ?", ("int", "int")),
     ("a = ? AND a = ?", ("int", "int")),
-    ("a = ? AND (b = ? OR c = ?)", ("int", "txt", "int")),
-    ("a = ? OR b = ?", ("int", "txt")),
-    ("NOT a = ?", ("int",)),
-    ("a = ? AND b IS NULL", ("int",)),
-    ("(a = ? AND b = ?) AND c != ?", ("int", "txt", "int")),
+    ("a = ? AND (b = ? AND c < ?)", ("int", "txt", "int")),
+    ("a = c", ()),
+    ("a < c AND b = ?", ("txt",)),
+    ("(a = ? AND b = ?) AND a < c", ("int", "txt")),
 ]
 
 ORDER_BYS = [
@@ -78,14 +77,14 @@ def bind(kinds, ints, txt):
 
 def queries(ints, txt, order_bys=ORDER_BYS):
     """``(sql, params)`` for every WHERE template: ``SELECT *`` under
-    each of ``order_bys``, plus the MIN/MAX aggregates an ordered index
-    may answer from its slice ends."""
+    each of ``order_bys``, plus MAX — which an ordered index may answer
+    from its slice end — and SUM."""
     for template, kinds in TEMPLATES:
         params = bind(kinds, ints, txt)
         where = f"WHERE {template} " if template else ""
         for order_by in order_bys:
             yield f"SELECT * FROM t {where}{order_by}", params
-        for fn in ("MIN", "MAX"):
+        for fn in ("MAX", "SUM"):
             yield f"SELECT {fn}(c) FROM t {where}", params
 
 

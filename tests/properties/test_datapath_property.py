@@ -265,7 +265,7 @@ def test_collective_resolution_matches_local_resolution(mix, level):
         sdm.data_view(handle, "d", mine)
         sdm.write(handle, "d", 0, mine * 2.0 + 0.5)
         where, chunks, version = locate_instance(
-            ctx.comm, sdm.tables, sdm.runid, "d", 0, proc=ctx.proc
+            ctx.comm, sdm.tables, sdm.runid, "d", 0
         )
         f = File.open(ctx.comm, ctx.service("fs"), where[0], MODE_RDONLY)
         fs, transport = ctx.service("fs"), ctx.comm.transport
@@ -385,8 +385,8 @@ def run_plan_once(level, n, maps, pinned):
 
             def cold(t, view):
                 where, chunks, version = dp.locate_instance(
-                    ctx.comm, sdm.tables, sdm.runid, "d", t, proc=ctx.proc,
-                    epoch=sdm.pin.epoch, required=True,
+                    ctx.comm, sdm.tables, sdm.runid, "d", t,
+                    epoch=sdm.pin.epoch,
                 )
                 f = File.open(ctx.comm, sdm.fs, where[0], MODE_RDONLY)
                 out = dp.read_instance(ctx.comm, f, where, chunks, DOUBLE,

@@ -120,10 +120,11 @@ def run_pinned_reader_once(level, n, maps):
                   for f in fnames},
         "live": {f: sum(r[4] for r in tables.executions_in_file(f))
                  for f in fnames},
+        # OPEN_EPOCH is the largest valid_to, so `<` it means "closed".
         "open_versions": {
             f: len(tables.db.execute(
                 "SELECT runid FROM execution_table "
-                "WHERE file_name = ? AND valid_to != ?",
+                "WHERE file_name = ? AND valid_to < ?",
                 (f, OPEN_EPOCH),
             ))
             for f in fnames
