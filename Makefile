@@ -161,8 +161,10 @@ perfcheck:
 
 ## every function under src/repro (outside analysis/) that no workload,
 ## `python -m repro.bench --fast`, example or JSON-emitting ablation
-## enters must be listed in reach.baseline with the reason it stays
-## (about a minute)
+## enters must be listed in reach.baseline with the reason it stays, and
+## every reached function's count of never-run lines outside `raise`
+## statements with its reason (lines=<n>); a count may only shrink
+## (about two minutes)
 reach:
 	$(PYTHON) benchmarks/reach.py
 

@@ -13,7 +13,7 @@ costs nothing.  :func:`catalog` reads the declarations back from the AST
 of ``src/repro`` (parsed, never imported), so they cannot drift.
 
 Calls are matched syntactically, by name, with a receiver-text guard for
-names too generic to match bare (``reduce`` must be called on something
+names too generic to match bare (``split`` must be called on something
 communicator-ish, ``close`` on a file or host).  One name declared twice
 must carry the same facts; a conflict is an error naming both sites.
 """
@@ -47,7 +47,7 @@ class CollectiveSpec:
 
     uniform_shape: bool = False
     """True when all ranks must contribute payloads of identical
-    dtype/count (the reduce family); the runtime verifier enforces it."""
+    dtype/count (allreduce, exscan); the runtime verifier enforces it."""
 
     receivers: Optional[Tuple[str, ...]] = None
     """Receiver-text guard for generic names: ``"comm"`` matches a

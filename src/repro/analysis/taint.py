@@ -10,8 +10,7 @@ identical on every rank, however rank-dependent it was before — exactly
 the rank-0-computes-then-broadcasts idiom this codebase uses everywhere).
 Names assigned under a rank-dependent branch are tainted too (implicit
 flow: ``flag`` in ``if comm.rank == 0: flag = True`` differs across
-ranks), and per-rank collectives (gather, scatter, scan, exscan, reduce)
-taint their results.
+ranks), and per-rank collectives (gather, exscan) taint their results.
 
 The pass records, for every ``if``/``while``/``for`` it sees, whether the
 controlling expression was rank-dependent at that point — the facts the
@@ -61,7 +60,7 @@ class TaintPass:
                     # The collective's result is identical on all ranks,
                     # whatever its arguments were: taint is laundered.
                     return False
-                # Per-rank collective results (gather/scatter/scan/...)
+                # Per-rank collective results (gather, exscan, ...)
                 # are rank-dependent by construction.
                 return True
             if (

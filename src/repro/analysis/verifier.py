@@ -7,8 +7,8 @@ rendezvous deposits a :class:`~repro.simt.trace.CollectiveSignature`
 here before parking:
 
 * **At each site** — the first arriver's signature is the reference; any
-  later rank disagreeing on op kind or root, or (for the reduce family,
-  whose payloads must fold elementwise) on dtype/count, fails *fast*
+  later rank disagreeing on op kind or root, or (for allreduce and
+  exscan, whose payloads must fold elementwise) on dtype/count, fails *fast*
   with both ranks' call sites.  This catches e.g. the silent
   list-concatenation hazard: ``allreduce([0]*4)`` meeting
   ``allreduce([0]*3)`` would otherwise "succeed" with a 7-element sum.
@@ -41,8 +41,8 @@ from repro.simt.trace import COLLECTIVE, CollectiveSignature, Trace
 __all__ = ["SPMDVerifier", "spmd_verify_enabled", "payload_signature"]
 
 #: Ops whose payloads fold elementwise — every rank must contribute the
-#: same dtype/count (bcast/gather/scatter legitimately differ per rank).
-UNIFORM_SHAPE_OPS = frozenset({"allreduce", "reduce", "scan", "exscan"})
+#: same dtype/count (bcast/gather legitimately differ per rank).
+UNIFORM_SHAPE_OPS = frozenset({"allreduce", "exscan"})
 
 _ENV_FLAG = "SPMD_VERIFY"
 
@@ -168,7 +168,7 @@ class SPMDVerifier:
                     f"payload shape mismatch: "
                     f"{ref.dtype or '?'}[{ref.count}] vs "
                     f"{sig.dtype or '?'}[{sig.count}] "
-                    f"(reduce-family payloads must fold elementwise)"
+                    f"(allreduce/exscan payloads must fold elementwise)"
                 )
         return None
 

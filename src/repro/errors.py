@@ -62,7 +62,7 @@ class MPITruncationError(MPIError):
 
 
 class MPIInvalidRank(MPIError):
-    """A rank argument was outside ``[0, size)`` (and not a wildcard)."""
+    """A rank argument was outside ``[0, size)``."""
 
 
 class MPICollectiveMismatch(MPIError):
@@ -73,7 +73,7 @@ class SPMDVerificationError(MPICollectiveMismatch):
     """The ``SPMD_VERIFY`` runtime sanitizer detected divergence.
 
     Raised when ranks' collective signatures disagree at a rendezvous
-    site (op kind, root, or reduce-family dtype/count) or when the
+    site (op kind, root, or allreduce/exscan dtype/count) or when the
     per-context collective sequences differ at job end.  The message
     carries both ranks' call sites.
     """

@@ -12,13 +12,11 @@ collective      algorithm modelled                      completion cost
 ==============  =====================================  ========================
 barrier         dissemination                           ``L·α``
 bcast           binomial tree                           ``L·(α + n/β)``
-reduce          binomial tree (reversed)                ``L·(α + n/β + γ·n)``
 allreduce       recursive doubling                      ``L·(α + n/β + γ·n)``
 gather          binomial tree                           ``L·α + Σ n_r/β``
 allgather       gather + bcast of concatenation         sum of the two
-scatter         binomial tree                           ``L·α + Σ n_r/β``
 alltoallv       pairwise exchange, P−1 rounds           ``Σ_s (α + max_i n_{i,i⊕s}/β)``
-scan            recursive doubling                      ``L·(α + n/β + γ·n)``
+exscan          recursive doubling                      ``L·(α + n/β + γ·n)``
 ==============  =====================================  ========================
 
 with ``L = ⌈log₂ P⌉``, ``α`` latency, ``β`` bandwidth, ``γ`` per-element
@@ -138,26 +136,11 @@ def _reduce_cost(m: MachineModel, n: int, size: int) -> float:
     return depth * per_hop
 
 
-def _reduce(site: CollectiveSite, m: MachineModel, size: int):
-    root = site.root or 0
-    n = max(e.nbytes for e in site.entries.values())
-    t = site.last_arrival() + _reduce_cost(m, n, size)
-    total = _fold(site)
-    return _uniform(site, t, lambda r: total if r == root else None)
-
-
 def _allreduce(site: CollectiveSite, m: MachineModel, size: int):
     n = max(e.nbytes for e in site.entries.values())
     t = site.last_arrival() + _reduce_cost(m, n, size)
     total = _fold(site)
     return _uniform(site, t, lambda r: total)
-
-
-def _scan(site: CollectiveSite, m: MachineModel, size: int):
-    n = max(e.nbytes for e in site.entries.values())
-    t = site.last_arrival() + _reduce_cost(m, n, size)
-    prefix = {r: _fold(site, upto=r) for r in site.entries}
-    return _uniform(site, t, lambda r: prefix[r])
 
 
 def _exscan(site: CollectiveSite, m: MachineModel, size: int):
@@ -192,22 +175,6 @@ def _allgather(site: CollectiveSite, m: MachineModel, size: int):
     return _uniform(site, t, lambda r: ordered)
 
 
-def _scatter(site: CollectiveSite, m: MachineModel, size: int):
-    root = site.root or 0
-    chunks = site.entries[root].payload
-    if chunks is None or len(chunks) != size:
-        raise MPICollectiveMismatch(
-            f"scatter root payload must be a sequence of length {size}"
-        )
-    total = sum(payload_nbytes(c) for c in chunks)
-    t = (
-        site.last_arrival()
-        + _log2ceil(size) * m.network.latency
-        + total / m.network.bandwidth
-    )
-    return _uniform(site, t, lambda r: chunks[r])
-
-
 def _alltoallv(site: CollectiveSite, m: MachineModel, size: int):
     # Validate shapes and build the P x P byte matrix.
     for r, e in site.entries.items():
@@ -238,12 +205,9 @@ def _alltoallv(site: CollectiveSite, m: MachineModel, size: int):
 COMPUTE_FNS: Dict[str, ComputeFn] = {
     "barrier": _barrier,
     "bcast": _bcast,
-    "reduce": _reduce,
     "allreduce": _allreduce,
-    "scan": _scan,
     "exscan": _exscan,
     "gather": _gather,
     "allgather": _allgather,
-    "scatter": _scatter,
     "alltoallv": _alltoallv,
 }

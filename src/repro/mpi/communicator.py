@@ -6,24 +6,24 @@ pickle-object layer: objects in, objects out, sizes inferred for timing.
 
 Blocking sends model eager-protocol behaviour: the sender is charged the
 full injection time (``latency + nbytes/bandwidth``) and the message lands in
-the destination mailbox at that completion time.  ``isend`` charges the
-sender nothing (NIC offload) but the request completes — and the data
-arrives — at the same modelled time, with per-(src, dst) FIFO enforced.
+the destination's queue for its (communicator, source, tag) at that
+completion time.  ``isend`` charges the sender nothing (NIC offload) but the
+request completes — and the data arrives — at the same modelled time, with
+per-(src, dst) FIFO enforced.  A receive names its source and tag exactly
+and takes the earliest arrival of that queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.analysis.catalog import collective
 from repro.analysis.verifier import call_site, payload_signature
 from repro.errors import MPICollectiveMismatch, MPIInvalidRank
 from repro.mpi.collectives import COMPUTE_FNS, CollectiveSite
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.mpi.nbytes import payload_nbytes
 from repro.mpi.ops import SUM, ReduceOp
 from repro.mpi.request import Request
-from repro.mpi.status import Status
 from repro.mpi.transport import Transport
 from repro.simt.primitives import SimEvent
 from repro.simt.process import Crashed, Process
@@ -32,8 +32,14 @@ from repro.simt.trace import CollectiveSignature
 __all__ = ["Communicator"]
 
 
+def check_rank(rank: int, size: int) -> None:
+    """Raise :class:`MPIInvalidRank` unless ``0 <= rank < size``."""
+    if not (0 <= rank < size):
+        raise MPIInvalidRank(f"rank {rank} outside [0, {size})")
+
+
 class Communicator:
-    """One rank's handle on a communicator (the world, or a split/dup).
+    """One rank's handle on a communicator (the world, or a split).
 
     ``group`` (when given) lists the member *world* ranks in group order;
     ``rank`` is then this process's index within the group.  All traffic is
@@ -49,13 +55,6 @@ class Communicator:
         ctx_id: Any = 0,
         group: Optional[List[int]] = None,
     ) -> None:
-        if group is None:
-            transport.check_rank(rank)
-        else:
-            if not (0 <= rank < len(group)):
-                raise MPIInvalidRank(
-                    f"group rank {rank} outside [0, {len(group)})"
-                )
         self.transport = transport
         self._rank = rank
         self.proc = proc
@@ -63,18 +62,11 @@ class Communicator:
         self._group = list(group) if group is not None else None
         self._op_seq = 0
         self._derive_seq = 0
+        check_rank(rank, self.size)
 
     def _world(self, rank: int) -> int:
         """Translate a communicator rank to a world (mailbox) rank."""
         return rank if self._group is None else self._group[rank]
-
-    def _check_rank(self, rank: int, *, wildcard_ok: bool = False) -> None:
-        from repro.mpi.constants import ANY_SOURCE as _ANY
-
-        if wildcard_ok and rank == _ANY:
-            return
-        if not (0 <= rank < self.size):
-            raise MPIInvalidRank(f"rank {rank} outside [0, {self.size})")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -90,11 +82,6 @@ class Communicator:
         """Number of ranks in this communicator."""
         return len(self._group) if self._group is not None else self.transport.size
 
-    @property
-    def now(self) -> float:
-        """Current virtual time (convenience passthrough)."""
-        return self.proc.now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator rank={self._rank}/{self.size}>"
 
@@ -104,9 +91,7 @@ class Communicator:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking standard-mode send."""
-        if dest == PROC_NULL:
-            return
-        self._check_rank(dest)
+        check_rank(dest, self.size)
         nbytes = payload_nbytes(obj)
         self.transport.inject(
             self._rank, self._world(dest), obj, tag, nbytes, ctx=self.ctx_id
@@ -116,78 +101,45 @@ class Communicator:
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; the request completes at delivery time."""
         event = SimEvent(self.proc.sim, name=f"isend->{dest}")
-        if dest == PROC_NULL:
-            event.set(None)
-            return Request(event, "isend")
-        self._check_rank(dest)
+        check_rank(dest, self.size)
         nbytes = payload_nbytes(obj)
         self.transport.inject(
             self._rank, self._world(dest), obj, tag, nbytes,
             completion=event, ctx=self.ctx_id,
         )
-        return Request(event, "isend")
+        return Request(event)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> Any:
-        """Blocking receive; wildcards allowed for source and tag."""
-        if source == PROC_NULL:
-            if status is not None:
-                status.source, status.tag, status.nbytes = PROC_NULL, tag, 0
-            return None
-        self._check_rank(source, wildcard_ok=True)
-        payload, st = self.transport.match_or_post(
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive of the earliest message from ``source`` with
+        ``tag``."""
+        check_rank(source, self.size)
+        return self.transport.match_or_post(
             self.proc, self._world(self._rank), source, tag, ctx=self.ctx_id
         )
-        if status is not None:
-            status.source, status.tag, status.nbytes = st.source, st.tag, st.nbytes
-        return payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; ``Request.wait`` returns the payload."""
-        event = SimEvent(self.proc.sim, name=f"irecv<-{source}")
-        if source == PROC_NULL:
-            event.set(None)
-            return Request(event, "irecv")
-        self._check_rank(source, wildcard_ok=True)
-        self.transport.post_event_recv(
-            self._world(self._rank), source, tag, event, ctx=self.ctx_id
-        )
-        return Request(event, "irecv")
 
     def sendrecv(
         self,
         obj: Any,
         dest: int,
-        source: int = ANY_SOURCE,
+        source: int,
         sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        status: Optional[Status] = None,
+        recvtag: int = 0,
     ) -> Any:
         """Simultaneous send and receive (deadlock-free ring building block)."""
         req = self.isend(obj, dest, tag=sendtag)
-        got = self.recv(source=source, tag=recvtag, status=status)
+        got = self.recv(source, tag=recvtag)
         req.wait(self.proc)
         return got
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
-        """Nonblocking probe: Status if a matching message has arrived."""
-        return self.transport.probe(
-            self._world(self._rank), source, tag, ctx=self.ctx_id
-        )
-
     @collective
-    def ring_shift(self, obj: Any, displacement: int = 1, tag: int = 0) -> Any:
-        """Pass ``obj`` to rank ``(rank+displacement) % size`` and receive from
-        ``(rank-displacement) % size`` — the paper's ring-oriented exchange."""
+    def ring_shift(self, obj: Any) -> Any:
+        """Pass ``obj`` to rank ``(rank+1) % size`` and receive from
+        ``(rank-1) % size`` — the paper's ring-oriented exchange."""
         if self.size == 1:
             return obj
-        dest = (self._rank + displacement) % self.size
-        source = (self._rank - displacement) % self.size
-        return self.sendrecv(obj, dest=dest, source=source, sendtag=tag, recvtag=tag)
+        dest = (self._rank + 1) % self.size
+        source = (self._rank - 1) % self.size
+        return self.sendrecv(obj, dest=dest, source=source)
 
     # ------------------------------------------------------------------
     # Collectives (rendezvous execution, modelled algorithm costs)
@@ -282,24 +234,13 @@ class Communicator:
     @collective(uniform_result=True, root="root")
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; returns it on every rank."""
-        self._check_rank(root)
+        check_rank(root, self.size)
         return self._rendezvous("bcast", obj if self._rank == root else None, root=root)
-
-    @collective(root="root", uniform_shape=True, receivers=("comm",))
-    def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Combine contributions; the result lands only on ``root``."""
-        self._check_rank(root)
-        return self._rendezvous("reduce", obj, root=root, reduce_op=op)
 
     @collective(uniform_result=True, uniform_shape=True)
     def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Combine contributions; the result lands on every rank."""
         return self._rendezvous("allreduce", obj, reduce_op=op)
-
-    @collective(uniform_shape=True, receivers=("comm",))
-    def scan(self, obj: Any, op: ReduceOp = SUM) -> Any:
-        """Inclusive prefix reduction over ranks 0..self."""
-        return self._rendezvous("scan", obj, reduce_op=op)
 
     @collective(uniform_shape=True)
     def exscan(self, obj: Any, op: ReduceOp = SUM) -> Any:
@@ -311,21 +252,13 @@ class Communicator:
     @collective(root="root")
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         """Root receives ``[obj_0, ..., obj_{P-1}]``; others get ``None``."""
-        self._check_rank(root)
+        check_rank(root, self.size)
         return self._rendezvous("gather", obj, root=root)
 
     @collective(uniform_result=True)
     def allgather(self, obj: Any) -> List[Any]:
         """Every rank receives ``[obj_0, ..., obj_{P-1}]``."""
         return self._rendezvous("allgather", obj)
-
-    @collective(root="root")
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Root provides one object per rank; each rank gets its own."""
-        self._check_rank(root)
-        return self._rendezvous(
-            "scatter", objs if self._rank == root else None, root=root
-        )
 
     @collective
     def alltoallv(self, objs: Sequence[Any]) -> List[Any]:
@@ -334,7 +267,7 @@ class Communicator:
         return self._rendezvous("alltoallv", list(objs))
 
     # ------------------------------------------------------------------
-    # Communicator construction (split / dup)
+    # Communicator construction
     # ------------------------------------------------------------------
 
     @collective(receivers=("comm",))
@@ -358,18 +291,4 @@ class Communicator:
         return Communicator(
             self.transport, my_index, self.proc, ctx_id=new_ctx,
             group=group_world,
-        )
-
-    @collective(receivers=("comm",))
-    def dup(self) -> "Communicator":
-        """Duplicate this communicator with an isolated context
-        (``MPI_Comm_dup``).  Collective."""
-        self._derive_seq += 1
-        self.barrier()
-        new_ctx = (self.ctx_id, "dup", self._derive_seq)
-        group = self._group if self._group is not None else list(
-            range(self.transport.size)
-        )
-        return Communicator(
-            self.transport, self._rank, self.proc, ctx_id=new_ctx, group=group
         )

@@ -1,4 +1,4 @@
-"""Reduction operators for reduce/allreduce/scan.
+"""Reduction operators for allreduce/exscan.
 
 Each op is a binary callable working on scalars, numpy arrays, or anything
 supporting the underlying operator.  Arrays are combined elementwise without
@@ -11,7 +11,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["SUM", "MAX", "MIN", "PROD", "ReduceOp"]
+__all__ = ["SUM", "MAX", "MIN", "ReduceOp"]
 
 ReduceOp = Callable[[Any, Any], Any]
 
@@ -34,7 +34,3 @@ def MIN(a: Any, b: Any) -> Any:
         return np.minimum(a, b)
     return a if a <= b else b
 
-
-def PROD(a: Any, b: Any) -> Any:
-    """Elementwise / scalar product."""
-    return np.multiply(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a * b

@@ -1,13 +1,11 @@
-"""Nonblocking communication requests.
+"""Nonblocking send requests.
 
 A :class:`Request` wraps a :class:`~repro.simt.primitives.SimEvent` that
-fires when the operation completes.  For receives, the event value is the
-``(payload, Status)`` pair; for sends it is ``None``.
+fires when an :meth:`~repro.mpi.communicator.Communicator.isend`'s message
+is delivered.
 """
 
 from __future__ import annotations
-
-from typing import Any, Optional, Tuple
 
 from repro.simt.primitives import SimEvent
 from repro.simt.process import Process
@@ -16,40 +14,11 @@ __all__ = ["Request"]
 
 
 class Request:
-    """Handle for an in-flight nonblocking send or receive."""
+    """Handle for an in-flight nonblocking send."""
 
-    def __init__(self, event: SimEvent, kind: str) -> None:
+    def __init__(self, event: SimEvent) -> None:
         self._event = event
-        self.kind = kind
 
-    @property
-    def done(self) -> bool:
-        """True once the operation has completed (no time is charged)."""
-        return self._event.is_set
-
-    def _unwrap(self, value: Any) -> Any:
-        # Receive completions carry (payload, Status); expose the payload,
-        # matching mpi4py's Request.wait() convention.
-        if self.kind == "irecv" and isinstance(value, tuple) and len(value) == 2:
-            return value[0]
-        return value
-
-    def test(self) -> Tuple[bool, Any]:
-        """Nonblocking completion check: ``(done, value-or-None)``."""
-        if self._event.is_set:
-            return True, self._unwrap(self._event.value)
-        return False, None
-
-    def wait(self, proc: Process) -> Any:
-        """Block the calling process until completion; returns the payload
-        for receive requests and ``None`` for send requests."""
-        return self._unwrap(self._event.wait(proc))
-
-    @staticmethod
-    def waitall(proc: Process, requests: list["Request"]) -> list[Any]:
-        """Wait for every request; returns their values in order."""
-        return [r.wait(proc) for r in requests]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else "pending"
-        return f"<Request {self.kind} {state}>"
+    def wait(self, proc: Process) -> None:
+        """Block the calling process until the message is delivered."""
+        self._event.wait(proc)

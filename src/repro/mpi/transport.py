@@ -2,9 +2,10 @@
 
 One :class:`Transport` exists per simulated MPI world.  It owns:
 
-* a mailbox per destination rank — a list of *arrived* messages plus a list
-  of *posted* (blocked) receives, matched in MPI order: a receive matches the
-  earliest arrived message whose ``(source, tag)`` fits, wildcards allowed;
+* the arrived messages and the parked receivers, each keyed by
+  ``(destination, context, source, tag)``: a receive names its source and
+  tag exactly, so MPI's "earliest arrived match" is the head of its key's
+  FIFO;
 * per ``(source, destination)`` FIFO enforcement — delivery times are clamped
   to be monotone per pair, so a small message injected after a large one
   cannot overtake it (MPI's non-overtaking rule);
@@ -19,63 +20,20 @@ One :class:`Transport` exists per simulated MPI world.  It owns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.config import MachineModel
-from repro.errors import MPIInvalidRank
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.status import Status
 from repro.simt.primitives import SimEvent
 from repro.simt.process import Process
 from repro.simt.simulator import Simulator
 
-__all__ = ["Transport", "Message"]
+__all__ = ["Transport"]
 
-
-@dataclass
-class Message:
-    """An arrived point-to-point message waiting to be matched.
-
-    ``source`` is the sender's rank *within its communicator*; ``ctx`` is
-    the communicator context id, so split/dup'd communicators cannot match
-    each other's traffic (MPI's communicator isolation).
-    """
-
-    source: int
-    tag: int
-    payload: Any
-    nbytes: int
-    ctx: Any = 0
-
-
-@dataclass
-class _PostedRecv:
-    """A posted receive waiting for a matching arrival.
-
-    Exactly one of ``proc`` (blocking receive) or ``event`` (nonblocking
-    receive) is set; arrival either resumes the process or fires the event.
-    """
-
-    source: int
-    tag: int
-    proc: Optional[Process] = None
-    event: Optional[SimEvent] = None
-    ctx: Any = 0
-
-
-@dataclass
-class _Mailbox:
-    arrived: List[Message] = field(default_factory=list)
-    posted: List[_PostedRecv] = field(default_factory=list)
-
-
-def _matches(msg: Message, source: int, tag: int, ctx: Any) -> bool:
-    return (
-        msg.ctx == ctx
-        and (source == ANY_SOURCE or msg.source == source)
-        and (tag == ANY_TAG or msg.tag == tag)
-    )
+Key = Tuple[int, Any, int, int]
+"""``(destination world rank, context, source, tag)``: ``source`` is the
+sender's rank within the communicator ``context`` names, so split
+communicators cannot match each other's traffic (MPI's isolation)."""
 
 
 class Transport:
@@ -87,9 +45,11 @@ class Transport:
         self.sim = sim
         self.machine = machine
         self.size = size
-        self._mailboxes: Dict[int, _Mailbox] = {r: _Mailbox() for r in range(size)}
+        self._arrived: Dict[Key, Deque[Any]] = {}
+        # A blocking receive parks its process, so a key has at most one.
+        self._posted: Dict[Key, Process] = {}
         # Monotone delivery clock per (src, dst) pair for non-overtaking.
-        self._pair_clock: Dict[Tuple[int, int], float] = {}
+        self._pair_clock: Dict[Tuple[Any, int, int], float] = {}
         # Collective rendezvous sites keyed by op sequence number.
         self._sites: Dict[int, Any] = {}
         self.n_p2p_messages = 0
@@ -131,13 +91,6 @@ class Transport:
     # Point-to-point
     # ------------------------------------------------------------------
 
-    def check_rank(self, rank: int, *, wildcard_ok: bool = False) -> None:
-        """Validate a rank argument."""
-        if wildcard_ok and rank == ANY_SOURCE:
-            return
-        if not (0 <= rank < self.size):
-            raise MPIInvalidRank(f"rank {rank} outside [0, {self.size})")
-
     def transfer_time(self, nbytes: int) -> float:
         """Modelled time for one message of ``nbytes`` on the wire."""
         return self.machine.network.transfer_time(nbytes)
@@ -160,75 +113,43 @@ class Transport:
         """
         now = self.sim.now
         arrive = now + self.transfer_time(nbytes)
-        key = (ctx, source, dest)
-        floor = self._pair_clock.get(key, 0.0)
+        pair = (ctx, source, dest)
+        floor = self._pair_clock.get(pair, 0.0)
         if arrive < floor:
             arrive = floor
-        self._pair_clock[key] = arrive
+        self._pair_clock[pair] = arrive
         self.n_p2p_messages += 1
         self.p2p_bytes += int(nbytes)
-        msg = Message(source=source, tag=tag, payload=payload, nbytes=nbytes, ctx=ctx)
+        key = (dest, ctx, source, tag)
 
         def deliver() -> None:
-            self._deposit(dest, msg)
+            self._deposit(key, payload)
             if completion is not None:
                 completion.set(None)
 
         self.sim.call_at(arrive, deliver)
         return arrive
 
-    def _deposit(self, dest: int, msg: Message) -> None:
-        box = self._mailboxes[dest]
-        for i, pr in enumerate(box.posted):
-            if _matches(msg, pr.source, pr.tag, pr.ctx):
-                box.posted.pop(i)
-                status = Status(source=msg.source, tag=msg.tag, nbytes=msg.nbytes)
-                if pr.event is not None:
-                    pr.event.set((msg.payload, status))
-                else:
-                    self.sim.schedule_resume(pr.proc, value=(msg.payload, status))
-                return
-        box.arrived.append(msg)
-
-    def post_event_recv(
-        self, dest: int, source: int, tag: int, event: SimEvent, ctx: Any = 0
-    ) -> None:
-        """Post a nonblocking receive completing ``event`` on match.
-
-        If a matching message has already arrived it is consumed immediately.
-        """
-        box = self._mailboxes[dest]
-        for i, msg in enumerate(box.arrived):
-            if _matches(msg, source, tag, ctx):
-                box.arrived.pop(i)
-                event.set((msg.payload, Status(msg.source, msg.tag, msg.nbytes)))
-                return
-        box.posted.append(_PostedRecv(source=source, tag=tag, event=event, ctx=ctx))
+    def _deposit(self, key: Key, payload: Any) -> None:
+        proc = self._posted.pop(key, None)
+        if proc is not None:
+            self.sim.schedule_resume(proc, value=payload)
+        else:
+            self._arrived.setdefault(key, deque()).append(payload)
 
     def match_or_post(
         self, proc: Process, dest: int, source: int, tag: int, ctx: Any = 0
-    ) -> Tuple[Any, Status]:
-        """Blocking-receive core: match an arrived message or park."""
-        box = self._mailboxes[dest]
-        for i, msg in enumerate(box.arrived):
-            if _matches(msg, source, tag, ctx):
-                box.arrived.pop(i)
-                return msg.payload, Status(msg.source, msg.tag, msg.nbytes)
-        box.posted.append(_PostedRecv(source=source, tag=tag, proc=proc, ctx=ctx))
-        payload, status = proc.park(
-            reason=f"recv(src={source},tag={tag})@{dest}"
-        )
-        return payload, status
-
-    def probe(
-        self, dest: int, source: int, tag: int, ctx: Any = 0
-    ) -> Optional[Status]:
-        """Nonblocking probe of rank ``dest``'s mailbox."""
-        box = self._mailboxes[dest]
-        for msg in box.arrived:
-            if _matches(msg, source, tag, ctx):
-                return Status(msg.source, msg.tag, msg.nbytes)
-        return None
+    ) -> Any:
+        """Blocking-receive core: take the key's earliest arrival or park."""
+        key = (dest, ctx, source, tag)
+        arrived = self._arrived.get(key)
+        if arrived:
+            payload = arrived.popleft()
+            if not arrived:
+                del self._arrived[key]
+            return payload
+        self._posted[key] = proc
+        return proc.park(reason=f"recv(src={source},tag={tag})@{dest}")
 
     def record_collective(self, op: str, nbytes: int) -> None:
         """Count one completed collective and its total payload bytes."""

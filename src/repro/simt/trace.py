@@ -31,7 +31,7 @@ class CollectiveSignature:
 
     Two ranks entering the *same* site carry the same ``(ctx, seq)`` key;
     the SPMD invariant says everything else observable about the call —
-    op kind, root, and for the reduce family dtype/count — must then
+    op kind, root, and for allreduce/exscan dtype/count — must then
     agree.  ``site`` is the Python call site (``file.py:NN in func``)
     recorded so mismatch diagnostics can point at both sides' source.
     """

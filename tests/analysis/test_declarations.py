@@ -28,10 +28,18 @@ def test_decorator_returns_the_function_itself():
     assert collective(op="f", uniform_result=True, root="x")(_f) is _f
 
 
-def test_root_resolves_to_its_position_after_self():
+def test_root_resolves_to_its_position_after_self(tmp_path):
     assert catalog()["bcast"].root_arg == (1, "root")
-    assert catalog()["reduce"].root_arg == (2, "root")
     assert catalog()["barrier"].root_arg is None
+    specs = _read(
+        tmp_path,
+        m="""
+        class Comm:
+            @collective(root="root")
+            def reduce(self, obj, op, root): ...
+        """,
+    )
+    assert specs["reduce"].root_arg == (2, "root")
 
 
 def _read(tmp_path, **modules):

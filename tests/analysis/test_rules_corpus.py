@@ -288,8 +288,8 @@ def test_constant_root_and_shared_comm_are_clean():
         """
         def program(ctx):
             comm = ctx.comm
-            total = comm.reduce(local_sum(), root=0)
-            return comm.bcast(total, root=0)
+            parts = comm.gather(local_sum(), root=0)
+            return comm.bcast(parts, root=0)
         """
     )
     assert rules_of(res) == []
@@ -379,11 +379,13 @@ def test_numpy_take_is_not_a_collective():
 
 
 def test_numpy_reduce_is_not_a_collective():
+    # No collective is named reduce any more; split is, behind its
+    # receiver guard, and numpy defines it too.
     res = findings_in(
         """
         def program(ctx, values):
             if ctx.comm.rank == 0:
-                return np.maximum.reduce(values)
+                return np.maximum.reduce(np.split(values, 2))
             return None
         """
     )

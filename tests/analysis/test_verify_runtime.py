@@ -263,7 +263,7 @@ def _counter_program(ctx):
     ctx.comm.allreduce(ctx.rank)
     ctx.comm.allgather([1, 2])
     ctx.comm.send(0, dest=(ctx.rank + 1) % ctx.size, tag=9)
-    ctx.comm.recv(tag=9)
+    ctx.comm.recv((ctx.rank - 1) % ctx.size, tag=9)
     ctx.comm.barrier()
     t = ctx.comm.transport
     return (

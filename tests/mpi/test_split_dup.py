@@ -1,10 +1,10 @@
-"""Communicator split/dup: grouping, isolation, collectives on subgroups."""
+"""Communicator split: grouping, isolation, collectives on subgroups."""
 
 import numpy as np
 import pytest
 
 from repro.config import fast_test
-from repro.mpi import ANY_SOURCE, mpirun
+from repro.mpi import mpirun
 
 
 def run(fn, nprocs, **kw):
@@ -81,25 +81,6 @@ def test_split_isolates_message_contexts():
 
     job = run(program, 2)
     assert job.values[1] == ("sub-msg", "world-msg")
-
-
-def test_dup_isolated_but_same_group():
-    def program(ctx):
-        dup = ctx.comm.dup()
-        assert dup.rank == ctx.rank and dup.size == ctx.size
-        if ctx.rank == 0:
-            dup.send("on-dup", dest=1)
-        if ctx.rank == 1:
-            st = dup.iprobe()  # message may not have arrived yet
-            got = dup.recv(source=0)
-            none_on_world = ctx.comm.iprobe(source=ANY_SOURCE)
-            return got, none_on_world
-        return None
-
-    job = run(program, 2)
-    got, none_on_world = job.values[1]
-    assert got == "on-dup"
-    assert none_on_world is None
 
 
 def test_nested_split_of_split():

@@ -1,12 +1,11 @@
-"""Support modules: payload sizing, reduce ops, requests, phase timers."""
+"""Support modules: payload sizing, reduce ops, phase timers."""
 
 import numpy as np
 import pytest
 
 from repro.config import fast_test
-from repro.mpi import MAX, MIN, PROD, SUM, Request, mpirun
+from repro.mpi import MAX, MIN, SUM, mpirun
 from repro.mpi.nbytes import payload_nbytes
-from repro.simt import SimEvent, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,6 @@ def test_nbytes_object_with_dict():
     "op,a,b,expect",
     [
         (SUM, 2, 3, 5),
-        (PROD, 2, 3, 6),
         (MAX, 2, 3, 3),
         (MIN, 2, 3, 2),
     ],
@@ -68,34 +66,11 @@ def test_ops_arrays_elementwise():
     np.testing.assert_array_equal(SUM(a, b), [4.0, 7.0])
     np.testing.assert_array_equal(MAX(a, b), [3.0, 5.0])
     np.testing.assert_array_equal(MIN(a, b), [1.0, 2.0])
-    np.testing.assert_array_equal(PROD(a, b), [3.0, 10.0])
 
 
 def test_ops_mixed_scalar_array():
     a = np.array([1.0, 5.0])
     np.testing.assert_array_equal(MAX(a, 3.0), [3.0, 5.0])
-
-
-# ---------------------------------------------------------------------------
-# Request
-# ---------------------------------------------------------------------------
-
-def test_request_test_and_waitall():
-    sim = Simulator()
-
-    def fn(proc):
-        e1, e2 = SimEvent(sim), SimEvent(sim)
-        r1, r2 = Request(e1, "isend"), Request(e2, "irecv")
-        assert r1.test() == (False, None)
-        e1.set(None)
-        e2.set(("payload", None))
-        assert r1.test() == (True, None)
-        assert r2.test() == (True, "payload")
-        return Request.waitall(proc, [r1, r2])
-
-    p = sim.spawn(fn)
-    sim.run()
-    assert p.result == [None, "payload"]
 
 
 # ---------------------------------------------------------------------------
