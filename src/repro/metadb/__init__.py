@@ -46,12 +46,17 @@ path:
    up front, appended once, and each index sorts the batch and merges it
    in as a block (one slice insert when it lands in one gap; a lone row
    is one ``insort``).
-2. **Conjunct planner** (``Database._index_candidates`` /
-   ``Database._covering_slice``) — a WHERE is decomposed
-   (:func:`~repro.metadb.expr.conjuncts_of`, once per parsed statement:
-   the result is cached on the AST) into its equality (``col = v``) and
-   range (``col < v``, ``col >= v``, …) conjuncts, and the cheapest
-   applicable access path wins:
+2. **Plans** (``_Plan`` in :mod:`~repro.metadb.engine`, built by
+   ``Database._plan``) — a statement's text and its table's index set
+   fix how it runs, so each ``(parsed statement, table)`` pair is planned
+   once, on its first execution, and the plan is kept with the table
+   (bounded, never dumped) until
+   :meth:`~repro.metadb.table.Table.create_index` changes the index set.
+   The WHERE is decomposed (:func:`~repro.metadb.expr.conjuncts_of`, once
+   per parsed statement: the result is cached on the AST) into equality
+   (``col = v``) and range (``col < v``, ``col >= v``, …) conjuncts, and
+   the plan records, as parameter positions and literals, every access
+   path they can take:
 
    a. a **covering probe**: when the WHERE decomposes *completely* into
       equality conjuncts (plus at most one range pair on the next
@@ -64,15 +69,22 @@ path:
    b. an **index slice**: any index with an equality-bound column prefix
       and/or range bounds on the following column narrows candidates to
       one contiguous bisect slice (all columns bound is the composite
-      point lookup), the smallest slice winning;
+      point lookup); an execution binds its parameters once and measures
+      each slice, and the smallest wins;
    c. the **full scan** otherwise.
 
-   For (b) the full WHERE is still evaluated on every candidate, so the
-   planner only ever *narrows* the scan; path (a) is taken only when the
-   index provably yields the exact result.  Results and ordering are
-   bit-identical to the fallback full scan for every path
-   (property-tested across index configurations in
-   ``tests/properties/test_metadb_index_property.py``).
+   For (b) and (c) every candidate is verified against the full WHERE by
+   the plan's compiled comparisons — row positions against the bound
+   values, no per-row dict, no tree walk — so the planner only ever
+   *narrows* the scan; path (a) is taken only when the index provably
+   yields the exact result.  Results, ordering, counters and refusals are
+   bit-identical to planning afresh and walking the WHERE tree on every
+   row (``tests/properties/test_metadb_plan_property.py``) and to the
+   fallback full scan for every path
+   (``tests/properties/test_metadb_index_property.py``).  An INSERT whose
+   VALUES are exactly ``?1..?n`` stores a parameter row that already has
+   the columns' storage types as it is
+   (:meth:`~repro.metadb.table.Table.convert`, which ``loads`` uses too).
 3. **Secondary indexes** (:meth:`~repro.metadb.table.Table.create_index`,
    declared per column tuple via
    :meth:`~repro.metadb.engine.Database.create_index`) — one structure,

@@ -16,16 +16,19 @@ path as tables grow:
   statements SDM issues in loops (one per timestep, per rank, per
   dataset) parse once per process, :meth:`Database.loads` restores
   included.
-* **Conjunct planner** — a WHERE is decomposed into its equality and
-  range conjuncts (:func:`~repro.metadb.expr.conjuncts_of`,
-  once per parsed statement: the decomposition rides the cached AST)
-  and the access path is the smallest index slice — an equality-bound
-  column prefix plus range bounds on the next column — or the full scan;
-  candidate rows are still verified against the complete WHERE, so
-  results are scan-identical.
-* **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE an index
-  covers (:meth:`Database._covering_slice`) is answered straight from
-  the index, skipping both the scan and the sort.
+* **Plans** — a statement's text and its table's index set fix which
+  indexes its WHERE's conjuncts (:func:`~repro.metadb.expr.conjuncts_of`)
+  can probe, with which parameters or literals, which index covers its
+  ORDER BY or MAX, and how a row is verified, so each ``(statement,
+  table)`` gets one :class:`_Plan`, kept with the table until
+  :meth:`Table.create_index` changes the index set.  An execution binds
+  its parameters once and measures slice sizes only: the smallest index
+  slice (an equality-bound column prefix plus range bounds on the next
+  column) or the full scan, every candidate verified against the whole
+  WHERE by row position, so results are scan-identical.
+* **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE the plan's
+  covering index serves is answered straight from the index, skipping
+  both the scan and the sort.
 * **Aggregate probes** — ``MAX(col)`` whose WHERE an index covers with
   ``col`` next comes from the slice's last entry (two bisects) instead
   of materializing every matching row — ``SELECT MAX(runid) FROM
@@ -45,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineModel
 from repro.errors import MetaDBError, SQLTypeError, TableExists, TableNotFound
-from repro.metadb.expr import Conjuncts
+from repro.metadb.expr import COMPARATORS, And, ColumnRef, Literal, Param
 from repro.metadb.sqlparser import (
     CreateTable,
     Delete,
@@ -54,7 +57,7 @@ from repro.metadb.sqlparser import (
     Update,
     parse,
 )
-from repro.metadb.table import Column, OrderedIndex, Table
+from repro.metadb.table import Column, Table
 from repro.metadb.types import type_by_name
 from repro.simt.primitives import Resource
 from repro.simt.process import Crashed, Process
@@ -67,6 +70,9 @@ _SERVER_CONNECTIONS = 4
 
 _GLOBAL_STMT_CAPACITY = 4096
 """Parsed statements kept per process (LRU eviction beyond this)."""
+
+_PLAN_CAPACITY = 256
+"""Plans kept per table."""
 
 _GLOBAL_STMT_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 """The parse cache, keyed by exact SQL text and shared by every
@@ -112,6 +118,147 @@ def _descending_rowids(
         out.extend(rowid for _, rowid in entries[j:i])
         i = j
     return out if limit is None else out[:limit]
+
+
+class _Plan:
+    """What a filtered statement's text and one table's index set fix,
+    built on the statement's first execution against the table
+    (:meth:`Database._plan`) and kept in ``Table.plans`` until
+    :meth:`Table.create_index` changes the index set.
+
+    An execution binds its parameters once: ``bound`` is the WHERE's
+    literals followed by the parameters (:meth:`bind`).  A value is named
+    by its place in ``bound``, and a column by its place in ``bound +
+    row`` counted from the end:
+
+    * ``probes`` — per usable index, in ``table.indexes`` order: the places
+      of its equality prefix and its ``(op, place)`` lower and upper bound
+      on the next column (the first conjunct per column wins);
+    * ``covering`` — the index that answers the ORDER BY (or the MAX)
+      outright, in the same shape, or None;
+    * ``terms`` — the verifier: ``(comparator, i, j)`` per comparison, in
+      WHERE order, over ``bound + row``; None when the WHERE names a
+      column the table lacks, so that every row takes the reference walk
+      (``where.eval``), which refuses it.
+
+    A plan holds its statement, so the statement's ``id`` (the plan's
+    key) cannot be reused while the plan lives.
+    """
+
+    def __init__(self, table: Table, stmt) -> None:
+        self.stmt = stmt
+        where, cj = stmt.where, stmt.conjuncts
+        compares = (() if where is None else
+                    where.operands if isinstance(where, And) else (where,))
+        operands = [e for c in compares for e in (c.left, c.right)]
+        literals = [e for e in operands if isinstance(e, Literal)]
+        self.literals = tuple(e.value for e in literals)
+        self.need = 1 + max(
+            (e.index for e in operands if isinstance(e, Param)), default=-1)
+        self.conjunct_values = [e for _, e in cj.eq] + [
+            e for _, _, e in cj.lower + cj.upper]
+        place = {id(e): j for j, e in enumerate(literals)}
+        names = table.column_names
+        columns = {name: j - len(names) for j, name in enumerate(names)}
+
+        def at(e):
+            if isinstance(e, ColumnRef):
+                return columns[e.name]
+            if isinstance(e, Param):
+                return len(literals) + e.index
+            return place[id(e)]
+
+        # Reversed, so that the first conjunct per column wins.
+        eq = {col: at(e) for col, e in reversed(cj.eq)}
+        lowers = {col: (op, at(e)) for col, op, e in reversed(cj.lower)}
+        uppers = {col: (op, at(e)) for col, op, e in reversed(cj.upper)}
+        shapes = []
+        for index in table.indexes.values():
+            cols = index.columns
+            k = next((j for j, c in enumerate(cols) if c not in eq), len(cols))
+            nxt = cols[k] if k < len(cols) else None
+            shapes.append((index, [eq[c] for c in cols[:k]],
+                           lowers.get(nxt), uppers.get(nxt)))
+        self.probes = [s for s in shapes if s[1] or s[2] or s[3]]
+
+        tail, whole = stmt.covered
+        k = len(eq)
+        self.covering = next((
+            s for s in shapes if len(s[1]) == k
+            and s[0].columns[k:None if whole else k + len(tail)] == tail
+        ), None) if tail else None
+
+        try:
+            self.terms = tuple((COMPARATORS[c.op], at(c.left), at(c.right))
+                               for c in compares)
+        except KeyError:  # a column the table lacks
+            self.terms = None
+
+    def bind(self, params: Sequence[Any]) -> Tuple[Any, ...]:
+        """``bound`` for one execution.  A missing parameter that a
+        conjunct takes is refused here, in the order planning always
+        evaluated them (equalities, lower bounds, upper bounds); any
+        other only when a row reaches it (:meth:`matches`)."""
+        if len(params) < self.need:
+            for e in self.conjunct_values:
+                e.eval({}, params)
+        return self.literals + tuple(params)
+
+    @staticmethod
+    def slice(probe, bound: Tuple[Any, ...]):
+        """``(index, prefix, start, end)`` of one probe under ``bound``,
+        or None when a bound value cannot be ordered against the index
+        keys (the verifier then meets it, and refuses it, row by row)."""
+        index, prefix, lo, hi = probe
+        prefix = [bound[j] for j in prefix]
+        try:
+            start, end = index.slice_bounds(
+                prefix, lo and (lo[0], bound[lo[1]]),
+                hi and (hi[0], bound[hi[1]]))
+        except TypeError:
+            return None
+        return index, prefix, start, end
+
+    def candidates(self, bound: Tuple[Any, ...]) -> Optional[List[int]]:
+        """Rowids worth verifying, in insertion order, or None to
+        full-scan: the smallest probe slice wins (an empty one at once)."""
+        best = None
+        for probe in self.probes:
+            found = self.slice(probe, bound)
+            if found is None:
+                continue
+            index, _, start, end = found
+            if end == start:
+                return []
+            if best is None or end - start < best[0]:
+                best = (end - start, index, start, end)
+        if best is None:
+            return None
+        _, index, start, end = best
+        return sorted([rowid for _, rowid in index.entries[start:end]])
+
+    def matches(self, table: Table, pairs, bound, params) -> List[int]:
+        """Rowids of ``pairs`` the WHERE accepts.  A comparison the
+        verifier cannot make, a parameter missing from ``params`` or a
+        column the table lacks sends the row through the reference walk,
+        which raises what it always has, at the same row and conjunct."""
+        terms = self.terms if len(params) >= self.need else None
+        where, hits = self.stmt.where, []
+        for i, row in pairs:
+            if terms is not None:
+                x = bound + row
+                try:
+                    for fn, a, b in terms:
+                        if not fn(x[a], x[b]):
+                            break
+                    else:
+                        hits.append(i)
+                    continue
+                except TypeError:
+                    pass
+            if where.eval(dict(zip(table.column_names, row)), params):
+                hits.append(i)
+        return hits
 
 
 class Database:
@@ -308,214 +455,69 @@ class Database:
         )
         return []
 
+    def _plan(self, stmt) -> Tuple[Table, _Plan]:
+        """``stmt``'s table and its plan against it, built on first use.
+        A table keeps at most :data:`_PLAN_CAPACITY` plans: one more
+        starts its cache afresh."""
+        table = self._table(stmt.table)
+        plan = table.plans.get(id(stmt))
+        if plan is None:
+            if len(table.plans) >= _PLAN_CAPACITY:
+                table.plans.clear()
+            plan = table.plans[id(stmt)] = _Plan(table, stmt)
+        return table, plan
+
     def _insert(self, stmt: Insert, param_rows) -> int:
         """Insert one row per parameter row; returns how many.  Every row
-        is coerced first, so a bad row rejects the whole batch before any
-        state changes; then the heap extends once and each index takes
-        the batch in one merge (:meth:`Table.append_rows`)."""
+        is converted first (:meth:`Table.convert`), so a bad row rejects
+        the whole batch before any state changes; then the heap extends
+        once and each index takes the batch in one merge
+        (:meth:`Table.append_rows`)."""
         table = self._table(stmt.table)
-        values = stmt.values
         rows = [
-            table.coerce_row([e.eval({}, params) for e in values])
+            table.convert(params if len(params) == stmt.width
+                          else [e.eval({}, params) for e in stmt.values])
             for params in param_rows
         ]
         table.append_rows(rows)
         return len(rows)
 
-    # -- planner ---------------------------------------------------------
-
-    @staticmethod
-    def _conjunct_values(cj, params: Sequence[Any]):
-        """Evaluate every conjunct's value expression once.
-
-        Returns ``(eq_vals, lowers, uppers)`` dicts keyed by column (first
-        conjunct per column wins; duplicates are still re-verified by the
-        full WHERE evaluation).
-        """
-        eq_vals: Dict[str, Any] = {}
-        for col, e in cj.eq:
-            eq_vals.setdefault(col, e.eval({}, params))
-        lowers: Dict[str, Tuple[str, Any]] = {}
-        uppers: Dict[str, Tuple[str, Any]] = {}
-        for bounds, conjuncts in ((lowers, cj.lower), (uppers, cj.upper)):
-            for col, op, e in conjuncts:
-                bounds.setdefault(col, (op, e.eval({}, params)))
-        return eq_vals, lowers, uppers
-
-    def _index_candidates(
-        self, table: Table, cj: Conjuncts, params: Sequence[Any]
-    ) -> Optional[List[int]]:
-        """Rowids worth checking against the WHERE that ``cj`` decomposes,
-        or None to full-scan.
-
-        Every index with a non-empty equality-bound column prefix and/or
-        range bounds on the following column offers a contiguous
-        ``bisect`` slice; the smallest slice wins.  (All columns bound is
-        the composite point lookup.)  The caller still evaluates the
-        complete WHERE on each candidate, so this only ever *narrows* the
-        scan — type semantics are decided by the same ``Expr.eval`` as the
-        slow path.
-        """
-        if cj.empty:
-            return None
-        eq_vals, lowers, uppers = self._conjunct_values(cj, params)
-
-        best = None  # (count, index, start, end)
-        for index in table.indexes.values():
-            k = 0
-            while k < len(index.columns) and index.columns[k] in eq_vals:
-                k += 1
-            nxt = index.columns[k] if k < len(index.columns) else None
-            lo, hi = lowers.get(nxt), uppers.get(nxt)
-            if k == 0 and lo is None and hi is None:
-                continue  # index leads with an unbound column
-            prefix = [eq_vals[c] for c in index.columns[:k]]
-            try:
-                start, end = index.slice_bounds(prefix, lo, hi)
-            except TypeError:  # unorderable probe value: scan instead
-                continue
-            if end == start:
-                return []
-            if best is None or end - start < best[0]:
-                best = (end - start, index, start, end)
-        if best is None:
-            return None
-        _, index, start, end = best
-        # Candidates must be evaluated in insertion order so that
-        # un-ORDERed results stay scan-identical.
-        return sorted(rowid for _, rowid in index.entries[start:end])
-
-    def _match_rowids(self, table: Table, stmt, params) -> List[int]:
-        """Rowids of the rows ``stmt.where`` accepts, in insertion order."""
-        where = stmt.where
-        if where is None:
+    def _match_rowids(self, table: Table, plan: _Plan, params) -> List[int]:
+        """Rowids of the rows the plan's WHERE accepts, in insertion
+        order."""
+        if plan.stmt.where is None:
             return list(table.rows)
-        candidates = self._index_candidates(table, stmt.conjuncts, params)
+        bound = plan.bind(params)
+        candidates = plan.candidates(bound)
         if candidates is None:
             self.n_full_scans += 1
-            examined = len(table.rows)
+            self.n_rows_examined += len(table.rows)
             pairs = table.scan()
         else:
             self.n_index_probes += 1
-            examined = len(candidates)
-            pairs = ((i, table.rows[i]) for i in candidates)
-        self.n_rows_examined += examined
-        names = table.column_names
-        hits = []
-        for i, row in pairs:
-            ctx = dict(zip(names, row))
-            if where.eval(ctx, params):
-                hits.append(i)
-        return hits
-
-    def _covering_slice(
-        self,
-        table: Table,
-        stmt: Select,
-        params: Sequence[Any],
-        tail: Tuple[str, ...],
-        whole: bool,
-    ) -> Optional[Tuple[OrderedIndex, List[Any], int, int]]:
-        """The index slice that *is* the WHERE's answer, ordered by
-        ``tail`` — the coverage rule sorted and aggregate probes share.
-
-        The WHERE must decompose *completely* into at most one equality
-        conjunct per column plus at most one lower and one upper bound on
-        ``tail[0]``, and an index's columns must be exactly the equality
-        columns (in any order) followed by ``tail`` (``whole``: and
-        nothing after it).  The slice then holds exactly the matching
-        rows, ``tail``-ordered with the same key and rowid tie-break the
-        scan path's stable sort uses.
-
-        Returns ``(index, prefix, start, end)``, or None when no index
-        covers the query or a probe value cannot be ordered against the
-        keys (the caller scans instead).
-        """
-        cj = stmt.conjuncts
-        if not cj.complete or len(cj.lower) > 1 or len(cj.upper) > 1:
-            return None
-        eq_cols = [c for c, _ in cj.eq]
-        if len(set(eq_cols)) != len(eq_cols) or set(eq_cols) & set(tail):
-            return None
-        range_cols = {c for c, _, _ in cj.lower} | {c for c, _, _ in cj.upper}
-        if range_cols - {tail[0]}:
-            return None
-        k = len(eq_cols)
-        for index in table.indexes.values():
-            cols = index.columns
-            if set(cols[:k]) != set(eq_cols) or cols[k:k + len(tail)] != tail:
-                continue
-            if whole and len(cols) != k + len(tail):
-                continue
-            eq_vals, lowers, uppers = self._conjunct_values(cj, params)
-            prefix = [eq_vals[c] for c in cols[:k]]
-            try:
-                start, end = index.slice_bounds(
-                    prefix, lowers.get(tail[0]), uppers.get(tail[0])
-                )
-            except TypeError:
-                return None
-            return index, prefix, start, end
-        return None
-
-    def _sorted_rowids(
-        self, table: Table, stmt: Select, params: Sequence[Any]
-    ) -> Optional[List[int]]:
-        """Rowids already filtered, ordered, and limited — or None.
-
-        The ORDER BY columns (uniform direction) must be the whole tail
-        of a covering index (:meth:`_covering_slice`): trailing index
-        columns would break key ties where the scan breaks them by rowid.
-        """
-        directions = {desc for _, desc in stmt.order_by}
-        if len(directions) != 1:
-            return None
-        order_cols = tuple(c for c, _ in stmt.order_by)
-        found = self._covering_slice(table, stmt, params, order_cols, True)
-        if found is None:
-            return None
-        index, _, start, end = found
-        if directions.pop():
-            return _descending_rowids(index.entries, start, end, stmt.limit)
-        if stmt.limit is not None:
-            end = min(end, start + stmt.limit)
-        return [rowid for _, rowid in index.entries[start:end]]
-
-    def _aggregate_probe(
-        self, table: Table, stmt: Select, params: Sequence[Any]
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """Answer ``MAX(col)`` from an index, or None.
-
-        A covering index (:meth:`_covering_slice`) with ``col`` next
-        holds the matching rows with ``col`` ascending, so the aggregate
-        is the slice's last entry — no row is materialized or verified.
-        """
-        fn, col = stmt.aggregate
-        if fn != "MAX":
-            return None
-        if stmt.order_by or stmt.limit is not None:
-            return None
-        found = self._covering_slice(table, stmt, params, (col,), False)
-        if found is None:
-            return None
-        index, prefix, start, end = found
-        self.n_agg_probes += 1
-        return [(index.max_in_slice(prefix, start, end),)]
+            self.n_rows_examined += len(candidates)
+            rows = table.rows
+            pairs = ((i, rows[i]) for i in candidates)
+        return plan.matches(table, pairs, bound, params)
 
     def _select(self, stmt: Select, params: List[Any]) -> List[Tuple[Any, ...]]:
-        table = self._table(stmt.table)
-        if stmt.aggregate is not None:
-            probed = self._aggregate_probe(table, stmt, params)
-            if probed is not None:
-                return probed
+        table, plan = self._plan(stmt)
+        found = plan.covering and plan.slice(plan.covering, plan.bind(params))
         rows = None
-        if stmt.order_by:
-            rowids = self._sorted_rowids(table, stmt, params)
-            if rowids is not None:
-                self.n_sorted_probes += 1
-                rows = [table.rows[i] for i in rowids]
+        if found:
+            index, prefix, start, end = found
+            if not stmt.order_by:  # MAX(col): the slice's last entry
+                self.n_agg_probes += 1
+                return [(index.max_in_slice(prefix, start, end),)]
+            self.n_sorted_probes += 1
+            if stmt.order_by[0][1]:
+                rowids = _descending_rowids(
+                    index.entries, start, end, stmt.limit)
+            else:
+                rowids = [rowid for _, rowid in index.entries[start:end]]
+            rows = [table.rows[i] for i in rowids[:stmt.limit]]
         if rows is None:
-            rowids = self._match_rowids(table, stmt, params)
+            rowids = self._match_rowids(table, plan, params)
             rows = [table.rows[i] for i in rowids]
             # Sort by keys right-to-left for stable multi-key ordering.
             for col, desc in reversed(stmt.order_by):
@@ -536,8 +538,8 @@ class Database:
         return [tuple(r[p] for p in positions) for r in rows]
 
     def _update(self, stmt: Update, params: List[Any]) -> Tuple[list, int]:
-        table = self._table(stmt.table)
-        rowids = self._match_rowids(table, stmt, params)
+        table, plan = self._plan(stmt)
+        rowids = self._match_rowids(table, plan, params)
         names = table.column_names
         positions = [(table.column_pos(c), c, e) for c, e in stmt.assignments]
         for i in rowids:
@@ -549,9 +551,8 @@ class Database:
         return [], len(rowids)
 
     def _delete(self, stmt: Delete, params: List[Any]) -> Tuple[list, int]:
-        table = self._table(stmt.table)
-        rowids = self._match_rowids(table, stmt, params)
-        return [], table.delete_rowids(rowids)
+        table, plan = self._plan(stmt)
+        return [], table.delete_rowids(self._match_rowids(table, plan, params))
 
     # ------------------------------------------------------------------
     # Persistence
@@ -587,7 +588,7 @@ class Database:
             table = Table(name, [
                 Column(n, type_by_name(t)) for n, t in spec["columns"]
             ])
-            table.append_rows([table.coerce_row(row) for row in spec["rows"]])
+            table.append_rows([table.convert(row) for row in spec["rows"]])
             for index in spec["indexes"]:
                 table.create_index(index["columns"])
             db.tables[name] = table

@@ -1,18 +1,22 @@
 """WHERE/SET expression AST and evaluation.
 
-Expressions are small immutable trees evaluated against a row context
-(column name → value).  A WHERE is a :class:`Compare` (``=``, ``<``,
-``<=``, ``>``, ``>=``) or an :class:`And` of them; its operands are
-columns, ``?`` parameters and int, float or string literals.  Every
-column is NOT NULL and the engine refuses a None parameter before it
-plans, so logic is plain two-valued.
+Expressions are small immutable trees.  A WHERE is a :class:`Compare`
+(``=``, ``<``, ``<=``, ``>``, ``>=``) or an :class:`And` of them; its
+operands are columns, ``?`` parameters and int, float or string
+literals.  Every column is NOT NULL and the engine refuses a None
+parameter before it plans, so logic is plain two-valued.
+
+``eval`` against a row context (column name → value) is the reference
+walk.  The engine verifies a WHERE through its plan's compiled
+comparisons instead and walks the tree only for a row the plan cannot
+verify, so that every refusal keeps its message.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import MetaDBError
 
@@ -30,10 +34,7 @@ __all__ = [
 
 
 class Expr:
-    """Base expression node."""
-
-    def eval(self, row: Dict[str, Any], params: Sequence[Any]) -> Any:
-        raise NotImplementedError
+    """Base expression node; every node has ``eval(row, params)``."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,6 @@ class Conjuncts:
     upper: List[Tuple[str, str, Expr]] = field(default_factory=list)
     """``(col, '<' | '<=', value)`` upper-bound conjuncts."""
     complete: bool = True
-
-    @property
-    def empty(self) -> bool:
-        return not (self.eq or self.lower or self.upper)
 
 
 def conjuncts_of(where: Optional[Expr]) -> Conjuncts:

@@ -111,9 +111,20 @@ class Insert:
     table: str
     values: Tuple[Expr, ...]
 
+    @cached_property
+    def width(self) -> int:
+        """n when the VALUES are exactly ``?1..?n``, so that a parameter
+        row of that length is the row; -1 otherwise."""
+        direct = self.values == tuple(map(Param, range(len(self.values))))
+        return len(self.values) if direct else -1
+
 
 class _Filtered:
     """The statements that carry a WHERE (SELECT / UPDATE / DELETE)."""
+
+    covered: Tuple[Tuple[str, ...], bool] = ((), True)
+    """See :attr:`Select.covered`: no UPDATE or DELETE is answered from
+    an index alone."""
 
     @cached_property
     def conjuncts(self) -> Conjuncts:
@@ -132,6 +143,35 @@ class Select(_Filtered):
     where: Optional[Expr] = None
     order_by: Tuple[Tuple[str, bool], ...] = ()  # (col, descending)
     limit: Optional[int] = None
+
+    @cached_property
+    def covered(self) -> Tuple[Tuple[str, ...], bool]:
+        """``(tail, whole)``: the columns an index must hold right after
+        the WHERE's equality columns (in any order) to answer this SELECT
+        outright, and whether nothing may follow them; ``()`` when no
+        index can.  ``MAX(col)`` without ORDER BY or LIMIT takes
+        ``(col,)``; an ORDER BY in one direction takes its columns and
+        nothing after them (trailing index columns would break key ties
+        where the scan breaks them by rowid).  The WHERE must decompose
+        completely into at most one equality conjunct per column plus at
+        most one lower and one upper bound on ``tail[0]``: the slice then
+        holds exactly the matching rows, tail-ordered with the key and
+        rowid tie-break the scan's stable sort uses."""
+        cj = self.conjuncts
+        eq_cols = [c for c, _ in cj.eq]
+        if (not cj.complete or len(set(eq_cols)) != len(eq_cols)
+                or len(cj.lower) > 1 or len(cj.upper) > 1):
+            return (), True
+        if self.aggregate is not None and self.aggregate[0] == "MAX" and not (
+            self.order_by or self.limit is not None
+        ):
+            tail, whole = (self.aggregate[1],), False
+        elif len({desc for _, desc in self.order_by}) == 1:
+            tail, whole = tuple(c for c, _ in self.order_by), True
+        else:
+            return (), True
+        ranged = {c for c, _, _ in cj.lower + cj.upper}
+        return (tail, whole) if ranged <= {tail[0]} else ((), True)
 
 
 @dataclass(frozen=True)

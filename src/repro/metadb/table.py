@@ -217,6 +217,11 @@ class Table:
         self._next_rowid = 0
         self.indexes: Dict[str, OrderedIndex] = {}
         """Index name → :class:`OrderedIndex`."""
+        self.plans: Dict[int, Any] = {}
+        """The engine's statement plans against this table, keyed by the
+        parsed statement's ``id``; they depend on the index set, so
+        :meth:`create_index` drops them, and never reach ``dump()``."""
+        self._storage = tuple(c.type.convert for c in columns)
 
     @property
     def column_names(self) -> List[str]:
@@ -243,8 +248,17 @@ class Table:
             col.type.coerce(v) for col, v in zip(self.columns, values)
         )
 
+    def convert(self, values: Sequence[Any]) -> Row:
+        """:meth:`coerce_row`'s result: values that already have their
+        columns' storage types exactly (``int``, ``float``, ``str`` — so
+        never a bool or a numpy scalar) are stored as they are."""
+        row = tuple(values)
+        if tuple(map(type, row)) == self._storage:
+            return row
+        return self.coerce_row(row)
+
     def append_rows(self, rows: Sequence[Row]) -> None:
-        """Append rows already validated by :meth:`coerce_row` (callers
+        """Append rows already validated by :meth:`convert` (callers
         coerce a whole batch first, so a bad row rejects it before any
         state changes): the heap extends once and each index ingests the
         batch through its ``add_many``."""
@@ -297,6 +311,7 @@ class Table:
         index = self.make_index(columns)
         if index.name not in self.indexes:
             self.indexes[index.name] = index
+            self.plans.clear()
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -1,11 +1,12 @@
-"""Statement cache, conjunct planner, index maintenance, cost accounting."""
+"""Statement cache, conjunct planner, statement plans, index maintenance,
+cost accounting."""
 
 import pytest
 
 from metadb_harness import check_index_integrity
 from repro.config import origin2000
 from repro.errors import MetaDBError, SQLTypeError
-from repro.metadb import Database, SDMTables
+from repro.metadb import Database, SDMTables, engine
 from repro.metadb.engine import clear_global_statement_cache
 from repro.metadb.schema import SDM_INDEXES
 from repro.metadb.table import index_name
@@ -647,6 +648,27 @@ def test_one_row_insert_is_a_batch_of_one():
     assert billed_one == billed_many == [1] * len(rows)
 
 
+def test_parameter_rows_are_stored_with_the_column_types():
+    """A parameter row whose values already have the columns' storage
+    types is stored as it is; any other (a numpy scalar, an int for a
+    REAL column) is coerced value by value, and a bool is refused, as
+    before — through execute, execute_many and a loads round trip."""
+    import numpy as np
+
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, b TEXT, c REAL)")
+    sql = "INSERT INTO t VALUES (?, ?, ?)"
+    db.execute(sql, (1, "x", 2.5))
+    db.execute_many(sql, [(np.int64(2), "y", 3), [3, "z", np.float32(0.5)]])
+    with pytest.raises(SQLTypeError, match="INTEGER column got True"):
+        db.execute(sql, (True, "p", 0.0))
+    want = [(1, "x", 2.5), (2, "y", 3.0), (3, "z", 0.5)]
+    for d in (db, Database.loads(db.dump())):
+        rows = d.execute("SELECT * FROM t")
+        assert rows == want
+        assert {tuple(map(type, row)) for row in rows} == {(int, str, float)}
+
+
 def test_counted_update_returns_matched_rows():
     """A count-checked UPDATE through execute_many returns (and is billed
     for) the rows it matched, 0 included."""
@@ -662,3 +684,182 @@ def test_counted_update_returns_matched_rows():
     assert db.execute_many(sql, []) == 0
     assert billed == [2, 0, 3, 0]
     assert db.execute("SELECT a, b FROM t") == [(1, 6), (2, 6), (2, 6)]
+
+
+# -- plans: built once per statement and index set ------------------------
+
+
+def _counted_plans(monkeypatch):
+    """The ``(table, statement)`` of every plan built from here on."""
+    built = []
+
+    class Counted(engine._Plan):
+        def __init__(self, table, stmt):
+            built.append((table.name, stmt))
+            super().__init__(table, stmt)
+
+    monkeypatch.setattr(engine, "_Plan", Counted)
+    return built
+
+
+def test_plan_built_once_until_the_index_set_changes(db, monkeypatch):
+    built = _counted_plans(monkeypatch)
+    sql = "SELECT c FROM t WHERE a = ? AND c >= ?"
+    expect = [db.execute(sql, (i % 5, i)) for i in range(10)]
+    assert len(built) == 1 and db.n_full_scans == 10
+    stmt = db.prepare(sql)
+    assert db.tables["t"].plans[id(stmt)].stmt is stmt
+    db.create_index("t", ("a", "c"))  # exactly one rebuild, on next use
+    assert [db.execute(sql, (i % 5, i)) for i in range(10)] == expect
+    assert len(built) == 2 and db.n_index_probes == 10
+    db.create_index("t", ("a", "c"))  # declared already: nothing changes
+    db.execute(sql, (1, 1))
+    assert len(built) == 2
+    restored = Database.loads(db.dump())  # plans never reach dump()
+    assert [restored.execute(sql, (i % 5, i)) for i in range(10)] == expect
+    assert len(built) == 3 and restored.n_index_probes == 10
+    assert built[2][1] is stmt  # one parse, a plan per table
+
+
+def test_plan_cache_is_bounded(db, monkeypatch):
+    built = _counted_plans(monkeypatch)
+    monkeypatch.setattr(engine, "_PLAN_CAPACITY", 4)
+    for rounds in range(2):
+        for i in range(10):
+            assert db.execute(f"SELECT c FROM t WHERE c = {i}") == [(i,)]
+            assert len(db.tables["t"].plans) <= 4
+    assert len(built) == 20  # ten texts cycling through four slots
+
+
+# -- golden plans: what each statement SDMTables issues probes ------------
+#
+# For every statement the SDMTables accessors issue with a WHERE or an
+# ORDER BY: the index answering it outright ("covering"), else the
+# indexes whose slices it compares, in declaration order, else "scan"
+# (or "all rows" with no WHERE).  An SDM_INDEXES edit that demotes a
+# statement shows up here as an edited line.
+
+GOLDEN_PLANS = {
+    "SELECT MAX(runid) FROM run_table": "covering (runid)",
+    "SELECT data_type FROM access_pattern_table WHERE runid = ? AND "
+    "dataset = ?": "(runid,dataset)",
+    "SELECT file_name, file_offset, nbytes, valid_from FROM execution_table "
+    "WHERE runid = ? AND dataset = ? AND timestep = ? AND valid_to = ?":
+        "(runid,dataset,timestep)",
+    "SELECT file_name, file_offset, nbytes, valid_from FROM execution_table "
+    "WHERE runid = ? AND dataset = ? AND timestep = ? AND valid_from <= ? "
+    "AND valid_to > ?": "(runid,dataset,timestep)",
+    "SELECT file_offset, nbytes FROM execution_table WHERE file_name = ? "
+    "ORDER BY file_offset DESC LIMIT 1": "covering (file_name,file_offset)",
+    "SELECT timestep FROM execution_table WHERE runid = ? AND dataset = ? "
+    "AND valid_to = ? ORDER BY timestep": "(runid,dataset,timestep)",
+    "SELECT timestep FROM execution_table WHERE runid = ? AND dataset = ? "
+    "AND valid_from <= ? AND valid_to > ? ORDER BY timestep":
+        "(runid,dataset,timestep)",
+    "SELECT file_name FROM execution_table WHERE valid_to < ?": "scan",
+    "SELECT runid, dataset, timestep, file_offset, nbytes, valid_from, "
+    "valid_to FROM execution_table WHERE file_name = ? AND valid_to < ? "
+    "ORDER BY file_offset": "(file_name,file_offset)",
+    "SELECT runid, dataset, timestep FROM execution_table WHERE "
+    "file_name = ?": "(file_name,file_offset)",
+    "UPDATE execution_table SET valid_to = ? WHERE runid = ? AND dataset = ? "
+    "AND timestep = ? AND file_name = ? AND valid_to = ?":
+        "(runid,dataset,timestep) (file_name,file_offset)",
+    "UPDATE execution_table SET valid_to = ? WHERE runid = ? AND dataset = ? "
+    "AND timestep = ? AND file_name = ? AND valid_from = ? AND valid_to = ?":
+        "(runid,dataset,timestep) (file_name,file_offset)",
+    "DELETE FROM execution_table WHERE runid = ? AND dataset = ? AND "
+    "timestep = ? AND file_name = ? AND valid_to = ?":
+        "(runid,dataset,timestep) (file_name,file_offset)",
+    "DELETE FROM execution_table WHERE valid_from = ?": "scan",
+    "UPDATE execution_table SET valid_to = ? WHERE valid_to = ?": "scan",
+    "SELECT rank, gid_min, gid_max, num_elements, index_offset, data_offset, "
+    "gid_step, valid_from FROM chunk_table WHERE runid = ? AND dataset = ? "
+    "AND timestep = ? AND valid_from <= ? AND valid_to > ? ORDER BY rank":
+        "(runid,dataset,timestep,rank)",
+    "SELECT num_elements, index_offset, data_offset FROM chunk_table WHERE "
+    "runid = ? AND dataset = ? AND timestep = ?":
+        "(runid,dataset,timestep,rank)",
+    "UPDATE chunk_table SET valid_to = ? WHERE runid = ? AND dataset = ? AND "
+    "timestep = ? AND valid_to = ? AND valid_from < ?":
+        "(runid,dataset,timestep,rank)",
+    "DELETE FROM chunk_table WHERE runid = ? AND dataset = ? AND "
+    "timestep = ? AND valid_to = ?": "(runid,dataset,timestep,rank)",
+    "DELETE FROM chunk_table WHERE valid_from = ?": "scan",
+    "UPDATE chunk_table SET valid_to = ? WHERE valid_to = ?": "scan",
+    "SELECT problem_size, num_procs, dimension, registered_file_name FROM "
+    "index_table WHERE problem_size = ? AND num_procs = ?":
+        "(problem_size,num_procs)",
+    "SELECT rank, edge_count, node_count, edge_offset, node_offset FROM "
+    "index_history_table WHERE problem_size = ? AND num_procs = ? AND "
+    "rank = ?": "(problem_size,num_procs,rank)",
+    "SELECT MAX(jobid) FROM maintenance_table": "covering (jobid)",
+    "SELECT jobid, kind, application, organization, group_id, runid, "
+    "dataset, timestep, file_name, data_type, global_size FROM "
+    "maintenance_table ORDER BY jobid": "covering (jobid)",
+    "DELETE FROM maintenance_table WHERE jobid = ?": "(jobid)",
+    "SELECT file_offset, nbytes FROM extent_table WHERE file_name = ? "
+    "ORDER BY file_offset": "covering (file_name,file_offset)",
+    "SELECT SUM(nbytes) FROM extent_table WHERE file_name = ?":
+        "(file_name,file_offset)",
+    "DELETE FROM extent_table WHERE file_name = ? AND file_offset >= ?":
+        "(file_name,file_offset)",
+    "DELETE FROM extent_table WHERE file_name = ? AND file_offset = ?":
+        "(file_name,file_offset)",
+    "DELETE FROM extent_table WHERE file_name = ?": "(file_name,file_offset)",
+    "SELECT MAX(epoch) FROM epoch_table": "covering (epoch)",
+    "SELECT MAX(epoch) FROM epoch_table WHERE file_name = ?":
+        "covering (file_name,epoch)",
+    "SELECT COUNT(*) FROM epoch_table WHERE epoch = ?": "(epoch)",
+    "SELECT epoch FROM epoch_table WHERE file_name = ? AND state = ?":
+        "(file_name,epoch)",
+    "SELECT file_name FROM epoch_table WHERE state = ?": "scan",
+    "UPDATE epoch_table SET state = ? WHERE file_name = ? AND epoch = ? AND "
+    "state = ?": "(epoch) (file_name,epoch)",
+    "DELETE FROM epoch_table WHERE file_name = ? AND epoch < ?":
+        "(epoch) (file_name,epoch)",
+    "DELETE FROM epoch_table WHERE file_name = ? AND epoch = ?":
+        "(epoch) (file_name,epoch)",
+    "SELECT holder, boot, heartbeat, ttl FROM lease_table WHERE "
+    "file_name = ?": "(file_name)",
+    "SELECT holder FROM lease_table WHERE file_name = ?": "(file_name)",
+    "SELECT file_name, holder, boot FROM lease_table": "all rows",
+    "SELECT COUNT(*) FROM lease_table": "all rows",
+    "UPDATE lease_table SET heartbeat = ? WHERE file_name = ? AND "
+    "holder = ?": "(file_name)",
+    "DELETE FROM lease_table WHERE file_name = ? AND holder = ?":
+        "(file_name)",
+    "SELECT MAX(pin_id) FROM pin_table": "covering (pin_id)",
+    "SELECT epoch FROM pin_table": "all rows",
+    "SELECT pin_id, client, epoch FROM pin_table": "all rows",
+    "SELECT pin_id, client, epoch, boot, touched FROM pin_table": "all rows",
+    "SELECT COUNT(*) FROM pin_table": "all rows",
+    "UPDATE pin_table SET touched = ? WHERE pin_id = ?": "(pin_id)",
+    "UPDATE pin_table SET epoch = ? WHERE pin_id = ?": "(pin_id)",
+    "DELETE FROM pin_table WHERE pin_id = ?": "(pin_id)",
+    "SELECT epoch FROM watermark_table WHERE file_name = ?": "(file_name)",
+    "DELETE FROM watermark_table WHERE file_name = ?": "(file_name)",
+}
+
+
+def _described(plan):
+    if plan.covering is not None:
+        return f"covering {plan.covering[0].name}"
+    if plan.probes:
+        return " ".join(index.name for index, *_ in plan.probes)
+    return "scan" if plan.stmt.where is not None else "all rows"
+
+
+def test_every_sdm_statement_keeps_its_golden_plan():
+    from test_scan_coverage import _drive
+
+    clear_global_statement_cache()
+    tables = SDMTables(Database())
+    _drive(tables)
+    sql_of = {id(stmt): sql for sql, stmt in engine._GLOBAL_STMT_CACHE.items()}
+    plans = {
+        sql_of[key]: _described(plan)
+        for table in tables.db.tables.values()
+        for key, plan in table.plans.items()
+    }
+    assert plans == GOLDEN_PLANS
