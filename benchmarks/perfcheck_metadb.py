@@ -2,8 +2,8 @@
 replaced, host speed cancelled out.
 
 A statement's plan (:class:`repro.metadb.engine._Plan`) verifies a
-candidate row by comparing its positions with values bound once per
-execution; before plans, every candidate was turned into a
+candidate row by comparing its positions with values bound and typed
+once per execution; before plans, every candidate was turned into a
 ``dict(zip(names, row))`` and walked through the WHERE tree
 (``Expr.eval``), kept here as ``tree_walk``.  Both are timed over every
 row of a 10 000-row ``execution_table`` (SDM's schema, 10 runs x 4
@@ -60,7 +60,7 @@ def execution_table():
 def tree_walk(table, where, params):
     """The verification plans replaced: one row context per row, one
     ``Expr.eval`` walk of the WHERE tree."""
-    names = table.column_names
+    names = [c.name for c in table.columns]
     return [i for i, row in table.scan()
             if where.eval(dict(zip(names, row)), params)]
 
@@ -75,7 +75,7 @@ def main() -> int:
         bound = plan.bind(params)
 
         def planned():
-            return plan.matches(table, table.scan(), bound, params)
+            return plan.matches(table.scan(), bound)
 
         def walked():
             return tree_walk(table, stmt.where, params)

@@ -23,7 +23,7 @@ from repro.core.api import SDM
 from repro.core.layout import Organization
 from repro.dtypes.primitives import DOUBLE
 from repro.mesh.generators import FUN3D_EDGE_ARRAYS, FUN3D_NODE_ARRAYS, Fun3dProblem
-from repro.mesh.meshfile import mesh_file_layout
+from repro.mesh.meshfile import MESH_FILE, mesh_file_layout
 from repro.mpi.job import RankContext
 
 __all__ = ["Fun3dRunConfig", "Fun3dRunResult", "run_fun3d_sdm"]
@@ -70,17 +70,6 @@ class Fun3dRunConfig:
     disk before continuing — read-your-writes on the registered history
     instead of busy-checking ``HistoryRegistration.done``."""
 
-    io_hints: Optional[Dict[str, int]] = None
-    """MPI-IO hints the run's SDM passes on every file open (validated
-    against the accepted-hint list at construction)."""
-
-    policy: Optional[str] = None
-    """``SDM(policy=...)`` spec: None/"static" keeps every hand-picked
-    constant, "adaptive" closes the two self-tuning loops
-    (:mod:`repro.core.policy`)."""
-
-    mesh_file: str = "uns3d.msh"
-
 
 @dataclass
 class Fun3dRunResult:
@@ -109,16 +98,14 @@ def run_fun3d_sdm(
     sdm = SDM(
         ctx, "fun3d", organization=config.organization,
         problem_size=mesh.n_edges, num_timesteps=config.timesteps,
-        io_hints=config.io_hints,
         storage_order=config.storage_order,
         reorganize_mode=config.reorganize_mode,
-        policy=config.policy,
     )
 
     # ------------------------------------------------------- Figure 3 ----
     sdm.make_importlist(
         ["edge1", "edge2", *FUN3D_EDGE_ARRAYS, *FUN3D_NODE_ARRAYS],
-        file_name=config.mesh_file,
+        file_name=MESH_FILE,
         index_names=["edge1", "edge2"],
     )
     with ctx.phase("import"):

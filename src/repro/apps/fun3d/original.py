@@ -24,7 +24,7 @@ import numpy as np
 from repro.apps.fun3d.kernel import edge_sweep, update_ghosts, localize
 from repro.core.ring import _EXAMINE_OPS_PER_EDGE, LocalPartition, owned_nodes_of
 from repro.mesh.generators import FUN3D_EDGE_ARRAYS, FUN3D_NODE_ARRAYS, Fun3dProblem
-from repro.mesh.meshfile import mesh_file_layout
+from repro.mesh.meshfile import MESH_FILE, mesh_file_layout
 from repro.mpi.job import RankContext
 from repro.pfs.file import RD, WR
 from repro.pfs.filesystem import FileSystem
@@ -60,7 +60,6 @@ def run_fun3d_original(
     part_vector: np.ndarray,
     timesteps: int = 2,
     checkpoint_every: int = 1,
-    mesh_file: str = "uns3d.msh",
 ) -> OriginalRunResult:
     """Run the original (non-SDM) FUN3D template on one rank."""
     mesh = problem.mesh
@@ -74,10 +73,10 @@ def run_fun3d_original(
     # ----------------------------------------------------------- import --
     with ctx.phase("import"):
         edge1 = _rank0_read_bcast(
-            ctx, fs, mesh_file, layout.offset("edge1"), mesh.n_edges * 4, np.int32
+            ctx, fs, MESH_FILE, layout.offset("edge1"), mesh.n_edges * 4, np.int32
         ).astype(np.int64)
         edge2 = _rank0_read_bcast(
-            ctx, fs, mesh_file, layout.offset("edge2"), mesh.n_edges * 4, np.int32
+            ctx, fs, MESH_FILE, layout.offset("edge2"), mesh.n_edges * 4, np.int32
         ).astype(np.int64)
 
     # ----------------------------------------------------- index distri --
@@ -108,14 +107,14 @@ def run_fun3d_original(
     with ctx.phase("import"):
         for name in FUN3D_EDGE_ARRAYS:
             whole = _rank0_read_bcast(
-                ctx, fs, mesh_file, layout.offset(name),
+                ctx, fs, MESH_FILE, layout.offset(name),
                 mesh.n_edges * 8, np.float64,
             )
             ctx.proc.hold(compute.elements(len(local.edge_map)))
             edge_data[name] = whole[local.edge_map]
         for name in FUN3D_NODE_ARRAYS:
             whole = _rank0_read_bcast(
-                ctx, fs, mesh_file, layout.offset(name),
+                ctx, fs, MESH_FILE, layout.offset(name),
                 mesh.n_nodes * 8, np.float64,
             )
             ctx.proc.hold(compute.elements(len(local.node_map)))
@@ -132,7 +131,6 @@ def run_fun3d_original(
     # as one block, ordered by rank (the original's file layout).
     counts = ctx.comm.allgather(len(owned))
     my_block_start = int(sum(counts[: ctx.rank]))
-    total_nodes = int(sum(counts))
 
     checksum = 0.0
     bytes_written = 0
@@ -166,7 +164,6 @@ def run_fun3d_original(
                     ctx.comm.barrier()
                     bytes_written += len(values) * 8
             checksum += float(p[owned_sel].sum())
-    del total_nodes
     return OriginalRunResult(
         n_local_edges=local.n_local_edges,
         n_local_nodes=local.n_local_nodes,

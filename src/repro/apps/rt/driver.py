@@ -15,7 +15,6 @@ since the two datasets already split cleanly into files).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,15 +51,6 @@ class RTRunConfig:
     """After reorganization, compact the chunked checkpoint files down
     to their live bytes."""
 
-    io_hints: Optional[dict] = None
-    """MPI-IO hints the run's SDM passes on every file open (validated
-    against the accepted-hint list at construction)."""
-
-    policy: Optional[str] = None
-    """``SDM(policy=...)`` spec: None/"static" keeps every hand-picked
-    constant, "adaptive" closes the two self-tuning loops
-    (:mod:`repro.core.policy`)."""
-
 
 @dataclass
 class RTRunResult:
@@ -93,10 +83,8 @@ def run_rt_sdm(
     sdm = SDM(
         ctx, "rt", organization=config.organization,
         problem_size=mesh.n_nodes, num_timesteps=config.timesteps,
-        io_hints=config.io_hints,
         storage_order=config.storage_order,
         reorganize_mode=config.reorganize_mode,
-        policy=config.policy,
     )
     result = sdm.make_datalist(["node_data", "triangle_data"])
     sdm.associate_attributes(

@@ -23,7 +23,12 @@ from repro.apps.rt.original import run_rt_original
 from repro.bench.harness import ResultTable, scaled_machine
 from repro.config import MachineModel, origin2000
 from repro.core import Organization, sdm_services, snapshot_services
-from repro.mesh import fun3d_like_problem, install_mesh_file, rt_like_problem
+from repro.mesh import (
+    MESH_FILE,
+    fun3d_like_problem,
+    install_mesh_file,
+    rt_like_problem,
+)
 from repro.mpi import mpirun
 from repro.partition import Graph, multilevel_kway
 
@@ -85,9 +90,9 @@ def _fun3d_services(problem, seed_from=None):
 
     def factory(sim, machine):
         services = base(sim, machine)
-        if not services["fs"].exists("uns3d.msh"):
+        if not services["fs"].exists(MESH_FILE):
             install_mesh_file(
-                services["fs"], "uns3d.msh",
+                services["fs"], MESH_FILE,
                 problem.mesh.edge1, problem.mesh.edge2,
                 problem.edge_arrays, problem.node_arrays,
             )

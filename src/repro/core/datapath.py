@@ -433,7 +433,6 @@ class DatapathHost:
         lease_holder: str,
         maintenance,
         hints=None,
-        read_gate=None,
     ) -> None:
         self.comm = comm  # its rank 0 issues the metadata statements
         self.tables: SDMTables = maintenance.tables
@@ -447,7 +446,8 @@ class DatapathHost:
         maintenance job, so overlapping flips fail fast."""
         self.maintenance = maintenance
         """The job's maintenance service (always present): its queue takes
-        background flips, its read gate admits reads."""
+        background flips, its read gate admits reads and drains them for
+        an in-place compaction."""
         self.caches: ChunkedCaches = maintenance.caches
         """The job-wide registry every cache invalidation goes through."""
         self.pin = SnapshotPin(self.tables, lease_holder)
@@ -457,10 +457,6 @@ class DatapathHost:
         writes write data bytes only."""
         self.caches.register(self.index_cache)
         self.closed = False
-        self.read_gate = read_gate
-        """What a quiesced in-place compaction drains in-flight reads
-        through: the service on a background host, nothing on a
-        synchronous caller (it cannot be mid-read on its own ranks)."""
         self._hints = hints
         self._files: Dict[Tuple[str, int], File] = {}
         self._leak_stats = {"leaked_leases": 0, "leaked_pins": 0}
@@ -1343,16 +1339,17 @@ def compact_chunked_file(host, file_name: str) -> Dict:
       and the file truncates to its live size.  Byte moves are dealt
       round-robin to ranks in two barrier-separated phases — every rank
       *reads* its sources before any rank *writes* a destination — so
-      arbitrary overlap between old and new layouts is safe.  A
-      background host also drains in-flight reads through its
-      ``read_gate`` for exactly this phase.
+      arbitrary overlap between old and new layouts is safe.  Rank 0
+      drains in-flight reads through the job's read gate
+      (``host.maintenance``) for exactly this phase: a reader on any
+      other communicator may be mid-read.
     * **Deferred copy-up** — while snapshots are pinned, live chunks are
       *copied* beyond the append cursor instead, every pinned byte stays
       put, and a later quiesced pass finishes the reclamation.
     """
     comm = host.comm
     proc = comm.proc
-    gate = host.read_gate
+    gate = host.maintenance
     with Flip(host, file_name) as fl:
         plan = None
         exclusive = False
@@ -1383,7 +1380,7 @@ def compact_chunked_file(host, file_name: str) -> Dict:
                 # the plan only because the modelled bcast cost depends
                 # on the payload size.
                 plan["epoch"] = fl.begin()
-                if quiesced and gate is not None:
+                if quiesced:
                     # Block new reads and drain in-flight ones before any
                     # rank's bcast receipt lets it overwrite live bytes.
                     gate.acquire_exclusive(proc)

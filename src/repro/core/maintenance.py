@@ -167,11 +167,6 @@ class MaintenanceService:
     # Binding and registration
     # ------------------------------------------------------------------
 
-    @property
-    def attached(self) -> bool:
-        """True once some rank's SDM has bound the service to its job."""
-        return self._transport is not None
-
     def attach(self, ctx: RankContext) -> None:
         """Bind the service to the job (idempotent; every SDM calls it).
 
@@ -293,8 +288,8 @@ class MaintenanceService:
 
     def acquire_exclusive(self, proc: Process) -> None:
         """Close the gate for an in-place slide: block new reads, then
-        wait for the in-flight ones to drain (worker rank 0 only, before
-        the compaction plan broadcast)."""
+        wait for the in-flight ones to drain (the compacting host's rank 0
+        only, before the compaction plan broadcast)."""
         while self._compacting:
             self._gate.wait(proc)
         self._compacting = True
@@ -302,7 +297,8 @@ class MaintenanceService:
             self._gate.wait(proc)
 
     def release_exclusive(self) -> None:
-        """Reopen the gate (worker rank 0, after the flip's barrier)."""
+        """Reopen the gate (the compacting host's rank 0, after the
+        flip's barrier)."""
         self._compacting = False
         self._gate.fire()
 
@@ -449,7 +445,6 @@ class MaintenanceService:
             ),
             job.application, job.organization,
             lease_holder=f"maint:{job.jobid}", maintenance=self,
-            read_gate=self,
         )
         self._run_job(host, job)
         if rank == 0:

@@ -52,13 +52,6 @@ class EdgeChunk:
     def __len__(self) -> int:
         return len(self.edge1)
 
-    @property
-    def gids(self) -> np.ndarray:
-        """Global edge ids of this chunk."""
-        return np.arange(
-            self.gid_start, self.gid_start + len(self.edge1), dtype=np.int64
-        )
-
 
 @dataclass
 class LocalPartition:

@@ -57,10 +57,6 @@ class MPIError(ReproError):
     """Base class for errors in the simulated MPI layer."""
 
 
-class MPITruncationError(MPIError):
-    """A receive buffer was too small for the matched message."""
-
-
 class MPIInvalidRank(MPIError):
     """A rank argument was outside ``[0, size)``."""
 

@@ -19,13 +19,19 @@ with the same structural properties:
 """
 
 from repro.mesh.tetra import TetMesh, box_tet_mesh
-from repro.mesh.meshfile import MeshFileLayout, install_mesh_file, mesh_file_layout
+from repro.mesh.meshfile import (
+    MESH_FILE,
+    MeshFileLayout,
+    install_mesh_file,
+    mesh_file_layout,
+)
 from repro.mesh.generators import fun3d_like_problem, rt_like_problem
 from repro.mesh.validate import validate_mesh
 
 __all__ = [
     "TetMesh",
     "box_tet_mesh",
+    "MESH_FILE",
     "MeshFileLayout",
     "mesh_file_layout",
     "install_mesh_file",

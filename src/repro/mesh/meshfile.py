@@ -26,7 +26,13 @@ from repro.pfs.filesystem import FileSystem
 from repro.pfs.striping import StripeLayout
 from repro.pfs.file import PFSFile
 
-__all__ = ["MeshFileLayout", "mesh_file_layout", "install_mesh_file"]
+__all__ = [
+    "MESH_FILE", "MeshFileLayout", "mesh_file_layout", "install_mesh_file",
+]
+
+MESH_FILE = "uns3d.msh"
+"""The FUN3D mesh file's name in the simulated PFS: the drivers import
+from it and the benches install it."""
 
 INT_SIZE = 4
 DOUBLE_SIZE = 8

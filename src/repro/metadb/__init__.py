@@ -9,9 +9,9 @@ database as an embedded engine:
   SDM issues and nothing more: ``CREATE TABLE [IF NOT EXISTS]``,
   ``INSERT INTO t VALUES (...)``, ``SELECT * | cols | COUNT(*) |
   MAX(col) | SUM(col)`` (WHERE, ORDER BY, LIMIT), ``UPDATE ... SET`` and
-  ``DELETE``; a WHERE is ``=`` ``<`` ``<=`` ``>`` ``>=`` comparisons
-  joined by AND (with parentheses) over columns, ``?`` parameters and
-  int, float or string literals;
+  ``DELETE``; a WHERE is ``column op value`` terms joined by AND, ``op``
+  one of ``=`` ``<`` ``<=`` ``>`` ``>=`` and a value — there, in SET
+  and in VALUES — a ``?`` parameter or an int, float or string literal;
 * typed storage (:mod:`~repro.metadb.table`): INTEGER / REAL / TEXT
   columns with validation, every one NOT NULL — a None value or
   parameter is refused before any state changes;
@@ -52,14 +52,19 @@ path:
    once, on its first execution, and the plan is kept with the table
    (bounded, never dumped) until
    :meth:`~repro.metadb.table.Table.create_index` changes the index set.
-   The WHERE is decomposed (:func:`~repro.metadb.expr.conjuncts_of`, once
+   Building the plan resolves every WHERE and SET column (an unknown
+   one raises ``ColumnNotFound``) and types every literal; an execution
+   binds its parameters once — a short list or a value its column does
+   not take is refused before any row is examined, and any other value
+   that lacks its column's storage type is coerced as INSERT coerces
+   it.  The WHERE is split (:func:`~repro.metadb.expr.conjuncts_of`, once
    per parsed statement: the result is cached on the AST) into equality
    (``col = v``) and range (``col < v``, ``col >= v``, …) conjuncts, and
    the plan records, as parameter positions and literals, every access
    path they can take:
 
-   a. a **covering probe**: when the WHERE decomposes *completely* into
-      equality conjuncts (plus at most one range pair on the next
+   a. a **covering probe**: when the WHERE is at most one equality
+      conjunct per column (plus at most one range pair on the next
       column) covered by an index whose remaining columns are exactly the
       ORDER BY columns, the query — filter, sort, and LIMIT — is
       answered straight from the index with no scan and no sort
@@ -75,11 +80,13 @@ path:
 
    For (b) and (c) every candidate is verified against the full WHERE by
    the plan's compiled comparisons — row positions against the bound
-   values, no per-row dict, no tree walk — so the planner only ever
-   *narrows* the scan; path (a) is taken only when the index provably
-   yields the exact result.  Results, ordering, counters and refusals are
-   bit-identical to planning afresh and walking the WHERE tree on every
-   row (``tests/properties/test_metadb_plan_property.py``) and to the
+   values, no per-row dict, no tree walk, nothing that can fail — so the
+   planner only ever *narrows* the scan; path (a) is taken only when the
+   index provably yields the exact result.  An UPDATE writes its bound
+   SET values into every matched row as they are.  Results, ordering,
+   counters and refusals are bit-identical to planning afresh, walking
+   the WHERE tree on every row and coercing SET values row by row
+   (``tests/properties/test_metadb_plan_property.py``) and to the
    fallback full scan for every path
    (``tests/properties/test_metadb_index_property.py``).  An INSERT whose
    VALUES are exactly ``?1..?n`` stores a parameter row that already has

@@ -19,13 +19,17 @@ path as tables grow:
 * **Plans** — a statement's text and its table's index set fix which
   indexes its WHERE's conjuncts (:func:`~repro.metadb.expr.conjuncts_of`)
   can probe, with which parameters or literals, which index covers its
-  ORDER BY or MAX, and how a row is verified, so each ``(statement,
-  table)`` gets one :class:`_Plan`, kept with the table until
-  :meth:`Table.create_index` changes the index set.  An execution binds
-  its parameters once and measures slice sizes only: the smallest index
-  slice (an equality-bound column prefix plus range bounds on the next
-  column) or the full scan, every candidate verified against the whole
-  WHERE by row position, so results are scan-identical.
+  ORDER BY or MAX, and the row position of every column it names, so
+  each ``(statement, table)`` gets one :class:`_Plan`, kept with the
+  table until :meth:`Table.create_index` changes the index set.  A
+  statement is checked once: an unknown column when it plans, a short
+  parameter list or a value its column does not take when it binds —
+  before any row is examined.  An execution binds and types its values
+  once and measures slice sizes only: the smallest index slice (an
+  equality-bound column prefix plus range bounds on the next column) or
+  the full scan, every candidate verified against the whole WHERE by
+  comparing row positions with the bound values, so results are
+  scan-identical; an UPDATE writes its bound SET values as they are.
 * **Sorted probes** — ``ORDER BY ... [LIMIT n]`` whose WHERE the plan's
   covering index serves is answered straight from the index, skipping
   both the scan and the sort.
@@ -35,8 +39,9 @@ path as tables grow:
   run_table`` is the runid-allocation hot path.
 
 The dialect is the one :mod:`~repro.metadb.sqlparser` documents — the
-statements SDM issues — and every column is NOT NULL: a None parameter
-is refused before a statement plans or changes anything.
+statements SDM issues, each WHERE ``column op value`` terms joined by
+AND — and every column is NOT NULL: a None parameter is refused before a
+statement plans or changes anything.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineModel
 from repro.errors import MetaDBError, SQLTypeError, TableExists, TableNotFound
-from repro.metadb.expr import COMPARATORS, And, ColumnRef, Literal, Param
+from repro.metadb.expr import COMPARATORS, Literal, Param
 from repro.metadb.sqlparser import (
     CreateTable,
     Delete,
@@ -124,22 +129,26 @@ class _Plan:
     """What a filtered statement's text and one table's index set fix,
     built on the statement's first execution against the table
     (:meth:`Database._plan`) and kept in ``Table.plans`` until
-    :meth:`Table.create_index` changes the index set.
+    :meth:`Table.create_index` changes the index set.  Building it
+    resolves every column the statement names (an unknown one raises
+    :class:`~repro.errors.ColumnNotFound`) and types every literal.
 
-    An execution binds its parameters once: ``bound`` is the WHERE's
-    literals followed by the parameters (:meth:`bind`).  A value is named
-    by its place in ``bound``, and a column by its place in ``bound +
-    row`` counted from the end:
+    An execution binds its values once (:meth:`bind`): ``bound`` is the
+    statement's literals followed by its parameters, each of its
+    column's storage type, and a value is named by its place in
+    ``bound``:
 
     * ``probes`` — per usable index, in ``table.indexes`` order: the places
       of its equality prefix and its ``(op, place)`` lower and upper bound
       on the next column (the first conjunct per column wins);
     * ``covering`` — the index that answers the ORDER BY (or the MAX)
       outright, in the same shape, or None;
-    * ``terms`` — the verifier: ``(comparator, i, j)`` per comparison, in
-      WHERE order, over ``bound + row``; None when the WHERE names a
-      column the table lacks, so that every row takes the reference walk
-      (``where.eval``), which refuses it.
+    * ``terms`` — the verifier: ``(comparator, column position, place)``
+      per comparison, in WHERE order;
+    * ``sets`` — an UPDATE's ``(column position, place)`` per assignment;
+    * a SELECT's ``order``, ``aggregated`` and ``projection`` — its
+      ORDER BY sort keys, its MAX or SUM column's getter and its column
+      list's positions.
 
     A plan holds its statement, so the statement's ``id`` (the plan's
     key) cannot be reused while the plan lives.
@@ -147,23 +156,23 @@ class _Plan:
 
     def __init__(self, table: Table, stmt) -> None:
         self.stmt = stmt
-        where, cj = stmt.where, stmt.conjuncts
-        compares = (() if where is None else
-                    where.operands if isinstance(where, And) else (where,))
-        operands = [e for c in compares for e in (c.left, c.right)]
-        literals = [e for e in operands if isinstance(e, Literal)]
-        self.literals = tuple(e.value for e in literals)
-        self.need = 1 + max(
-            (e.index for e in operands if isinstance(e, Param)), default=-1)
-        self.conjunct_values = [e for _, e in cj.eq] + [
-            e for _, _, e in cj.lower + cj.upper]
-        place = {id(e): j for j, e in enumerate(literals)}
-        names = table.column_names
-        columns = {name: j - len(names) for j, name in enumerate(names)}
+        cj = stmt.conjuncts
+        compares = stmt.where.operands if stmt.where is not None else ()
+        assignments = getattr(stmt, "assignments", ())
+        pairs = [(c.column, c.value) for c in compares] + list(assignments)
+        columns = {col: table.column_pos(col) for col, _ in pairs}
+        literals = [(col, e) for col, e in pairs if isinstance(e, Literal)]
+        self.literals = tuple(table.columns[columns[col]].type.coerce(e.value)
+                              for col, e in literals)
+        place = {id(e): j for j, (_, e) in enumerate(literals)}
+        types = {e.index: table.columns[columns[col]].type
+                 for col, e in pairs if isinstance(e, Param)}
+        self.types = tuple(types[i] for i in range(len(types)))
+        """Per parameter, the type of the column it is compared with or
+        assigned to."""
+        self.storage = tuple(t.convert for t in self.types)
 
         def at(e):
-            if isinstance(e, ColumnRef):
-                return columns[e.name]
             if isinstance(e, Param):
                 return len(literals) + e.index
             return place[id(e)]
@@ -188,35 +197,40 @@ class _Plan:
             and s[0].columns[k:None if whole else k + len(tail)] == tail
         ), None) if tail else None
 
-        try:
-            self.terms = tuple((COMPARATORS[c.op], at(c.left), at(c.right))
-                               for c in compares)
-        except KeyError:  # a column the table lacks
-            self.terms = None
+        self.terms = tuple((COMPARATORS[c.op], columns[c.column], at(c.value))
+                           for c in compares)
+        self.sets = tuple((columns[col], at(e)) for col, e in assignments)
+        if isinstance(stmt, Select):
+            pos = table.column_pos
+            self.order = [(itemgetter(pos(c)), desc)
+                          for c, desc in reversed(stmt.order_by)]
+            """ORDER BY's sort keys, right to left (stable multi-key)."""
+            agg = stmt.aggregate and stmt.aggregate[1]  # None: COUNT(*)
+            self.aggregated = agg and itemgetter(pos(agg))
+            self.projection = stmt.columns and [pos(c) for c in stmt.columns]
 
     def bind(self, params: Sequence[Any]) -> Tuple[Any, ...]:
-        """``bound`` for one execution.  A missing parameter that a
-        conjunct takes is refused here, in the order planning always
-        evaluated them (equalities, lower bounds, upper bounds); any
-        other only when a row reaches it (:meth:`matches`)."""
-        if len(params) < self.need:
-            for e in self.conjunct_values:
-                e.eval({}, params)
+        """``bound`` for one execution.  A short parameter list is
+        refused, and each parameter that lacks its column's storage type
+        exactly is coerced as INSERT coerces it (a value the column does
+        not accept raises :class:`~repro.errors.SQLTypeError`), before
+        any row is examined."""
+        if tuple(map(type, params)) != self.storage:
+            if len(params) < len(self.types):
+                raise MetaDBError(
+                    f"statement needs parameter #{len(params) + 1}, "
+                    f"got only {len(params)}"
+                )
+            params = [t.coerce(v) for t, v in zip(self.types, params)]
         return self.literals + tuple(params)
 
     @staticmethod
     def slice(probe, bound: Tuple[Any, ...]):
-        """``(index, prefix, start, end)`` of one probe under ``bound``,
-        or None when a bound value cannot be ordered against the index
-        keys (the verifier then meets it, and refuses it, row by row)."""
+        """``(index, prefix, start, end)`` of one probe under ``bound``."""
         index, prefix, lo, hi = probe
         prefix = [bound[j] for j in prefix]
-        try:
-            start, end = index.slice_bounds(
-                prefix, lo and (lo[0], bound[lo[1]]),
-                hi and (hi[0], bound[hi[1]]))
-        except TypeError:
-            return None
+        start, end = index.slice_bounds(
+            prefix, lo and (lo[0], bound[lo[1]]), hi and (hi[0], bound[hi[1]]))
         return index, prefix, start, end
 
     def candidates(self, bound: Tuple[Any, ...]) -> Optional[List[int]]:
@@ -224,10 +238,7 @@ class _Plan:
         full-scan: the smallest probe slice wins (an empty one at once)."""
         best = None
         for probe in self.probes:
-            found = self.slice(probe, bound)
-            if found is None:
-                continue
-            index, _, start, end = found
+            index, _, start, end = self.slice(probe, bound)
             if end == start:
                 return []
             if best is None or end - start < best[0]:
@@ -237,26 +248,15 @@ class _Plan:
         _, index, start, end = best
         return sorted([rowid for _, rowid in index.entries[start:end]])
 
-    def matches(self, table: Table, pairs, bound, params) -> List[int]:
-        """Rowids of ``pairs`` the WHERE accepts.  A comparison the
-        verifier cannot make, a parameter missing from ``params`` or a
-        column the table lacks sends the row through the reference walk,
-        which raises what it always has, at the same row and conjunct."""
-        terms = self.terms if len(params) >= self.need else None
-        where, hits = self.stmt.where, []
+    def matches(self, pairs, bound: Tuple[Any, ...]) -> List[int]:
+        """Rowids of ``pairs`` the WHERE accepts."""
+        terms = [(fn, pos, bound[j]) for fn, pos, j in self.terms]
+        hits = []
         for i, row in pairs:
-            if terms is not None:
-                x = bound + row
-                try:
-                    for fn, a, b in terms:
-                        if not fn(x[a], x[b]):
-                            break
-                    else:
-                        hits.append(i)
-                    continue
-                except TypeError:
-                    pass
-            if where.eval(dict(zip(table.column_names, row)), params):
+            for fn, pos, value in terms:
+                if not fn(row[pos], value):
+                    break
+            else:
                 hits.append(i)
         return hits
 
@@ -482,12 +482,11 @@ class Database:
         table.append_rows(rows)
         return len(rows)
 
-    def _match_rowids(self, table: Table, plan: _Plan, params) -> List[int]:
-        """Rowids of the rows the plan's WHERE accepts, in insertion
-        order."""
+    def _match_rowids(self, table: Table, plan: _Plan, bound) -> List[int]:
+        """Rowids of the rows the plan's WHERE accepts under ``bound``,
+        in insertion order."""
         if plan.stmt.where is None:
             return list(table.rows)
-        bound = plan.bind(params)
         candidates = plan.candidates(bound)
         if candidates is None:
             self.n_full_scans += 1
@@ -498,11 +497,12 @@ class Database:
             self.n_rows_examined += len(candidates)
             rows = table.rows
             pairs = ((i, rows[i]) for i in candidates)
-        return plan.matches(table, pairs, bound, params)
+        return plan.matches(pairs, bound)
 
     def _select(self, stmt: Select, params: List[Any]) -> List[Tuple[Any, ...]]:
         table, plan = self._plan(stmt)
-        found = plan.covering and plan.slice(plan.covering, plan.bind(params))
+        bound = plan.bind(params)
+        found = plan.covering and plan.slice(plan.covering, bound)
         rows = None
         if found:
             index, prefix, start, end = found
@@ -517,42 +517,41 @@ class Database:
                 rowids = [rowid for _, rowid in index.entries[start:end]]
             rows = [table.rows[i] for i in rowids[:stmt.limit]]
         if rows is None:
-            rowids = self._match_rowids(table, plan, params)
+            rowids = self._match_rowids(table, plan, bound)
             rows = [table.rows[i] for i in rowids]
-            # Sort by keys right-to-left for stable multi-key ordering.
-            for col, desc in reversed(stmt.order_by):
-                rows.sort(key=itemgetter(table.column_pos(col)), reverse=desc)
+            for key, desc in plan.order:
+                rows.sort(key=key, reverse=desc)
             if stmt.limit is not None:
                 rows = rows[: stmt.limit]
         if stmt.aggregate is not None:
-            fn, col = stmt.aggregate
-            if fn == "COUNT":
+            if stmt.aggregate[0] == "COUNT":
                 return [(len(rows),)]
-            values = list(map(itemgetter(table.column_pos(col)), rows))
+            values = list(map(plan.aggregated, rows))
             if not values:
                 return [(None,)]
-            return [(max(values) if fn == "MAX" else sum(values),)]
+            return [(max(values) if stmt.aggregate[0] == "MAX"
+                     else sum(values),)]
         if stmt.columns is None:
             return rows
-        positions = [table.column_pos(c) for c in stmt.columns]
-        return [tuple(r[p] for p in positions) for r in rows]
+        positions = plan.projection
+        return [tuple([r[p] for p in positions]) for r in rows]
 
     def _update(self, stmt: Update, params: List[Any]) -> Tuple[list, int]:
         table, plan = self._plan(stmt)
-        rowids = self._match_rowids(table, plan, params)
-        names = table.column_names
-        positions = [(table.column_pos(c), c, e) for c, e in stmt.assignments]
+        bound = plan.bind(params)
+        sets = [(pos, bound[j]) for pos, j in plan.sets]
+        rowids = self._match_rowids(table, plan, bound)
         for i in rowids:
             row = list(table.rows[i])
-            ctx = dict(zip(names, row))
-            for pos, _col, e in positions:
-                row[pos] = table.columns[pos].type.coerce(e.eval(ctx, params))
+            for pos, value in sets:
+                row[pos] = value
             table.replace_row(i, tuple(row))
         return [], len(rowids)
 
     def _delete(self, stmt: Delete, params: List[Any]) -> Tuple[list, int]:
         table, plan = self._plan(stmt)
-        return [], table.delete_rowids(self._match_rowids(table, plan, params))
+        bound = plan.bind(params)
+        return [], table.delete_rowids(self._match_rowids(table, plan, bound))
 
     # ------------------------------------------------------------------
     # Persistence

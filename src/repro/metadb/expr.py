@@ -1,22 +1,25 @@
-"""WHERE/SET expression AST and evaluation.
+"""WHERE expression AST.
 
-Expressions are small immutable trees.  A WHERE is a :class:`Compare`
-(``=``, ``<``, ``<=``, ``>``, ``>=``) or an :class:`And` of them; its
-operands are columns, ``?`` parameters and int, float or string
-literals.  Every column is NOT NULL and the engine refuses a None
-parameter before it plans, so logic is plain two-valued.
+A WHERE is an :class:`And` of one or more :class:`Compare` terms, each
+``column op value`` with ``op`` one of ``=``, ``<``, ``<=``, ``>``,
+``>=``; a *value* — in WHERE, SET or VALUES — is a ``?``
+(:class:`Param`) or an int, float or string :class:`Literal`.  Every
+column is NOT NULL and the engine refuses a None parameter before it
+plans, so logic is plain two-valued.
 
-``eval`` against a row context (column name → value) is the reference
-walk.  The engine verifies a WHERE through its plan's compiled
-comparisons instead and walks the tree only for a row the plan cannot
-verify, so that every refusal keeps its message.
+The engine resolves the columns once per plan, types the values once
+per execution and then only compares row positions with them.
+``Compare.eval`` / ``And.eval`` against a row context (column name →
+value) are the reference walk the tests and
+``benchmarks/perfcheck_metadb.py`` hold that verifier to; the engine
+calls ``eval`` only on an INSERT's values.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import MetaDBError
 
@@ -24,7 +27,6 @@ __all__ = [
     "Expr",
     "Literal",
     "Param",
-    "ColumnRef",
     "Compare",
     "And",
     "COMPARATORS",
@@ -62,19 +64,6 @@ class Param(Expr):
         return params[self.index]
 
 
-@dataclass(frozen=True)
-class ColumnRef(Expr):
-    """A column reference."""
-
-    name: str
-
-    def eval(self, row, params):
-        try:
-            return row[self.name]
-        except KeyError:
-            raise MetaDBError(f"unknown column {self.name!r}") from None
-
-
 COMPARATORS = {
     "=": operator.eq,
     "<": operator.lt,
@@ -87,27 +76,20 @@ COMPARATORS = {
 
 @dataclass(frozen=True)
 class Compare(Expr):
-    """Binary comparison."""
+    """``column op value``."""
 
     op: str
-    left: Expr
-    right: Expr
+    column: str
+    value: Expr
 
     def eval(self, row, params):
-        a = self.left.eval(row, params)
-        b = self.right.eval(row, params)
-        try:
-            return COMPARATORS[self.op](a, b)
-        except TypeError:
-            raise MetaDBError(
-                f"cannot compare {a!r} {self.op} {b!r}"
-            ) from None
+        return COMPARATORS[self.op](row[self.column],
+                                    self.value.eval(row, params))
 
 
 @dataclass(frozen=True)
 class And(Expr):
-    """A conjunction of two or more comparisons (short-circuiting); the
-    parser flattens parenthesized ANDs into one node."""
+    """A WHERE: its comparisons, all of which must hold."""
 
     operands: Tuple[Compare, ...]
 
@@ -119,21 +101,10 @@ class And(Expr):
 # Conjunct decomposition (what the planner sees)
 # ---------------------------------------------------------------------------
 
-_FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 @dataclass
 class Conjuncts:
-    """A WHERE tree decomposed into its AND conjuncts.
-
-    Each entry pairs a column name with a value expression (a
-    :class:`Literal` or :class:`Param`); reversed comparisons
-    (``? < col``) are normalized so the column is always on the left.
-    ``complete`` is True iff *every* comparison was consumed — the
-    conjuncts then are not merely necessary for a row to match but
-    sufficient, which is what lets the engine answer a query entirely
-    from an index without re-evaluating the WHERE expression.
-    """
+    """A WHERE split by operator: each entry pairs a column name with its
+    value (a :class:`Literal` or :class:`Param`), in WHERE order."""
 
     eq: List[Tuple[str, Expr]] = field(default_factory=list)
     """``col = value`` conjuncts."""
@@ -141,36 +112,16 @@ class Conjuncts:
     """``(col, '>' | '>=', value)`` lower-bound conjuncts."""
     upper: List[Tuple[str, str, Expr]] = field(default_factory=list)
     """``(col, '<' | '<=', value)`` upper-bound conjuncts."""
-    complete: bool = True
 
 
-def conjuncts_of(where: Optional[Expr]) -> Conjuncts:
-    """Decompose a WHERE tree for the planner.
-
-    Takes each comparison with a column ref on one side and a literal or
-    parameter on the other.  Any other comparison — column to column,
-    value to value — contributes no conjunct and clears ``complete``, but
-    does not invalidate its AND siblings.
-    """
+def conjuncts_of(where: Optional[And]) -> Conjuncts:
+    """Decompose a WHERE for the planner."""
     out = Conjuncts()
-    if where is None:
-        return out
-    for node in where.operands if isinstance(where, And) else (where,):
-        if isinstance(node.left, ColumnRef) and isinstance(
-            node.right, (Literal, Param)
-        ):
-            col, op, value = node.left.name, node.op, node.right
-        elif isinstance(node.right, ColumnRef) and isinstance(
-            node.left, (Literal, Param)
-        ):
-            col, op, value = node.right.name, _FLIP[node.op], node.left
+    for c in where.operands if where is not None else ():
+        if c.op == "=":
+            out.eq.append((c.column, c.value))
+        elif c.op in (">", ">="):
+            out.lower.append((c.column, c.op, c.value))
         else:
-            out.complete = False
-            continue
-        if op == "=":
-            out.eq.append((col, value))
-        elif op in (">", ">="):
-            out.lower.append((col, op, value))
-        else:
-            out.upper.append((col, op, value))
+            out.upper.append((c.column, c.op, c.value))
     return out

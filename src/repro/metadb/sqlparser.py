@@ -6,19 +6,20 @@ case-insensitive, identifiers preserved):
 .. code-block:: sql
 
     CREATE TABLE [IF NOT EXISTS] t (col TYPE, ...)
-    INSERT INTO t VALUES (operand, ...)
+    INSERT INTO t VALUES (value, ...)
     SELECT * | col, ... | COUNT(*) | MAX(col) | SUM(col)
         FROM t [WHERE cond] [ORDER BY col [ASC|DESC], ...] [LIMIT n]
-    UPDATE t SET col = operand, ... [WHERE cond]
+    UPDATE t SET col = value, ... [WHERE cond]
     DELETE FROM t [WHERE cond]
 
-A ``cond`` is comparisons (``=``, ``<``, ``<=``, ``>``, ``>=``) joined by
-AND, with parentheses; an operand is a column, a ``?`` parameter or an
-int, float or 'string' literal.  Column types are INTEGER, REAL and TEXT,
-and every column is NOT NULL, so ``NULL`` is a reserved word no rule
-accepts.  Anything else — OR, NOT, BETWEEN, IS NULL, ``!=``, MIN,
-``COUNT(col)``, an INSERT column list, DROP TABLE — is a
-:class:`~repro.errors.SQLSyntaxError`.
+A ``cond`` is ``col op value`` terms joined by AND, ``op`` one of ``=``,
+``<``, ``<=``, ``>``, ``>=``; a ``value`` is a ``?`` parameter or an int,
+float or 'string' literal.  Column types are INTEGER, REAL and TEXT, and
+every column is NOT NULL, so ``NULL`` is a reserved word no rule
+accepts.  Anything else — OR, NOT, BETWEEN, IS NULL, ``!=``,
+parentheses, a value before its column, a column compared with a column
+or assigned from one, MIN, ``COUNT(col)``, an INSERT column list, DROP
+TABLE — is a :class:`~repro.errors.SQLSyntaxError`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.errors import SQLSyntaxError
 from repro.metadb.expr import (
     COMPARATORS,
     And,
-    ColumnRef,
     Compare,
     Conjuncts,
     Expr,
@@ -68,6 +68,10 @@ _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT",
     "UPDATE", "SET", "DELETE", "AND", "COUNT", "MAX", "SUM", "NULL",
 }
+
+
+_NUMBERS = {"int": int, "float": float}
+"""Numeric literal token kinds and their conversions."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class Select(_Filtered):
     table: str
     columns: Optional[Tuple[str, ...]]  # None means '*'
     aggregate: Optional[Tuple[str, Optional[str]]] = None  # (fn, col-or-None)
-    where: Optional[Expr] = None
+    where: Optional[And] = None
     order_by: Tuple[Tuple[str, bool], ...] = ()  # (col, descending)
     limit: Optional[int] = None
 
@@ -152,14 +156,14 @@ class Select(_Filtered):
         index can.  ``MAX(col)`` without ORDER BY or LIMIT takes
         ``(col,)``; an ORDER BY in one direction takes its columns and
         nothing after them (trailing index columns would break key ties
-        where the scan breaks them by rowid).  The WHERE must decompose
-        completely into at most one equality conjunct per column plus at
-        most one lower and one upper bound on ``tail[0]``: the slice then
-        holds exactly the matching rows, tail-ordered with the key and
-        rowid tie-break the scan's stable sort uses."""
+        where the scan breaks them by rowid).  The WHERE must be at most
+        one equality conjunct per column plus at most one lower and one
+        upper bound on ``tail[0]``: the slice then holds exactly the
+        matching rows, tail-ordered with the key and rowid tie-break the
+        scan's stable sort uses."""
         cj = self.conjuncts
         eq_cols = [c for c, _ in cj.eq]
-        if (not cj.complete or len(set(eq_cols)) != len(eq_cols)
+        if (len(set(eq_cols)) != len(eq_cols)
                 or len(cj.lower) > 1 or len(cj.upper) > 1):
             return (), True
         if self.aggregate is not None and self.aggregate[0] == "MAX" and not (
@@ -178,13 +182,13 @@ class Select(_Filtered):
 class Update(_Filtered):
     table: str
     assignments: Tuple[Tuple[str, Expr], ...]
-    where: Optional[Expr] = None
+    where: Optional[And] = None
 
 
 @dataclass(frozen=True)
 class Delete(_Filtered):
     table: str
-    where: Optional[Expr] = None
+    where: Optional[And] = None
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +297,9 @@ class _Parser:
         table = self.expect_ident()
         self.expect("keyword", "VALUES")
         self.expect("op", "(")
-        values = [self._operand()]
+        values = [self._value()]
         while self.accept("op", ","):
-            values.append(self._operand())
+            values.append(self._value())
         self.expect("op", ")")
         return Insert(table, tuple(values))
 
@@ -351,7 +355,7 @@ class _Parser:
         while True:
             col = self.expect_ident()
             self.expect("op", "=")
-            assignments.append((col, self._operand()))
+            assignments.append((col, self._value()))
             if not self.accept("op", ","):
                 break
         return Update(table, tuple(assignments), self._where_clause())
@@ -362,53 +366,36 @@ class _Parser:
         table = self.expect_ident()
         return Delete(table, self._where_clause())
 
-    def _where_clause(self) -> Optional[Expr]:
-        if self.accept("keyword", "WHERE"):
-            return self._conjunction()
-        return None
-
-    # -- conditions ----------------------------------------------------------
-
-    def _conjunction(self) -> Expr:
-        """Comparisons joined by AND; a parenthesized conjunction is
-        flattened into its parent."""
-        operands: List[Compare] = []
-        while True:
-            if self.accept("op", "("):
-                inner = self._conjunction()
-                self.expect("op", ")")
-            else:
-                inner = self._comparison()
-            operands.extend(inner.operands if isinstance(inner, And) else (inner,))
-            if not self.accept("keyword", "AND"):
-                break
-        return operands[0] if len(operands) == 1 else And(tuple(operands))
+    def _where_clause(self) -> Optional[And]:
+        if not self.accept("keyword", "WHERE"):
+            return None
+        terms = [self._comparison()]
+        while self.accept("keyword", "AND"):
+            terms.append(self._comparison())
+        return And(tuple(terms))
 
     def _comparison(self) -> Compare:
-        left = self._operand()
+        column = self.expect_ident()
         tok = self.next()
         if tok.kind != "op" or tok.text not in COMPARATORS:
             raise SQLSyntaxError(
                 f"expected a comparison operator, got {tok.text!r} "
                 f"in {self.sql!r}"
             )
-        return Compare(tok.text, left, self._operand())
+        return Compare(tok.text, column, self._value())
 
-    def _operand(self) -> Expr:
+    def _value(self) -> Expr:
         tok = self.next()
         if tok.kind == "op" and tok.text == "?":
             param = Param(self.n_params)
             self.n_params += 1
             return param
-        if tok.kind == "int":
-            return Literal(int(tok.text))
-        if tok.kind == "float":
-            return Literal(float(tok.text))
         if tok.kind == "string":
             return Literal(tok.text[1:-1].replace("''", "'"))
-        if tok.kind == "ident":
-            return ColumnRef(tok.text)
-        raise SQLSyntaxError(f"unexpected token {tok.text!r} in {self.sql!r}")
+        if tok.kind in _NUMBERS:
+            return Literal(_NUMBERS[tok.kind](tok.text))
+        raise SQLSyntaxError(
+            f"expected a value, got {tok.text!r} in {self.sql!r}")
 
 
 def parse(sql: str):

@@ -147,10 +147,9 @@ class OrderedIndex:
         """``[start, end)`` of entries matching ``columns[:k] == prefix``
         plus an optional lower/upper bound ``(op, value)`` on column ``k``.
 
-        The slice is *exact*: equality uses the same ``==`` the evaluator
-        does.  Raises TypeError if the probe values cannot be ordered
-        against the stored keys — callers fall back to a scan, which
-        raises (or not) with identical semantics.
+        The slice is *exact*: equality uses the same ``==`` the verifier
+        does.  The engine binds every probe value to its column's storage
+        type first, so each one orders against the stored keys.
         """
         p = tuple(prefix)
         entries = self.entries
@@ -222,11 +221,6 @@ class Table:
         parsed statement's ``id``; they depend on the index set, so
         :meth:`create_index` drops them, and never reach ``dump()``."""
         self._storage = tuple(c.type.convert for c in columns)
-
-    @property
-    def column_names(self) -> List[str]:
-        """Declared column names in order."""
-        return [c.name for c in self.columns]
 
     def column_pos(self, name: str) -> int:
         """Position of a column (raises :class:`ColumnNotFound`)."""
@@ -317,4 +311,4 @@ class Table:
         return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Table {self.name!r} cols={self.column_names} rows={len(self.rows)}>"
+        return f"<Table {self.name!r} cols={list(self._index)} rows={len(self.rows)}>"

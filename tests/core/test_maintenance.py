@@ -638,3 +638,53 @@ def test_divergent_enqueue_parameters_rejected():
     with pytest.raises(SimProcessCrashed) as ei:
         mpirun(program, 2, machine=fast_test(), services=sdm_services())
     assert isinstance(ei.value.__cause__, SDMStateError)
+
+
+def test_sync_compaction_drains_readers_on_another_communicator():
+    """A synchronous in-place compaction drains the job's in-flight reads
+    too: its caller is not mid-read, but a catalog on the other half of
+    a ``comm.split`` may be (regression: the sync path skipped the read
+    gate, and the readers got slid bytes)."""
+    from repro.core.catalog import SDMCatalog
+
+    nprocs, n = 8, 4096
+    maps = irregular_maps(nprocs, n, seed=11)
+
+    def program(ctx):
+        sdm = SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                  storage_order=CHUNKED)
+        result = sdm.make_datalist(["d"])
+        sdm.associate_attributes(result, data_type=DOUBLE, global_size=n)
+        handle = sdm.set_attributes(result)
+        mine = maps[ctx.rank]
+        sdm.data_view(handle, "d", mine)
+        for t in range(3):
+            sdm.write(handle, "d", t, mine * 1.0 + t)
+        fname = sdm.checkpoint_file(handle, "d", 0, storage_order=CHUNKED)
+        sdm.reorganize(handle, "d", 0, mode="sync")  # frees t0's region
+        sdm.finalize(handle)
+        compactor = ctx.rank < nprocs // 2
+        ctx.comm = ctx.comm.split(color=int(compactor), key=ctx.rank)
+        if compactor:
+            SDM(ctx, "dp", organization=Organization.LEVEL_2,
+                storage_order=CHUNKED).compact(fname, mode="sync")
+            return None
+        catalog = SDMCatalog.attach(ctx, snapshot=False)
+        gids = np.arange(n, dtype=np.int64)
+        wrong = []
+        for i in range(40):
+            for t in (1, 2):
+                back = catalog.read_slice(1, "d", t, gids)
+                if not np.array_equal(back, gids + float(t)):
+                    wrong.append((i, t))
+        catalog.release()
+        return wrong
+
+    job = mpirun(program, nprocs, machine=fast_test(),
+                 services=sdm_services())
+    assert job.values[nprocs // 2:] == [[]] * (nprocs // 2)
+    tables = SDMTables(job.services["db"])
+    fname = "dp/d.chunked.dat"
+    assert tables.free_bytes_in(fname) == 0  # the slide did happen
+    live = sum(r[4] for r in tables.executions_in_file(fname))
+    assert job.services["fs"].lookup(fname).size == live

@@ -1,8 +1,11 @@
 """The metadb SQL dialect, pinned to literal lists.
 
 ``repro.metadb`` parses the statements SDM issues and nothing more:
-five statement kinds, comparisons joined by AND, three column types,
-and no NULL anywhere.  A construct coming back — a second boolean
+five statement kinds, ``column op value`` comparisons joined by AND,
+three column types, and no NULL anywhere.  A statement is checked once
+— its columns when it plans, its values' types when it binds — and
+every refusal leaves the table and the planner's counters as they were,
+whether or not the table holds rows.  A construct coming back — a second boolean
 operator, a NULL-aware predicate, another aggregate or column type —
 shows up here as a reviewed edit, not as a quiet new branch in the
 parser, the planner and the index keys.
@@ -11,7 +14,12 @@ parser, the planner and the index keys.
 import pytest
 
 from metadb_harness import build, check_index_integrity
-from repro.errors import SQLSyntaxError, SQLTypeError
+from repro.errors import (
+    ColumnNotFound,
+    MetaDBError,
+    SQLSyntaxError,
+    SQLTypeError,
+)
 from repro.metadb import Database, expr, sqlparser, types
 from repro.metadb.sqlparser import parse
 
@@ -40,7 +48,7 @@ def test_keywords():
 def test_comparison_operators_and_expression_nodes():
     assert sorted(expr.COMPARATORS) == ["<", "<=", "=", ">", ">="]
     assert expr.__all__ == [
-        "Expr", "Literal", "Param", "ColumnRef", "Compare", "And",
+        "Expr", "Literal", "Param", "Compare", "And",
         "COMPARATORS", "Conjuncts", "conjuncts_of",
     ]
 
@@ -76,6 +84,79 @@ def test_column_types():
 def test_removed_construct_is_a_syntax_error(sql):
     with pytest.raises(SQLSyntaxError):
         parse(sql)
+
+
+def _counters(db):
+    return (db.n_statements, db.n_rows_examined, db.n_index_probes,
+            db.n_full_scans, db.n_sorted_probes, db.n_agg_probes)
+
+
+@pytest.mark.parametrize("rows", [_ROWS, []], ids=["rows", "empty"])
+@pytest.mark.parametrize("error, match, sql, params", [
+    # A WHERE term is ``column op value``, and a value is ? or a literal.
+    (SQLSyntaxError, "expected identifier", "SELECT * FROM t WHERE ? < c",
+     (1,)),
+    (SQLSyntaxError, "expected identifier",
+     "SELECT * FROM t WHERE a = ? AND 1 = b", (1,)),
+    (SQLSyntaxError, "expected a value", "SELECT * FROM t WHERE a = c", ()),
+    (SQLSyntaxError, "expected a value",
+     "DELETE FROM t WHERE a < c AND b = ?", ("x",)),
+    (SQLSyntaxError, "expected identifier", "SELECT * FROM t WHERE ? = ?",
+     (1, 1)),
+    (SQLSyntaxError, "expected identifier",
+     "SELECT * FROM t WHERE a = ? AND (b = ? AND c < ?)", (1, "x", 0)),
+    (SQLSyntaxError, "expected identifier", "SELECT * FROM t WHERE (a = 1)",
+     ()),
+    (SQLSyntaxError, "expected a value", "INSERT INTO t VALUES (1, b, 2)",
+     ()),
+    (SQLSyntaxError, "expected a value", "UPDATE t SET a = c WHERE b = ?",
+     ("x",)),
+    # A WHERE or SET value must be what its column stores.
+    (SQLTypeError, "INTEGER column got 'x'", "SELECT * FROM t WHERE a = ?",
+     ("x",)),
+    (SQLTypeError, "TEXT column got 1",
+     "SELECT MAX(c) FROM t WHERE b = ?", (1,)),
+    (SQLTypeError, "INTEGER column got 1.5",
+     "SELECT c FROM t WHERE a = 1 AND c >= 1.5 ORDER BY c", ()),
+    (SQLTypeError, "INTEGER column got True",
+     "DELETE FROM t WHERE c < ?", (True,)),
+    (SQLTypeError, "TEXT column got 7", "UPDATE t SET b = ? WHERE a = ?",
+     (7, 1)),
+    (SQLTypeError, "INTEGER column got 'z'", "UPDATE t SET c = 'z'", ()),
+    # Every column named in WHERE or SET must exist ...
+    (ColumnNotFound, "no column 'zz'", "SELECT * FROM t WHERE zz = ?", (1,)),
+    (ColumnNotFound, "no column 'zz'",
+     "SELECT COUNT(*) FROM t WHERE a = ? AND zz < ?", (1, 2)),
+    (ColumnNotFound, "no column 'zz'", "UPDATE t SET zz = ? WHERE a = ?",
+     (1, 1)),
+    (ColumnNotFound, "no column 'zz'", "DELETE FROM t WHERE zz = 1", ()),
+    # So must every column a SELECT lists, sorts by or aggregates.
+    (ColumnNotFound, "no column 'zz'", "SELECT zz FROM t WHERE a = ?", (1,)),
+    (ColumnNotFound, "no column 'zz'",
+     "SELECT * FROM t WHERE c > ? ORDER BY zz", (0,)),
+    (ColumnNotFound, "no column 'zz'", "SELECT MAX(zz) FROM t WHERE b = ?",
+     ("x",)),
+    # A short parameter list is refused before any row is examined.
+    (MetaDBError, r"statement needs parameter #2, got only 1",
+     "SELECT * FROM t WHERE a = ? AND c > ?", (1,)),
+    (MetaDBError, r"statement needs parameter #1, got only 0",
+     "SELECT c FROM t WHERE a = ? ORDER BY c DESC LIMIT 1", ()),
+    (MetaDBError, r"statement needs parameter #2, got only 1",
+     "UPDATE t SET c = ? WHERE a = ?", (0,)),
+    (MetaDBError, r"statement needs parameter #1, got only 0",
+     "DELETE FROM t WHERE b = ?", ()),
+])
+def test_statement_is_refused_before_any_row_is_examined(
+        rows, error, match, sql, params):
+    for index_set in (None, "mixed"):  # the full scan, then every index
+        db = build(rows, index_set)
+        before, counters = db.dump(), _counters(db)
+        with pytest.raises(error, match=match) as raised:
+            db.execute(sql, params)
+        assert type(raised.value) is error
+        assert db.dump() == before
+        assert _counters(db) == counters
+        check_index_integrity(db)
 
 
 @pytest.mark.parametrize("blob", ["BLOB", "blob"])

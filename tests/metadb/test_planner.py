@@ -5,7 +5,7 @@ import pytest
 
 from metadb_harness import check_index_integrity
 from repro.config import origin2000
-from repro.errors import MetaDBError, SQLTypeError
+from repro.errors import SQLTypeError
 from repro.metadb import Database, SDMTables, engine
 from repro.metadb.engine import clear_global_statement_cache
 from repro.metadb.schema import SDM_INDEXES
@@ -71,8 +71,8 @@ def test_indexed_equality_probes_skip_the_scan(db):
 def test_unindexed_or_non_equality_falls_back_to_scan(db):
     db.create_index("t", "a")
     db.execute("SELECT * FROM t WHERE c = ?", (7,))  # no index on c
-    db.execute("SELECT * FROM t WHERE a = c")  # column to column is opaque
-    db.execute("SELECT * FROM t WHERE ? < ?", (1, 7))  # so is value to value
+    db.execute("SELECT * FROM t WHERE b = ? AND c < ?", ("s1", 7))
+    db.execute("SELECT * FROM t WHERE c > ?", (15,))  # a is the index's key
     assert (db.n_index_probes, db.n_full_scans) == (0, 3)
 
 
@@ -169,10 +169,11 @@ def test_order_by_with_residual_where_still_sorts(db):
     assert db.n_sorted_probes == 0 and db.n_index_probes == 1
 
 
-def test_incomparable_range_value_falls_back_to_scan(db):
+def test_incomparable_range_value_is_refused_at_bind(db):
     db.create_index("t", "c")
-    with pytest.raises(MetaDBError):  # scan raises the usual type error
+    with pytest.raises(SQLTypeError, match="INTEGER column got 'not-an-int'"):
         db.execute("SELECT * FROM t WHERE c > ?", ("not-an-int",))
+    assert (db.n_index_probes, db.n_full_scans, db.n_rows_examined) == (0, 0, 0)
 
 
 # -- index maintenance ---------------------------------------------------
@@ -440,11 +441,12 @@ def test_aggregate_probe_empty_and_null_semantics():
 def test_aggregate_probe_requires_complete_where():
     d = agg_db()
     probes = d.n_agg_probes
-    # A column-to-column comparison cannot be answered from a slice: it
+    # A conjunct on a column the index does not lead with, or a range on
+    # a column other than MAX's, cannot be answered from a slice: it
     # falls back to filter + aggregate.
-    rows = d.execute("SELECT MAX(c) FROM t WHERE a = ? AND c < a", (1,))
-    assert rows == [(None,)]
-    rows = d.execute("SELECT MAX(c) FROM t WHERE a = ? AND a < c", (0,))
+    rows = d.execute("SELECT MAX(c) FROM t WHERE a = ? AND b = ?", (1, "s4"))
+    assert rows == [(4,)]
+    rows = d.execute("SELECT MAX(c) FROM t WHERE a = ? AND a < ?", (0, 1))
     assert rows == [(9,)]
     assert d.n_agg_probes == probes
     # SUM has no slice-ends answer either.

@@ -12,27 +12,27 @@ through its ``conftest.py``).
 from repro.metadb import Database
 
 # (WHERE template, parameter kinds).  Equality and range conjuncts over
-# indexed and unindexed columns, reversed operand order, a two-sided
-# range, column-to-column comparisons (the conjuncts no index narrows),
-# parenthesized nesting, and contradictory double-equality.
+# indexed and unindexed columns, a two-sided range, literal values, a
+# range on a column an equality already binds (a conjunct no index
+# narrows), and contradictory double-equality.
 TEMPLATES = [
     (None, ()),
     ("a = ?", ("int",)),
     ("b = ?", ("txt",)),
-    ("? = a", ("int",)),
+    ("a = 1", ()),
     ("a = ? AND b = ?", ("int", "txt")),
     ("a = ? AND b = ? AND c = ?", ("int", "txt", "int")),
     ("a = ? AND c >= ?", ("int", "int")),
     ("a = ? AND c > ? AND c <= ?", ("int", "int", "int")),
     ("c >= ? AND c <= ?", ("int", "int")),
     ("c < ?", ("int",)),
-    ("? < c", ("int",)),
+    ("c > ?", ("int",)),
     ("c >= ? AND c >= ?", ("int", "int")),
     ("a = ? AND a = ?", ("int", "int")),
-    ("a = ? AND (b = ? AND c < ?)", ("int", "txt", "int")),
-    ("a = c", ()),
-    ("a < c AND b = ?", ("txt",)),
-    ("(a = ? AND b = ?) AND a < c", ("int", "txt")),
+    ("a = ? AND b = ? AND c < ?", ("int", "txt", "int")),
+    ("b = 'y'", ()),
+    ("a < ? AND b = ?", ("int", "txt")),
+    ("a = ? AND b = ? AND a < ?", ("int", "txt", "int")),
 ]
 
 ORDER_BYS = [

@@ -2,20 +2,21 @@
 it afresh and walking its WHERE tree on every execution.
 
 :class:`TreeWalk` is the engine without plans, kept here as the
-reference: every execution evaluates the conjunct values, searches
-``table.indexes`` for the smallest slice and for the index that covers
-the ORDER BY or MAX, and verifies each candidate with ``Expr.eval`` over
-``dict(zip(names, row))``.  The planned :class:`Database` must return the
-same rows and examine the same number of them through the same probes
-and scans — and refuse the same statements with the same exception and
-message: a comparison of mixed types, a missing parameter and an unknown
-column, each raised only when the tree walk would reach it.
+reference: every execution resolves the statement's columns, types its
+values, evaluates the conjunct values, searches ``table.indexes`` for
+the smallest slice and for the index that covers the ORDER BY or MAX,
+verifies each candidate with ``Expr.eval`` over ``dict(zip(names,
+row))`` and coerces an UPDATE's SET values row by row.  The planned
+:class:`Database` must return the same rows and examine the same number
+of them through the same probes and scans — and refuse the same
+statements with the same exception and message: an unknown column, a
+short parameter list and a value its column does not take.
 
 Every drawn table runs every WHERE template of the shared harness plus
-value-first (``? < c``), column-to-column and literal forms, under one
-of the named index configurations, each with its parameters as its
-kinds ask, with every kind swapped, short by one and with none: four
-executions of one text, three of which reuse the plan the first built.
+literal, mixed-range and unknown-column forms, under one of the named
+index configurations, each with its parameters as its kinds ask, with
+every kind swapped, short by one and with none: four executions of one
+text, three of which reuse the plan the first built.
 """
 
 from operator import itemgetter
@@ -26,26 +27,27 @@ from hypothesis import strategies as st
 from metadb_harness import INDEX_SETS, LIMITS, ORDER_BYS, TEMPLATES
 from repro.errors import MetaDBError
 from repro.metadb import Database
+from repro.metadb.expr import Literal, Param
 
 EXTRA_TEMPLATES = [
-    ("? >= a AND ? < c", ("int", "int")),
-    ("? = b AND ? <= c", ("txt", "int")),
-    ("c > a", ()),
-    ("a <= c AND c < ?", ("int",)),
-    ("b = b AND ? > a", ("int",)),
+    ("a <= ? AND c > ?", ("int", "int")),
+    ("b = ? AND c >= ?", ("txt", "int")),
+    ("c > 0", ()),
+    ("a <= 0 AND c < ?", ("int",)),
+    ("b = 'x' AND a < ?", ("int",)),
     ("a = 2 AND c >= ?", ("int",)),
-    ("'y' = b AND -1 < c", ()),
-    ("c >= 1.5 AND a < c", ()),
-    ("? < ?", ("int", "int")),
-    ("b = ? AND ? <= ?", ("txt", "int", "int")),
-    ("a < c AND ? = ? AND c > ?", ("int", "int", "int")),
+    ("b = 'y' AND c > 1", ()),
+    ("c >= 1 AND a < 2", ()),
+    ("a < ? AND c < ?", ("int", "int")),
+    ("b = ? AND a <= ? AND c >= ?", ("txt", "int", "int")),
+    ("a < ? AND a = ? AND c > ?", ("int", "int", "int")),
 ]
 
 UNKNOWN_TEMPLATES = [
     ("zz = ?", ("int",)),
     ("a = ? AND zz < ?", ("int", "int")),
-    ("? < zz AND b = ?", ("int", "txt")),
-    ("a = zz", ()),
+    ("zz > ? AND b = ?", ("int", "txt")),
+    ("a = 1 AND zz = 'x'", ()),
 ]
 
 _INT = st.integers(-3, 3)
@@ -54,6 +56,24 @@ _TXT = st.sampled_from(["x", "y", "z"])
 
 class TreeWalk(Database):
     """The engine as it planned before statements kept a plan."""
+
+    def _checked(self, stmt, params):
+        """``stmt``'s table, and ``params`` as its columns store them:
+        every WHERE and SET column is looked up, then every literal
+        typed, then every parameter fetched, then each coerced."""
+        table = self._table(stmt.table)
+        where = stmt.where.operands if stmt.where is not None else ()
+        pairs = [(c.column, c.value) for c in where] + list(
+            getattr(stmt, "assignments", ()))
+        types = {col: table.columns[table.column_pos(col)].type
+                 for col, _ in pairs}
+        for col, e in pairs:
+            if isinstance(e, Literal):
+                types[col].coerce(e.value)
+        slots = sorted((e.index, types[col]) for col, e in pairs
+                       if isinstance(e, Param))
+        values = [Param(i).eval({}, params) for i, _ in slots]
+        return table, [t.coerce(v) for (_, t), v in zip(slots, values)]
 
     @staticmethod
     def _conjunct_values(cj, params):
@@ -80,10 +100,7 @@ class TreeWalk(Database):
             if k == 0 and lo is None and hi is None:
                 continue
             prefix = [eq_vals[c] for c in index.columns[:k]]
-            try:
-                start, end = index.slice_bounds(prefix, lo, hi)
-            except TypeError:
-                continue
+            start, end = index.slice_bounds(prefix, lo, hi)
             if end == start:
                 return []
             if best is None or end - start < best[0]:
@@ -93,8 +110,7 @@ class TreeWalk(Database):
         _, index, start, end = best
         return sorted(rowid for _, rowid in index.entries[start:end])
 
-    def _match_rowids(self, table, plan, params):
-        stmt = plan.stmt
+    def _walk(self, table, stmt, params):
         where = stmt.where
         if where is None:
             return list(table.rows)
@@ -108,13 +124,13 @@ class TreeWalk(Database):
             examined = len(candidates)
             pairs = ((i, table.rows[i]) for i in candidates)
         self.n_rows_examined += examined
-        names = table.column_names
+        names = [c.name for c in table.columns]
         return [i for i, row in pairs
                 if where.eval(dict(zip(names, row)), params)]
 
     def _covering_slice(self, table, stmt, params, tail, whole):
         cj = stmt.conjuncts
-        if not cj.complete or len(cj.lower) > 1 or len(cj.upper) > 1:
+        if len(cj.lower) > 1 or len(cj.upper) > 1:
             return None
         eq_cols = [c for c, _ in cj.eq]
         if len(set(eq_cols)) != len(eq_cols) or set(eq_cols) & set(tail):
@@ -131,16 +147,30 @@ class TreeWalk(Database):
                 continue
             eq_vals, lowers, uppers = self._conjunct_values(cj, params)
             prefix = [eq_vals[c] for c in cols[:k]]
-            try:
-                start, end = index.slice_bounds(
-                    prefix, lowers.get(tail[0]), uppers.get(tail[0]))
-            except TypeError:
-                return None
+            start, end = index.slice_bounds(
+                prefix, lowers.get(tail[0]), uppers.get(tail[0]))
             return index, prefix, start, end
         return None
 
+    def _update(self, stmt, params):
+        table, params = self._checked(stmt, params)
+        rowids = self._walk(table, stmt, params)
+        names = [c.name for c in table.columns]
+        for i in rowids:
+            row = list(table.rows[i])
+            ctx = dict(zip(names, row))
+            for col, e in stmt.assignments:
+                pos = table.column_pos(col)
+                row[pos] = table.columns[pos].type.coerce(e.eval(ctx, params))
+            table.replace_row(i, tuple(row))
+        return [], len(rowids)
+
+    def _delete(self, stmt, params):
+        table, params = self._checked(stmt, params)
+        return [], table.delete_rowids(self._walk(table, stmt, params))
+
     def _select(self, stmt, params):
-        table = self._table(stmt.table)
+        table, params = self._checked(stmt, params)
         if stmt.aggregate is not None and stmt.aggregate[0] == "MAX" and not (
             stmt.order_by or stmt.limit is not None
         ):
@@ -164,7 +194,7 @@ class TreeWalk(Database):
                 self.n_sorted_probes += 1
                 rows = [table.rows[i] for i in rowids]
         if rows is None:
-            rowids = self._match_rowids(table, self._plan(stmt)[1], params)
+            rowids = self._walk(table, stmt, params)
             rows = [table.rows[i] for i in rowids]
             for col, desc in reversed(stmt.order_by):
                 rows.sort(key=itemgetter(table.column_pos(col)), reverse=desc)
@@ -206,8 +236,8 @@ def _outcome(db, sql, params):
 
 def _variants(kinds, ints, txt):
     """Parameters for one template: as its kinds ask, every kind swapped
-    (numbers compared with strings), the last one missing and all of
-    them missing."""
+    (a string for a number, a number for a string), the last one missing
+    and all of them missing."""
     it = iter(ints)
     params = tuple(next(it) if kind == "int" else txt for kind in kinds)
     swapped = tuple(txt if kind == "int" else ints[0] for kind in kinds)
@@ -226,7 +256,8 @@ def _case(draw):
     order_by = draw(st.sampled_from(ORDER_BYS))
     limit = draw(st.sampled_from(LIMITS))
     ints = draw(st.tuples(_INT, _INT, _INT))
-    mutation = draw(st.sampled_from(TEMPLATES[1:] + EXTRA_TEMPLATES))
+    mutation = draw(st.sampled_from(
+        TEMPLATES[1:] + EXTRA_TEMPLATES + UNKNOWN_TEMPLATES))
     return rows, index_set, order_by, limit, ints, draw(_TXT), mutation
 
 
@@ -258,5 +289,7 @@ def test_plan_agrees_with_the_tree_walk(case):
     template, kinds = mutation
     for params in _variants(kinds, ints, txt):
         agree(f"UPDATE t SET a = ? WHERE {template}", (1,) + params)
+        agree(f"UPDATE t SET c = ?, b = 'w' WHERE {template}",
+              (ints[2],) + params)
         agree(f"DELETE FROM t WHERE {template}", params)
         assert planned.dump() == walked.dump()

@@ -78,7 +78,7 @@ def test_compute_model_helpers():
 def test_every_error_derives_from_repro_error():
     leaves = [
         errors.SimDeadlockError, errors.SimProcessCrashed,
-        errors.MPITruncationError, errors.MPIInvalidRank,
+        errors.MPIInvalidRank,
         errors.MPICollectiveMismatch, errors.DatatypeError,
         errors.FileNotFound, errors.FileExists, errors.InvalidFileHandle,
         errors.AccessModeError, errors.MPIIOError,

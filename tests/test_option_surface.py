@@ -47,7 +47,7 @@ def test_entry_point_parameters():
     assert params(SDMCatalog.attach) == ["ctx", "io_hints", "snapshot"]
     assert params(DatapathHost.__init__) == [
         "comm", "application", "organization", "lease_holder",
-        "maintenance", "hints", "read_gate",
+        "maintenance", "hints",
     ]
     assert params(sdm_services) == ["seed_from"]
 
