@@ -157,13 +157,16 @@ bench-collective:
 ## (build plus move >= 2x faster on bulk_datapath's shape, <= 1.1x slower
 ## on the workloads' small shapes); then a metadb plan's row verifier
 ## against the WHERE tree walk it replaced (>= 3x faster over a
-## 10 000-row execution_table); then `make reach`
+## 10 000-row execution_table); then the partitioner's growth with k
+## (multilevel_kway on fun3d_e2e's mesh at k = 512 <= 8x its time at
+## k = 32); then `make reach`
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
 	$(PYTHON) benchmarks/perfcheck_plans.py
 	$(PYTHON) benchmarks/perfcheck_aggregation.py
 	$(PYTHON) benchmarks/perfcheck_metadb.py
+	$(PYTHON) benchmarks/perfcheck_partition.py
 	$(MAKE) reach
 
 ## every function under src/repro (outside analysis/) that no workload,

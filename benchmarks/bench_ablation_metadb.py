@@ -21,7 +21,10 @@ hottest SDM statement shapes:
 
 at 100 / 1 000 / 10 000 rows, plus a parse ablation (statement cache
 cleared before each execute vs warm) at the largest size.  Real
-wall-clock throughput: the engine itself is the system under test.
+wall-clock throughput: the engine itself is the system under test.  Each
+throughput is the median of ``ROUNDS`` passes of ``N_STATEMENTS``
+statements and each speedup the median of its per-round ratios, the cells
+of one size timed in alternating rounds.
 
 A ``scaling`` section holds the write side to the same requirement on
 the production ``SDM_INDEXES``: the host time of one reap-shaped
@@ -38,6 +41,7 @@ points it at ``BENCH_metadb.json``) to also emit the rows as JSON, so the
 scan/single/composite/end-of-file perf trajectory is tracked across PRs.
 """
 
+import gc
 import json
 import os
 import random
@@ -54,6 +58,7 @@ from repro.metadb.schema import ChunkRecord
 
 SIZES = (100, 1_000, 10_000)
 N_STATEMENTS = 300
+ROUNDS = 7
 
 # Mirrors the production canonical read: the MVCC open-version sentinel
 # rides the same single statement as a fourth equality conjunct.
@@ -110,18 +115,46 @@ def _build(n_rows, indexes):
 
 
 def _throughput(db, n_rows, sql, params_for, warm_cache=True):
-    """Statements/second over random lookups (every one a hit)."""
+    """Statements/second over random lookups (every one a hit), with the
+    garbage collector off as ``timeit`` runs: a collection landing in one
+    pass of a few milliseconds swung single cells by 2x."""
     rng = random.Random(7)
     targets = [rng.randrange(n_rows) for _ in range(N_STATEMENTS)]
-    t0 = perf_counter()
-    for i in targets:
-        if not warm_cache:
-            # The seed behavior parsed every statement: clear the parse
-            # cache.
-            engine.clear_global_statement_cache()
-        rows = db.execute(sql, params_for(i))
-        assert rows, "benchmark lookups must hit"
-    return N_STATEMENTS / (perf_counter() - t0)
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        for i in targets:
+            if not warm_cache:
+                # The seed behavior parsed every statement: clear the parse
+                # cache.
+                engine.clear_global_statement_cache()
+            rows = db.execute(sql, params_for(i))
+            assert rows, "benchmark lookups must hit"
+        elapsed = perf_counter() - t0
+    finally:
+        gc.enable()
+    return N_STATEMENTS / elapsed
+
+
+def _rounds(n_rows, cells):
+    """``ROUNDS`` statements/second samples of each cell's ``_throughput``.
+
+    ``cells`` maps a name to ``_throughput``'s ``(db, sql, params_for,
+    warm_cache)``.  One pass is a few milliseconds, so the cells are timed
+    in alternating rounds: a change in the host's speed hits every cell of
+    a round alike.  A cell reports its median sample, a speedup the median
+    of its per-round ratios (:func:`_speedup`), so one slow pass moves
+    either by one rank.
+    """
+    samples = {name: [] for name in cells}
+    for _ in range(ROUNDS):
+        for name, (db, *args) in cells.items():
+            samples[name].append(_throughput(db, n_rows, *args))
+    return samples
+
+
+def _speedup(samples, fast, slow):
+    return median(f / s for f, s in zip(samples[fast], samples[slow]))
 
 
 def run_matrix():
@@ -130,33 +163,31 @@ def run_matrix():
     )
     speedups = {}
     for n in SIZES:
-        # Point lookup: full scan vs single-column vs composite index.
-        scan = _throughput(_build(n, "scan"), n, _LOOKUP, _params_for)
+        # Point lookup: full scan vs single-column vs composite index;
+        # end-of-file probe: filter-and-sort vs one index bisect.
         single_db = _build(n, "single")
-        single = _throughput(single_db, n, _LOOKUP, _params_for)
         composite_db = _build(n, "composite")
-        composite = _throughput(composite_db, n, _LOOKUP, _params_for)
-        assert single_db.n_full_scans == composite_db.n_full_scans == 0
-        # End-of-file probe: filter-and-sort vs one index bisect.
-        eof_scan = _throughput(_build(n, "scan"), n, _EOF_PROBE, _eof_params_for)
         eof_db = _build(n, "eof")
-        eof = _throughput(eof_db, n, _EOF_PROBE, _eof_params_for)
-        assert eof_db.n_sorted_probes == N_STATEMENTS
+        samples = _rounds(n, {
+            f"lookup-scan/{n}rows": (_build(n, "scan"), _LOOKUP, _params_for, True),
+            f"lookup-single/{n}rows": (single_db, _LOOKUP, _params_for, True),
+            f"lookup-composite/{n}rows": (composite_db, _LOOKUP, _params_for, True),
+            f"eof-scan/{n}rows": (_build(n, "scan"), _EOF_PROBE, _eof_params_for, True),
+            f"eof-index/{n}rows": (eof_db, _EOF_PROBE, _eof_params_for, True),
+        })
+        assert single_db.n_full_scans == composite_db.n_full_scans == 0
+        assert eof_db.n_sorted_probes == ROUNDS * N_STATEMENTS
         assert eof_db.n_full_scans == 0
 
+        scan = f"lookup-scan/{n}rows"
         speedups[n] = {
-            "single": single / scan,
-            "composite": composite / scan,
-            "eof": eof / eof_scan,
+            "single": _speedup(samples, f"lookup-single/{n}rows", scan),
+            "composite": _speedup(samples, f"lookup-composite/{n}rows", scan),
+            "eof": _speedup(samples, f"eof-index/{n}rows", f"eof-scan/{n}rows"),
         }
-        for config, value in (
-            (f"lookup-scan/{n}rows", scan),
-            (f"lookup-single/{n}rows", single),
-            (f"lookup-composite/{n}rows", composite),
-            (f"eof-scan/{n}rows", eof_scan),
-            (f"eof-index/{n}rows", eof),
-        ):
-            table.add("ablation-metadb", config, "throughput", value, "stmt/s")
+        for config, values in samples.items():
+            table.add("ablation-metadb", config, "throughput", median(values),
+                      "stmt/s")
         for kind, value in speedups[n].items():
             table.add(
                 "ablation-metadb", f"{kind}-vs-scan/{n}rows", "speedup",
@@ -166,12 +197,15 @@ def run_matrix():
     # Parse ablation at the largest size: cold (seed behavior, one parse
     # per statement) vs warm statement cache.
     index_db = _build(SIZES[-1], "composite")
-    cold = _throughput(index_db, SIZES[-1], _LOOKUP, _params_for, warm_cache=False)
-    warm = _throughput(index_db, SIZES[-1], _LOOKUP, _params_for, warm_cache=True)
-    table.add("ablation-metadb", "parse-per-stmt", "throughput", cold, "stmt/s")
-    table.add("ablation-metadb", "stmt-cache", "throughput", warm, "stmt/s")
-    table.add("ablation-metadb", "cache-vs-parse", "speedup", warm / cold, "x")
-    return table, speedups, warm / cold
+    samples = _rounds(SIZES[-1], {
+        "parse-per-stmt": (index_db, _LOOKUP, _params_for, False),
+        "stmt-cache": (index_db, _LOOKUP, _params_for, True),
+    })
+    cache_gain = _speedup(samples, "stmt-cache", "parse-per-stmt")
+    for config, values in samples.items():
+        table.add("ablation-metadb", config, "throughput", median(values), "stmt/s")
+    table.add("ablation-metadb", "cache-vs-parse", "speedup", cache_gain, "x")
+    return table, speedups, cache_gain
 
 
 SCALING_SIZES = (1_000, 10_000, 40_000)

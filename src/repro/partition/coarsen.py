@@ -19,30 +19,24 @@ def heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
     Vertices are visited in random order; an unmatched vertex matches its
     unmatched neighbor of maximum edge weight (ties to the first seen).
     Returns ``match`` with ``match[v]`` = partner (or ``v`` itself if no
-    partner was available).
+    partner was available).  Each visit reads its vertex's slice of the
+    CSR arrays, O(degree), through zero-copy views: the walk touches each
+    edge about once, so a list copy of the whole graph would cost memory
+    for no speed.
     """
-    n = graph.n
-    match = np.full(n, UNMATCHED, dtype=np.int64)
-    order = rng.permutation(n)
-    xadj, adjncy, adjwgt = graph.xadj, graph.adjncy, graph.adjwgt
-    for v in order.tolist():
+    xadj, adjncy, adjwgt = graph.xadj.tolist(), memoryview(graph.adjncy), memoryview(graph.adjwgt)
+    match = [UNMATCHED] * graph.n
+    for v in rng.permutation(graph.n).tolist():
         if match[v] != UNMATCHED:
             continue
-        best = -1
-        best_w = -1
-        for i in range(xadj[v], xadj[v + 1]):
-            u = adjncy[i]
-            if match[u] == UNMATCHED and u != v:
-                w = adjwgt[i]
-                if w > best_w:
-                    best_w = w
-                    best = u
-        if best >= 0:
-            match[v] = best
-            match[best] = v
-        else:
-            match[v] = v
-    return match
+        best, best_w = v, -1
+        lo, hi = xadj[v], xadj[v + 1]
+        for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+            if w > best_w and match[u] == UNMATCHED and u != v:
+                best, best_w = u, w
+        match[v] = best
+        match[best] = v
+    return np.array(match, dtype=np.int64)
 
 
 def contract(graph: Graph, match: np.ndarray) -> Tuple[Graph, np.ndarray]:

@@ -53,7 +53,8 @@ class Graph:
         """Build from parallel endpoint arrays (the mesh's edge1/edge2).
 
         Self-loops are dropped; parallel edges are merged with weights
-        summed.  Construction is fully vectorized.
+        summed.  Weights must be non-negative (the partitioner minimises a
+        cut).  Construction is fully vectorized.
         """
         e1 = np.asarray(edge1, dtype=np.int64)
         e2 = np.asarray(edge2, dtype=np.int64)
@@ -70,6 +71,8 @@ class Graph:
         )
         if w.shape != e1.shape:
             raise PartitionError("edge_weights length mismatch")
+        if len(w) and w.min() < 0:
+            raise PartitionError("edge weights must be non-negative")
         keep = e1 != e2
         e1, e2, w = e1[keep], e2[keep], w[keep]
         # Symmetrize: each edge appears in both directions.
@@ -104,28 +107,14 @@ class Graph:
         )
         if len(vwgt) != n_vertices:
             raise PartitionError("vertex_weights length mismatch")
+        if vwgt.min() < 0:
+            raise PartitionError("vertex weights must be non-negative")
         return cls(xadj, mdst.astype(np.int64), merged_w, vwgt)
 
     @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
         return len(self.adjncy) // 2
-
-    def degree(self, v: int) -> int:
-        """Number of neighbors of ``v``."""
-        return int(self.xadj[v + 1] - self.xadj[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor ids of ``v`` (CSR slice view)."""
-        return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Edge weights aligned with :meth:`neighbors`."""
-        return self.adjwgt[self.xadj[v] : self.xadj[v + 1]]
-
-    def total_vertex_weight(self) -> int:
-        """Sum of vertex weights."""
-        return int(self.vwgt.sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Graph n={self.n} m={self.n_edges}>"

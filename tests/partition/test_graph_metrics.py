@@ -25,15 +25,15 @@ def test_graph_from_edges_csr_structure():
     g = Graph.from_edges(4, [0, 1, 2, 2], [1, 2, 0, 3])
     assert g.n == 4
     assert g.n_edges == 4
-    assert sorted(g.neighbors(2).tolist()) == [0, 1, 3]
-    assert g.degree(3) == 1
+    assert sorted(g.adjncy[g.xadj[2] : g.xadj[3]].tolist()) == [0, 1, 3]
+    assert g.xadj[4] - g.xadj[3] == 1  # vertex 3's degree
 
 
 def test_graph_drops_self_loops_and_merges_parallel():
     g = Graph.from_edges(3, [0, 0, 1, 0], [0, 1, 2, 1], edge_weights=[5, 2, 1, 3])
     assert g.n_edges == 2  # (0,1) merged, (1,2); self-loop dropped
-    i = list(g.neighbors(0)).index(1)
-    assert g.neighbor_weights(0)[i] == 5  # 2+3 merged
+    i = g.xadj[0] + g.adjncy[g.xadj[0] : g.xadj[1]].tolist().index(1)
+    assert g.adjwgt[i] == 5  # 2+3 merged
 
 
 def test_graph_invalid_inputs_rejected():
@@ -43,6 +43,10 @@ def test_graph_invalid_inputs_rejected():
         Graph.from_edges(0, [], [])
     with pytest.raises(PartitionError):
         Graph.from_edges(3, [0, 1], [1])
+    with pytest.raises(PartitionError):
+        Graph.from_edges(3, [0, 1], [1, 2], edge_weights=[1, -1])
+    with pytest.raises(PartitionError):
+        Graph.from_edges(3, [0, 1], [1, 2], vertex_weights=[1, -1, 1])
 
 
 def test_edge_cut_known_values():

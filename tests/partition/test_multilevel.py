@@ -48,7 +48,7 @@ def test_contract_preserves_total_vertex_weight():
     g = grid_graph(8)
     match = heavy_edge_matching(g, np.random.default_rng(1))
     coarse, cmap = contract(g, match)
-    assert coarse.total_vertex_weight() == g.total_vertex_weight()
+    assert coarse.vwgt.sum() == g.vwgt.sum()
     assert coarse.n < g.n
     assert len(cmap) == g.n
     assert cmap.max() == coarse.n - 1
