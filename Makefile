@@ -150,9 +150,9 @@ bench-collective:
 ## slower); then the resolve-once memos the same way
 ## (applying a kept chunked read plan >= 3x faster than resolving it, a
 ## FileView over a memoised filetype >= 10x faster than over a fresh one)
-## and the chunked resolution against the sort-based merge it replaced
-## (>= 1.2x faster at bulk_datapath's shape, <= 1.5x slower for a
-## sparse viewer);
+## and the chunked resolution against the per-chunk probing its
+## position table replaced for dense wanted sets (>= 2.8x faster at
+## bulk_datapath's shape, <= 1.5x slower for a sparse viewer);
 ## then a two-phase aggregation's span layout against the packed one
 ## (build plus move >= 2x faster on bulk_datapath's shape, <= 1.1x slower
 ## on the workloads' small shapes); then a metadb plan's row verifier

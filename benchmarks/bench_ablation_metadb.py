@@ -24,7 +24,8 @@ cleared before each execute vs warm) at the largest size.  Real
 wall-clock throughput: the engine itself is the system under test.  Each
 throughput is the median of ``ROUNDS`` passes of ``N_STATEMENTS``
 statements and each speedup the median of its per-round ratios, the cells
-of one size timed in alternating rounds.
+of one size timed in alternating rounds with the collector off
+(``benchmarks/timing.py``).
 
 A ``scaling`` section holds the write side to the same requirement on
 the production ``SDM_INDEXES``: the host time of one reap-shaped
@@ -41,13 +42,11 @@ points it at ``BENCH_metadb.json``) to also emit the rows as JSON, so the
 scan/single/composite/end-of-file perf trajectory is tracked across PRs.
 """
 
-import gc
 import json
 import os
 import random
 from dataclasses import asdict
 from statistics import median
-from time import perf_counter
 
 import pytest
 
@@ -55,6 +54,7 @@ from repro.bench.harness import ResultTable
 from repro.metadb import Database, SDMTables
 from repro.metadb import engine
 from repro.metadb.schema import ChunkRecord
+from timing import compare, samples_us
 
 SIZES = (100, 1_000, 10_000)
 N_STATEMENTS = 300
@@ -114,43 +114,39 @@ def _build(n_rows, indexes):
     return db
 
 
-def _throughput(db, n_rows, sql, params_for, warm_cache=True):
-    """Statements/second over random lookups (every one a hit), with the
-    garbage collector off as ``timeit`` runs: a collection landing in one
-    pass of a few milliseconds swung single cells by 2x."""
+def _lookups(db, n_rows, sql, params_for, warm_cache=True):
+    """One pass of ``N_STATEMENTS`` random lookups, every one a hit, as
+    a callable."""
     rng = random.Random(7)
-    targets = [rng.randrange(n_rows) for _ in range(N_STATEMENTS)]
-    gc.disable()
-    try:
-        t0 = perf_counter()
-        for i in targets:
+    params = [params_for(rng.randrange(n_rows)) for _ in range(N_STATEMENTS)]
+
+    def run():
+        for p in params:
             if not warm_cache:
                 # The seed behavior parsed every statement: clear the parse
                 # cache.
                 engine.clear_global_statement_cache()
-            rows = db.execute(sql, params_for(i))
+            rows = db.execute(sql, p)
             assert rows, "benchmark lookups must hit"
-        elapsed = perf_counter() - t0
-    finally:
-        gc.enable()
-    return N_STATEMENTS / elapsed
+
+    return run
 
 
 def _rounds(n_rows, cells):
-    """``ROUNDS`` statements/second samples of each cell's ``_throughput``.
+    """``ROUNDS`` statements/second samples of each cell's pass.
 
-    ``cells`` maps a name to ``_throughput``'s ``(db, sql, params_for,
+    ``cells`` maps a name to :func:`_lookups`' ``(db, sql, params_for,
     warm_cache)``.  One pass is a few milliseconds, so the cells are timed
-    in alternating rounds: a change in the host's speed hits every cell of
-    a round alike.  A cell reports its median sample, a speedup the median
-    of its per-round ratios (:func:`_speedup`), so one slow pass moves
-    either by one rank.
+    in alternating rounds (:func:`timing.samples_us`, after one warm-up
+    pass each): a change in the host's speed hits every cell of a round
+    alike.  A cell reports its median sample, a speedup the median of its
+    per-round ratios (:func:`_speedup`), so one slow pass moves either by
+    one rank.
     """
-    samples = {name: [] for name in cells}
-    for _ in range(ROUNDS):
-        for name, (db, *args) in cells.items():
-            samples[name].append(_throughput(db, n_rows, *args))
-    return samples
+    us = samples_us([_lookups(db, n_rows, *args) for db, *args in
+                     cells.values()], seconds=0, repeat=ROUNDS)
+    return {name: [N_STATEMENTS / (u * 1e-6) for u in samples]
+            for name, samples in zip(cells, us)}
 
 
 def _speedup(samples, fast, slow):
@@ -176,7 +172,7 @@ def run_matrix():
             f"eof-index/{n}rows": (eof_db, _EOF_PROBE, _eof_params_for, True),
         })
         assert single_db.n_full_scans == composite_db.n_full_scans == 0
-        assert eof_db.n_sorted_probes == ROUNDS * N_STATEMENTS
+        assert eof_db.n_sorted_probes == (ROUNDS + 1) * N_STATEMENTS
         assert eof_db.n_full_scans == 0
 
         scan = f"lookup-scan/{n}rows"
@@ -243,37 +239,54 @@ def run_scaling():
     """Median host milliseconds per DELETE and per 16-row batch, the
     targets spread evenly over the table — so over every index's key
     range: each batch is a new instance keyed between two resident ones,
-    not past the end."""
+    not past the end.  The three sizes are timed in alternating rounds,
+    one operation of each per round (:func:`timing.samples_us`, after one
+    warm-up operation each), and each ratio is the median of its
+    per-round ratios: a single-shot cell of tens of microseconds moved
+    the DELETE ratio between 1.3 and 3.1 on an unchanged engine."""
     chunks = [
         ChunkRecord(k, k * 128, k * 128 + 127, 128, k * 512, k * 512)
         for k in range(_RANKS)
     ]
-    delete_ms, batch_ms = {}, {}
-    for n in SCALING_SIZES:
-        tables = _scaling_tables(n, chunks)
-        deletes, batches = [], []
-        for j in range(SCALING_OPS):
-            r, d, t = _instance((2 * j + 1) * n // (2 * SCALING_OPS))
-            t0 = perf_counter()
+    ops = SCALING_OPS + 1  # the warm-up operation first
+
+    def delete(n, tables):
+        targets = iter([_instance((2 * j + 1) * n // (2 * ops))
+                        for j in range(ops)])
+
+        def run():
+            r, d, t = next(targets)
             touched = tables.db.execute_many(
                 _REAP_ONE, [(r, d, t, f"run{r}.{d}.dat", _OPEN_EPOCH)]
             )
-            deletes.append(perf_counter() - t0)
             assert touched == 1, "benchmark deletes must hit"
-            r, d, t = _instance(j * (n // _RANKS) // SCALING_OPS)
-            t0 = perf_counter()
+
+        return run
+
+    def batch(n, tables):
+        targets = iter([(j, *_instance(j * (n // _RANKS) // ops))
+                        for j in range(ops)])
+
+        def run():
+            j, r, d, t = next(targets)
             tables.record_chunks(r, f"{d}.{j}", t, chunks)
-            batches.append(perf_counter() - t0)
-        delete_ms[n] = median(deletes) * 1e3
-        batch_ms[n] = median(batches) * 1e3
-    lo, hi = SCALING_SIZES[0], SCALING_SIZES[-1]
-    return {
-        "ops": SCALING_OPS,
-        "delete_ms": {str(n): round(v, 4) for n, v in delete_ms.items()},
-        "batch16_ms": {str(n): round(v, 4) for n, v in batch_ms.items()},
-        "delete_ratio": round(delete_ms[hi] / delete_ms[lo], 2),
-        "batch16_ratio": round(batch_ms[hi] / batch_ms[lo], 2),
-    }
+
+        return run
+
+    tables = [_scaling_tables(n, chunks) for n in SCALING_SIZES]
+    fns = [delete(n, t) for n, t in zip(SCALING_SIZES, tables)]
+    fns += [batch(n, t) for n, t in zip(SCALING_SIZES, tables)]
+    us = samples_us(fns, seconds=0, repeat=SCALING_OPS)
+    kinds = {"delete": us[:3], "batch16": us[3:]}
+    out = {"ops": SCALING_OPS}
+    for kind, samples in kinds.items():
+        out[f"{kind}_ms"] = {
+            str(n): round(median(s) / 1e3, 4)
+            for n, s in zip(SCALING_SIZES, samples)
+        }
+    for kind, samples in kinds.items():
+        out[f"{kind}_ratio"] = round(compare(samples[-1], samples[0])[2], 2)
+    return out
 
 
 def _emit_json(table, speedups, cache_gain, scaling):

@@ -5,11 +5,10 @@ and moves their bytes into scratch (``put``, a write) or out of it
 (``take``, a read).  A dense aggregation (:data:`twophase._DENSE`) reads
 its union runs off the move's own word index and, when they are one
 run, addresses scratch by file offset; a sparse one sorts, merges and
-packs.  This script forces
-each layout on the same segments (``_DENSE`` patched to infinity and to
-0), times build plus move in this process, the two layouts in
-alternating rounds, and holds only the median per-round *ratio*, so the
-box's speed cancels:
+packs.  This script forces each layout on the same segments (``_DENSE``
+patched to infinity and to 0), times build plus move in this process,
+the two layouts in alternating rounds (``timing.samples_us``), and
+holds only the median per-round *ratio*, so the box's speed cancels:
 
 * **bulk** — 4 sources x 250 000 one-element DOUBLE segments, dealt
   to random sources so their union is one solid run (an aggregation of
@@ -32,13 +31,12 @@ Run directly (no JSON input; seconds)::
 
 import math
 import os
-import statistics
 import sys
-import timeit
 
 import numpy as np
 
 from repro.mpiio import twophase
+from timing import compare, samples_us
 
 BULK_MIN_SPEEDUP = 2.0
 SMALL_MAX_SLOWDOWN = 1.1
@@ -80,19 +78,6 @@ def read(entries, union):
     return twophase._Aggregation(entries).take(union)
 
 
-def samples_us(fns, seconds=0.02, repeat=11):
-    """``repeat`` samples, microseconds per call, of each of ``fns``,
-    taken in alternation so that a change in the host's speed hits every
-    one of them alike."""
-    timers = [timeit.Timer(fn) for fn in fns]
-    numbers = [max(1, int(seconds / max(t.timeit(1), 1e-7))) for t in timers]
-    out = [[] for _ in fns]
-    for _ in range(repeat):
-        for samples, timer, number in zip(out, timers, numbers):
-            samples.append(timer.timeit(number) / number * 1e6)
-    return out
-
-
 def forced(dense, fn, *args):
     """``fn(*args)`` with the layout rule set to ``dense`` first."""
     def run():
@@ -118,14 +103,6 @@ def layouts_us(entries, data, **timing):
         return dict(zip(fns, samples_us(list(fns.values()), **timing)))
     finally:
         twophase._DENSE = DENSE
-
-
-def compare(a_us, b_us):
-    """Best microseconds of two alternated sample lists and the median of
-    their per-round ratio (``a`` over ``b``): one slow sample on either
-    side moves the median by one rank, not the ratio of two minima."""
-    ratio = statistics.median(a / b for a, b in zip(a_us, b_us))
-    return min(a_us), min(b_us), ratio
 
 
 def main() -> int:

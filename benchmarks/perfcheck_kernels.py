@@ -3,8 +3,8 @@
 ``gather_runs`` / ``scatter_runs`` (:mod:`repro.pfs.runlist`) replaced
 the byte-granular ``buf[expand_runs(offsets, lengths)]`` at every site
 that copies run-list data.  Both sides are timed in this process, in
-alternating rounds (``perfcheck_aggregation.samples_us``), and only the
-median per-round *ratio* is held, so the box's speed cancels:
+alternating rounds (``timing.samples_us``), and only the median
+per-round *ratio* is held, so the box's speed cancels:
 
 * **bulk** — 250 000 sorted one-to-four-element DOUBLE runs over an 8 MB
   buffer (one rank's share of ``bulk_datapath``'s irregular map): the
@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from perfcheck_aggregation import compare, samples_us
+from timing import compare, samples_us
 from repro.pfs.runlist import expand_runs, gather_runs, scatter_runs
 
 BULK_MIN_SPEEDUP = 2.5

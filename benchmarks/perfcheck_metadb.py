@@ -8,8 +8,8 @@ once per execution; before plans, every candidate was turned into a
 (``Expr.eval``), kept here as ``tree_walk``.  Both are timed over every
 row of a 10 000-row ``execution_table`` (SDM's schema, 10 runs x 4
 datasets x 250 timesteps, a tenth of the versions closed) in this
-process, in alternating rounds (``perfcheck_aggregation.samples_us``),
-and only the median per-round *ratio* is held, for two WHERE shapes:
+process, in alternating rounds (``timing.samples_us``), and only the
+median per-round *ratio* is held, for two WHERE shapes:
 
 * **reap** — ``valid_to < ?``, the one-conjunct reap-candidate scan
   (``files_with_dead_rows``);
@@ -27,7 +27,7 @@ Run directly (no JSON input; seconds)::
 
 import sys
 
-from perfcheck_aggregation import compare, samples_us
+from timing import compare, samples_us
 from repro.metadb import Database, SDMTables
 from repro.metadb.schema import OPEN_EPOCH
 

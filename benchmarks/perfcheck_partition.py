@@ -7,10 +7,10 @@ the part count: every per-vertex step walks the vertex's adjacency, and
 no step pays per part.  Here it partitions ``fun3d_like_problem(16)``
 (4 913 nodes, ``fun3d_e2e``'s mesh) at ``k = 32`` (that workload's rank
 count) and ``k = 512``, both in this process, in alternating rounds
-(``perfcheck_aggregation.samples_us``).  It prints the best time of each
-and fails if the median per-round ratio t(512) / t(32) exceeds
-``MAX_GROWTH``.  A partitioner that spends O(k) per boundary vertex or
-runs a full BFS per seed lands near 30x here.
+(``timing.samples_us``).  It prints the best time of each and fails if
+the median per-round ratio t(512) / t(32) exceeds ``MAX_GROWTH``.  A
+partitioner that spends O(k) per boundary vertex or runs a full BFS per
+seed lands near 30x here.
 
 Run directly (no JSON input; seconds)::
 
@@ -19,7 +19,7 @@ Run directly (no JSON input; seconds)::
 
 import sys
 
-from perfcheck_aggregation import compare, samples_us
+from timing import compare, samples_us
 from repro.mesh import fun3d_like_problem
 from repro.partition import Graph, multilevel_kway
 

@@ -7,8 +7,8 @@ resolution (:class:`repro.core.datapath._ReadPlan`, kept beside the
 index blocks it came from) and the canonical view's lowered filetype
 tile (kept on the ``Datatype`` by :mod:`repro.mpiio.view`).  Both sides
 of each comparison are timed in this process, in alternating rounds
-(``perfcheck_aggregation.samples_us``), and only the median per-round
-*ratio* is held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in
+(``timing.samples_us``), and only the median per-round *ratio* is
+held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in
 4 indexed chunks, one rank's 250 k wanted elements:
 
 * **plan** — applying a kept plan (rebase its merged runs, extraction)
@@ -16,15 +16,22 @@ of each comparison are timed in this process, in alternating rounds
   positions, their gap-0 merge and the extraction index) by
   ``PLAN_MIN_SPEEDUP``, for the rank's own map (one run, extraction is
   the identity) and for a foreign one (neither holds);
-* **resolve** — ``_chunk_positions``, which walks the chunks in writer
-  rank and assigns each one's hits in place, must beat the sort-based
-  merge it replaced (every chunk's candidates concatenated, one stable
-  argsort, a final ``searchsorted``; kept here as ``sorted_merge``) by
-  ``RESOLVE_MIN_SPEEDUP`` for the own and the foreign map, and may be
-  at most ``SPARSE_MAX_SLOWDOWN`` slower for a sparse viewer (1 000
-  scattered gids);
+* **resolve** — ``_chunk_positions``, which resolves a wanted set dense
+  in its range (``bulk_datapath``'s) by direct addressing — one position
+  table over the range, each chunk's hits assigned into it in writer
+  rank — must beat the per-chunk probing it replaced for such sets
+  (kept here as ``probe_path``) by ``RESOLVE_MIN_SPEEDUP`` for the own
+  and the foreign map, and may be at most ``SPARSE_MAX_SLOWDOWN`` slower
+  for a sparse viewer (1 000 scattered gids), which must stay on the
+  probe path: a table over its range would cost ~20x;
 * **filetype** — a ``FileView`` over a memoised filetype must be built
   ``VIEW_MIN_SPEEDUP`` times faster than over a fresh one.
+
+It also prints the sweep ``datapath._TABLE_MAX_SPREAD`` was set from:
+milliseconds per resolution (the best of five alternated samples) of
+the probe and the table path over chunk count x spread (the wanted
+set's range over its size), and the path ``_chunk_positions`` takes —
+rerun it after touching either path.
 
 Run directly (no JSON input; seconds)::
 
@@ -35,7 +42,8 @@ import sys
 
 import numpy as np
 
-from perfcheck_aggregation import compare, samples_us
+from timing import compare, samples_us
+from repro.core import datapath
 from repro.core.datapath import _chunk_positions, _live_chunks, _read_plan
 from repro.core.groups import DataView
 from repro.dtypes import DOUBLE, IndexedBlock
@@ -44,21 +52,27 @@ from repro.mpiio.view import FileView
 
 PLAN_MIN_SPEEDUP = 3.0
 VIEW_MIN_SPEEDUP = 10.0
-RESOLVE_MIN_SPEEDUP = 1.2
+# About half the worst own / foreign ratio of 20 back-to-back runs on a
+# 2-vCPU VM (5.7x to 7.1x): room for a loaded host, none for losing the
+# table path.
+RESOLVE_MIN_SPEEDUP = 2.8
 SPARSE_MAX_SLOWDOWN = 1.5
 SPARSE = 1_000
 ELEMENTS = 1_000_000
 CHUNKS = 4
+SWEEP_CHUNKS = (1, 4, 16)
+SWEEP_SPREADS = (4, 8, 16, 32, 100, 1000)
 
 
 TIMING = {"seconds": 0.2, "repeat": 7}
 
 
-def bulk_instance(rng):
+def bulk_instance(rng, nchunks=CHUNKS):
     """``bulk_datapath``'s chunked instance: sorted slices of one
     permutation, each chunk an index block followed by its data."""
     perm = rng.permutation(ELEMENTS)
-    maps = [np.sort(m).astype(np.int64) for m in np.split(perm, CHUNKS)]
+    maps = [np.sort(m).astype(np.int64)
+            for m in np.array_split(perm, nchunks)]
     chunks, blocks, cursor = [], {}, 0
     for rank, m in enumerate(maps):
         ch = ChunkRecord(rank, int(m[0]), int(m[-1]), len(m), cursor,
@@ -87,42 +101,51 @@ def apply(plan, base, elems):
     return off, out
 
 
-def sorted_merge(chunks, blocks, esize, wanted):
-    """The resolution ``_chunk_positions`` replaced: candidates from every
-    live chunk in writer rank, one stable sort keeping each gid's last,
-    then every wanted gid searched back in."""
+def probe_path(chunks, blocks, esize, wanted):
+    """The resolution the table path replaced for dense wanted sets:
+    every live chunk in writer rank probes the smaller of its two
+    in-range slices into the larger, its hits assigned in place."""
     pos = np.full(len(wanted), -1, dtype=np.int64)
     live = _live_chunks(chunks, wanted)
     lo, hi = int(wanted[0]), int(wanted[-1])
-    cand_gid, cand_pos = [], []
     for ch in live:  # indexed chunks only at this shape
+        i = int(np.searchsorted(wanted, ch.gid_min))
+        j = int(np.searchsorted(wanted, ch.gid_max, side="right"))
+        w, out = wanted[i:j], pos[i:j]
         cidx = blocks[ch.block]
         a = int(np.searchsorted(cidx, lo))
         b = int(np.searchsorted(cidx, hi, side="right"))
-        if b - a <= len(wanted):
+        if b - a <= j - i:
             g = cidx[a:b]
-            p = ch.data_offset + np.arange(a, b, dtype=np.int64) * esize
+            k = np.searchsorted(w, g)
+            hit = np.flatnonzero(w.take(k, mode="clip") == g)
+            out[k[hit]] = ch.data_offset + (a + hit) * esize
         else:
-            j = np.searchsorted(cidx, wanted)
-            inb = j < len(cidx)
-            m = np.zeros(len(wanted), dtype=bool)
-            m[inb] = cidx[j[inb]] == wanted[inb]
-            g = wanted[m]
-            p = ch.data_offset + j[m] * esize
-        cand_gid.append(g)
-        cand_pos.append(p)
-    gid, gpos = np.concatenate(cand_gid), np.concatenate(cand_pos)
-    order = np.argsort(gid, kind="stable")
-    gid = gid[order]
-    last = np.ones(len(gid), dtype=bool)
-    np.not_equal(gid[1:], gid[:-1], out=last[:-1])
-    gid, gpos = gid[last], gpos[order][last]
-    j = np.searchsorted(gid, wanted)
-    inb = j < len(gid)
-    hit = np.zeros(len(wanted), dtype=bool)
-    hit[inb] = gid[j[inb]] == wanted[inb]
-    pos[hit] = gpos[j[hit]]
+            k = np.searchsorted(cidx, w)
+            hit = cidx.take(k, mode="clip") == w
+            out[hit] = ch.data_offset + k[hit] * esize
     return pos
+
+
+def sweep(rng):
+    """Print the two resolution paths over chunk count x spread."""
+    print("perfcheck: ms per resolution  chunks  spread   probe   table"
+          "  path")
+    for nchunks in SWEEP_CHUNKS:
+        _, chunks, blocks = bulk_instance(rng, nchunks)
+        for spread in SWEEP_SPREADS:
+            wanted = np.sort(rng.choice(ELEMENTS, ELEMENTS // spread,
+                                        replace=False))
+            live = _live_chunks(chunks, wanted)
+            args = (live, blocks, DOUBLE.size, wanted)
+            probe, table = samples_us(
+                [lambda: datapath._probe_positions(*args),
+                 lambda: datapath._table_positions(*args)], repeat=5)
+            span = int(wanted[-1]) - int(wanted[0]) + 1
+            path = ("table" if span <= datapath._TABLE_MAX_SPREAD
+                    * len(wanted) else "probe")
+            print(f"perfcheck: {'':18}{nchunks:6d} {spread:7d} "
+                  f"{min(probe) / 1e3:7.2f} {min(table) / 1e3:7.2f}  {path}")
 
 
 def main() -> int:
@@ -149,6 +172,7 @@ def main() -> int:
             failures.append(f"applying a plan ({name}) is only "
                             f"{ratio:.1f}x faster than resolving it")
 
+    sweep(rng)
     for name, wanted, bound in (
         ("own map", maps[0], RESOLVE_MIN_SPEEDUP),
         ("foreign map", foreign, RESOLVE_MIN_SPEEDUP),
@@ -156,17 +180,17 @@ def main() -> int:
     ):
         args = (chunks, blocks, DOUBLE.size, wanted)
         np.testing.assert_array_equal(_chunk_positions(*args),
-                                      sorted_merge(*args))
+                                      probe_path(*args))
         old, new, ratio = compare(*samples_us(
-            [lambda: sorted_merge(*args), lambda: _chunk_positions(*args)],
+            [lambda: probe_path(*args), lambda: _chunk_positions(*args)],
             **TIMING))
         ok = ratio >= bound
         print(f"perfcheck: resolve, {name} ({len(wanted)} of {ELEMENTS}): "
-              f"sorted merge {old / 1e3:.2f} ms, in place {new / 1e3:.2f} "
-              f"ms, {ratio:.2f}x (min {bound:.2f}x) {'ok' if ok else 'FAIL'}")
+              f"probe {old / 1e3:.2f} ms, resolve {new / 1e3:.2f} ms, "
+              f"{ratio:.2f}x (min {bound:.2f}x) {'ok' if ok else 'FAIL'}")
         if not ok:
-            failures.append(f"resolving {name} in place is {ratio:.2f}x "
-                            f"the sorted merge (min {bound:.2f}x)")
+            failures.append(f"resolving {name} is {ratio:.2f}x the probe "
+                            f"path (min {bound:.2f}x)")
 
     view = DataView.from_map(maps[0])
     kept = view.filetype(DOUBLE)

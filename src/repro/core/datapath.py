@@ -23,12 +23,17 @@ either takes the canonical fast path or runs the chunked read pipeline:
    block the wanted range touches in one pass (cache hits, then the
    collective dealing round or one batched fetch), and the pure
    :func:`_chunk_positions` turns the wanted global indices into absolute
-   file byte positions against all chunk maps: arithmetic chunks
-   (constant-stride maps, ``index_offset == data_offset``) are pure
-   arithmetic, indexed chunks are looked up in their blocks; walked in
-   ascending writer rank, a later chunk's hits overwrite an earlier
-   one's — the two-phase overlap rule (highest writing rank wins), with
-   no sort.  The unique positions are merged at gap 0 into byte runs;
+   file byte positions against all chunk maps, walked in ascending
+   writer rank so that a later chunk's hits overwrite an earlier one's —
+   the two-phase overlap rule (highest writing rank wins), with no sort.
+   A wanted set dense in its range (a rank's share of a bulk read) is
+   resolved by direct addressing: one position table over the range,
+   each chunk's gids there assigned into it — an indexed chunk's block
+   slice, an arithmetic chunk's (constant-stride map, ``index_offset ==
+   data_offset``) one strided slice — and read back at the wanted gids.
+   A sparse set (a catalog viewer's few gids) probes each chunk instead,
+   without allocating over the range.  The unique positions are merged
+   at gap 0 into byte runs;
 2. **read** — one collective ``File.read_runs_at_all`` takes those
    runs (one for a rank reading back its own chunk) and returns the
    elements' bytes in position order; a vectorized scatter puts them
@@ -891,6 +896,44 @@ def _last_per_gid(
     return gid[last], val[order][last]
 
 
+# How a chunked read turns wanted gids into file positions, by how thinly
+# the wanted set covers its range (its *spread*: range / wanted gids).  A
+# dense set gets one position table over the range, each chunk's hits
+# assigned into it and the wanted gids read back out (``table``); a
+# sparse one probes each chunk (``probe``).  Set once from the sweep
+# ``benchmarks/perfcheck_plans.py`` prints (ms per resolution of a
+# 1 M-gid range split over ``chunks`` indexed chunks, the wanted gids
+# drawn from it):
+#
+#     chunks  spread   probe   table
+#          1       4   16.91   10.33
+#          1       8    9.56    9.15
+#          1      16    5.52    8.79
+#          1      32    3.28    8.03
+#          1    1000    0.28    7.20
+#          4       4   49.02    6.97
+#          4       8   29.00    7.49
+#          4      16   17.53    7.39
+#          4      32    9.26    5.67
+#          4     100    3.00    6.31
+#         16       8   50.70   11.36
+#         16      32   25.07   10.69
+#         16     100    8.57    8.44
+#         16    1000    1.59    8.35
+#
+# The table's cost follows the range, fixed here, so it barely moves with
+# the spread; a probe pays per chunk for the smaller of its two in-range
+# slices, so the break-even spread grows with the chunk count (~10 at one
+# chunk, ~40 at four, ~100 at sixteen).  The cut sits where no chunk
+# count loses.
+_TABLE_MAX_SPREAD = 8
+"""Spread (range / wanted gids) up to which the table path runs.  The
+table then holds at most this many entries per wanted gid, 8 B each:
+8 MB for ``bulk_datapath``'s 250 000 of 1 000 000 gids, which sit at a
+spread of 4 (half the cut).  A 1 000-gid viewer over 10^9 gids never
+builds one."""
+
+
 def _chunk_positions(
     chunks: Sequence[ChunkRecord],
     blocks: Dict[Tuple[int, int], np.ndarray],
@@ -903,22 +946,75 @@ def _chunk_positions(
     its gids.
 
     The live chunks are walked in ascending writer rank and each one's
-    hits are assigned straight into the result, so a later chunk
-    overwrites an earlier one — exactly the two-phase exchange's overlap
-    rule (highest writing rank wins), with no sort.  Arithmetic chunks
-    resolve by pure arithmetic; an indexed chunk probes the smaller of
-    two in-range slices into the larger — its block's gids inside the
-    wanted range (a bulk read), or the wanted gids inside its range (a
-    sparse catalog viewer) — so each chunk costs O(smaller slice · log).
-    A ``wanted`` that repeats a gid is resolved on its unique values.
+    hits are assigned in place, so a later chunk overwrites an earlier
+    one — exactly the two-phase exchange's overlap rule (highest writing
+    rank wins), with no sort.  Where they are assigned depends on the
+    wanted set's spread, its range over its size: up to
+    :data:`_TABLE_MAX_SPREAD` into one position table over the range
+    (:func:`_table_positions`, O(range)), above it straight into the
+    result by probing each chunk (:func:`_probe_positions`, no
+    allocation over the range).  A ``wanted`` that repeats a gid is
+    resolved on its unique values.
     """
-    pos = np.full(len(wanted), -1, dtype=np.int64)
     live = _live_chunks(chunks, wanted)
     if not live:
-        return pos
+        return np.full(len(wanted), -1, dtype=np.int64)
     if len(wanted) > 1 and not (wanted[1:] != wanted[:-1]).all():
         uniq, inv = np.unique(wanted, return_inverse=True)
         return _chunk_positions(live, blocks, esize, uniq)[inv]
+    span = int(wanted[-1]) - int(wanted[0]) + 1
+    if span <= _TABLE_MAX_SPREAD * len(wanted):
+        return _table_positions(live, blocks, esize, wanted)
+    return _probe_positions(live, blocks, esize, wanted)
+
+
+def _table_positions(
+    live: Sequence[ChunkRecord],
+    blocks: Dict[Tuple[int, int], np.ndarray],
+    esize: int,
+    wanted: np.ndarray,
+) -> np.ndarray:
+    """:func:`_chunk_positions` by direct addressing: one position table
+    over ``[wanted[0], wanted[-1]]``, every live chunk's gids in that
+    range assigned into it (an indexed chunk by its block's slice, an
+    arithmetic one by one strided slice), then read at the wanted gids.
+    O(range + chunk gids in range); the table dies with the call."""
+    lo, hi = int(wanted[0]), int(wanted[-1])
+    table = np.full(hi - lo + 1, -1, dtype=np.int64)
+    for ch in live:  # ascending rank: later chunks overwrite earlier ones
+        if ch.block is None:
+            step = max(ch.gid_step, 1)
+            first = max(0, -((ch.gid_min - lo) // step))  # ceil division
+            last = (min(hi, ch.gid_max) - ch.gid_min) // step
+            if first > last:
+                continue
+            at = ch.gid_min + first * step - lo
+            table[at: at + (last - first) * step + 1: step] = np.arange(
+                ch.data_offset + first * esize,
+                ch.data_offset + (last + 1) * esize, esize, dtype=np.int64)
+            continue
+        cidx = blocks[ch.block]
+        a = int(np.searchsorted(cidx, lo))
+        b = int(np.searchsorted(cidx, hi, side="right"))
+        table[cidx[a:b] - lo] = np.arange(
+            ch.data_offset + a * esize, ch.data_offset + b * esize, esize,
+            dtype=np.int64)
+    return table[wanted - lo]
+
+
+def _probe_positions(
+    live: Sequence[ChunkRecord],
+    blocks: Dict[Tuple[int, int], np.ndarray],
+    esize: int,
+    wanted: np.ndarray,
+) -> np.ndarray:
+    """:func:`_chunk_positions` by probing, for a sparse ``wanted``: an
+    arithmetic chunk resolves its wanted gids by arithmetic; an indexed
+    chunk probes the smaller of two in-range slices into the larger —
+    its block's gids inside the wanted range, or the wanted gids inside
+    its range (a catalog viewer's few gids) — so each chunk costs
+    O(smaller slice · log)."""
+    pos = np.full(len(wanted), -1, dtype=np.int64)
     lo, hi = int(wanted[0]), int(wanted[-1])
     for ch in live:  # ascending rank: later chunks overwrite earlier ones
         i = int(np.searchsorted(wanted, ch.gid_min))
@@ -1101,13 +1197,16 @@ def _read_plan(
     if (found[1:] > found[:-1]).all():
         upos = found  # already sorted unique: extraction is the identity
     else:
-        # sorted unique positions: a sort and a neighbour mask
-        upos = np.sort(found)
+        # sorted unique positions: one stable sort and a neighbour mask;
+        # each position's rank among them scatters back through the order
+        order = np.argsort(found, kind="stable")
+        upos = found[order]
         keep = np.ones(len(upos), dtype=bool)
         np.not_equal(upos[1:], upos[:-1], out=keep[1:])
+        take = np.empty(len(found), dtype=np.intp)
+        take[order] = np.cumsum(keep) - 1
         upos = upos[keep]
-        take = np.searchsorted(upos, found)
-    rel, rlen, _ = runs.coalesce_runs(
+    rel, rlen = runs.coalesce_runs(
         upos - base, np.full(len(upos), esize, dtype=np.int64)
     )
     present = None if present.all() else present
@@ -1416,7 +1515,7 @@ def _compact_with_plan(host, fl: Flip, file_name: str, plan: Dict) -> Dict:
             # Zero-gap coalescing only: writes must not touch hole bytes,
             # but packed destinations abut, so most moves fuse into a few
             # streaming writes (lossless: disjoint runs, sum preserved).
-            woff, wlen, _owner = runs.coalesce_runs(dst, dlens)
+            woff, wlen = runs.coalesce_runs(dst, dlens)
             f.write_runs(woff, wlen,
                          np.concatenate([parts[i] for i in order]))
         comm.barrier()  # every block is in place before the metadata flip

@@ -238,7 +238,7 @@ class File:
         only — what lies between two index blocks is other chunks' data,
         and bridging it would bill data bytes as index traffic."""
         self._check_live()
-        off, ln, _ = runs.coalesce_runs(*check_runs(offsets, lengths))
+        off, ln = runs.coalesce_runs(*check_runs(offsets, lengths))
         return self._read_coalesced(off, ln, collective=False, kind=kind)
 
     @collective
@@ -258,7 +258,7 @@ class File:
         order (empty for a rank with no runs).  Nearby runs are merged at
         the source under the ``coalesce_gap`` hint."""
         self._check_live()
-        off, ln, _ = runs.coalesce_runs(*check_runs(offsets, lengths))
+        off, ln = runs.coalesce_runs(*check_runs(offsets, lengths))
         return self._read_coalesced(off, ln, collective=True)
 
     # ------------------------------------------------------------------
@@ -287,9 +287,9 @@ class File:
                 self.hints.coalesce_gap, off, ln,
                 max_gap=self.hints.ds_threshold_gap,
             )
-        coff, clen, owner = off, ln, None
+        coff, clen = off, ln
         if gap > 0:
-            coff, clen, owner = runs.coalesce_runs(off, ln, gap)
+            coff, clen = runs.coalesce_runs(off, ln, gap)
         if collective:
             blob = twophase.collective_read(
                 self.comm, self.comm.proc, self.fs, self._handle,
@@ -304,7 +304,7 @@ class File:
             # Lossless merge (no holes bridged): the coalesced stream is
             # already the concatenated requested runs.
             return blob
-        return runs.extract_runs(blob, coff, clen, off, ln, owner)
+        return runs.extract_runs(blob, coff, clen, off, ln)
 
     # ------------------------------------------------------------------
 

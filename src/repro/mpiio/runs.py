@@ -120,14 +120,23 @@ def extract_runs(
     clen: np.ndarray,
     offsets: np.ndarray,
     lengths: np.ndarray,
-    owner: np.ndarray,
 ) -> np.ndarray:
     """Original runs' bytes out of a coalesced read blob, in input order.
 
-    ``blob`` is the concatenated coalesced runs (bridged hole bytes
-    included); the result has ``lengths.sum()`` bytes — exactly the bytes
-    the caller asked for before coalescing.
+    ``blob`` is the concatenated coalesced runs ``(coff, clen)`` of the
+    ascending ``(offsets, lengths)`` (bridged hole bytes included); the
+    result has ``lengths.sum()`` bytes — exactly the bytes the caller
+    asked for before coalescing.
     """
+    off = np.asarray(offsets, dtype=np.int64)
+    owner = _run_owner(coff, off)
     cstart = np.cumsum(clen, dtype=np.int64) - clen
-    in_blob = cstart[owner] + (np.asarray(offsets, dtype=np.int64) - coff[owner])
-    return gather_runs(blob, in_blob, lengths)
+    return gather_runs(blob, cstart[owner] + (off - coff[owner]), lengths)
+
+
+def _run_owner(coff: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Index of the coalesced run holding each input run: the last one
+    starting at or before its offset.  Coalesced runs start strictly
+    ascending and each input run starts before the next coalesced run,
+    so that is the one :func:`coalesce_runs` merged it into."""
+    return np.searchsorted(coff, offsets, side="right") - 1

@@ -153,7 +153,7 @@ class _Aggregation:
             solid = len(union_off) == 1
         else:
             order = np.argsort(self.seg_off, kind="stable")
-            self.offsets, self.lengths, _ = coalesce_runs(
+            self.offsets, self.lengths = coalesce_runs(
                 self.seg_off[order], self.seg_len[order]
             )
             solid = False

@@ -96,7 +96,7 @@ def _lower(filetype: Datatype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"filetype data ends at byte {int(off[-1] + ln[-1])}, past its "
             f"extent {filetype.extent}: consecutive tiles would overlap"
         )
-    off, ln, _ = coalesce_runs(off, ln)
+    off, ln = coalesce_runs(off, ln)
     cum = np.concatenate(
         (np.zeros(1, dtype=np.int64), np.cumsum(ln, dtype=np.int64))
     )
@@ -208,7 +208,7 @@ class FileView:
         o, l = self._clip(0, r1 + 1)
         pieces_off.append(o + (self.disp + t1 * extent))
         pieces_len.append(l)
-        off, ln, _ = coalesce_runs(
+        off, ln = coalesce_runs(
             np.concatenate(pieces_off), np.concatenate(pieces_len)
         )
         return off, ln

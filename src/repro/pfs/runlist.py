@@ -37,14 +37,14 @@ __all__ = ["coalesce_runs", "expand_runs", "gather_runs", "scatter_runs"]
 
 def coalesce_runs(
     offsets: np.ndarray, lengths: np.ndarray, gap: int = 0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Merge sorted byte runs into maximal runs bridging holes <= ``gap``.
 
     ``offsets`` must be ascending; runs may abut or overlap (a coalesced
     run covers through the furthest end seen so far).  Returns ``(coff,
-    clen, owner)`` where ``owner[i]`` is the index of the coalesced run
-    containing input run ``i`` — what makes the inverse mapping
-    (:func:`repro.mpiio.runs.extract_runs`) vectorizable.
+    clen)``; input run ``i`` lies in the last coalesced run starting at
+    or before ``offsets[i]`` (:func:`repro.mpiio.runs.extract_runs`
+    finds it so).
 
     Gap-tolerant merging (``gap > 0``) is only meaningful for *reads* — a
     write must not touch hole bytes.  Zero-gap coalescing of
@@ -56,19 +56,18 @@ def coalesce_runs(
     ln = np.asarray(lengths, dtype=np.int64).reshape(-1)
     n = len(off)
     if n < 2:  # nothing to merge (the common per-controller case)
-        return off, ln, np.zeros(n, dtype=np.int64)
+        return off, ln
     ends = off + ln
     reach = np.maximum.accumulate(ends)
     new = np.empty(n, dtype=bool)
     new[0] = True
     np.greater(off[1:], reach[:-1] + gap, out=new[1:])
-    owner = np.cumsum(new, dtype=np.int64) - 1
     starts = np.flatnonzero(new)
     coff = off[starts]
     # The reach at a group's last run is the group's furthest end: every
     # earlier group ended before the group's first offset.
     cend = reach[np.append(starts[1:] - 1, n - 1)]
-    return coff, cend - coff, owner
+    return coff, cend - coff
 
 
 def expand_runs(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -227,10 +226,7 @@ class RunMove:
         """
         if self._plan is None:
             order = np.argsort(self.offsets, kind="stable")
-            coff, clen, _ = coalesce_runs(
-                self.offsets[order], self.lengths[order]
-            )
-            return coff, clen
+            return coalesce_runs(self.offsets[order], self.lengths[order])
         w, index = self._plan
         covered = np.zeros(-(-extent // w), dtype=bool)
         covered[index] = True

@@ -104,7 +104,7 @@ def controller_batches(
     by_ctl = np.argsort(pctl, kind="stable")
     poff, plen, pctl = poff[by_ctl], plen[by_ctl], pctl[by_ctl]
     span = int((poff + plen).max()) + 1
-    lifted, mlen, _ = coalesce_runs(pctl * span + poff, plen)
+    lifted, mlen = coalesce_runs(pctl * span + poff, plen)
     mctl = lifted // span
     moff = lifted - mctl * span
     # Where each merged run sits in its controller's byte stream; batch

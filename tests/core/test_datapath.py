@@ -339,7 +339,6 @@ def per_element(monkeypatch):
         lambda off, ln, gap=0: (
             np.asarray(off, dtype=np.int64),
             np.asarray(ln, dtype=np.int64),
-            np.arange(len(off), dtype=np.int64),
         ),
     )
 

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpiio.runs import coalesce_runs, expand_runs, extract_runs
+from repro.mpiio.runs import (
+    _run_owner, coalesce_runs, expand_runs, extract_runs,
+)
 
 
 def arr(*vals):
     return np.array(vals, dtype=np.int64)
+
+
+def merged(off, ln, gap=0):
+    """``coalesce_runs`` plus the owner ``extract_runs`` derives from its
+    result: the index of the merged run holding each input run."""
+    coff, clen = coalesce_runs(off, ln, gap=gap)
+    return coff, clen, _run_owner(coff, off)
 
 
 def positions(pos, width):
@@ -26,31 +35,31 @@ def positions(pos, width):
 # ---------------------------------------------------------------------------
 
 def test_empty_runs_coalesce_to_nothing():
-    coff, clen, owner = coalesce_runs(arr(), arr())
+    coff, clen, owner = merged(arr(), arr())
     assert len(coff) == len(clen) == len(owner) == 0
 
 
 def test_single_run_passes_through():
-    coff, clen, owner = coalesce_runs(arr(40), arr(8))
+    coff, clen, owner = merged(arr(40), arr(8))
     assert coff.tolist() == [40] and clen.tolist() == [8]
     assert owner.tolist() == [0]
 
 
 def test_all_adjacent_runs_become_one():
-    coff, clen, owner = coalesce_runs(arr(0, 8, 16, 24), arr(8, 8, 8, 8))
+    coff, clen, owner = merged(arr(0, 8, 16, 24), arr(8, 8, 8, 8))
     assert coff.tolist() == [0] and clen.tolist() == [32]
     assert owner.tolist() == [0, 0, 0, 0]
 
 
 def test_all_sparse_runs_stay_separate():
-    coff, clen, owner = coalesce_runs(arr(0, 100, 200), arr(8, 8, 8))
+    coff, clen, owner = merged(arr(0, 100, 200), arr(8, 8, 8))
     assert coff.tolist() == [0, 100, 200]
     assert clen.tolist() == [8, 8, 8]
     assert owner.tolist() == [0, 1, 2]
 
 
 def test_overlapping_runs_union():
-    coff, clen, owner = coalesce_runs(arr(0, 4, 30), arr(10, 10, 5))
+    coff, clen, owner = merged(arr(0, 4, 30), arr(10, 10, 5))
     assert coff.tolist() == [0, 30]
     assert clen.tolist() == [14, 5]
     assert owner.tolist() == [0, 0, 1]
@@ -58,19 +67,19 @@ def test_overlapping_runs_union():
 
 def test_contained_run_does_not_shrink_reach():
     # A short run inside a long one must not re-open the interval.
-    coff, clen, owner = coalesce_runs(arr(0, 2, 10), arr(20, 2, 4))
+    coff, clen, owner = merged(arr(0, 2, 10), arr(20, 2, 4))
     assert coff.tolist() == [0] and clen.tolist() == [20]
     assert owner.tolist() == [0, 0, 0]
 
 
 def test_small_gap_bridged_large_gap_not():
-    coff, clen, _ = coalesce_runs(arr(0, 12, 100), arr(8, 8, 8), gap=4)
+    coff, clen = coalesce_runs(arr(0, 12, 100), arr(8, 8, 8), gap=4)
     assert coff.tolist() == [0, 100]
     assert clen.tolist() == [20, 8]  # the 4-byte hole is inside the run
 
 
 def test_huge_gap_merges_everything():
-    coff, clen, owner = coalesce_runs(arr(0, 500, 9000), arr(8, 8, 8),
+    coff, clen, owner = merged(arr(0, 500, 9000), arr(8, 8, 8),
                                       gap=1 << 30)
     assert coff.tolist() == [0] and clen.tolist() == [9008]
     assert owner.tolist() == [0, 0, 0]
@@ -78,8 +87,32 @@ def test_huge_gap_merges_everything():
 
 def test_zero_gap_merge_of_disjoint_runs_is_lossless():
     off, ln = arr(0, 8, 40, 48, 56), arr(8, 8, 8, 8, 8)
-    coff, clen, _ = coalesce_runs(off, ln)
+    coff, clen = coalesce_runs(off, ln)
     assert int(clen.sum()) == int(ln.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)),
+             min_size=0, max_size=30),
+    st.sampled_from([0, 1, 8, 64]),
+)
+def test_derived_owner_is_the_merge_group(spec, gap):
+    """The owner ``extract_runs`` derives from the merged runs is the
+    group a running-reach walk puts each run in — abutting, overlapping,
+    contained and empty runs included."""
+    off = np.cumsum(arr(*[step for step, _ in spec]))
+    ln = arr(*[l for _, l in spec])
+    expected, group, reach = [], -1, None
+    for o, l in zip(off.tolist(), ln.tolist()):
+        if reach is None or o > reach + gap:
+            group, reach = group + 1, o + l
+        else:
+            reach = max(reach, o + l)
+        expected.append(group)
+    coff, clen, owner = merged(off, ln, gap=gap)
+    assert owner.tolist() == expected
+    assert len(coff) == group + 1
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +120,17 @@ def test_zero_gap_merge_of_disjoint_runs_is_lossless():
 # ---------------------------------------------------------------------------
 
 def test_positions_empty():
-    coff, clen, owner = coalesce_runs(*positions(arr(), 8))
+    coff, clen, owner = merged(*positions(arr(), 8))
     assert len(coff) == len(owner) == 0
 
 
 def test_positions_single():
-    coff, clen, owner = coalesce_runs(*positions(arr(72), 8))
+    coff, clen, owner = merged(*positions(arr(72), 8))
     assert coff.tolist() == [72] and clen.tolist() == [8]
 
 
 def test_positions_adjacent_elements_merge():
-    coff, clen, owner = coalesce_runs(*positions(arr(0, 8, 16, 40, 48), 8))
+    coff, clen, owner = merged(*positions(arr(0, 8, 16, 40, 48), 8))
     assert coff.tolist() == [0, 40]
     assert clen.tolist() == [24, 16]
     assert owner.tolist() == [0, 0, 0, 1, 1]
@@ -106,9 +139,9 @@ def test_positions_adjacent_elements_merge():
 def test_positions_gap_bridging():
     # Holes of exactly one element (8 bytes) bridge at gap=8, not gap=0.
     pos, ln = positions(arr(0, 16, 32), 8)
-    coff0, clen0, _ = coalesce_runs(pos, ln, gap=0)
+    coff0, clen0 = coalesce_runs(pos, ln, gap=0)
     assert coff0.tolist() == [0, 16, 32]
-    coff8, clen8, _ = coalesce_runs(pos, ln, gap=8)
+    coff8, clen8 = coalesce_runs(pos, ln, gap=8)
     assert coff8.tolist() == [0] and clen8.tolist() == [40]
 
 
@@ -118,7 +151,7 @@ def test_positions_gap_bridging():
 
 def union(off, ln):
     order = np.argsort(off, kind="stable")
-    uo, ul, _ = coalesce_runs(off[order], ln[order])
+    uo, ul = coalesce_runs(off[order], ln[order])
     return uo, ul
 
 
@@ -197,13 +230,13 @@ def test_coalesce_extract_roundtrip_property(spec, gap):
         lengths.append(ln)
         cursor += ln
     off, ln = arr(*offsets), arr(*lengths)
-    coff, clen, owner = coalesce_runs(off, ln, gap=gap)
+    coff, clen = coalesce_runs(off, ln, gap=gap)
     # Simulate the coalesced read: concatenated coalesced runs.
     blob = (
         np.concatenate([data[o : o + l] for o, l in zip(coff, clen)])
         if len(coff) else np.empty(0, dtype=np.uint8)
     )
-    got = extract_runs(blob, coff, clen, off, ln, owner)
+    got = extract_runs(blob, coff, clen, off, ln)
     expected = (
         np.concatenate([data[o : o + l] for o, l in zip(off, ln)])
         if len(off) else np.empty(0, dtype=np.uint8)
@@ -227,12 +260,12 @@ def test_positions_gather_roundtrip_property(raw_pos, width, gap):
     data = _file_bytes()
     pos, ln = positions(np.sort(np.array(raw_pos, dtype=np.int64)) * width,
                         width)
-    coff, clen, owner = coalesce_runs(pos, ln, gap=gap)
+    coff, clen = coalesce_runs(pos, ln, gap=gap)
     blob = (
         np.concatenate([data[o : o + l] for o, l in zip(coff, clen)])
         if len(coff) else np.empty(0, dtype=np.uint8)
     )
-    got = extract_runs(blob, coff, clen, pos, ln, owner)
+    got = extract_runs(blob, coff, clen, pos, ln)
     expected = (
         np.concatenate([data[p : p + width] for p in pos])
         if len(pos) else np.empty(0, dtype=np.uint8)
@@ -244,10 +277,10 @@ def test_extract_elements_with_bridged_holes():
     data = _file_bytes()
     # hole of 16 bytes between first and second
     pos, ln = positions(arr(0, 24, 32), 8)
-    coff, clen, owner = coalesce_runs(pos, ln, gap=16)
+    coff, clen = coalesce_runs(pos, ln, gap=16)
     assert len(coff) == 1  # everything bridged
     blob = data[: int(clen[0])]
-    got = extract_runs(blob, coff, clen, pos, ln, owner)
+    got = extract_runs(blob, coff, clen, pos, ln)
     np.testing.assert_array_equal(
         got, np.concatenate([data[0:8], data[24:32], data[32:40]])
     )
@@ -265,11 +298,11 @@ def test_extract_after_coalesce_roundtrips_through_bridged_holes(spec):
     holes = arr(*[h for h, _ in spec])
     ln = arr(*[l for _, l in spec])
     off = np.cumsum(holes + ln) - ln
-    coff, clen, owner = coalesce_runs(off, ln, gap=int(holes.max()))
+    coff, clen, owner = merged(off, ln, gap=int(holes.max()))
     assert len(coff) == 1 and not owner.any()
     assert int(clen[0]) - int(ln.sum()) == int(holes[1:].sum())
     blob = data[int(coff[0]) : int(coff[0] + clen[0])]
     np.testing.assert_array_equal(
-        extract_runs(blob, coff, clen, off, ln, owner),
+        extract_runs(blob, coff, clen, off, ln),
         data[expand_runs(off, ln)],
     )

@@ -61,7 +61,7 @@ def _oracle_controller_batches(layout, offsets, lengths, max_bytes, start):
     queues = []
     for ctl in range(layout.n_controllers):
         sel = pctl == ctl
-        co, cl, _ = coalesce_runs(poff[sel], plen[sel])
+        co, cl = coalesce_runs(poff[sel], plen[sel])
         queues.append([
             (ctl, bo.tolist(), bl.tolist())
             for bo, bl in _oracle_size_batches(co, cl, max_bytes)
