@@ -21,7 +21,6 @@ import pytest
 from repro.bench.harness import ResultTable, scaled_machine
 from repro.bench.figures import PAPER, _fun3d_setup
 from repro.config import origin2000
-from repro.core.growable import GrowableArray
 from repro.core.ring import _EXAMINE_OPS_PER_EDGE, EdgeChunk, ring_partition_index
 from repro.mpi import mpirun
 

@@ -7,11 +7,14 @@ database, and pull out the data they need.  This example:
 1. runs the RT template for several steps (the "simulation job");
 2. starts a *separate* post-processing job against the snapshotted file
    system + database, which uses :class:`SDMCatalog` to discover what
-   exists — no file names or sizes in the code;
+   exists and to rehydrate the run's data group (``load_group``) — no
+   file names or sizes in the code;
 3. splits its ranks into two working groups with ``comm.split`` (node-field
    analysts vs triangle-field analysts), each reading its datasets
    collectively and computing per-step statistics;
-4. prints the interface growth curve and an I/O report.
+4. hands every rank the whole last node field (``read_global``, the
+   visualization front end's read) and checks it against the analysts';
+5. prints the interface growth curve and an I/O report.
 
 Run:  python examples/postprocess_visualization.py
 """
@@ -57,7 +60,7 @@ def main():
         catalog = SDMCatalog.attach(ctx)
         runs = catalog.runs()
         run = runs[-1]
-        datasets = {d.name: d for d in catalog.datasets(run.runid)}
+        datasets = catalog.load_group(run.runid).datasets
         # Two analyst groups: even ranks take nodes, odd ranks triangles.
         role = ctx.rank % 2
         team = ctx.comm.split(color=role, key=ctx.rank)
@@ -81,7 +84,12 @@ def main():
                 ctx.comm = saved
             local_max = float(np.abs(vals).max()) if len(vals) else 0.0
             stats.append(team.allreduce(local_max, op=lambda a, b: max(a, b)))
-        return role, name, steps, stats
+        # The front end's view: the whole last node field on every rank.
+        last = catalog.timesteps(run.runid, "node_data")[-1]
+        whole = catalog.read_global(run.runid, "node_data", last)
+        assert len(whole) == datasets["node_data"].global_size
+        catalog.release()
+        return role, name, steps, stats, float(np.abs(whole).max())
 
     print(f"post-processing: {POST_PROCS} ranks discover and read the run "
           f"through the catalog...")
@@ -93,6 +101,9 @@ def main():
     print(f"  {'step':>6} {'node field':>12} {'triangle field':>15}")
     for i, t in enumerate(role0[2]):
         print(f"  {t:>6} {role0[3][i]:>12.5f} {role1[3][i]:>15.5f}")
+    assert all(v[4] == role0[3][-1] for v in post_job.values)
+    print(f"  the whole last node field (read_global) on every rank peaks "
+          f"at {role0[4]:.5f}, as the analysts found")
     growth = role0[3][-1] / role0[3][0]
     assert growth > 1.5, "instability should grow"
     print(f"\n  amplitude grew {growth:.1f}x over the run "

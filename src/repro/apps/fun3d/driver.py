@@ -47,24 +47,6 @@ class Fun3dRunConfig:
     read_back: bool = False
     """Also read every checkpoint back (the read half of Figure 6)."""
 
-    storage_order: str = "canonical"
-    """Checkpoint data path: "canonical" exchanges into global order at
-    write time, "chunked" appends distribution order exchange-free."""
-
-    reorganize_after: bool = False
-    """Reorganize every chunked checkpoint into canonical order after the
-    timestep loop (the deferred exchange, paid once, off the hot path)."""
-
-    reorganize_mode: str = "sync"
-    """How ``reorganize_after`` pays the exchange: "sync" runs it
-    collectively on the application ranks; "background" enqueues it on
-    the maintenance service's per-rank workers, off the critical path."""
-
-    compact_after: bool = False
-    """After reorganization, queue a compaction of every chunked
-    checkpoint file, reclaiming the dead regions the reorganizations
-    left (runs on the maintenance workers, behind the reorganize jobs)."""
-
     wait_history: bool = False
     """Block (in virtual time) until this rank's history slice is on
     disk before continuing — read-your-writes on the registered history
@@ -98,8 +80,6 @@ def run_fun3d_sdm(
     sdm = SDM(
         ctx, "fun3d", organization=config.organization,
         problem_size=mesh.n_edges, num_timesteps=config.timesteps,
-        storage_order=config.storage_order,
-        reorganize_mode=config.reorganize_mode,
     )
 
     # ------------------------------------------------------- Figure 3 ----
@@ -178,27 +158,10 @@ def run_fun3d_sdm(
                 bytes_written += len(big) * 8
             checksum += float(p[owned_sel].sum())
 
-    if config.reorganize_after:
-        with ctx.phase("reorganize"):
-            for t in range(config.timesteps):
-                if (t + 1) % config.checkpoint_every != 0:
-                    continue
-                for name in (*NODE_DATASETS, BIG_DATASET):
-                    sdm.reorganize(handle, name, t)
-        if config.compact_after and config.storage_order == "chunked":
-            # Behind the reorganize jobs in queue order, so the pass sees
-            # every dead region they leave.
-            written = [
-                t for t in range(config.timesteps)
-                if (t + 1) % config.checkpoint_every == 0
-            ]
-            for fname in sdm.chunked_checkpoint_files(handle, written):
-                sdm.compact(fname, mode=config.reorganize_mode)
-
     read_checksum = None
     if config.read_back:
-        # Reads must not race pending background maintenance on the
-        # checkpoint files (a no-op when nothing is queued).
+        # Reads must not race this rank's pending maintenance job, the
+        # history write (a no-op when nothing is queued).
         sdm.drain_maintenance()
         read_checksum = 0.0
         for t in range(config.timesteps):

@@ -135,7 +135,7 @@ class StorageModel:
     """Seconds to install an MPI-IO file view (datatype decode + commit)."""
 
     metadata_op_cost: float = 1.0e-3
-    """Seconds for a namespace metadata operation (create, stat, unlink)."""
+    """Seconds for a namespace metadata operation (create, truncate)."""
 
     def stream_time(self, nbytes: float, *, write: bool, runs: int = 1) -> float:
         """Service time of one request once it holds a controller."""
@@ -204,23 +204,9 @@ class MachineModel:
         """Return a copy with selected storage parameters replaced."""
         return replace(self, storage=replace(self.storage, **kwargs))
 
-    def with_network(self, **kwargs) -> "MachineModel":
-        """Return a copy with selected network parameters replaced."""
-        return replace(self, network=replace(self.network, **kwargs))
-
     def with_collective_io(self, **kwargs) -> "MachineModel":
         """Return a copy with selected collective-I/O parameters replaced."""
         return replace(self, collective_io=replace(self.collective_io, **kwargs))
-
-    def aggregate_read_bandwidth(self) -> float:
-        """Peak aggregate read bandwidth in bytes/second."""
-        s = self.storage
-        return s.n_controllers * s.stream_read_bandwidth
-
-    def aggregate_write_bandwidth(self) -> float:
-        """Peak aggregate write bandwidth in bytes/second."""
-        s = self.storage
-        return s.n_controllers * s.stream_write_bandwidth
 
 
 def origin2000() -> MachineModel:

@@ -277,9 +277,6 @@ class IndexBlockCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._blocks)
-
     def get(
         self, file_name: str, offset: int, count: int, version: int = 0
     ) -> Optional[np.ndarray]:

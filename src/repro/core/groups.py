@@ -32,10 +32,6 @@ class DatasetAttrs:
     """Global element count (the file holds this many elements per step)."""
     basic_pattern: str = "IRREGULAR"
 
-    def element_bytes(self) -> int:
-        """Bytes per element."""
-        return self.data_type.size
-
     def global_bytes(self) -> int:
         """Bytes of one full timestep instance of this dataset."""
         return self.global_size * self.data_type.size

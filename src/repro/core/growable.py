@@ -26,14 +26,6 @@ class GrowableArray:
         self.n_grows = 0
         self.bytes_copied = 0
 
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def capacity(self) -> int:
-        """Allocated element slots."""
-        return len(self._buf)
-
     def _ensure(self, extra: int) -> None:
         need = self._len + extra
         if need <= len(self._buf):
@@ -47,12 +39,6 @@ class GrowableArray:
         self.n_grows += 1
         self._buf = grown
 
-    def append(self, value) -> None:
-        """Append one element."""
-        self._ensure(1)
-        self._buf[self._len] = value
-        self._len += 1
-
     def extend(self, values: np.ndarray) -> None:
         """Append a batch of elements."""
         values = np.asarray(values, dtype=self._buf.dtype)
@@ -63,7 +49,3 @@ class GrowableArray:
     def view(self) -> np.ndarray:
         """Zero-copy view of the current contents."""
         return self._buf[: self._len]
-
-    def array(self) -> np.ndarray:
-        """Copy of the current contents."""
-        return self._buf[: self._len].copy()

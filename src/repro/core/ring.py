@@ -49,9 +49,6 @@ class EdgeChunk:
     gid_start: int
     """Global id of the first edge in this chunk."""
 
-    def __len__(self) -> int:
-        return len(self.edge1)
-
 
 @dataclass
 class LocalPartition:

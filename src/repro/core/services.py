@@ -41,11 +41,6 @@ class ServicesSnapshot:
     files: Dict[str, np.ndarray]
     db_dump: str
 
-    @property
-    def total_file_bytes(self) -> int:
-        """Bytes across all snapshotted files."""
-        return sum(len(v) for v in self.files.values())
-
 
 def snapshot_services(job: JobResult) -> ServicesSnapshot:
     """Capture a finished job's file system and database contents."""

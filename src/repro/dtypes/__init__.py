@@ -30,7 +30,6 @@ from repro.dtypes.primitives import (
     DOUBLE,
     INT,
     Primitive,
-    from_numpy_dtype,
 )
 from repro.dtypes.constructors import IndexedBlock
 
@@ -44,6 +43,5 @@ __all__ = [
     "FLOAT64",
     "INT",
     "DOUBLE",
-    "from_numpy_dtype",
     "IndexedBlock",
 ]

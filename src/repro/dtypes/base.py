@@ -48,10 +48,6 @@ class Datatype:
         this stride."""
         return self._extent
 
-    def runs(self) -> Runs:
-        """Byte runs ``(offsets, lengths)`` of one instance, typemap order."""
-        raise NotImplementedError
-
     def with_extent(self, extent: int) -> "Datatype":
         """Return a copy resized to a new extent (``MPI_Type_create_resized``)."""
         from repro.dtypes.constructors import Resized

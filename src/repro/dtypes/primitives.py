@@ -16,7 +16,6 @@ __all__ = [
     "FLOAT64",
     "INT",
     "DOUBLE",
-    "from_numpy_dtype",
     "primitive_by_name",
 ]
 
@@ -52,10 +51,6 @@ INT = INT32
 DOUBLE = FLOAT64
 """C ``double`` (the paper's field data)."""
 
-_BY_NUMPY = {
-    p.numpy_dtype: p for p in (BYTE, INT32, INT64, FLOAT32, FLOAT64)
-}
-
 _BY_NAME = {p.name: p for p in (BYTE, INT32, INT64, FLOAT32, FLOAT64)}
 
 
@@ -67,11 +62,3 @@ def primitive_by_name(name: str) -> Primitive:
     except KeyError:
         raise DatatypeError(f"no primitive datatype named {name!r}") from None
 
-
-def from_numpy_dtype(dtype) -> Primitive:
-    """Primitive corresponding to a numpy dtype (raises for unsupported)."""
-    dt = np.dtype(dtype)
-    try:
-        return _BY_NUMPY[dt]
-    except KeyError:
-        raise DatatypeError(f"no primitive datatype for numpy dtype {dt!r}") from None

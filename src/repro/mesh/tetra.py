@@ -27,7 +27,7 @@ class TetMesh:
     coords:
         float64 ``(n_nodes, 3)`` vertex coordinates.
     tets:
-        int64 ``(n_tets, 4)`` vertex ids per tetrahedron.
+        int64 ``(T, 4)`` vertex ids, one row per tetrahedron.
     edge1, edge2:
         int64 arrays: unique undirected edges with ``edge1 < edge2``,
         lexicographically sorted — the indirection arrays of the paper.
@@ -53,11 +53,6 @@ class TetMesh:
     def n_edges(self) -> int:
         """Number of unique undirected edges."""
         return len(self.edge1)
-
-    @property
-    def n_tets(self) -> int:
-        """Number of tetrahedra."""
-        return len(self.tets)
 
     @property
     def n_faces(self) -> int:

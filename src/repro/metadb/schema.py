@@ -365,6 +365,9 @@ class SDMTables:
         """Committed flips whose reap half was finished by recovery."""
         self.n_pins_expired = 0
         """Abandoned snapshot pins released on a dead client's behalf."""
+        self._next_pin_id = 1
+        """Lowest pin id :meth:`create_pin` may still issue: ids issued
+        through this accessor, the job's one, are never issued again."""
 
     def recovery_stats(self) -> Dict[str, int]:
         """The crash-recovery counters every ``stats()`` surface reports:
@@ -853,17 +856,17 @@ class SDMTables:
         ranges: List[Tuple[int, int]] = []
         for runid, dataset, timestep in dict.fromkeys(keys):
             rows = self.db.execute(
-                "SELECT num_elements, index_offset, data_offset "
-                "FROM chunk_table WHERE runid = ? AND dataset = ? "
-                "AND timestep = ?",
+                "SELECT rank, gid_min, gid_max, num_elements, index_offset, "
+                "data_offset, gid_step FROM chunk_table WHERE runid = ? AND "
+                "dataset = ? AND timestep = ?",
                 (runid, dataset, timestep),
                 proc=proc,
             )
-            for n, io, do in rows:
-                if int(n) and int(io) != int(do):  # arithmetic: no block
-                    ranges.append(
-                        (int(io), int(io) + int(n) * CHUNK_INDEX_BYTES)
-                    )
+            for row in rows:
+                block = ChunkRecord(*map(int, row)).block
+                if block is not None:
+                    offset, n = block
+                    ranges.append((offset, offset + n * CHUNK_INDEX_BYTES))
         return ranges
 
     def allocate_extent(
@@ -1226,8 +1229,18 @@ class SDMTables:
         """Pin a snapshot: row versions live at ``epoch`` stay readable
         (and unreaped) until :meth:`release_pin`.  Returns the pin id.
         ``now`` seeds the last-touched stamp the abandoned-pin reaper
-        ages against."""
-        pin_id = self._next_id("pin_table", "pin_id", proc)
+        ages against.
+
+        A pin id is never reissued within a job.  The abandoned-pin
+        reaper may delete the highest pin while its holder still runs;
+        ``MAX(pin_id)+1`` alone would hand that id to the next pin, and
+        the stale holder's touch, advance and release — which match on
+        ``pin_id`` — would land on it.  An accessor over a restored
+        snapshot starts from ``MAX+1`` again: no holder outlives its
+        job."""
+        pin_id = max(self._next_id("pin_table", "pin_id", proc),
+                     self._next_pin_id)
+        self._next_pin_id = pin_id + 1
         self.db.execute(
             "INSERT INTO pin_table VALUES (?, ?, ?, ?, ?)",
             (pin_id, client, epoch, self.db.boot_id, now),
@@ -1301,11 +1314,16 @@ class SDMTables:
     def advance_pin(
         self, pin_id: int, epoch: int, proc: Optional[Process] = None
     ) -> None:
-        """Move a pin forward (a publisher reads its own writes)."""
-        self.db.execute(
+        """Move a pin forward (a publisher reads its own writes);
+        count-checked like :meth:`touch_pin`."""
+        touched = self.db.execute_many(
             "UPDATE pin_table SET epoch = ? WHERE pin_id = ?",
-            (epoch, pin_id),
+            [(epoch, pin_id)],
             proc=proc,
+        )
+        self._expect_rows(
+            touched, 1, f"advance_pin of pin {pin_id}",
+            "the pin expired and was reaped",
         )
 
     def pin_count(self, proc: Optional[Process] = None) -> int:

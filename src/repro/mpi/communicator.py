@@ -180,16 +180,6 @@ class Communicator:
                 size,
                 self.proc.now,
             )
-        if size == 1:
-            # Degenerate world: apply semantics directly, zero cost.
-            site = CollectiveSite(op, 1)
-            site.root, site.reduce_op = root or 0, reduce_op
-            site.deposit(0, self.proc, payload, self.proc.now)
-            results, _ = COMPUTE_FNS[op](site, self.transport.machine, 1)
-            self.transport.record_collective(op, site.entries[0].nbytes)
-            if verifier is not None:
-                verifier.leave(self.proc.name)
-            return results[0]
         key = (self.ctx_id, self._op_seq)
         site: CollectiveSite = self.transport.site(
             key, lambda: CollectiveSite(op, size)

@@ -79,21 +79,6 @@ class JobResult:
         (what the paper's stacked bars report)."""
         return max((p.get(name, 0.0) for p in self.phase_totals), default=0.0)
 
-    def phase_mean(self, name: str) -> float:
-        """Mean-over-ranks total for a phase."""
-        if not self.phase_totals:
-            return 0.0
-        return sum(p.get(name, 0.0) for p in self.phase_totals) / len(self.phase_totals)
-
-    def phase_names(self) -> List[str]:
-        """All phase names observed, in first-use order across ranks."""
-        seen: List[str] = []
-        for totals in self.phase_totals:
-            for name in totals:
-                if name not in seen:
-                    seen.append(name)
-        return seen
-
 
 def mpirun(
     fn: Callable[[RankContext], Any],

@@ -43,10 +43,6 @@ class PhaseTimer:
             self.totals[name] = self.totals.get(name, 0.0) + elapsed
             self.counts[name] = self.counts.get(name, 0) + 1
 
-    def total(self, name: str) -> float:
-        """Accumulated virtual seconds in ``name`` (0 if never entered)."""
-        return self.totals.get(name, 0.0)
-
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all phase totals."""
         return dict(self.totals)

@@ -66,26 +66,20 @@ class Transport:
         None — the default — collectives pay exactly one attribute test
         and nothing is recorded."""
 
-    def stats(self, reset: bool = False) -> Dict[str, Any]:
-        """Snapshot the traffic counters; optionally zero them.
+    def stats(self) -> Dict[str, Any]:
+        """Snapshot the traffic counters.
 
         Mirrors :meth:`repro.pfs.filesystem.FileSystem.stats` so bench
         counter windows are one call per service instead of a hand-kept
         list of fields.  The collective dicts are copied — mutating the
         snapshot never touches the live counters.
         """
-        snap: Dict[str, Any] = {
+        return {
             "n_p2p_messages": self.n_p2p_messages,
             "p2p_bytes": self.p2p_bytes,
             "coll_counts": dict(self.coll_counts),
             "coll_bytes": dict(self.coll_bytes),
         }
-        if reset:
-            self.n_p2p_messages = 0
-            self.p2p_bytes = 0
-            self.coll_counts = {}
-            self.coll_bytes = {}
-        return snap
 
     # ------------------------------------------------------------------
     # Point-to-point

@@ -17,9 +17,9 @@ optimizations:
 
 Entry point is :class:`~repro.mpiio.file.File`, mirroring mpi4py's
 ``MPI.File``: ``File.open(comm, fs, name, amode)``, ``set_view``,
-``read_at/write_at`` (independent), ``read_at_all/write_at_all``
-(collective), the explicit-run ``*_runs`` family the storage-order layer
-uses, ``close``.  There are no individual file pointers: every access
+``write_at`` (independent), ``read_at_all/write_at_all`` (collective),
+the explicit-run ``*_runs`` family the storage-order layer uses,
+``close``.  There are no individual file pointers: every access
 names its offset.
 """
 

@@ -1,10 +1,10 @@
 """The MPI-IO ``File`` object (mpi4py-style interface).
 
 Each rank constructs its own :class:`File` via the collective
-:meth:`File.open`; independent operations (``read_at``/``write_at``) use
-data sieving, collective operations (``read_at_all``/``write_at_all``) use
-two-phase I/O.  Offsets are in *etype units of the current view*, exactly
-as in MPI.
+:meth:`File.open`; independent operations (``write_at``, ``read_runs``)
+use data sieving, collective operations (``read_at_all``/``write_at_all``,
+``read_runs_at_all``) use two-phase I/O.  Offsets are in *etype units of
+the current view*, exactly as in MPI.
 
 Buffers are numpy arrays of any dtype; the byte count of an operation is
 the buffer's ``nbytes``.
@@ -138,13 +138,6 @@ class File:
         self.fs.close(self.comm.proc, self._handle)
         self.closed = True
 
-    def __enter__(self) -> "File":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if not self.closed:
-            self.close()
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -172,17 +165,6 @@ class File:
         return sieving.independent_write(
             self.fs, self.comm.proc, self._handle, off, ln, raw, self.hints
         )
-
-    def read_at(self, offset: int, buf) -> np.ndarray:
-        """Independent read at ``offset`` (etype units) into ``buf``;
-        returns ``buf``."""
-        self._check_live()
-        raw = _as_bytes(buf)
-        off, ln = self._view.runs_for(offset * self._view.etype.size, len(raw))
-        raw[:] = sieving.independent_read(
-            self.fs, self.comm.proc, self._handle, off, ln, self.hints
-        )
-        return buf
 
     # ------------------------------------------------------------------
     # Collective data access (two-phase)
@@ -240,17 +222,6 @@ class File:
         self._check_live()
         off, ln = runs.coalesce_runs(*check_runs(offsets, lengths))
         return self._read_coalesced(off, ln, collective=False, kind=kind)
-
-    @collective
-    def write_runs_at_all(self, offsets, lengths, buf) -> int:
-        """Collective write of explicit byte runs; all ranks call (a rank
-        with no runs passes empty arrays)."""
-        self._check_live()
-        off, ln = check_runs(offsets, lengths)
-        return twophase.collective_write(
-            self.comm, self.comm.proc, self.fs, self._handle, off, ln,
-            _run_payload(ln, buf), self.hints,
-        )
 
     @collective
     def read_runs_at_all(self, offsets, lengths) -> np.ndarray:

@@ -137,16 +137,6 @@ class FileView:
             len(off) == 1 and off[0] == 0 and ln[0] == self._tile_extent
         )
 
-    @property
-    def tile_size(self) -> int:
-        """Visible data bytes per filetype tile."""
-        return self._tile_size
-
-    @property
-    def tile_extent(self) -> int:
-        """File bytes (holes included) per filetype tile."""
-        return self._tile_extent
-
     def _clip(self, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
         """Runs of visible-data range [a, b) within one tile, tile-relative."""
         cum = self._cum

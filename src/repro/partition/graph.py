@@ -111,10 +111,5 @@ class Graph:
             raise PartitionError("vertex weights must be non-negative")
         return cls(xadj, mdst.astype(np.int64), merged_w, vwgt)
 
-    @property
-    def n_edges(self) -> int:
-        """Number of undirected edges."""
-        return len(self.adjncy) // 2
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Graph n={self.n} m={self.n_edges}>"
+        return f"<Graph n={self.n} m={len(self.adjncy) // 2}>"

@@ -17,7 +17,7 @@ Files are flat byte namespaces (no directories): SDM names files like
 
 from repro.pfs.blockstore import ByteStore
 from repro.pfs.striping import StripeLayout
-from repro.pfs.file import FileStat, PFSFile, PFSHandle
+from repro.pfs.file import PFSFile, PFSHandle
 from repro.pfs.filesystem import FileSystem
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "StripeLayout",
     "PFSFile",
     "PFSHandle",
-    "FileStat",
     "FileSystem",
 ]

@@ -43,11 +43,6 @@ class ByteStore:
         self.size = 0
         """High-water mark: one past the last byte ever written."""
 
-    @property
-    def capacity(self) -> int:
-        """Currently allocated bytes (always >= size)."""
-        return len(self._buf)
-
     def _ensure(self, upto: int) -> None:
         if upto <= len(self._buf):
             return

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import AccessModeError, InvalidFileHandle
@@ -12,7 +11,7 @@ from repro.pfs.striping import StripeLayout
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.filesystem import FileSystem
 
-__all__ = ["PFSFile", "PFSHandle", "FileStat", "RD", "WR", "RDWR"]
+__all__ = ["PFSFile", "PFSHandle", "RD", "WR", "RDWR"]
 
 RD = 0x1
 """Open-for-reading flag."""
@@ -22,16 +21,6 @@ WR = 0x2
 
 RDWR = RD | WR
 """Read-write flag."""
-
-
-@dataclass
-class FileStat:
-    """Result of a stat call."""
-
-    name: str
-    size: int
-    ctime: float
-    mtime: float
 
 
 class PFSFile:

@@ -4,7 +4,7 @@ One :class:`FileSystem` is shared by all ranks of a job (created by the
 ``services`` factory of :func:`repro.mpi.mpirun`).  Every operation takes the
 calling :class:`~repro.simt.Process` so it can charge virtual time:
 
-* **metadata ops** (create, open, stat, unlink) hold the metadata server
+* **metadata ops** (create, open, truncate) hold the metadata server
   (a capacity-limited FIFO resource) for a fixed cost — 64 ranks opening the
   same file queue up, which is exactly the level-1 penalty of the paper;
 * **data ops** stream through the per-controller queues for a total of
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.config import MachineModel
 from repro.errors import FileExists, FileNotFound, PFSError
-from repro.pfs.file import RD, RDWR, WR, FileStat, PFSFile, PFSHandle
+from repro.pfs.file import RD, RDWR, WR, PFSFile, PFSHandle
 from repro.pfs.scheduler import split_runs_by_stripe
 from repro.pfs.striping import StripeLayout
 from repro.simt.primitives import Resource, serve
@@ -97,19 +97,13 @@ class FileSystem:
         "runs_serviced", "queue_wait_s",
     )
 
-    def stats(self, reset: bool = False) -> Dict[str, float]:
-        """Snapshot every aggregate counter; optionally zero them.
+    def stats(self) -> Dict[str, float]:
+        """Snapshot every aggregate counter.
 
-        The one counter-window API benches share: take a
-        snapshot at the window start (``reset=True``) or subtract two
-        snapshots — either way no field can be missed the way ad-hoc
-        per-field resets could.
+        The one counter-window API benches share: subtract two snapshots,
+        and no field can be missed the way ad-hoc per-field reads could.
         """
-        snap = {name: getattr(self, name) for name in self._STAT_FIELDS}
-        if reset:
-            for name in self._STAT_FIELDS:
-                setattr(self, name, 0)
-        return snap
+        return {name: getattr(self, name) for name in self._STAT_FIELDS}
 
     def write_lock(self, name: str) -> Resource:
         """Per-file advisory write lock (fcntl-style).
@@ -197,19 +191,6 @@ class FileSystem:
         handle.check_open()
         proc.hold(self.machine.storage.file_close_cost)
         handle.closed = True
-
-    def stat(self, proc: Process, name: str) -> FileStat:
-        """Stat by name (metadata-op cost)."""
-        self._charge_metadata(proc, self.machine.storage.metadata_op_cost)
-        f = self.lookup(name)
-        return FileStat(name=f.name, size=f.size, ctime=f.ctime, mtime=f.mtime)
-
-    def unlink(self, proc: Process, name: str) -> None:
-        """Remove a file (metadata-op cost)."""
-        self._charge_metadata(proc, self.machine.storage.metadata_op_cost)
-        if name not in self._files:
-            raise FileNotFound(f"no such file: {name!r}")
-        del self._files[name]
 
     def truncate(self, proc: Process, name: str, length: int) -> None:
         """Shrink (or zero-extend) a file to ``length`` bytes (metadata-op

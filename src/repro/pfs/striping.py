@@ -1,8 +1,10 @@
 """Round-robin striping arithmetic.
 
-Files are striped in fixed-size units over the controllers; these helpers
-answer layout questions the cost model and tests need (which controller
-serves a byte, how many distinct stripes/controllers a request touches).
+Files are striped in fixed-size units over the controllers, dealt
+round-robin: stripe ``offset // stripe_size`` lives on controller
+``stripe % n_controllers``.  The scheduler (:mod:`repro.pfs.scheduler`)
+cuts run lists on that rule in bulk; :meth:`StripeLayout.controller_of`
+states it for one byte, the reference its tests check against.
 """
 
 from __future__ import annotations
@@ -25,23 +27,6 @@ class StripeLayout:
         if self.n_controllers < 1:
             raise ValueError(f"n_controllers must be >= 1, got {self.n_controllers}")
 
-    def stripe_of(self, offset: int) -> int:
-        """Index of the stripe containing byte ``offset``."""
-        return offset // self.stripe_size
-
     def controller_of(self, offset: int) -> int:
         """Controller serving byte ``offset`` (round-robin over stripes)."""
-        return self.stripe_of(offset) % self.n_controllers
-
-    def stripes_spanned(self, offset: int, length: int) -> int:
-        """Number of distinct stripes a ``[offset, offset+length)`` request
-        touches (0 for empty requests)."""
-        if length <= 0:
-            return 0
-        first = self.stripe_of(offset)
-        last = self.stripe_of(offset + length - 1)
-        return last - first + 1
-
-    def controllers_spanned(self, offset: int, length: int) -> int:
-        """Number of distinct controllers the request touches."""
-        return min(self.stripes_spanned(offset, length), self.n_controllers)
+        return (offset // self.stripe_size) % self.n_controllers

@@ -55,11 +55,6 @@ class Signal:
             self.sim.schedule_resume(w, value=value)
         return len(waiters)
 
-    @property
-    def n_waiting(self) -> int:
-        """Number of processes currently blocked on this signal."""
-        return len(self._waiters)
-
 
 class SimEvent:
     """One-shot future: set once, read many.

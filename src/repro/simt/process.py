@@ -11,7 +11,7 @@ own thread (:meth:`Simulator._dispatch`): callbacks run right there, and
   thread switch;
 * otherwise it releases the target's wake-up and blocks on its own — a
   single handoff, process → process;
-* for a terminal condition (a crash, nothing left to run, ``until``) the
+* for a terminal condition (a crash, nothing left to run) the
   target is the thread inside :meth:`Simulator.run`, which alone decides how
   a simulation ends.
 

@@ -31,11 +31,10 @@ the heap alone.
 
 **Terminal decisions are main's.**  The dispatcher consumes nothing and hands
 the baton to main when a process has raised, a callback has raised, the queue
-is empty, only daemon events remain (resumes of daemons and callbacks owned
-by daemons; a plain callback keeps the run alive), or the queue head lies
-past ``until``;
+is empty, or only daemon events remain (resumes of daemons and callbacks
+owned by daemons; a plain callback keeps the run alive);
 :meth:`Simulator.run` then drains the remaining threads and reports (crash,
-deadlock, participant lost, pause, or normal end) from the caller's thread.
+deadlock, participant lost, or normal end) from the caller's thread.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class Simulator:
         self._procs: List[Process] = []
         self._live = 0
         """Alive non-daemon processes."""
-        self._until: Optional[float] = None
         self._aborting = False
         self._crashed: Optional[Process] = None
         self._callback_error: Optional[BaseException] = None
@@ -209,10 +207,6 @@ class Simulator:
             raise ValueError(f"call_at needs t >= now={self.now!r}, got {t!r}")
         self._push(t, _CALL, fn, owner)
 
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` ``delay`` seconds from now (see :meth:`call_at`)."""
-        self.call_at(self.now + delay, fn)
-
     def _push(self, t: float, kind: int, payload: Any, value: Any) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (t, self._seq, kind, payload, value))
@@ -221,8 +215,8 @@ class Simulator:
     # Main loop
     # ------------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until all non-daemon processes finish (or ``until`` is hit).
+    def run(self) -> float:
+        """Run until all non-daemon processes finish.
 
         Returns the final virtual time.  Raises
         :class:`~repro.errors.SimProcessCrashed` if any process raised, and
@@ -232,7 +226,6 @@ class Simulator:
         """
         if self._finished:
             raise SimError("simulation already finished")
-        self._until = until
         proc = self._dispatch()
         if proc is not None:
             # The baton now travels from process to process; it only
@@ -283,11 +276,6 @@ class Simulator:
                     f"no events pending but {len(live)} process(es) "
                     f"blocked: {report}{extra}"
                 )
-        elif self._live or not self._only_daemon_events():
-            # The queue head is past ``until``: it stays queued, under
-            # its own sequence number, for a later run() call.
-            self.now = until
-            return self.now
         self._drain()
         return self.now
 
@@ -306,12 +294,9 @@ class Simulator:
         if self._crashed is not None:
             return None
         queue = self._queue
-        until = self._until
         while queue:
             if not self._live and self._only_daemon_events():
                 # All real work done; don't let daemons spin forever.
-                return None
-            if until is not None and queue[0][0] > until:
                 return None
             t, _seq, kind, payload, value = heapq.heappop(queue)
             if t > self.now:

@@ -107,10 +107,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def clear(self) -> None:
-        """Drop all records."""
-        self.records.clear()
-
     def last(self, label: Optional[str] = None) -> Optional[TraceRecord]:
         """Most recent record (optionally restricted to one label)."""
         if label is None:

@@ -137,34 +137,6 @@ def test_sdm_read_back_matches_written(problem, part):
         assert np.isfinite(r.read_checksum)
 
 
-def test_sdm_chunked_read_back_matches_canonical(problem, part):
-    """The driver's storage_order knob: chunked checkpoints (with and
-    without reorganize_after) read back exactly what canonical wrote."""
-
-    def make_program(order, reorganize_after=False):
-        def program(ctx):
-            return run_fun3d_sdm(
-                ctx, problem, part,
-                Fun3dRunConfig(
-                    register_history=False, read_back=True,
-                    storage_order=order, reorganize_after=reorganize_after,
-                ),
-            )
-        return program
-
-    canonical = mpirun(make_program("canonical"), NPROCS,
-                       machine=fast_test(), services=services_for(problem))
-    chunked = mpirun(make_program("chunked"), NPROCS,
-                     machine=fast_test(), services=services_for(problem))
-    reorganized = mpirun(make_program("chunked", reorganize_after=True),
-                         NPROCS, machine=fast_test(),
-                         services=services_for(problem))
-    for c, k, r in zip(canonical.values, chunked.values, reorganized.values):
-        assert k.read_checksum == pytest.approx(c.read_checksum, rel=1e-12)
-        assert r.read_checksum == pytest.approx(c.read_checksum, rel=1e-12)
-        assert k.checksum == pytest.approx(c.checksum, rel=1e-12)
-
-
 def test_sdm_import_faster_than_original():
     """Figure 5's headline: parallel MPI-IO import beats rank-0+broadcast.
 

@@ -1000,7 +1000,7 @@ def test_failed_reorganize_releases_its_flip_lease():
         sdm.data_view(handle, "d", mine)
         fname = sdm.write(handle, "d", 0, mine * 1.0)
         if ctx.rank == 0:
-            sdm.fs.unlink(ctx.proc, fname)
+            del sdm.fs._files[fname]  # the file vanishes under the flip
         ctx.comm.barrier()
         errors = []
         for _attempt in range(2):

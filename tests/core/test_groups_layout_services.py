@@ -89,8 +89,7 @@ def test_group_dataset_and_view_errors():
 
 def test_dataset_attrs_byte_accounting():
     a = DatasetAttrs(name="x", data_type=DOUBLE, global_size=100)
-    assert a.element_bytes() == 8
-    assert a.global_bytes() == 800
+    assert a.global_bytes() == 100 * DOUBLE.size == 800
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_snapshot_carries_files_and_database():
 
     job = mpirun(writer, 2, machine=fast_test(), services=sdm_services())
     snap = snapshot_services(job)
-    assert snap.total_file_bytes > 0
+    assert {n: len(b) for n, b in snap.files.items()} == {"snap/d.dat": 64}
     assert "run_table" in snap.db_dump
 
     def reader(ctx):

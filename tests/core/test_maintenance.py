@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.apps.fun3d import Fun3dRunConfig, run_fun3d_sdm
+from repro.apps.rt import RTRunConfig, run_rt_sdm
 from repro.config import fast_test, origin2000
 from repro.core import (
     SDM,
@@ -530,40 +530,51 @@ def test_history_wait_blocks_until_slice_is_on_disk():
         assert size > 0
 
 
-def test_fun3d_driver_background_maintenance_roundtrip():
-    """The driver knobs compose: chunked writes, background reorganize,
-    compaction, and read-back in one run."""
-    mesh, part, services = _history_setup()
-    problem = None
-    from repro.mesh import fun3d_like_problem
+def test_rt_driver_background_maintenance_roundtrip():
+    """The driver's maintenance phase composes: chunked writes, then a
+    sync or a background reorganize plus compaction; a later catalog
+    job reads every slice back exactly, and the background run's chunked
+    files are compacted down to their live bytes."""
+    from repro.apps.rt.model import evolve_interface, triangle_field_from_nodes
+    from repro.core.catalog import SDMCatalog
+    from repro.mesh import rt_like_problem
 
-    problem = fun3d_like_problem(3)
+    problem = rt_like_problem(3)
     g = Graph.from_edges(problem.mesh.n_nodes, problem.mesh.edge1,
                          problem.mesh.edge2)
     part = multilevel_kway(g, NPROCS, seed=1)
-    base = sdm_services()
-
-    def factory(sim, machine):
-        built = base(sim, machine)
-        install_mesh_file(built["fs"], "uns3d.msh", problem.mesh.edge1,
-                          problem.mesh.edge2, problem.edge_arrays,
-                          problem.node_arrays)
-        return built
-
-    cfg_sync = Fun3dRunConfig(timesteps=2, storage_order="chunked",
-                              reorganize_after=True, read_back=True,
-                              register_history=False)
-    cfg_bg = Fun3dRunConfig(timesteps=2, storage_order="chunked",
-                            reorganize_after=True, reorganize_mode="background",
-                            compact_after=True, read_back=True,
-                            register_history=False)
-    sync = mpirun(lambda ctx: run_fun3d_sdm(ctx, problem, part, cfg_sync),
-                  NPROCS, machine=fast_test(), services=lambda s, m: factory(s, m))
-    bg = mpirun(lambda ctx: run_fun3d_sdm(ctx, problem, part, cfg_bg),
-                NPROCS, machine=fast_test(), services=lambda s, m: factory(s, m))
+    cfg_sync = RTRunConfig(timesteps=2, storage_order="chunked",
+                           reorganize_after=True)
+    cfg_bg = RTRunConfig(timesteps=2, storage_order="chunked",
+                         reorganize_after=True, reorganize_mode="background",
+                         compact_after=True)
+    sync = mpirun(lambda ctx: run_rt_sdm(ctx, problem, part, cfg_sync),
+                  NPROCS, machine=fast_test(), services=sdm_services())
+    bg = mpirun(lambda ctx: run_rt_sdm(ctx, problem, part, cfg_bg),
+                NPROCS, machine=fast_test(), services=sdm_services())
     for r_sync, r_bg in zip(sync.values, bg.values):
-        assert r_bg.read_checksum == pytest.approx(r_sync.read_checksum)
-    # Background run compacted its chunked files down to live bytes.
+        assert r_bg.checksum == r_sync.checksum
+
+    def post(ctx):
+        catalog = SDMCatalog.attach(ctx)
+        runid = catalog.runs()[-1].runid
+        found = {(rec.name, t): catalog.read_slice(
+                     runid, rec.name, t, np.arange(rec.global_size))
+                 for rec in catalog.datasets(runid)
+                 for t in catalog.timesteps(runid, rec.name)}
+        catalog.release()
+        return found
+
+    for job in (sync, bg):
+        found = mpirun(post, 1, machine=fast_test(), services=sdm_services(
+            seed_from=snapshot_services(job))).values[0]
+        assert len(found) == 4
+        for t in range(2):
+            amplitudes = evolve_interface(problem.mesh.coords, (t + 1) * 0.1)
+            np.testing.assert_array_equal(found["node_data", t], amplitudes)
+            np.testing.assert_array_equal(
+                found["triangle_data", t],
+                triangle_field_from_nodes(amplitudes, problem.triangle_nodes))
     tables = SDMTables(bg.services["db"])
     fs = bg.services["fs"]
     for fname in fs.list_files():

@@ -5,9 +5,9 @@ import pytest
 
 from repro.config import fast_test
 from repro.core import SDM, sdm_services
-from repro.core.mvcc import Flip
+from repro.core.mvcc import Flip, SnapshotPin
 from repro.errors import SDMLeaseConflict, SDMStateError
-from repro.metadb.schema import EPOCH_INTENT, SDMTables
+from repro.metadb.schema import DEFAULT_PIN_TTL, EPOCH_INTENT, SDMTables
 from repro.mpi import mpirun
 
 NPROCS = 3
@@ -105,3 +105,29 @@ def test_publish_journals_exactly_one_intent(begin_early):
     tables = SDMTables(job.services["db"])
     assert tables.current_epoch() == 1
     assert intents(tables) == [] and tables.all_leases() == []
+
+
+def test_stale_pin_holder_cannot_touch_or_release_the_next_pin():
+    """A's pin ages out and the reaper releases it; B pins next.  A's
+    touch and release must refuse, not refresh or delete B's pin (which
+    they did while B was given A's id again)."""
+
+    def program(ctx):
+        maint = ctx.service("maint")
+        maint.tables.create_all(proc=ctx.proc)
+        a = SnapshotPin(maint.tables, "sdm:a")
+        a.take(ctx.comm)
+        ctx.proc.hold(DEFAULT_PIN_TTL)
+        assert maint.reap_abandoned_pins(ctx.proc) == 1
+        b = SnapshotPin(maint.tables, "sdm:b")
+        b.take(ctx.comm)
+        ctx.proc.hold(DEFAULT_PIN_TTL / 4)  # past a's touch throttle
+        with pytest.raises(SDMStateError):
+            a.touch(ctx.comm)
+        with pytest.raises(SDMStateError):
+            a.release(ctx.comm)
+        return maint.tables.all_pins(), b.pin_id
+
+    job = mpirun(program, 1, machine=fast_test(), services=sdm_services())
+    pins, b_pin = job.values[0]
+    assert pins == [(b_pin, "sdm:b", 0)]

@@ -12,8 +12,8 @@ from repro.dtypes import (
     INT32,
     INT64,
     IndexedBlock,
-    from_numpy_dtype,
 )
+from repro.dtypes.primitives import primitive_by_name
 from repro.errors import DatatypeError
 from repro.mpiio import FileView
 
@@ -44,11 +44,15 @@ def test_primitive_sizes_and_extents():
     assert INT is INT32 and DOUBLE is FLOAT64
 
 
-def test_from_numpy_dtype_roundtrip():
-    assert from_numpy_dtype(np.float64) is FLOAT64
-    assert from_numpy_dtype("int32") is INT32
+def test_primitive_names_and_numpy_dtypes_roundtrip():
+    """The metadata tables store a primitive's name; the name leads back
+    to the same primitive and its numpy dtype."""
+    for p in (BYTE, INT32, INT64, FLOAT32, FLOAT64):
+        assert primitive_by_name(p.name) is p
+        assert np.dtype(p.numpy_dtype).itemsize == p.size
+    assert primitive_by_name("FLOAT64").numpy_dtype == np.float64
     with pytest.raises(DatatypeError):
-        from_numpy_dtype(np.complex128)
+        primitive_by_name("COMPLEX128")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.mesh import box_tet_mesh, validate_mesh
 def test_unit_cube_counts():
     m = box_tet_mesh(1, 1, 1)
     assert m.n_nodes == 8
-    assert m.n_tets == 6
+    assert len(m.tets) == 6
     # Kuhn subdivision of one cube: 12 cube edges + 6 face diagonals + 1
     # main diagonal = 19 edges.
     assert m.n_edges == 19
@@ -20,7 +20,7 @@ def test_unit_cube_counts():
 def test_box_counts_scale():
     m = box_tet_mesh(3, 2, 4)
     assert m.n_nodes == 4 * 3 * 5
-    assert m.n_tets == 6 * 3 * 2 * 4
+    assert len(m.tets) == 6 * 3 * 2 * 4
     assert validate_mesh(m) == []
 
 

@@ -779,8 +779,9 @@ GOLDEN_PLANS = {
     "gid_step, valid_from FROM chunk_table WHERE runid = ? AND dataset = ? "
     "AND timestep = ? AND valid_from <= ? AND valid_to > ? ORDER BY rank":
         "(runid,dataset,timestep,rank)",
-    "SELECT num_elements, index_offset, data_offset FROM chunk_table WHERE "
-    "runid = ? AND dataset = ? AND timestep = ?":
+    "SELECT rank, gid_min, gid_max, num_elements, index_offset, data_offset, "
+    "gid_step FROM chunk_table WHERE runid = ? AND dataset = ? AND "
+    "timestep = ?":
         "(runid,dataset,timestep,rank)",
     "UPDATE chunk_table SET valid_to = ? WHERE runid = ? AND dataset = ? AND "
     "timestep = ? AND valid_to = ? AND valid_from < ?":

@@ -225,6 +225,22 @@ def test_touch_of_reaped_pin_is_fenced(tables):
         tables.touch_pin(pin, 1.0)
 
 
+def test_a_deleted_pin_id_is_never_reissued(tables):
+    """Deleting the highest pin (what the reaper does at the TTL) leaves
+    its id retired: the next pin takes a fresh one, so the stale holder's
+    touch, advance and release all refuse and the new pin survives."""
+    pin = tables.create_pin("c", 0, now=0.0)
+    tables.release_pin(pin)
+    new = tables.create_pin("c", 0, now=DEFAULT_PIN_TTL)
+    assert new != pin
+    for stale in (lambda: tables.touch_pin(pin, DEFAULT_PIN_TTL + 1),
+                  lambda: tables.advance_pin(pin, 1),
+                  lambda: tables.release_pin(pin)):
+        with pytest.raises(SDMStateError):
+            stale()
+    assert tables.all_pins() == [(new, "c", 0)]
+
+
 # ---------------------------------------------------------------------------
 # Per-row reap watermark
 # ---------------------------------------------------------------------------

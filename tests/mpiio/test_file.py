@@ -14,7 +14,9 @@ from repro.mpiio import (
     MODE_RDONLY,
     MODE_RDWR,
     MODE_WRONLY,
+    twophase,
 )
+from repro.mpiio.view import check_runs
 from repro.mpi import mpirun
 from repro.pfs import FileSystem
 
@@ -124,7 +126,8 @@ def test_collective_overlapping_writes_deterministic():
 
 
 def test_independent_write_read_with_sieving():
-    """Per-rank interleaved independent access (data sieving path)."""
+    """Per-rank interleaved independent access (data sieving path): writes
+    through a strided view read back as the view's runs."""
 
     def program(ctx):
         fs = ctx.service("fs")
@@ -135,8 +138,8 @@ def test_independent_write_read_with_sieving():
         data = np.arange(20, dtype=np.float64) + 100 * ctx.rank
         f.write_at(0, data)
         ctx.comm.barrier()
-        out = np.empty(20, dtype=np.float64)
-        f.read_at(0, out)
+        out = f.read_runs(8 * ctx.rank + 8 * ctx.size * np.arange(20),
+                          np.full(20, 8)).view(np.float64)
         f.close()
         return out
 
@@ -366,7 +369,7 @@ def test_gap_hint_bridges_holes_in_collective_read():
 
 def test_per_file_sieving_hints_reach_independent_io():
     """A file's own ``ds_*`` hints govern its data sieving: with the
-    machine default a two-run holey ``read_at`` is one covering request;
+    machine default a two-run holey ``read_runs`` is one covering request;
     ``ds_threshold_gap=0`` on the open makes it one request per run."""
 
     def make_program(hints):
@@ -375,11 +378,9 @@ def test_per_file_sieving_hints_reach_independent_io():
             f = File.open(ctx.comm, fs, "holey.dat",
                           MODE_CREATE | MODE_RDWR, hints=hints)
             f.write_at(0, np.arange(4, dtype=np.float64))
-            # Elements 0 and 2 of every 4: two 8-byte runs, one 8-byte hole.
-            f.set_view(etype=FLOAT64, filetype=IndexedBlock(1, [0, 2], FLOAT64))
             before = fs.n_requests
-            out = np.empty(2, dtype=np.float64)
-            f.read_at(0, out)
+            # Elements 0 and 2: two 8-byte runs, one 8-byte hole.
+            out = f.read_runs([0, 16], [8, 8]).view(np.float64)
             requests = fs.n_requests - before
             f.close()
             return out, requests
@@ -395,7 +396,7 @@ def test_per_file_sieving_hints_reach_independent_io():
 @pytest.mark.parametrize("mode", [MODE_WRONLY, MODE_RDWR],
                          ids=["per-run", "sieved"])
 @pytest.mark.parametrize("collective", [False, True],
-                         ids=["write_runs", "write_runs_at_all"])
+                         ids=["write_runs", "collective_write"])
 def test_zero_length_run_does_not_extend_the_file(mode, collective):
     """``check_runs`` admits empty runs; one far past the data, or one in
     a hole a sieving group would bridge, must leave file size and
@@ -408,15 +409,19 @@ def test_zero_length_run_does_not_extend_the_file(mode, collective):
         out = []
         for far in fars:
             f = File.open(ctx.comm, fs, f"z{far}.dat", MODE_CREATE | mode)
-            write = f.write_runs_at_all if collective else f.write_runs
             read = f.read_runs_at_all if collective else f.read_runs
             if ctx.rank == 0:
                 runs, payload = ([0, far], [4, 0]), np.full(4, 5, np.uint8)
             else:
                 runs, payload = ([], []), np.empty(0, np.uint8)
             n = 0
+            if collective:
+                n = twophase.collective_write(
+                    ctx.comm, ctx.proc, fs, f._handle, *check_runs(*runs),
+                    payload, f.hints)
+            elif ctx.rank == 0:
+                n = f.write_runs(*runs, payload)
             if ctx.rank == 0 or collective:
-                n = write(*runs, payload)
                 if mode == MODE_RDWR:
                     np.testing.assert_array_equal(read(*runs), payload)
             out.append(n)
@@ -444,8 +449,9 @@ def test_zero_length_run_does_not_stretch_the_two_phase_domains():
                 off, ln = np.append(off, 10**9), np.append(ln, 0)
             f = File.open(ctx.comm, ctx.service("fs"), "e.dat",
                           MODE_CREATE | MODE_RDWR)
-            f.write_runs_at_all(off, ln, np.full(8 * stripe, ctx.rank + 1,
-                                                 dtype=np.uint8))
+            twophase.collective_write(
+                ctx.comm, ctx.proc, f.fs, f._handle, *check_runs(off, ln),
+                np.full(8 * stripe, ctx.rank + 1, dtype=np.uint8), f.hints)
             back = f.read_runs_at_all(off, ln)
             f.close()
             return back.tolist()
@@ -485,8 +491,9 @@ def test_collective_write_scratch_is_covered_by_its_segments(monkeypatch):
         fs = ctx.service("fs")
         f = File.open(ctx.comm, fs, "ov3.dat", MODE_CREATE | MODE_RDWR)
         off, ln = segments[ctx.rank]
-        f.write_runs_at_all(off, ln, np.full(sum(ln), ctx.rank + 1,
-                                             dtype=np.uint8))
+        twophase.collective_write(
+            ctx.comm, ctx.proc, fs, f._handle, *check_runs(off, ln),
+            np.full(sum(ln), ctx.rank + 1, dtype=np.uint8), f.hints)
         back = f.read_runs_at_all([0], [370])
         f.close()
         return back

@@ -1,4 +1,4 @@
-"""File handle lifecycle (context manager, double close, access modes)
+"""File handle lifecycle (double close, access modes)
 and a 2-D block view through MPI-IO."""
 
 import numpy as np
@@ -47,17 +47,6 @@ def test_subarray_filetype_through_mpiio():
     np.testing.assert_array_equal(grid[:4, 4:], np.ones((4, 4)))
     np.testing.assert_array_equal(grid[4:, :4], np.full((4, 4), 2.0))
     np.testing.assert_array_equal(grid[4:, 4:], np.full((4, 4), 3.0))
-
-
-def test_context_manager_closes_collectively():
-    def program(ctx):
-        fs = ctx.service("fs")
-        with File.open(ctx.comm, fs, "cm.dat", MODE_CREATE | MODE_RDWR) as f:
-            f.write_at_all(ctx.rank * 8, np.array([float(ctx.rank)]))
-        return f.closed
-
-    job = run(program)
-    assert job.values == [True, True]
 
 
 def test_double_close_rejected():

@@ -182,7 +182,8 @@ def run_case(case, dense):
         f = File.open(ctx.comm, ctx.service("fs"), "col.dat",
                       MODE_CREATE | MODE_RDWR,
                       hints={"cb_buffer_size": cap})
-        f.write_runs_at_all(*writes[ctx.rank])
+        twophase.collective_write(ctx.comm, ctx.proc, f.fs, f._handle,
+                                  *writes[ctx.rank], f.hints)
         back = f.read_runs_at_all(*reads[ctx.rank])
         f.close()
         return back

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.config import fast_test
 from repro.mpi import mpirun
-from repro.mpiio import MODE_CREATE, MODE_RDWR, File
+from repro.mpiio import MODE_CREATE, MODE_RDWR, File, twophase
 from repro.pfs import FileSystem
 from repro.pfs.file import RDWR
 from repro.pfs.runlist import gather_runs
@@ -70,7 +70,8 @@ def run_case(case, reference):
         f = File.open(ctx.comm, ctx.service("fs"), "col.dat",
                       MODE_CREATE | MODE_RDWR,
                       hints={"cb_buffer_size": cap, "cb_nodes": nodes})
-        f.write_runs_at_all(*writes[ctx.rank])
+        twophase.collective_write(ctx.comm, ctx.proc, f.fs, f._handle,
+                                  *writes[ctx.rank], f.hints)
         back = f.read_runs_at_all(*reads[ctx.rank])
         f.close()
         return back

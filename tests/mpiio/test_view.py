@@ -29,7 +29,7 @@ def test_vector_filetype_round_robin():
     # Rank 1 of 4: every 4th double, starting at element 1.
     ft = IndexedBlock(1, [0], FLOAT64).with_extent(32)
     v = FileView(disp=8, etype=FLOAT64, filetype=ft)
-    assert v.tile_size == 8 and v.tile_extent == 32
+    assert (ft.size, ft.extent) == (8, 32)  # one data double per tile
     assert runs(v, 0, 24) == [(8, 8), (40, 8), (72, 8)]
 
 

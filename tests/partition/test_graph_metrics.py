@@ -24,14 +24,14 @@ def test_graph_from_edges_csr_structure():
     # Triangle 0-1-2 plus pendant 3.
     g = Graph.from_edges(4, [0, 1, 2, 2], [1, 2, 0, 3])
     assert g.n == 4
-    assert g.n_edges == 4
+    assert len(g.adjncy) == 2 * 4  # each undirected edge twice
     assert sorted(g.adjncy[g.xadj[2] : g.xadj[3]].tolist()) == [0, 1, 3]
     assert g.xadj[4] - g.xadj[3] == 1  # vertex 3's degree
 
 
 def test_graph_drops_self_loops_and_merges_parallel():
     g = Graph.from_edges(3, [0, 0, 1, 0], [0, 1, 2, 1], edge_weights=[5, 2, 1, 3])
-    assert g.n_edges == 2  # (0,1) merged, (1,2); self-loop dropped
+    assert len(g.adjncy) == 2 * 2  # (0,1) merged, (1,2); self-loop dropped
     i = g.xadj[0] + g.adjncy[g.xadj[0] : g.xadj[1]].tolist().index(1)
     assert g.adjwgt[i] == 5  # 2+3 merged
 

@@ -92,29 +92,17 @@ def test_closed_handle_rejected():
     assert isinstance(ei.value.__cause__, InvalidFileHandle)
 
 
-def test_unlink_removes_file():
-    def fn(proc, fs):
-        fs.create(proc, "gone")
-        assert fs.exists("gone")
-        fs.unlink(proc, "gone")
-        return fs.exists("gone")
-
-    result, _, _ = run_one(fn)
-    assert result is False
-
-
-def test_stat_reports_size_and_times():
+def test_file_records_size_and_times():
     def fn(proc, fs):
         h = fs.open(proc, "s.dat", WR, create=True)
         proc.hold(5.0)
         fs.write_at(proc, h, 0, np.zeros(100, dtype=np.uint8))
         fs.close(proc, h)
-        st = fs.stat(proc, "s.dat")
-        return st
+        return fs.lookup("s.dat")
 
-    st, _, _ = run_one(fn)
-    assert st.size == 100
-    assert st.mtime > st.ctime
+    f, _, _ = run_one(fn)
+    assert f.size == 100
+    assert f.mtime > f.ctime
 
 
 def test_write_time_scales_with_bytes():
@@ -257,8 +245,8 @@ def test_unscheduled_read_over_k_controllers_parks_once(k):
 
 def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
     """Three equal requests reach controller 0 at once: they wait 0, s and
-    2s.  Three stats reach the two-way MDS at once: the third waits one
-    metadata op."""
+    2s.  Three truncates reach the two-way MDS at once: the third waits
+    one metadata op."""
     machine = origin2000()
     storage = machine.storage
     n = 200_000
@@ -269,8 +257,8 @@ def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
     def fn(proc, fs, i):
         h = fs.open(proc, f"q{i}.dat", WR, create=True)
         proc.hold(1.0 - proc.now)
-        marks.setdefault("stat", fs.stats()["queue_wait_s"])
-        fs.stat(proc, f"q{i}.dat")
+        marks.setdefault("truncate", fs.stats()["queue_wait_s"])
+        fs.truncate(proc, f"q{i}.dat", 0)
         proc.hold(2.0 - proc.now)
         marks.setdefault("write", fs.stats()["queue_wait_s"])
         # one batch on controller 0: one scheduled request of n bytes
@@ -283,10 +271,9 @@ def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
     for i in range(3):
         sim.spawn(fn, fs, i, name=f"w{i}")
     sim.run()
-    assert marks["write"] - marks["stat"] == pytest.approx(op, rel=1e-12)
-    total = fs.stats(reset=True)["queue_wait_s"]
+    assert marks["write"] - marks["truncate"] == pytest.approx(op, rel=1e-12)
+    total = fs.stats()["queue_wait_s"]
     assert total - marks["write"] == pytest.approx(3 * s, rel=1e-12)
-    assert fs.stats()["queue_wait_s"] == 0
 
 
 def test_zero_length_run_does_not_extend_the_file():
@@ -296,9 +283,8 @@ def test_zero_length_run_does_not_extend_the_file():
         h = fs.open(proc, "z.dat", RDWR, create=True)
         n = fs.write(proc, h, [0, 1_000_000], [4, 0],
                      np.full(4, 9, dtype=np.uint8))
-        return n, fs.stat(proc, "z.dat").size
+        return n, fs.lookup("z.dat").size
 
     (written, size), _, fs = run_one(fn)
     assert (written, size) == (4, 4)
     assert fs.bytes_written == 4
-    assert fs.lookup("z.dat").store.capacity == 4096

@@ -97,7 +97,7 @@ class Mailbox:
         self.getters = deque()
 
     def put(self, item, delay):
-        self.sim.call_after(delay, lambda: self._deliver(item))
+        self.sim.call_at(self.sim.now + delay, lambda: self._deliver(item))
 
     def _deliver(self, item):
         if self.getters:
@@ -112,10 +112,10 @@ class Mailbox:
         return proc.park(reason="mail")
 
 
-def mixed_scenario(pauses=()):
+def mixed_scenario():
     """Tied holds, FIFO queueing on a Resource, delayed mailbox deliveries
-    (``call`` events), a daemon, and ``run(until)`` pauses; every time is
-    a binary fraction, so the log compares exactly."""
+    (``call`` events) and a daemon; every time is a binary fraction, so
+    the log compares exactly."""
     log = []
     sim = Simulator()
     disk = Resource(sim, 1, "disk")
@@ -161,19 +161,13 @@ def mixed_scenario(pauses=()):
     sim.spawn(sender, name="send")
     sim.spawn(receiver, name="recv")
     sim.spawn(ticker, name="tick", daemon=True)
-    for until in pauses:
-        assert sim.run(until=until) == until
     sim.run()
     assert reaped(sim)
     return log, sim.now
 
 
-# The last pause list gave this order on the old kernel too; the others
-# pause where the event past ``until`` is tied with queued ones, which its
-# pop-and-repush reordered.
-@pytest.mark.parametrize("pauses", [(), (0.6,), (0.9, 2.2), (0.3, 1.1, 2.6)])
-def test_mixed_scenario_resumes_in_the_recorded_order(pauses):
-    log, end = mixed_scenario(pauses)
+def test_mixed_scenario_resumes_in_the_recorded_order():
+    log, end = mixed_scenario()
     assert log == GOLDEN_RESUMES
     assert end == 4.75
 
@@ -290,7 +284,7 @@ def test_one_runner_at_a_time_under_a_hostile_switch_interval():
             if active[0] != 1:
                 violations.append((proc.name, active[0]))
             sum(range(200))  # long enough to be preempted mid-section
-            proc.sim.call_after(0.03125, callback)
+            proc.sim.call_at(proc.now + 0.03125, callback)
             active[0] -= 1
             proc.hold(((idx * 7 + step * 3) % 11) / 16.0)
 

@@ -161,45 +161,6 @@ def test_daemon_does_not_keep_simulation_alive():
     assert all(t <= 3.5 for t in ticks)
 
 
-def test_run_until_pauses_and_resumes():
-    def fn(proc):
-        proc.hold(10.0)
-        return "done"
-
-    sim = Simulator()
-    p = sim.spawn(fn)
-    t = sim.run(until=4.0)
-    assert t == pytest.approx(4.0)
-    assert p.alive
-    t = sim.run()
-    assert t == pytest.approx(10.0)
-    assert p.result == "done"
-
-
-def test_run_until_keeps_the_order_of_tied_events():
-    """The event past ``until`` stays queued under its own sequence
-    number: pausing must not reorder it behind its ties."""
-
-    def one_run(pauses):
-        order = []
-
-        def fn(proc):
-            proc.hold(5.0)
-            order.append(proc.name)
-
-        sim = Simulator()
-        sim.spawn(fn, name="a")
-        sim.spawn(fn, name="b")
-        for until in pauses:
-            assert sim.run(until=until) == until
-        assert sim.run() == 5.0
-        return order
-
-    assert one_run(()) == ["a", "b"]
-    assert one_run((2.0,)) == ["a", "b"]
-    assert one_run((1.0, 2.0, 4.5)) == ["a", "b"]
-
-
 def test_run_after_finish_is_an_error():
     sim = Simulator()
     sim.spawn(lambda proc: None)
@@ -255,10 +216,9 @@ def test_nan_hold_is_rejected_in_the_holding_process():
 
 @pytest.mark.parametrize("schedule", [
     lambda sim, p: sim.call_at(NAN, lambda: None),
-    lambda sim, p: sim.call_after(NAN, lambda: None),
     lambda sim, p: sim.schedule_resume(p, delay=NAN),
     lambda sim, p: sim.spawn(lambda proc: None, delay=NAN),
-], ids=["call_at", "call_after", "schedule_resume", "spawn"])
+], ids=["call_at", "schedule_resume", "spawn"])
 def test_nan_time_is_rejected_before_it_reaches_the_heap(schedule):
     sim = Simulator()
     p = sim.spawn(lambda proc: proc.park("parked"), name="p")
