@@ -259,11 +259,8 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("epoch_table", ("epoch",)),
     ("epoch_table", ("file_name", "epoch")),
     ("lease_table", ("file_name",)),
-    # Pin release probes pin_id.  No statement probes (epoch) since
-    # per-file reap watermarks replaced the global MIN(epoch) floor; it
-    # stays declared because dumps persist index declarations.
+    # Pin touch, advance and release probe pin_id.
     ("pin_table", ("pin_id",)),
-    ("pin_table", ("epoch",)),
     # Reap-watermark lookup is a per-file point probe.
     ("watermark_table", ("file_name",)),
 )

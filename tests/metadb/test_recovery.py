@@ -8,6 +8,8 @@ happens for real — ``Database.loads(db.dump())`` starts the next
 incarnation, so every lease and pin stamped by the previous one reads
 as dead."""
 
+import json
+
 import pytest
 
 from repro.errors import SDMStateError
@@ -223,6 +225,29 @@ def test_touch_of_reaped_pin_is_fenced(tables):
     tables.release_pin(pin)
     with pytest.raises(SDMStateError):
         tables.touch_pin(pin, 1.0)
+
+
+def test_dump_with_a_pin_epoch_index_still_serves_every_pin_statement(
+        tables):
+    """Dumps written while ``SDM_INDEXES`` still declared ``pin_table
+    (epoch)`` carry that index; restored, it is rebuilt and every pin
+    statement runs as before."""
+    tables.db.create_index("pin_table", ("epoch",))
+    old = tables.create_pin("c", 0, now=0.0)
+    assert ["epoch"] in [ix["columns"] for ix in
+                         json.loads(tables.db.dump())["tables"]["pin_table"]
+                         ["indexes"]]
+    t2 = reincarnate(tables)
+    assert t2.expired_pins(now=0.0) == [(old, "c", 0)]
+    pin = t2.create_pin("d", 0, now=1.0)
+    t2.touch_pin(pin, 2.0)
+    t2.advance_pin(pin, 1)
+    assert t2.all_pins() == [(old, "c", 0), (pin, "d", 1)]
+    assert t2.pin_count() == 2
+    t2.release_pin(old)
+    assert t2.reap_file("grp.L3")  # its SELECT epoch FROM pin_table
+    t2.release_pin(pin)
+    assert t2.pin_count() == 0
 
 
 def test_a_deleted_pin_id_is_never_reissued(tables):
