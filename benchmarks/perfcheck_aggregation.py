@@ -18,6 +18,16 @@ holds only the median per-round *ratio*, so the box's speed cancels:
   1, 2 x 2, 8 x 83, 21 x 84 — ``fun3d_e2e``'s median — and 15 x 1128):
   span must stay within ``SMALL_MAX_SLOWDOWN`` of packed at every one.
 
+It then holds the file system's schedule cache the same way: the access
+phase of that median aggregation (its union written, then read, on
+``fun3d_e2e``'s scaled machine — stripe 112, 10 controllers, its
+``cb_buffer_size``) served from the schedule kept for its shape against
+the same access planned cold, every schedule forgotten first.  The
+kernel walk (``filesystem.serve``) is stubbed out on both sides — it
+needs a simulated process and is the same walk either way — so the
+ratio is the planning and the bytes moved: the served access must be
+``SERVED_MIN_SPEEDUP`` faster.
+
 Like ``benchmarks/e2e/run.py`` it measures with glibc malloc serving
 large arrays from one never-trimmed heap (it restarts itself once in
 that environment): otherwise every fresh megabyte-sized scratch buffer
@@ -35,11 +45,19 @@ import sys
 
 import numpy as np
 
+from repro.config import origin2000
 from repro.mpiio import twophase
+from repro.pfs import FileSystem, filesystem
+from repro.pfs.file import RDWR, PFSHandle
+from repro.simt import Simulator
 from timing import compare, samples_us
 
 BULK_MIN_SPEEDUP = 2.0
 SMALL_MAX_SLOWDOWN = 1.1
+SERVED_MIN_SPEEDUP = 3.0
+MEDIAN = (21, 84, 2016)  # fun3d_e2e's median aggregation
+FUN3D_STORAGE = dict(stripe_size=112, n_controllers=10)
+FUN3D_CB_BUFFER = 7228  # 4 MiB over fun3d_e2e's time dilation
 BULK = (4, 250_000, 250_000 * 8)
 SMALL_SHAPES = (  # (sources, segments, bytes), as the workloads make them
     (1, 1, 2448), (2, 2, 2448), (8, 83, 4976), (21, 84, 2016),
@@ -105,6 +123,36 @@ def layouts_us(entries, data, **timing):
         twophase._DENSE = DENSE
 
 
+def access_us(entries, data, **timing):
+    """``(served, cold)`` samples of one aggregation's access phase — its
+    union runs written, then read back — with the schedule kept for the
+    shape and with every schedule forgotten first."""
+    agg = twophase._Aggregation(entries)
+    scratch = agg.put(data)
+    fs = FileSystem(Simulator(), origin2000().with_storage(**FUN3D_STORAGE))
+
+    def served():
+        fs.serve_plan(None, handle, agg.offsets, agg.lengths,
+                      FUN3D_CB_BUFFER, 3, scratch)
+        return fs.serve_plan(None, handle, agg.offsets, agg.lengths,
+                             FUN3D_CB_BUFFER, 3)
+
+    def cold():
+        fs._schedules.clear()
+        fs._batches.clear()
+        return served()
+
+    walk = filesystem.serve
+    filesystem.serve = lambda proc, visits, lead=None, on_wait=None: 0.0
+    try:
+        handle = PFSHandle(fs, fs.create(None, "agg.dat"), RDWR)
+        if served().tobytes() != scratch.tobytes():
+            raise AssertionError("the access read back other bytes")
+        return samples_us([served, cold], **timing)
+    finally:
+        filesystem.serve = walk
+
+
 def main() -> int:
     if any(os.environ.get(k) != v for k, v in STEADY_MALLOC.items()):
         os.execve(sys.executable, [sys.executable, *sys.argv],
@@ -138,11 +186,23 @@ def main() -> int:
             failures.append(f"{move} is only {ratio:.2f}x packed on the "
                             "bulk shape")
 
+    nsources, nsegs, nbytes = MEDIAN
+    served_us, cold_us = access_us(*segments(rng, nsources, nsegs, nbytes))
+    cold, served, ratio = compare(cold_us, served_us)
+    ok = ratio >= SERVED_MIN_SPEEDUP
+    print(f"perfcheck: access phase {nsources} x {nsegs} over {nbytes} B: "
+          f"cold {cold:.1f} us, plan-served {served:.1f} us, {ratio:.2f}x "
+          f"(min {SERVED_MIN_SPEEDUP}x) {'ok' if ok else 'FAIL'}")
+    if not ok:
+        failures.append(f"a plan-served access is only {ratio:.2f}x a cold "
+                        "one")
+
     for f in failures:
         print(f"perfcheck: FAIL {f}", file=sys.stderr)
     if failures:
         return 1
-    print("perfcheck: span aggregation holds its ratios to packed")
+    print("perfcheck: span aggregation holds its ratios to packed, a kept "
+          "schedule its ratio to a cold one")
     return 0
 
 

@@ -13,8 +13,8 @@ plus one five-times-node-sized dataset (the 4 x 21 MB + 105 MB of Section
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.apps.fun3d.driver import Fun3dRunConfig, run_fun3d_sdm
 from repro.apps.fun3d.original import run_fun3d_original
 from repro.apps.rt.driver import RTRunConfig, run_rt_sdm

@@ -10,7 +10,7 @@ examples share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.mpi.job import JobResult
 from repro.pfs.filesystem import FileSystem

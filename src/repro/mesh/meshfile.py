@@ -17,7 +17,7 @@ bytes host-side into the simulated PFS without charging virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -6,7 +6,6 @@ from typing import List
 
 import numpy as np
 
-from repro.errors import MeshError
 from repro.mesh.tetra import TetMesh
 
 __all__ = ["validate_mesh"]

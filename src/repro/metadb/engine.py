@@ -396,12 +396,18 @@ class Database:
 
     def _bill(self, touched: int, proc: Optional[Process]) -> None:
         """Count one statement (batched or not) and charge it: queue at
-        the database server and hold ``statement_time(rows=touched)``."""
+        the database server and hold ``statement_time(rows=touched)``.
+        Acquire and release by hand: ``Resource.request``'s context
+        manager would build a generator per statement."""
         self.n_statements += 1
-        if proc is not None and self._server is not None:
+        server = self._server
+        if proc is not None and server is not None:
             cost = self.machine.database.statement_time(rows=touched)
-            with self._server.request(proc):
+            server.acquire(proc)
+            try:
                 proc.hold(cost)
+            finally:
+                server.release()
 
     def connect(self, proc: Optional[Process] = None) -> None:
         """Model establishing the connection (charged in SDM_initialize)."""

@@ -23,10 +23,20 @@ def payload_nbytes(obj: Any) -> int:
     """Best-effort on-wire byte size of ``obj``.
 
     Exact for numpy arrays, bytes, and str; structural estimate for
-    containers; 8 bytes for scalars and None.
+    containers; 8 bytes for scalars and None.  A tuple of arrays — what
+    a two-phase ``alltoallv`` sends to each aggregator — is sized in one
+    pass, to the count the generic walk gives.
     """
     if obj is None:
         return _SCALAR_BYTES
+    if type(obj) is tuple:
+        total = _CONTAINER_OVERHEAD
+        for x in obj:
+            if type(x) is not np.ndarray:
+                break
+            total += x.nbytes
+        else:
+            return total
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):

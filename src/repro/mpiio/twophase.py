@@ -29,12 +29,19 @@ phases instead of thousands of tiny independent requests:
    are scheduled striping-aware (:mod:`repro.pfs.scheduler`): every batch
    targets a single controller, and aggregators stagger their starting
    controller by rank so a collective drives all controllers concurrently.
-   The access phase is planned once per aggregation, not per controller,
-   batch or domain, and served as one walk
+   The access phase is served as one walk
    (:meth:`~repro.pfs.filesystem.FileSystem.serve_plan`): the aggregator
    parks once for all its requests, and its bytes move once, scratch to
-   file (or back) with one ``writev`` / ``readv`` when the walk ends.  Its
-   host cost is numpy calls, not the bytes they move.
+   file (or back) with one ``writev`` / ``readv`` when the walk ends.  The
+   schedule belongs to the file system, which owns the controllers, and
+   is planned once per *shape* — the union runs up to a shift by a
+   multiple of ``stripe_size x n_controllers``, ``cb_buffer_size`` and
+   the starting controller — so an aggregation that repeats a shape (a
+   checkpoint's read-back, the next timestep of one layout) skips the
+   planning.  The aggregation itself — union, layout, move index — is
+   built afresh every time: kept per content, it cost more memory than
+   it saved time.  Its host cost is numpy calls, not the bytes they
+   move, and no Python loop makes numpy calls per domain or per source.
 
 Writes resolve overlapping segments deterministically: segments are applied
 in source-rank order, so the highest writing rank wins byte-wise (matters
@@ -60,7 +67,6 @@ from repro.mpi.ops import MAX, MIN
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
 from repro.pfs.runlist import RunMove, coalesce_runs
-from repro.pfs.scheduler import controller_batches
 from repro.simt.process import Process
 
 __all__ = [
@@ -132,6 +138,14 @@ read off a coverage mask over the span, and when they are one run the
 scratch is the span itself, addressed by file offset."""
 
 
+def _byte_totals(lengths: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """The byte total of each of the non-empty run lists ``lengths``,
+    ``flat`` being their concatenation: one ``reduceat``, not a sum per
+    list."""
+    counts = np.fromiter(map(len, lengths), dtype=np.int64, count=len(lengths))
+    return np.add.reduceat(flat, np.cumsum(counts) - counts)
+
+
 class _Aggregation:
     """One aggregator's side of a collective: the segments it received
     (concatenated in source-rank order), the maximal contiguous *union
@@ -188,18 +202,14 @@ class _Aggregation:
         """Write ``scratch`` — the union runs' bytes end to end (from
         :meth:`put`) — to the union runs, or read and return it.
 
-        The striping-aware plan — single-controller requests of at most
-        ``cb_buffer_size`` bytes, staggered by rank so concurrent
-        aggregators start on disjoint controller queues — is made once per
-        aggregation and served as one walk; the scratch buffer moves as
-        one run list, never batch by batch."""
-        layout = handle.file.layout
-        plan = controller_batches(
-            layout, self.offsets, self.lengths, hints.cb_buffer_size,
-            start=comm.rank % layout.n_controllers,
-        )
+        The striping-aware schedule — single-controller requests of at
+        most ``cb_buffer_size`` bytes, staggered by rank so concurrent
+        aggregators start on disjoint controller queues — is the file
+        system's, kept per shape, and served as one walk; the scratch
+        buffer moves as one run list, never batch by batch."""
         return fs.serve_plan(
-            proc, handle, plan, self.offsets, self.lengths, scratch
+            proc, handle, self.offsets, self.lengths, hints.cb_buffer_size,
+            comm.rank % handle.file.layout.n_controllers, scratch,
         )
 
 
@@ -257,12 +267,12 @@ def collective_write(
         return 0
 
     sends: List[Optional[tuple]] = [None] * comm.size
-    pos = 0
-    for d, (o, l) in enumerate(pieces):
-        if len(o):
-            nb = int(l.sum())
-            sends[d] = (o, l, raw[pos : pos + nb])
-            pos += nb
+    hit = [d for d, (o, _) in enumerate(pieces) if len(o)]
+    if hit:  # each domain's bytes follow the previous domain's in ``raw``
+        lens = [pieces[d][1] for d in hit]
+        ends = np.cumsum(_byte_totals(lens, np.concatenate(lens))).tolist()
+        for d, a, b in zip(hit, [0] + ends, ends):
+            sends[d] = (*pieces[d], raw[a:b])
     recv = comm.alltoallv(sends)
 
     entries = [e for e in recv if e is not None]
@@ -299,26 +309,20 @@ def collective_read(
     recv = comm.alltoallv(sends)
 
     replies: List[Optional[np.ndarray]] = [None] * comm.size
-    entries = [e for e in recv if e is not None]
-    if entries:  # this rank is an aggregator with segments to serve
-        agg = _Aggregation(entries)
+    sources = [src for src, e in enumerate(recv) if e is not None]
+    if sources:  # this rank is an aggregator with segments to serve
+        agg = _Aggregation([recv[src] for src in sources])
         # all requested bytes, src-rank order
         gathered = agg.take(agg.access(comm, proc, fs, handle, hints))
         proc.hold(fs.machine.compute.copy_time(len(gathered)))
-        # Split back per source rank.
-        pos = 0
-        for src, entry in enumerate(recv):
-            if entry is not None:
-                nb = int(entry[1].sum())
-                replies[src] = gathered[pos : pos + nb]
-                pos += nb
+        # Split back per source rank (every source sent some segments).
+        lens = [recv[src][1] for src in sources]
+        ends = np.cumsum(_byte_totals(lens, agg.seg_len)).tolist()
+        for src, a, b in zip(sources, [0] + ends, ends):
+            replies[src] = gathered[a:b]
     back = comm.alltoallv(replies)
 
-    out = np.empty(int(lengths.sum()), dtype=np.uint8)
-    pos = 0
-    for d, (o, _) in enumerate(pieces):
-        if len(o):  # the reply is exactly this piece's bytes
-            nb = len(back[d])
-            out[pos : pos + nb] = back[d]
-            pos += nb
-    return out
+    # A domain replies exactly when this rank sent it a piece, with that
+    # piece's bytes: in domain order they are this rank's runs' bytes.
+    parts = [b for b in back if b is not None]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)

@@ -14,8 +14,6 @@ Reads of never-written ranges return zeros, like a POSIX sparse file.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import PFSError

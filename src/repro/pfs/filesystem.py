@@ -15,7 +15,9 @@ calling :class:`~repro.simt.Process` so it can charge virtual time:
   ``n_controllers`` concurrent streams.  A two-phase aggregator's access
   phase (:meth:`serve_plan`) is the scheduler's single-controller
   batches, one request each, each holding its controller for the whole
-  service.
+  service.  The schedule belongs to the file system, which owns the
+  controllers: it is planned once per stripe-relative shape of the
+  union runs and kept (:meth:`_schedule`).
 
 Every charge is one :func:`~repro.simt.primitives.serve` walk: the caller
 parks once per independent request, once per metadata op and once per
@@ -37,7 +39,7 @@ import numpy as np
 from repro.config import MachineModel
 from repro.errors import FileExists, FileNotFound, PFSError
 from repro.pfs.file import RD, RDWR, WR, PFSFile, PFSHandle
-from repro.pfs.scheduler import split_runs_by_stripe
+from repro.pfs.scheduler import controller_batches, split_runs_by_stripe
 from repro.pfs.striping import StripeLayout
 from repro.simt.primitives import Resource, serve
 from repro.simt.process import Process
@@ -47,6 +49,12 @@ __all__ = ["FileSystem"]
 
 _METADATA_SERVER_WAYS = 2
 """Concurrent metadata operations the MDS can service."""
+
+_SCHEDULE_CAPACITY = 1 << 15
+"""Union runs plus batches — about their size in words — that the
+access-phase schedules a :class:`FileSystem` keeps may hold between them
+(:meth:`FileSystem._schedule`); one more schedule past it starts the
+cache afresh."""
 
 
 class FileSystem:
@@ -68,6 +76,9 @@ class FileSystem:
             sim, capacity=_METADATA_SERVER_WAYS, name="pfs-mds"
         )
         self._write_locks: Dict[str, Resource] = {}
+        self._schedules: Dict[tuple, tuple] = {}
+        self._batches: Dict[tuple, tuple] = {}
+        self._schedule_words = 0
         # Aggregate counters for benchmark reporting.
         self.bytes_written = 0
         self.bytes_read = 0
@@ -326,25 +337,82 @@ class FileSystem:
         )
         return handle.file.store.readv(offsets, lengths)
 
-    def serve_plan(
-        self, proc: Process, handle: PFSHandle, plan, offsets, lengths,
-        scratch: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        """A two-phase aggregator's access phase: one request per batch of
-        ``plan``, all charged as one walk, the bytes moved once.
+    def _schedule(self, layout: StripeLayout, offsets: np.ndarray,
+                  lengths: np.ndarray, max_bytes: int, start: int) -> tuple:
+        """What :meth:`serve_plan` charges for the union runs ``(offsets,
+        lengths)``: ``(batches, nruns, nbytes)`` — the batches of
+        :func:`~repro.pfs.scheduler.controller_batches` in plan order,
+        each as :meth:`_batch` keeps it, and the runs and bytes of them
+        all.
 
-        ``(offsets, lengths)`` are the aggregation's union runs (sorted,
-        disjoint); laid end to end they are the scratch buffer, whichever
+        Shifting the runs by a multiple of ``stripe_size x n_controllers``
+        lands every stripe on the same controller, so it moves the batch
+        offsets and nothing else, and none of that is kept: the schedule
+        is planned once per shape — runs relative to the period below the
+        first offset, ``max_bytes``, ``start`` — and kept, as many as
+        :data:`_SCHEDULE_CAPACITY` allows.  The bytes moved are no part of
+        it: the aggregation's move index is built anew on every access."""
+        period = layout.stripe_size * layout.n_controllers
+        base = int(offsets[0]) // period * period
+        key = (layout.stripe_size, layout.n_controllers, max_bytes, start,
+               (offsets - base).tobytes() + lengths.tobytes())
+        sched = self._schedules.get(key)
+        if sched is None:
+            ctls, _, blen, bounds = controller_batches(
+                layout, offsets, lengths, max_bytes, start
+            )
+            words = len(offsets) + len(ctls)
+            if self._schedule_words + words > _SCHEDULE_CAPACITY:
+                self._schedules.clear()
+                self._batches.clear()
+                self._schedule_words = 0
+            self._schedule_words += words
+            sched = self._schedules[key] = (
+                tuple(map(self._batch, zip(
+                    ctls.tolist(), np.add.reduceat(blen, bounds[:-1]).tolist(),
+                    np.diff(bounds).tolist(),
+                ))),
+                len(blen), int(blen.sum()),
+            )
+        return sched
+
+    def _batch(self, row: tuple) -> tuple:
+        """A batch ``row = (controller, bytes, runs)`` as a schedule keeps
+        it: ``(controller, bytes, runs, read visit, write visit)``, each
+        visit holding the controller for the batch's stream time.  A
+        workload's schedules share few distinct batches, so each is one
+        object however many schedules hold it."""
+        batch = self._batches.get(row)
+        if batch is None:
+            ctl, nbytes, nruns = row
+            res, time = self.controllers[ctl], self.machine.storage.stream_time
+            batch = self._batches[row] = (
+                *row, (res, time(nbytes, write=False, runs=nruns)),
+                (res, time(nbytes, write=True, runs=nruns)),
+            )
+        return batch
+
+    def serve_plan(
+        self, proc: Process, handle: PFSHandle, offsets, lengths,
+        max_bytes: int, start: int, scratch: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """A two-phase aggregator's access phase: the union runs
+        ``(offsets, lengths)`` (sorted, disjoint) cut into single-controller
+        requests of at most ``max_bytes`` — the scheduler's batches,
+        interleaved from controller ``start`` — all charged as one walk,
+        the bytes moved once.
+
+        Laid end to end the union runs are the scratch buffer, whichever
         layout the aggregator found it by (a span layout, addressed by
         file offset, is one union run, so the same bytes), and no base
-        offset reaches this method.  ``plan`` is the union runs'
-        :func:`~repro.pfs.scheduler.controller_batches` flat plan
-        ``(controllers, offsets, lengths, bounds)``.  With ``scratch`` the
-        union runs are written from it (one ``writev``) and ``None`` is
-        returned; without, they are read (one ``readv``) and returned.
+        offset reaches this method.  With ``scratch`` the union runs are
+        written from it (one ``writev``) and ``None`` is returned;
+        without, they are read (one ``readv``) and returned.  The schedule
+        comes from :meth:`_schedule`, planned on the first access of its
+        shape.
 
-        Batch ``b`` is one request: a visit holding ``controllers[b]`` for
-        its stream time, in plan order, and one request's worth of every
+        Batch ``b`` is one request: a visit holding its controller for its
+        stream time, in plan order, and one request's worth of every
         counter and (trace on) one ``pfs.read`` / ``pfs.write`` record,
         stamped at the walk's end.  A walk of k visits pushes exactly the
         events of k back-to-back one-visit requests, and each visit's
@@ -353,25 +421,22 @@ class FileSystem:
         one.  What differs is when the bytes move: the whole file domain
         lands (or is read) when the walk ends, as ``mtime`` is set.
         """
-        ctls, _, blen, bounds = plan
         write = scratch is not None
         if write:
             handle.check_writable()
         else:
             handle.check_readable()
-        if len(ctls) == 0:  # nothing but empty runs
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        batches = ()
+        if len(offsets):
+            batches, nruns, total = self._schedule(
+                handle.file.layout, offsets, lengths, max_bytes, start
+            )
+        if not batches:  # nothing but empty runs
             return None if write else np.empty(0, dtype=np.uint8)
-        rows = list(zip(  # (controller, bytes, runs) per batch
-            ctls.tolist(), np.add.reduceat(blen, bounds[:-1]).tolist(),
-            np.diff(bounds).tolist(),
-        ))
-        storage = self.machine.storage
-        serve(proc, [
-            (self.controllers[ctl],
-             storage.stream_time(nbytes, write=write, runs=nruns))
-            for ctl, nbytes, nruns in rows
-        ], on_wait=self._add_queue_wait)
-        total = int(blen.sum())
+        serve(proc, [b[3 + write] for b in batches],
+              on_wait=self._add_queue_wait)
         store = handle.file.store
         out = None
         if write:
@@ -382,12 +447,12 @@ class FileSystem:
             out = store.readv(offsets, lengths)
             self.bytes_read += total
             self.data_bytes_read += total
-        self.n_requests += len(rows)
-        self.runs_serviced += len(blen)
+        self.n_requests += len(batches)
+        self.runs_serviced += nruns
         if self.sim.trace.enabled:
             label = "pfs.write" if write else "pfs.read"
-            for ctl, nbytes, nruns in rows:
-                self._trace_request(proc, label, handle, nbytes, nruns, [ctl])
+            for ctl, nbytes, n, *_ in batches:
+                self._trace_request(proc, label, handle, nbytes, n, [ctl])
         return out
 
     def write_at(self, proc: Process, handle: PFSHandle, offset: int, data) -> int:

@@ -20,6 +20,14 @@ two controllers never abut and the repo keeps its one merge kernel.  A
 stable sort on ``round * n + (controller - start) mod n`` *is* the
 round-robin interleave: rounds in order, controllers cyclically from
 ``start`` within a round, stream order within a batch.
+
+The plan depends on the runs only up to a shift by a multiple of
+``stripe_size * n_controllers``: such a shift moves the batch offsets
+and nothing else.  So its one caller, the file system that owns the
+controllers (:meth:`~repro.pfs.filesystem.FileSystem.serve_plan`), keeps
+what it charges per stripe-relative shape and calls
+:func:`controller_batches` once per shape; the bytes an aggregation
+moves, and its move index, are no part of the plan and are not kept.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import fast_test
 from repro.mpi import MAX, MIN, SUM, mpirun
-from repro.mpi.nbytes import payload_nbytes
+from repro.mpi.nbytes import payload_nbytes, sequence_nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,22 @@ def test_nbytes_containers_recursive():
     assert flat == 16 + 3 * 8
     nested = payload_nbytes({"a": np.zeros(10), "b": [1, 2]})
     assert nested == 16 + (1 + 80) + (1 + 16 + 16)
+
+
+def test_nbytes_two_phase_entries_match_the_generic_walk():
+    """What two-phase sends each aggregator — ``None``, ``(offsets,
+    lengths)``, ``(offsets, lengths, data)`` — sized in one pass, equal to
+    the element-by-element container walk, empty arrays and a sliced view
+    included; a tuple holding anything else takes the walk itself."""
+    o = np.arange(84, dtype=np.int64)
+    data = np.arange(2016, dtype=np.uint8)
+    assert payload_nbytes(None) == 8
+    for entry in [(o, o + 1), (o, o + 1, data), (o[:0], o[:0]),
+                  (o[3:9], o[3:9], data[::2]), ()]:
+        want = sequence_nbytes(payload_nbytes(x) for x in entry)
+        assert payload_nbytes(entry) == want
+    assert payload_nbytes((o, 7, "ab")) == 16 + o.nbytes + 8 + 2
+    assert payload_nbytes([(o, o), None]) == 16 + (16 + 2 * o.nbytes) + 8
 
 
 def test_nbytes_object_with_dict():

@@ -165,10 +165,12 @@ def run_case(case, dense):
     served, taken = [], []
     serve_plan, take = FileSystem.serve_plan, _Aggregation.take
 
-    def spy_serve(self, proc, handle, plan, offsets, lengths, scratch=None):
-        out = serve_plan(self, proc, handle, plan, offsets, lengths, scratch)
+    def spy_serve(self, proc, handle, offsets, lengths, max_bytes, start,
+                  scratch=None):
+        out = serve_plan(self, proc, handle, offsets, lengths, max_bytes,
+                         start, scratch)
         served.append((
-            [a.tolist() for a in plan], offsets.tolist(), lengths.tolist(),
+            offsets.tolist(), lengths.tolist(), max_bytes, start,
             (scratch if out is None else out).tolist(),
         ))
         return out

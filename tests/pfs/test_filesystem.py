@@ -249,7 +249,7 @@ def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
     one metadata op."""
     machine = origin2000()
     storage = machine.storage
-    n = 200_000
+    n = storage.stripe_size  # one stripe: the whole write on controller 0
     s = storage.stream_time(n, write=True, runs=1)
     op = storage.metadata_op_cost
     marks = {}
@@ -262,8 +262,7 @@ def test_queue_wait_has_the_closed_form_of_three_on_one_controller():
         proc.hold(2.0 - proc.now)
         marks.setdefault("write", fs.stats()["queue_wait_s"])
         # one batch on controller 0: one scheduled request of n bytes
-        plan = (np.array([0]), np.array([0]), np.array([n]), np.array([0, 1]))
-        fs.serve_plan(proc, h, plan, np.array([0]), np.array([n]),
+        fs.serve_plan(proc, h, np.array([0]), np.array([n]), n, 0,
                       np.zeros(n, dtype=np.uint8))
 
     sim = Simulator()

@@ -1,6 +1,8 @@
 """The per-request loop ``FileSystem.serve_plan`` replaced, kept as its
-oracle: each batch of the plan one request — a walk of one visit — whose
-bytes move between its own runs of the file and of scratch as it ends.
+oracle: the union runs planned afresh by ``controller_batches`` on every
+call (no schedule kept), each batch of the plan one request — a walk of
+one visit — whose bytes move between its own runs of the file and of
+scratch as it ends.
 
 Same signature as the method, so a test can swap it in
 (``monkeypatch.setattr(FileSystem, "serve_plan", reference_serve_plan)``)
@@ -12,12 +14,14 @@ through its ``conftest.py``).
 import numpy as np
 
 from repro.pfs.runlist import gather_runs, scatter_runs
+from repro.pfs.scheduler import controller_batches
 
 
-def reference_serve_plan(self, proc, handle, plan, offsets, lengths,
-                         scratch=None):
+def reference_serve_plan(self, proc, handle, offsets, lengths, max_bytes,
+                         start, scratch=None):
     """``FileSystem.serve_plan``, one request per batch."""
-    ctls, off, ln, bounds = plan
+    ctls, off, ln, bounds = controller_batches(
+        handle.file.layout, offsets, lengths, max_bytes, start)
     write = scratch is not None
     start = np.cumsum(lengths) - lengths  # scratch start of each union run
     k = np.searchsorted(offsets, off, side="right") - 1

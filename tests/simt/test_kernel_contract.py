@@ -236,9 +236,9 @@ def test_aggregation_of_k_batches_parks_its_caller_once(
         assert len(plan[0]) == k
         scratch = np.full(k * stripe, 7, dtype=np.uint8)
         before = parks["agg"]
-        serve_plan(fs, proc, h, plan, offsets, lengths, scratch)
+        serve_plan(fs, proc, h, offsets, lengths, stripe, 0, scratch)
         wrote = parks["agg"] - before
-        back = serve_plan(fs, proc, h, plan, offsets, lengths)
+        back = serve_plan(fs, proc, h, offsets, lengths, stripe, 0)
         assert back.tolist() == scratch.tolist()
         return wrote, parks["agg"] - before - wrote, proc.now
 
