@@ -159,7 +159,9 @@ bench-collective:
 ## against the WHERE tree walk it replaced (>= 3x faster over a
 ## 10 000-row execution_table); then the partitioner's growth with k
 ## (multilevel_kway on fun3d_e2e's mesh at k = 512 <= 8x its time at
-## k = 32); then `make reach`
+## k = 32); then the simulator's baton pass against a plain two-thread
+## Lock ping-pong, pinned to one CPU (<= 1.1x per handoff; skipped where
+## the process cannot pin itself or has no SCHED_BATCH); then `make reach`
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck.py
 	$(PYTHON) benchmarks/perfcheck_kernels.py
@@ -167,6 +169,7 @@ perfcheck:
 	$(PYTHON) benchmarks/perfcheck_aggregation.py
 	$(PYTHON) benchmarks/perfcheck_metadb.py
 	$(PYTHON) benchmarks/perfcheck_partition.py
+	$(PYTHON) benchmarks/perfcheck_switch.py
 	$(MAKE) reach
 
 ## every function under src/repro (outside analysis/) that no workload,

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RTState", "evolve_interface", "triangle_field_from_nodes"]
+__all__ = [
+    "RTState",
+    "amplitudes_at",
+    "evolve_interface",
+    "mode_patterns",
+    "triangle_field_from_nodes",
+]
 
 ATWOOD = 0.5
 GRAVITY = 9.81
@@ -31,8 +37,25 @@ class RTState:
     node_amplitude: np.ndarray
 
 
-def _mode_pattern(coords: np.ndarray, kx: float, ky: float) -> np.ndarray:
-    return np.sin(kx * coords[:, 0]) * np.cos(ky * coords[:, 1])
+def mode_patterns(coords: np.ndarray) -> list:
+    """Each mode's ``sin(kx x) cos(ky y)`` over ``coords``: the part of
+    the interface that does not change with time, built once per mesh
+    (a run's every step reuses it through :func:`amplitudes_at`)."""
+    return [np.sin(kx * coords[:, 0]) * np.cos(ky * coords[:, 1])
+            for kx, ky in WAVENUMBERS]
+
+
+def amplitudes_at(
+    patterns: list, time: float, *, atwood: float = ATWOOD
+) -> np.ndarray:
+    """Node amplitudes at ``time`` from :func:`mode_patterns`: each mode
+    grows as ``exp(sqrt(A g k) t)``."""
+    total = np.zeros(len(patterns[0]))
+    for (kx, ky), pattern in zip(WAVENUMBERS, patterns):
+        k = np.hypot(kx, ky)
+        growth = np.sqrt(atwood * GRAVITY * k)
+        total += 1e-3 * np.exp(growth * time) * pattern
+    return total
 
 
 def evolve_interface(
@@ -42,14 +65,11 @@ def evolve_interface(
 
     Pure function of coordinates and time, so every rank can evaluate its
     own nodes without communication (the real code communicates; SDM's
-    measured phases exclude compute either way).
+    measured phases exclude compute either way).  A loop over steps
+    builds :func:`mode_patterns` once and calls :func:`amplitudes_at`;
+    the values are bit for bit the same.
     """
-    total = np.zeros(len(coords))
-    for kx, ky in WAVENUMBERS:
-        k = np.hypot(kx, ky)
-        growth = np.sqrt(atwood * GRAVITY * k)
-        total += 1e-3 * np.exp(growth * time) * _mode_pattern(coords, kx, ky)
-    return total
+    return amplitudes_at(mode_patterns(coords), time, atwood=atwood)
 
 
 def triangle_field_from_nodes(

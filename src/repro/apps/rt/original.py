@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.rt.driver import RTRunConfig, _even_block
-from repro.apps.rt.model import evolve_interface, triangle_field_from_nodes
+from repro.apps.rt.model import (
+    amplitudes_at, mode_patterns, triangle_field_from_nodes,
+)
 from repro.core.ring import owned_nodes_of
 from repro.mesh.generators import RTProblem
 from repro.mpi.job import RankContext
@@ -53,11 +55,12 @@ def run_rt_original(
     my_triangles = problem.triangle_nodes[tri_start : tri_start + tri_count]
 
     token_tag = 555
+    patterns = mode_patterns(mesh.coords)
     checksum = 0.0
     bytes_written = 0
     for t in range(config.timesteps):
         time = (t + 1) * config.dt
-        amplitudes = evolve_interface(mesh.coords, time)
+        amplitudes = amplitudes_at(patterns, time)
         node_vals = amplitudes[owned]
         tri_vals = triangle_field_from_nodes(amplitudes, my_triangles)
         ctx.proc.hold(

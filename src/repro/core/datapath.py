@@ -266,6 +266,11 @@ class IndexBlockCache:
     unchanged references that block instead of rewriting it
     (:meth:`shared_index`).  :meth:`drop` forgets these with their bytes
     too.
+
+    Every entry of the three maps is keyed by its file name first, and
+    the cache counts them per file, so a :meth:`drop` of a file it holds
+    nothing of (most drops: every host's cache hears of every file)
+    returns without walking them.
     """
 
     def __init__(self) -> None:
@@ -274,8 +279,24 @@ class IndexBlockCache:
         )
         self._plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
         self._written: Dict[tuple, Tuple[np.ndarray, int, int]] = {}
+        self._entries: Dict[str, int] = {}
+        """Entries of each file across the three maps."""
         self.hits = 0
         self.misses = 0
+
+    def _add(self, entries: dict, key: tuple, value) -> None:
+        """``entries[key] = value``, counting a new key for its file."""
+        if key not in entries:
+            self._entries[key[0]] = self._entries.get(key[0], 0) + 1
+        entries[key] = value
+
+    def _forget(self, key: tuple) -> None:
+        """Uncount an entry just removed from one of the maps."""
+        left = self._entries[key[0]] - 1
+        if left:
+            self._entries[key[0]] = left
+        else:
+            del self._entries[key[0]]
 
     def get(
         self, file_name: str, offset: int, count: int, version: int = 0
@@ -321,10 +342,10 @@ class IndexBlockCache:
             gids = gids.copy()
         gids.setflags(write=False)
         key = (file_name, offset, version)
-        self._blocks[key] = gids
+        self._add(self._blocks, key, gids)
         self._blocks.move_to_end(key)
         if len(self._blocks) > _INDEX_CACHE_BLOCKS:
-            self._blocks.popitem(last=False)
+            self._forget(self._blocks.popitem(last=False)[0])
         return gids
 
     def plan(self, key: tuple, view: DataView) -> Optional[_ReadPlan]:
@@ -338,10 +359,10 @@ class IndexBlockCache:
     def keep_plan(self, key: tuple, plan: _ReadPlan) -> None:
         """Remember a plan (evicts LRU beyond :data:`_INDEX_CACHE_PLANS`);
         ``key[0]`` is its file name."""
-        self._plans[key] = plan
+        self._add(self._plans, key, plan)
         self._plans.move_to_end(key)
         if len(self._plans) > _INDEX_CACHE_PLANS:
-            self._plans.popitem(last=False)
+            self._forget(self._plans.popitem(last=False)[0])
 
     def shared_index(self, key: tuple, gids: np.ndarray,
                      base: int) -> Optional[int]:
@@ -365,7 +386,7 @@ class IndexBlockCache:
                      end: int) -> None:
         """Remember the block ``[offset, end)`` just written under ``key``
         (``(file_name, group_id, dataset)``) with its map ``gids``."""
-        self._written[key] = (gids, offset, end)
+        self._add(self._written, key, (gids, offset, end))
 
     def drop(self, file_name: str, lo: int = 0,
              hi: Optional[int] = None) -> None:
@@ -373,22 +394,27 @@ class IndexBlockCache:
         whose bytes overlap ``[lo, hi)`` (default: the whole file).
         Touches neither the hit/miss counters nor the LRU order of
         survivors."""
+        if file_name not in self._entries:
+            return
         for k in [
             k for k, g in self._blocks.items()
             if k[0] == file_name
             and _overlaps(k[1], k[1] + len(g) * CHUNK_INDEX_BYTES, lo, hi)
         ]:
             del self._blocks[k]
+            self._forget(k)
         for k in [
             k for k, p in self._plans.items()
             if k[0] == file_name and _overlaps(p.lo, p.hi, lo, hi)
         ]:
             del self._plans[k]
+            self._forget(k)
         for k in [
             k for k, (_g, off, end) in self._written.items()
             if k[0] == file_name and _overlaps(off, end, lo, hi)
         ]:
             del self._written[k]
+            self._forget(k)
 
 
 class ChunkedCaches:

@@ -20,6 +20,18 @@ A wake-up is a raw :class:`threading.Lock` used as a binary semaphore
 only by the baton holder, once, as it gives the baton up, so a release can
 never meet an already-released lock.
 
+The holder releases the next wake-up while it still holds the GIL.  Linux
+lets a freshly woken thread preempt the one that woke it, so on one CPU a
+plain thread would run at once, find the GIL taken and sleep again, and run
+for good only after the holder blocks: three context switches per pass.
+Every process thread therefore marks itself ``SCHED_BATCH`` as it starts
+(:meth:`Process._bootstrap`).  A woken batch thread does not preempt the
+thread that woke it, so the holder blocks first and a pass costs one
+switch.  The policy is per thread and needs no privilege; where
+``os.SCHED_BATCH`` is missing or the call is refused, the thread runs as it
+is.  Either way the baton, the event order and every virtual time are the
+same.  The thread inside :meth:`Simulator.run` keeps its own policy.
+
 A parked process may still have work in flight: callbacks it *owns*
 (:meth:`Simulator.call_at` with ``owner=``) run on whichever thread holds the
 baton, and the last of them schedules the owner's resume.  That is how
@@ -34,6 +46,8 @@ broken by insertion sequence number), never the thread that happens to pop it.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
@@ -177,6 +191,10 @@ class Process:
 
     def _bootstrap(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> None:
         """Thread body: wait for the first resume, run ``fn``, sign off."""
+        # Batch policy: a woken thread waits for its waker to block (see
+        # the module docstring); pid 0 is this thread.
+        with contextlib.suppress(AttributeError, OSError):
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
         try:
             # The baton is NOT with this thread yet: wait for the first
             # resume without dispatching.

@@ -33,8 +33,10 @@ the heap alone.
 the baton to main when a process has raised, a callback has raised, the queue
 is empty, or only daemon events remain (resumes of daemons and callbacks
 owned by daemons; a plain callback keeps the run alive);
-:meth:`Simulator.run` then drains the remaining threads and reports (crash,
-deadlock, participant lost, or normal end) from the caller's thread.
+:meth:`Simulator.run` then drains the remaining threads, joins every process
+thread, and reports (crash, deadlock, participant lost, or normal end) from
+the caller's thread.  No process thread is alive once :meth:`run` returns
+or raises.
 """
 
 from __future__ import annotations
@@ -218,7 +220,8 @@ class Simulator:
     def run(self) -> float:
         """Run until all non-daemon processes finish.
 
-        Returns the final virtual time.  Raises
+        Returns the final virtual time; every process thread has been
+        joined by then, whichever way the run ends.  Raises
         :class:`~repro.errors.SimProcessCrashed` if any process raised, and
         :class:`~repro.errors.SimDeadlockError` if live processes remain but
         no event can ever wake them; re-raises, as it is, whatever a
@@ -334,13 +337,18 @@ class Simulator:
         return True
 
     def _drain(self) -> None:
-        """End the simulation: kill all still-alive processes so their
-        threads exit cleanly."""
+        """End the simulation: kill all still-alive processes, then join
+        every process thread, so none outlives :meth:`run`."""
         self._aborting = True
         for proc in self._procs:
             while proc.alive:
                 self._handoff(proc)
                 self._main_wake.acquire()
+        # A process passes the baton on before its thread ends: wait for
+        # every thread to end, so a job run after this one does not start
+        # its threads beside ones still exiting.
+        for proc in self._procs:
+            proc._thread.join()
         self._queue.clear()
         self._finished = True
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.apps.rt import RTRunConfig, run_rt_original, run_rt_sdm
-from repro.apps.rt.model import evolve_interface, triangle_field_from_nodes
+from repro.apps.rt.model import (
+    ATWOOD, GRAVITY, WAVENUMBERS, amplitudes_at, evolve_interface,
+    mode_patterns, triangle_field_from_nodes,
+)
 from repro.config import fast_test, origin2000
 from repro.core import Organization, sdm_services
 from repro.core.layout import checkpoint_file_name
@@ -33,6 +36,29 @@ def test_interface_amplitudes_grow_in_time(problem):
     a1 = np.abs(evolve_interface(coords, 0.1)).max()
     a2 = np.abs(evolve_interface(coords, 0.5)).max()
     assert a2 > a1
+
+
+def reference_amplitudes(coords, time):
+    """The per-step evaluation the kept mode patterns replaced: every
+    mode's ``sin x cos`` recomputed at each call."""
+    total = np.zeros(len(coords))
+    for kx, ky in WAVENUMBERS:
+        growth = np.sqrt(ATWOOD * GRAVITY * np.hypot(kx, ky))
+        total += 1e-3 * np.exp(growth * time) * (
+            np.sin(kx * coords[:, 0]) * np.cos(ky * coords[:, 1]))
+    return total
+
+
+def test_patterns_built_once_give_the_per_step_values_bit_for_bit():
+    # rt_lifecycle's mesh (16 cells, 4 913 nodes) and its ten steps.
+    coords = rt_like_problem(16).mesh.coords
+    patterns = mode_patterns(coords)
+    dt = RTRunConfig().dt
+    for t in range(10):
+        time = (t + 1) * dt
+        expect = reference_amplitudes(coords, time).tobytes()
+        assert amplitudes_at(patterns, time).tobytes() == expect
+        assert evolve_interface(coords, time).tobytes() == expect
 
 
 def test_triangle_field_is_vertex_mean():

@@ -810,6 +810,48 @@ def test_index_block_cache_drop_range():
     assert cache.shared_index(("g", 1, "a"), gids, 124) == 100
 
 
+def test_index_block_cache_counts_entries_per_file():
+    """The per-file entry counts a drop consults follow every put,
+    replacement, LRU eviction and drop of all three maps, so a drop of a
+    file the cache holds nothing of may return at once."""
+    from types import SimpleNamespace
+
+    from repro.core import datapath
+
+    def recount(cache):
+        counts = {}
+        for entries in (cache._blocks, cache._plans, cache._written):
+            for key in entries:
+                counts[key[0]] = counts.get(key[0], 0) + 1
+        return counts
+
+    cache = datapath.IndexBlockCache()
+    files = ["a", "b", "c"]
+    for i in range(100):  # past both LRU bounds: evictions
+        cache.put(files[i % 3], i * 32, np.arange(4, dtype=np.int64))
+        cache.keep_plan((files[i % 2], i), SimpleNamespace(lo=0, hi=32))
+        assert cache._entries == recount(cache)
+    assert len(cache._blocks) == datapath._INDEX_CACHE_BLOCKS
+    assert len(cache._plans) == datapath._INDEX_CACHE_PLANS
+    rng = np.random.default_rng(5)
+    for _ in range(600):
+        name = files[int(rng.integers(3))]
+        off = int(rng.integers(8)) * 64
+        op = int(rng.integers(4))
+        if op == 0:  # a repeated key replaces
+            cache.put(name, off, np.arange(4, dtype=np.int64))
+        elif op == 1:
+            cache.keep_plan((name, off), SimpleNamespace(lo=off, hi=off + 64))
+        elif op == 2:
+            cache.keep_written((name, 1, str(off)), None, off, off + 32)
+        else:
+            cache.drop(name, off, off + 100 if rng.integers(2) else None)
+        assert cache._entries == recount(cache)
+    for name in files:
+        cache.drop(name)
+    assert cache._entries == {}
+
+
 def equal_count_maps(seed, nprocs=NPROCS, n=GLOBAL):
     """Rank maps with identical per-rank counts (a permutation split
     evenly), so two instances written with different seeds land their
