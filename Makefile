@@ -21,7 +21,6 @@ test: lint test-simt test-metadb
 	    --ignore=tests/core/test_job_determinism.py --ignore=tests/metadb \
 	    --ignore=tests/properties/test_metadb_index_property.py \
 	    --ignore=tests/properties/test_sql_property.py \
-	    --ignore=tests/properties/test_metadb_plan_property.py \
 	    --ignore=tests/properties/test_fault_property.py
 	$(MAKE) verify-collectives
 	$(MAKE) test-faults
@@ -67,14 +66,13 @@ verify-collectives:
 test-mvcc:
 	$(PYTHON) -m pytest tests/properties/test_mvcc_property.py -q
 
-## metadb engine/planner unit tests (incl. the rowid / index-upkeep
-## contract on counts, tests/metadb/test_delete_contract.py, and the
-## plan count contract and golden plans, tests/metadb/test_planner.py) +
-## the scan-equivalence property harness + the plan-vs-tree-walk one
+## metadb front-end unit tests (incl. the SQLite plan of every SDM
+## statement, tests/metadb/test_scan_coverage.py, and each e2e
+## workload's statement stream, tests/metadb/test_statement_stream_golden.py)
+## + the scan-equivalence property harnesses
 test-metadb:
 	$(PYTHON) -m pytest tests/metadb tests/properties/test_metadb_index_property.py \
-	    tests/properties/test_sql_property.py \
-	    tests/properties/test_metadb_plan_property.py -q
+	    tests/properties/test_sql_property.py -q
 
 ## the I/O stack under core, bottom up: datatypes, the file
 ## system (byte store, striping, the run-list kernels), MPI-IO (views,
@@ -101,8 +99,7 @@ test-policy:
 	$(PYTHON) -m pytest tests/core/test_policy.py tests/properties/test_datapath_property.py -q
 
 ## metadata query-path ablation (scan vs single-column vs composite vs
-## end-of-file index, parse vs statement cache, per-DELETE / per-batch
-## host time vs table size); emits BENCH_metadb.json and holds it to its
+## end-of-file index, per-DELETE / per-batch host time vs table size); emits BENCH_metadb.json and holds it to its
 ## perfcheck guards
 bench-metadb:
 	METADB_BENCH_JSON=BENCH_metadb.json $(PYTHON) -m pytest benchmarks/bench_ablation_metadb.py --benchmark-only -q
@@ -116,9 +113,8 @@ bench-datapath:
 	$(PYTHON) benchmarks/perfcheck.py BENCH_datapath.json
 
 ## policy-tier ablation (adaptive gap/promotion vs a grid of static
-## settings per knob, the planner's rows examined vs its oracle); every
-## cell is deterministic; emits BENCH_policy.json and holds it to its
-## perfcheck guards
+## settings per knob); every cell is deterministic; emits
+## BENCH_policy.json and holds it to its perfcheck guards
 bench-policy:
 	POLICY_BENCH_JSON=BENCH_policy.json $(PYTHON) -m pytest benchmarks/bench_ablation_policy.py --benchmark-only -q
 	$(PYTHON) benchmarks/perfcheck.py BENCH_policy.json
@@ -136,8 +132,7 @@ bench-collective:
 ## of canonical at 4-32 ranks, the chunked read's submitted run count
 ## regresses toward O(elements), index traffic or churned-file growth
 ## leave their bounds, an adaptive policy falls below its best static
-## setting, the planner examines more rows than the smaller access path
-## offers, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
+## setting, a metadb DELETE / batch INSERT costs >4x more at 40x the rows,
 ## a metadb composite / end-of-file probe beats the scan < 50x at 10k
 ## rows or the composite gap stops widening with table size,
 ## two-phase collective writes stop beating both independent paths 10x,
@@ -155,9 +150,7 @@ bench-collective:
 ## bulk_datapath's shape, <= 1.5x slower for a sparse viewer);
 ## then a two-phase aggregation's span layout against the packed one
 ## (build plus move >= 2x faster on bulk_datapath's shape, <= 1.1x slower
-## on the workloads' small shapes); then a metadb plan's row verifier
-## against the WHERE tree walk it replaced (>= 3x faster over a
-## 10 000-row execution_table); then the partitioner's growth with k
+## on the workloads' small shapes); then the partitioner's growth with k
 ## (multilevel_kway on fun3d_e2e's mesh at k = 512 <= 8x its time at
 ## k = 32); then the simulator's baton pass against a plain two-thread
 ## Lock ping-pong, pinned to one CPU (<= 1.1x per handoff; skipped where
@@ -167,7 +160,6 @@ perfcheck:
 	$(PYTHON) benchmarks/perfcheck_kernels.py
 	$(PYTHON) benchmarks/perfcheck_plans.py
 	$(PYTHON) benchmarks/perfcheck_aggregation.py
-	$(PYTHON) benchmarks/perfcheck_metadb.py
 	$(PYTHON) benchmarks/perfcheck_partition.py
 	$(PYTHON) benchmarks/perfcheck_switch.py
 	$(MAKE) reach

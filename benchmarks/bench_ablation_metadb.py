@@ -10,18 +10,17 @@ hottest SDM statement shapes:
 
   - ``scan``      — no indexes: every SELECT walks the whole table,
   - ``single``    — single-column indexes on ``runid`` and ``timestep``
-    (smallest slice wins, residual conjuncts filtered),
-  - ``composite`` — one slice of a ``(runid, dataset, timestep)`` index;
+    (SQLite probes one, residual conjuncts filtered),
+  - ``composite`` — one search of a ``(runid, dataset, timestep)`` index;
 
 * the end-of-file probe behind every packed append
   (``WHERE file_name = ? ORDER BY file_offset DESC LIMIT 1``):
 
   - ``scan`` — filter plus sort,
-  - ``eof``  — one bisect into a ``(file_name, file_offset)`` index;
+  - ``eof``  — one search of a ``(file_name, file_offset)`` index;
 
-at 100 / 1 000 / 10 000 rows, plus a parse ablation (statement cache
-cleared before each execute vs warm) at the largest size.  Real
-wall-clock throughput: the engine itself is the system under test.  Each
+at 100 / 1 000 / 10 000 rows.  Real wall-clock throughput: the
+``Database`` front end on ``sqlite3`` is the system under test.  Each
 throughput is the median of ``ROUNDS`` passes of ``N_STATEMENTS``
 statements and each speedup the median of its per-round ratios, the cells
 of one size timed in alternating rounds with the collector off
@@ -52,7 +51,6 @@ import pytest
 
 from repro.bench.harness import ResultTable
 from repro.metadb import Database, SDMTables
-from repro.metadb import engine
 from repro.metadb.schema import ChunkRecord
 from timing import compare, samples_us
 
@@ -114,7 +112,7 @@ def _build(n_rows, indexes):
     return db
 
 
-def _lookups(db, n_rows, sql, params_for, warm_cache=True):
+def _lookups(db, n_rows, sql, params_for):
     """One pass of ``N_STATEMENTS`` random lookups, every one a hit, as
     a callable."""
     rng = random.Random(7)
@@ -122,21 +120,23 @@ def _lookups(db, n_rows, sql, params_for, warm_cache=True):
 
     def run():
         for p in params:
-            if not warm_cache:
-                # The seed behavior parsed every statement: clear the parse
-                # cache.
-                engine.clear_global_statement_cache()
             rows = db.execute(sql, p)
             assert rows, "benchmark lookups must hit"
 
     return run
 
 
+def _walks_table(db, sql, params):
+    """Whether SQLite's plan for ``sql`` reads every row of the table."""
+    return any(step.startswith("SCAN ") and " INDEX " not in step
+               for step in db.explain(sql, params))
+
+
 def _rounds(n_rows, cells):
     """``ROUNDS`` statements/second samples of each cell's pass.
 
-    ``cells`` maps a name to :func:`_lookups`' ``(db, sql, params_for,
-    warm_cache)``.  One pass is a few milliseconds, so the cells are timed
+    ``cells`` maps a name to :func:`_lookups`' ``(db, sql,
+    params_for)``.  One pass is a few milliseconds, so the cells are timed
     in alternating rounds (:func:`timing.samples_us`, after one warm-up
     pass each): a change in the host's speed hits every cell of a round
     alike.  A cell reports its median sample, a speedup the median of its
@@ -153,27 +153,26 @@ def _speedup(samples, fast, slow):
     return median(f / s for f, s in zip(samples[fast], samples[slow]))
 
 
+def _cells(n):
+    """Point lookup: full scan vs single-column vs composite index;
+    end-of-file probe: filter-and-sort vs one index search."""
+    return {
+        f"lookup-scan/{n}rows": (_build(n, "scan"), _LOOKUP, _params_for),
+        f"lookup-single/{n}rows": (_build(n, "single"), _LOOKUP, _params_for),
+        f"lookup-composite/{n}rows": (_build(n, "composite"), _LOOKUP,
+                                      _params_for),
+        f"eof-scan/{n}rows": (_build(n, "scan"), _EOF_PROBE, _eof_params_for),
+        f"eof-index/{n}rows": (_build(n, "eof"), _EOF_PROBE, _eof_params_for),
+    }
+
+
 def run_matrix():
     table = ResultTable(
         "Ablation (metadb) - scan vs single-column vs composite indexes"
     )
     speedups = {}
     for n in SIZES:
-        # Point lookup: full scan vs single-column vs composite index;
-        # end-of-file probe: filter-and-sort vs one index bisect.
-        single_db = _build(n, "single")
-        composite_db = _build(n, "composite")
-        eof_db = _build(n, "eof")
-        samples = _rounds(n, {
-            f"lookup-scan/{n}rows": (_build(n, "scan"), _LOOKUP, _params_for, True),
-            f"lookup-single/{n}rows": (single_db, _LOOKUP, _params_for, True),
-            f"lookup-composite/{n}rows": (composite_db, _LOOKUP, _params_for, True),
-            f"eof-scan/{n}rows": (_build(n, "scan"), _EOF_PROBE, _eof_params_for, True),
-            f"eof-index/{n}rows": (eof_db, _EOF_PROBE, _eof_params_for, True),
-        })
-        assert single_db.n_full_scans == composite_db.n_full_scans == 0
-        assert eof_db.n_sorted_probes == (ROUNDS + 1) * N_STATEMENTS
-        assert eof_db.n_full_scans == 0
+        samples = _rounds(n, _cells(n))
 
         scan = f"lookup-scan/{n}rows"
         speedups[n] = {
@@ -189,19 +188,7 @@ def run_matrix():
                 "ablation-metadb", f"{kind}-vs-scan/{n}rows", "speedup",
                 value, "x",
             )
-
-    # Parse ablation at the largest size: cold (seed behavior, one parse
-    # per statement) vs warm statement cache.
-    index_db = _build(SIZES[-1], "composite")
-    samples = _rounds(SIZES[-1], {
-        "parse-per-stmt": (index_db, _LOOKUP, _params_for, False),
-        "stmt-cache": (index_db, _LOOKUP, _params_for, True),
-    })
-    cache_gain = _speedup(samples, "stmt-cache", "parse-per-stmt")
-    for config, values in samples.items():
-        table.add("ablation-metadb", config, "throughput", median(values), "stmt/s")
-    table.add("ablation-metadb", "cache-vs-parse", "speedup", cache_gain, "x")
-    return table, speedups, cache_gain
+    return table, speedups
 
 
 SCALING_SIZES = (1_000, 10_000, 40_000)
@@ -243,7 +230,7 @@ def run_scaling():
     one operation of each per round (:func:`timing.samples_us`, after one
     warm-up operation each), and each ratio is the median of its
     per-round ratios: a single-shot cell of tens of microseconds moved
-    the DELETE ratio between 1.3 and 3.1 on an unchanged engine."""
+    the DELETE ratio between 1.3 and 3.1 on unchanged code."""
     chunks = [
         ChunkRecord(k, k * 128, k * 128 + 127, 128, k * 512, k * 512)
         for k in range(_RANKS)
@@ -289,7 +276,7 @@ def run_scaling():
     return out
 
 
-def _emit_json(table, speedups, cache_gain, scaling):
+def _emit_json(table, speedups, scaling):
     """Write the matrix to $METADB_BENCH_JSON for cross-PR tracking."""
     path = os.environ.get("METADB_BENCH_JSON")
     if not path:
@@ -308,7 +295,6 @@ def _emit_json(table, speedups, cache_gain, scaling):
             speedups[SIZES[-1]]["composite"] / speedups[SIZES[0]]["composite"],
             2,
         ),
-        "cache_gain": round(cache_gain, 2),
         "scaling": scaling,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -318,7 +304,13 @@ def _emit_json(table, speedups, cache_gain, scaling):
 
 @pytest.mark.benchmark(group="ablation-metadb")
 def test_index_probes_beat_full_scan(benchmark, report):
-    table, speedups, cache_gain = benchmark.pedantic(
+    # Each cell runs the access path its name says: only the scan cells'
+    # plans walk the table.
+    for n in SIZES:
+        for name, (db, sql, params_for) in _cells(n).items():
+            assert _walks_table(db, sql, params_for(0)) == ("scan" in name), \
+                name
+    table, speedups = benchmark.pedantic(
         run_matrix, rounds=1, iterations=1
     )
     scaling = run_scaling()
@@ -330,14 +322,12 @@ def test_index_probes_beat_full_scan(benchmark, report):
                   f"{SCALING_SIZES[0]}rows", "ratio",
                   scaling[f"{kind}_ratio"], "x")
     report(table)
-    _emit_json(table, speedups, cache_gain, scaling)
+    _emit_json(table, speedups, scaling)
     # Every index shape wins everywhere.  How much it wins at 10k rows,
     # and that the gap widens with size, is held by `make perfcheck`
     # against the committed BENCH_metadb.json.
     for by_kind in speedups.values():
         assert all(s > 1.0 for s in by_kind.values())
-    # Caching the parsed statement is itself a measurable win.
-    assert cache_gain > 1.2
     # Index upkeep follows the change, not the table: 40x the rows may
     # not cost 4x the time (rebuild-on-delete and the whole-array re-sort
     # measured 129x and 23x on this section).
@@ -349,4 +339,3 @@ def test_index_probes_beat_full_scan(benchmark, report):
     benchmark.extra_info["eof_speedup_10k"] = round(
         speedups[10_000]["eof"], 1
     )
-    benchmark.extra_info["cache_gain"] = round(cache_gain, 2)

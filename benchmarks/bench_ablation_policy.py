@@ -7,15 +7,8 @@ acceptance bar (enforced against the committed ``BENCH_policy.json`` by
 least as good as the *best* static setting on its own case, and beat the
 *default* static setting by more than 5% on at least one case.  A static
 number can win one regime; the point of the tier is that no static
-number wins them all.  The metadb planner rides along as a deterministic
-cell held to its arithmetic minimum — it has no policy mode.
+number wins them all.
 
-* **planner** — a mixed query workload where two single-column indexes,
-  on ``a`` and on ``b``, can each serve every WHERE, the ``a`` slice
-  smaller on one family and the ``b`` slice on the other.  Metric: total
-  ``n_rows_examined`` (deterministic — plan choice is exactly what it
-  counts) against the oracle that examines min(a slice, b slice) rows
-  per query.
 * **gap** — a two-phase read workload: phase A's views leave small
   (~320 B) holes worth bridging, phase B's leave 8 KiB holes that cost
   more to read-and-discard than the run overhead they save.  No static
@@ -49,75 +42,11 @@ from repro.config import origin2000
 from repro.core import SDM, Organization, sdm_services
 from repro.core.layout import CANONICAL, CHUNKED
 from repro.dtypes import DOUBLE
-from repro.metadb import Database
 from repro.mpi import mpirun
 from repro.mpiio.runs import ADAPTIVE_GAP
 
 # ---------------------------------------------------------------------------
-# 1. planner access-path choice
-# ---------------------------------------------------------------------------
-
-PLANNER_QUERIES = 600
-"""Interleaved queries, half per family."""
-
-# Family A: `a` slice 380 rows, `b` slice 200 rows — the `b` slice hands
-# the WHERE fewer candidates.
-_A_BOTH, _A_A_ONLY = 200, 180
-# Family B: `a` slice 180 rows, `b` slice 300 rows — the `a` slice does.
-_B_BOTH, _B_B_ONLY = 180, 120
-_GROUPS = 4
-
-
-def _build_planner_db():
-    db = Database()
-    db.execute("CREATE TABLE t (a TEXT, b TEXT, v INTEGER)")
-    filler = iter(range(10**9))
-
-    def insert(a, b):
-        db.execute("INSERT INTO t VALUES (?, ?, ?)", (a, b, next(filler)))
-
-    for g in range(_GROUPS):
-        for _ in range(_A_BOTH):
-            insert(f"A{g}", f"a{g}")
-        for _ in range(_A_A_ONLY):
-            insert(f"A{g}", f"fill{next(filler)}")
-        for _ in range(_B_BOTH):
-            insert(f"B{g}", f"b{g}")
-        for _ in range(_B_B_ONLY):
-            insert(f"fill{next(filler)}", f"b{g}")
-    db.create_index("t", ("a",))
-    db.create_index("t", ("b",))
-    return db
-
-
-def _planner_workload(db):
-    """Run the interleaved two-family workload; returns rows examined."""
-    before = db.n_rows_examined
-    sql = "SELECT v FROM t WHERE a = ? AND b = ?"
-    for i in range(PLANNER_QUERIES // 2):
-        g = i % _GROUPS
-        rows = db.execute(sql, (f"A{g}", f"a{g}"))
-        assert len(rows) == _A_BOTH
-        rows = db.execute(sql, (f"B{g}", f"b{g}"))
-        assert len(rows) == _B_BOTH
-    return db.n_rows_examined - before
-
-
-def run_planner_case():
-    rows = _planner_workload(_build_planner_db())
-    # (a slice, b slice) candidates per query; the oracle walks the
-    # smaller.
-    paths = (
-        (_A_BOTH + _A_A_ONLY, _A_BOTH),
-        (_B_BOTH, _B_BOTH + _B_B_ONLY),
-    )
-    oracle = (PLANNER_QUERIES // 2) * sum(min(pair) for pair in paths)
-    return {"rows_examined": rows, "oracle_rows": oracle,
-            "rows_vs_oracle": rows / oracle}
-
-
-# ---------------------------------------------------------------------------
-# 2. adaptive coalesce_gap
+# 1. adaptive coalesce_gap
 # ---------------------------------------------------------------------------
 
 GAP_GRID = (0, 64, 8192, 262144)
@@ -200,7 +129,7 @@ def run_gap_case():
 
 
 # ---------------------------------------------------------------------------
-# 3. self-driving maintenance (read-count promotion)
+# 2. self-driving maintenance (read-count promotion)
 # ---------------------------------------------------------------------------
 
 MAINT_RANKS = 4
@@ -290,12 +219,6 @@ def run_matrix():
     table = ResultTable(
         "Ablation (policy) - self-tuning loops vs every static setting"
     )
-    planner = run_planner_case()
-    table.add("ablation-policy", "planner",
-              "rows-examined", float(planner["rows_examined"]), "rows")
-    table.add("ablation-policy", "planner-oracle",
-              "rows-examined", float(planner["oracle_rows"]), "rows")
-
     gap = run_gap_case()
     for g, cell in gap["static"].items():
         table.add("ablation-policy", f"gap-static/{g}B",
@@ -312,7 +235,7 @@ def run_matrix():
               "virtual-time", maint["adaptive"]["read_loop"], "s")
     table.add("ablation-policy", "maintenance-win-vs-static",
               "ratio", maint["win_vs_best_static"], "x")
-    return table, {"planner": planner, "gap": gap, "maintenance": maint}
+    return table, {"gap": gap, "maintenance": maint}
 
 
 def _round(obj):
@@ -332,7 +255,6 @@ def _emit_json(table, cases):
         return
     doc = {
         "benchmark": "ablation-policy",
-        "planner_queries": PLANNER_QUERIES,
         "gap_ranks": GAP_RANKS,
         "maintenance_ranks": MAINT_RANKS,
         "maintenance_reads": MAINT_READS,
@@ -359,10 +281,6 @@ def test_adaptive_policies_beat_every_static_setting(benchmark, report):
     # The maintenance win comes from the promotion actually firing.
     assert cases["maintenance"]["adaptive"]["n_promotions"] == 1, cases
     assert cases["maintenance"]["static"]["n_promotions"] == 0, cases
-    # The planner examines exactly the rows the smaller path offers.
-    planner = cases["planner"]
-    assert planner["rows_examined"] == planner["oracle_rows"], planner
-    benchmark.extra_info["planner_rows"] = planner["rows_examined"]
     benchmark.extra_info["gap_win"] = round(
         cases["gap"]["win_vs_best_static"], 3
     )

@@ -52,10 +52,6 @@ GUARDS = (
     ("BENCH_policy.json", "cases/gap|maintenance/win_vs_default",
      "max", ">", 1.05,
      "self-tuning no longer beats the shipped defaults anywhere"),
-    # A deterministic cell, so the bound is exact: the planner examines
-    # the smallest index slice per query, the arithmetic minimum.
-    ("BENCH_policy.json", "cases/planner/rows_vs_oracle", "each", "<=", 1.0,
-     "the planner examined more rows than the smaller access path offers"),
     # metadb index upkeep is per entry: 40x the rows may not cost 4x the
     # host time (host-clock cells, so only their ratio is held).  A
     # DELETE that rebuilds its table's indexes sits near 130x ...
@@ -64,7 +60,7 @@ GUARDS = (
     # ... and a batch INSERT that re-sorts whole indexes near 23x.
     ("BENCH_metadb.json", "scaling/batch16_ratio", "each", "<=", 4,
      "a batch INSERT's cost grows with the table again, not with the batch"),
-    # The read side: an index probe is a bisect, a scan walks the table,
+    # The read side: an index probe is a B-tree search, a scan walks the table,
     # so at 10 000 rows the composite point lookup and the end-of-file
     # probe each beat the scan they replace by >= 50x ...
     ("BENCH_metadb.json", "speedups/10000/composite|eof", "each", ">=", 50,

@@ -11,10 +11,10 @@ rank.  Every sample runs with the garbage collector off (``timeit``'s
 default): a collection landing in a sample of a few milliseconds swung
 single cells by 2x.
 
-Used by the six in-process ratio guards (``perfcheck_kernels.py``,
+Used by the five in-process ratio guards (``perfcheck_kernels.py``,
 ``perfcheck_plans.py``, ``perfcheck_aggregation.py``,
-``perfcheck_metadb.py``, ``perfcheck_partition.py``,
-``perfcheck_switch.py``) and by ``bench_ablation_metadb.py``.
+``perfcheck_partition.py``, ``perfcheck_switch.py``) and by
+``bench_ablation_metadb.py``.
 """
 
 import statistics

@@ -116,27 +116,8 @@ class AccessModeError(MPIIOError):
 # ---------------------------------------------------------------------------
 
 class MetaDBError(ReproError):
-    """Base class for metadata-database errors."""
-
-
-class SQLSyntaxError(MetaDBError):
-    """The mini-SQL parser rejected a statement."""
-
-
-class SQLTypeError(MetaDBError):
-    """A value did not match the declared column type."""
-
-
-class TableNotFound(MetaDBError):
-    """Statement referenced a table that does not exist."""
-
-
-class TableExists(MetaDBError):
-    """CREATE TABLE on a name that already exists."""
-
-
-class ColumnNotFound(MetaDBError):
-    """Statement referenced a column that does not exist."""
+    """A statement the metadata database refused (chained from the
+    :mod:`sqlite3` error where SQLite refused it)."""
 
 
 # ---------------------------------------------------------------------------

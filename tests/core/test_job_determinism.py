@@ -82,8 +82,8 @@ def run_job(observe=False, policy=None):
             name: hashlib.sha256(data.tobytes()).hexdigest()
             for name, data in snapshot_services(job).files.items()
         },
-        "planner": (db.n_statements, db.n_rows_examined,
-                    db.n_index_probes, db.n_full_scans),
+        "planner": (db.n_statements,
+                    hashlib.sha256(db.dump().encode()).hexdigest()),
     }
 
 

@@ -1,13 +1,14 @@
 """Which statements may walk a whole table.
 
-Every statement :class:`~repro.metadb.schema.SDMTables` issues takes an
-index path except the ones in :data:`FULL_SCANS`: a recovery sweep, the
-reaper's candidate list and a rollback keyed on the epoch alone — shapes
-no hot path issues and no ``SDM_INDEXES`` declaration leads with.  The
-test drives every public accessor, records each statement that
-full-scans, and requires the recorded set to be exactly that list, so a
-declaration that stops covering a statement fails here instead of
-scanning silently.
+Every filtered statement :class:`~repro.metadb.schema.SDMTables` issues
+takes an index path in SQLite's plan (:meth:`Database.explain`) except
+the ones in :data:`FULL_SCANS`: a recovery sweep, the reaper's candidate
+list and a rollback keyed on the epoch alone — shapes no hot path issues
+and no ``SDM_INDEXES`` declaration leads with.  The test drives every
+public accessor, records each statement whose plan walks a table, and
+requires the recorded set to be exactly that list, so a declaration
+that stops covering a statement fails here instead of scanning
+silently.
 """
 
 from repro.metadb import Database, SDMTables
@@ -32,22 +33,33 @@ FULL_SCANS = {
 }
 
 
+def _walks_a_table(plan):
+    """Whether SQLite's plan reads every row of a table: a ``SCAN`` step
+    that is not an index walk (``SEARCH`` probes an index)."""
+    return any(step.startswith("SCAN ") and " INDEX " not in step
+               for step in plan)
+
+
 def _spy(monkeypatch):
-    """The SQL text of every statement that full-scans, and the name of
-    every public :class:`SDMTables` method called."""
-    scanned, called, current = set(), set(), [None]
-    prepare, match = Database.prepare, Database._match_rowids
+    """The SQL text of every filtered statement that full-scans (its
+    :meth:`Database.explain` plan walks a table), and the name of every
+    public :class:`SDMTables` method called.  An unfiltered statement
+    reads every row by definition and is not counted."""
+    scanned, called = set(), set()
+    execute, execute_many = Database.execute, Database.execute_many
 
-    def preparing(self, sql):
-        current[0] = sql
-        return prepare(self, sql)
+    def check(db, sql, params):
+        if " WHERE " in sql and _walks_a_table(db.explain(sql, params)):
+            scanned.add(sql)
 
-    def matching(self, table, stmt, params):
-        before = self.n_full_scans
-        rowids = match(self, table, stmt, params)
-        if self.n_full_scans > before:
-            scanned.add(current[0])
-        return rowids
+    def executing(self, sql, params=(), proc=None):
+        check(self, sql, params)
+        return execute(self, sql, params, proc)
+
+    def executing_many(self, sql, param_rows, proc=None):
+        for params in param_rows[:1]:
+            check(self, sql, params)
+        return execute_many(self, sql, param_rows, proc)
 
     def recorded(name, method):
         def call(self, *args, **kwargs):
@@ -55,8 +67,8 @@ def _spy(monkeypatch):
             return method(self, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(Database, "prepare", preparing)
-    monkeypatch.setattr(Database, "_match_rowids", matching)
+    monkeypatch.setattr(Database, "execute", executing)
+    monkeypatch.setattr(Database, "execute_many", executing_many)
     for name, method in list(vars(SDMTables).items()):
         if not name.startswith("_") and callable(method):
             monkeypatch.setattr(SDMTables, name, recorded(name, method))

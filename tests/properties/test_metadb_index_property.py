@@ -17,6 +17,8 @@ collisions occur in most examples.  Every column is NOT NULL, so no
 None is drawn.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +78,7 @@ def test_every_index_plan_agrees_with_full_scan(case):
 
     # Persistence round-trips the declarations and the row contents.
     restored = Database.loads(fast.dump())
-    assert restored.tables["t"].indexes.keys() == fast.tables["t"].indexes.keys()
+    assert json.loads(restored.dump())["tables"] == json.loads(fast.dump())["tables"]
     check_index_integrity(restored)
     assert restored.execute(select, params) == plain.execute(select, params)
 

@@ -81,8 +81,7 @@ def test_every_error_derives_from_repro_error():
         errors.MPICollectiveMismatch, errors.DatatypeError,
         errors.FileNotFound, errors.FileExists, errors.InvalidFileHandle,
         errors.AccessModeError, errors.MPIIOError,
-        errors.SQLSyntaxError, errors.SQLTypeError, errors.TableNotFound,
-        errors.TableExists, errors.ColumnNotFound,
+        errors.MetaDBError,
         errors.PartitionError, errors.MeshError,
         errors.SDMStateError, errors.SDMUnknownDataset,
         errors.SDMHistoryMismatch,
@@ -96,12 +95,11 @@ def test_subsystem_umbrellas():
     assert issubclass(errors.MPIInvalidRank, errors.MPIError)
     assert issubclass(errors.AccessModeError, errors.MPIIOError)
     assert issubclass(errors.MPIIOError, errors.PFSError)
-    assert issubclass(errors.SQLSyntaxError, errors.MetaDBError)
     assert issubclass(errors.SDMHistoryMismatch, errors.SDMError)
 
 
 def test_catching_at_subsystem_level():
-    with pytest.raises(errors.MetaDBError):
-        raise errors.TableNotFound("t")
+    with pytest.raises(errors.PFSError):
+        raise errors.AccessModeError("t")
     with pytest.raises(errors.ReproError):
         raise errors.SDMStateError("s")
