@@ -35,9 +35,10 @@ relies on and SQLite does not give by itself:
    NULL) before anything runs; a statement SQLite refuses raises
    :class:`~repro.errors.MetaDBError` chained from the :mod:`sqlite3`
    error.
-2. **One typing and one order.**  Tables are created ``STRICT``, so
-   INTEGER / REAL / TEXT columns hold exactly those types (numpy scalars
-   bind as Python numbers), and every row-returning SELECT breaks its
+2. **One typing and one order.**  Tables are created ``STRICT`` with
+   every column ``NOT NULL``, so INTEGER / REAL / TEXT columns hold
+   exactly those types and never a NULL (numpy scalars bind as Python
+   numbers), and every row-returning SELECT breaks its
    ORDER BY ties — or, with no ORDER BY, orders — by ``rowid``: rows come
    back in insertion order whichever index SQLite walks.
 3. **Cost.**  Each statement is counted (``n_statements``) and, attached

@@ -12,18 +12,19 @@ statement *touched*: returned for SELECT, written for INSERT, matched
 for UPDATE/DELETE.
 
 What SQLite is told differs from the statement text in two ways only
-(:func:`_sqlite_sql`): a table is created ``STRICT``, so INTEGER / REAL
-/ TEXT columns refuse what they cannot store, and a row-returning
+(:func:`_sqlite_sql`): a table is created ``STRICT`` with every column
+``NOT NULL``, so INTEGER / REAL / TEXT columns refuse what they cannot
+store and a NULL literal is refused too, and a row-returning
 SELECT breaks its ORDER BY ties — or, with no ORDER BY, orders — by
 ``rowid``, so rows come back in insertion order whichever index SQLite
-picks.  Every column is NOT NULL: a None parameter is refused before
-anything runs.  A statement SQLite refuses raises
+picks.  A None parameter is refused before anything runs.  A statement SQLite refuses raises
 :class:`~repro.errors.MetaDBError` chained from the :mod:`sqlite3` error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 from functools import lru_cache
 from typing import Any, List, Optional, Sequence, Tuple
@@ -49,12 +50,17 @@ for _t in (np.float16, np.float32, np.longdouble):
     sqlite3.register_adapter(_t, float)
 
 
+_COLUMN_TYPE = re.compile(r"\b(INTEGER|REAL|TEXT)\b(?=\s*[,)])")
+"""A column declaration's type, which ``NOT NULL`` follows."""
+
+
 @lru_cache(maxsize=1024)
 def _sqlite_sql(sql: str) -> str:
-    """The text SQLite runs for ``sql``: ``STRICT`` on a CREATE TABLE,
-    ``rowid`` as the last ORDER BY key of a row-returning SELECT."""
+    """The text SQLite runs for ``sql``: ``NOT NULL`` columns and
+    ``STRICT`` on a CREATE TABLE, ``rowid`` as the last ORDER BY key of
+    a row-returning SELECT."""
     if sql.startswith("CREATE TABLE"):
-        return sql.rstrip() + " STRICT"
+        return _COLUMN_TYPE.sub(r"\1 NOT NULL", sql.rstrip()) + " STRICT"
     if not sql.startswith("SELECT") or "(" in sql[:sql.find(" FROM ")]:
         return sql
     head, limit, tail = sql.partition(" LIMIT ")
@@ -270,13 +276,16 @@ class Database:
         db.boot_id = doc["boot"] + 1
         conn = db._conn
         conn.execute("BEGIN")
-        for name, spec in doc["tables"].items():
-            columns = ", ".join(f"{n} {t}" for n, t in spec["columns"])
-            conn.execute(f"CREATE TABLE {name} ({columns}) STRICT")
-            slots = ", ".join("?" * len(spec["columns"]))
-            conn.executemany(f"INSERT INTO {name} VALUES ({slots})",
-                             spec["rows"])
-            for index in spec["indexes"]:
-                db.create_index(name, index["columns"])
+        try:
+            for name, spec in doc["tables"].items():
+                columns = ", ".join(f"{n} {t}" for n, t in spec["columns"])
+                conn.execute(_sqlite_sql(f"CREATE TABLE {name} ({columns})"))
+                slots = ", ".join("?" * len(spec["columns"]))
+                conn.executemany(f"INSERT INTO {name} VALUES ({slots})",
+                                 spec["rows"])
+                for index in spec["indexes"]:
+                    db.create_index(name, index["columns"])
+        except sqlite3.Error as exc:
+            raise MetaDBError(f"{exc} in a dump") from exc
         conn.execute("COMMIT")
         return db

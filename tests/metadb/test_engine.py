@@ -278,6 +278,30 @@ def test_none_in_a_batch_insert_or_update_changes_nothing():
     assert db.n_statements == statements
 
 
+@pytest.mark.parametrize("sql", [
+    "INSERT INTO t VALUES (NULL, 'x', 2)",
+    "INSERT INTO t VALUES (1, NULL, 2)",
+    "UPDATE t SET b = NULL WHERE a = 1",
+    "UPDATE t SET c = NULL",
+])
+def test_null_literal_is_refused_and_changes_nothing(sql):
+    for index_set in (None, "mixed"):
+        db = build(_ROWS, index_set)
+        before = db.dump()
+        with pytest.raises(MetaDBError, match="NOT NULL") as raised:
+            db.execute(sql)
+        assert isinstance(raised.value.__cause__, sqlite3.IntegrityError)
+        assert db.dump() == before
+        check_index_integrity(db)
+
+
+def test_null_in_a_dump_is_refused():
+    dump = ('{"tables": {"t": {"columns": [["a", "INTEGER"]], '
+            '"rows": [[1], [null]], "indexes": []}}, "boot": 0}')
+    with pytest.raises(MetaDBError, match="NOT NULL"):
+        Database.loads(dump)
+
+
 # -- cost accounting: rows *touched*, not rows returned -----------------------
 
 
