@@ -82,10 +82,12 @@ test-metadb:
 test-iostack:
 	$(PYTHON) -m pytest tests/dtypes tests/pfs tests/mpiio -q
 
-## storage-order data path: chunked/canonical/reorganize unit tests + the
-## cross-order read-equivalence property harness
+## storage-order data path: chunked/canonical/reorganize unit tests, the
+## one-way imports of its five modules + the cross-order read-equivalence
+## property harness
 test-datapath:
-	$(PYTHON) -m pytest tests/core/test_datapath.py tests/properties/test_datapath_property.py -q
+	$(PYTHON) -m pytest tests/core/test_datapath.py tests/core/test_datapath_layers.py \
+	    tests/properties/test_datapath_property.py -q
 
 ## maintenance tier: background reorganization, compaction, snapshot-
 ## surviving queues, index-block cache + the maintenance property dimension

@@ -3,7 +3,7 @@ they memoise, host speed cancelled out.
 
 A checkpoint loop reads through one data view again and again, and two
 answers do not change between those reads: the chunked read's
-resolution (:class:`repro.core.datapath._ReadPlan`, kept beside the
+resolution (:class:`repro.core.caches._ReadPlan`, kept beside the
 index blocks it came from) and the canonical view's lowered filetype
 tile (kept on the ``Datatype`` by :mod:`repro.mpiio.view`).  Both sides
 of each comparison are timed in this process, in alternating rounds
@@ -27,7 +27,7 @@ held, at ``bulk_datapath``'s shape — 1 M DOUBLE elements in
 * **filetype** — a ``FileView`` over a memoised filetype must be built
   ``VIEW_MIN_SPEEDUP`` times faster than over a fresh one.
 
-It also prints the sweep ``datapath._TABLE_MAX_SPREAD`` was set from:
+It also prints the sweep ``resolve._TABLE_MAX_SPREAD`` was set from:
 milliseconds per resolution (the best of five alternated samples) of
 the probe and the table path over chunk count x spread (the wanted
 set's range over its size), and the path ``_chunk_positions`` takes —
@@ -43,8 +43,8 @@ import sys
 import numpy as np
 
 from timing import compare, samples_us
-from repro.core import datapath
-from repro.core.datapath import _chunk_positions, _live_chunks, _read_plan
+from repro.core import resolve as datapath
+from repro.core.resolve import _chunk_positions, _live_chunks, _read_plan
 from repro.core.groups import DataView
 from repro.dtypes import DOUBLE, IndexedBlock
 from repro.metadb.schema import CHUNK_INDEX_BYTES, ChunkRecord

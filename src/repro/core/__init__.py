@@ -17,14 +17,14 @@ all run on the per-rank daemon workers of
 :class:`~repro.core.maintenance.MaintenanceService` (``reorganize_mode=
 "background"``, ``SDM.compact``, ``SDM.drain_maintenance``).
 
-See :mod:`repro.core.api` for the class, :mod:`repro.core.datapath` for
-the two storage orders' write and read paths,
-:mod:`repro.core.maintenance` for the service tier, and
+See :mod:`repro.core.api` for the class, :mod:`repro.core.write` and
+:mod:`repro.core.resolve` for the two storage orders' write and read
+paths, :mod:`repro.core.maintenance` for the service tier, and
 :mod:`repro.core.papi` for C-style aliases that mirror the paper's
 Figures 2 and 3 line by line.
 """
 
-from repro.core.datapath import IndexBlockCache
+from repro.core.caches import IndexBlockCache
 from repro.core.groups import DataGroup, DatasetAttrs, ImportAttrs
 from repro.core.layout import CANONICAL, CHUNKED, Organization
 from repro.core.api import SDM

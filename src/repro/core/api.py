@@ -4,9 +4,9 @@ One :class:`SDM` instance per rank fronts everything: the metadata database
 (through :class:`~repro.metadb.schema.SDMTables`), the parallel file system
 (through :class:`~repro.mpiio.file.File`), the ring index distribution,
 history files, and the two storage orders' data path
-(:mod:`repro.core.datapath`).  Method names are pythonic;
-:mod:`repro.core.papi` provides ``SDM_*`` aliases matching the paper's
-figures symbol for symbol.
+(:mod:`repro.core.write`, :mod:`repro.core.resolve`).  Method names are
+pythonic; :mod:`repro.core.papi` provides ``SDM_*`` aliases matching the
+paper's figures symbol for symbol.
 
 Typical write-side flow (Figure 2), now parameterized by storage order::
 
@@ -42,21 +42,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.catalog import collective
-from repro.core.datapath import (
-    DatapathHost,
-    compact_chunked_file,
-    execute_reorganize,
-    locate_instance,
-    set_instance_view,
-    write_canonical,
-    write_chunked,
-)
 from repro.core.groups import DataGroup, DatasetAttrs, DataView, ImportAttrs
 from repro.core.history import (
     HistoryRegistration,
     register_history_async,
     try_load_history,
 )
+from repro.core.host import DatapathHost
 from repro.core.layout import (
     CANONICAL,
     CHUNKED,
@@ -66,7 +58,10 @@ from repro.core.layout import (
 )
 from repro.core.maintenance import COMPACT, REORGANIZE
 from repro.core.policy import ADAPTIVE, STATIC, MaintenancePolicy
+from repro.core.reorganize import compact_chunked_file, execute_reorganize
+from repro.core.resolve import locate_instance, set_instance_view
 from repro.core.ring import EdgeChunk, LocalPartition, owned_nodes_of, ring_partition_index
+from repro.core.write import write_canonical, write_chunked
 from repro.dtypes.primitives import DOUBLE, INT, Primitive
 from repro.errors import SDMLeaseConflict, SDMStateError, SDMUnknownDataset
 from repro.mpi.job import RankContext
@@ -480,7 +475,7 @@ class SDM(DatapathHost):
         pinned epoch, so a concurrent background reorganization or
         compaction can never change what this call returns; unpinned
         reads see the newest published metadata
-        (:meth:`~repro.core.datapath.DatapathHost.read_pinned`).
+        (:meth:`~repro.core.host.DatapathHost.read_pinned`).
         """
         attrs = handle.dataset(name)
         view = handle.view(name)
@@ -503,8 +498,7 @@ class SDM(DatapathHost):
                 self.reorganize(
                     handle, name, timestep, runid=rid, mode="background"
                 )
-        if self.organization == Organization.LEVEL_1:
-            self._close_cached(fname)
+        self._close_level_1(fname)
         return buf
 
     @collective(op="sdm.reorganize", uniform_result=True, receivers=("sdm",))
@@ -664,7 +658,7 @@ class SDM(DatapathHost):
         audit then counts whatever this client still holds in lease/pin
         rows, surfaced through :meth:`stats` as ``leaked_leases`` /
         ``leaked_pins`` on every rank
-        (:meth:`~repro.core.datapath.DatapathHost.shutdown`)."""
+        (:meth:`~repro.core.host.DatapathHost.shutdown`)."""
         if handle is not None:
             handle.finalized = True
         self.shutdown()

@@ -41,8 +41,8 @@ from typing import List
 import numpy as np
 
 from repro.analysis.catalog import collective
-from repro.core.datapath import DatapathHost
 from repro.core.groups import DataGroup, DatasetAttrs, DataView
+from repro.core.host import DatapathHost
 from repro.core.layout import Organization
 from repro.dtypes.primitives import Primitive, primitive_by_name
 from repro.errors import SDMUnknownDataset
@@ -82,7 +82,7 @@ def _dataset_from_row(
     """Build a DatasetRecord from an access_pattern_table row — outside
     input, so an unknown type name raises ``DatatypeError``."""
     dtype = primitive_by_name(type_name)
-    return DatasetRecord(runid, name, pattern, dtype, order, int(size))
+    return DatasetRecord(runid, name, pattern, dtype, order, size)
 
 
 class SDMCatalog(DatapathHost):
@@ -133,7 +133,7 @@ class SDMCatalog(DatapathHost):
     def release(self) -> None:
         """Drop the snapshot pin, reap what it alone held live and audit
         for leaks (collective; idempotent;
-        :meth:`~repro.core.datapath.DatapathHost.shutdown`).  Reads after
+        :meth:`~repro.core.host.DatapathHost.shutdown`).  Reads after
         release still work, cold."""
         self.shutdown()
 
@@ -142,28 +142,14 @@ class SDMCatalog(DatapathHost):
     # ------------------------------------------------------------------
 
     def runs(self) -> List[RunRecord]:
-        """All recorded runs, oldest first (a sorted walk of run_table's
-        ordered runid index — no scan, no sort)."""
-        rows = self.tables.db.execute(
-            "SELECT runid, application, dimension, problem_size, "
-            "num_timesteps FROM run_table ORDER BY runid",
-            proc=self.ctx.proc,
-        )
-        return [RunRecord(int(r), a, int(d), int(p), int(n))
-                for r, a, d, p, n in rows]
+        """All recorded runs, oldest first."""
+        return [RunRecord(*row)
+                for row in self.tables.all_runs(proc=self.ctx.proc)]
 
     def datasets(self, runid: int) -> List[DatasetRecord]:
         """Datasets a run registered, in registration order."""
-        rows = self.tables.db.execute(
-            "SELECT dataset, basic_pattern, data_type, storage_order, "
-            "global_size FROM access_pattern_table WHERE runid = ?",
-            (runid,),
-            proc=self.ctx.proc,
-        )
-        return [
-            _dataset_from_row(runid, name, pattern, type_name, order, size)
-            for name, pattern, type_name, order, size in rows
-        ]
+        return [_dataset_from_row(runid, *row)
+                for row in self.tables.datasets_for(runid, proc=self.ctx.proc)]
 
     def timesteps(self, runid: int, dataset: str) -> List[int]:
         """Timesteps of a dataset with recorded data, ascending, at the
@@ -180,17 +166,12 @@ class SDMCatalog(DatapathHost):
     def _dataset_record(self, runid: int, dataset: str) -> DatasetRecord:
         # One composite-index probe on (runid, dataset) rather than
         # fetching the run's whole dataset list.
-        rows = self.tables.db.execute(
-            "SELECT basic_pattern, data_type, storage_order, global_size "
-            "FROM access_pattern_table WHERE runid = ? AND dataset = ?",
-            (runid, dataset),
-            proc=self.ctx.proc,
-        )
-        if not rows:
+        row = self.tables.dataset_row(runid, dataset, proc=self.ctx.proc)
+        if row is None:
             raise SDMUnknownDataset(
                 f"run {runid} has no dataset {dataset!r}"
             )
-        return _dataset_from_row(runid, dataset, *rows[0])
+        return _dataset_from_row(runid, dataset, *row)
 
     def load_group(self, runid: int) -> DataGroup:
         """Rehydrate a :class:`DataGroup` for a past run from the database.

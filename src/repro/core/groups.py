@@ -61,7 +61,7 @@ class DataView:
     A view built by :meth:`from_map` owns its arrays — private read-only
     copies, as MPI copies a datatype's displacements at creation — so
     what is derived from it once (:meth:`filetype`, a chunked read's plan
-    in :mod:`repro.core.datapath`) stays true for the view's lifetime.
+    in :mod:`repro.core.resolve`) stays true for the view's lifetime.
     Views compare by identity.
     """
 

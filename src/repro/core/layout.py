@@ -2,7 +2,7 @@
 
 Three independent axes decide where checkpoint bytes land and who keeps
 them healthy (paper Section 3.2, the storage-order extension of
-:mod:`repro.core.datapath`, and the maintenance tier of
+:mod:`repro.core.write`, and the maintenance tier of
 :mod:`repro.core.maintenance`):
 
 **File organization** — how many files the output is packed into:

@@ -14,12 +14,12 @@ kinds (superseded row versions need no job of their own: they are
 reaped after every flip, at pin release and in the attach sweep):
 
 * **reorganize** — the deferred chunked→canonical exchange
-  (:func:`repro.core.datapath.execute_reorganize`), run collectively
+  (:func:`repro.core.reorganize.execute_reorganize`), run collectively
   across the workers with the same atomic ``execution_table`` repointing
   as the synchronous call, so readers transparently serve whichever
   representation is current at any instant;
 * **compact** — pack a ``.chunked`` file down over its ``extent_table``
-  dead regions (:func:`repro.core.datapath.compact_chunked_file`);
+  dead regions (:func:`repro.core.reorganize.compact_chunked_file`);
 * **local** — a rank-private callable with no collectives (the history
   writer of :mod:`repro.core.history`, now a thin client of this layer).
 
@@ -60,7 +60,7 @@ machinery as the history files.
 Cache maintenance
 -----------------
 
-The service carries the job's one :class:`~repro.core.datapath.ChunkedCaches`
+The service carries the job's one :class:`~repro.core.caches.ChunkedCaches`
 registry: every datapath host — ``SDM``, catalog, and each job's worker
 host — registers its one index-block cache (read plans and the write
 side's last written blocks included) until it closes, and every
@@ -76,14 +76,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.config import MachineModel
-from repro.core.datapath import (
-    ChunkedCaches,
-    DatapathHost,
-    compact_chunked_file,
-    execute_reorganize,
-)
+from repro.core.caches import ChunkedCaches
+from repro.core.host import DatapathHost
 from repro.core.layout import Organization
 from repro.core.mvcc import reap_sweep
+from repro.core.reorganize import compact_chunked_file, execute_reorganize
 from repro.dtypes.primitives import primitive_by_name
 from repro.errors import SDMStateError
 from repro.metadb.engine import Database

@@ -232,7 +232,7 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # One probe allocates runids; the index also serves the catalog's
     # `ORDER BY runid` run listing without a sort.
     ("run_table", ("runid",)),
-    # _dataset_record probes both columns; the catalog's dataset listing
+    # dataset_row probes both columns; the catalog's dataset listing
     # binds the runid prefix.
     ("access_pattern_table", ("runid", "dataset")),
     # lookup_execution_version and the close/reap statements bind all
@@ -390,7 +390,7 @@ class SDMTables:
         """Allocate a counter column's next id: MAX+1, starting at 1 (one
         probe of the column's index)."""
         rows = self.db.execute(f"SELECT MAX({column}) FROM {table}", proc=proc)
-        return 1 if rows[0][0] is None else int(rows[0][0]) + 1
+        return 1 if rows[0][0] is None else rows[0][0] + 1
 
     @staticmethod
     def _expect_rows(touched: int, expected: int, what: str, why: str) -> None:
@@ -453,6 +453,18 @@ class SDMTables:
             proc=proc,
         )
 
+    def all_runs(
+        self, proc: Optional[Process] = None
+    ) -> List[Tuple[int, str, int, int, int]]:
+        """Every run, oldest first: ``(runid, application, dimension,
+        problem_size, num_timesteps)`` (a sorted walk of the ordered
+        runid index — no scan, no sort)."""
+        return self.db.execute(
+            "SELECT runid, application, dimension, problem_size, "
+            "num_timesteps FROM run_table ORDER BY runid",
+            proc=proc,
+        )
+
     # -- access_pattern_table ---------------------------------------------
 
     def register_dataset(
@@ -484,6 +496,32 @@ class SDMTables:
             proc=proc,
         )
         return rows[0][0] if rows else None
+
+    def datasets_for(
+        self, runid: int, proc: Optional[Process] = None
+    ) -> List[Tuple[str, str, str, str, int]]:
+        """A run's datasets in registration order: ``(dataset,
+        basic_pattern, data_type, storage_order, global_size)``."""
+        return self.db.execute(
+            "SELECT dataset, basic_pattern, data_type, storage_order, "
+            "global_size FROM access_pattern_table WHERE runid = ?",
+            (runid,),
+            proc=proc,
+        )
+
+    def dataset_row(
+        self, runid: int, dataset: str, proc: Optional[Process] = None
+    ) -> Optional[Tuple[str, str, str, int]]:
+        """``(basic_pattern, data_type, storage_order, global_size)`` of
+        one dataset (composite-index probe), or None if the dataset was
+        never registered."""
+        rows = self.db.execute(
+            "SELECT basic_pattern, data_type, storage_order, global_size "
+            "FROM access_pattern_table WHERE runid = ? AND dataset = ?",
+            (runid, dataset),
+            proc=proc,
+        )
+        return rows[0] if rows else None
 
     # -- execution_table ---------------------------------------------------
 
@@ -532,10 +570,7 @@ class SDMTables:
             (runid, dataset, timestep, *at),
             proc=proc,
         )
-        if not rows:
-            return None
-        name, offset, nbytes, vfrom = max(rows, key=lambda r: int(r[3]))
-        return (name, int(offset), int(nbytes), int(vfrom))
+        return max(rows, key=lambda r: r[3]) if rows else None
 
     def max_offset_in_file(
         self, file_name: str, proc: Optional[Process] = None
@@ -547,9 +582,7 @@ class SDMTables:
             (file_name,),
             proc=proc,
         )
-        if not rows:
-            return 0
-        return int(rows[0][0]) + int(rows[0][1])
+        return rows[0][0] + rows[0][1] if rows else 0
 
     def executions_in_file(
         self,
@@ -564,7 +597,7 @@ class SDMTables:
         compaction plan packs and closes); ``dead=True`` lists the
         superseded versions still occupying bytes — the reaper's work
         list."""
-        rows = self.db.execute(
+        return self.db.execute(
             "SELECT runid, dataset, timestep, file_offset, nbytes, "
             "valid_from, valid_to FROM execution_table "
             f"WHERE file_name = ? AND valid_to {'<' if dead else '='} ? "
@@ -572,10 +605,6 @@ class SDMTables:
             (file_name, OPEN_EPOCH),
             proc=proc,
         )
-        return [
-            (int(r), d, int(t), int(o), int(n), int(vf), int(vt))
-            for r, d, t, o, n, vf, vt in rows
-        ]
 
     def timesteps_for(
         self,
@@ -596,7 +625,7 @@ class SDMTables:
             (runid, dataset, *at),
             proc=proc,
         )
-        return sorted({int(r[0]) for r in rows})
+        return sorted({r[0] for r in rows})
 
     def files_with_dead_rows(
         self, proc: Optional[Process] = None
@@ -700,13 +729,8 @@ class SDMTables:
         )
         if not rows:
             return []
-        newest = max(int(r[7]) for r in rows)
-        return [
-            ChunkRecord(int(r), int(lo), int(hi), int(n), int(io), int(do),
-                        int(step))
-            for r, lo, hi, n, io, do, step, vf in rows
-            if int(vf) == newest
-        ]
+        newest = max(r[7] for r in rows)
+        return [ChunkRecord(*r[:7]) for r in rows if r[7] == newest]
 
     def close_chunks(
         self,
@@ -787,13 +811,12 @@ class SDMTables:
         self, file_name: str, proc: Optional[Process] = None
     ) -> List[Tuple[int, int]]:
         """Free ``(offset, nbytes)`` extents of a file, ascending."""
-        rows = self.db.execute(
+        return self.db.execute(
             "SELECT file_offset, nbytes FROM extent_table "
             "WHERE file_name = ? ORDER BY file_offset",
             (file_name,),
             proc=proc,
         )
-        return [(int(o), int(n)) for o, n in rows]
 
     def free_bytes_in(
         self, file_name: str, proc: Optional[Process] = None
@@ -804,7 +827,7 @@ class SDMTables:
             (file_name,),
             proc=proc,
         )
-        return 0 if rows[0][0] is None else int(rows[0][0])
+        return 0 if rows[0][0] is None else rows[0][0]
 
     def truncate_extents(
         self, file_name: str, above: int, proc: Optional[Process] = None
@@ -860,7 +883,7 @@ class SDMTables:
                 proc=proc,
             )
             for row in rows:
-                block = ChunkRecord(*map(int, row)).block
+                block = ChunkRecord(*row).block
                 if block is not None:
                     offset, n = block
                     ranges.append((offset, offset + n * CHUNK_INDEX_BYTES))
@@ -941,7 +964,7 @@ class SDMTables:
                 (epoch,),
                 proc=proc,
             )
-            if int(rows[0][0]) == 1:
+            if rows[0][0] == 1:
                 return epoch
             self.db.execute(
                 "DELETE FROM epoch_table "
@@ -988,7 +1011,7 @@ class SDMTables:
             (file_name, EPOCH_INTENT),
             proc=proc,
         )
-        return None if not rows else int(rows[0][0])
+        return None if not rows else rows[0][0]
 
     def files_with_flip_intents(
         self, proc: Optional[Process] = None
@@ -1058,7 +1081,7 @@ class SDMTables:
             (file_name,),
             proc=proc,
         )
-        return 0 if rows[0][0] is None else int(rows[0][0])
+        return 0 if rows[0][0] is None else rows[0][0]
 
     def prune_epochs(
         self, file_name: str, below: int, proc: Optional[Process] = None
@@ -1122,9 +1145,7 @@ class SDMTables:
         )
         if rows:
             dead_holder, boot, hb, row_ttl = rows[0]
-            if not self._lease_expired(
-                int(boot), float(hb), float(row_ttl), now
-            ):
+            if not self._lease_expired(boot, hb, row_ttl, now):
                 return False
             self.recover_file(file_name, proc)
             stolen = self.db.execute_many(
@@ -1204,17 +1225,16 @@ class SDMTables:
         rows = self.db.execute(
             "SELECT COUNT(*) FROM lease_table", proc=proc
         )
-        return int(rows[0][0])
+        return rows[0][0]
 
     def all_leases(
         self, proc: Optional[Process] = None
     ) -> List[Tuple[str, str, int]]:
         """Every outstanding lease: ``(file_name, holder, boot)`` —
         shutdown leak audits and attach-time recovery sweeps."""
-        rows = self.db.execute(
+        return self.db.execute(
             "SELECT file_name, holder, boot FROM lease_table", proc=proc
         )
-        return [(f, h, int(b)) for f, h, b in rows]
 
     def create_pin(
         self,
@@ -1292,10 +1312,9 @@ class SDMTables:
             proc=proc,
         )
         return [
-            (int(pid), client, int(epoch))
+            (pid, client, epoch)
             for pid, client, epoch, boot, touched in rows
-            if int(boot) < self.db.boot_id
-            or float(touched) + DEFAULT_PIN_TTL <= now
+            if boot < self.db.boot_id or touched + DEFAULT_PIN_TTL <= now
         ]
 
     def all_pins(
@@ -1303,10 +1322,9 @@ class SDMTables:
     ) -> List[Tuple[int, str, int]]:
         """Every outstanding pin: ``(pin_id, client, epoch)`` — shutdown
         leak audits and attach-time recovery sweeps."""
-        rows = self.db.execute(
+        return self.db.execute(
             "SELECT pin_id, client, epoch FROM pin_table", proc=proc
         )
-        return [(int(p), c, int(e)) for p, c, e in rows]
 
     def advance_pin(
         self, pin_id: int, epoch: int, proc: Optional[Process] = None
@@ -1328,7 +1346,7 @@ class SDMTables:
         rows = self.db.execute(
             "SELECT COUNT(*) FROM pin_table", proc=proc
         )
-        return int(rows[0][0])
+        return rows[0][0]
 
     def reap_file(
         self,
@@ -1356,7 +1374,7 @@ class SDMTables:
         version (or the current epoch on a full reap) and epoch history
         below the watermark is pruned — the epoch log now truncates even
         while old pins persist."""
-        pinned = [int(e) for (e,) in self.db.execute(
+        pinned = [e for (e,) in self.db.execute(
             "SELECT epoch FROM pin_table", proc=proc
         )]
         dead = self.executions_in_file(file_name, proc, dead=True)
@@ -1404,7 +1422,7 @@ class SDMTables:
             (file_name,),
             proc=proc,
         )
-        return 0 if not rows else int(rows[0][0])
+        return 0 if not rows else rows[0][0]
 
     def set_reap_watermark(
         self, file_name: str, epoch: int, proc: Optional[Process] = None
@@ -1458,13 +1476,7 @@ class SDMTables:
             "FROM maintenance_table ORDER BY jobid",
             proc=proc,
         )
-        return [
-            MaintenanceRecord(
-                int(j), k, a, int(o), int(g), int(r), d, int(t), f, dt,
-                int(gs),
-            )
-            for j, k, a, o, g, r, d, t, f, dt, gs in rows
-        ]
+        return [MaintenanceRecord(*row) for row in rows]
 
     def delete_maintenance(
         self, jobid: int, proc: Optional[Process] = None
@@ -1516,10 +1528,7 @@ class SDMTables:
             (problem_size, num_procs),
             proc=proc,
         )
-        if not rows:
-            return None
-        ps, np_, dim, fname = rows[0]
-        return HistoryRecord(int(ps), int(np_), int(dim), fname)
+        return HistoryRecord(*rows[0]) if rows else None
 
     def register_history(
         self,
@@ -1560,7 +1569,4 @@ class SDMTables:
             (problem_size, num_procs, rank),
             proc=proc,
         )
-        if not rows:
-            return None
-        r, ec, nc, eo, no = rows[0]
-        return HistoryRankRecord(int(r), int(ec), int(nc), int(eo), int(no))
+        return HistoryRankRecord(*rows[0]) if rows else None

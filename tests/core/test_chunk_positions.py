@@ -30,9 +30,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import datapath
-from repro.core.datapath import _TABLE_MAX_SPREAD as CUT
-from repro.core.datapath import _chunk_positions
+from repro.core import resolve as datapath
+from repro.core.resolve import _TABLE_MAX_SPREAD as CUT
+from repro.core.resolve import _chunk_positions
 from repro.metadb.schema import CHUNK_INDEX_BYTES, ChunkRecord
 
 WANTED_KINDS = ("own", "foreign", "sparse", "all", "repeated", "absent",

@@ -432,7 +432,7 @@ def test_gap_bridged_chunked_read_matches_per_element_read(monkeypatch, gap):
 def test_index_block_cache_entries_are_immutable():
     """Regression: a caller mutating a cached index block (or the array
     it inserted) must not corrupt later reads."""
-    from repro.core.datapath import IndexBlockCache
+    from repro.core.caches import IndexBlockCache
 
     cache = IndexBlockCache()
     block = np.array([3, 5, 9], dtype=np.int64)
@@ -778,7 +778,7 @@ def test_checkpoint_file_checks_its_storage_order():
 def test_index_block_cache_drop_range():
     """Range eviction semantics: any byte overlap with [lo, hi) evicts,
     touching neither counters nor disjoint entries."""
-    from repro.core.datapath import IndexBlockCache
+    from repro.core.caches import IndexBlockCache
 
     cache = IndexBlockCache()
     cache.put("f", 0, np.arange(4, dtype=np.int64))      # bytes [0, 32)
@@ -816,7 +816,7 @@ def test_index_block_cache_counts_entries_per_file():
     file the cache holds nothing of may return at once."""
     from types import SimpleNamespace
 
-    from repro.core import datapath
+    from repro.core import caches as datapath
 
     def recount(cache):
         counts = {}
@@ -1120,7 +1120,7 @@ def test_checkpoint_loop_reads_resolve_once(monkeypatch, spanning):
     chunks (ghost maps) also resolves timestep 1: timestep 0 stored the
     index blocks between the data blocks, so the chunks' relative layout
     only settles from timestep 1 on."""
-    import repro.core.datapath as dp
+    import repro.core.resolve as dp
 
     calls = count_calls(monkeypatch, dp, "_chunk_positions")
     n = 16 * NPROCS
@@ -1156,7 +1156,7 @@ def test_warm_plan_hit_submits_the_plans_merged_runs(monkeypatch):
     timestep 1's layout, a plan hit) hands
     ``read_runs_at_all`` exactly that run at the new base — one run,
     not one per element."""
-    import repro.core.datapath as dp
+    import repro.core.resolve as dp
 
     builds = count_calls(monkeypatch, dp, "_chunk_positions")
     handed = count_calls(monkeypatch, File, "read_runs_at_all")
@@ -1199,7 +1199,7 @@ def test_read_plan_rebuilds_once_per_invalidation(monkeypatch):
     cursor's tail, a recycled extent's range) and a version bump force
     exactly the rebuilds of the plans they cover, once; a drop above
     every plan forces none."""
-    import repro.core.datapath as dp
+    import repro.core.resolve as dp
 
     calls = count_calls(monkeypatch, dp, "_chunk_positions")
     n = 16 * NPROCS

@@ -516,6 +516,16 @@ GOLDEN_PLANS = {
         "SCAN USING INDEX(jobid)",
     "DELETE FROM maintenance_table WHERE jobid = ?":
         "SEARCH USING INDEX(jobid) (jobid=?)",
+    "SELECT runid, application, dimension, problem_size, num_timesteps "
+    "FROM run_table ORDER BY runid":
+        "SCAN USING INDEX(runid)",
+    "SELECT dataset, basic_pattern, data_type, storage_order, global_size "
+    "FROM access_pattern_table WHERE runid = ?":
+        "SEARCH USING INDEX(runid,dataset) (runid=?); USE TEMP B-TREE FOR "
+        "ORDER BY",
+    "SELECT basic_pattern, data_type, storage_order, global_size FROM "
+    "access_pattern_table WHERE runid = ? AND dataset = ?":
+        "SEARCH USING INDEX(runid,dataset) (runid=? AND dataset=?)",
 }
 
 

@@ -84,6 +84,9 @@ def _drive(t):
     t.insert_run(run, "app", 3, 100, 4)
     t.register_dataset(run, "p", "DOUBLE", "chunked", 32)
     assert t.dataset_type_name(run, "p") == "DOUBLE"
+    assert t.all_runs() == [(run, "app", 3, 100, 4)]
+    assert t.datasets_for(run) == [("p", "IRREGULAR", "DOUBLE", "chunked", 32)]
+    assert t.dataset_row(run, "p") == ("IRREGULAR", "DOUBLE", "chunked", 32)
     t.register_import(run, "x", "x.dat", "DOUBLE", "canonical", "block",
                       "DATA", 0, 32)
     t.register_history(HistoryRecord(100, 2, 3, "h.dat"),

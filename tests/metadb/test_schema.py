@@ -1,10 +1,18 @@
 """SDM schema accessors and the simulated query cost model."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.config import origin2000
 from repro.metadb import Database, SDMTables
-from repro.metadb.schema import HistoryRankRecord, HistoryRecord
+from repro.metadb.schema import (
+    ChunkRecord,
+    HistoryRankRecord,
+    HistoryRecord,
+    MaintenanceRecord,
+)
 from repro.simt import Simulator
 
 
@@ -95,6 +103,61 @@ def test_history_register_find(tables):
     r2 = tables.history_rank(1000, 4, 2)
     assert r2.edge_count == 12 and r2.node_offset == 100
     assert tables.history_rank(1000, 4, 9) is None
+
+
+def _scalars(value):
+    """Every leaf of an accessor's result: records and rows unpacked."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _scalars(item)
+    else:
+        yield value
+
+
+def test_accessors_return_exact_python_scalars(tables):
+    """Every column is STRICT and NOT NULL, so SQLite hands back exact
+    ``int``, ``float`` and ``str`` values whatever was bound — numpy
+    scalars here — and no accessor re-types a row."""
+    i, f, t = np.int64, np.float64, tables
+    run = i(t.next_runid())
+    name = "grp.chunked"
+    t.insert_run(run, "app", i(3), i(100), i(4))
+    t.register_dataset(run, "p", "DOUBLE", "chunked", i(32))
+    t.register_history(
+        HistoryRecord(i(100), i(2), i(3), "h.dat"),
+        [HistoryRankRecord(i(r), i(1), i(1), i(r), i(r)) for r in range(2)],
+    )
+    for step in range(3):
+        base = i(step * 100)
+        t.record_execution(run, "p", i(step), name, base, i(100))
+        t.record_chunks(run, "p", i(step), [ChunkRecord(
+            i(0), i(0), i(15), i(16), base, base + i(50), i(1))])
+    t.record_extent(name, i(400), i(100))
+    t.create_pin("reader", i(0), now=f(1.0))
+    assert t.try_acquire_lease(name, "w", now=f(0.0))
+    epoch = t.begin_flip(name)
+    t.record_maintenance(MaintenanceRecord(
+        i(t.next_maintenance_jobid()), "compact", "app", i(3), i(0), run,
+        "p", i(0), name, "DOUBLE", i(32)))
+    results = [
+        t.next_runid(), t.all_runs(), t.datasets_for(run),
+        t.dataset_row(run, "p"), t.dataset_type_name(run, "p"),
+        t.lookup_execution_version(run, "p", i(1)),
+        t.lookup_execution_version(run, "p", i(1), epoch=i(epoch)),
+        t.max_offset_in_file(name), t.executions_in_file(name),
+        t.timesteps_for(run, "p"), t.chunks_for(run, "p", i(1)),
+        t.extents_for(name), t.free_bytes_in(name), t.current_epoch(),
+        t.flip_intent(name), t.file_epoch(name), t.lease_holder(name),
+        t.lease_count(), t.all_leases(), t.expired_pins(now=f(1e9)),
+        t.all_pins(), t.pin_count(), t.next_maintenance_jobid(),
+        t.pending_maintenance(), t.find_history(i(100), i(2)),
+        t.history_rank(i(100), i(2), i(1)), t.allocate_extent(name, i(60)),
+    ]
+    assert all(r is not None and r != [] for r in results)
+    returned = {type(v) for r in results for v in _scalars(r)}
+    assert returned <= {int, float, str}
 
 
 def test_query_cost_charged_in_simulation():

@@ -246,7 +246,7 @@ def test_collective_resolution_matches_local_resolution(mix, level):
     sets (some blocks hit, some dealt).  On counts: a cold round reads
     every block some rank needs exactly once job-wide, a warm round reads
     no index byte and issues no ``alltoallv``."""
-    from repro.core.datapath import (
+    from repro.core.resolve import (
         IndexBlockCache, _chunk_positions, _fetch_index_blocks,
         acquire_index_blocks, locate_instance,
     )
@@ -363,7 +363,7 @@ def run_plan_once(level, n, maps, pinned):
     step."""
     from unittest import mock
 
-    import repro.core.datapath as dp
+    import repro.core.resolve as dp
     from repro.mpiio.consts import MODE_RDONLY
     from repro.mpiio.file import File
 

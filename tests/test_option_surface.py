@@ -10,8 +10,9 @@ to its callers; docs/tuning.md lists what became constants and why.
 import inspect
 
 from repro.core import SDM, policy, sdm_services
+from repro.core.caches import IndexBlockCache
 from repro.core.catalog import SDMCatalog
-from repro.core.datapath import DatapathHost, IndexBlockCache
+from repro.core.host import DatapathHost
 from repro.core.maintenance import MaintenanceService
 from repro.metadb.schema import SDMTables
 from repro.mpiio.hints import accepted_hints
