@@ -230,7 +230,7 @@ class MaintenanceService:
         """Release snapshot pins whose clients are presumed dead (prior
         incarnation, or untouched past ``DEFAULT_PIN_TTL``), then reap
         what they were holding live (:func:`~repro.core.mvcc.reap_sweep`).
-        Per-file reap watermarks advance as a side effect, so the epoch
+        Each reap prunes its file's epoch log as a side effect, so the
         log truncates once the leaked pins are gone.  Returns the number
         of pins released.
         """

@@ -12,8 +12,8 @@ kept it in a stock RDBMS:
   history-file timings, as the paper reports) — charged on rows
   *touched*: returned for SELECT, inserted for INSERT, matched for
   UPDATE/DELETE;
-* :mod:`~repro.metadb.schema` — the thirteen SDM tables (the paper's six
-  plus chunk, maintenance, extent and the four MVCC tables), typed
+* :mod:`~repro.metadb.schema` — the twelve SDM tables (the paper's six
+  plus chunk, maintenance, extent and the three MVCC tables), typed
   accessors, and the :data:`~repro.metadb.schema.SDM_INDEXES` declarations.
 
 Query pipeline architecture

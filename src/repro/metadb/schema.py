@@ -1,8 +1,8 @@
 """The paper's SDM metadata schema (Figure 4) and typed accessors.
 
-Thirteen tables, as created by ``SDM_initialize``: the paper's six,
+Twelve tables, as created by ``SDM_initialize``: the paper's six,
 ``chunk_table`` for the chunked storage order, two that back the
-maintenance service layer, and four for MVCC and crash recovery:
+maintenance service layer, and three for MVCC and crash recovery:
 
 * ``run_table`` — one row per application run: id, dimensionality, problem
   size, timestep count, wall-clock date fields.
@@ -40,10 +40,9 @@ maintenance service layer, and four for MVCC and crash recovery:
   extents at or above the cursor whenever it retreats it.
 
 * ``epoch_table`` (the publish log doubling as the flip intent journal),
-  ``lease_table`` (exclusive flip leases with boot/heartbeat/TTL
-  liveness), ``pin_table`` (reader snapshot pins with abandonment
-  stamps), and ``watermark_table`` (per-file reap progress) — the
-  MVCC/robustness tier; see the inline DDL comments.
+  ``lease_table`` (exclusive flip leases with boot/heartbeat
+  liveness), and ``pin_table`` (reader snapshot pins with abandonment
+  stamps) — the MVCC/robustness tier; see the inline DDL comments.
 
 :class:`SDMTables` wraps a :class:`~repro.metadb.engine.Database` with typed
 methods for exactly the statements SDM issues, so the SQL lives here and the
@@ -195,8 +194,8 @@ SDM_SCHEMA: Tuple[str, ...] = (
     # recovering lease stealer resolves a surviving 'intent' row by
     # rolling the flip back, and a 'published' row by finishing its reap.
     # The global epoch counter is MAX(epoch) across all files; a file's
-    # current epoch is MAX(epoch) for its rows.  Reaped history is pruned
-    # up to the file's reap watermark.
+    # current epoch is MAX(epoch) for its rows.  Each reap prunes the
+    # file's history below its oldest surviving dead version.
     """CREATE TABLE IF NOT EXISTS epoch_table (
         file_name TEXT, epoch INTEGER, state TEXT
     )""",
@@ -205,10 +204,9 @@ SDM_SCHEMA: Tuple[str, ...] = (
     # with SDMLeaseConflict instead of silently losing an update.  A
     # lease is dead — stealable after recovery — when its holder's boot
     # predates the database's current incarnation, or when its heartbeat
-    # is older than its ttl.
+    # is DEFAULT_LEASE_TTL old.
     """CREATE TABLE IF NOT EXISTS lease_table (
-        file_name TEXT, holder TEXT,
-        boot INTEGER, acquired_at REAL, heartbeat REAL, ttl REAL
+        file_name TEXT, holder TEXT, boot INTEGER, heartbeat REAL
     )""",
     # Reader snapshots: a pin holds its epoch's row versions alive.  The
     # reaper skips any dead version whose validity interval contains a
@@ -218,13 +216,6 @@ SDM_SCHEMA: Tuple[str, ...] = (
     """CREATE TABLE IF NOT EXISTS pin_table (
         pin_id INTEGER, client TEXT, epoch INTEGER,
         boot INTEGER, touched REAL
-    )""",
-    # Per-file reap progress: every row version of epochs below the
-    # watermark has been reaped, so epoch history below it is pruned.
-    # Replaces the global min-pin floor — one stuck pin no longer blocks
-    # epoch-log truncation for every other file.
-    """CREATE TABLE IF NOT EXISTS watermark_table (
-        file_name TEXT, epoch INTEGER
     )""",
 )
 
@@ -261,8 +252,6 @@ SDM_INDEXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("lease_table", ("file_name",)),
     # Pin touch, advance and release probe pin_id.
     ("pin_table", ("pin_id",)),
-    # Reap-watermark lookup is a per-file point probe.
-    ("watermark_table", ("file_name",)),
 )
 """(table, column tuple) index declarations for SDM's hot lookups."""
 
@@ -378,7 +367,7 @@ class SDMTables:
         }
 
     def create_all(self, proc: Optional[Process] = None) -> None:
-        """Create the thirteen tables and their indexes (idempotent)."""
+        """Create the twelve tables and their indexes (idempotent)."""
         for ddl in SDM_SCHEMA:
             self.db.execute(ddl, proc=proc)
         for table, columns in SDM_INDEXES:
@@ -1105,16 +1094,16 @@ class SDMTables:
         )
         return rows[0][0] if rows else None
 
-    def _lease_expired(
-        self, boot: int, heartbeat: float, ttl: float, now: Optional[float]
+    def _holder_dead(
+        self, boot: int, stamp: float, ttl: float, now: Optional[float]
     ) -> bool:
-        """True when a lease row's holder is presumed dead: its boot
+        """True when a lease's or pin's holder is presumed dead: its boot
         predates this database incarnation (its job ended without
-        releasing — deterministic, no clock heuristics), or its
-        heartbeat is a full TTL stale at ``now``."""
+        releasing — deterministic, no clock heuristics), or its liveness
+        stamp is a full ``ttl`` stale at ``now``."""
         if boot < self.db.boot_id:
             return True
-        return now is not None and heartbeat + ttl <= now
+        return now is not None and stamp + ttl <= now
 
     def try_acquire_lease(
         self,
@@ -1130,22 +1119,23 @@ class SDMTables:
         race (two holders inserted) *both* withdraw — symmetric fail-fast
         is the contract; the callers retry or surface SDMLeaseConflict.
 
-        An existing lease whose holder is dead (:meth:`_lease_expired`)
-        is not a conflict: the acquirer first resolves whatever the dead
-        holder left mid-flip (:meth:`recover_file` — roll back or roll
-        forward, never half), then steals the row and proceeds.  Pass the
+        An existing lease whose holder is dead (:meth:`_holder_dead`
+        with :data:`DEFAULT_LEASE_TTL`) is not a conflict: the acquirer
+        first resolves whatever the dead holder left mid-flip
+        (:meth:`recover_file` — roll back or roll forward, never half),
+        then steals the row and proceeds.  Pass the
         caller's virtual ``now`` to enable same-incarnation expiry;
         without it only cross-incarnation (boot) death is detected.
         """
         rows = self.db.execute(
-            "SELECT holder, boot, heartbeat, ttl FROM lease_table "
+            "SELECT holder, boot, heartbeat FROM lease_table "
             "WHERE file_name = ?",
             (file_name,),
             proc=proc,
         )
         if rows:
-            dead_holder, boot, hb, row_ttl = rows[0]
-            if not self._lease_expired(boot, hb, row_ttl, now):
+            dead_holder, boot, hb = rows[0]
+            if not self._holder_dead(boot, hb, DEFAULT_LEASE_TTL, now):
                 return False
             self.recover_file(file_name, proc)
             stolen = self.db.execute_many(
@@ -1160,8 +1150,8 @@ class SDMTables:
             self.n_leases_stolen += 1
         t = 0.0 if now is None else float(now)
         self.db.execute(
-            "INSERT INTO lease_table VALUES (?, ?, ?, ?, ?, ?)",
-            (file_name, holder, self.db.boot_id, t, t, DEFAULT_LEASE_TTL),
+            "INSERT INTO lease_table VALUES (?, ?, ?, ?)",
+            (file_name, holder, self.db.boot_id, t),
             proc=proc,
         )
         rows = self.db.execute(
@@ -1314,7 +1304,7 @@ class SDMTables:
         return [
             (pid, client, epoch)
             for pid, client, epoch, boot, touched in rows
-            if boot < self.db.boot_id or touched + DEFAULT_PIN_TTL <= now
+            if self._holder_dead(boot, touched, DEFAULT_PIN_TTL, now)
         ]
 
     def all_pins(
@@ -1370,10 +1360,10 @@ class SDMTables:
         precision, strictly finer than the old global min-pin floor: one
         long-lived pin at epoch P only protects versions actually visible
         at P, instead of freezing every file's reap at P.  Either way the
-        file's reap watermark advances to the oldest surviving dead
-        version (or the current epoch on a full reap) and epoch history
-        below the watermark is pruned — the epoch log now truncates even
-        while old pins persist."""
+        file's epoch history is pruned below the oldest surviving dead
+        version's ``valid_from`` (below the file's current epoch on a
+        full reap), so the epoch log truncates even while old pins
+        persist."""
         pinned = [e for (e,) in self.db.execute(
             "SELECT epoch FROM pin_table", proc=proc
         )]
@@ -1403,44 +1393,11 @@ class SDMTables:
             self.truncate_extents(file_name, new_end, proc)
         fully_reaped = len(reapable) == len(dead)
         if fully_reaped:
-            watermark = self.file_epoch(file_name, proc)
+            bound = self.file_epoch(file_name, proc)
         else:
-            watermark = min(
-                row[5] for row in dead if row not in reapable
-            )
-        self.set_reap_watermark(file_name, watermark, proc)
-        self.prune_epochs(file_name, watermark, proc)
+            bound = min(row[5] for row in dead if row not in reapable)
+        self.prune_epochs(file_name, bound, proc)
         return fully_reaped
-
-    def reap_watermark(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> int:
-        """A file's reap watermark: every row version of epochs below it
-        has been reaped (0 before the first reap)."""
-        rows = self.db.execute(
-            "SELECT epoch FROM watermark_table WHERE file_name = ?",
-            (file_name,),
-            proc=proc,
-        )
-        return 0 if not rows else rows[0][0]
-
-    def set_reap_watermark(
-        self, file_name: str, epoch: int, proc: Optional[Process] = None
-    ) -> None:
-        """Advance a file's reap watermark (monotone upsert: a stale
-        concurrent reaper can never move it backwards)."""
-        if epoch <= self.reap_watermark(file_name, proc):
-            return
-        self.db.execute(
-            "DELETE FROM watermark_table WHERE file_name = ?",
-            (file_name,),
-            proc=proc,
-        )
-        self.db.execute(
-            "INSERT INTO watermark_table VALUES (?, ?)",
-            (file_name, epoch),
-            proc=proc,
-        )
 
     # -- maintenance_table ---------------------------------------------------
 

@@ -390,8 +390,7 @@ GOLDEN_PLANS = {
         "SEARCH USING COVERING INDEX(pin_id)",
     "UPDATE pin_table SET touched = ? WHERE pin_id = ?":
         "SEARCH USING INDEX(pin_id) (pin_id=?)",
-    "SELECT holder, boot, heartbeat, ttl FROM lease_table WHERE file_name"
-    " = ?":
+    "SELECT holder, boot, heartbeat FROM lease_table WHERE file_name = ?":
         "SEARCH USING INDEX(file_name) (file_name=?)",
     "SELECT holder FROM lease_table WHERE file_name = ?":
         "SEARCH USING INDEX(file_name) (file_name=?)",
@@ -436,8 +435,6 @@ GOLDEN_PLANS = {
     "valid_to FROM execution_table WHERE file_name = ? AND valid_to < ? "
     "ORDER BY file_offset":
         "SEARCH USING INDEX(file_name,file_offset) (file_name=?)",
-    "SELECT epoch FROM watermark_table WHERE file_name = ?":
-        "SEARCH USING INDEX(file_name) (file_name=?)",
     "DELETE FROM epoch_table WHERE file_name = ? AND epoch < ?":
         "SEARCH USING INDEX(file_name,epoch) (file_name=? AND epoch<?)",
     "SELECT pin_id, client, epoch, boot, touched FROM pin_table":
@@ -461,8 +458,6 @@ GOLDEN_PLANS = {
     "DELETE FROM extent_table WHERE file_name = ? AND file_offset >= ?":
         "SEARCH USING INDEX(file_name,file_offset) (file_name=? AND "
         "file_offset>?)",
-    "DELETE FROM watermark_table WHERE file_name = ?":
-        "SEARCH USING INDEX(file_name) (file_name=?)",
     "SELECT file_offset, nbytes FROM extent_table WHERE file_name = ? "
     "ORDER BY file_offset":
         "SEARCH USING INDEX(file_name,file_offset) (file_name=?)",

@@ -3,10 +3,10 @@
 Exercises the crash-tolerance primitives without a simulator: flip
 intent records and their exactly-one-way resolution, lease TTL and
 boot-generation expiry with count-checked fencing, pin ageing, and the
-per-file reap watermark.  Boot-generation death is modelled the way it
-happens for real — ``Database.loads(db.dump())`` starts the next
-incarnation, so every lease and pin stamped by the previous one reads
-as dead."""
+per-row reap with its epoch-log pruning.  Boot-generation death is
+modelled the way it happens for real — ``Database.loads(db.dump())``
+starts the next incarnation, so every lease and pin stamped by the
+previous one reads as dead."""
 
 import json
 
@@ -267,7 +267,7 @@ def test_a_deleted_pin_id_is_never_reissued(tables):
 
 
 # ---------------------------------------------------------------------------
-# Per-row reap watermark
+# Per-row reap and epoch-log pruning
 # ---------------------------------------------------------------------------
 
 
@@ -279,6 +279,25 @@ def flip_closing(tables, timestep, new_offset, dataset="p"):
     )
     tables.commit_flip("grp.L3", e)
     return e
+
+
+def flip_in_place(tables, timestep, new_offset, valid_from):
+    """Publish a compaction moving the version of one grp.L3 timestep
+    opened at ``valid_from`` to ``new_offset`` in the same file."""
+    e = tables.begin_flip("grp.L3")
+    tables.update_execution_offsets(
+        [(new_offset, 100, 1, "p", timestep, valid_from)], "grp.L3", e
+    )
+    tables.commit_flip("grp.L3", e)
+    return e
+
+
+def epochs_for_file(tables, file_name):
+    rows = tables.db.execute(
+        "SELECT epoch FROM epoch_table WHERE file_name = ? ORDER BY epoch",
+        (file_name,),
+    )
+    return [int(e) for (e,) in rows]
 
 
 def test_pin_interval_reap_is_per_row(tables):
@@ -293,21 +312,13 @@ def test_pin_interval_reap_is_per_row(tables):
     assert not tables.reap_file("grp.L3")
     dead = tables.executions_in_file("grp.L3", dead=True)
     assert [(d[2], d[5], d[6]) for d in dead] == [(1, 0, e2)]
-    # Watermark: everything below the surviving row's valid_from is
-    # reaped; epoch history below it is pruned.
-    assert tables.reap_watermark("grp.L3") == 0
+    # Epoch history below the surviving row's valid_from (0) is pruned:
+    # none of it.
+    assert epochs_for_file(tables, "grp.L3") == [e1, e2]
     tables.release_pin(pin)
     assert tables.reap_file("grp.L3")
     assert tables.executions_in_file("grp.L3", dead=True) == []
-    assert tables.reap_watermark("grp.L3") == e2
-
-
-def epochs_for_file(tables, file_name):
-    rows = tables.db.execute(
-        "SELECT epoch FROM epoch_table WHERE file_name = ? ORDER BY epoch",
-        (file_name,),
-    )
-    return [int(e) for (e,) in rows]
+    assert epochs_for_file(tables, "grp.L3") == [e2]
 
 
 def test_full_reap_prunes_epoch_history(tables):
@@ -315,9 +326,8 @@ def test_full_reap_prunes_epoch_history(tables):
     e1 = flip_closing(tables, 0, 0)
     assert epochs_for_file(tables, "grp.L3") == [e1]
     assert tables.reap_file("grp.L3")
-    assert tables.reap_watermark("grp.L3") == e1
-    # Epochs strictly below the watermark are forgotten; the watermark
-    # epoch itself survives as the file's published frontier.
+    # Epochs strictly below the file's current epoch are forgotten; the
+    # current epoch itself survives as the file's published frontier.
     assert epochs_for_file(tables, "grp.L3") == [e1]
     tables.record_execution(1, "q", 0, "grp.L3", 0, 100)
     e2 = flip_closing(tables, 0, 100, dataset="q")
@@ -325,9 +335,32 @@ def test_full_reap_prunes_epoch_history(tables):
     assert epochs_for_file(tables, "grp.L3") == [e2]
 
 
-def test_watermark_is_monotone(tables):
-    tables.set_reap_watermark("f", 5)
-    tables.set_reap_watermark("f", 3)
-    assert tables.reap_watermark("f") == 5
-    tables.set_reap_watermark("f", 7)
-    assert tables.reap_watermark("f") == 7
+def test_partial_reaps_under_one_pin_prune_below_the_oldest_survivor(
+    tables,
+):
+    tables.record_execution(1, "p", 0, "grp.L3", 0, 100)
+    tables.record_execution(1, "p", 1, "grp.L3", 100, 100)
+    e1 = flip_in_place(tables, 1, 300, 0)   # ts 1 dead over [0, e1)
+    e2 = flip_in_place(tables, 0, 400, 0)   # ts 0 dead over [0, e2)
+    pin = tables.create_pin("c", e2, now=0.0)
+    e3 = flip_in_place(tables, 0, 500, e2)  # ts 0 dead over [e2, e3)
+
+    def survivors():
+        dead = tables.executions_in_file("grp.L3", dead=True)
+        return [(d[2], d[5], d[6]) for d in dead]
+
+    # The pin at e2 keeps only [e2, e3); the log keeps epochs >= e2.
+    assert not tables.reap_file("grp.L3")
+    assert survivors() == [(0, e2, e3)]
+    assert epochs_for_file(tables, "grp.L3") == [e2, e3]
+    # A second reaper under the same pin, after one more flip whose dead
+    # version the pin cannot see, reaps that version and recomputes the
+    # same bound: nothing older comes back, nothing newer goes.
+    e4 = flip_in_place(tables, 0, 600, e3)  # ts 0 dead over [e3, e4)
+    assert not tables.reap_file("grp.L3")
+    assert survivors() == [(0, e2, e3)]
+    assert epochs_for_file(tables, "grp.L3") == [e2, e3, e4]
+    tables.release_pin(pin)
+    assert tables.reap_file("grp.L3")
+    assert survivors() == []
+    assert epochs_for_file(tables, "grp.L3") == [e4]

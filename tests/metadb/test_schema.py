@@ -1,6 +1,7 @@
 """SDM schema accessors and the simulated query cost model."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from repro.config import origin2000
 from repro.metadb import Database, SDMTables
 from repro.metadb.schema import (
+    SDM_SCHEMA,
     ChunkRecord,
     HistoryRankRecord,
     HistoryRecord,
     MaintenanceRecord,
 )
 from repro.simt import Simulator
+from test_access_paths import GOLDEN_PLANS
 
 
 @pytest.fixture()
@@ -39,8 +42,38 @@ def test_create_all_is_idempotent(tables):
         "epoch_table",
         "lease_table",
         "pin_table",
-        "watermark_table",
     }
+
+
+#: Columns of the paper's Figure 4 tables that SDM records but no SDM
+#: call reads back: the run's wall-clock date and the import records.
+UNREAD_FIGURE_4_COLUMNS = {
+    ("run_table", column)
+    for column in ("year", "month", "day", "hour", "minute")
+} | {
+    ("import_table", column)
+    for column in ("runid", "imported_name", "file_name", "data_type",
+                   "storage_order", "partition", "file_content",
+                   "file_offset", "num_elements")
+}
+
+
+def test_every_column_is_read():
+    """Every column is in the SELECT list, WHERE clause or ORDER BY of a
+    statement SDMTables issues (``GOLDEN_PLANS`` names each one): state
+    no decision reads is not kept."""
+    columns = set()
+    for ddl in SDM_SCHEMA:
+        table = re.search(r"EXISTS (\w+)", ddl).group(1)
+        columns |= {(table, c) for c in
+                    re.findall(r"(\w+) (?:INTEGER|REAL|TEXT)", ddl)}
+    read = set()
+    for sql in GOLDEN_PLANS:
+        table = re.search(r"(?:FROM|UPDATE) (\w+)", sql).group(1)
+        names = re.findall(r"\w+", re.sub(r" SET .*? WHERE ", " ", sql))
+        read |= {(table, name) for name in names}
+    assert UNREAD_FIGURE_4_COLUMNS <= columns
+    assert columns - read == UNREAD_FIGURE_4_COLUMNS
 
 
 def test_runid_allocation(tables):

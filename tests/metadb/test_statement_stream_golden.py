@@ -12,7 +12,9 @@ Each of the four ``benchmarks/e2e/workloads.py`` workloads runs at
 
 A change to the metadata path that moves none of these keeps SDM's
 behaviour: the same statements, the same rows touched, the same bytes
-persisted.  Run this file as a script to print the current values.
+persisted.  Run this file as a script to print the current values, or
+with ``--stream DIR`` to write each workload's stream to
+``DIR/<workload>.txt``, one line per statement, for diffing two trees.
 """
 
 import functools
@@ -31,34 +33,34 @@ ROOT = Path(__file__).resolve().parents[2]
 # workload: (repr(virtual_s), statements, stream sha256, dump sha256s)
 GOLDEN = {
     "bulk_datapath": (
-        '0.5969254346309756', 130,
-        "e0b1216e79d3c17b46b5347cace59ce7d51c41bb9861468b326c388849a25770",
+        '0.5768454346309755', 122,
+        "758b3ef1ea393d3745b2050df9173814db6411aafe449d00dc3dee2c1b0de234",
         (
-            "cfd047047b34265481888c337c07c3edcb3143422e86b0f77fde5636970f0d99",
+            "5ee48576ff9fe05fe06fb84cd5d72d359741d455fa465a004311124252533713",
         ),
     ),
     "fun3d_e2e": (
-        '79.62018425191934', 111,
-        "482072c4ec6115470bdb7ee09611d2c0d78f53f5e9bedc3ca069189ad0bae7c6",
+        '79.61518425191935', 109,
+        "87b824f0859367df17e2f4cd972c70266ee0d578d3ef2d441df466f1988a93a9",
         (
-            "64387de8f6c1eb18aacc894e1ec76db20fead7c056840da4d4cc61a23f214c85",
-            "028f4162e7ca6ab97d71c7e4b856714e36fe7f73c4840036997bbcc528665aab",
+            "0890d7598496a6a8317ba353ce7d1b3f910d2b7af84eae469848e816094e8704",
+            "fd77d8ec1085b2eb74d37d0b369253bbe2d5b5230d079cf6a3ef3323a57c6d5d",
         ),
     ),
     "metadb_catalog": (
-        '1.4196200000000019', 614,
-        "c6b24c3968a122b451daf958603ef85b6dcee7dd1238835ccceb4e2a1e67ab42",
+        '1.3416800000000004', 583,
+        "b6a2e802deeaa63d6b869a2ef466a7d6445e91a00abef6d1ff24d8ad923dec5b",
         (
-            "cdce907f337e2db35b855f82b00d8da8c3b33ad836d1f9683ab3174aef41630b",
-            "c67439e0b090ed96147eb9a072e0935020db0ff1b36ff88c1211611abf7b5f57",
+            "13d92adf6651e1a08991f484aa5e4f1e48e4b28ad76a08b37bb7aad648ca7bda",
+            "7911c665580d986f90d06574114fd1961c9927d5a6184757fc1ac19728b17db0",
         ),
     ),
     "rt_lifecycle": (
-        '26.416844169280036', 249,
-        "e774813f45f228646f4ddfdac92533c15e0207b03dc0291ba268581d8727aa8a",
+        '26.364024169280032', 228,
+        "1bca90370472b3d8f89aa50de500c51ec4e768440ba2fbc191854ab6a80228e5",
         (
-            "86b6e54f0f12cb229b3651d5af0da696562bab284c10d0dfc46f047c5d5e88f8",
-            "a8f57e9b42debfc2ab1892c16a24f6d8fdfe2e83a5f6138a922c3bff94e553cf",
+            "eae5710545b606ff3e93c4142d5027a63ae4dade430684577eac410abc1d7e79",
+            "40715240a49213edbdfbd9ae9e45f5ed5d7013815b1821caae711ef29cd30dc9",
         ),
     ),
 }
@@ -102,12 +104,17 @@ def _record(patch):
     return stream
 
 
-def fingerprint(name, patch):
+def _run(name, patch):
+    """Run one workload at size tiny, seed 1, recording its stream."""
     workloads = _workloads()
     workload = workloads.WORKLOADS[name]
     inputs = workload.setup(1, "tiny")
     stream = _record(patch)
-    run = workload.body(inputs, workloads.NullTracer())
+    return workload.body(inputs, workloads.NullTracer()), stream
+
+
+def fingerprint(name, patch):
+    run, stream = _run(name, patch)
     digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
     dumps = tuple(hashlib.sha256(db.dump().encode()).hexdigest()
                   for db in run.dbs)
@@ -123,21 +130,43 @@ def test_every_workload_is_pinned():
     assert sorted(GOLDEN) == sorted(_workloads().WORKLOADS)
 
 
-if __name__ == "__main__":
-    print("GOLDEN = {")
-    for name in sorted(_workloads().WORKLOADS):
-        saved = []
+def _unpatched(measure, name):
+    """``measure(name, patch)`` with every patch undone afterwards."""
+    saved = []
 
-        def patch(cls, attr, fn):
-            saved.append((cls, attr, getattr(cls, attr)))
-            setattr(cls, attr, fn)
+    def patch(cls, attr, fn):
+        saved.append((cls, attr, getattr(cls, attr)))
+        setattr(cls, attr, fn)
 
-        virtual, n, digest, dumps = fingerprint(name, patch)
+    try:
+        return measure(name, patch)
+    finally:
         for cls, attr, fn in reversed(saved):
             setattr(cls, attr, fn)
+
+
+def _write_streams(out):
+    out.mkdir(parents=True, exist_ok=True)
+    for name in sorted(_workloads().WORKLOADS):
+        stream = _unpatched(_run, name)[1]
+        (out / f"{name}.txt").write_text("".join(f"{s}\n" for s in stream))
+        print(f"{name}: {len(stream)} statements")
+
+
+def _print_golden():
+    print("GOLDEN = {")
+    for name in sorted(_workloads().WORKLOADS):
+        virtual, n, digest, dumps = _unpatched(fingerprint, name)
         print(f'    "{name}": (\n        {virtual!r}, {n},\n'
               f'        "{digest}",\n        (')
         for d in dumps:
             print(f'            "{d}",')
         print("        ),\n    ),")
     print("}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--stream"]:
+        _write_streams(Path(sys.argv[2]))
+    else:
+        _print_golden()
