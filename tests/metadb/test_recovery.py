@@ -15,6 +15,7 @@ import pytest
 from repro.errors import SDMStateError
 from repro.metadb import Database, SDMTables
 from repro.metadb.schema import (
+    DEFAULT_LEASE_TTL,
     DEFAULT_PIN_TTL,
     EPOCH_INTENT,
     EPOCH_PUBLISHED,
@@ -166,6 +167,24 @@ def test_heartbeat_extends_lease(tables):
     tables.heartbeat_lease("f", "a", 50.0)
     assert not tables.try_acquire_lease("f", "b", now=100.0)
     assert tables.try_acquire_lease("f", "b", now=110.0)
+
+
+def test_lease_expiry_is_default_lease_ttl_after_the_last_heartbeat(tables):
+    # The row stores only the stamp; every lease ages by the constant.
+    assert tables.try_acquire_lease("f", "a", now=100.0)
+    tables.heartbeat_lease("f", "a", 130.0)
+    assert not tables.try_acquire_lease(
+        "f", "b", now=130.0 + DEFAULT_LEASE_TTL - 1.0)
+    assert tables.try_acquire_lease("f", "b", now=130.0 + DEFAULT_LEASE_TTL)
+    assert tables.lease_holder("f") == "b"
+
+
+def test_without_a_clock_a_same_incarnation_lease_holds(tables):
+    assert tables.try_acquire_lease("f", "a", now=0.0)
+    # No ``now``: however stale the stamp, only boot death is detected.
+    assert not tables.try_acquire_lease("f", "b")
+    assert tables.n_leases_stolen == 0
+    assert tables.lease_holder("f") == "a"
 
 
 def test_boot_expiry_steals_without_clock(tables):

@@ -153,6 +153,20 @@ def _write_streams(out):
         print(f"{name}: {len(stream)} statements")
 
 
+def test_stream_mode_writes_each_pinned_stream(tmp_path, capsys):
+    """``--stream DIR`` writes, line for line, the streams ``GOLDEN``
+    pins, so two trees' files diff statement by statement."""
+    _write_streams(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.txt" for name in GOLDEN)
+    for name, (_, n, digest, _) in GOLDEN.items():
+        lines = (tmp_path / f"{name}.txt").read_text().splitlines()
+        assert len(lines) == n
+        assert hashlib.sha256(
+            "\n".join(lines).encode()).hexdigest() == digest
+    assert capsys.readouterr().out.count(" statements\n") == len(GOLDEN)
+
+
 def _print_golden():
     print("GOLDEN = {")
     for name in sorted(_workloads().WORKLOADS):
